@@ -38,8 +38,11 @@ func goldenOpts() Options {
 // rows by the cohort grouping-invariance contract), and the adaptive
 // figure (the control plane's two mid-run mode switches under the
 // windowed fault burst, with the per-phase tracking ratios and the
-// zero-stale audit columns locked byte-for-byte).
-var goldenFigs = []string{"fig2", "fig7", "modes", "storage", "cluster", "clusterscale", "rdma", "capability", "serving", "adaptive"}
+// zero-stale audit columns locked byte-for-byte), and the paper's
+// application figures fig9-fig12 (the RPC and real-application message
+// paths, abstract-remote Tx bulk flows, and the ring-size sweep).
+var goldenFigs = []string{"fig2", "fig7", "modes", "storage", "cluster", "clusterscale", "rdma", "capability", "serving", "adaptive",
+	"fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig12"}
 
 // TestGoldenFiguresByteIdentical regenerates each golden figure and
 // requires byte-for-byte identity with the committed file. Regenerate
