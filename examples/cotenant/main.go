@@ -35,7 +35,7 @@ func main() {
 			var blocks int64
 			var dev interface{ Blocks() int64 }
 			if loaded {
-				dev = h.InstallStorage(host.StorageConfig{ReadGBps: 8})
+				dev = h.InstallStorage(host.StorageSpec{ReadGBps: 8})
 			}
 			r := h.Run(10*sim.Millisecond, 30*sim.Millisecond)
 			if dev != nil {

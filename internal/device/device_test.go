@@ -18,7 +18,7 @@ func runStorage(t *testing.T, mode core.Mode, gbps float64) *device.Storage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := h.InstallStorage(host.StorageConfig{ReadGBps: gbps})
+	s := h.InstallStorage(host.StorageSpec{ReadGBps: gbps})
 	h.Run(1*sim.Millisecond, 4*sim.Millisecond)
 	return s
 }

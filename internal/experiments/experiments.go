@@ -646,7 +646,7 @@ func Storage(o Options) Table {
 			}
 			var dev interface{ Blocks() int64 }
 			if c.gbps > 0 {
-				dev = h.InstallStorage(host.StorageConfig{ReadGBps: c.gbps})
+				dev = h.InstallStorage(host.StorageSpec{ReadGBps: c.gbps})
 			}
 			r := h.Run(o.Warmup, o.Measure)
 			out := cell{r: r}

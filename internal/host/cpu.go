@@ -1,7 +1,6 @@
 package host
 
 import (
-	"fastsafe/internal/fabric"
 	"fastsafe/internal/sim"
 )
 
@@ -62,15 +61,3 @@ func (c *Core) QueueLen() int { return len(c.queue) }
 
 // Busy reports whether the core is currently executing work.
 func (c *Core) Busy() bool { return c.running }
-
-// Wire is one direction of the network path between two hosts — a
-// fabric.Link used point-to-point. The single-host experiments connect
-// the detailed local host to its abstract remote through one Wire per
-// direction (the degenerate two-node fabric); clusters route the same
-// packets through fabric.Switch ports instead.
-type Wire = fabric.Link
-
-// NewWire returns a wire with the given line rate and one-way propagation.
-func NewWire(eng *sim.Engine, gbps float64, prop sim.Duration) *Wire {
-	return fabric.NewLink(eng, gbps, prop)
-}

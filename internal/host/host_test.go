@@ -5,6 +5,7 @@ import (
 
 	"fastsafe/internal/core"
 	"fastsafe/internal/device"
+	"fastsafe/internal/fabric"
 	"fastsafe/internal/sim"
 )
 
@@ -348,7 +349,7 @@ func TestCoreQueueSerialises(t *testing.T) {
 
 func TestWireSerialisationAndECN(t *testing.T) {
 	eng := sim.NewEngine(1)
-	w := NewWire(eng, 1, 1000) // 1 Gbps: 4KB takes ~32.8us to serialise
+	w := fabric.NewLink(eng, 1, 1000) // 1 Gbps: 4KB takes ~32.8us to serialise
 	w.SetECN(4096)
 	var marks []bool
 	// Offer 2x the line rate for a while: a standing queue builds and the
@@ -436,7 +437,7 @@ func TestStorageCoTenantPollutesStrictNotFNS(t *testing.T) {
 		}
 		var dev *device.Storage
 		if gbps > 0 {
-			dev = h.InstallStorage(StorageConfig{ReadGBps: gbps})
+			dev = h.InstallStorage(StorageSpec{ReadGBps: gbps})
 		}
 		r := h.Run(5*sim.Millisecond, 15*sim.Millisecond)
 		if dev != nil && dev.Blocks() == 0 {

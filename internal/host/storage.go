@@ -12,16 +12,12 @@ import (
 // seed slot assignment, mode inheritance, and the pre-device-layer
 // InstallStorage entry point.
 
-// StorageConfig attaches a storage device to the host; it is the same
-// shape a Topology carries.
-type StorageConfig = StorageSpec
-
 // InstallStorage attaches a storage device sharing the IOMMU. Call
 // before Start. Devices the Topology config declares are installed by
 // New; this entry point adds more afterwards. Panics on a nonsensical
 // config (non-positive ReadGBps) — the facade validates before it gets
 // here.
-func (h *Host) InstallStorage(cfg StorageConfig) *device.Storage {
+func (h *Host) InstallStorage(cfg StorageSpec) *device.Storage {
 	s, err := h.addStorage(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("host: InstallStorage: %v", err))
