@@ -98,3 +98,36 @@ func TestMsgLocalClientRoundtrip(t *testing.T) {
 		t.Fatalf("IOTLB/page = %.2f, want translation activity", r.IOTLBPerPage)
 	}
 }
+
+// TestMsgLatencyMeasuresWindowOnly: both Host.Run and Cluster.Run reset
+// the message app's latency histogram when the measured window opens,
+// so it holds exactly one sample per in-window completion.
+func TestMsgLatencyMeasuresWindowOnly(t *testing.T) {
+	msgs := MsgConfig{Pattern: LocalServes, Streams: 2, Depth: 2, ReqBytes: 4096, RespBytes: 4096,
+		AppCPU: 2 * sim.Microsecond}
+	check := func(t *testing.T, r Results) {
+		t.Helper()
+		if r.Completed == 0 {
+			t.Fatal("no exchanges completed in the window")
+		}
+		if n := r.Latency.Count(); n != r.Completed {
+			t.Fatalf("latency histogram holds %d samples for %d in-window completions", n, r.Completed)
+		}
+	}
+	t.Run("host", func(t *testing.T) {
+		h, err := New(Config{Mode: core.FNS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.InstallMessages(msgs)
+		check(t, h.Run(sim.Millisecond, 2*sim.Millisecond))
+	})
+	t.Run("cluster", func(t *testing.T) {
+		c, err := NewCluster(ClusterConfig{Hosts: 2, Host: Config{Mode: core.FNS}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Hosts()[0].InstallMessages(msgs)
+		check(t, c.Run(sim.Millisecond, 2*sim.Millisecond).Hosts[0])
+	})
+}

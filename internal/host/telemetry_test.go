@@ -218,3 +218,36 @@ func TestMemHogStartDelaysOnset(t *testing.T) {
 		t.Fatalf("mem_util did not rise after hog onset: peak before=%.3f after=%.3f", before, after)
 	}
 }
+
+// TestTimelineMissRatesCountServingPayload: the sampler's per-page miss
+// rates share Results.PagesRxed's normaliser, serving payload included,
+// so on a serving-only host every interval that walked the page table
+// reports a nonzero miss rate.
+func TestTimelineMissRatesCountServingPayload(t *testing.T) {
+	cfg := servingConfig(core.Strict, 0.3, 1, 1)
+	cfg.Telemetry.SampleEvery = 500 * sim.Microsecond
+	r := runServing(t, cfg, sim.Millisecond, 3*sim.Millisecond)
+	series := map[string][]float64{}
+	for _, s := range r.Timeline {
+		series[s.Name] = s.Values
+	}
+	walks := series["walk_reads"]
+	if len(walks) == 0 {
+		t.Fatal("no walk_reads series sampled")
+	}
+	walked := 0
+	for i, w := range walks {
+		if w == 0 {
+			continue
+		}
+		walked++
+		for _, name := range []string{"iotlb_miss_per_pg", "ptcache_miss_per_pg"} {
+			if v := series[name][i]; v <= 0 {
+				t.Errorf("interval %d: %v walk reads but %s = %v", i, w, name, v)
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no interval walked the page table")
+	}
+}
