@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build vet fmt fmt-check test race bench bench-multidev bench-timeline \
 	faults bench-faults bench-cluster bench-clusterscale bench-rdma \
 	bench-capability bench-serving bench-adaptive churn-gauntlet scale-gate cover \
-	golden-check lint ci
+	golden-check simbench-check lint ci
 
 all: build
 
@@ -103,6 +103,12 @@ golden-check:
 	UPDATE_GOLDEN=1 $(GO) test -run Golden ./internal/experiments ./internal/host
 	git diff --exit-code
 
+# The simulator benchmark (simbench/) is its own Go module, so the root
+# build and test skip it: vet and race-test it against this tree, so an
+# API change it depends on fails here instead of in the benchmark run.
+simbench-check:
+	cd simbench && $(GO) vet . && $(GO) test -race .
+
 # Mirrors the CI lint job. Each analyzer is skipped with a notice when
 # its binary is not on PATH (install with:
 #   go install honnef.co/go/tools/cmd/staticcheck@latest
@@ -119,4 +125,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping" >&2; \
 	fi
 
-ci: build vet fmt-check lint test race bench faults churn-gauntlet cover golden-check
+ci: build vet fmt-check lint test race bench faults churn-gauntlet cover golden-check simbench-check
