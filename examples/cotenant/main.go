@@ -35,7 +35,11 @@ func main() {
 			var blocks int64
 			var dev interface{ Blocks() int64 }
 			if loaded {
-				dev = h.InstallStorage(host.StorageSpec{ReadGBps: 8})
+				s, err := h.InstallStorage(host.StorageSpec{ReadGBps: 8})
+				if err != nil {
+					log.Fatal(err)
+				}
+				dev = s
 			}
 			r := h.Run(10*sim.Millisecond, 30*sim.Millisecond)
 			if dev != nil {

@@ -33,13 +33,13 @@ func TestValidateRejections(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{Config{Conns: 0, Cohort: 1, Churn: 0.2}, "conns must be >= 1"},
-		{Config{Conns: -3, Cohort: 1, Churn: 0.2}, "conns must be >= 1"},
-		{Config{Conns: 4, Cohort: 0, Churn: 0.2}, "cohort size must be >= 1"},
-		{Config{Conns: 4, Cohort: -1, Churn: 0.2}, "cohort size must be >= 1"},
-		{Config{Conns: 4, Cohort: 1, Churn: 0}, "churn rate must be in (0, 1]"},
-		{Config{Conns: 4, Cohort: 1, Churn: -0.5}, "churn rate must be in (0, 1]"},
-		{Config{Conns: 4, Cohort: 1, Churn: 1.5}, "churn rate must be in (0, 1]"},
+		{Config{Conns: 0, Cohort: 1, Churn: 0.2}, "conns must be >= 1, got 0"},
+		{Config{Conns: -3, Cohort: 1, Churn: 0.2}, "conns must be >= 1, got -3"},
+		{Config{Conns: 4, Cohort: 0, Churn: 0.2}, "cohort size must be >= 1, got 0 (1 simulates every connection exactly)"},
+		{Config{Conns: 4, Cohort: -1, Churn: 0.2}, "cohort size must be >= 1, got -1 (1 simulates every connection exactly)"},
+		{Config{Conns: 4, Cohort: 1, Churn: 0}, "churn rate must be in (0, 1], got 0 (the per-request connection death probability)"},
+		{Config{Conns: 4, Cohort: 1, Churn: -0.5}, "churn rate must be in (0, 1], got -0.5"},
+		{Config{Conns: 4, Cohort: 1, Churn: 1.5}, "churn rate must be in (0, 1], got 1.5"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -53,6 +53,26 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := (Config{Conns: 4, Cohort: 1, Churn: 1}).Validate(); err != nil {
 		t.Errorf("churn 1.0 must be accepted (every request kills its connection): %v", err)
+	}
+}
+
+// TestValidateAcceptsFleetKnobs: the in-range values the front ends pass
+// through (fssim's -conns/-churn/-cohort, the facade's Serve) validate.
+func TestValidateAcceptsFleetKnobs(t *testing.T) {
+	for _, churn := range []float64{0.05, 0.3, 1} {
+		if err := (Config{Conns: 4, Cohort: 1, Churn: churn}).Validate(); err != nil {
+			t.Errorf("churn %g rejected: %v", churn, err)
+		}
+	}
+	for _, conns := range []int{1, 48, 1024} {
+		if err := (Config{Conns: conns, Cohort: 1, Churn: 0.2}).Validate(); err != nil {
+			t.Errorf("conns %d rejected: %v", conns, err)
+		}
+	}
+	for _, k := range []int{1, 4, 64} {
+		if err := (Config{Conns: 64, Cohort: k, Churn: 0.2}).Validate(); err != nil {
+			t.Errorf("cohort size %d rejected: %v", k, err)
+		}
 	}
 }
 

@@ -274,10 +274,56 @@ func TestParseRejections(t *testing.T) {
 		}
 	}
 	// Mode rejections must name the full valid-mode vocabulary, like
-	// modespec's.
+	// core.ParseMode's.
 	_, err := Parse("guard,metric=m,fast=warp9")
 	if err == nil || !strings.Contains(err.Error(), "fns+huge") {
 		t.Errorf("mode rejection %v does not list valid modes", err)
+	}
+}
+
+// TestParseRejectionMessages: every rejection is namespaced and names
+// the bad input together with what would be accepted — the valid kinds,
+// keys or modes — since fssim and the facade print it as is.
+func TestParseRejectionMessages(t *testing.T) {
+	cases := []struct {
+		name, spec string
+		want       []string // substrings the error must carry
+	}{
+		{"unknown kind", "governor,metric=mem.util",
+			[]string{`unknown rule kind "governor"`, "guard, pressure"}},
+		{"missing metric", "guard,high=1,low=0,safe=strict,fast=fns",
+			[]string{"metric must not be empty"}},
+		{"unknown key", "guard,metric=x,ceiling=2",
+			[]string{`unknown key "ceiling"`, "metric"}},
+		{"bad threshold", "guard,metric=x,high=lots",
+			[]string{`high="lots"`}},
+		{"bad mode", "guard,metric=x,high=1,low=0,safe=turbo,fast=fns",
+			[]string{`safe="turbo"`, "fns+huge"}},
+		{"bad cooldown", "guard,metric=x,high=1,low=0,safe=strict,fast=fns,cooldown=soon",
+			[]string{`cooldown="soon"`, "duration"}},
+		{"bad every", "every=never",
+			[]string{`every="never"`}},
+		{"inverted thresholds", "guard,metric=x,high=1,low=5,safe=strict,fast=fns",
+			[]string{"high", "low"}},
+		{"unswitchable mode", "guard,metric=x,high=1,low=0,safe=strict,fast=persistent",
+			[]string{"persistent"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Parse(c.spec)
+			if err == nil {
+				t.Fatalf("Parse(%q) accepted", c.spec)
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "control") {
+				t.Fatalf("error %q not namespaced", msg)
+			}
+			for _, want := range c.want {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("error %q missing %q", msg, want)
+				}
+			}
+		})
 	}
 }
 

@@ -108,8 +108,8 @@ func (m Mode) String() string {
 // ValidModeNames is the one shared name table: every parseable mode
 // name, Modes() presentation order first, then the modes deliberately
 // kept out of Modes() (strawmen and the capability family) sorted by
-// name. internal/modespec delegates here so the two parsers reject an
-// unknown mode with the same vocabulary.
+// name. ParseMode, NewDomain, SetKnobs and the control-spec parser all
+// list it, so every rejection of a mode uses the same vocabulary.
 func ValidModeNames() []string {
 	listed := Modes()
 	out := make([]string, 0, len(modeNames))
@@ -128,55 +128,47 @@ func ValidModeNames() []string {
 	return append(out, extra...)
 }
 
-// ParseMode maps a name (as printed by String) back to a Mode.
+// ParseMode maps a name (as printed by String) back to a Mode. It is
+// the one parser for protection-mode specs from CLI flags and the public
+// facade; the error names the input and lists every valid mode.
 func ParseMode(s string) (Mode, error) {
 	for m, name := range modeNames {
 		if s == name {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("core: unknown mode %q (valid: %s)",
+	return 0, fmt.Errorf("core: unknown protection mode %q (valid: %s)",
 		s, strings.Join(ValidModeNames(), ", "))
+}
+
+// policy resolves m to its registered policy. NewDomain rejects an
+// unregistered mode, so reaching one here is a caller bug: panic and
+// name the mode instead of guessing its properties.
+func (m Mode) policy() Policy {
+	p, ok := policies[m]
+	if !ok {
+		panic(fmt.Sprintf("core: %v is not a registered protection mode", m))
+	}
+	return p
 }
 
 // Translated reports whether DMA addresses pass through the IOMMU's
 // protection check (address translation or capability validation) in
-// this mode. Delegates to the registered policy; the pre-seam fallback
-// covers unregistered Mode values.
-func (m Mode) Translated() bool {
-	if p, ok := policies[m]; ok {
-		return p.Translated()
-	}
-	return m != Off
-}
+// this mode.
+func (m Mode) Translated() bool { return m.policy().Translated() }
 
 // StrictSafety reports whether the mode guarantees the device cannot
 // access a buffer after its descriptor completes (the paper's strict
 // safety property).
-func (m Mode) StrictSafety() bool {
-	if p, ok := policies[m]; ok {
-		return p.StrictSafety()
-	}
-	return false
-}
+func (m Mode) StrictSafety() bool { return m.policy().StrictSafety() }
 
 // Contiguous reports whether the mode allocates descriptor-sized (or
 // larger) contiguous IOVA chunks.
-func (m Mode) Contiguous() bool {
-	if p, ok := policies[m]; ok {
-		return p.Contiguous()
-	}
-	return false
-}
+func (m Mode) Contiguous() bool { return m.policy().Contiguous() }
 
 // PreservesPTCaches reports whether invalidations keep the page-table
 // caches (F&S idea A).
-func (m Mode) PreservesPTCaches() bool {
-	if p, ok := policies[m]; ok {
-		return p.PreservesPTCaches()
-	}
-	return false
-}
+func (m Mode) PreservesPTCaches() bool { return m.policy().PreservesPTCaches() }
 
 // Modes lists all implemented modes in presentation order.
 // DeferNoShootdown is deliberately absent: it is a fault-campaign

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -75,9 +76,11 @@ func TestEveryModeConstructs(t *testing.T) {
 	}
 }
 
-// TestParseModeRejectionNamesCapabilityModes: both new modes must parse,
-// and a rejected spec's error must list them among the valid names so a
-// user who typos "cap" discovers the family exists.
+// TestParseModeRejectionNamesCapabilityModes: both new modes must parse
+// (ParseMode reads host and per-device modes alike, though Modes()
+// sweeps exclude the family), and a rejected spec's error must list them
+// among the valid names so a user who typos "cap" discovers the family
+// exists.
 func TestParseModeRejectionNamesCapabilityModes(t *testing.T) {
 	for s, want := range map[string]Mode{"cap": Cap, "cap-lazyrevoke": CapLazyRevoke} {
 		m, err := ParseMode(s)
@@ -88,20 +91,70 @@ func TestParseModeRejectionNamesCapabilityModes(t *testing.T) {
 			t.Fatalf("ParseMode(%q) = %v (String %q)", s, m, m.String())
 		}
 	}
-	_, err := ParseMode("capability")
-	if err == nil {
-		t.Fatal("ParseMode accepted junk")
-	}
-	for _, name := range []string{"cap", "cap-lazyrevoke"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("rejection %q does not name %q", err, name)
+	for _, junk := range []string{"capability", "cap-lazy"} {
+		_, err := ParseMode(junk)
+		if err == nil {
+			t.Fatalf("ParseMode(%q) accepted junk", junk)
+		}
+		for _, name := range []string{"cap", "cap-lazyrevoke"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("rejection %q does not name %q", err, name)
+			}
 		}
 	}
 }
 
-// TestValidModeNamesCoversRegistry: the shared name table both parsers
-// print must cover exactly the registered policies, lead with the
-// presentation modes in Modes() order, and round-trip through ParseMode.
+// TestParseModeRejectionMessage: a rejected mode spec, empty included,
+// names the input and lists every valid mode, the strawman too (it
+// parses even though sweeps skip it).
+func TestParseModeRejectionMessage(t *testing.T) {
+	for _, junk := range []string{"fast", "turbo", ""} {
+		_, err := ParseMode(junk)
+		if err == nil {
+			t.Fatalf("ParseMode(%q) accepted junk", junk)
+		}
+		msg := err.Error()
+		for _, want := range []string{
+			fmt.Sprintf("unknown protection mode %q", junk),
+			"valid:",
+			"strict",
+			"fns+huge",
+			"defer-noshootdown",
+		} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("error %q missing %q", msg, want)
+			}
+		}
+	}
+}
+
+// TestUnregisteredModePredicatesPanic: the Mode predicates have no
+// fallback for a mode without a policy; asking one panics and names the
+// mode.
+func TestUnregisteredModePredicatesPanic(t *testing.T) {
+	for name, pred := range map[string]func(Mode) bool{
+		"Translated":        Mode.Translated,
+		"StrictSafety":      Mode.StrictSafety,
+		"Contiguous":        Mode.Contiguous,
+		"PreservesPTCaches": Mode.PreservesPTCaches,
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "mode(97)") {
+					t.Fatalf("%s(mode(97)) recovered %v, want a panic naming the mode", name, r)
+				}
+			}()
+			pred(Mode(97))
+		}()
+	}
+}
+
+// TestValidModeNamesCoversRegistry: the shared name table every mode
+// rejection prints must cover exactly the registered policies without
+// duplicates — the strawman and the capability family included — lead
+// with the presentation modes in Modes() order, and round-trip through
+// ParseMode.
 func TestValidModeNamesCoversRegistry(t *testing.T) {
 	names := ValidModeNames()
 	if len(names) != len(policies) {
@@ -112,13 +165,26 @@ func TestValidModeNamesCoversRegistry(t *testing.T) {
 			t.Fatalf("name %d = %q, want presentation mode %q", i, names[i], m.String())
 		}
 	}
+	seen := map[Mode]bool{}
 	for _, s := range names {
 		m, err := ParseMode(s)
 		if err != nil {
 			t.Fatalf("ParseMode(%q): %v", s, err)
 		}
+		if m.String() != s {
+			t.Fatalf("ParseMode(%q) = %v", s, m)
+		}
+		if seen[m] {
+			t.Fatalf("duplicate mode name %q", s)
+		}
+		seen[m] = true
 		if _, ok := PolicyFor(m); !ok {
 			t.Fatalf("%q parses to %v with no policy", s, m)
+		}
+	}
+	for _, m := range []Mode{DeferNoShootdown, Cap, CapLazyRevoke} {
+		if !seen[m] {
+			t.Fatalf("%v missing from ValidModeNames", m)
 		}
 	}
 }

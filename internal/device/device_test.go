@@ -18,7 +18,10 @@ func runStorage(t *testing.T, mode core.Mode, gbps float64) *device.Storage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := h.InstallStorage(host.StorageSpec{ReadGBps: gbps})
+	s, err := h.InstallStorage(host.StorageSpec{ReadGBps: gbps})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h.Run(1*sim.Millisecond, 4*sim.Millisecond)
 	return s
 }

@@ -646,7 +646,11 @@ func Storage(o Options) Table {
 			}
 			var dev interface{ Blocks() int64 }
 			if c.gbps > 0 {
-				dev = h.InstallStorage(host.StorageSpec{ReadGBps: c.gbps})
+				s, err := h.InstallStorage(host.StorageSpec{ReadGBps: c.gbps})
+				if err != nil {
+					return cell{}, err
+				}
+				dev = s
 			}
 			r := h.Run(o.Warmup, o.Measure)
 			out := cell{r: r}

@@ -160,13 +160,31 @@ func (r clusterRouter) PostCore(src int, gen, at sim.Time, fn func()) {
 	r.c.shards.Post(r.shardOfPort(src), 0, gen, at, fn)
 }
 
+// validate rejects what no default stands for, before withDefaults
+// clamps it: the cluster-level counts and the fabric port rate here, the
+// host values through Config.validate. The fabric checks the rest of its
+// own config.
+func (c ClusterConfig) validate() error {
+	switch {
+	case c.Hosts < 2:
+		return fmt.Errorf("host: Hosts must be >= 2, got %d", c.Hosts)
+	case c.FlowsPerPair < 0:
+		return fmt.Errorf("host: FlowsPerPair must be >= 0, got %d", c.FlowsPerPair)
+	case c.Shards < 0:
+		return fmt.Errorf("host: Shards must be >= 0, got %d", c.Shards)
+	case c.Fabric.PortGbps < 0:
+		return fmt.Errorf("host: Fabric.PortGbps must be >= 0, got %g", c.Fabric.PortGbps)
+	}
+	return c.Host.validate()
+}
+
 // NewCluster builds the hosts, the switch, and the peer flows the
 // traffic pattern calls for.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Hosts < 2 {
-		return nil, fmt.Errorf("host: a cluster needs at least 2 hosts, got %d", cfg.Hosts)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	if _, err := ParseTraffic(string(cfg.Traffic)); err != nil {
 		return nil, err
 	}

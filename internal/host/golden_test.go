@@ -23,7 +23,9 @@ func goldenRun(t *testing.T, cfg Config, storageGBps float64) string {
 		t.Fatal(err)
 	}
 	if storageGBps > 0 {
-		h.InstallStorage(StorageSpec{ReadGBps: storageGBps})
+		if _, err := h.InstallStorage(StorageSpec{ReadGBps: storageGBps}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := h.Run(2*sim.Millisecond, 6*sim.Millisecond)
 	var b strings.Builder

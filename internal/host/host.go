@@ -161,6 +161,53 @@ type StorageSpec struct {
 	Mode       *core.Mode // protection mode (nil = host Config.Mode)
 }
 
+// validate rejects the values no default stands for: negative counts,
+// sizes, rates, times and seeds, an MTU too small to carry a packet, and
+// a serving fleet that cannot fill one cohort. Zero means "default" for
+// every field checked here and a negative RxFlows means "no bulk flows",
+// so neither is an error. This is the one range check every front end
+// gets; each message names the field and the value.
+func (c Config) validate() error {
+	switch {
+	case c.Cores < 0:
+		return fmt.Errorf("host: Cores must be >= 0, got %d", c.Cores)
+	case c.TxFlows < 0:
+		return fmt.Errorf("host: TxFlows must be >= 0, got %d", c.TxFlows)
+	case c.RingPackets < 0:
+		return fmt.Errorf("host: RingPackets must be >= 0, got %d", c.RingPackets)
+	case c.DescriptorPages < 0:
+		return fmt.Errorf("host: DescriptorPages must be >= 0, got %d", c.DescriptorPages)
+	case c.MTU < 0:
+		return fmt.Errorf("host: MTU must be >= 0, got %d", c.MTU)
+	case c.MTU > 0 && c.MTU < 64:
+		return fmt.Errorf("host: MTU must be at least 64 bytes, got %d", c.MTU)
+	case c.ATSEntries < 0:
+		return fmt.Errorf("host: ATSEntries must be >= 0, got %d (0 disables the device TLB)", c.ATSEntries)
+	case c.MemHogGBps < 0:
+		return fmt.Errorf("host: MemHogGBps must be >= 0, got %g", c.MemHogGBps)
+	case c.MemHogStart < 0:
+		return fmt.Errorf("host: MemHogStart must be >= 0, got %v", c.MemHogStart)
+	case c.Seed < 0:
+		return fmt.Errorf("host: Seed must be >= 0, got %d", c.Seed)
+	case c.FaultSeed < 0:
+		return fmt.Errorf("host: FaultSeed must be >= 0, got %d", c.FaultSeed)
+	case c.Telemetry.SampleEvery < 0:
+		return fmt.Errorf("host: Telemetry.SampleEvery must be >= 0, got %v", c.Telemetry.SampleEvery)
+	}
+	// The fleet's own knobs (churn, cohort >= 1) are cohort.Config's to
+	// check; a bad conns count is reported before the cohort bound it
+	// would otherwise trip.
+	if s := c.Serve; s != nil {
+		switch {
+		case s.Conns < 1:
+			return fmt.Errorf("host: Serve.Conns must be >= 1, got %d", s.Conns)
+		case s.Cohort > s.Conns:
+			return fmt.Errorf("host: Serve.Cohort must be <= Serve.Conns, got %d > %d", s.Cohort, s.Conns)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
 		c.Cores = 5
@@ -178,9 +225,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DescriptorPages <= 0 {
 		c.DescriptorPages = 64
-	}
-	if c.ATSEntries < 0 {
-		c.ATSEntries = 0
 	}
 	if c.LinkGbps == 0 {
 		c.LinkGbps = 100
@@ -270,9 +314,13 @@ type Host struct {
 	shardPost func(dst *Host, fn func())
 }
 
-// New builds the host per cfg. Additional cores are created on demand for
-// Tx flows, app streams and co-tenant devices.
+// New builds the host per cfg, rejecting out-of-range values first.
+// Additional cores are created on demand for Tx flows, app streams and
+// co-tenant devices.
 func New(cfg Config) (*Host, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	eng := cfg.Engine
 	if eng == nil {
@@ -347,7 +395,7 @@ func New(cfg Config) (*Host, error) {
 		cpuBase += spec.Cores + spec.TxFlows + 8
 	}
 	for _, spec := range cfg.Topology.Storage {
-		if _, err := h.addStorage(spec); err != nil {
+		if _, err := h.InstallStorage(spec); err != nil {
 			return nil, err
 		}
 	}

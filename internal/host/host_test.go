@@ -1,6 +1,7 @@
 package host
 
 import (
+	"strings"
 	"testing"
 
 	"fastsafe/internal/core"
@@ -19,6 +20,71 @@ func run(t *testing.T, cfg Config) Results {
 		t.Fatal(err)
 	}
 	return h.Run(5*sim.Millisecond, 15*sim.Millisecond)
+}
+
+// TestNewRejectsOutOfRange: New and NewCluster hold the one range check
+// behind every front end. Each rejection names the field and the value,
+// a cluster checks its host config before defaults apply, zero still
+// means "default" and a negative RxFlows "no bulk flows".
+func TestNewRejectsOutOfRange(t *testing.T) {
+	hostCases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Cores: -3}, "host: Cores must be >= 0, got -3"},
+		{Config{TxFlows: -1}, "host: TxFlows must be >= 0, got -1"},
+		{Config{RingPackets: -5}, "host: RingPackets must be >= 0, got -5"},
+		{Config{DescriptorPages: -4}, "host: DescriptorPages must be >= 0, got -4"},
+		{Config{MTU: -1}, "host: MTU must be >= 0, got -1"},
+		{Config{MTU: 1}, "host: MTU must be at least 64 bytes, got 1"},
+		{Config{MTU: 63}, "host: MTU must be at least 64 bytes, got 63"},
+		{Config{ATSEntries: -8}, "host: ATSEntries must be >= 0, got -8 (0 disables the device TLB)"},
+		{Config{MemHogGBps: -3}, "host: MemHogGBps must be >= 0, got -3"},
+		{Config{MemHogStart: -sim.Microsecond}, "host: MemHogStart must be >= 0, got -1000ns"},
+		{Config{Seed: -3}, "host: Seed must be >= 0, got -3"},
+		{Config{FaultSeed: -2}, "host: FaultSeed must be >= 0, got -2"},
+		{Config{Telemetry: TelemetryConfig{SampleEvery: -1}}, "host: Telemetry.SampleEvery must be >= 0, got -1ns"},
+		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
+		{Config{Serve: &ServeConfig{Conns: -4, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got -4"},
+		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 100}}, "host: Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
+		// The fleet's own knobs are cohort.Config's to check.
+		{Config{Serve: &ServeConfig{Conns: 8, Churn: 1.5, Cohort: 1}}, "churn rate must be in (0, 1], got 1.5"},
+		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 0}}, "cohort size must be >= 1, got 0"},
+	}
+	for _, c := range hostCases {
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New(%+v) err = %v, want %q", c.cfg, err, c.want)
+		}
+		if _, err := NewCluster(ClusterConfig{Hosts: 2, Host: c.cfg}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewCluster with host %+v: err = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+	clusterCases := []struct {
+		cfg  ClusterConfig
+		want string
+	}{
+		{ClusterConfig{Hosts: 1}, "host: Hosts must be >= 2, got 1"},
+		{ClusterConfig{Hosts: 2, FlowsPerPair: -3}, "host: FlowsPerPair must be >= 0, got -3"},
+		{ClusterConfig{Hosts: 2, Shards: -1}, "host: Shards must be >= 0, got -1"},
+		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{PortGbps: -5}}, "host: Fabric.PortGbps must be >= 0, got -5"},
+		{ClusterConfig{Hosts: 2, Traffic: "mesh"}, `host: unknown traffic pattern "mesh"`},
+	}
+	for _, c := range clusterCases {
+		if _, err := NewCluster(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewCluster(%+v) err = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+	for _, cfg := range []Config{
+		{},
+		{RxFlows: -1, TxFlows: 1},
+		{MTU: 64},
+		{ATSEntries: 4096},
+		{Serve: &ServeConfig{Conns: 8, Churn: 1, Cohort: 8}},
+	} {
+		if _, err := New(cfg); err != nil {
+			t.Errorf("New(%+v): %v", cfg, err)
+		}
+	}
 }
 
 func TestOffSaturatesLink(t *testing.T) {
@@ -437,7 +503,9 @@ func TestStorageCoTenantPollutesStrictNotFNS(t *testing.T) {
 		}
 		var dev *device.Storage
 		if gbps > 0 {
-			dev = h.InstallStorage(StorageSpec{ReadGBps: gbps})
+			if dev, err = h.InstallStorage(StorageSpec{ReadGBps: gbps}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r := h.Run(5*sim.Millisecond, 15*sim.Millisecond)
 		if dev != nil && dev.Blocks() == 0 {

@@ -1,6 +1,9 @@
 package transport
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op selects the verb a peer flow uses. SendRecv (the zero value) is the
 // two-sided shape: the remote CPU posts receive buffers and runs the
@@ -28,14 +31,21 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// ParseOp maps a name (as printed by String) back to an Op.
+// ParseOp maps a verb name (as printed by String) back to an Op; ""
+// keeps the two-sided default. The error names the input and lists
+// every valid verb.
 func ParseOp(s string) (Op, error) {
-	for o, name := range opNames {
-		if s == name {
+	if s == "" {
+		return SendRecv, nil
+	}
+	valid := make([]string, 0, len(opNames))
+	for o := SendRecv; o <= Write; o++ {
+		if s == opNames[o] {
 			return o, nil
 		}
+		valid = append(valid, opNames[o])
 	}
-	return 0, fmt.Errorf("transport: unknown op %q", s)
+	return 0, fmt.Errorf("transport: unknown rdma op %q (valid: %s)", s, strings.Join(valid, ", "))
 }
 
 // OneSided reports whether the verb bypasses the remote CPU.
