@@ -73,15 +73,17 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
-	"fastsafe/internal/fabric"
+	"fastsafe/internal/control"
+	"fastsafe/internal/core"
 	"fastsafe/internal/fault"
 	"fastsafe/internal/host"
-	"fastsafe/internal/modespec"
 	"fastsafe/internal/runner"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
@@ -89,210 +91,148 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "strict", "protection mode: off|strict|deferred|strict+preserve|strict+contig|fns|persistent|fns+huge|defer-noshootdown")
-	flows := flag.Int("flows", 5, "bulk Rx flows")
-	txflows := flag.Int("txflows", 0, "bulk Tx flows (each on its own extra core)")
-	cores := flag.Int("cores", 5, "cores serving Rx flows")
-	ring := flag.Int("ring", 256, "Rx ring size in packets per core")
-	mtu := flag.Int("mtu", 4096, "MTU in bytes")
-	descPages := flag.Int("desc", 64, "pages per Rx descriptor")
+	// Flags naming a host or cluster value bind straight to the config;
+	// host.New and host.NewCluster check every one of them. The rest are
+	// spec strings, parsed once below by the package owning their type,
+	// and fssim's own run, device-count and serving switches.
+	var (
+		cfg   host.Config
+		cc    host.ClusterConfig
+		serve host.ServeConfig
+	)
+	mode := flag.String("mode", "strict", "protection mode: "+strings.Join(core.ValidModeNames(), "|"))
+	flag.IntVar(&cfg.RxFlows, "flows", 5, "bulk Rx flows")
+	flag.IntVar(&cfg.TxFlows, "txflows", 0, "bulk Tx flows (each on its own extra core)")
+	flag.IntVar(&cfg.Cores, "cores", 5, "cores serving Rx flows")
+	flag.IntVar(&cfg.RingPackets, "ring", 256, "Rx ring size in packets per core")
+	flag.IntVar(&cfg.MTU, "mtu", 4096, "MTU in bytes")
+	flag.IntVar(&cfg.DescriptorPages, "desc", 64, "pages per Rx descriptor")
 	ms := flag.Int("ms", 30, "measurement window, milliseconds")
 	warmup := flag.Int("warmup", 10, "warmup window, milliseconds")
-	seed := flag.Int64("seed", 1, "simulation seed (first seed with -seeds)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "simulation seed (first seed with -seeds)")
 	seeds := flag.Int("seeds", 1, "number of consecutive seeds to run")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "simulations to run concurrently")
-	trace := flag.Bool("trace", false, "summarise the PTcache-L3 locality trace")
+	flag.BoolVar(&cfg.Telemetry.TraceL3, "trace", false, "summarise the PTcache-L3 locality trace")
 	timeline := flag.Bool("timeline", false, "sample per-interval series and print them as CSV")
 	sampleus := flag.Int("sampleus", 500, "sampling interval for -timeline, microseconds")
-	memhog := flag.Float64("memhog", 0, "co-tenant memory antagonist, GB/s")
+	flag.Float64Var(&cfg.MemHogGBps, "memhog", 0, "co-tenant memory antagonist, GB/s")
 	storage := flag.Float64("storage", 0, "co-tenant storage device read rate, GB/s each")
 	storagedevs := flag.Int("storagedevs", 0, "co-tenant storage devices (default 1 when -storage is set)")
 	nics := flag.Int("nics", 0, "extra co-tenant NIC datapaths")
 	devmode := flag.String("devmode", "", "co-tenant device protection mode (default: -mode)")
 	controlSpec := flag.String("control", "", "adaptive control plane: ';'-separated rules like \"guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=2ms\" plus optional every=<dur>")
 	faults := flag.String("faults", "", "fault plan: campaign intensity or key=value spec (implies -audit)")
-	faultseed := flag.Int64("faultseed", 0, "fault-injector seed (0: inherit -seed)")
-	audit := flag.Bool("audit", false, "cross-check every DMA translation against the live page table")
-	hosts := flag.Int("hosts", 0, "cluster size: simulate N full hosts on a switched fabric (0: single host)")
+	flag.Int64Var(&cfg.FaultSeed, "faultseed", 0, "fault-injector seed (0: inherit -seed)")
+	flag.BoolVar(&cfg.Audit, "audit", false, "cross-check every DMA translation against the live page table")
+	flag.IntVar(&cc.Hosts, "hosts", 0, "cluster size: simulate N full hosts on a switched fabric (0: single host)")
 	traffic := flag.String("traffic", "incast", "cluster traffic pattern: incast|alltoall|pairs")
-	fabricgbps := flag.Float64("fabricgbps", 0, "fabric port line rate, Gbps (0: NIC line rate)")
-	oversub := flag.Float64("oversub", 0, "fabric core oversubscription factor (0: non-blocking)")
-	flowsperpair := flag.Int("flowsperpair", 1, "cluster flows per (src,dst) host pair")
-	shards := flag.Int("shards", 1, "cluster engine shards for conservative-parallel execution (1: single engine)")
+	flag.Float64Var(&cc.Fabric.PortGbps, "fabricgbps", 0, "fabric port line rate, Gbps (0: NIC line rate)")
+	flag.Float64Var(&cc.Fabric.Oversub, "oversub", 0, "fabric core oversubscription factor (0: non-blocking)")
+	flag.IntVar(&cc.FlowsPerPair, "flowsperpair", 1, "cluster flows per (src,dst) host pair")
+	flag.IntVar(&cc.Shards, "shards", 1, "cluster engine shards for conservative-parallel execution (1: single engine)")
 	rdma := flag.String("rdma", "", "cluster peer-flow verb: sendrecv|read|write (default sendrecv; read/write are one-sided)")
-	atsentries := flag.String("atsentries", "", "device-TLB (ATS cache) entries per device; 0 or empty disables the device cache")
-	serve := flag.Bool("serve", false, "run the serving-fleet churn scenario instead of bulk flows")
-	churn := flag.String("churn", "0.2", "serving-fleet per-request connection death probability, in (0, 1]")
-	conns := flag.String("conns", "48", "serving-fleet connection count")
-	cohortSize := flag.String("cohort", "1", "connections per aggregated flow cohort (1: exact per-flow model)")
+	flag.IntVar(&cfg.ATSEntries, "atsentries", 0, "device-TLB (ATS cache) entries per device; 0 disables the device cache")
+	serveFleet := flag.Bool("serve", false, "run the serving-fleet churn scenario instead of bulk flows")
+	flag.Float64Var(&serve.Churn, "churn", 0.2, "serving-fleet per-request connection death probability, in (0, 1]")
+	flag.IntVar(&serve.Conns, "conns", 48, "serving-fleet connection count")
+	flag.IntVar(&serve.Cohort, "cohort", 1, "connections per aggregated flow cohort (1: exact per-flow model)")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	m, err := modespec.Host(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fssim:", err)
-		os.Exit(2)
+	var err error
+	if cfg.Mode, err = core.ParseMode(*mode); err != nil {
+		exitUsage(err)
 	}
-	op, err := modespec.RDMA(*rdma)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fssim:", err)
-		os.Exit(2)
+	if cc.Op, err = transport.ParseOp(*rdma); err != nil {
+		exitUsage(err)
 	}
-	if op.OneSided() && *hosts == 0 {
-		fmt.Fprintln(os.Stderr, "fssim: -rdma needs cluster mode (-hosts >= 2): one-sided verbs run between full hosts")
-		os.Exit(2)
+	if cfg.Faults, err = fault.Parse(*faults); err != nil {
+		exitUsage(err)
 	}
-	ats, err := modespec.ATSEntries(*atsentries)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fssim:", err)
-		os.Exit(2)
+	if cfg.Control, err = control.Parse(*controlSpec); err != nil {
+		exitUsage(err)
 	}
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "fssim: -seeds must be >= 1")
-		os.Exit(2)
-	}
-	var plan fault.Plan
-	if *faults != "" {
-		if plan, err = fault.Parse(*faults); err != nil {
-			fmt.Fprintln(os.Stderr, "fssim:", err)
-			os.Exit(2)
+	var devMode *core.Mode // nil: co-tenant devices inherit -mode
+	if *devmode != "" {
+		m, err := core.ParseMode(*devmode)
+		if err != nil {
+			exitUsage(fmt.Errorf("-devmode: %w", err))
 		}
+		devMode = &m
 	}
-	ctl, err := modespec.Control(*controlSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fssim:", err)
-		os.Exit(2)
+	switch {
+	case *seeds < 1:
+		exitUsage(fmt.Errorf("-seeds must be >= 1, got %d", *seeds))
+	case *ms < 1:
+		exitUsage(fmt.Errorf("-ms must be >= 1, got %d", *ms))
+	case *warmup < 0:
+		exitUsage(fmt.Errorf("-warmup must be >= 0, got %d", *warmup))
+	case *storage < 0:
+		exitUsage(fmt.Errorf("-storage must be >= 0, got %g", *storage))
+	case *storagedevs < 0:
+		exitUsage(fmt.Errorf("-storagedevs must be >= 0, got %d", *storagedevs))
+	case *nics < 0:
+		exitUsage(fmt.Errorf("-nics must be >= 0, got %d", *nics))
+	case *timeline && *sampleus <= 0:
+		exitUsage(fmt.Errorf("-sampleus must be positive, got %d", *sampleus))
+	case cc.Op.OneSided() && cc.Hosts == 0:
+		exitUsage(errors.New("-rdma needs cluster mode (-hosts >= 2): one-sided verbs run between full hosts"))
 	}
 
-	devMode, err := modespec.Device(*devmode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fssim:", err)
-		os.Exit(2)
-	}
 	nStorage := *storagedevs
 	if nStorage == 0 && *storage > 0 {
 		nStorage = 1
 	}
-	if nStorage > 0 && *storage <= 0 {
-		fmt.Fprintln(os.Stderr, "fssim: -storagedevs needs a positive -storage rate")
-		os.Exit(2)
+	if nStorage > 0 && *storage == 0 {
+		exitUsage(errors.New("-storagedevs needs a positive -storage rate"))
 	}
-	var topo host.Topology
 	for i := 0; i < nStorage; i++ {
-		topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: *storage, Mode: devMode})
+		cfg.Topology.Storage = append(cfg.Topology.Storage, host.StorageSpec{ReadGBps: *storage, Mode: devMode})
 	}
 	for i := 0; i < *nics; i++ {
-		topo.NICs = append(topo.NICs, host.NICSpec{Mode: devMode})
+		cfg.Topology.NICs = append(cfg.Topology.NICs, host.NICSpec{Mode: devMode})
 	}
 	multidev := nStorage+*nics > 0
 
-	var serveCfg *host.ServeConfig
-	if *serve {
-		ch, err := modespec.Churn(*churn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fssim:", err)
-			os.Exit(2)
-		}
-		nc, err := modespec.Conns(*conns)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fssim:", err)
-			os.Exit(2)
-		}
-		k, err := modespec.CohortSize(*cohortSize)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fssim:", err)
-			os.Exit(2)
-		}
-		serveCfg = &host.ServeConfig{Conns: nc, Churn: ch, Cohort: k}
+	if *serveFleet {
+		cfg.Serve = &serve
 		// The fleet is the workload: drop the default bulk flows unless
 		// the user asked for them explicitly.
-		flowsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "flows" {
-				flowsSet = true
-			}
-		})
-		if !flowsSet {
-			*flows = -1
+		if !set["flows"] {
+			cfg.RxFlows = -1
 		}
 	} else {
-		for name, val := range map[string]string{"churn": *churn, "conns": *conns, "cohort": *cohortSize} {
-			set := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == name {
-					set = true
-				}
-			})
-			if set {
-				fmt.Fprintf(os.Stderr, "fssim: -%s %s needs -serve (the serving-fleet churn scenario)\n", name, val)
-				os.Exit(2)
+		for _, name := range []string{"churn", "conns", "cohort"} {
+			if set[name] {
+				exitUsage(fmt.Errorf("-%s %s needs -serve (the serving-fleet churn scenario)", name, flag.Lookup(name).Value))
 			}
 		}
 	}
-
-	var sampleEvery sim.Duration
 	if *timeline {
-		if *sampleus <= 0 {
-			fmt.Fprintln(os.Stderr, "fssim: -sampleus must be positive")
-			os.Exit(2)
-		}
-		sampleEvery = sim.Duration(*sampleus) * sim.Microsecond
+		cfg.Telemetry.SampleEvery = sim.Duration(*sampleus) * sim.Microsecond
 	}
+	cfg.Telemetry.TraceLimit = 200000
+	warm, meas := sim.Duration(*warmup)*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond
 
-	hostCfg := func(s int64) host.Config {
-		return host.Config{
-			Mode:            m,
-			Cores:           *cores,
-			RxFlows:         *flows,
-			TxFlows:         *txflows,
-			RingPackets:     *ring,
-			MTU:             *mtu,
-			DescriptorPages: *descPages,
-			Seed:            s,
-			MemHogGBps:      *memhog,
-			Topology:        topo,
-			Serve:           serveCfg,
-			Control:         ctl,
-			Faults:          plan,
-			FaultSeed:       *faultseed,
-			Audit:           *audit,
-			ATSEntries:      ats,
-			Telemetry: host.TelemetryConfig{
-				SampleEvery: sampleEvery,
-				TraceL3:     *trace,
-				TraceLimit:  200000,
-			},
-		}
-	}
-
-	if *hosts > 0 {
-		runCluster(*hosts, *traffic, *flowsperpair, *fabricgbps, *oversub, *shards, op,
-			hostCfg, *seed, *seeds, *parallel,
-			sim.Duration(*warmup)*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond)
+	if cc.Hosts != 0 {
+		cc.Traffic = host.TrafficPattern(*traffic)
+		runCluster(cc, cfg, *seeds, *parallel, warm, meas)
 		return
 	}
 
-	runSeed := func(s int64) (host.Results, error) {
-		h, err := host.New(hostCfg(s))
+	results := runSeeds(cfg.Seed, *seeds, *parallel, func(s int64) (host.Results, error) {
+		c := cfg
+		c.Seed = s
+		h, err := host.New(c)
 		if err != nil {
 			return host.Results{}, err
 		}
-		return h.Run(sim.Duration(*warmup)*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond), nil
-	}
-
-	jobs := make([]runner.Job[host.Results], *seeds)
-	for i := 0; i < *seeds; i++ {
-		s := *seed + int64(i)
-		jobs[i] = func(context.Context) (host.Results, error) { return runSeed(s) }
-	}
-	results, err := runner.Collect(context.Background(), runner.Config{Workers: *parallel}, jobs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
+		return h.Run(warm, meas), nil
+	})
 	for i, r := range results {
 		if *seeds > 1 {
-			fmt.Printf("seed %d:\n", *seed+int64(i))
+			fmt.Printf("seed %d:\n", cfg.Seed+int64(i))
 		}
 		fmt.Println(r)
 		fmt.Printf("per-core CPU utilisation: ")
@@ -325,44 +265,52 @@ func main() {
 	}
 }
 
-// runCluster simulates N full hosts on a switched fabric and prints the
-// aggregate plus per-host results (and per-host safety when auditing).
-func runCluster(hosts int, traffic string, flowsPerPair int, fabricGbps, oversub float64,
-	shards int, op transport.Op, hostCfg func(int64) host.Config, seed int64, seeds, parallel int,
-	warmup, measure sim.Duration) {
-	tp, err := host.ParseTraffic(traffic)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fssim:", err)
-		os.Exit(2)
+// exitUsage reports a configuration error and exits 2, the status the
+// flag package uses for a bad flag.
+func exitUsage(err error) {
+	fmt.Fprintln(os.Stderr, "fssim:", err)
+	os.Exit(2)
+}
+
+// runSeeds runs one simulation per seed, from first, on parallel workers
+// and returns the results in seed order. A run fails only when host.New
+// or host.NewCluster rejects the configuration, which exits 2 like a bad
+// flag; a run that panics exits 1.
+func runSeeds[R any](first int64, seeds, parallel int, run func(seed int64) (R, error)) []R {
+	jobs := make([]runner.Job[R], seeds)
+	for i := range jobs {
+		s := first + int64(i)
+		jobs[i] = func(context.Context) (R, error) { return run(s) }
 	}
-	runSeed := func(s int64) (host.ClusterResults, error) {
-		c, err := host.NewCluster(host.ClusterConfig{
-			Hosts:        hosts,
-			Traffic:      tp,
-			FlowsPerPair: flowsPerPair,
-			Shards:       shards,
-			Op:           op,
-			Host:         hostCfg(s),
-			Fabric:       fabric.Config{PortGbps: fabricGbps, Oversub: oversub},
-		})
+	results, err := runner.Collect(context.Background(), runner.Config{Workers: parallel}, jobs)
+	var panicked *runner.PanicError
+	switch {
+	case errors.As(err, &panicked):
+		fmt.Fprintln(os.Stderr, "fssim:", err)
+		os.Exit(1)
+	case err != nil:
+		exitUsage(err)
+	}
+	return results
+}
+
+// runCluster simulates cc.Hosts full hosts, each configured as hostCfg,
+// on a switched fabric and prints the aggregate plus per-host results
+// (and per-host safety when auditing).
+func runCluster(cc host.ClusterConfig, hostCfg host.Config, seeds, parallel int, warmup, measure sim.Duration) {
+	results := runSeeds(hostCfg.Seed, seeds, parallel, func(s int64) (host.ClusterResults, error) {
+		c := cc
+		c.Host = hostCfg
+		c.Host.Seed = s
+		cl, err := host.NewCluster(c)
 		if err != nil {
 			return host.ClusterResults{}, err
 		}
-		return c.Run(warmup, measure), nil
-	}
-	jobs := make([]runner.Job[host.ClusterResults], seeds)
-	for i := 0; i < seeds; i++ {
-		s := seed + int64(i)
-		jobs[i] = func(context.Context) (host.ClusterResults, error) { return runSeed(s) }
-	}
-	results, err := runner.Collect(context.Background(), runner.Config{Workers: parallel}, jobs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+		return cl.Run(warmup, measure), nil
+	})
 	for i, r := range results {
 		if seeds > 1 {
-			fmt.Printf("seed %d:\n", seed+int64(i))
+			fmt.Printf("seed %d:\n", hostCfg.Seed+int64(i))
 		}
 		fmt.Println(r)
 		for j, hr := range r.Hosts {

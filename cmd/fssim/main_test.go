@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fastsafe/internal/core"
 )
 
 // asMainEnv makes the test binary run main() instead of the tests, so
@@ -120,17 +122,46 @@ func TestRejectsBadConfigs(t *testing.T) {
 		want string
 	}{
 		{"mode", []string{"-mode", "bogus"}, `protection mode "bogus"`},
+		{"empty mode", []string{"-mode", ""}, "protection mode"},
 		{"devmode", []string{"-devmode", "turbo"}, `protection mode "turbo"`},
 		{"rdma verb", []string{"-hosts", "2", "-rdma", "fetch"}, `op "fetch"`},
 		{"rdma single host", []string{"-rdma", "write"}, "-rdma needs cluster mode"},
 		{"churn without serve", []string{"-churn", "0.3"}, "-churn 0.3 needs -serve"},
 		{"zero conns", []string{"-serve", "-conns", "0"}, "conns must be >= 1, got 0"},
 		{"churn not a number", []string{"-serve", "-churn", "often"}, `"often"`},
+		{"conns not a number", []string{"-serve", "-conns", "many"}, `"many"`},
+		{"cohort not a number", []string{"-serve", "-cohort", "big"}, `"big"`},
+		{"ats entries not a number", []string{"-atsentries", "lots"}, `"lots"`},
 		{"negative ats entries", []string{"-atsentries", "-8"}, "must be >= 0, got -8"},
 		{"zero seeds", []string{"-seeds", "0"}, "-seeds must be >= 1"},
 		{"fault spec", []string{"-faults", "junk=1"}, `unknown key "junk"`},
 		{"control spec", []string{"-control", "governor,metric=x"}, `unknown rule kind "governor"`},
 		{"traffic", []string{"-hosts", "2", "-traffic", "mesh"}, `traffic pattern "mesh"`},
+		// Rejected by host.New and host.NewCluster, the same rules the
+		// public facade applies.
+		{"tiny mtu", []string{"-mtu", "32"}, "MTU must be at least 64 bytes, got 32"},
+		{"cohort above conns", []string{"-serve", "-conns", "8", "-cohort", "100"}, "Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
+		{"zero cohort", []string{"-serve", "-cohort", "0"}, "cohort size must be >= 1, got 0"},
+		{"over-unity churn", []string{"-serve", "-churn", "1.5"}, "churn rate must be in (0, 1], got 1.5"},
+		{"negative fabric rate", []string{"-hosts", "2", "-fabricgbps", "-5"}, "Fabric.PortGbps must be >= 0, got -5"},
+		{"negative cores", []string{"-cores", "-3"}, "Cores must be >= 0, got -3"},
+		{"negative ring", []string{"-ring", "-5"}, "RingPackets must be >= 0, got -5"},
+		{"negative tx flows", []string{"-txflows", "-1"}, "TxFlows must be >= 0, got -1"},
+		{"negative descriptor", []string{"-desc", "-4"}, "DescriptorPages must be >= 0, got -4"},
+		{"negative memhog", []string{"-memhog", "-3"}, "MemHogGBps must be >= 0, got -3"},
+		{"negative seed", []string{"-seed", "-3"}, "Seed must be >= 0, got -3"},
+		{"negative fault seed", []string{"-faultseed", "-2", "-faults", "1"}, "FaultSeed must be >= 0, got -2"},
+		{"negative flows per pair", []string{"-hosts", "2", "-flowsperpair", "-3"}, "FlowsPerPair must be >= 0, got -3"},
+		{"negative shards", []string{"-hosts", "2", "-shards", "-1"}, "Shards must be >= 0, got -1"},
+		{"one host", []string{"-hosts", "1"}, "Hosts must be >= 2, got 1"},
+		{"negative hosts", []string{"-hosts", "-2"}, "Hosts must be >= 2, got -2"},
+		{"negative oversub", []string{"-hosts", "2", "-oversub", "-1"}, "Oversub must be >= 0, got -1"},
+		// fssim's own flags.
+		{"negative nics", []string{"-nics", "-1"}, "-nics must be >= 0, got -1"},
+		{"negative storage devices", []string{"-storagedevs", "-1"}, "-storagedevs must be >= 0, got -1"},
+		{"negative storage rate", []string{"-storage", "-2"}, "-storage must be >= 0, got -2"},
+		{"zero window", []string{"-ms", "0"}, "-ms must be >= 1, got 0"},
+		{"negative warmup", []string{"-warmup", "-1"}, "-warmup must be >= 0, got -1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,5 +181,24 @@ func TestRejectsBadConfigs(t *testing.T) {
 				t.Fatalf("stderr %q does not contain %q", stderr, c.want)
 			}
 		})
+	}
+}
+
+// TestModeHelpListsEveryMode: -h documents every mode -mode accepts,
+// the capability family and the strawman included.
+func TestModeHelpListsEveryMode(t *testing.T) {
+	_, stderr, code := fssim(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exited %d", code)
+	}
+	_, help, ok := strings.Cut(stderr, "  -mode string\n")
+	if !ok {
+		t.Fatalf("no -mode entry in the help:\n%s", stderr)
+	}
+	help, _, _ = strings.Cut(help, "\n")
+	for _, name := range core.ValidModeNames() {
+		if !strings.Contains(help, name) {
+			t.Errorf("-mode help %q does not list %q", help, name)
+		}
 	}
 }

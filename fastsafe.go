@@ -8,14 +8,15 @@ import (
 	"context"
 	"fmt"
 
+	"fastsafe/internal/control"
 	"fastsafe/internal/core"
 	"fastsafe/internal/fabric"
 	"fastsafe/internal/fault"
 	"fastsafe/internal/host"
-	"fastsafe/internal/modespec"
 	"fastsafe/internal/runner"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
+	"fastsafe/internal/transport"
 )
 
 // Mode names a memory-protection datapath.
@@ -171,83 +172,6 @@ type DeviceOptions struct {
 	RateGBps float64
 }
 
-// validate rejects nonsense before it panics deep inside host.New.
-func (o Options) validate() error {
-	if o.Mode != "" {
-		if _, err := modespec.Host(string(o.Mode)); err != nil {
-			return fmt.Errorf("fastsafe: %w", err)
-		}
-	}
-	switch {
-	case o.Flows < 0:
-		return fmt.Errorf("fastsafe: Flows must be >= 0, got %d", o.Flows)
-	case o.TxFlows < 0:
-		return fmt.Errorf("fastsafe: TxFlows must be >= 0, got %d", o.TxFlows)
-	case o.Cores < 0:
-		return fmt.Errorf("fastsafe: Cores must be >= 0, got %d", o.Cores)
-	case o.RingPackets < 0:
-		return fmt.Errorf("fastsafe: RingPackets must be >= 0, got %d", o.RingPackets)
-	case o.MTU < 0:
-		return fmt.Errorf("fastsafe: MTU must be >= 0, got %d", o.MTU)
-	case o.MTU > 0 && o.MTU < 64:
-		return fmt.Errorf("fastsafe: MTU must be at least 64 bytes, got %d", o.MTU)
-	case o.Seed < 0:
-		return fmt.Errorf("fastsafe: Seed must be >= 0, got %d", o.Seed)
-	case o.MemHogGBps < 0:
-		return fmt.Errorf("fastsafe: MemHogGBps must be >= 0, got %g", o.MemHogGBps)
-	case o.MemHogStartMS < 0:
-		return fmt.Errorf("fastsafe: MemHogStartMS must be >= 0, got %d", o.MemHogStartMS)
-	case o.SampleUS < 0:
-		return fmt.Errorf("fastsafe: SampleUS must be >= 0, got %d", o.SampleUS)
-	case o.WarmupMS < 0:
-		return fmt.Errorf("fastsafe: WarmupMS must be >= 0, got %d", o.WarmupMS)
-	case o.MeasureMS < 0:
-		return fmt.Errorf("fastsafe: MeasureMS must be >= 0, got %d", o.MeasureMS)
-	case o.FaultSeed < 0:
-		return fmt.Errorf("fastsafe: FaultSeed must be >= 0, got %d", o.FaultSeed)
-	case o.ATSEntries < 0:
-		return fmt.Errorf("fastsafe: ATSEntries must be >= 0, got %d (0 disables the device TLB)", o.ATSEntries)
-	}
-	if o.Faults != "" {
-		if _, err := fault.Parse(o.Faults); err != nil {
-			return fmt.Errorf("fastsafe: %w", err)
-		}
-	}
-	if o.Control != "" {
-		if _, err := modespec.Control(o.Control); err != nil {
-			return fmt.Errorf("fastsafe: %w", err)
-		}
-	}
-	if s := o.Serve; s != nil {
-		switch {
-		case s.Conns < 1:
-			return fmt.Errorf("fastsafe: Serve.Conns must be >= 1, got %d", s.Conns)
-		case s.Churn <= 0 || s.Churn > 1:
-			return fmt.Errorf("fastsafe: Serve.Churn must be in (0, 1], got %g (the per-request connection death probability)", s.Churn)
-		case s.Cohort < 0:
-			return fmt.Errorf("fastsafe: Serve.Cohort must be >= 0, got %d (0 and 1 simulate every connection exactly)", s.Cohort)
-		case s.Cohort > s.Conns:
-			return fmt.Errorf("fastsafe: Serve.Cohort must be <= Serve.Conns, got %d > %d", s.Cohort, s.Conns)
-		}
-	}
-	for i, d := range o.Devices {
-		switch d.Kind {
-		case "", "storage":
-			if d.RateGBps < 0 {
-				return fmt.Errorf("fastsafe: Devices[%d].RateGBps must be >= 0, got %g", i, d.RateGBps)
-			}
-		case "nic":
-			// No rate knob: a NIC co-tenant runs full bulk flows.
-		default:
-			return fmt.Errorf("fastsafe: Devices[%d].Kind must be \"storage\" or \"nic\", got %q", i, d.Kind)
-		}
-		if _, err := modespec.Device(string(d.Mode)); err != nil {
-			return fmt.Errorf("fastsafe: Devices[%d]: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // Report is the simulation outcome, in the units the paper plots.
 type Report struct {
 	Mode Mode
@@ -383,52 +307,77 @@ func latencyReport(h *stats.Histogram) LatencyReport {
 	return LatencyReport{Count: h.Count(), P50us: us(0.50), P99us: us(0.99), P99_99us: us(0.9999)}
 }
 
-// hostConfig converts validated Options into the host.Config both
-// Simulate and SimulateCluster build on.
+// hostConfig converts Options into the host.Config both Simulate and
+// SimulateCluster build on, parsing each spec string once. It rejects
+// only what is the facade's own: the fields host.Config names or scales
+// differently (Flows, WarmupMS, MeasureMS, MemHogStartMS, SampleUS,
+// Devices, Serve.Churn) and the meaning the facade adds (Serve.Cohort 0
+// is the exact model). host.New checks every other range.
 func hostConfig(o Options) (host.Config, error) {
-	m, err := modespec.Host(string(o.Mode))
+	fail := func(format string, args ...any) (host.Config, error) {
+		return host.Config{}, fmt.Errorf("fastsafe: "+format, args...)
+	}
+	m, err := core.ParseMode(string(o.Mode))
 	if err != nil {
-		return host.Config{}, fmt.Errorf("fastsafe: %w", err)
+		return fail("%w", err)
+	}
+	switch {
+	case o.Flows < 0:
+		return fail("Flows must be >= 0, got %d", o.Flows)
+	case o.WarmupMS < 0:
+		return fail("WarmupMS must be >= 0, got %d", o.WarmupMS)
+	case o.MeasureMS < 0:
+		return fail("MeasureMS must be >= 0, got %d", o.MeasureMS)
+	case o.MemHogStartMS < 0:
+		return fail("MemHogStartMS must be >= 0, got %d", o.MemHogStartMS)
+	case o.SampleUS < 0:
+		return fail("SampleUS must be >= 0, got %d", o.SampleUS)
 	}
 	var topo host.Topology
-	for _, d := range o.Devices {
-		devMode, err := modespec.Device(string(d.Mode))
-		if err != nil {
-			return host.Config{}, fmt.Errorf("fastsafe: %w", err)
+	for i, d := range o.Devices {
+		var devMode *core.Mode // nil inherits the host mode
+		if d.Mode != "" {
+			dm, err := core.ParseMode(string(d.Mode))
+			if err != nil {
+				return fail("Devices[%d].Mode: %w", i, err)
+			}
+			devMode = &dm
 		}
 		switch d.Kind {
 		case "", "storage":
 			rate := d.RateGBps
+			if rate < 0 {
+				return fail("Devices[%d].RateGBps must be >= 0, got %g", i, rate)
+			}
 			if rate == 0 {
 				rate = 8
 			}
-			topo.Storage = append(topo.Storage, host.StorageSpec{
-				ReadGBps: rate,
-				Mode:     devMode,
-			})
+			topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: rate, Mode: devMode})
 		case "nic":
+			// No rate knob: a NIC co-tenant runs full bulk flows.
 			topo.NICs = append(topo.NICs, host.NICSpec{Mode: devMode})
+		default:
+			return fail("Devices[%d].Kind must be \"storage\" or \"nic\", got %q", i, d.Kind)
 		}
 	}
-	var plan fault.Plan
-	if o.Faults != "" {
-		plan, err = fault.Parse(o.Faults)
-		if err != nil {
-			return host.Config{}, fmt.Errorf("fastsafe: %w", err)
-		}
-	}
-	ctl, err := modespec.Control(o.Control)
+	plan, err := fault.Parse(o.Faults)
 	if err != nil {
-		return host.Config{}, fmt.Errorf("fastsafe: %w", err)
+		return fail("%w", err)
+	}
+	ctl, err := control.Parse(o.Control)
+	if err != nil {
+		return fail("%w", err)
 	}
 	var serve *host.ServeConfig
 	flows := o.Flows
-	if o.Serve != nil {
-		cohortSize := o.Serve.Cohort
-		if cohortSize == 0 {
-			cohortSize = 1
+	if s := o.Serve; s != nil {
+		switch {
+		case s.Churn <= 0 || s.Churn > 1:
+			return fail("Serve.Churn must be in (0, 1], got %g (the per-request connection death probability)", s.Churn)
+		case s.Cohort < 0:
+			return fail("Serve.Cohort must be >= 0, got %d (0 and 1 simulate every connection exactly)", s.Cohort)
 		}
-		serve = &host.ServeConfig{Conns: o.Serve.Conns, Churn: o.Serve.Churn, Cohort: cohortSize}
+		serve = &host.ServeConfig{Conns: s.Conns, Churn: s.Churn, Cohort: max(s.Cohort, 1)}
 		if flows == 0 {
 			flows = -1 // the fleet is the workload; no bulk flows unless asked
 		}
@@ -472,9 +421,6 @@ func (o Options) windows() (warm, meas sim.Duration) {
 func Simulate(o Options) (Report, error) {
 	if o.Mode == "" {
 		o.Mode = Strict
-	}
-	if err := o.validate(); err != nil {
-		return Report{}, err
 	}
 	cfg, err := hostConfig(o)
 	if err != nil {
@@ -602,30 +548,6 @@ type ClusterOptions struct {
 	Host Options
 }
 
-func (o ClusterOptions) validate() error {
-	switch {
-	case o.Hosts < 2:
-		return fmt.Errorf("fastsafe: Hosts must be >= 2, got %d", o.Hosts)
-	case o.FlowsPerPair < 0:
-		return fmt.Errorf("fastsafe: FlowsPerPair must be >= 0, got %d", o.FlowsPerPair)
-	case o.FabricGbps < 0:
-		return fmt.Errorf("fastsafe: FabricGbps must be >= 0, got %g", o.FabricGbps)
-	case o.Oversub < 0:
-		return fmt.Errorf("fastsafe: Oversub must be >= 0, got %g", o.Oversub)
-	case o.Shards < 0:
-		return fmt.Errorf("fastsafe: Shards must be >= 0, got %d", o.Shards)
-	}
-	if o.Traffic != "" {
-		if _, err := host.ParseTraffic(o.Traffic); err != nil {
-			return fmt.Errorf("fastsafe: %w", err)
-		}
-	}
-	if _, err := modespec.RDMA(o.RDMA); err != nil {
-		return fmt.Errorf("fastsafe: %w", err)
-	}
-	return o.Host.validate()
-}
-
 // ClusterReport is the outcome of an N-host simulation: one Report per
 // host (index = host ID) plus cluster-wide aggregates.
 type ClusterReport struct {
@@ -647,14 +569,15 @@ func SimulateCluster(o ClusterOptions) (ClusterReport, error) {
 	if o.Host.Mode == "" {
 		o.Host.Mode = Strict
 	}
-	if err := o.validate(); err != nil {
-		return ClusterReport{}, err
+	// FabricGbps is the facade's name for the fabric's port rate.
+	if o.FabricGbps < 0 {
+		return ClusterReport{}, fmt.Errorf("fastsafe: FabricGbps must be >= 0, got %g", o.FabricGbps)
 	}
 	cfg, err := hostConfig(o.Host)
 	if err != nil {
 		return ClusterReport{}, err
 	}
-	op, err := modespec.RDMA(o.RDMA)
+	op, err := transport.ParseOp(o.RDMA)
 	if err != nil {
 		return ClusterReport{}, fmt.Errorf("fastsafe: %w", err)
 	}

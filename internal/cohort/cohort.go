@@ -50,8 +50,9 @@ type Config struct {
 	Seed int64
 }
 
-// Validate checks the externally exposed knobs, with the same
-// descriptive-rejection contract as the modespec parsers.
+// Validate checks the externally exposed knobs. Each rejection names
+// the knob, the value and its meaning, since host.New passes it on to
+// fssim and the public facade as is.
 func (c Config) Validate() error {
 	switch {
 	case c.Conns < 1:
