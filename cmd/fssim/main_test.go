@@ -139,7 +139,7 @@ func TestRejectsBadConfigs(t *testing.T) {
 		{"traffic", []string{"-hosts", "2", "-traffic", "mesh"}, `traffic pattern "mesh"`},
 		// Rejected by host.New and host.NewCluster, the same rules the
 		// public facade applies.
-		{"tiny mtu", []string{"-mtu", "32"}, "MTU must be at least 64 bytes, got 32"},
+		{"tiny mtu", []string{"-mtu", "32"}, "MTU must be 0 (the default) or at least 64 bytes, got 32"},
 		{"cohort above conns", []string{"-serve", "-conns", "8", "-cohort", "100"}, "Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
 		{"zero cohort", []string{"-serve", "-cohort", "0"}, "cohort size must be >= 1, got 0"},
 		{"over-unity churn", []string{"-serve", "-churn", "1.5"}, "churn rate must be in (0, 1], got 1.5"},

@@ -177,10 +177,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: RingPackets must be >= 0, got %d", c.RingPackets)
 	case c.DescriptorPages < 0:
 		return fmt.Errorf("host: DescriptorPages must be >= 0, got %d", c.DescriptorPages)
-	case c.MTU < 0:
-		return fmt.Errorf("host: MTU must be >= 0, got %d", c.MTU)
-	case c.MTU > 0 && c.MTU < 64:
-		return fmt.Errorf("host: MTU must be at least 64 bytes, got %d", c.MTU)
+	case c.MTU != 0 && c.MTU < 64:
+		return fmt.Errorf("host: MTU must be 0 (the default) or at least 64 bytes, got %d", c.MTU)
 	case c.ATSEntries < 0:
 		return fmt.Errorf("host: ATSEntries must be >= 0, got %d (0 disables the device TLB)", c.ATSEntries)
 	case c.MemHogGBps < 0:

@@ -35,9 +35,9 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{TxFlows: -1}, "host: TxFlows must be >= 0, got -1"},
 		{Config{RingPackets: -5}, "host: RingPackets must be >= 0, got -5"},
 		{Config{DescriptorPages: -4}, "host: DescriptorPages must be >= 0, got -4"},
-		{Config{MTU: -1}, "host: MTU must be >= 0, got -1"},
-		{Config{MTU: 1}, "host: MTU must be at least 64 bytes, got 1"},
-		{Config{MTU: 63}, "host: MTU must be at least 64 bytes, got 63"},
+		{Config{MTU: -1}, "host: MTU must be 0 (the default) or at least 64 bytes, got -1"},
+		{Config{MTU: 1}, "host: MTU must be 0 (the default) or at least 64 bytes, got 1"},
+		{Config{MTU: 63}, "host: MTU must be 0 (the default) or at least 64 bytes, got 63"},
 		{Config{ATSEntries: -8}, "host: ATSEntries must be >= 0, got -8 (0 disables the device TLB)"},
 		{Config{MemHogGBps: -3}, "host: MemHogGBps must be >= 0, got -3"},
 		{Config{MemHogStart: -sim.Microsecond}, "host: MemHogStart must be >= 0, got -1000ns"},
