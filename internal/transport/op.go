@@ -18,15 +18,15 @@ const (
 	Write
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	SendRecv: "sendrecv",
 	Read:     "read",
 	Write:    "write",
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", int(o))
 }
@@ -38,14 +38,12 @@ func ParseOp(s string) (Op, error) {
 	if s == "" {
 		return SendRecv, nil
 	}
-	valid := make([]string, 0, len(opNames))
-	for o := SendRecv; o <= Write; o++ {
-		if s == opNames[o] {
-			return o, nil
+	for o, name := range opNames {
+		if s == name {
+			return Op(o), nil
 		}
-		valid = append(valid, opNames[o])
 	}
-	return 0, fmt.Errorf("transport: unknown rdma op %q (valid: %s)", s, strings.Join(valid, ", "))
+	return 0, fmt.Errorf("transport: unknown rdma op %q (valid: %s)", s, strings.Join(opNames[:], ", "))
 }
 
 // OneSided reports whether the verb bypasses the remote CPU.
