@@ -1,29 +1,41 @@
+// Package modespec holds no code, only the spec-string contract that
+// fssim and the public facade share. Each front end parses a spec with
+// the parser of the package that owns its type (core.ParseMode for host
+// and device modes, transport.ParseOp, control.Parse), leaves the
+// serving fleet's ranges to cohort.Config.Validate and every other
+// value's range to host.New, and prints the error as is. These tests pin
+// what both front ends accept and the wording they print.
 package modespec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"fastsafe"
+	"fastsafe/internal/cohort"
+	"fastsafe/internal/control"
 	"fastsafe/internal/core"
+	"fastsafe/internal/host"
 	"fastsafe/internal/transport"
 )
 
 func TestHostParsesEveryValidMode(t *testing.T) {
-	for _, name := range Valid() {
-		m, err := Host(name)
+	for _, name := range core.ValidModeNames() {
+		m, err := core.ParseMode(name)
 		if err != nil {
-			t.Fatalf("Host(%q): %v", name, err)
+			t.Fatalf("ParseMode(%q): %v", name, err)
 		}
 		if m.String() != name {
-			t.Fatalf("Host(%q) = %v", name, m)
+			t.Fatalf("ParseMode(%q) = %v", name, m)
 		}
 	}
 }
 
 func TestHostRejectionMessage(t *testing.T) {
-	_, err := Host("fast")
+	_, err := core.ParseMode("fast")
 	if err == nil {
-		t.Fatal("Host(\"fast\") accepted")
+		t.Fatal("ParseMode(\"fast\") accepted")
 	}
 	msg := err.Error()
 	for _, want := range []string{
@@ -39,65 +51,77 @@ func TestHostRejectionMessage(t *testing.T) {
 	}
 }
 
+// TestHostRejectsEmpty: fssim has no default for an empty -mode; the
+// rejection names the empty input.
 func TestHostRejectsEmpty(t *testing.T) {
-	_, err := Host("")
+	_, err := core.ParseMode("")
 	if err == nil {
 		t.Fatal("empty mode accepted")
 	}
-	if !strings.Contains(err.Error(), "must not be empty") {
-		t.Fatalf("error %q does not explain the empty input", err)
+	if !strings.Contains(err.Error(), `unknown protection mode ""`) {
+		t.Fatalf("error %q does not name the empty input", err)
 	}
 }
 
+// TestDeviceInheritsOnEmpty: both front ends map an empty device mode to
+// a nil StorageSpec/NICSpec.Mode, which host.New resolves to the host's
+// mode; an explicit mode holds.
 func TestDeviceInheritsOnEmpty(t *testing.T) {
-	m, err := Device("")
-	if err != nil || m != nil {
-		t.Fatalf("Device(\"\") = %v, %v; want nil, nil", m, err)
+	strict := core.Strict
+	h, err := host.New(host.Config{Mode: core.FNS, Topology: host.Topology{
+		Storage: []host.StorageSpec{{ReadGBps: 8}, {ReadGBps: 8, Mode: &strict}},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	m, err = Device("strict")
-	if err != nil || m == nil || *m != core.Strict {
-		t.Fatalf("Device(\"strict\") = %v, %v", m, err)
+	want := map[string]core.Mode{"storage0": core.FNS, "storage1": core.Strict}
+	for _, d := range h.Devices() {
+		m, ok := want[d.Name()]
+		if !ok {
+			continue
+		}
+		if d.Domain().Mode() != m {
+			t.Fatalf("%s runs %v, want %v", d.Name(), d.Domain().Mode(), m)
+		}
+		delete(want, d.Name())
+	}
+	if len(want) != 0 {
+		t.Fatalf("devices %v not installed", want)
 	}
 }
 
 func TestDeviceRejectionMessage(t *testing.T) {
-	_, err := Device("turbo")
+	_, err := fastsafe.Simulate(fastsafe.Options{Devices: []fastsafe.DeviceOptions{{Mode: "turbo"}}})
 	if err == nil {
-		t.Fatal("Device(\"turbo\") accepted")
+		t.Fatal("device mode \"turbo\" accepted")
 	}
-	if want := `unknown device protection mode "turbo"`; !strings.Contains(err.Error(), want) {
+	if want := `Devices[0].Mode: core: unknown protection mode "turbo"`; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q missing %q", err, want)
 	}
 }
 
 func TestRDMAParsesEveryOp(t *testing.T) {
-	op, err := RDMA("")
+	op, err := transport.ParseOp("")
 	if err != nil || op != transport.SendRecv {
-		t.Fatalf("RDMA(\"\") = %v, %v; want sendrecv", op, err)
+		t.Fatalf("ParseOp(\"\") = %v, %v; want sendrecv", op, err)
 	}
-	for _, name := range ValidOps() {
-		op, err := RDMA(name)
-		if err != nil {
-			t.Fatalf("RDMA(%q): %v", name, err)
-		}
-		if op.String() != name {
-			t.Fatalf("RDMA(%q) = %v", name, op)
+	for _, want := range []transport.Op{transport.SendRecv, transport.Read, transport.Write} {
+		op, err := transport.ParseOp(want.String())
+		if err != nil || op != want {
+			t.Fatalf("ParseOp(%q) = %v, %v; want %v", want.String(), op, err, want)
 		}
 	}
 }
 
 func TestRDMARejectionMessage(t *testing.T) {
-	_, err := RDMA("fetch")
+	_, err := transport.ParseOp("fetch")
 	if err == nil {
-		t.Fatal("RDMA(\"fetch\") accepted")
+		t.Fatal("ParseOp(\"fetch\") accepted")
 	}
 	msg := err.Error()
 	for _, want := range []string{
 		`unknown rdma op "fetch"`,
-		"valid:",
-		"sendrecv",
-		"read",
-		"write",
+		"(valid: sendrecv, read, write)", // two-sided first
 	} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
@@ -105,134 +129,115 @@ func TestRDMARejectionMessage(t *testing.T) {
 	}
 }
 
+// TestATSEntriesParses: 0 leaves the device TLB disabled; a positive
+// count sizes it.
 func TestATSEntriesParses(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{{"", 0}, {"0", 0}, {"64", 64}, {"4096", 4096}} {
-		n, err := ATSEntries(tc.in)
-		if err != nil || n != tc.want {
-			t.Fatalf("ATSEntries(%q) = %d, %v; want %d", tc.in, n, err, tc.want)
+	for _, n := range []int{0, 64, 4096} {
+		if _, err := host.New(host.Config{ATSEntries: n}); err != nil {
+			t.Fatalf("ATSEntries %d: %v", n, err)
 		}
 	}
 }
 
+// TestATSEntriesRejectionMessages: a non-integer never reaches host.New;
+// fssim's flag package rejects it (TestRejectsBadConfigs).
 func TestATSEntriesRejectionMessages(t *testing.T) {
-	_, err := ATSEntries("lots")
+	_, err := host.New(host.Config{ATSEntries: -8})
 	if err == nil {
-		t.Fatal("ATSEntries(\"lots\") accepted")
+		t.Fatal("ATSEntries -8 accepted")
 	}
-	if msg := err.Error(); !strings.Contains(msg, `ats entries "lots" is not an integer`) ||
+	if msg := err.Error(); !strings.Contains(msg, "ATSEntries must be >= 0, got -8") ||
 		!strings.Contains(msg, "0 disables the device TLB") {
-		t.Fatalf("non-integer error %q lacks the knob explanation", msg)
-	}
-	_, err = ATSEntries("-8")
-	if err == nil {
-		t.Fatal("ATSEntries(\"-8\") accepted")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "must be >= 0, got -8") {
-		t.Fatalf("negative error %q lacks the bound", msg)
+		t.Fatalf("negative error %q lacks the bound or the knob explanation", msg)
 	}
 }
+
+// serve is a valid fleet for the churn, conns and cohort-size cases to
+// vary one knob of.
+var serve = cohort.Config{Conns: 64, Cohort: 1, Churn: 0.3}
 
 func TestChurnParses(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want float64
-	}{{"0.05", 0.05}, {"0.3", 0.3}, {"1", 1}} {
-		f, err := Churn(tc.in)
-		if err != nil || f != tc.want {
-			t.Fatalf("Churn(%q) = %g, %v; want %g", tc.in, f, err, tc.want)
+	for _, f := range []float64{0.05, 0.3, 1} {
+		c := serve
+		c.Churn = f
+		if err := c.Validate(); err != nil {
+			t.Fatalf("churn %g: %v", f, err)
 		}
 	}
 }
 
+// TestChurnRejectionMessages: a non-number never reaches Validate;
+// fssim's flag package rejects it (TestRejectsBadConfigs).
 func TestChurnRejectionMessages(t *testing.T) {
-	_, err := Churn("often")
-	if err == nil {
-		t.Fatal("Churn(\"often\") accepted")
-	}
-	if msg := err.Error(); !strings.Contains(msg, `churn rate "often" is not a number`) ||
-		!strings.Contains(msg, "death probability") {
-		t.Fatalf("non-number error %q lacks the knob explanation", msg)
-	}
-	for _, bad := range []string{"0", "-0.2", "1.5"} {
-		_, err := Churn(bad)
+	for _, bad := range []float64{0, -0.2, 1.5} {
+		c := serve
+		c.Churn = bad
+		err := c.Validate()
 		if err == nil {
-			t.Fatalf("Churn(%q) accepted", bad)
+			t.Fatalf("churn %g accepted", bad)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "must be in (0, 1], got") {
-			t.Fatalf("out-of-range error %q lacks the bound", msg)
+		want := fmt.Sprintf("churn rate must be in (0, 1], got %g (the per-request connection death probability)", bad)
+		if msg := err.Error(); !strings.Contains(msg, want) {
+			t.Fatalf("out-of-range error %q lacks %q", msg, want)
 		}
 	}
 }
 
 func TestConnsParses(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{{"1", 1}, {"48", 48}, {"1024", 1024}} {
-		n, err := Conns(tc.in)
-		if err != nil || n != tc.want {
-			t.Fatalf("Conns(%q) = %d, %v; want %d", tc.in, n, err, tc.want)
+	for _, n := range []int{1, 48, 1024} {
+		c := serve
+		c.Conns = n
+		if err := c.Validate(); err != nil {
+			t.Fatalf("conns %d: %v", n, err)
 		}
 	}
 }
 
+// TestConnsRejectionMessages: a non-integer never reaches Validate;
+// fssim's flag package rejects it (TestRejectsBadConfigs).
 func TestConnsRejectionMessages(t *testing.T) {
-	_, err := Conns("many")
-	if err == nil {
-		t.Fatal("Conns(\"many\") accepted")
-	}
-	if msg := err.Error(); !strings.Contains(msg, `conns "many" is not an integer`) {
-		t.Fatalf("non-integer error %q lacks the knob explanation", msg)
-	}
-	for _, bad := range []string{"0", "-4"} {
-		_, err := Conns(bad)
+	for _, bad := range []int{0, -4} {
+		c := serve
+		c.Conns = bad
+		err := c.Validate()
 		if err == nil {
-			t.Fatalf("Conns(%q) accepted", bad)
+			t.Fatalf("conns %d accepted", bad)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "must be >= 1, got") {
-			t.Fatalf("bound error %q lacks the bound", msg)
+		if want := fmt.Sprintf("conns must be >= 1, got %d", bad); !strings.Contains(err.Error(), want) {
+			t.Fatalf("bound error %q lacks %q", err, want)
 		}
 	}
 }
 
 func TestCohortSizeParses(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{{"1", 1}, {"4", 4}, {"64", 64}} {
-		n, err := CohortSize(tc.in)
-		if err != nil || n != tc.want {
-			t.Fatalf("CohortSize(%q) = %d, %v; want %d", tc.in, n, err, tc.want)
+	for _, n := range []int{1, 4, 64} {
+		c := serve
+		c.Cohort = n
+		if err := c.Validate(); err != nil {
+			t.Fatalf("cohort size %d: %v", n, err)
 		}
 	}
 }
 
+// TestCohortSizeRejectionMessages: a non-integer never reaches Validate;
+// fssim's flag package rejects it (TestRejectsBadConfigs).
 func TestCohortSizeRejectionMessages(t *testing.T) {
-	_, err := CohortSize("big")
-	if err == nil {
-		t.Fatal("CohortSize(\"big\") accepted")
-	}
-	if msg := err.Error(); !strings.Contains(msg, `cohort size "big" is not an integer`) ||
-		!strings.Contains(msg, "1 simulates every connection exactly") {
-		t.Fatalf("non-integer error %q lacks the knob explanation", msg)
-	}
-	for _, bad := range []string{"0", "-3"} {
-		_, err := CohortSize(bad)
+	for _, bad := range []int{0, -3} {
+		c := serve
+		c.Cohort = bad
+		err := c.Validate()
 		if err == nil {
-			t.Fatalf("CohortSize(%q) accepted", bad)
+			t.Fatalf("cohort size %d accepted", bad)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "must be >= 1, got") ||
-			!strings.Contains(msg, "1 simulates every connection exactly") {
-			t.Fatalf("bound error %q lacks the bound or explanation", msg)
+		want := fmt.Sprintf("cohort size must be >= 1, got %d (1 simulates every connection exactly)", bad)
+		if msg := err.Error(); !strings.Contains(msg, want) {
+			t.Fatalf("bound error %q lacks %q", msg, want)
 		}
 	}
 }
 
 func TestValidCoversModesAndStrawmen(t *testing.T) {
-	valid := Valid()
+	valid := core.ValidModeNames()
 	index := map[string]int{}
 	for i, name := range valid {
 		if _, dup := index[name]; dup {
@@ -243,73 +248,80 @@ func TestValidCoversModesAndStrawmen(t *testing.T) {
 	for i, m := range core.Modes() {
 		at, ok := index[m.String()]
 		if !ok {
-			t.Fatalf("presentation mode %v missing from Valid()", m)
+			t.Fatalf("presentation mode %v missing from ValidModeNames()", m)
 		}
 		if at != i {
 			t.Fatalf("presentation mode %v at %d, want core.Modes() order", m, at)
 		}
 	}
 	if _, ok := index[core.DeferNoShootdown.String()]; !ok {
-		t.Fatal("strawman mode missing from Valid()")
+		t.Fatal("strawman mode missing from ValidModeNames()")
 	}
 	for _, m := range []core.Mode{core.Cap, core.CapLazyRevoke} {
 		if _, ok := index[m.String()]; !ok {
-			t.Fatalf("capability mode %v missing from Valid()", m)
+			t.Fatalf("capability mode %v missing from ValidModeNames()", m)
 		}
 	}
 }
 
 // TestCapabilityModesParseInBothRoles: the capability family must parse
-// as a host mode and as a per-device override, even though Modes()
-// sweeps exclude it.
+// and construct as a host mode and as a per-device override, even though
+// Modes() sweeps exclude it.
 func TestCapabilityModesParseInBothRoles(t *testing.T) {
 	for name, want := range map[string]core.Mode{
 		"cap": core.Cap, "cap-lazyrevoke": core.CapLazyRevoke,
 	} {
-		m, err := Host(name)
+		m, err := core.ParseMode(name)
 		if err != nil || m != want {
-			t.Fatalf("Host(%q) = %v, %v; want %v", name, m, err, want)
+			t.Fatalf("ParseMode(%q) = %v, %v; want %v", name, m, err, want)
 		}
-		dm, err := Device(name)
-		if err != nil || dm == nil || *dm != want {
-			t.Fatalf("Device(%q) = %v, %v; want %v", name, dm, err, want)
+		h, err := host.New(host.Config{Mode: m, Topology: host.Topology{
+			Storage: []host.StorageSpec{{ReadGBps: 8, Mode: &m}},
+		}})
+		if err != nil {
+			t.Fatalf("%s as host and device mode: %v", name, err)
+		}
+		for _, d := range h.Devices() {
+			if d.Domain().Mode() != want {
+				t.Fatalf("%s runs %v, want %v", d.Name(), d.Domain().Mode(), want)
+			}
 		}
 	}
 }
 
-// TestRejectionNamesCapabilityModes: both parsers' rejection messages
-// must list the capability modes among the valid names, so the family is
-// discoverable from a typo.
+// TestRejectionNamesCapabilityModes: the host-mode and device-mode
+// rejections must list the capability modes among the valid names, so
+// the family is discoverable from a typo.
 func TestRejectionNamesCapabilityModes(t *testing.T) {
 	for _, junk := range []string{"capability", "cap-lazy"} {
-		_, err := Host(junk)
+		_, err := core.ParseMode(junk)
 		if err == nil {
-			t.Fatalf("Host(%q) accepted", junk)
+			t.Fatalf("ParseMode(%q) accepted", junk)
 		}
 		for _, want := range []string{"cap", "cap-lazyrevoke"} {
 			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("Host(%q) error %q does not name %q", junk, err, want)
+				t.Fatalf("ParseMode(%q) error %q does not name %q", junk, err, want)
 			}
 		}
-		_, err = Device(junk)
+		_, err = fastsafe.Simulate(fastsafe.Options{Devices: []fastsafe.DeviceOptions{{Mode: fastsafe.Mode(junk)}}})
 		if err == nil {
-			t.Fatalf("Device(%q) accepted", junk)
+			t.Fatalf("device mode %q accepted", junk)
 		}
 		if !strings.Contains(err.Error(), "cap-lazyrevoke") {
-			t.Fatalf("Device(%q) error %q does not name the capability modes", junk, err)
+			t.Fatalf("device mode %q error %q does not name the capability modes", junk, err)
 		}
 	}
 }
 
 func TestControlEmptyDisables(t *testing.T) {
-	cfg, err := Control("")
+	cfg, err := control.Parse("")
 	if err != nil || cfg != nil {
-		t.Fatalf("Control(\"\") = %v, %v; want nil, nil", cfg, err)
+		t.Fatalf("Parse(\"\") = %v, %v; want nil, nil", cfg, err)
 	}
 }
 
 func TestControlParsesSpec(t *testing.T) {
-	cfg, err := Control("every=250us;guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=2ms")
+	cfg, err := control.Parse("every=250us;guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,18 +354,18 @@ func TestControlRejectionMessages(t *testing.T) {
 		{"bad every", "every=never",
 			[]string{`every="never"`}},
 		{"inverted thresholds", "guard,metric=x,high=1,low=5,safe=strict,fast=fns",
-			[]string{"high", "low"}},
+			[]string{"high threshold 1 below low 5"}},
 		{"unswitchable mode", "guard,metric=x,high=1,low=0,safe=strict,fast=persistent",
-			[]string{"persistent"}},
+			[]string{"cannot switch persistent -> strict"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Control(c.spec)
+			_, err := control.Parse(c.spec)
 			if err == nil {
-				t.Fatalf("Control(%q) accepted", c.spec)
+				t.Fatalf("Parse(%q) accepted", c.spec)
 			}
 			msg := err.Error()
-			if !strings.HasPrefix(msg, "modespec:") {
+			if !strings.HasPrefix(msg, "control") {
 				t.Fatalf("error %q not namespaced", msg)
 			}
 			for _, want := range c.want {
