@@ -23,26 +23,13 @@ func goldenOpts() Options {
 	}
 }
 
-// goldenFigs cover the construction paths worth locking: the flow sweep
-// (fig2, fig7), the all-modes table (every protection datapath), the
-// storage co-tenant figure (shared-IOMMU multi-device path), the cluster
-// figure (N hosts on the shared engine and fabric), the clusterscale
-// figure (the sharded conservative-parallel engine at 64-256 hosts; its
-// rendered rows are deterministic — wall-clock lives in the JSON-only
-// Notes), the rdma figure (one-sided peer flows through the device-side
-// ATS cache, including the strawman's audited stale hits), and the
-// capability figure (the capability-table protection family next to the
-// page-table family, with the lazy-revoke stale window audited), and the
-// serving figure (the open-loop churn fleet — including the cohort8 rows,
-// whose counter columns must stay identical to the exact churn-0.20 host
-// rows by the cohort grouping-invariance contract), and the adaptive
-// figure (the control plane's two mid-run mode switches under the
-// windowed fault burst, with the per-phase tracking ratios and the
-// zero-stale audit columns locked byte-for-byte), and the paper's
-// application figures fig9-fig12 (the RPC and real-application message
-// paths, abstract-remote Tx bulk flows, and the ring-size sweep).
-var goldenFigs = []string{"fig2", "fig7", "modes", "storage", "cluster", "clusterscale", "rdma", "capability", "serving", "adaptive",
-	"fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig12"}
+// goldenFigs is every figure id: each table's rendered bytes are locked,
+// so a refactor that perturbs event ordering anywhere — the flow sweeps,
+// the locality and model figures, the multi-device, storage, cluster,
+// sharded, RDMA, capability, serving and adaptive paths — fails here.
+// The clusterscale rows are deterministic; its wall-clock lives in the
+// JSON-only Notes.
+var goldenFigs = IDs()
 
 // TestGoldenFiguresByteIdentical regenerates each golden figure and
 // requires byte-for-byte identity with the committed file. Regenerate
