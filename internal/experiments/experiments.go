@@ -1501,52 +1501,40 @@ func ClusterScale(o Options) Table {
 	return clusterScaleTable(clusterScaleGrid(), o)
 }
 
-// All runs every figure and extension table. Each figure fans its own
-// cells across the worker pool; cmd/fsbench additionally runs whole
-// figures concurrently.
-func All(o Options) []Table {
-	return []Table{
-		Fig2(o), Fig2e(o), Fig3(o), Fig3e(o),
-		Fig7(o), Fig7e(o), Fig8(o), Fig8e(o),
-		Fig9(o), Fig10(o),
-		Fig11a(o), Fig11b(o), Fig11c(o),
-		Fig12(o), Model(o), Deferred(o), DescriptorSizes(o), CacheSizes(o),
-		Hugepages(o), MemoryLatency(o), Seeds(o), Storage(o), MemoryHog(o),
-		Timeline(o), CPUCost(o), Faults(o), Cluster(o), ClusterScale(o),
-		Rdma(o), Capability(o), Serving(o), Adaptive(o),
-	}
+// figures is the one figure table: every id with its function, in
+// presentation order. ByID and IDs both read it.
+var figures = []struct {
+	id string
+	fn func(Options) Table
+}{
+	{"fig2", Fig2}, {"fig2e", Fig2e}, {"fig3", Fig3}, {"fig3e", Fig3e},
+	{"fig7", Fig7}, {"fig7e", Fig7e}, {"fig8", Fig8}, {"fig8e", Fig8e},
+	{"fig9", Fig9}, {"fig10", Fig10},
+	{"fig11a", Fig11a}, {"fig11b", Fig11b}, {"fig11c", Fig11c},
+	{"fig12", Fig12}, {"model", Model}, {"modes", Deferred},
+	{"descsize", DescriptorSizes}, {"ptcache", CacheSizes}, {"huge", Hugepages},
+	{"memlat", MemoryLatency}, {"seeds", Seeds}, {"storage", Storage},
+	{"multidev", Multidev}, {"memhog", MemoryHog}, {"timeline", Timeline},
+	{"cpucost", CPUCost}, {"faults", Faults},
+	{"cluster", Cluster}, {"clusterscale", ClusterScale}, {"rdma", Rdma},
+	{"capability", Capability}, {"serving", Serving}, {"adaptive", Adaptive},
 }
 
 // ByID returns one table by its figure id.
 func ByID(id string, o Options) (Table, error) {
-	fns := map[string]func(Options) Table{
-		"fig2": Fig2, "fig2e": Fig2e, "fig3": Fig3, "fig3e": Fig3e,
-		"fig7": Fig7, "fig7e": Fig7e, "fig8": Fig8, "fig8e": Fig8e,
-		"fig9": Fig9, "fig10": Fig10,
-		"fig11a": Fig11a, "fig11b": Fig11b, "fig11c": Fig11c,
-		"fig12": Fig12, "model": Model, "modes": Deferred,
-		"descsize": DescriptorSizes, "ptcache": CacheSizes, "huge": Hugepages,
-		"memlat": MemoryLatency, "seeds": Seeds, "storage": Storage,
-		"multidev": Multidev, "memhog": MemoryHog, "timeline": Timeline,
-		"cpucost": CPUCost, "faults": Faults, "cluster": Cluster,
-		"clusterscale": ClusterScale, "rdma": Rdma, "capability": Capability,
-		"serving": Serving, "adaptive": Adaptive,
+	for _, f := range figures {
+		if f.id == id {
+			return f.fn(o), nil
+		}
 	}
-	f, ok := fns[id]
-	if !ok {
-		return Table{}, fmt.Errorf("experiments: unknown figure %q (see IDs())", id)
-	}
-	return f(o), nil
+	return Table{}, fmt.Errorf("experiments: unknown figure %q (see IDs())", id)
 }
 
 // IDs lists the available figure ids in presentation order.
 func IDs() []string {
-	return []string{
-		"fig2", "fig2e", "fig3", "fig3e", "fig7", "fig7e", "fig8", "fig8e",
-		"fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig12",
-		"model", "modes", "descsize", "ptcache", "huge", "memlat", "seeds",
-		"storage", "multidev", "memhog", "timeline", "cpucost", "faults",
-		"cluster", "clusterscale", "rdma", "capability", "serving",
-		"adaptive",
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
+	return ids
 }
