@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -75,36 +74,79 @@ type EventID struct {
 	gen uint64
 }
 
+// eventQueue is a binary min-heap of events ordered by (at, sched, seq).
+// seq is unique per engine, so the key is a total order and any correct
+// heap pops the same sequence. (A 4-ary layout measured slower at 45 to
+// 3,000 pending events.) idx tracks each event's heap position and is -1
+// once the event is popped.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a fires before b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if q[i].sched != q[j].sched {
-		return q[i].sched < q[j].sched
+	if a.sched != b.sched {
+		return a.sched < b.sched
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
+
+func (q *eventQueue) push(ev *event) {
 	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	ev := h[0]
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.down(0, last)
+	}
 	ev.idx = -1
-	*q = old[:n-1]
 	return ev
+}
+
+// up places ev, which belongs at slot i or above, on its path to the root.
+func (q eventQueue) up(i int, ev *event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].idx = i
+		i = p
+	}
+	q[i] = ev
+	ev.idx = i
+}
+
+// down places ev, which belongs at slot i or below, on the path of
+// smaller children.
+func (q eventQueue) down(i int, ev *event) {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].idx = i
+		i = c
+	}
+	q[i] = ev
+	ev.idx = i
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -185,7 +227,7 @@ func (e *Engine) AtStamped(t, stamp Time, fn func()) EventID {
 	ev := e.alloc()
 	ev.at, ev.sched, ev.seq, ev.fn = t, stamp, e.seq, fn
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return EventID{ev, ev.gen}
 }
 
@@ -210,7 +252,7 @@ func (e *Engine) Cancel(id EventID) {
 // empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.queue.pop()
 		if ev.dead {
 			e.recycle(ev)
 			continue

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -36,6 +36,13 @@ type Shards struct {
 	// inbox is the coordinator's scratch buffer for barrier delivery.
 	inbox []post
 
+	// Round state: every shard but the last one ready runs on a goroutine
+	// started with its pre-bound run[i], which drains engs[i] below bound
+	// and signals wg.
+	bound Time
+	wg    sync.WaitGroup
+	run   []func()
+
 	rounds uint64
 }
 
@@ -64,9 +71,15 @@ func NewShards(n int, seed int64, lookahead Duration) *Shards {
 		engs:      make([]*Engine, n),
 		lookahead: lookahead,
 		outbox:    make([][]post, n),
+		run:       make([]func(), n),
 	}
 	for i := range s.engs {
-		s.engs[i] = NewEngine(seed + int64(i))
+		e := NewEngine(seed + int64(i))
+		s.engs[i] = e
+		s.run[i] = func() {
+			e.RunBefore(s.bound)
+			s.wg.Done()
+		}
 	}
 	return s
 }
@@ -123,22 +136,32 @@ func (s *Shards) flush() {
 	if len(s.inbox) == 0 {
 		return
 	}
-	sort.Slice(s.inbox, func(i, j int) bool {
-		a, b := s.inbox[i], s.inbox[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.gen != b.gen {
-			return a.gen < b.gen
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for _, p := range s.inbox {
+	slices.SortFunc(s.inbox, comparePosts)
+	for i := range s.inbox {
+		p := &s.inbox[i]
 		s.engs[p.dst].AtStamped(p.at, p.gen, p.fn)
+		p.fn = nil
 	}
+}
+
+// comparePosts orders posts by the total key (at, gen, src, seq).
+func comparePosts(a, b post) int {
+	switch {
+	case a.at != b.at:
+		return cmpTime(a.at, b.at)
+	case a.gen != b.gen:
+		return cmpTime(a.gen, b.gen)
+	case a.src != b.src:
+		return a.src - b.src
+	}
+	return a.seq - b.seq
+}
+
+func cmpTime(a, b Time) int {
+	if a < b {
+		return -1
+	}
+	return 1
 }
 
 // Run executes all shards up to and including deadline, then aligns every
@@ -176,36 +199,27 @@ func (s *Shards) Run(deadline Time) {
 }
 
 // runRound drains every shard's events below bound, in parallel when more
-// than one shard has work in the window.
+// than one shard has work in the window. The last ready shard runs on the
+// calling goroutine, so one ready shard starts no goroutine at all.
 func (s *Shards) runRound(bound Time) {
-	var single *Engine
-	n := 0
-	for _, e := range s.engs {
+	last := -1
+	for i, e := range s.engs {
 		if t, ok := e.PeekTime(); ok && t < bound {
-			single = e
-			n++
+			last = i
 		}
 	}
-	switch n {
-	case 0:
-		return
-	case 1:
-		single.RunBefore(bound)
+	if last < 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	for _, e := range s.engs {
-		t, ok := e.PeekTime()
-		if !ok || t >= bound {
-			continue
+	s.bound = bound
+	for i, e := range s.engs[:last] {
+		if t, ok := e.PeekTime(); ok && t < bound {
+			s.wg.Add(1)
+			go s.run[i]()
 		}
-		wg.Add(1)
-		go func(e *Engine) {
-			defer wg.Done()
-			e.RunBefore(bound)
-		}(e)
 	}
-	wg.Wait()
+	s.engs[last].RunBefore(bound)
+	s.wg.Wait()
 }
 
 // String renders coordinator telemetry for debugging.
