@@ -76,7 +76,10 @@ type Cache struct {
 
 	entries    map[ptable.IOVA]*entry
 	head, tail *entry // LRU list, head = most recent
-	c          Counters
+	// free holds removed entries, linked through next; inserts reuse them
+	// (and an insert at capacity the evicted one) instead of allocating.
+	free *entry
+	c    Counters
 
 	// audit, when set, observes every ATC *hit* (misses reach the
 	// IOMMU's own audit hook through inner.Translate). It must not
@@ -173,8 +176,9 @@ func (a *Cache) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {
 func (a *Cache) InvalidateAll() {
 	a.c.InvMessages++
 	dropped := int64(len(a.entries))
-	a.entries = make(map[ptable.IOVA]*entry)
-	a.head, a.tail = nil, nil
+	for a.head != nil {
+		a.remove(a.head)
+	}
 	a.c.Invalidated += dropped
 	a.mmu.ChargeATCInvalidation(a.dom, dropped)
 	a.inner.InvalidateAll()
@@ -201,7 +205,13 @@ func (a *Cache) insert(page ptable.IOVA, phys ptable.Phys, huge bool) {
 		a.c.Evictions++
 		a.remove(a.tail)
 	}
-	e := &entry{page: page, phys: phys, huge: huge}
+	e := a.free
+	if e != nil {
+		a.free = e.next
+	} else {
+		e = new(entry)
+	}
+	*e = entry{page: page, phys: phys, huge: huge}
 	a.entries[page] = e
 	a.pushFront(e)
 }
@@ -214,9 +224,12 @@ func (a *Cache) touch(e *entry) {
 	a.pushFront(e)
 }
 
+// remove drops e from the cache onto the free list.
 func (a *Cache) remove(e *entry) {
 	a.unlink(e)
 	delete(a.entries, e.page)
+	e.next = a.free
+	a.free = e
 }
 
 func (a *Cache) unlink(e *entry) {

@@ -44,7 +44,7 @@ type capPolicy struct {
 
 func (p capPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
 	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu}
+	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
 	base, cost, err := d.allocIOVA(cpu, pages)
 	if err != nil {
 		return nil, 0, err
@@ -137,7 +137,7 @@ func (p capPolicy) remapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
 func (p capPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
 	// Chunked like FNS — per-CPU descriptor-sized IOVA chunks filled
 	// across packets — but each page's protection cost is the grant.
-	m := &TxMapping{cpu: cpu}
+	m := newTxMapping(cpu, pages, true)
 	var cost sim.Duration
 	for i := 0; i < pages; i++ {
 		ch := d.txChunks[cpu]

@@ -154,6 +154,32 @@ type TxMapping struct {
 	chunks []*txChunk
 	// pol is the policy that mapped this packet (see Descriptor.pol).
 	pol Policy
+	// IOVAs and chunks of a packet of up to txInline pages live here,
+	// so mapping it costs one allocation.
+	iova  [txInline]ptable.IOVA
+	chunk [txInline]*txChunk
+}
+
+// txInline is the page count a TxMapping holds without separate slices:
+// an MTU-sized packet and an ACK take one or two pages.
+const txInline = 2
+
+// newTxMapping returns an empty mapping on cpu with room for pages IOVAs
+// and, when chunked, as many chunk slots.
+func newTxMapping(cpu, pages int, chunked bool) *TxMapping {
+	m := &TxMapping{cpu: cpu}
+	if pages <= txInline {
+		m.IOVAs = m.iova[:0]
+		if chunked {
+			m.chunks = m.chunk[:0]
+		}
+		return m
+	}
+	m.IOVAs = make([]ptable.IOVA, 0, pages)
+	if chunked {
+		m.chunks = make([]*txChunk, 0, pages)
+	}
+	return m
 }
 
 // txChunk is a per-CPU descriptor-sized IOVA chunk filled across Tx

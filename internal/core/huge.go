@@ -65,7 +65,7 @@ func (d *Domain) mapRxDescriptorHuge(cpu int) (*Descriptor, sim.Duration, error)
 		hc = &hugeChunk{rawBase: raw, rawPages: 2 * hugePages, base: base, descs: descsPer}
 		d.hugeRx[cpu] = hc
 	}
-	desc := &Descriptor{cpu: cpu, contig: true, huge: hc}
+	desc := &Descriptor{cpu: cpu, contig: true, huge: hc, IOVAs: make([]ptable.IOVA, 0, pages)}
 	start := hc.base + ptable.IOVA(uint64(hc.carved)*descBytes)
 	hc.carved++
 	desc.base = start

@@ -87,7 +87,7 @@ type offPolicy struct {
 
 func (offPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
 	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu}
+	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
 	for i := 0; i < pages; i++ {
 		desc.IOVAs = append(desc.IOVAs, ptable.IOVA(d.newPhys()))
 	}
@@ -99,7 +99,7 @@ func (offPolicy) unmapRx(*Domain, *Descriptor) (sim.Duration, error) { return 0,
 func (offPolicy) remapRx(*Domain, *Descriptor) (sim.Duration, error) { return 0, nil }
 
 func (offPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := &TxMapping{cpu: cpu}
+	m := newTxMapping(cpu, pages, false)
 	for i := 0; i < pages; i++ {
 		m.IOVAs = append(m.IOVAs, ptable.IOVA(d.newPhys()))
 	}
@@ -279,7 +279,7 @@ func (persistentPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, er
 		return desc, 0, nil
 	}
 	// First use: build a contiguous chunk and map it permanently.
-	desc := &Descriptor{cpu: cpu}
+	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
 	base, cost, err := d.allocIOVA(cpu, pages)
 	if err != nil {
 		return nil, 0, err
@@ -314,7 +314,7 @@ func (persistentPolicy) remapRx(*Domain, *Descriptor) (sim.Duration, error) {
 }
 
 func (persistentPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := &TxMapping{cpu: cpu}
+	m := newTxMapping(cpu, pages, false)
 	var cost sim.Duration
 	for i := 0; i < pages; i++ {
 		if p := d.txPools(cpu); len(p.free) > 0 {
@@ -425,7 +425,7 @@ func (p noShootdownPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error
 // page, no contiguity (Strict, Deferred, StrictPreserve).
 func (d *Domain) mapRxPaged(cpu int) (*Descriptor, sim.Duration, error) {
 	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu}
+	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
 	var cost sim.Duration
 	for i := 0; i < pages; i++ {
 		v, c, err := d.allocIOVA(cpu, 1)
@@ -451,7 +451,7 @@ func (d *Domain) mapRxPaged(cpu int) (*Descriptor, sim.Duration, error) {
 // (StrictContig, FNS, DeferNoShootdown).
 func (d *Domain) mapRxContig(cpu int) (*Descriptor, sim.Duration, error) {
 	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu}
+	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
 	base, cost, err := d.allocIOVA(cpu, pages)
 	if err != nil {
 		return nil, 0, err
@@ -564,7 +564,7 @@ func (d *Domain) remapRxContig(desc *Descriptor, inv, iotlbOnly bool) (sim.Durat
 // mapTxPaged maps a Tx packet with one page-sized IOVA per page (Strict,
 // Deferred, StrictPreserve).
 func (d *Domain) mapTxPaged(cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := &TxMapping{cpu: cpu}
+	m := newTxMapping(cpu, pages, false)
 	var cost sim.Duration
 	for i := 0; i < pages; i++ {
 		v, c, err := d.allocIOVA(cpu, 1)
@@ -589,7 +589,7 @@ func (d *Domain) mapTxPaged(cpu, pages int) (*TxMapping, sim.Duration, error) {
 // in transmission order (§3's Tx generalisation: StrictContig, FNS,
 // FNSHuge, DeferNoShootdown).
 func (d *Domain) mapTxChunked(cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := &TxMapping{cpu: cpu}
+	m := newTxMapping(cpu, pages, true)
 	var cost sim.Duration
 	for i := 0; i < pages; i++ {
 		ch := d.txChunks[cpu]

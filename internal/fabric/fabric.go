@@ -48,6 +48,20 @@ type Link struct {
 	// shadows bottlenecks it cannot actually see.
 	avgBacklog float64
 	lastSample sim.Time
+
+	// inflight holds sent packets not yet delivered, in send order, and
+	// deliverFn (deliverNext bound once) is the one callback every
+	// delivery event fires.
+	inflight  sim.FIFO[delivery]
+	deliverFn func()
+}
+
+// delivery is one packet in flight on a Link: the callback to fire, the
+// packet's ECN mark and the time it is due at the far end.
+type delivery struct {
+	deliver func(ecn bool)
+	ecn     bool
+	at      sim.Time
 }
 
 // ecnTau is the backlog-averaging time constant.
@@ -56,7 +70,9 @@ const ecnTau = 20 * sim.Microsecond
 // NewLink returns a link with the given line rate and one-way
 // propagation delay.
 func NewLink(eng *sim.Engine, gbps float64, prop sim.Duration) *Link {
-	return &Link{eng: eng, gbps: gbps, prop: prop}
+	w := &Link{eng: eng, gbps: gbps, prop: prop}
+	w.deliverFn = w.deliverNext
+	return w
 }
 
 // SetECN enables ECN marking when the egress backlog exceeds k bytes.
@@ -101,10 +117,29 @@ func (w *Link) SendAt(bytes int) (at sim.Time, ecn bool) {
 }
 
 // Send serialises a packet onto the link; deliver fires at the far end
-// with the packet's ECN mark.
+// with the packet's ECN mark. Deliveries fall due in send order, because
+// busyUntil + prop never decreases, and same-time deliveries fire in
+// scheduling order; so each delivery event pops the oldest packet in
+// flight.
 func (w *Link) Send(bytes int, deliver func(ecn bool)) {
 	at, ecn := w.SendAt(bytes)
-	w.eng.At(at, func() { deliver(ecn) })
+	if now := w.eng.Now(); at < now {
+		at = now // as the engine clamps it (a negative propagation delay)
+	}
+	w.inflight.Push(delivery{deliver: deliver, ecn: ecn, at: at})
+	w.eng.At(at, w.deliverFn)
+}
+
+// deliverNext fires the oldest packet in flight, which must be due now.
+func (w *Link) deliverNext() {
+	if w.inflight.Len() == 0 {
+		panic("fabric: link delivery with no packet in flight")
+	}
+	d := w.inflight.Pop()
+	if now := w.eng.Now(); d.at != now {
+		panic(fmt.Sprintf("fabric: link delivery due at %v fired at %v", d.at, now))
+	}
+	d.deliver(d.ecn)
 }
 
 // Bytes returns the total bytes sent.

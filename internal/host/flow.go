@@ -63,15 +63,24 @@ type flow struct {
 	// sendQueued bounds the CPU-queue work outstanding for this flow.
 	sendQueued int
 	flushArmed bool // delayed-ACK timer pending at the sink
+
+	// pump and flushTimer, bound once.
+	pumpFn, flushFn func()
+	// Segments and ACKs on the wire toward an abstract end, in send
+	// order. The wire delivers in send order, so landAtSink and
+	// landAtSource (bound once as sinkFn and sourceFn) pop the one
+	// landing.
+	toAbstractSink   sim.FIFO[int64]
+	toAbstractSource sim.FIFO[transport.Ack]
+	sinkFn, sourceFn func(ecn bool)
 }
 
-// Payload types carried in nic.Packet.Payload by flows. One-sided ACKs
-// are NIC-generated and never enter a datapath, so they need none.
-type dataSeg struct { // bulk data, source -> sink
-	f   *flow
-	seq int64
-}
-type ackSeg struct { // stack-built or abstract-remote ACK, sink -> source
+// Payloads carried in nic.Packet.Payload by flows: a *flow marks one of
+// its bulk data segments (source -> sink), numbered by Packet.Seq; an
+// ackSeg is a stack-built or abstract-remote ACK (sink -> source).
+// One-sided ACKs are NIC-generated and never enter a datapath, so they
+// need none.
+type ackSeg struct {
 	f   *flow
 	ack transport.Ack
 }
@@ -80,6 +89,7 @@ type ackSeg struct { // stack-built or abstract-remote ACK, sink -> source
 // the abstract remote, or a fabric port toward another port.
 type path struct {
 	wire *fabric.Link
+	n    *netDev // a wire path's NIC, owner of the wire pair
 	port *fabric.Port
 	to   int // destination port ID
 }
@@ -92,11 +102,21 @@ func (p path) send(bytes int, deliver func(ecn bool)) {
 	p.port.Send(p.to, bytes, deliver)
 }
 
-// arrive carries a packet along p into dev's input buffer, marked as the
-// path marked it.
-func (p path) arrive(dev *nic.NIC, cpu, bytes int, payload any) {
-	p.send(bytes, func(ecn bool) {
-		dev.Arrive(nic.Packet{CPU: cpu, Bytes: bytes, ECN: ecn, Payload: payload})
+// arrive carries pkt along p into dev's input buffer, marked as the path
+// marked it. A wire path arrives only at its own NIC, from the abstract
+// remote.
+func (p path) arrive(dev *nic.NIC, pkt nic.Packet) {
+	if p.wire != nil {
+		if p.wire != p.n.toLocal || dev != p.n.dev {
+			panic("host: a wire arrival must cross the wire into its own NIC")
+		}
+		p.n.arriveFromRemote(pkt)
+		return
+	}
+	p.port.Send(p.to, pkt.Bytes, func(ecn bool) {
+		pkt := pkt
+		pkt.ECN = ecn
+		dev.Arrive(pkt)
 	})
 }
 
@@ -109,6 +129,8 @@ func (f *flow) open(p transport.Params) {
 	f.rcv = transport.NewReceiver(p)
 	f.snd.Bind(transport.Endpoint{Host: src, Peer: dst})
 	f.rcv.Bind(transport.Endpoint{Host: dst, Peer: src})
+	f.pumpFn, f.flushFn = f.pump, f.flushTimer
+	f.sinkFn, f.sourceFn = f.landAtSink, f.landAtSource
 }
 
 func endpointHost(n *netDev) int {
@@ -195,16 +217,16 @@ func (f *flow) pump() {
 	for f.snd.CanSend() && f.sendQueued < maxQueuedSends {
 		seq, _ := f.snd.NextSend()
 		f.snd.OnSent(seq, n.h.eng.Now())
-		seg := dataSeg{f: f, seq: seq}
+		seg := nic.Packet{CPU: f.srcCPU, Bytes: f.mtu, Seq: seq, Payload: f}
 		switch {
 		case f.src == nil:
-			f.toSink(f.mtu, seg, seq)
+			f.toSink(f.mtu, seq)
 		case f.op.OneSided():
 			iovas, start := f.srcMR.frame(seq)
-			n.dev.SendTxDirect(nic.Packet{CPU: f.srcCPU, Bytes: f.mtu, Payload: seg}, iovas, start)
+			n.dev.SendTxDirect(seg, iovas, start)
 		default:
 			f.sendQueued++
-			n.sendTx(nic.Packet{CPU: f.srcCPU, Bytes: f.mtu, Payload: seg}, n.h.cfg.StackCost)
+			n.sendTx(seg, n.h.cfg.StackCost)
 		}
 	}
 }
@@ -226,19 +248,24 @@ func (f *flow) postRead() {
 // a direct DMA into the target window — no ring, no descriptor
 // recycling, no per-packet remote CPU. A two-sided segment arrives like
 // any other packet, through the sink's Rx datapath.
-func (f *flow) toSink(bytes int, payload any, seq int64) {
+func (f *flow) toSink(bytes int, seq int64) {
 	switch {
 	case f.dst == nil:
-		f.fwd.send(bytes, func(ecn bool) { f.ackOrArm(f.receive(seq, ecn)) })
+		f.toAbstractSink.Push(seq)
+		f.fwd.send(bytes, f.sinkFn)
 	case f.op.OneSided():
 		f.fwd.send(bytes, func(ecn bool) {
 			iovas, start := f.dstMR.frame(seq)
-			f.dst.dev.DirectRx(nic.Packet{CPU: f.dstCPU, Bytes: bytes, ECN: ecn, Payload: payload}, iovas, start)
+			f.dst.dev.DirectRx(nic.Packet{CPU: f.dstCPU, Bytes: bytes, ECN: ecn, Seq: seq, Payload: f}, iovas, start)
 		})
 	default:
-		f.fwd.arrive(f.dst.dev, f.dstCPU, bytes, payload)
+		f.fwd.arrive(f.dst.dev, nic.Packet{CPU: f.dstCPU, Bytes: bytes, Seq: seq, Payload: f})
 	}
 }
+
+// landAtSink is the abstract sink receiving the oldest segment on the
+// wire.
+func (f *flow) landAtSink(ecn bool) { f.ackOrArm(f.receive(f.toAbstractSink.Pop(), ecn)) }
 
 // onData handles a data segment whose DMA into the sink's memory
 // completed. One-sided, everything here is NIC-side: transport state,
@@ -249,14 +276,38 @@ func (f *flow) onData(seq int64, ecn bool) {
 		return
 	}
 	n := f.dst
-	irq := n.h.irqCost(n.cpuBase + f.dstCPU)
-	var ack *transport.Ack
-	n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-		ack = f.receive(seq, ecn)
-		return irq + n.stackCost()
-	}, func() {
-		f.ackOrArm(ack)
-	})
+	w := n.sinkWorks.get()
+	if w.workFn == nil {
+		w.workFn, w.doneFn = w.work, w.done
+	}
+	w.f, w.seq, w.ecn = f, seq, ecn
+	w.irq = n.h.irqCost(n.cpuBase + f.dstCPU)
+	n.h.core(n.cpuBase+f.dstCPU).Do(w.workFn, w.doneFn)
+}
+
+// sinkWork is a two-sided sink's stack work for one data segment: the
+// receive runs on the core, and the ACK it produced goes out once the
+// core has spent the time. Pooled by the sink NIC.
+type sinkWork struct {
+	f      *flow
+	seq    int64
+	ecn    bool
+	irq    sim.Duration
+	ack    *transport.Ack
+	workFn func() sim.Duration
+	doneFn func()
+}
+
+func (w *sinkWork) work() sim.Duration {
+	w.ack = w.f.receive(w.seq, w.ecn)
+	return w.irq + w.f.dst.stackCost()
+}
+
+func (w *sinkWork) done() {
+	f, ack := w.f, w.ack
+	w.f, w.ack = nil, nil
+	f.dst.sinkWorks.put(w)
+	f.ackOrArm(ack)
 }
 
 // receive runs the sink's transport over one data segment, accounts the
@@ -321,10 +372,13 @@ func (f *flow) armFlush() {
 	if n == nil {
 		n = f.src // the abstract remote runs on the clock of the NIC it hangs off
 	}
-	n.h.eng.After(n.h.cfg.DelAck, func() {
-		f.flushArmed = false
-		f.flushAck()
-	})
+	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
+}
+
+// flushTimer is the delayed-ACK timer firing.
+func (f *flow) flushTimer() {
+	f.flushArmed = false
+	f.flushAck()
 }
 
 // flushAck sends the receiver's coalesced ACK, if one is pending.
@@ -342,7 +396,7 @@ func (f *flow) flushAck() {
 func (f *flow) sendAck(ack transport.Ack) {
 	switch {
 	case f.dst == nil:
-		f.rev.arrive(f.src.dev, f.srcCPU, 64, ackSeg{f: f, ack: ack})
+		f.rev.arrive(f.src.dev, nic.Packet{CPU: f.srcCPU, Bytes: 64, Payload: ackSeg{f: f, ack: ack}})
 	case f.op.OneSided():
 		f.dst.c.acksSent++
 		f.rev.send(64, func(bool) { f.onAck(ack) })
@@ -356,11 +410,16 @@ func (f *flow) sendAck(ack transport.Ack) {
 // through its Rx datapath like any other packet.
 func (f *flow) toSource(bytes int, payload any, ack transport.Ack) {
 	if f.src == nil {
-		f.rev.send(bytes, func(bool) { f.onAck(ack) })
+		f.toAbstractSource.Push(ack)
+		f.rev.send(bytes, f.sourceFn)
 		return
 	}
-	f.rev.arrive(f.src.dev, f.srcCPU, bytes, payload)
+	f.rev.arrive(f.src.dev, nic.Packet{CPU: f.srcCPU, Bytes: bytes, Payload: payload})
 }
+
+// landAtSource is the abstract source receiving the oldest ACK on the
+// wire.
+func (f *flow) landAtSource(bool) { f.onAck(f.toAbstractSource.Pop()) }
 
 // onAck lands an ACK at the source, which re-arms the stream. The
 // abstract remote processes it at once; a detailed source's core pays
@@ -373,10 +432,29 @@ func (f *flow) onAck(ack transport.Ack) {
 		f.pump()
 		return
 	}
-	n.h.core(n.cpuBase+f.srcCPU).Do(func() sim.Duration {
-		f.snd.OnAck(ack, n.h.eng.Now())
-		return n.h.cfg.AckRxCost
-	}, f.pump)
+	w := n.ackWorks.get()
+	if w.workFn == nil {
+		w.workFn = w.work
+	}
+	w.f, w.ack = f, ack
+	n.h.core(n.cpuBase+f.srcCPU).Do(w.workFn, f.pumpFn)
+}
+
+// ackWork is a detailed source's processing of one ACK; the flow pumps
+// once the core has spent the time. Pooled by the source NIC.
+type ackWork struct {
+	f      *flow
+	ack    transport.Ack
+	workFn func() sim.Duration
+}
+
+func (w *ackWork) work() sim.Duration {
+	f, ack := w.f, w.ack
+	w.f = nil
+	n := f.src
+	n.ackWorks.put(w)
+	f.snd.OnAck(ack, n.h.eng.Now())
+	return n.h.cfg.AckRxCost
 }
 
 // rdmaWindowChunks sizes each registered window: chunks × descriptor

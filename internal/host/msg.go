@@ -184,7 +184,7 @@ func (a *msgApp) sendRequest(s *msgStream, m int64) {
 		for i := 0; i < n; i++ {
 			seg := msgSeg{stream: s.id, msg: m, idx: i, count: n,
 				bytes: segBytes(a.cfg.ReqBytes, a.h.cfg.MTU, i), req: true}
-			a.h.net.arriveFromRemote(s.cpu, seg.bytes, seg)
+			a.h.net.arriveFromRemote(nic.Packet{CPU: s.cpu, Bytes: seg.bytes, Payload: seg})
 		}
 	case LocalClient:
 		// Local client -> remote server: each segment costs CPU + Tx DMA.
@@ -299,7 +299,7 @@ func (a *msgApp) remoteReceive(s *msgStream, seg msgSeg) {
 			for i := 0; i < n; i++ {
 				rseg := msgSeg{stream: s.id, msg: seg.msg, idx: i, count: n,
 					bytes: segBytes(a.cfg.RespBytes, a.h.cfg.MTU, i), req: false}
-				a.h.net.arriveFromRemote(s.cpu, rseg.bytes, rseg)
+				a.h.net.arriveFromRemote(nic.Packet{CPU: s.cpu, Bytes: rseg.bytes, Payload: rseg})
 			}
 		}
 	}

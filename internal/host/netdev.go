@@ -103,6 +103,18 @@ type netDev struct {
 	lastDeferredFlush sim.Time
 
 	c hostCounters
+
+	// Packets on toLocal from the abstract remote, in send order; the
+	// wire delivers in send order, so landArrival (bound once as
+	// arriveFn) pops the one landing.
+	arrivals sim.FIFO[nic.Packet]
+	arriveFn func(ecn bool)
+
+	// Record pools for the core work this NIC's datapath queues.
+	txJobs    pool[txJob]
+	unmaps    pool[txUnmap]
+	sinkWorks pool[sinkWork]
+	ackWorks  pool[ackWork]
 }
 
 // netExec lets the NIC schedule driver work on host cores, offsetting
@@ -187,10 +199,11 @@ func (n *netDev) Attach(dh device.Host) error {
 	n.dev = dev
 	dev.OnDeliver = n.onDeliver
 	dev.OnTxDone = n.onTxDone
+	n.arriveFn = n.landArrival
 
 	// Legacy bulk flows terminate at the abstract remote host: the local
 	// state machine binds (host, AbstractPeer), its far end the mirror.
-	toLocal, toRemote := path{wire: n.toLocal}, path{wire: n.toRemote}
+	toLocal, toRemote := path{wire: n.toLocal, n: n}, path{wire: n.toRemote, n: n}
 	for i := 0; i < n.spec.RxFlows; i++ {
 		f := &flow{id: i, mtu: n.spec.MTU, dst: n, dstCPU: i % n.spec.Cores,
 			fwd: toLocal, rev: toRemote, start: sim.Time(i) * sim.Microsecond}
@@ -268,17 +281,23 @@ func (n *netDev) deferredFlush(now sim.Time) {
 // it out. A stack ACK is counted, and a flow's queued send released,
 // when the core gets to it.
 func (n *netDev) sendTx(pkt nic.Packet, cost sim.Duration) {
-	j := &txJob{n: n, pkt: pkt, cost: cost}
-	n.h.core(n.cpuBase+pkt.CPU).Do(j.mapTx, j.send)
+	j := n.txJobs.get()
+	if j.mapFn == nil {
+		j.mapFn, j.sendFn = j.mapTx, j.send
+	}
+	j.n, j.pkt, j.cost = n, pkt, cost
+	n.h.core(n.cpuBase+pkt.CPU).Do(j.mapFn, j.sendFn)
 }
 
 // txJob is one sendTx in flight: the core work that maps the packet, then
-// the hand-off to the NIC.
+// the hand-off to the NIC. Pooled by the NIC.
 type txJob struct {
-	n    *netDev
-	pkt  nic.Packet
-	cost sim.Duration
-	m    *core.TxMapping
+	n      *netDev
+	pkt    nic.Packet
+	cost   sim.Duration
+	m      *core.TxMapping
+	mapFn  func() sim.Duration
+	sendFn func()
 }
 
 func (j *txJob) mapTx() sim.Duration {
@@ -294,16 +313,47 @@ func (j *txJob) mapTx() sim.Duration {
 }
 
 func (j *txJob) send() {
-	if seg, ok := j.pkt.Payload.(dataSeg); ok {
-		seg.f.sendQueued--
+	n, pkt, m := j.n, j.pkt, j.m
+	j.n, j.pkt, j.m = nil, nic.Packet{}, nil
+	n.txJobs.put(j)
+	if f, ok := pkt.Payload.(*flow); ok {
+		f.sendQueued--
 	}
-	j.n.dev.SendTx(j.pkt, j.m)
+	n.dev.SendTx(pkt, m)
+}
+
+// txUnmap is the driver's unmap of one completed Tx packet. Pooled by
+// the NIC.
+type txUnmap struct {
+	n      *netDev
+	m      *core.TxMapping
+	workFn func() sim.Duration
+}
+
+func (u *txUnmap) work() sim.Duration {
+	n, m := u.n, u.m
+	u.n, u.m = nil, nil
+	n.unmaps.put(u)
+	cost, err := n.dom.UnmapTx(m)
+	if err != nil {
+		panic(fmt.Sprintf("host: UnmapTx: %v", err))
+	}
+	return cost
 }
 
 // arriveFromRemote carries a packet from the abstract remote host over
 // this NIC's wire pair into its input buffer.
-func (n *netDev) arriveFromRemote(cpu, bytes int, payload any) {
-	path{wire: n.toLocal}.arrive(n.dev, cpu, bytes, payload)
+func (n *netDev) arriveFromRemote(pkt nic.Packet) {
+	n.arrivals.Push(pkt)
+	n.toLocal.Send(pkt.Bytes, n.arriveFn)
+}
+
+// landArrival hands the oldest packet on toLocal to the NIC, marked as
+// the wire marked it.
+func (n *netDev) landArrival(ecn bool) {
+	pkt := n.arrivals.Pop()
+	pkt.ECN = ecn
+	n.dev.Arrive(pkt)
 }
 
 // onDeliver handles a packet whose DMA into local memory completed.
@@ -316,18 +366,18 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 	}
 	// One-sided writes land in application memory with no stack or
 	// application copy; everything else pays the copy in and out.
-	if seg, ok := pkt.Payload.(dataSeg); !ok || !seg.f.op.OneSided() {
+	if f, ok := pkt.Payload.(*flow); !ok || !f.op.OneSided() {
 		h.bus.Consume(2 * pkt.Bytes)
 	}
 	switch p := pkt.Payload.(type) {
-	case dataSeg:
-		p.f.onData(p.seq, pkt.ECN)
+	case *flow:
+		p.onData(pkt.Seq, pkt.ECN)
 	case ackSeg:
 		p.f.onAck(p.ack)
 	case msgSeg:
 		h.msgs.onDeliver(pkt, p)
-	case serveSeg:
-		h.serve.onDeliver(pkt, p)
+	case *servReq:
+		h.serve.onDeliver(p)
 	default:
 		panic(fmt.Sprintf("host: unknown Rx payload %T", pkt.Payload))
 	}
@@ -341,22 +391,21 @@ func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 		h.bus.Consume(pkt.Bytes) // the DMA read
 	}
 	if m != nil {
-		h.core(n.cpuBase+pkt.CPU).Do(func() sim.Duration {
-			cost, err := n.dom.UnmapTx(m)
-			if err != nil {
-				panic(fmt.Sprintf("host: UnmapTx: %v", err))
-			}
-			return cost
-		}, nil)
+		u := n.unmaps.get()
+		if u.workFn == nil {
+			u.workFn = u.work
+		}
+		u.n, u.m = n, m
+		h.core(n.cpuBase+pkt.CPU).Do(u.workFn, nil)
 	}
 	switch p := pkt.Payload.(type) {
-	case dataSeg:
-		p.f.toSink(pkt.Bytes, pkt.Payload, p.seq)
+	case *flow:
+		p.toSink(pkt.Bytes, pkt.Seq)
 	case ackSeg:
 		p.f.toSource(pkt.Bytes, pkt.Payload, p.ack)
 	case msgSeg:
 		h.msgs.onTxDone(pkt, p)
-	case serveSeg:
+	case *servReq:
 		h.serve.onTxDone(pkt, p)
 	default:
 		panic(fmt.Sprintf("host: unknown Tx payload %T", pkt.Payload))

@@ -71,20 +71,16 @@ func (c ServeConfig) withDefaults(h *Host) ServeConfig {
 // generator never retries).
 const servingGCTimeout = 5 * sim.Millisecond
 
-// serveSeg is one serving segment on the wire.
-type serveSeg struct {
-	id    int64
-	conn  int
-	idx   int
-	count int
-	bytes int
-	resp  bool // response vs request segment
-}
-
-// servReq tracks one in-flight request at the serving host.
+// servReq tracks one in-flight request at the serving host. Its segments
+// carry it as their nic.Packet.Payload: request segments on the Rx path,
+// response segments on the Tx path. A completed request has no segment
+// left anywhere, so it returns to the app's pool; an expired one may
+// still have segments queued and is left to the garbage collector.
 type servReq struct {
 	arr      cohort.Arrival
 	start    sim.Time
+	reqSegs  int  // request segments
+	respSegs int  // response segments
 	got      int  // request segments assembled
 	respGot  int  // response segments delivered at the client
 	answered bool // response sent; completion is inevitable (Tx never drops)
@@ -95,14 +91,24 @@ type servingApp struct {
 	cfg   ServeConfig
 	fleet *cohort.Fleet
 
-	timerSet bool
-	timerAt  sim.Time
-	timer    sim.EventID
+	timerSet  bool
+	timerAt   sim.Time
+	timer     sim.EventID
+	onTimerFn func() // onTimer, bound once
 
 	pending  map[int64]*servReq
-	gcq      []int64           // request ids in arrival order (FIFO expiry scan)
+	gcq      sim.FIFO[int64]   // request ids in arrival order (FIFO expiry scan)
 	connMaps []*core.TxMapping // per-connection buffer, remapped at rebirth
 	latency  stats.Histogram
+
+	// Response segments on the wire to the abstract client, in send
+	// order; landAtClient (bound once as clientFn) pops the one landing.
+	toClient sim.FIFO[*servReq]
+	clientFn func(ecn bool)
+
+	reqs      pool[servReq]
+	reqWorks  pool[servReqWork]
+	connWorks pool[connWork]
 
 	completed      int64
 	completedBytes int64 // request+response payload of completed requests
@@ -133,6 +139,7 @@ func (h *Host) InstallServing(cfg ServeConfig) (*servingApp, error) {
 		pending:  make(map[int64]*servReq),
 		connMaps: make([]*core.TxMapping, cfg.Conns),
 	}
+	app.onTimerFn, app.clientFn = app.onTimer, app.landAtClient
 	h.serve = app
 	if h.tele != nil {
 		h.tele.reg.AddHistogram(h.tele.name("serve.latency_ns"), &app.latency)
@@ -162,39 +169,42 @@ func (a *servingApp) start() {
 }
 
 // mapConn maps connection c's buffer on its core, paying the mode's
-// mapping cost there.
+// costs there: at a rebirth it first unmaps the dead incarnation's
+// buffer — the churn cost the figure is built to expose.
 func (a *servingApp) mapConn(c int) {
-	cpu := a.cpu(c)
-	a.h.core(cpu).Do(func() sim.Duration {
-		tm, mc, err := a.h.net.dom.MapTx(cpu, a.cfg.ConnPages)
-		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(conn): %v", err))
-		}
-		a.connMaps[c] = tm
-		return mc
-	}, nil)
+	w := a.connWorks.get()
+	if w.workFn == nil {
+		w.workFn = w.work
+	}
+	w.a, w.c = a, c
+	a.h.core(a.cpu(c)).Do(w.workFn, nil)
 }
 
-// recycleConn retires a dead connection's buffer and maps the fresh
-// incarnation's — the churn cost the figure is built to expose.
-func (a *servingApp) recycleConn(c int) {
-	cpu := a.cpu(c)
-	a.h.core(cpu).Do(func() sim.Duration {
-		var cost sim.Duration
-		if m := a.connMaps[c]; m != nil {
-			uc, err := a.h.net.dom.UnmapTx(m)
-			if err != nil {
-				panic(fmt.Sprintf("host: UnmapTx(conn): %v", err))
-			}
-			cost += uc
-		}
-		tm, mc, err := a.h.net.dom.MapTx(cpu, a.cfg.ConnPages)
+// connWork is mapConn's core work. Pooled by the app.
+type connWork struct {
+	a      *servingApp
+	c      int
+	workFn func() sim.Duration
+}
+
+func (w *connWork) work() sim.Duration {
+	a, c := w.a, w.c
+	w.a = nil
+	a.connWorks.put(w)
+	var cost sim.Duration
+	if m := a.connMaps[c]; m != nil {
+		uc, err := a.h.net.dom.UnmapTx(m)
 		if err != nil {
-			panic(fmt.Sprintf("host: MapTx(conn): %v", err))
+			panic(fmt.Sprintf("host: UnmapTx(conn): %v", err))
 		}
-		a.connMaps[c] = tm
-		return cost + mc
-	}, nil)
+		cost += uc
+	}
+	tm, mc, err := a.h.net.dom.MapTx(a.cpu(c), a.cfg.ConnPages)
+	if err != nil {
+		panic(fmt.Sprintf("host: MapTx(conn): %v", err))
+	}
+	a.connMaps[c] = tm
+	return cost + mc
 }
 
 // armTimer keeps exactly one engine timer pending, at the fleet's
@@ -216,7 +226,7 @@ func (a *servingApp) armTimer() {
 	}
 	a.timerSet = true
 	a.timerAt = at
-	a.timer = a.h.eng.At(at, a.onTimer)
+	a.timer = a.h.eng.At(at, a.onTimerFn)
 }
 
 // onTimer pops every arrival due now and re-arms for the next.
@@ -237,38 +247,51 @@ func (a *servingApp) onTimer() {
 // segments arrive at the NIC like any remote traffic and may be
 // tail-dropped under pressure.
 func (a *servingApp) sendRequest(arr cohort.Arrival, now sim.Time) {
-	r := &servReq{arr: arr, start: now}
+	mtu := a.h.cfg.MTU
+	r := a.reqs.get()
+	*r = servReq{arr: arr, start: now, reqSegs: segCount(arr.Req, mtu), respSegs: segCount(arr.Resp, mtu)}
 	a.pending[arr.ID] = r
-	a.gcq = append(a.gcq, arr.ID)
-	n := segCount(arr.Req, a.h.cfg.MTU)
+	a.gcq.Push(arr.ID)
 	cpu := a.cpu(arr.Conn)
-	for i := 0; i < n; i++ {
-		seg := serveSeg{id: arr.ID, conn: arr.Conn, idx: i, count: n,
-			bytes: segBytes(arr.Req, a.h.cfg.MTU, i)}
-		a.h.net.arriveFromRemote(cpu, seg.bytes, seg)
+	for i := 0; i < r.reqSegs; i++ {
+		a.h.net.arriveFromRemote(nic.Packet{CPU: cpu, Bytes: segBytes(arr.Req, mtu, i), Payload: r})
 	}
 }
 
-// onDeliver handles a request segment DMA'd into local memory.
-func (a *servingApp) onDeliver(pkt nic.Packet, seg serveSeg) {
-	if seg.resp {
-		panic("host: response segment delivered to serving host")
+// onDeliver handles a request segment of r DMA'd into local memory.
+func (a *servingApp) onDeliver(r *servReq) {
+	w := a.reqWorks.get()
+	if w.workFn == nil {
+		w.workFn = w.work
 	}
-	cpu := a.cpu(seg.conn)
-	irq := a.h.irqCost(cpu)
-	a.h.core(cpu).Do(func() sim.Duration {
-		cost := irq + a.h.net.stackCost()
-		r, ok := a.pending[seg.id]
-		if !ok || r.answered {
-			return cost // late segment of an expired or answered request
-		}
-		r.got++
-		if r.got == seg.count {
-			cost += a.cfg.AppCPU
-			a.respond(r)
-		}
-		return cost
-	}, nil)
+	cpu := a.cpu(r.arr.Conn)
+	w.a, w.r, w.irq = a, r, a.h.irqCost(cpu)
+	a.h.core(cpu).Do(w.workFn, nil)
+}
+
+// servReqWork is the stack and application work for one request
+// segment. Pooled by the app.
+type servReqWork struct {
+	a      *servingApp
+	r      *servReq
+	irq    sim.Duration
+	workFn func() sim.Duration
+}
+
+func (w *servReqWork) work() sim.Duration {
+	a, r := w.a, w.r
+	cost := w.irq + a.h.net.stackCost()
+	w.a, w.r = nil, nil
+	a.reqWorks.put(w)
+	if _, ok := a.pending[r.arr.ID]; !ok || r.answered {
+		return cost // late segment of an expired or answered request
+	}
+	r.got++
+	if r.got == r.reqSegs {
+		cost += a.cfg.AppCPU
+		a.respond(r)
+	}
+	return cost
 }
 
 // respond sends the response: each segment is mapped into a fresh
@@ -276,44 +299,43 @@ func (a *servingApp) onDeliver(pkt nic.Packet, seg serveSeg) {
 // costs model) and handed to the NIC.
 func (a *servingApp) respond(r *servReq) {
 	r.answered = true
-	n := segCount(r.arr.Resp, a.h.cfg.MTU)
 	cpu := a.cpu(r.arr.Conn)
-	for i := 0; i < n; i++ {
-		seg := serveSeg{id: r.arr.ID, conn: r.arr.Conn, idx: i, count: n,
-			bytes: segBytes(r.arr.Resp, a.h.cfg.MTU, i), resp: true}
-		a.h.net.sendTx(nic.Packet{CPU: cpu, Bytes: seg.bytes, Payload: seg}, a.h.cfg.AckTxCost)
+	for i := 0; i < r.respSegs; i++ {
+		a.h.net.sendTx(nic.Packet{CPU: cpu, Bytes: segBytes(r.arr.Resp, a.h.cfg.MTU, i), Payload: r}, a.h.cfg.AckTxCost)
 	}
 }
 
-// onTxDone routes a sent response segment onto the wire toward the
+// onTxDone routes a sent response segment of r onto the wire toward the
 // abstract client (the Tx buffer was already unmapped by the generic
 // netDev completion path).
-func (a *servingApp) onTxDone(pkt nic.Packet, seg serveSeg) {
-	a.h.net.toRemote.Send(pkt.Bytes, func(bool) {
-		a.clientReceive(seg)
-	})
+func (a *servingApp) onTxDone(pkt nic.Packet, r *servReq) {
+	a.toClient.Push(r)
+	a.h.net.toRemote.Send(pkt.Bytes, a.clientFn)
 }
+
+// landAtClient delivers the oldest response segment on the wire.
+func (a *servingApp) landAtClient(bool) { a.clientReceive(a.toClient.Pop()) }
 
 // clientReceive is the abstract client's side: the last response
 // segment completes the request.
-func (a *servingApp) clientReceive(seg serveSeg) {
-	r, ok := a.pending[seg.id]
-	if !ok {
+func (a *servingApp) clientReceive(r *servReq) {
+	if _, ok := a.pending[r.arr.ID]; !ok {
 		return
 	}
 	r.respGot++
-	if r.respGot < seg.count {
+	if r.respGot < r.respSegs {
 		return
 	}
-	delete(a.pending, seg.id)
+	delete(a.pending, r.arr.ID)
 	now := a.h.eng.Now()
 	rec, reborn := a.fleet.Complete(r.arr, now, int64(now-r.start))
 	a.latency.Observe(rec)
 	a.completed++
 	a.completedBytes += int64(r.arr.Req + r.arr.Resp)
 	if reborn {
-		a.recycleConn(r.arr.Conn)
+		a.mapConn(r.arr.Conn)
 	}
+	a.reqs.put(r)
 	a.armTimer()
 }
 
@@ -322,21 +344,21 @@ func (a *servingApp) clientReceive(seg serveSeg) {
 // entry still inside the timeout.
 func (a *servingApp) housekeeping(now sim.Time) {
 	changed := false
-	for len(a.gcq) > 0 {
-		id := a.gcq[0]
+	for a.gcq.Len() > 0 {
+		id := *a.gcq.Front()
 		r, ok := a.pending[id]
 		if !ok {
-			a.gcq = a.gcq[1:]
+			a.gcq.Pop()
 			continue
 		}
 		if now-r.start < servingGCTimeout || r.answered {
 			break
 		}
-		a.gcq = a.gcq[1:]
+		a.gcq.Pop()
 		delete(a.pending, id)
 		a.expired++
 		if a.fleet.Abandon(r.arr, now) {
-			a.recycleConn(r.arr.Conn)
+			a.mapConn(r.arr.Conn)
 		}
 		changed = true
 	}

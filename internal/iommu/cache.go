@@ -9,11 +9,16 @@ package iommu
 // PTcache-L1/L2/L3 are modelled as LRU caches keyed by the IOVA prefix
 // selecting a page-table page; the value is the identity of that page,
 // used to detect stale (use-after-reclaim) entries.
+//
+// Nodes are reused: an insert at capacity takes over the evicted node, and
+// invalidated nodes wait on a free list for the next insert, so a cache
+// that has reached its working size inserts without allocating.
 type lru struct {
 	cap   int
 	items map[uint64]*lruNode
 	head  *lruNode // most recently used
 	tail  *lruNode // least recently used
+	free  *lruNode // invalidated nodes, linked through next
 }
 
 type lruNode struct {
@@ -77,12 +82,20 @@ func (c *lru) put(key, val uint64) {
 		}
 		return
 	}
-	if len(c.items) >= c.cap {
-		evict := c.tail
-		c.unlink(evict)
-		delete(c.items, evict.key)
+	var n *lruNode
+	switch {
+	case len(c.items) >= c.cap:
+		n = c.tail
+		c.unlink(n)
+		delete(c.items, n.key)
+	case c.free != nil:
+		n = c.free
+		c.free = n.next
+		n.next = nil
+	default:
+		n = new(lruNode)
 	}
-	n := &lruNode{key: key, val: val}
+	n.key, n.val = key, val
 	c.items[key] = n
 	c.pushFront(n)
 }
@@ -95,6 +108,8 @@ func (c *lru) invalidate(key uint64) bool {
 	}
 	c.unlink(n)
 	delete(c.items, key)
+	n.next = c.free
+	c.free = n
 	return true
 }
 

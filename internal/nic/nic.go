@@ -29,11 +29,14 @@ type Executor interface {
 	Do(cpu int, work func() sim.Duration, done func())
 }
 
-// Packet is one wire packet. Payload is opaque to the NIC.
+// Packet is one wire packet. Seq and Payload are opaque to the NIC; a
+// sender that numbers its packets carries the number in Seq, so a
+// pointer Payload can name the sender without a per-packet allocation.
 type Packet struct {
 	CPU     int // target core / ring (aRFS steering)
 	Bytes   int
 	ECN     bool // marked congestion-experienced
+	Seq     int64
 	Payload any
 }
 
@@ -111,12 +114,12 @@ type Stats struct {
 // interference (§2.2).
 type ring struct {
 	cpu      int
-	avail    []*core.Descriptor
+	avail    sim.FIFO[*core.Descriptor]
 	cur      *core.Descriptor
 	curByte  int                      // next free byte in the current descriptor
 	pending  map[*core.Descriptor]int // outstanding DMAs per descriptor
 	done     map[*core.Descriptor]bool
-	queue    []Packet // packets waiting for DMA on this ring
+	queue    sim.FIFO[Packet] // packets waiting for DMA on this ring
 	ringIOVA ptable.IOVA
 }
 
@@ -133,7 +136,17 @@ type NIC struct {
 	bufferBytes int
 	nextRing    int // round-robin pump cursor
 
-	txQueue []txEntry
+	txQueue sim.FIFO[txEntry]
+
+	// DMAs submitted and not yet completed, in submission order. Each
+	// PCIe link completes FIFO, so the bound rxDoneFn/txDoneFn pop the
+	// record of the DMA completing.
+	rxInflight, txInflight sim.FIFO[inflight]
+	rxDoneFn, txDoneFn     func()
+
+	// pumpRx scratch, reused across batches.
+	batch []rxClaim
+	reads []int
 
 	// OnDeliver fires when a packet's DMA into memory completes; the host
 	// then charges per-packet stack work to the core.
@@ -158,10 +171,31 @@ type txEntry struct {
 	start int // byte offset of the frame within iovas
 }
 
+// rxClaim is one ring stride claimed by a pumpRx batch.
+type rxClaim struct {
+	r     *ring
+	pkt   Packet
+	desc  *core.Descriptor
+	start int // byte offset within the descriptor
+}
+
+// inflight is one submitted DMA awaiting completion. ord is its ordinal
+// on its link (pcie.Link.Submitted before Submit). An Rx record names its
+// ring stride (r and desc are nil for a one-sided DirectRx); a Tx record
+// carries the mapping to unmap.
+type inflight struct {
+	ord  int64
+	pkt  Packet
+	r    *ring
+	desc *core.Descriptor
+	m    *core.TxMapping
+}
+
 // New wires a NIC to its PCIe links, protection domain and CPU executor.
 func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec Executor) (*NIC, error) {
 	cfg = cfg.withDefaults()
 	n := &NIC{eng: eng, cfg: cfg, dom: dom, rx: rx, tx: tx, exec: exec}
+	n.rxDoneFn, n.txDoneFn = n.rxDone, n.txDone
 	descPages := dom.DescriptorPages()
 	descBytes := descPages * ptable.PageSize
 	frame := cfg.MTU + cfg.HeaderBytes
@@ -185,7 +219,7 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 			if err != nil {
 				return nil, err
 			}
-			r.avail = append(r.avail, desc)
+			r.avail.Push(desc)
 		}
 		n.rings = append(n.rings, r)
 	}
@@ -232,7 +266,7 @@ func (n *NIC) Arrive(pkt Packet) {
 	}
 	n.bufferBytes += pkt.Bytes
 	r := n.rings[pkt.CPU%len(n.rings)]
-	r.queue = append(r.queue, pkt)
+	r.queue.Push(pkt)
 	n.pumpRx()
 }
 
@@ -266,13 +300,37 @@ func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
 	}
 	n.stats.RxDMAs++
 	n.stats.RxBytes += int64(pkt.Bytes)
-	n.rx.Submit(pkt.Bytes, reads, func() {
-		n.bufferBytes -= pkt.Bytes
-		if n.OnDeliver != nil {
-			n.OnDeliver(pkt)
-		}
-		n.pumpRx()
-	})
+	n.rxInflight.Push(inflight{ord: n.rx.Submitted(), pkt: pkt})
+	n.rx.Submit(pkt.Bytes, reads, n.rxDoneFn)
+}
+
+// rxDone completes the oldest Rx DMA in flight: the frame is in memory,
+// its buffer space frees, its descriptor may retire, and the host sees
+// the packet.
+func (n *NIC) rxDone() {
+	d := popCompleted(&n.rxInflight, n.rx, "Rx")
+	n.bufferBytes -= d.pkt.Bytes
+	if d.r != nil {
+		d.r.pending[d.desc]--
+		n.maybeRecycle(d.r, d.desc)
+	}
+	if n.OnDeliver != nil {
+		n.OnDeliver(d.pkt)
+	}
+	n.pumpRx()
+}
+
+// popCompleted pops the record of the DMA link is completing, checking
+// that it is the one the link completes.
+func popCompleted(q *sim.FIFO[inflight], link *pcie.Link, dir string) inflight {
+	if q.Len() == 0 {
+		panic(fmt.Sprintf("nic: %s DMA completion with none in flight", dir))
+	}
+	d := q.Pop()
+	if want := link.Completed() - 1; d.ord != want {
+		panic(fmt.Sprintf("nic: %s DMA completion out of order: oldest in flight is DMA %d, the link completed DMA %d", dir, d.ord, want))
+	}
+	return d
 }
 
 func (n *NIC) directECNK() int {
@@ -313,32 +371,30 @@ func (n *NIC) pumpRx() {
 	// interleave at PCIe-transaction granularity — this is what lets
 	// concurrent DMAs contend for the IOTLB and PTcaches (§2.2).
 	for n.rx.Outstanding() < rxPipeline {
-		type pending struct {
-			r     *ring
-			pkt   Packet
-			desc  *core.Descriptor
-			start int // byte offset within the descriptor
-		}
-		var batch []pending
+		batch := n.batch[:0]
 		for n.rx.Outstanding()+len(batch) < rxPipeline {
 			r := n.pickRing()
 			if r == nil {
 				break
 			}
-			pkt := r.queue[0]
-			r.queue = r.queue[1:]
+			pkt := r.queue.Pop()
 			desc := r.cur
 			start := n.align(r.curByte)
 			r.curByte = start + n.frameBytes(pkt)
 			r.pending[desc]++
-			batch = append(batch, pending{r, pkt, desc, start})
+			batch = append(batch, rxClaim{r, pkt, desc, start})
 		}
+		n.batch = batch
 		if len(batch) == 0 {
 			return
 		}
 		// Translate the batch's transactions round-robin, the way they
 		// interleave on the wire, then submit each DMA.
-		reads := make([]int, len(batch))
+		reads := n.reads[:0]
+		for range batch {
+			reads = append(reads, 0)
+		}
+		n.reads = reads
 		if n.dom.Mode().Translated() {
 			for t := 0; ; t++ {
 				progress := false
@@ -367,6 +423,7 @@ func (n *NIC) pumpRx() {
 		}
 		for i, p := range batch {
 			n.submitRxDMA(p.r, p.pkt, p.desc, reads[i])
+			batch[i] = rxClaim{}
 		}
 	}
 }
@@ -379,7 +436,7 @@ const rxPipeline = 4
 func (n *NIC) pickRing() *ring {
 	for i := 0; i < len(n.rings); i++ {
 		r := n.rings[(n.nextRing+i)%len(n.rings)]
-		if len(r.queue) == 0 {
+		if r.queue.Len() == 0 {
 			continue
 		}
 		if !n.ensureDescriptor(r) {
@@ -401,11 +458,10 @@ func (n *NIC) ensureDescriptor(r *ring) bool {
 	if r.cur != nil && n.align(r.curByte)+n.cfg.MTU+n.cfg.HeaderBytes <= len(r.cur.IOVAs)*ptable.PageSize {
 		return true
 	}
-	if len(r.avail) == 0 {
+	if r.avail.Len() == 0 {
 		return false
 	}
-	r.cur = r.avail[0]
-	r.avail = r.avail[1:]
+	r.cur = r.avail.Pop()
 	r.curByte = 0
 	if n.dom.Mode().Translated() {
 		n.dom.Translate(r.ringIOVA) // descriptor fetch
@@ -421,15 +477,8 @@ func (n *NIC) ensureDescriptor(r *ring) bool {
 func (n *NIC) submitRxDMA(r *ring, pkt Packet, desc *core.Descriptor, reads int) {
 	n.stats.RxDMAs++
 	n.stats.RxBytes += int64(pkt.Bytes)
-	n.rx.Submit(pkt.Bytes, reads, func() {
-		n.bufferBytes -= pkt.Bytes
-		r.pending[desc]--
-		n.maybeRecycle(r, desc)
-		if n.OnDeliver != nil {
-			n.OnDeliver(pkt)
-		}
-		n.pumpRx()
-	})
+	n.rxInflight.Push(inflight{ord: n.rx.Submitted(), pkt: pkt, r: r, desc: desc})
+	n.rx.Submit(pkt.Bytes, reads, n.rxDoneFn)
 }
 
 // maybeRecycle retires a fully-consumed, fully-DMAed descriptor: the
@@ -459,7 +508,7 @@ func (n *NIC) maybeRecycle(r *ring, desc *core.Descriptor) {
 			}
 			delete(r.pending, desc)
 			delete(r.done, desc)
-			r.avail = append(r.avail, fresh)
+			r.avail.Push(fresh)
 			return unmapCost + mapCost
 		}, func() {
 			n.pumpRx()
@@ -478,7 +527,7 @@ func (n *NIC) maybeRecycle(r *ring, desc *core.Descriptor) {
 // SendTx enqueues a Tx DMA: the NIC reads the packet out of host memory
 // through m's IOVAs. The host must have charged MapTx CPU cost already.
 func (n *NIC) SendTx(pkt Packet, m *core.TxMapping) {
-	n.txQueue = append(n.txQueue, txEntry{pkt: pkt, m: m})
+	n.txQueue.Push(txEntry{pkt: pkt, m: m})
 	n.pumpTx()
 }
 
@@ -487,7 +536,7 @@ func (n *NIC) SendTx(pkt Packet, m *core.TxMapping) {
 // byte offset start) through its own translation path — no per-packet
 // MapTx, and OnTxDone fires with a nil mapping so nothing is unmapped.
 func (n *NIC) SendTxDirect(pkt Packet, iovas []ptable.IOVA, start int) {
-	n.txQueue = append(n.txQueue, txEntry{pkt: pkt, iovas: iovas, start: start})
+	n.txQueue.Push(txEntry{pkt: pkt, iovas: iovas, start: start})
 	n.pumpTx()
 }
 
@@ -498,9 +547,8 @@ func (n *NIC) pumpTx() {
 	n.txPumping = true
 	defer func() { n.txPumping = false }()
 
-	for !n.tx.Busy() && len(n.txQueue) > 0 {
-		e := n.txQueue[0]
-		n.txQueue = n.txQueue[1:]
+	for !n.tx.Busy() && n.txQueue.Len() > 0 {
+		e := n.txQueue.Pop()
 		reads := 0
 		if n.dom.Mode().Translated() && e.m != nil {
 			n.cfg.Faults.Observe(e.m.IOVAs[0])
@@ -521,14 +569,20 @@ func (n *NIC) pumpTx() {
 		}
 		n.stats.TxDMAs++
 		n.stats.TxBytes += int64(e.pkt.Bytes)
-		n.tx.Submit(e.pkt.Bytes, reads, func() {
-			if n.OnTxDone != nil {
-				n.OnTxDone(e.pkt, e.m)
-			}
-			n.pumpTx()
-		})
+		n.txInflight.Push(inflight{ord: n.tx.Submitted(), pkt: e.pkt, m: e.m})
+		n.tx.Submit(e.pkt.Bytes, reads, n.txDoneFn)
 	}
 }
 
+// txDone completes the oldest Tx DMA in flight: the packet is on the
+// wire and the host may unmap it.
+func (n *NIC) txDone() {
+	d := popCompleted(&n.txInflight, n.tx, "Tx")
+	if n.OnTxDone != nil {
+		n.OnTxDone(d.pkt, d.m)
+	}
+	n.pumpTx()
+}
+
 // TxQueueLen reports packets waiting for a Tx DMA slot.
-func (n *NIC) TxQueueLen() int { return len(n.txQueue) }
+func (n *NIC) TxQueueLen() int { return n.txQueue.Len() }

@@ -22,5 +22,5 @@ func (n *NIC) RegisterProbes(r *stats.Registry, prefix string) {
 	probe("tx_bytes", func(s Stats) int64 { return s.TxBytes })
 	probe("ring_stalls", func(s Stats) int64 { return s.RingStalls })
 	r.GaugeFunc(prefix+"buffer_bytes", func() float64 { return float64(n.bufferBytes) })
-	r.GaugeFunc(prefix+"tx_queue", func() float64 { return float64(len(n.txQueue)) })
+	r.GaugeFunc(prefix+"tx_queue", func() float64 { return float64(n.txQueue.Len()) })
 }

@@ -107,11 +107,16 @@ type Link struct {
 	gbps   float64
 	walker *Walker
 
-	queue       []dma
+	queue       sim.FIFO[dma]
 	serving     bool
+	cur         dma // the DMA in service while serving
 	outstanding int
+	completed   int64
 	stallUntil  sim.Time
 	stats       Stats
+	// serveFn and completeFn are serve and complete bound once, so the
+	// server schedules no fresh closure per DMA.
+	serveFn, completeFn func()
 	// lat records per-DMA completion latency (queue wait + service) in
 	// nanoseconds, feeding the telemetry registry's latency section.
 	lat stats.Histogram
@@ -120,7 +125,9 @@ type Link struct {
 // New returns a link with a private walker. gbps is the serialisation cap
 // (128 for PCIe 3.0 x16 in the paper's testbed).
 func New(eng *sim.Engine, l0, lm sim.Duration, gbps float64) *Link {
-	return &Link{eng: eng, l0: l0, gbps: gbps, walker: NewWalker(eng, lm)}
+	l := &Link{eng: eng, l0: l0, gbps: gbps, walker: NewWalker(eng, lm)}
+	l.serveFn, l.completeFn = l.serve, l.complete
+	return l
 }
 
 // AttachWalker replaces the link's private walker, typically with one
@@ -156,11 +163,21 @@ func (l *Link) Busy() bool { return l.outstanding > 0 }
 // Outstanding returns the number of submitted-but-incomplete DMAs.
 func (l *Link) Outstanding() int { return l.outstanding }
 
+// Submitted returns the number of DMAs ever submitted. A submitter that
+// pairs completions with its own records by order reads it just before
+// Submit: that value is the DMA's ordinal.
+func (l *Link) Submitted() int64 { return l.completed + int64(l.outstanding) }
+
+// Completed returns the number of DMAs completed, counting the one whose
+// done callback is running. Inside done, Completed()-1 is the ordinal of
+// the DMA completing.
+func (l *Link) Completed() int64 { return l.completed }
+
 // Submit enqueues a DMA; done fires when its service completes. DMAs are
 // served FIFO in submission order.
 func (l *Link) Submit(bytes, memReads int, done func()) {
 	l.outstanding++
-	l.queue = append(l.queue, dma{bytes: bytes, reads: memReads, submit: l.eng.Now(), done: done})
+	l.queue.Push(dma{bytes: bytes, reads: memReads, submit: l.eng.Now(), done: done})
 	if !l.serving {
 		l.serving = true
 		l.serve()
@@ -168,18 +185,17 @@ func (l *Link) Submit(bytes, memReads int, done func()) {
 }
 
 func (l *Link) serve() {
-	if len(l.queue) == 0 {
+	if l.queue.Len() == 0 {
 		l.serving = false
 		return
 	}
 	// A flapped link holds the head of the queue until the stall passes;
 	// serving stays true so Submit cannot double-enter the server.
 	if now := l.eng.Now(); now < l.stallUntil {
-		l.eng.At(l.stallUntil, l.serve)
+		l.eng.At(l.stallUntil, l.serveFn)
 		return
 	}
-	d := l.queue[0]
-	l.queue = l.queue[1:]
+	d := l.queue.Pop()
 	now := l.eng.Now()
 
 	translate := l.l0
@@ -198,11 +214,19 @@ func (l *Link) serve() {
 	l.stats.BusyTime += svc
 	l.stats.QueueTime += now - d.submit
 	l.lat.Observe(int64(now - d.submit + svc))
-	l.eng.After(svc, func() {
-		l.outstanding--
-		d.done()
-		l.serve()
-	})
+	l.cur = d
+	l.eng.After(svc, l.completeFn)
+}
+
+// complete ends the service of l.cur, fires its done and serves the next
+// DMA.
+func (l *Link) complete() {
+	done := l.cur.done
+	l.cur = dma{}
+	l.outstanding--
+	l.completed++
+	done()
+	l.serve()
 }
 
 // Latency returns the link's per-DMA completion-latency histogram
