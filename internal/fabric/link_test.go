@@ -1,0 +1,62 @@
+package fabric
+
+import (
+	"strings"
+	"testing"
+
+	"fastsafe/internal/race"
+	"fastsafe/internal/sim"
+)
+
+// TestLinkSendToDeliverAllocs locks in the bound delivery: with a bound
+// deliver callback, a packet from Send to delivery allocates nothing.
+func TestLinkSendToDeliverAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, 100, 2*sim.Microsecond)
+	got := 0
+	deliver := func(bool) { got++ }
+	for i := 0; i < 8; i++ {
+		l.Send(4096, deliver)
+	}
+	eng.RunAll()
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Send(4096, deliver)
+		l.Send(64, deliver)
+		eng.RunAll()
+	}); n != 0 {
+		t.Errorf("send-to-deliver: %v allocs, want 0", n)
+	}
+	if want := 8 + 2*1001; got != want {
+		t.Fatalf("delivered %d packets, want %d", got, want)
+	}
+}
+
+// TestLinkDeliveryOrderIsChecked forges a delivery event that fires when
+// the oldest packet in flight is not due, and one with nothing in
+// flight: both are bugs, and each panics naming the fabric.
+func TestLinkDeliveryOrderIsChecked(t *testing.T) {
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+			if s, _ := r.(string); !strings.HasPrefix(s, "fabric: ") {
+				t.Fatalf("%s: panic %v does not name the fabric", name, r)
+			}
+		}()
+		f()
+	}
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, 100, 2*sim.Microsecond)
+	l.Send(4096, func(bool) {})
+	expectPanic("early delivery", l.deliverNext)
+
+	eng = sim.NewEngine(1)
+	l = NewLink(eng, 100, 2*sim.Microsecond)
+	expectPanic("delivery with nothing in flight", l.deliverNext)
+}

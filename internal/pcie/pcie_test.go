@@ -3,6 +3,7 @@ package pcie
 import (
 	"testing"
 
+	"fastsafe/internal/race"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 )
@@ -206,5 +207,38 @@ func TestProbesAndLatencyHistogram(t *testing.T) {
 	w.RegisterProbes(reg, "walker.")
 	if v, ok := reg.Value("walker.reads"); !ok || v != 3 {
 		t.Fatalf("walker.reads = %v, %v; want 3, true", v, ok)
+	}
+}
+
+// TestSubmitToCompleteAllocs locks in the bound server: with a bound done
+// callback, a DMA from Submit to completion allocates nothing, and the
+// ordinals count every DMA.
+func TestSubmitToCompleteAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e := sim.NewEngine(1)
+	l := New(e, 65, 197, 128)
+	done := 0
+	fn := func() {
+		if l.Completed() != int64(done)+1 {
+			t.Fatalf("DMA %d completing with Completed() = %d", done, l.Completed())
+		}
+		done++
+	}
+	for i := 0; i < 8; i++ {
+		l.Submit(4096, i%3, fn)
+	}
+	e.RunAll()
+	if n := testing.AllocsPerRun(1000, func() {
+		l.Submit(4096, 1, fn)
+		l.Submit(512, 0, fn)
+		e.RunAll()
+	}); n != 0 {
+		t.Errorf("submit-to-complete: %v allocs, want 0", n)
+	}
+	if l.Submitted() != int64(done) || l.Completed() != int64(done) || l.Outstanding() != 0 {
+		t.Fatalf("submitted %d, completed %d, outstanding %d after %d completions",
+			l.Submitted(), l.Completed(), l.Outstanding(), done)
 	}
 }
