@@ -32,10 +32,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Compile and run every benchmark exactly once so they cannot bit-rot;
-# use `go test -bench=. -benchmem ./...` for real measurements.
+# Compile and run every benchmark exactly once so they cannot bit-rot,
+# printing allocs/op; use `go test -bench=. -benchmem ./...` for real
+# measurements.
 bench:
-	$(GO) test -run=NoTests -bench=. -benchtime=1x ./...
+	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem ./...
 
 # The figures CI publishes as artifacts.
 bench-multidev:
