@@ -144,10 +144,6 @@ type NIC struct {
 	rxInflight, txInflight sim.FIFO[inflight]
 	rxDoneFn, txDoneFn     func()
 
-	// pumpRx scratch, reused across batches.
-	batch []rxClaim
-	reads []int
-
 	// OnDeliver fires when a packet's DMA into memory completes; the host
 	// then charges per-packet stack work to the core.
 	OnDeliver func(pkt Packet)
@@ -169,14 +165,6 @@ type txEntry struct {
 	// NIC streams from directly — no per-packet MapTx/UnmapTx (m is nil).
 	iovas []ptable.IOVA
 	start int // byte offset of the frame within iovas
-}
-
-// rxClaim is one ring stride claimed by a pumpRx batch.
-type rxClaim struct {
-	r     *ring
-	pkt   Packet
-	desc  *core.Descriptor
-	start int // byte offset within the descriptor
 }
 
 // inflight is one submitted DMA awaiting completion. ord is its ordinal
@@ -371,7 +359,17 @@ func (n *NIC) pumpRx() {
 	// interleave at PCIe-transaction granularity — this is what lets
 	// concurrent DMAs contend for the IOTLB and PTcaches (§2.2).
 	for n.rx.Outstanding() < rxPipeline {
-		batch := n.batch[:0]
+		type pending struct {
+			r     *ring
+			pkt   Packet
+			desc  *core.Descriptor
+			start int // byte offset within the descriptor
+		}
+		// A batch never exceeds rxPipeline strides, so it and its read
+		// counts live on the stack.
+		var claims [rxPipeline]pending
+		var reads [rxPipeline]int
+		batch := claims[:0]
 		for n.rx.Outstanding()+len(batch) < rxPipeline {
 			r := n.pickRing()
 			if r == nil {
@@ -382,19 +380,13 @@ func (n *NIC) pumpRx() {
 			start := n.align(r.curByte)
 			r.curByte = start + n.frameBytes(pkt)
 			r.pending[desc]++
-			batch = append(batch, rxClaim{r, pkt, desc, start})
+			batch = append(batch, pending{r, pkt, desc, start})
 		}
-		n.batch = batch
 		if len(batch) == 0 {
 			return
 		}
 		// Translate the batch's transactions round-robin, the way they
 		// interleave on the wire, then submit each DMA.
-		reads := n.reads[:0]
-		for range batch {
-			reads = append(reads, 0)
-		}
-		n.reads = reads
 		if n.dom.Mode().Translated() {
 			for t := 0; ; t++ {
 				progress := false
@@ -423,7 +415,6 @@ func (n *NIC) pumpRx() {
 		}
 		for i, p := range batch {
 			n.submitRxDMA(p.r, p.pkt, p.desc, reads[i])
-			batch[i] = rxClaim{}
 		}
 	}
 }
