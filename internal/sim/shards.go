@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -146,22 +147,16 @@ func (s *Shards) flush() {
 
 // comparePosts orders posts by the total key (at, gen, src, seq).
 func comparePosts(a, b post) int {
-	switch {
-	case a.at != b.at:
-		return cmpTime(a.at, b.at)
-	case a.gen != b.gen:
-		return cmpTime(a.gen, b.gen)
-	case a.src != b.src:
-		return a.src - b.src
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	return a.seq - b.seq
-}
-
-func cmpTime(a, b Time) int {
-	if a < b {
-		return -1
+	if c := cmp.Compare(a.gen, b.gen); c != 0 {
+		return c
 	}
-	return 1
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Run executes all shards up to and including deadline, then aligns every
