@@ -29,8 +29,12 @@ fmt-check:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The shard coordinator's tests run ten more times under the detector,
+# as in CI's sharded-equivalence cell: every round hands engines between
+# goroutines.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestShards' ./internal/sim
 
 # Compile and run every benchmark exactly once so they cannot bit-rot,
 # printing allocs/op; use `go test -bench=. -benchmem ./...` for real

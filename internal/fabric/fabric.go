@@ -122,11 +122,20 @@ func (w *Link) SendAt(bytes int) (at sim.Time, ecn bool) {
 // scheduling order; so each delivery event pops the oldest packet in
 // flight.
 func (w *Link) Send(bytes int, deliver func(ecn bool)) {
+	w.sendMarked(bytes, false, deliver)
+}
+
+// sendMarked is Send for a packet that reaches this link carrying an
+// upstream ECN mark: deliver fires with the OR of that mark and this
+// link's own, since switches propagate CE marks and never clear them.
+// The mark rides in the delivery ring, so a hop needs no closure to add
+// it.
+func (w *Link) sendMarked(bytes int, marked bool, deliver func(ecn bool)) {
 	at, ecn := w.SendAt(bytes)
 	if now := w.eng.Now(); at < now {
 		at = now // as the engine clamps it (a negative propagation delay)
 	}
-	w.inflight.Push(delivery{deliver: deliver, ecn: ecn, at: at})
+	w.inflight.Push(delivery{deliver: deliver, ecn: ecn || marked, at: at})
 	w.eng.At(at, w.deliverFn)
 }
 
@@ -344,32 +353,24 @@ func (p *Port) Send(dst int, bytes int, deliver func(ecn bool)) {
 			r.PostCore(p.id, gen, upAt, func() {
 				coreAt, ecnCore := p.sw.core.SendAt(bytes)
 				r.PostPort(CorePort, dst, upAt, coreAt, func() {
-					out.down.Send(bytes, func(ecnDown bool) {
-						deliver(ecnUp || ecnCore || ecnDown)
-					})
+					out.down.sendMarked(bytes, ecnUp || ecnCore, deliver)
 				})
 			})
 			return
 		}
 		r.PostPort(p.id, dst, gen, upAt, func() {
-			out.down.Send(bytes, func(ecnDown bool) {
-				deliver(ecnUp || ecnDown)
-			})
+			out.down.sendMarked(bytes, ecnUp, deliver)
 		})
 		return
 	}
 	p.up.Send(bytes, func(ecnUp bool) {
 		if core := p.sw.core; core != nil {
-			core.Send(bytes, func(ecnCore bool) {
-				out.down.Send(bytes, func(ecnDown bool) {
-					deliver(ecnUp || ecnCore || ecnDown)
-				})
+			core.sendMarked(bytes, ecnUp, func(ecn bool) {
+				out.down.sendMarked(bytes, ecn, deliver)
 			})
 			return
 		}
-		out.down.Send(bytes, func(ecnDown bool) {
-			deliver(ecnUp || ecnDown)
-		})
+		out.down.sendMarked(bytes, ecnUp, deliver)
 	})
 }
 

@@ -236,3 +236,42 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 		}
 	}
 }
+
+// A mark set upstream survives the downlink: behind a slow core that
+// queues and marks, the downlink never queues, so every mark a packet
+// arrives with is the core's, on the engine-confined and the sharded
+// path alike.
+func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		cfg := Config{PortGbps: 100, Oversub: 8, ECNK: 16 << 10} // core at 50Gbps
+		var sw *Switch
+		var err error
+		if sharded {
+			sw, err = NewShardedSwitch(4, cfg, func(int) *sim.Engine { return eng }, eng, directRouter{eng})
+		} else {
+			sw, err = NewSwitch(eng, 4, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var marks int64
+		deliver := func(ecn bool) {
+			if ecn {
+				marks++
+			}
+		}
+		for src := 1; src < 4; src++ {
+			for i := 0; i < 64; i++ {
+				sw.Port(src).Send(0, 4096, deliver)
+			}
+		}
+		eng.Run(sim.Time(10) * sim.Millisecond)
+		if down := sw.Port(0).Downlink().Marked(); down != 0 {
+			t.Fatalf("sharded=%v: downlink marked %d packets, want 0 behind a slower core", sharded, down)
+		}
+		if core := sw.Core().Marked(); core == 0 || marks != core {
+			t.Fatalf("sharded=%v: %d packets arrived marked, want the core's %d marks (> 0)", sharded, marks, core)
+		}
+	}
+}

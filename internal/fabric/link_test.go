@@ -34,6 +34,42 @@ func TestLinkSendToDeliverAllocs(t *testing.T) {
 	}
 }
 
+// TestPortHopAllocs locks in the marked downlink: an unsharded port hop
+// allocates only the continuation of each hop but the last, because the
+// downlink carries the upstream ECN mark in its delivery ring instead of
+// a closure that adds it.
+func TestPortHopAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, tc := range []struct {
+		name    string
+		oversub float64
+		want    float64
+	}{{"crossbar", 0, 1}, {"oversubscribed core", 2, 2}} {
+		eng := sim.NewEngine(1)
+		sw, err := NewSwitch(eng, 4, Config{Oversub: tc.oversub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		deliver := func(bool) { got++ }
+		for i := 0; i < 8; i++ {
+			sw.Port(1+i%3).Send(0, 4096, deliver)
+		}
+		eng.RunAll()
+		if n := testing.AllocsPerRun(1000, func() {
+			sw.Port(1).Send(0, 4096, deliver)
+			eng.RunAll()
+		}); n > tc.want {
+			t.Errorf("%s: port hop allocates %v objects, want at most %v", tc.name, n, tc.want)
+		}
+		if want := 8 + 1001; got != want {
+			t.Fatalf("%s: delivered %d packets, want %d", tc.name, got, want)
+		}
+	}
+}
+
 // TestLinkDeliveryOrderIsChecked forges a delivery event that fires when
 // the oldest packet in flight is not due, and one with nothing in
 // flight: both are bugs, and each panics naming the fabric.

@@ -20,12 +20,15 @@ import (
 // With Shards == 1 (the default) the whole cluster shares one event
 // engine and a Cluster is single-goroutine like a Host. With Shards > 1
 // the hosts are partitioned across engine shards run as a conservative
-// parallel DES (sim.Shards): each shard's event loop runs on its own
-// goroutine inside synchronized lookahead windows, cross-host packets
-// travel as timestamped cross-shard messages, and results remain
-// bit-deterministic for a given seed at any GOMAXPROCS. Distinct
-// Clusters still share no state, so internal/runner can execute many
-// concurrently either way.
+// parallel DES (sim.Shards): in each synchronized lookahead window the
+// goroutine calling Run runs one ready shard and hands every other ready
+// shard to that shard's worker goroutine, cross-host packets travel as
+// timestamped cross-shard messages, and results remain bit-deterministic
+// for a given seed at any GOMAXPROCS. Each window Run advances (warm-up,
+// then measurement) starts the workers and waits for them to exit, so an
+// idle Cluster holds no goroutine, and a panic on any shard surfaces
+// from Run on the calling goroutine. Distinct Clusters still share no
+// state, so internal/runner can execute many concurrently either way.
 
 // TrafficPattern names how cluster hosts pair up for bulk flows.
 type TrafficPattern string
@@ -397,8 +400,9 @@ func (c *Cluster) Start() {
 
 // run advances the whole cluster to deadline: the shared engine when
 // unsharded, the conservative shard coordinator otherwise. Either way all
-// clocks align to deadline on return, so the snapshots Run takes observe
-// every shard at the same virtual instant.
+// clocks align to deadline on return, and no shard worker is left
+// running, so the snapshots Run takes observe every shard at the same
+// virtual instant from the calling goroutine.
 func (c *Cluster) run(deadline sim.Duration) {
 	if c.shards != nil {
 		c.shards.Run(deadline)

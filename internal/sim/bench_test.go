@@ -96,24 +96,52 @@ func BenchmarkEventPoolChurn(b *testing.B) {
 }
 
 // BenchmarkShardsPingPong measures the per-round overhead of the
-// conservative coordinator: two shards exchanging one tightly-timed
-// message per lookahead window, the worst case for barrier cost (no
-// local work to amortise it against).
+// conservative coordinator: two shards that each post one tightly-timed
+// message to the other per lookahead window, so both are ready in every
+// round and one of them runs off the calling goroutine — the worst case
+// for barrier cost (no local work to amortise it against). simbench's
+// sim.round replay runs the same exchange. The deep case runs every
+// event beneath about 10 KB of stack frames, the depth a simulator
+// event runs at, which a goroutine started per round would regrow its
+// stack to every round.
 func BenchmarkShardsPingPong(b *testing.B) {
-	b.ReportAllocs()
-	const la = 10
-	s := NewShards(2, 1, la)
-	n := 0
-	var hop func(me int)
-	hop = func(me int) {
-		n++
-		if n >= b.N {
-			return
-		}
-		now := s.Engine(me).Now()
-		s.Post(me, 1-me, now, now+la, func() { hop(1 - me) })
+	for _, bc := range []struct {
+		name   string
+		frames int
+	}{{"shallow", 0}, {"deep", 10 << 10 / frameBytes}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			const la = 10
+			s := NewShards(2, 1, la)
+			var hop [2]func()
+			for me := range hop {
+				me := me
+				post := func() {
+					now := s.Engine(me).Now()
+					s.Post(me, 1-me, now, now+la, hop[1-me])
+				}
+				hop[me] = func() { atDepth(bc.frames, post) }
+				s.Engine(me).At(0, hop[me])
+			}
+			b.ResetTimer()
+			s.Run(Time(b.N)*la - 1) // b.N rounds: both shards fire and post
+		})
 	}
-	s.Engine(0).At(0, func() { hop(0) })
-	b.ResetTimer()
-	s.Run(Time(b.N+1) * la)
+}
+
+// frameBytes is the stack atDepth takes per call, its local array alone.
+const frameBytes = 128
+
+// atDepth calls f beneath frames calls of atDepth.
+//
+//go:noinline
+func atDepth(frames int, f func()) byte {
+	var frame [frameBytes]byte
+	frame[frames%frameBytes] = byte(frames)
+	if frames == 0 {
+		f()
+	} else {
+		frame[0] += atDepth(frames-1, f)
+	}
+	return frame[frames%frameBytes]
 }

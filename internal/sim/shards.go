@@ -3,8 +3,8 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"runtime/debug"
 	"slices"
-	"sync"
 )
 
 // Shards runs N engines under conservative parallel discrete-event
@@ -20,10 +20,15 @@ import (
 // lower bound on cross-shard causality (for the fabric: the per-hop
 // propagation delay).
 //
-// Within a round each engine runs on its own goroutine and touches only
-// its own shard's state, so the usual engine-confinement rules keep the
-// simulation race-free. Message delivery order at the barrier is sorted
-// by (timestamp, generation time, source shard, post order), which is
+// Within a round the calling goroutine runs the first ready shard and
+// hands every other ready shard to that shard's worker goroutine. Each
+// engine touches only its own shard's state, so the usual
+// engine-confinement rules keep the simulation race-free. The workers
+// live for one Run call: Run starts them, and stops them and waits for
+// them to exit before it returns, so no goroutine outlives Run and a
+// worker's stack grows to the simulator's call depth once per Run, not
+// once per round. Message delivery order at the barrier is sorted by
+// (timestamp, generation time, source shard, post order), which is
 // independent of goroutine scheduling — sharded runs are bit-for-bit
 // deterministic for a given seed regardless of GOMAXPROCS.
 type Shards struct {
@@ -37,14 +42,30 @@ type Shards struct {
 	// inbox is the coordinator's scratch buffer for barrier delivery.
 	inbox []post
 
-	// Round state: every shard but the last one ready runs on a goroutine
-	// started with its pre-bound run[i], which drains engs[i] below bound
-	// and signals wg.
-	bound Time
-	wg    sync.WaitGroup
-	run   []func()
+	// Worker hand-off, live only inside Run. Shard i's worker receives a
+	// round's bound on bounds[i] and answers on done: a nil completion,
+	// or the panic its events raised. bounds[0] stays nil, since shard 0
+	// is never handed off: when ready it is the first ready shard, which
+	// the calling goroutine runs. A send hands the engine to its worker
+	// and the completion hands it back; nothing else is shared.
+	bounds []chan Time
+	done   chan *ShardPanic
 
 	rounds uint64
+}
+
+// ShardPanic is the value Run panics with when an event panicked on one
+// of the shards: the shard, the original panic value and the stack of
+// the goroutine that ran it.
+type ShardPanic struct {
+	Shard int
+	Value any
+	Stack []byte
+}
+
+// Error names the shard and the original value, then gives the stack.
+func (p *ShardPanic) Error() string {
+	return fmt.Sprintf("sim: shard %d panicked: %v\n\n%s", p.Shard, p.Value, p.Stack)
 }
 
 // post is one cross-shard message awaiting barrier delivery.
@@ -58,9 +79,11 @@ type post struct {
 // NewShards returns n engines coordinated with the given lookahead.
 // Engine i is seeded with seed+i (shard simulations derive their own
 // per-component RNG streams from configuration seeds; the engine RNGs
-// exist only to satisfy the Engine contract). Panics unless n >= 1 and
-// lookahead > 0 — a zero lookahead would make every round a single event
-// and the protocol would degenerate to sequential execution.
+// exist only to satisfy the Engine contract). It starts no goroutine, so
+// a Shards that is dropped holds nothing alive; each Run starts and stops
+// its own workers. Panics unless n >= 1 and lookahead > 0 — a zero
+// lookahead would make every round a single event and the protocol would
+// degenerate to sequential execution.
 func NewShards(n int, seed int64, lookahead Duration) *Shards {
 	if n < 1 {
 		panic("sim: NewShards needs at least one shard")
@@ -72,15 +95,9 @@ func NewShards(n int, seed int64, lookahead Duration) *Shards {
 		engs:      make([]*Engine, n),
 		lookahead: lookahead,
 		outbox:    make([][]post, n),
-		run:       make([]func(), n),
 	}
 	for i := range s.engs {
-		e := NewEngine(seed + int64(i))
-		s.engs[i] = e
-		s.run[i] = func() {
-			e.RunBefore(s.bound)
-			s.wg.Done()
-		}
+		s.engs[i] = NewEngine(seed + int64(i))
 	}
 	return s
 }
@@ -165,7 +182,15 @@ func comparePosts(a, b post) int {
 // called repeatedly with increasing deadlines — the cluster runner uses
 // one call for warm-up and one for the measurement window, taking
 // snapshots at the barrier in between.
+//
+// Run starts a worker goroutine for each shard but shard 0 and stops
+// every one of them before it returns. If an event panics on any shard,
+// the round still finishes on every other shard; Run then stops the
+// workers and panics on the calling goroutine with a *ShardPanic naming
+// the shard (the lowest one, if several panicked in the round).
 func (s *Shards) Run(deadline Time) {
+	s.startWorkers()
+	defer s.stopWorkers()
 	for {
 		s.flush()
 		next, any := Time(0), false
@@ -193,28 +218,80 @@ func (s *Shards) Run(deadline Time) {
 	}
 }
 
+// startWorkers starts one worker for each shard but shard 0.
+func (s *Shards) startWorkers() {
+	n := len(s.engs)
+	s.bounds = make([]chan Time, n)
+	// A round hands each worker at most one bound, and takes at most one
+	// completion from each: with room for a round's sends, neither side
+	// waits for the other to reach its receive.
+	s.done = make(chan *ShardPanic, n-1)
+	for i := 1; i < n; i++ {
+		s.bounds[i] = make(chan Time, 1)
+		go s.work(i, s.bounds[i], s.done)
+	}
+}
+
+// stopWorkers closes every worker's bound channel and waits until each
+// worker has exited. No round is in flight here: runRound takes every
+// completion back before it returns or panics.
+func (s *Shards) stopWorkers() {
+	for _, c := range s.bounds[1:] {
+		close(c)
+	}
+	for range s.bounds[1:] {
+		<-s.done
+	}
+	s.bounds, s.done = nil, nil
+}
+
+// work is shard i's worker: it runs one round per bound received, and
+// reports once more as it exits.
+func (s *Shards) work(i int, bounds <-chan Time, done chan<- *ShardPanic) {
+	for bound := range bounds {
+		done <- s.runShard(i, bound)
+	}
+	done <- nil
+}
+
+// runShard drains shard i's events below bound. It recovers a panic, so
+// the round can finish on every other shard before Run raises it.
+func (s *Shards) runShard(i int, bound Time) (p *ShardPanic) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = &ShardPanic{Shard: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	s.engs[i].RunBefore(bound)
+	return nil
+}
+
 // runRound drains every shard's events below bound, in parallel when more
-// than one shard has work in the window. The last ready shard runs on the
-// calling goroutine, so one ready shard starts no goroutine at all.
+// than one shard has work in the window. The first ready shard runs on
+// the calling goroutine and every other ready shard on its worker, so a
+// round with one ready shard wakes no worker.
 func (s *Shards) runRound(bound Time) {
-	last := -1
+	first, handed := -1, 0
 	for i, e := range s.engs {
-		if t, ok := e.PeekTime(); ok && t < bound {
-			last = i
+		if t, ok := e.PeekTime(); !ok || t >= bound {
+			continue
+		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		s.bounds[i] <- bound
+		handed++
+	}
+	p := s.runShard(first, bound)
+	for ; handed > 0; handed-- {
+		if q := <-s.done; q != nil && (p == nil || q.Shard < p.Shard) {
+			p = q
 		}
 	}
-	if last < 0 {
-		return
+	if p != nil {
+		panic(p)
 	}
-	s.bound = bound
-	for i, e := range s.engs[:last] {
-		if t, ok := e.PeekTime(); ok && t < bound {
-			s.wg.Add(1)
-			go s.run[i]()
-		}
-	}
-	s.engs[last].RunBefore(bound)
-	s.wg.Wait()
 }
 
 // String renders coordinator telemetry for debugging.

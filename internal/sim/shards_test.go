@@ -3,7 +3,10 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestPeekTimeAndRunBefore(t *testing.T) {
@@ -133,9 +136,11 @@ func TestShardsRelaxedPostClampsToNow(t *testing.T) {
 }
 
 // shardTrace runs a deterministic 4-shard workload where every shard
-// floods every other with conservatively timestamped messages, and
-// returns the merged event trace.
-func shardTrace(seed int64) string {
+// floods every other with conservatively timestamped messages, one Run
+// call per deadline, and returns the merged event trace. After each call
+// every shard's clock must sit at that call's deadline.
+func shardTrace(t *testing.T, seed int64, deadlines ...Time) string {
+	t.Helper()
 	const (
 		n  = 4
 		la = Duration(7)
@@ -166,8 +171,25 @@ func shardTrace(seed int64) string {
 		i := i
 		s.Engine(i).At(Time(i%2), func() { step(i, i, 0) })
 	}
-	s.Run(60)
+	for _, d := range deadlines {
+		s.Run(d)
+		for i := 0; i < n; i++ {
+			if now := s.Engine(i).Now(); now != d {
+				t.Fatalf("shard %d clock %v after Run(%v), want %v", i, now, d, d)
+			}
+		}
+	}
 	return fmt.Sprintf("%v rounds>0=%v", traces, s.Rounds() > 0)
+}
+
+// shortWindows returns the deadlines of a run to 60 split into windows
+// of 3ns, shorter than one lookahead.
+func shortWindows() []Time {
+	var ds []Time
+	for d := Time(3); d < 60; d += 3 {
+		ds = append(ds, d)
+	}
+	return append(ds, 60)
 }
 
 func TestShardsDeterministicAcrossGOMAXPROCS(t *testing.T) {
@@ -176,7 +198,7 @@ func TestShardsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 3; rep++ {
-			got := shardTrace(42)
+			got := shardTrace(t, 42, 60)
 			if want == "" {
 				want = got
 				continue
@@ -189,49 +211,88 @@ func TestShardsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 func TestShardsRepeatedRunWindows(t *testing.T) {
-	// Run in two windows (warm-up then measure) and compare against one
-	// continuous run: the barrier at the window boundary must not change
-	// the event schedule.
-	one := shardTrace(7)
+	// Run in windows (warm-up then measure, then many windows shorter
+	// than the lookahead, each starting and stopping the workers) and
+	// compare against one continuous run: the barrier at a window
+	// boundary must not change the event schedule.
+	one := shardTrace(t, 7, 60)
+	for _, windows := range [][]Time{{13, 60}, shortWindows()} {
+		if got := shardTrace(t, 7, windows...); got != one {
+			t.Fatalf("windows %v diverged from continuous run\n got %s\nwant %s", windows, got, one)
+		}
+	}
+}
 
-	// Same workload, split manually: shardTrace uses Run(60); replicate it
-	// with the library under two Run calls by re-running and splitting.
-	const (
-		n  = 4
-		la = Duration(7)
-	)
-	s := NewShards(n, 7, la)
-	traces := make([][]string, n)
-	var step func(me, from, depth int)
-	step = func(me, from, depth int) {
-		eng := s.Engine(me)
-		traces[me] = append(traces[me], fmt.Sprintf("%d<-%d@%d#%d", me, from, eng.Now(), depth))
-		if depth >= 5 {
-			return
+// waitGoroutines waits until no more than want goroutines are left. A
+// worker reports its exit just before it returns, so its goroutine may
+// still be counted for a moment after Run returns; one that never exits
+// fails the test.
+func waitGoroutines(t *testing.T, want int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", after, runtime.NumGoroutine(), want)
 		}
-		now := eng.Now()
-		for dst := 0; dst < n; dst++ {
-			if dst == me {
-				continue
+		runtime.Gosched()
+	}
+}
+
+func TestShardsWorkersExitWithRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	shardTrace(t, 1, 60)
+	waitGoroutines(t, base, "after Run")
+	shardTrace(t, 1, shortWindows()...)
+	waitGoroutines(t, base, "after many short Runs")
+}
+
+func TestShardsPanicSurfacesOnCaller(t *testing.T) {
+	// Shard 0 runs on the calling goroutine and shard 1 on its worker. A
+	// panic on either lets the round finish on the other shard, then
+	// surfaces from Run naming the lowest panicking shard, with no
+	// worker left behind.
+	for _, tc := range []struct {
+		panics []int
+		want   int
+	}{{[]int{0}, 0}, {[]int{1}, 1}, {[]int{0, 1}, 0}} {
+		base := runtime.NumGoroutine()
+		s := NewShards(2, 1, 10)
+		var ran, late [2]bool
+		for i := 0; i < 2; i++ {
+			i := i
+			s.Engine(i).At(5, func() {
+				for _, p := range tc.panics {
+					if p == i {
+						panic(fmt.Sprintf("boom on %d", i))
+					}
+				}
+			})
+			s.Engine(i).At(6, func() { ran[i] = true })
+			s.Engine(i).At(50, func() { late[i] = true })
+		}
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			s.Run(100)
+			return nil
+		}()
+		p, ok := v.(*ShardPanic)
+		if !ok {
+			t.Fatalf("panics on %v: Run raised %v, want a *ShardPanic", tc.panics, v)
+		}
+		if p.Shard != tc.want || p.Value != fmt.Sprintf("boom on %d", tc.want) {
+			t.Fatalf("panics on %v: got shard %d value %v, want shard %d", tc.panics, p.Shard, p.Value, tc.want)
+		}
+		if !strings.Contains(p.Error(), fmt.Sprintf("sim: shard %d panicked: boom on %d", tc.want, tc.want)) {
+			t.Fatalf("panics on %v: message %q does not name the shard and value", tc.panics, p.Error())
+		}
+		for i := 0; i < 2; i++ {
+			if !slices.Contains(tc.panics, i) && !ran[i] {
+				t.Fatalf("panics on %v: the round did not finish on shard %d", tc.panics, i)
 			}
-			dst := dst
-			off := la + Duration((me+dst+depth)%3)
-			s.Post(me, dst, now, now+off, func() { step(dst, me, depth+1) })
+			if late[i] {
+				t.Fatalf("panics on %v: shard %d ran a round after the panic", tc.panics, i)
+			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		s.Engine(i).At(Time(i%2), func() { step(i, i, 0) })
-	}
-	s.Run(13)
-	for i := 0; i < n; i++ {
-		if now := s.Engine(i).Now(); now != 13 {
-			t.Fatalf("shard %d clock %v after first window, want 13", i, now)
-		}
-	}
-	s.Run(60)
-	got := fmt.Sprintf("%v rounds>0=%v", traces, s.Rounds() > 0)
-	if got != one {
-		t.Fatalf("split windows diverged from continuous run\n got %s\nwant %s", got, one)
+		waitGoroutines(t, base, fmt.Sprintf("after a panic on %v", tc.panics))
 	}
 }
