@@ -3,10 +3,8 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-multidev bench-timeline \
-	faults bench-faults bench-cluster bench-clusterscale bench-rdma \
-	bench-capability bench-serving bench-adaptive churn-gauntlet scale-gate cover \
-	golden-check simbench-check lint ci
+.PHONY: all build vet fmt fmt-check test race bench faults churn-gauntlet \
+	scale-gate cover golden-check simbench-check lint ci
 
 all: build
 
@@ -42,33 +40,10 @@ race:
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem ./...
 
-# The figures CI publishes as artifacts.
-bench-multidev:
-	$(GO) run ./cmd/fsbench -fig multidev -quick -json > BENCH_multidevice.json
-
-bench-timeline:
-	$(GO) run ./cmd/fsbench -fig timeline -quick -json > BENCH_timeline.json
-
-bench-faults:
-	$(GO) run ./cmd/fsbench -fig faults -quick -json > BENCH_faults.json
-
-bench-cluster:
-	$(GO) run ./cmd/fsbench -fig cluster -quick -json > BENCH_cluster.json
-
-bench-clusterscale:
-	$(GO) run ./cmd/fsbench -fig clusterscale -quick -json > BENCH_clusterscale.json
-
-bench-rdma:
-	$(GO) run ./cmd/fsbench -fig rdma -quick -json > BENCH_rdma.json
-
-bench-capability:
-	$(GO) run ./cmd/fsbench -fig capability -quick -json > BENCH_capability.json
-
-bench-serving:
-	$(GO) run ./cmd/fsbench -fig serving -quick -json > BENCH_serving.json
-
-bench-adaptive:
-	$(GO) run ./cmd/fsbench -fig adaptive -quick -json > BENCH_adaptive.json
+# One figure's quick JSON artifact, for any id `fsbench -list` prints:
+# `make bench-serving` writes BENCH_serving.json.
+bench-%:
+	$(GO) run ./cmd/fsbench -fig $* -quick -json > BENCH_$*.json
 
 # The CI cluster-scale gate: asserts the sharded engine's >= 1.5x
 # wall-clock speedup at 4 shards / 64 hosts. Needs >= 4 idle cores; the

@@ -29,7 +29,7 @@ func main() {
 		core.FNS:            "F&S (A + B)",
 	}
 	for _, mode := range []core.Mode{core.Strict, core.StrictPreserve, core.StrictContig, core.FNS} {
-		s := workload.RedisAblation(mode)
+		s := workload.Redis(mode, 8<<10)
 		s.Warmup = 10 * sim.Millisecond
 		s.Measure = 30 * sim.Millisecond
 		r, err := s.Run()

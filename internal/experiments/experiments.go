@@ -1,12 +1,12 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§2.2 and §4) as printable tables, one function per figure.
-// The per-experiment index in DESIGN.md maps each figure to the modules
-// and workloads used here.
+// evaluation (§2.2 and §4) as printable tables, one row of the figures
+// table per figure. The per-experiment index in DESIGN.md maps each figure
+// to the modules and workloads used here.
 //
 // Every figure is a grid of independent deterministic simulations, so
-// each function builds its grid of workload.Specs first and fans them out
-// through internal/runner (Options.Parallel workers), then formats the
-// rows in grid order — parallelism never changes a table's contents.
+// each figure builds its grid of cells first and fans them out through
+// run (internal/runner, Options.Parallel workers), then formats the rows
+// in grid order — parallelism never changes a table's contents.
 package experiments
 
 import (
@@ -130,36 +130,63 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// runSpecsRaw fans specs (windows already set) across the worker pool and
-// returns results indexed by spec. A failing or panicking cell aborts the
-// figure, as the sequential code did.
-func runSpecsRaw(specs []workload.Spec, parallel int) []host.Results {
-	jobs := make([]runner.Job[host.Results], len(specs))
-	for i, s := range specs {
-		s := s
-		jobs[i] = func(context.Context) (host.Results, error) {
-			r, err := s.Run()
-			if err != nil {
-				return host.Results{}, fmt.Errorf("%s: %w", s.Name, err)
-			}
-			return r, nil
-		}
+// run fans the cells of figure id across o.Parallel workers and returns
+// fn's results in cell order. A failing or panicking cell aborts the
+// figure with a panic that names it.
+func run[C, R any](id string, o Options, cells []C, fn func(C) (R, error)) []R {
+	jobs := make([]runner.Job[R], len(cells))
+	for i, c := range cells {
+		jobs[i] = func(context.Context) (R, error) { return fn(c) }
 	}
-	rs, err := runner.Collect(context.Background(), runner.Config{Workers: parallel}, jobs)
+	rs, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		panic(fmt.Sprintf("experiments: %s: %v", id, err))
 	}
 	return rs
 }
 
-// runSpecs applies o's measurement windows to every spec and runs them
-// concurrently.
-func runSpecs(specs []workload.Spec, o Options) []host.Results {
-	for i := range specs {
-		specs[i].Warmup = o.Warmup
-		specs[i].Measure = o.Measure
+// cell is one (mode, parameter) point of a figure's grid.
+type cell[P any] struct {
+	mode core.Mode
+	p    P
+}
+
+// grid is the mode × parameter cross product with modes outermost, the
+// row order of every grid figure.
+func grid[P any](modes []core.Mode, ps ...P) []cell[P] {
+	cells := make([]cell[P], 0, len(modes)*len(ps))
+	for _, m := range modes {
+		for _, p := range ps {
+			cells = append(cells, cell[P]{m, p})
+		}
 	}
-	return runSpecsRaw(specs, o.Parallel)
+	return cells
+}
+
+// sweep runs spec's workload for every cell of grid(modes, ps...) at o's
+// windows and appends row's rendering of each result to t, in grid order.
+func sweep[P any](o Options, t Table, modes []core.Mode, ps []P,
+	spec func(core.Mode, P) workload.Spec, row func(P, host.Results) []string) Table {
+	cells := grid(modes, ps...)
+	rs := run(t.ID, o, cells, func(c cell[P]) (host.Results, error) {
+		s := spec(c.mode, c.p)
+		s.Warmup, s.Measure = o.Warmup, o.Measure
+		return s.Run()
+	})
+	for i, r := range rs {
+		t.Rows = append(t.Rows, row(cells[i].p, r))
+	}
+	return t
+}
+
+// cluster runs one audited cluster cell at o's windows.
+func cluster(o Options, cc host.ClusterConfig) (host.ClusterResults, error) {
+	cc.Host.Audit = true
+	cl, err := host.NewCluster(cc)
+	if err != nil {
+		return host.ClusterResults{}, err
+	}
+	return cl.Run(o.Warmup, o.Measure), nil
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
@@ -167,238 +194,123 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.3f%%", v*100) }
 
-// counterHeader is shared by the microbenchmark figures (panels a–e).
-var counterHeader = []string{
-	"mode", "flows/ring", "rx_gbps", "drop", "iotlb/pg", "ptL1/pg", "ptL2/pg", "ptL3/pg", "reads/pg", "acks/pg",
+// iperf is the default microbenchmark with the given flow count (0 keeps
+// the default).
+func iperf(mode core.Mode, flows int) workload.Spec { return workload.Iperf(mode, flows, 0) }
+
+// axis is the swept Iperf argument of a microbenchmark figure: its
+// values, the format of one value's row label, and how a value maps to
+// Iperf's (flows, ring) arguments.
+type axis struct {
+	vals  []int
+	label string
+	args  func(v int) (flows, ring int)
 }
 
-func counterRow(label string, r host.Results) []string {
-	return []string{
-		r.Mode.String(), label, f1(r.RxGbps), pct(r.DropRate),
-		f2(r.IOTLBPerPage), f3(r.L1PerPage), f3(r.L2PerPage), f3(r.L3PerPage),
-		f2(r.ReadsPerPage), f3(r.AcksPerPage),
-	}
-}
+var (
+	flowAxis = axis{[]int{5, 10, 20, 40}, "%d flows", func(v int) (int, int) { return v, 0 }}
+	ringAxis = axis{[]int{256, 512, 1024, 2048}, "ring %d", func(v int) (int, int) { return 0, v }}
+)
 
-var flowSweep = []int{5, 10, 20, 40}
-var ringSweep = []int{256, 512, 1024, 2048}
-
-// counterTable runs a mode × parameter iperf grid and formats it with the
-// shared microbenchmark header.
-func counterTable(id, title string, modes []core.Mode, params []int,
-	mk func(core.Mode, int) workload.Spec, label func(int) string, o Options) Table {
-	t := Table{ID: id, Title: title, Header: counterHeader}
-	var specs []workload.Spec
-	var labels []string
-	for _, mode := range modes {
-		for _, p := range params {
-			specs = append(specs, mk(mode, p))
-			labels = append(labels, label(p))
+// counters is a microbenchmark figure's panels a–d: iperf over modes ×
+// the axis, with the shared per-page counter columns.
+func counters(id, title string, modes []core.Mode, a axis) figure {
+	return figure{id, func(o Options) Table {
+		t := Table{ID: id, Title: title, Header: []string{
+			"mode", "flows/ring", "rx_gbps", "drop", "iotlb/pg", "ptL1/pg", "ptL2/pg", "ptL3/pg", "reads/pg", "acks/pg",
+		}}
+		spec := func(m core.Mode, v int) workload.Spec {
+			flows, ring := a.args(v)
+			return workload.Iperf(m, flows, ring)
 		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, counterRow(labels[i], r))
-	}
-	return t
-}
-
-func flowLabel(f int) string { return fmt.Sprintf("%d flows", f) }
-func ringLabel(r int) string { return fmt.Sprintf("ring %d", r) }
-
-// Fig2 regenerates Figure 2 (panels a–d): Linux strict vs IOMMU off with
-// increasing flow counts. Panel e's locality trace is Fig2e.
-func Fig2(o Options) Table {
-	return counterTable("fig2", "Linux strict vs IOMMU off, flow sweep (§2.2)",
-		[]core.Mode{core.Off, core.Strict}, flowSweep,
-		func(m core.Mode, flows int) workload.Spec { return workload.Iperf(m, flows, 0) },
-		flowLabel, o)
-}
-
-// localityTable summarises a reuse-distance trace the way Figures 2e/3e/
-// 7e/8e plot it: distribution of PTcache-L3 stack distances at allocation.
-func localityTable(id, title string, specs []workload.Spec, labels []string, o Options) Table {
-	t := Table{ID: id, Title: title,
-		Header: []string{"mode", "case", "allocs", "mean_dist", "frac>=32", "frac>=64", "frac>=128"}}
-	for i, r := range runSpecs(specs, o) {
-		tr := r.Trace
-		if tr == nil {
-			continue
-		}
-		warm, sum := 0, 0
-		for _, d := range tr.Dists {
-			if d >= 0 {
-				warm++
-				sum += d
+		return sweep(o, t, modes, a.vals, spec, func(v int, r host.Results) []string {
+			return []string{
+				r.Mode.String(), fmt.Sprintf(a.label, v), f1(r.RxGbps), pct(r.DropRate),
+				f2(r.IOTLBPerPage), f3(r.L1PerPage), f3(r.L2PerPage), f3(r.L3PerPage),
+				f2(r.ReadsPerPage), f3(r.AcksPerPage),
 			}
-		}
-		mean := 0.0
-		if warm > 0 {
-			mean = float64(sum) / float64(warm)
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), labels[i], fmt.Sprintf("%d", len(tr.Dists)), f2(mean),
-			f3(tr.FractionAbove(32)), f3(tr.FractionAbove(64)), f3(tr.FractionAbove(128)),
 		})
-	}
-	return t
+	}}
 }
 
-// Fig2e regenerates the Figure 2e IOVA locality panel.
-func Fig2e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, flows := range flowSweep {
-		specs = append(specs, workload.IperfTrace(core.Strict, flows, 0, 200000))
-		labels = append(labels, flowLabel(flows))
-	}
-	return localityTable("fig2e", "PTcache-L3 locality, Linux strict, flow sweep", specs, labels, o)
+// locality is a microbenchmark figure's panel e, summarised the way the
+// paper plots it: the distribution of PTcache-L3 stack distances at
+// allocation, for one mode along the axis.
+func locality(id, title string, mode core.Mode, a axis) figure {
+	return figure{id, func(o Options) Table {
+		t := Table{ID: id, Title: title,
+			Header: []string{"mode", "case", "allocs", "mean_dist", "frac>=32", "frac>=64", "frac>=128"}}
+		spec := func(m core.Mode, v int) workload.Spec {
+			flows, ring := a.args(v)
+			return workload.IperfTrace(m, flows, ring, 200000)
+		}
+		return sweep(o, t, []core.Mode{mode}, a.vals, spec, func(v int, r host.Results) []string {
+			tr := r.Trace
+			warm, sum := 0, 0
+			for _, d := range tr.Dists {
+				if d >= 0 {
+					warm++
+					sum += d
+				}
+			}
+			mean := 0.0
+			if warm > 0 {
+				mean = float64(sum) / float64(warm)
+			}
+			return []string{
+				r.Mode.String(), fmt.Sprintf(a.label, v), fmt.Sprintf("%d", len(tr.Dists)), f2(mean),
+				f3(tr.FractionAbove(32)), f3(tr.FractionAbove(64)), f3(tr.FractionAbove(128)),
+			}
+		})
+	}}
 }
 
-// Fig3 regenerates Figure 3 (a–d): ring-buffer-size sweep.
-func Fig3(o Options) Table {
-	return counterTable("fig3", "Linux strict vs IOMMU off, ring-size sweep (§2.2)",
-		[]core.Mode{core.Off, core.Strict}, ringSweep,
-		func(m core.Mode, ring int) workload.Spec { return workload.Iperf(m, 0, ring) },
-		ringLabel, o)
+// app is a Figure 11 application figure: mk's workload across payload
+// sizes for IOMMU off, Linux strict and F&S.
+func app(id, title string, mk func(core.Mode, int) workload.Spec, sizes ...int) figure {
+	return figure{id, func(o Options) Table {
+		t := Table{ID: id, Title: title,
+			Header: []string{"mode", "size", "app_gbps", "drop", "iotlb/pg", "reads/pg", "p99_us"}}
+		return sweep(o, t, []core.Mode{core.Off, core.Strict, core.FNS}, sizes, mk, func(size int, r host.Results) []string {
+			p99 := float64(r.Percentiles()[2]) / 1000
+			return []string{
+				r.Mode.String(), fmt.Sprintf("%dKB", size>>10),
+				f1(r.MsgGbps), pct(r.DropRate), f2(r.IOTLBPerPage), f2(r.ReadsPerPage),
+				f1(p99),
+			}
+		})
+	}}
 }
 
-// Fig3e regenerates the Figure 3e locality panel.
-func Fig3e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, ring := range ringSweep {
-		specs = append(specs, workload.IperfTrace(core.Strict, 0, ring, 200000))
-		labels = append(labels, ringLabel(ring))
-	}
-	return localityTable("fig3e", "PTcache-L3 locality, Linux strict, ring sweep", specs, labels, o)
-}
-
-// Fig7 regenerates Figure 7 (a–d): F&S vs strict vs off, flow sweep.
-func Fig7(o Options) Table {
-	return counterTable("fig7", "F&S eliminates protection overheads, flow sweep (§4.1)",
-		[]core.Mode{core.Off, core.Strict, core.FNS}, flowSweep,
-		func(m core.Mode, flows int) workload.Spec { return workload.Iperf(m, flows, 0) },
-		flowLabel, o)
-}
-
-// Fig7e regenerates the Figure 7e locality panel (F&S).
-func Fig7e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, flows := range flowSweep {
-		specs = append(specs, workload.IperfTrace(core.FNS, flows, 0, 200000))
-		labels = append(labels, flowLabel(flows))
-	}
-	return localityTable("fig7e", "PTcache-L3 locality, F&S, flow sweep", specs, labels, o)
-}
-
-// Fig8 regenerates Figure 8 (a–d): F&S ring-size sweep.
-func Fig8(o Options) Table {
-	return counterTable("fig8", "F&S under growing IO working sets, ring sweep (§4.1)",
-		[]core.Mode{core.Off, core.Strict, core.FNS}, ringSweep,
-		func(m core.Mode, ring int) workload.Spec { return workload.Iperf(m, 0, ring) },
-		ringLabel, o)
-}
-
-// Fig8e regenerates the Figure 8e locality panel.
-func Fig8e(o Options) Table {
-	var specs []workload.Spec
-	var labels []string
-	for _, ring := range ringSweep {
-		specs = append(specs, workload.IperfTrace(core.FNS, 0, ring, 200000))
-		labels = append(labels, ringLabel(ring))
-	}
-	return localityTable("fig8e", "PTcache-L3 locality, F&S, ring sweep", specs, labels, o)
-}
-
-// Fig9 regenerates Figure 9: RPC tail latency colocated with iperf.
+// Fig9 regenerates Figure 9: RPC tail latency colocated with iperf,
+// measured over the RPC window.
 func Fig9(o Options) Table {
 	t := Table{ID: "fig9", Title: "RPC tail latency under colocated iperf (§4.1)",
 		Header: []string{"mode", "rpc_size", "p50_us", "p90_us", "p99_us", "p99.9_us", "p99.99_us", "rpcs"}}
-	sizes := []int{128, 4096, 32768}
-	var specs []workload.Spec
-	var labels []string
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, size := range sizes {
-			s := workload.RPC(mode, size)
-			s.Warmup = o.Warmup
-			s.Measure = o.RPCMeasure
-			specs = append(specs, s)
-			labels = append(labels, fmt.Sprintf("%dB", size))
-		}
-	}
-	for i, r := range runSpecsRaw(specs, o.Parallel) {
-		p := r.Percentiles()
-		us := func(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1000) }
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), labels[i],
-			us(p[0]), us(p[1]), us(p[2]), us(p[3]), us(p[4]),
-			fmt.Sprintf("%d", r.Completed),
+	o.Measure = o.RPCMeasure
+	return sweep(o, t, []core.Mode{core.Off, core.Strict, core.FNS}, []int{128, 4096, 32768}, workload.RPC,
+		func(size int, r host.Results) []string {
+			p := r.Percentiles()
+			us := func(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1000) }
+			return []string{
+				r.Mode.String(), fmt.Sprintf("%dB", size),
+				us(p[0]), us(p[1]), us(p[2]), us(p[3]), us(p[4]),
+				fmt.Sprintf("%d", r.Completed),
+			}
 		})
-	}
-	return t
 }
 
 // Fig10 regenerates Figure 10: concurrent Rx and Tx bulk traffic.
 func Fig10(o Options) Table {
 	t := Table{ID: "fig10", Title: "Extreme Rx/Tx interference (§4.1)",
 		Header: []string{"mode", "core_pairs", "rx_gbps", "tx_gbps", "drop", "reads/pg"}}
-	var specs []workload.Spec
-	var pairsOf []int
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, pairs := range []int{1, 2, 4} {
-			specs = append(specs, workload.Bidirectional(mode, pairs))
-			pairsOf = append(pairsOf, pairs)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", pairsOf[i]),
-			f1(r.RxGbps), f1(r.TxGbps), pct(r.DropRate), f2(r.ReadsPerPage),
+	return sweep(o, t, []core.Mode{core.Off, core.Strict, core.FNS}, []int{1, 2, 4}, workload.Bidirectional,
+		func(pairs int, r host.Results) []string {
+			return []string{
+				r.Mode.String(), fmt.Sprintf("%d", pairs),
+				f1(r.RxGbps), f1(r.TxGbps), pct(r.DropRate), f2(r.ReadsPerPage),
+			}
 		})
-	}
-	return t
-}
-
-// appTable runs a Figure 11 application sweep.
-func appTable(id, title string, mk func(core.Mode, int) workload.Spec, sizes []int, o Options) Table {
-	t := Table{ID: id, Title: title,
-		Header: []string{"mode", "size", "app_gbps", "drop", "iotlb/pg", "reads/pg", "p99_us"}}
-	var specs []workload.Spec
-	var sizeOf []int
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, size := range sizes {
-			specs = append(specs, mk(mode, size))
-			sizeOf = append(sizeOf, size)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		p99 := float64(r.Percentiles()[2]) / 1000
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%dKB", sizeOf[i]>>10),
-			f1(r.MsgGbps), pct(r.DropRate), f2(r.IOTLBPerPage), f2(r.ReadsPerPage),
-			f1(p99),
-		})
-	}
-	return t
-}
-
-// Fig11a regenerates the Redis experiment.
-func Fig11a(o Options) Table {
-	return appTable("fig11a", "Redis SET throughput vs value size (§4.2)",
-		workload.Redis, []int{4 << 10, 16 << 10, 64 << 10, 128 << 10}, o)
-}
-
-// Fig11b regenerates the Nginx experiment.
-func Fig11b(o Options) Table {
-	return appTable("fig11b", "Nginx page throughput vs page size (§4.2)",
-		workload.Nginx, []int{128 << 10, 512 << 10, 2 << 20}, o)
-}
-
-// Fig11c regenerates the SPDK experiment.
-func Fig11c(o Options) Table {
-	return appTable("fig11c", "SPDK read throughput vs block size (§4.2)",
-		workload.SPDK, []int{32 << 10, 64 << 10, 128 << 10, 256 << 10}, o)
 }
 
 // Fig12 regenerates the Figure 12 ablation: Linux, Linux+A (preserve),
@@ -406,62 +318,41 @@ func Fig11c(o Options) Table {
 func Fig12(o Options) Table {
 	t := Table{ID: "fig12", Title: "Contribution of each F&S idea, Redis 8KB values (§4.3)",
 		Header: []string{"config", "app_gbps", "iotlb/pg", "ptL1/pg", "ptL3/pg", "reads/pg", "inv_reqs"}}
-	labels := []string{
-		"Linux",
-		"Linux+A (preserve PTcaches)",
-		"Linux+B (contig+batch)",
-		"F&S",
+	label := map[core.Mode]string{
+		core.Strict:         "Linux",
+		core.StrictPreserve: "Linux+A (preserve PTcaches)",
+		core.StrictContig:   "Linux+B (contig+batch)",
+		core.FNS:            "F&S",
 	}
-	var specs []workload.Spec
-	for _, mode := range []core.Mode{core.Strict, core.StrictPreserve, core.StrictContig, core.FNS} {
-		specs = append(specs, workload.RedisAblation(mode))
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			labels[i], f1(r.MsgGbps), f2(r.IOTLBPerPage), f3(r.L1PerPage), f3(r.L3PerPage),
+	modes := []core.Mode{core.Strict, core.StrictPreserve, core.StrictContig, core.FNS}
+	return sweep(o, t, modes, []int{8 << 10}, workload.Redis, func(_ int, r host.Results) []string {
+		return []string{
+			label[r.Mode], f1(r.MsgGbps), f2(r.IOTLBPerPage), f3(r.L1PerPage), f3(r.L3PerPage),
 			f2(r.ReadsPerPage), fmt.Sprintf("%d", r.InvRequests),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // Model validates the §2.2 analytic model against the simulator and
-// re-fits (l0, lm) from two operating points, as the paper does.
+// re-fits (l0, lm) from the first and last operating points, as the
+// paper does.
 func Model(o Options) Table {
 	t := Table{ID: "model", Title: "Analytic model T = p/(l0 + M*lm) vs simulation (§2.2)",
 		Header: []string{"mode", "flows", "sim_gbps", "model_gbps", "rel_err", "rx_reads/dma"}}
-	var specs []workload.Spec
-	for _, flows := range flowSweep {
-		specs = append(specs, workload.Iperf(core.Strict, flows, 0))
-	}
-	type pt struct {
-		m, thr float64
-	}
-	var pts []pt
-	for i, r := range runSpecs(specs, o) {
-		frame := float64(4096 + 66)
-		ser := frame * 8 / 128
-		svc := model.L0Ns + r.RxReadsPerDMA*model.LmNs
-		if ser > svc {
-			svc = ser
-		}
-		est := 4096 * 8 / svc
-		if est > 100 {
-			est = 100
-		}
-		t.Rows = append(t.Rows, []string{
-			"strict", fmt.Sprintf("%d", flowSweep[i]), f1(r.RxGbps), f1(est),
+	var reads, gbps []float64
+	t = sweep(o, t, []core.Mode{core.Strict}, flowAxis.vals, iperf, func(flows int, r host.Results) []string {
+		est := model.ThroughputGbps(4096, r.RxReadsPerDMA, model.L0Ns, model.LmNs, 100)
+		reads, gbps = append(reads, r.RxReadsPerDMA), append(gbps, r.RxGbps)
+		return []string{
+			"strict", fmt.Sprintf("%d", flows), f1(r.RxGbps), f1(est),
 			pct(model.RelativeError(est, r.RxGbps)), f2(r.RxReadsPerDMA),
-		})
-		pts = append(pts, pt{r.RxReadsPerDMA, r.RxGbps})
-	}
-	if len(pts) >= 2 && pts[0].m != pts[len(pts)-1].m {
-		l0, lm, ok := model.FitL0Lm(4096, pts[0].m, pts[0].thr, pts[len(pts)-1].m, pts[len(pts)-1].thr)
-		if ok {
-			t.Rows = append(t.Rows, []string{
-				"fit", "-", "-", "-", fmt.Sprintf("l0=%.0fns", l0), fmt.Sprintf("lm=%.0fns", lm),
-			})
 		}
+	})
+	last := len(reads) - 1
+	if l0, lm, ok := model.FitL0Lm(4096, reads[0], gbps[0], reads[last], gbps[last]); ok {
+		t.Rows = append(t.Rows, []string{
+			"fit", "-", "-", "-", fmt.Sprintf("l0=%.0fns", l0), fmt.Sprintf("lm=%.0fns", lm),
+		})
 	}
 	return t
 }
@@ -471,19 +362,13 @@ func Model(o Options) Table {
 func Deferred(o Options) Table {
 	t := Table{ID: "modes", Title: "All protection modes, default iperf (extension)",
 		Header: []string{"mode", "strict_safety", "rx_gbps", "reads/pg", "inv_reqs", "stale_uses"}}
-	modes := core.Modes()
-	var specs []workload.Spec
-	for _, mode := range modes {
-		specs = append(specs, workload.Iperf(mode, 0, 0))
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%v", modes[i].StrictSafety()),
+	return sweep(o, t, core.Modes(), []int{0}, iperf, func(_ int, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%v", r.Mode.StrictSafety()),
 			f1(r.RxGbps), f2(r.ReadsPerPage),
 			fmt.Sprintf("%d", r.InvRequests), fmt.Sprintf("%d", r.StaleIOTLB+r.StalePT),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // DescriptorSizes explores F&S on devices with smaller descriptors,
@@ -491,29 +376,23 @@ func Deferred(o Options) Table {
 func DescriptorSizes(o Options) Table {
 	t := Table{ID: "descsize", Title: "F&S vs strict across descriptor sizes (§3 generality)",
 		Header: []string{"mode", "desc_pages", "rx_gbps", "reads/pg", "inv_reqs"}}
-	var specs []workload.Spec
-	var pagesOf []int
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, pages := range []int{1, 4, 16, 64} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.DescriptorPages = pages
-			if pages == 1 {
-				// A single-page descriptor (Intel ICE, §3 generality) can
-				// only hold standard-MTU frames.
-				s.Host.MTU = 1500
-				s.Host.RingPackets = 512
-			}
-			specs = append(specs, s)
-			pagesOf = append(pagesOf, pages)
+	spec := func(m core.Mode, pages int) workload.Spec {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.DescriptorPages = pages
+		if pages == 1 {
+			// A single-page descriptor (Intel ICE, §3 generality) can
+			// only hold standard-MTU frames.
+			s.Host.MTU = 1500
+			s.Host.RingPackets = 512
 		}
+		return s
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", pagesOf[i]),
+	return sweep(o, t, []core.Mode{core.Strict, core.FNS}, []int{1, 4, 16, 64}, spec, func(pages int, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%d", pages),
 			f1(r.RxGbps), f2(r.ReadsPerPage), fmt.Sprintf("%d", r.InvRequests),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // CacheSizes sweeps the PTcache-L3 size — the footnote-3 sensitivity
@@ -521,23 +400,17 @@ func DescriptorSizes(o Options) Table {
 func CacheSizes(o Options) Table {
 	t := Table{ID: "ptcache", Title: "PTcache-L3 size sensitivity, Linux strict (extension)",
 		Header: []string{"mode", "l3_entries", "rx_gbps", "ptL3/pg", "reads/pg"}}
-	var specs []workload.Spec
-	var sizeOf []int
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, size := range []int{16, 32, 64, 128} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.IOMMU.L3Size = size
-			specs = append(specs, s)
-			sizeOf = append(sizeOf, size)
-		}
+	spec := func(m core.Mode, size int) workload.Spec {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.IOMMU.L3Size = size
+		return s
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", sizeOf[i]),
+	return sweep(o, t, []core.Mode{core.Strict, core.FNS}, []int{16, 32, 64, 128}, spec, func(size int, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%d", size),
 			f1(r.RxGbps), f3(r.L3PerPage), f2(r.ReadsPerPage),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // Hugepages explores the paper's §5 future-work direction: F&S combined
@@ -546,22 +419,13 @@ func CacheSizes(o Options) Table {
 func Hugepages(o Options) Table {
 	t := Table{ID: "huge", Title: "F&S + hugepages: reducing the miss count too (§5 extension)",
 		Header: []string{"mode", "flows", "rx_gbps", "iotlb/pg", "reads/pg", "inv_reqs"}}
-	var specs []workload.Spec
-	var flowsOf []int
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.FNSHuge} {
-		for _, flows := range []int{5, 40} {
-			specs = append(specs, workload.Iperf(mode, flows, 0))
-			flowsOf = append(flowsOf, flows)
-		}
-	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", flowsOf[i]),
+	return sweep(o, t, []core.Mode{core.Strict, core.FNS, core.FNSHuge}, []int{5, 40}, iperf, func(flows int, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%d", flows),
 			f1(r.RxGbps), f2(r.IOTLBPerPage), f2(r.ReadsPerPage),
 			fmt.Sprintf("%d", r.InvRequests),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // MemoryLatency sweeps the IOMMU-to-memory read latency l_m, the §2.2
@@ -571,23 +435,17 @@ func Hugepages(o Options) Table {
 func MemoryLatency(o Options) Table {
 	t := Table{ID: "memlat", Title: "Sensitivity to memory read latency l_m (§2.2 contention, extension)",
 		Header: []string{"mode", "lm_ns", "rx_gbps", "reads/pg"}}
-	var specs []workload.Spec
-	var lmOf []sim.Duration
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, lm := range []sim.Duration{197, 300, 400} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.Lm = lm
-			specs = append(specs, s)
-			lmOf = append(lmOf, lm)
-		}
+	spec := func(m core.Mode, lm sim.Duration) workload.Spec {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.Lm = lm
+		return s
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", int64(lmOf[i])),
+	return sweep(o, t, []core.Mode{core.Strict, core.FNS}, []sim.Duration{197, 300, 400}, spec, func(lm sim.Duration, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%d", int64(lm)),
 			f1(r.RxGbps), f2(r.ReadsPerPage),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // Seeds reports run-to-run variance across simulation seeds (extension:
@@ -596,23 +454,17 @@ func MemoryLatency(o Options) Table {
 func Seeds(o Options) Table {
 	t := Table{ID: "seeds", Title: "Throughput across simulation seeds (extension)",
 		Header: []string{"mode", "seed", "rx_gbps", "reads/pg", "drop"}}
-	var specs []workload.Spec
-	var seedOf []int64
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for seed := int64(1); seed <= 4; seed++ {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.Seed = seed
-			specs = append(specs, s)
-			seedOf = append(seedOf, seed)
-		}
+	spec := func(m core.Mode, seed int64) workload.Spec {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.Seed = seed
+		return s
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%d", seedOf[i]),
+	return sweep(o, t, []core.Mode{core.Strict, core.FNS}, []int64{1, 2, 3, 4}, spec, func(seed int64, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%d", seed),
 			f1(r.RxGbps), f2(r.ReadsPerPage), pct(r.DropRate),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // Storage explores cross-device IOMMU contention (extension): an
@@ -622,51 +474,33 @@ func Seeds(o Options) Table {
 func Storage(o Options) Table {
 	t := Table{ID: "storage", Title: "Cross-device IOMMU contention: NIC + storage (extension)",
 		Header: []string{"mode", "storage_GBps", "rx_gbps", "iotlb/pg", "reads/pg", "blocks"}}
-	type cell struct {
+	type result struct {
 		r      host.Results
 		blocks int64
 	}
-	type cfg struct {
-		mode core.Mode
-		gbps float64
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, gbps := range []float64{0, 4, 8} {
-			cfgs = append(cfgs, cfg{mode, gbps})
+	cells := grid([]core.Mode{core.Strict, core.FNS}, []float64{0, 4, 8}...)
+	rs := run(t.ID, o, cells, func(c cell[float64]) (result, error) {
+		h, err := host.New(host.Config{Mode: c.mode})
+		if err != nil {
+			return result{}, err
 		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			h, err := host.New(host.Config{Mode: c.mode})
+		var dev interface{ Blocks() int64 }
+		if c.p > 0 {
+			s, err := h.InstallStorage(host.StorageSpec{ReadGBps: c.p})
 			if err != nil {
-				return cell{}, err
+				return result{}, err
 			}
-			var dev interface{ Blocks() int64 }
-			if c.gbps > 0 {
-				s, err := h.InstallStorage(host.StorageSpec{ReadGBps: c.gbps})
-				if err != nil {
-					return cell{}, err
-				}
-				dev = s
-			}
-			r := h.Run(o.Warmup, o.Measure)
-			out := cell{r: r}
-			if dev != nil {
-				out.blocks = dev.Blocks()
-			}
-			return out, nil
+			dev = s
 		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: storage: %v", err))
-	}
-	for i, c := range cells {
+		out := result{r: h.Run(o.Warmup, o.Measure)}
+		if dev != nil {
+			out.blocks = dev.Blocks()
+		}
+		return out, nil
+	})
+	for i, c := range rs {
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), fmt.Sprintf("%.0f", cfgs[i].gbps),
+			cells[i].mode.String(), fmt.Sprintf("%.0f", cells[i].p),
 			f1(c.r.RxGbps), f2(c.r.IOTLBPerPage), f2(c.r.ReadsPerPage),
 			fmt.Sprintf("%d", c.blocks),
 		})
@@ -683,54 +517,36 @@ func Storage(o Options) Table {
 func Multidev(o Options) Table {
 	t := Table{ID: "multidev", Title: "Multi-device interference: NIC vs N storage co-tenants (extension)",
 		Header: []string{"mode", "devices", "nic_gbps", "iotlb/pg", "reads/pg", "inv_total", "blocks"}}
-	type cell struct {
+	type result struct {
 		r      host.Results
 		blocks int64
 	}
-	type cfg struct {
-		mode core.Mode
-		devs int
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, devs := range []int{0, 1, 2, 4} {
-			cfgs = append(cfgs, cfg{mode, devs})
+	cells := grid([]core.Mode{core.Strict, core.FNS}, 0, 1, 2, 4)
+	rs := run(t.ID, o, cells, func(c cell[int]) (result, error) {
+		topo := host.Topology{}
+		for d := 0; d < c.p; d++ {
+			// 1.5GB/s per device: enough aggregate DMA to collapse
+			// strict mode at four co-tenants while staying under the
+			// point where raw memory-bus and shared-IOTLB capacity
+			// pressure drags F&S down too (that regime is mode-
+			// independent and says nothing about protection cost).
+			topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: 1.5})
 		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			topo := host.Topology{}
-			for d := 0; d < c.devs; d++ {
-				// 1.5GB/s per device: enough aggregate DMA to collapse
-				// strict mode at four co-tenants while staying under the
-				// point where raw memory-bus and shared-IOTLB capacity
-				// pressure drags F&S down too (that regime is mode-
-				// independent and says nothing about protection cost).
-				topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: 1.5})
-			}
-			h, err := host.New(host.Config{Mode: c.mode, Topology: topo})
-			if err != nil {
-				return cell{}, err
-			}
-			r := h.Run(o.Warmup, o.Measure)
-			out := cell{r: r}
-			for _, d := range h.Devices() {
-				if d.Kind() == "storage" {
-					out.blocks += d.Stats().Ops
-				}
-			}
-			return out, nil
+		h, err := host.New(host.Config{Mode: c.mode, Topology: topo})
+		if err != nil {
+			return result{}, err
 		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: multidev: %v", err))
-	}
-	for i, c := range cells {
+		out := result{r: h.Run(o.Warmup, o.Measure)}
+		for _, d := range h.Devices() {
+			if d.Kind() == "storage" {
+				out.blocks += d.Stats().Ops
+			}
+		}
+		return out, nil
+	})
+	for i, c := range rs {
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), fmt.Sprintf("%d", cfgs[i].devs),
+			cells[i].mode.String(), fmt.Sprintf("%d", cells[i].p),
 			f1(c.r.RxGbps), f2(c.r.IOTLBPerPage), f2(c.r.ReadsPerPage),
 			fmt.Sprintf("%d", c.r.InvRequests), fmt.Sprintf("%d", c.blocks),
 		})
@@ -745,23 +561,17 @@ func Multidev(o Options) Table {
 func MemoryHog(o Options) Table {
 	t := Table{ID: "memhog", Title: "Memory-bandwidth antagonist (§2.2 contention, extension)",
 		Header: []string{"mode", "hog_GBps", "rx_gbps", "mem_util", "reads/pg"}}
-	var specs []workload.Spec
-	var hogOf []float64
-	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		for _, hog := range []float64{0, 6, 12} {
-			s := workload.Iperf(mode, 0, 0)
-			s.Host.MemHogGBps = hog
-			specs = append(specs, s)
-			hogOf = append(hogOf, hog)
-		}
+	spec := func(m core.Mode, hog float64) workload.Spec {
+		s := workload.Iperf(m, 0, 0)
+		s.Host.MemHogGBps = hog
+		return s
 	}
-	for i, r := range runSpecs(specs, o) {
-		t.Rows = append(t.Rows, []string{
-			r.Mode.String(), fmt.Sprintf("%.0f", hogOf[i]),
+	return sweep(o, t, []core.Mode{core.Off, core.Strict, core.FNS}, []float64{0, 6, 12}, spec, func(hog float64, r host.Results) []string {
+		return []string{
+			r.Mode.String(), fmt.Sprintf("%.0f", hog),
 			f1(r.RxGbps), f2(r.MemUtil), f2(r.ReadsPerPage),
-		})
-	}
-	return t
+		}
+	})
 }
 
 // Timeline renders the telemetry sampler's per-interval series for strict
@@ -772,17 +582,15 @@ func MemoryHog(o Options) Table {
 func Timeline(o Options) Table {
 	t := Table{ID: "timeline", Title: "Goodput and miss-rate dynamics under mid-run memory contention (extension)",
 		Header: []string{"mode", "t_ms", "rx_gbps", "iotlb/pg", "walk_reads", "mem_util"}}
-	var specs []workload.Spec
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
+	rs := run(t.ID, o, []core.Mode{core.Strict, core.FNS}, func(mode core.Mode) (host.Results, error) {
 		s := workload.Iperf(mode, 0, 0)
 		s.Host.MemHogGBps = 12
 		s.Host.MemHogStart = o.Warmup + o.Measure/2
 		s.Host.Telemetry.SampleEvery = o.Measure / 8
-		s.Warmup = o.Warmup
-		s.Measure = o.Measure
-		specs = append(specs, s)
-	}
-	for _, r := range runSpecsRaw(specs, o.Parallel) {
+		s.Warmup, s.Measure = o.Warmup, o.Measure
+		return s.Run()
+	})
+	for _, r := range rs {
 		series := map[string]stats.Series{}
 		for _, s := range r.Timeline {
 			series[s.Name] = s
@@ -808,30 +616,20 @@ func Timeline(o Options) Table {
 func CPUCost(o Options) Table {
 	t := Table{ID: "cpucost", Title: "Protection CPU cost per GB (extension, cf. [39, 42])",
 		Header: []string{"mode", "rx_gbps", "cpu_ms_per_GB", "inv_reqs"}}
-	type cell struct {
+	type result struct {
 		r   host.Results
 		cpu sim.Duration
 	}
-	modes := core.Modes()
-	jobs := make([]runner.Job[cell], len(modes))
-	for i, mode := range modes {
-		mode := mode
-		jobs[i] = func(context.Context) (cell, error) {
-			s := workload.Iperf(mode, 0, 0)
-			h, err := host.New(s.Host)
-			if err != nil {
-				return cell{}, err
-			}
-			before := h.Domain().Counters().CPUTime
-			r := h.Run(o.Warmup, o.Measure)
-			return cell{r: r, cpu: h.Domain().Counters().CPUTime - before}, nil
+	rs := run(t.ID, o, core.Modes(), func(mode core.Mode) (result, error) {
+		h, err := host.New(workload.Iperf(mode, 0, 0).Host)
+		if err != nil {
+			return result{}, err
 		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: cpucost: %v", err))
-	}
-	for _, c := range cells {
+		before := h.Domain().Counters().CPUTime
+		r := h.Run(o.Warmup, o.Measure)
+		return result{r: r, cpu: h.Domain().Counters().CPUTime - before}, nil
+	})
+	for _, c := range rs {
 		gb := c.r.RxGbps * float64(c.r.Measure) / 8e9 // GB moved in the window
 		ms := 0.0
 		if gb > 0 {
@@ -855,55 +653,38 @@ func CPUCost(o Options) Table {
 func Faults(o Options) Table {
 	t := Table{ID: "faults", Title: "Fault-injection safety campaign: stale-served DMAs under the audit layer (extension)",
 		Header: []string{"mode", "intensity", "rx_gbps", "goodput_vs_clean", "injected", "checked", "blocked", "stale_served", "retries"}}
-	type cfg struct {
-		mode core.Mode
-		x    float64
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.DeferNoShootdown} {
-		for _, x := range []float64{0, 0.5, 1} {
-			cfgs = append(cfgs, cfg{mode, x})
+	cells := grid([]core.Mode{core.Strict, core.FNS, core.DeferNoShootdown}, []float64{0, 0.5, 1}...)
+	rs := run(t.ID, o, cells, func(c cell[float64]) (host.Results, error) {
+		s := workload.Iperf(c.mode, 0, 0)
+		s.Host.Faults = fault.Campaign(c.p)
+		s.Host.FaultSeed = 1
+		s.Host.Audit = true
+		h, err := host.New(s.Host)
+		if err != nil {
+			return host.Results{}, err
 		}
-	}
-	jobs := make([]runner.Job[host.Results], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (host.Results, error) {
-			s := workload.Iperf(c.mode, 0, 0)
-			s.Host.Faults = fault.Campaign(c.x)
-			s.Host.FaultSeed = 1
-			s.Host.Audit = true
-			h, err := host.New(s.Host)
-			if err != nil {
-				return host.Results{}, err
-			}
-			return h.Run(o.Warmup, o.Measure), nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: faults: %v", err))
-	}
+		return h.Run(o.Warmup, o.Measure), nil
+	})
 	// Each mode's intensity-0 cell is its fault-free baseline.
 	clean := map[core.Mode]float64{}
-	for i, c := range cells {
-		if cfgs[i].x == 0 {
-			clean[cfgs[i].mode] = c.RxGbps
+	for i, r := range rs {
+		if cells[i].p == 0 {
+			clean[cells[i].mode] = r.RxGbps
 		}
 	}
-	for i, c := range cells {
+	for i, r := range rs {
 		ratio := 0.0
-		if base := clean[cfgs[i].mode]; base > 0 {
-			ratio = c.RxGbps / base
+		if base := clean[cells[i].mode]; base > 0 {
+			ratio = r.RxGbps / base
 		}
 		var s fault.SafetyReport
-		if c.Safety != nil {
-			s = *c.Safety
+		if r.Safety != nil {
+			s = *r.Safety
 		}
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), f2(cfgs[i].x),
-			f1(c.RxGbps), f2(ratio),
-			fmt.Sprintf("%d", c.FaultsInjected),
+			cells[i].mode.String(), f2(cells[i].p),
+			f1(r.RxGbps), f2(ratio),
+			fmt.Sprintf("%d", r.FaultsInjected),
 			fmt.Sprintf("%d", s.Checked), fmt.Sprintf("%d", s.Blocked),
 			fmt.Sprintf("%d", s.Violations()), fmt.Sprintf("%d", s.Retries),
 		})
@@ -923,36 +704,11 @@ func Faults(o Options) Table {
 func Cluster(o Options) Table {
 	t := Table{ID: "cluster", Title: "Cluster incast: N full hosts on a switched fabric (extension)",
 		Header: []string{"mode", "hosts", "agg_gbps", "recv_drop", "recv_reads/pg", "stale_per_host"}}
-	type cfg struct {
-		mode  core.Mode
-		hosts int
-	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS} {
-		for _, n := range []int{2, 4, 8, 12} {
-			cfgs = append(cfgs, cfg{mode, n})
-		}
-	}
-	jobs := make([]runner.Job[host.ClusterResults], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (host.ClusterResults, error) {
-			cl, err := host.NewCluster(host.ClusterConfig{
-				Hosts:   c.hosts,
-				Traffic: host.Incast,
-				Host:    host.Config{Mode: c.mode, Audit: true},
-			})
-			if err != nil {
-				return host.ClusterResults{}, err
-			}
-			return cl.Run(o.Warmup, o.Measure), nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: cluster: %v", err))
-	}
-	for i, r := range cells {
+	cells := grid([]core.Mode{core.Strict, core.FNS}, 2, 4, 8, 12)
+	rs := run(t.ID, o, cells, func(c cell[int]) (host.ClusterResults, error) {
+		return cluster(o, host.ClusterConfig{Hosts: c.p, Traffic: host.Incast, Host: host.Config{Mode: c.mode}})
+	})
+	for i, r := range rs {
 		recv := r.Hosts[0]
 		stale := make([]string, len(r.Hosts))
 		for j, h := range r.Hosts {
@@ -963,7 +719,7 @@ func Cluster(o Options) Table {
 			stale[j] = fmt.Sprintf("%d", v)
 		}
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), fmt.Sprintf("%d", cfgs[i].hosts),
+			cells[i].mode.String(), fmt.Sprintf("%d", cells[i].p),
 			f1(r.AggRxGbps), pct(recv.DropRate), f2(recv.ReadsPerPage),
 			strings.Join(stale, "/"),
 		})
@@ -989,39 +745,17 @@ func Cluster(o Options) Table {
 func Rdma(o Options) Table {
 	t := Table{ID: "rdma", Title: "One-sided RDMA through a device-side ATS cache: goodput and audited safety (extension)",
 		Header: []string{"mode", "op", "ats_entries", "agg_gbps", "sink_cpu", "atc_hit_rate", "atc_invalidated", "stale_ats", "stale_total"}}
-	type cfg struct {
-		mode core.Mode
-		op   transport.Op
-		ats  int
+	type flow struct {
+		op  transport.Op
+		ats int
 	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.DeferNoShootdown} {
-		cfgs = append(cfgs, cfg{mode, transport.SendRecv, 0})
-		for _, ats := range []int{64, 1024, 8192} {
-			cfgs = append(cfgs, cfg{mode, transport.Write, ats})
-		}
-	}
-	jobs := make([]runner.Job[host.ClusterResults], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (host.ClusterResults, error) {
-			cl, err := host.NewCluster(host.ClusterConfig{
-				Hosts:   8,
-				Traffic: host.Pairs,
-				Op:      c.op,
-				Host:    host.Config{Mode: c.mode, Audit: true, ATSEntries: c.ats},
-			})
-			if err != nil {
-				return host.ClusterResults{}, err
-			}
-			return cl.Run(o.Warmup, o.Measure), nil
-		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: rdma: %v", err))
-	}
-	for i, r := range cells {
+	cells := grid([]core.Mode{core.Strict, core.FNS, core.DeferNoShootdown},
+		[]flow{{transport.SendRecv, 0}, {transport.Write, 64}, {transport.Write, 1024}, {transport.Write, 8192}}...)
+	rs := run(t.ID, o, cells, func(c cell[flow]) (host.ClusterResults, error) {
+		return cluster(o, host.ClusterConfig{Hosts: 8, Traffic: host.Pairs, Op: c.p.op,
+			Host: host.Config{Mode: c.mode, ATSEntries: c.p.ats}})
+	})
+	for i, r := range rs {
 		sink := r.Hosts[1]
 		var staleATS int64
 		for _, h := range r.Hosts {
@@ -1034,7 +768,7 @@ func Rdma(o Options) Table {
 			dev = sink.Devices[0]
 		}
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), cfgs[i].op.String(), fmt.Sprintf("%d", cfgs[i].ats),
+			cells[i].mode.String(), cells[i].p.op.String(), fmt.Sprintf("%d", cells[i].p.ats),
 			f1(r.AggRxGbps), f2(sink.MaxCPUUtil), f3(dev.ATSHitRate),
 			fmt.Sprintf("%d", dev.ATCInvalidations),
 			fmt.Sprintf("%d", staleATS), fmt.Sprintf("%d", r.Violations()),
@@ -1063,74 +797,54 @@ func Rdma(o Options) Table {
 func Capability(o Options) Table {
 	t := Table{ID: "capability", Title: "Capability-table protection: page-table family vs capability family on goodput and audited safety (extension)",
 		Header: []string{"mode", "workload", "gbps", "reads/pg", "inv_reqs", "cap_checks", "cap_revocations", "checked", "stale_served"}}
-	type cell struct {
+	type result struct {
 		gbps, readsPg                               float64
 		invReqs, capChecks, capRevs, checked, stale int64
 	}
-	type cfg struct {
-		mode core.Mode
-		kind string
-	}
-	var cfgs []cfg
-	for _, m := range []core.Mode{core.Strict, core.FNS, core.Cap, core.CapLazyRevoke} {
-		for _, k := range []string{"shortlived", "bulk", "faults", "rdma"} {
-			cfgs = append(cfgs, cfg{m, k})
-		}
-	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			if c.kind == "rdma" {
-				cl, err := host.NewCluster(host.ClusterConfig{
-					Hosts: 8, Traffic: host.Pairs, Op: transport.Write,
-					Host: host.Config{Mode: c.mode, Audit: true, ATSEntries: 1024},
-				})
-				if err != nil {
-					return cell{}, err
-				}
-				r := cl.Run(o.Warmup, o.Measure)
-				out := cell{gbps: r.AggRxGbps, readsPg: r.Hosts[1].ReadsPerPage, stale: r.Violations()}
-				for _, h := range r.Hosts {
-					out.invReqs += h.InvRequests
-					out.capChecks += h.CapChecks
-					out.capRevs += h.CapRevocations
-					if h.Safety != nil {
-						out.checked += h.Safety.Checked
-					}
-				}
-				return out, nil
-			}
-			hc := host.Config{Mode: c.mode, Audit: true}
-			switch c.kind {
-			case "shortlived":
-				hc.DescriptorPages, hc.MTU, hc.RingPackets = 1, 1500, 512
-			case "bulk":
-				hc.Cores = 2
-			case "faults":
-				hc.Faults, hc.FaultSeed = fault.Campaign(1), 1
-			}
-			h, err := host.New(hc)
+	cells := grid([]core.Mode{core.Strict, core.FNS, core.Cap, core.CapLazyRevoke}, "shortlived", "bulk", "faults", "rdma")
+	rs := run(t.ID, o, cells, func(c cell[string]) (result, error) {
+		if c.p == "rdma" {
+			r, err := cluster(o, host.ClusterConfig{Hosts: 8, Traffic: host.Pairs, Op: transport.Write,
+				Host: host.Config{Mode: c.mode, ATSEntries: 1024}})
 			if err != nil {
-				return cell{}, err
+				return result{}, err
 			}
-			r := h.Run(o.Warmup, o.Measure)
-			var s fault.SafetyReport
-			if r.Safety != nil {
-				s = *r.Safety
+			out := result{gbps: r.AggRxGbps, readsPg: r.Hosts[1].ReadsPerPage, stale: r.Violations()}
+			for _, h := range r.Hosts {
+				out.invReqs += h.InvRequests
+				out.capChecks += h.CapChecks
+				out.capRevs += h.CapRevocations
+				if h.Safety != nil {
+					out.checked += h.Safety.Checked
+				}
 			}
-			return cell{gbps: r.RxGbps, readsPg: r.ReadsPerPage, invReqs: r.InvRequests,
-				capChecks: r.CapChecks, capRevs: r.CapRevocations,
-				checked: s.Checked, stale: s.Violations()}, nil
+			return out, nil
 		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: capability: %v", err))
-	}
-	for i, c := range cells {
+		hc := host.Config{Mode: c.mode, Audit: true}
+		switch c.p {
+		case "shortlived":
+			hc.DescriptorPages, hc.MTU, hc.RingPackets = 1, 1500, 512
+		case "bulk":
+			hc.Cores = 2
+		case "faults":
+			hc.Faults, hc.FaultSeed = fault.Campaign(1), 1
+		}
+		h, err := host.New(hc)
+		if err != nil {
+			return result{}, err
+		}
+		r := h.Run(o.Warmup, o.Measure)
+		var s fault.SafetyReport
+		if r.Safety != nil {
+			s = *r.Safety
+		}
+		return result{gbps: r.RxGbps, readsPg: r.ReadsPerPage, invReqs: r.InvRequests,
+			capChecks: r.CapChecks, capRevs: r.CapRevocations,
+			checked: s.Checked, stale: s.Violations()}, nil
+	})
+	for i, c := range rs {
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), cfgs[i].kind,
+			cells[i].mode.String(), cells[i].p,
 			f1(c.gbps), f2(c.readsPg),
 			fmt.Sprintf("%d", c.invReqs), fmt.Sprintf("%d", c.capChecks),
 			fmt.Sprintf("%d", c.capRevs),
@@ -1161,28 +875,20 @@ func Capability(o Options) Table {
 func Serving(o Options) Table {
 	t := Table{ID: "serving", Title: "Serving-fleet churn: open-loop heavy tails, connection churn, flow cohorts (extension)",
 		Header: []string{"mode", "scope", "churn", "served", "gbps", "p99_us", "p999_us", "deaths", "iova_allocs", "overflow", "checked", "stale_served"}}
-	type cfg struct {
-		mode   core.Mode
+	type fleet struct {
 		scope  string // "host", "cohort8", "8-host"
 		churn  float64
 		cohort int
 		hosts  int // 0: single host
 	}
-	var cfgs []cfg
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.Cap} {
-		for _, ch := range []float64{0.05, 0.2, 0.5} {
-			cfgs = append(cfgs, cfg{mode, "host", ch, 1, 0})
-		}
-		cfgs = append(cfgs, cfg{mode, "cohort8", 0.2, 8, 0})
-	}
-	for _, mode := range []core.Mode{core.Strict, core.FNS, core.Cap} {
-		cfgs = append(cfgs, cfg{mode, "8-host", 0.2, 1, 8})
-	}
-	type cell struct {
+	modes := []core.Mode{core.Strict, core.FNS, core.Cap}
+	cells := append(grid(modes, []fleet{{"host", 0.05, 1, 0}, {"host", 0.2, 1, 0}, {"host", 0.5, 1, 0}, {"cohort8", 0.2, 8, 0}}...),
+		grid(modes, fleet{"8-host", 0.2, 1, 8})...)
+	type result struct {
 		served, deaths, allocs, overflow, checked, stale int64
 		gbps, p99, p999                                  float64
 	}
-	fold := func(out *cell, r host.Results) {
+	fold := func(out *result, r host.Results) {
 		out.served += r.ServeCompleted
 		out.deaths += r.ServeDeaths
 		out.allocs += r.IOVA.TreeAllocs
@@ -1203,42 +909,31 @@ func Serving(o Options) Table {
 			out.p999 = p
 		}
 	}
-	jobs := make([]runner.Job[cell], len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		jobs[i] = func(context.Context) (cell, error) {
-			serve := &host.ServeConfig{Conns: 48, Churn: c.churn, Cohort: c.cohort}
-			var out cell
-			if c.hosts == 0 {
-				h, err := host.New(host.Config{Mode: c.mode, RxFlows: -1, Audit: true, Serve: serve})
-				if err != nil {
-					return cell{}, err
-				}
-				fold(&out, h.Run(o.Warmup, o.RPCMeasure))
-				return out, nil
-			}
-			cl, err := host.NewCluster(host.ClusterConfig{
-				Hosts:   c.hosts,
-				Traffic: host.Pairs,
-				Host:    host.Config{Mode: c.mode, Audit: true, Serve: serve},
-			})
+	rs := run(t.ID, o, cells, func(c cell[fleet]) (result, error) {
+		s := workload.Serving(c.mode, 48, c.p.churn, c.p.cohort)
+		var out result
+		if c.p.hosts == 0 {
+			s.Host.Audit = true
+			h, err := host.New(s.Host)
 			if err != nil {
-				return cell{}, err
+				return result{}, err
 			}
-			r := cl.Run(o.Warmup, o.Measure)
-			for _, hr := range r.Hosts {
-				fold(&out, hr)
-			}
+			fold(&out, h.Run(o.Warmup, o.RPCMeasure))
 			return out, nil
 		}
-	}
-	cells, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: serving: %v", err))
-	}
-	for i, c := range cells {
+		r, err := cluster(o, host.ClusterConfig{Hosts: c.p.hosts, Traffic: host.Pairs,
+			Host: host.Config{Mode: c.mode, Serve: s.Host.Serve}})
+		if err != nil {
+			return result{}, err
+		}
+		for _, hr := range r.Hosts {
+			fold(&out, hr)
+		}
+		return out, nil
+	})
+	for i, c := range rs {
 		t.Rows = append(t.Rows, []string{
-			cfgs[i].mode.String(), cfgs[i].scope, f2(cfgs[i].churn),
+			cells[i].mode.String(), cells[i].p.scope, f2(cells[i].p.churn),
 			fmt.Sprintf("%d", c.served), f1(c.gbps), f1(c.p99), f1(c.p999),
 			fmt.Sprintf("%d", c.deaths),
 			fmt.Sprintf("%d", c.allocs), fmt.Sprintf("%d", c.overflow),
@@ -1299,7 +994,7 @@ func adaptivePhases(o Options) (rs []host.Results, warmup, e sim.Duration) {
 		s.Measure = 8 * e
 		specs = append(specs, s)
 	}
-	return runSpecsRaw(specs, o.Parallel), warmup, e
+	return run("adaptive", o, specs, workload.Spec.Run), warmup, e
 }
 
 // adaptiveGoodput buckets one run's sampled goodput into the three
@@ -1501,16 +1196,37 @@ func ClusterScale(o Options) Table {
 	return clusterScaleTable(clusterScaleGrid(), o)
 }
 
-// figures is the one figure table: every id with its function, in
-// presentation order. ByID and IDs both read it.
-var figures = []struct {
+// figure is one row of the figure table: an id and the function that
+// regenerates its table.
+type figure struct {
 	id string
 	fn func(Options) Table
-}{
-	{"fig2", Fig2}, {"fig2e", Fig2e}, {"fig3", Fig3}, {"fig3e", Fig3e},
-	{"fig7", Fig7}, {"fig7e", Fig7e}, {"fig8", Fig8}, {"fig8e", Fig8e},
+}
+
+// figures is the one figure table: every id with its function, in
+// presentation order. ByID and IDs both read it. Figures 2, 3, 7 and 8
+// (panels a–d) and their locality panels e differ only in their modes
+// and swept axis, and Figure 11's panels only in their application.
+var figures = []figure{
+	counters("fig2", "Linux strict vs IOMMU off, flow sweep (§2.2)",
+		[]core.Mode{core.Off, core.Strict}, flowAxis),
+	locality("fig2e", "PTcache-L3 locality, Linux strict, flow sweep", core.Strict, flowAxis),
+	counters("fig3", "Linux strict vs IOMMU off, ring-size sweep (§2.2)",
+		[]core.Mode{core.Off, core.Strict}, ringAxis),
+	locality("fig3e", "PTcache-L3 locality, Linux strict, ring sweep", core.Strict, ringAxis),
+	counters("fig7", "F&S eliminates protection overheads, flow sweep (§4.1)",
+		[]core.Mode{core.Off, core.Strict, core.FNS}, flowAxis),
+	locality("fig7e", "PTcache-L3 locality, F&S, flow sweep", core.FNS, flowAxis),
+	counters("fig8", "F&S under growing IO working sets, ring sweep (§4.1)",
+		[]core.Mode{core.Off, core.Strict, core.FNS}, ringAxis),
+	locality("fig8e", "PTcache-L3 locality, F&S, ring sweep", core.FNS, ringAxis),
 	{"fig9", Fig9}, {"fig10", Fig10},
-	{"fig11a", Fig11a}, {"fig11b", Fig11b}, {"fig11c", Fig11c},
+	app("fig11a", "Redis SET throughput vs value size (§4.2)",
+		workload.Redis, 4<<10, 16<<10, 64<<10, 128<<10),
+	app("fig11b", "Nginx page throughput vs page size (§4.2)",
+		workload.Nginx, 128<<10, 512<<10, 2<<20),
+	app("fig11c", "SPDK read throughput vs block size (§4.2)",
+		workload.SPDK, 32<<10, 64<<10, 128<<10, 256<<10),
 	{"fig12", Fig12}, {"model", Model}, {"modes", Deferred},
 	{"descsize", DescriptorSizes}, {"ptcache", CacheSizes}, {"huge", Hugepages},
 	{"memlat", MemoryLatency}, {"seeds", Seeds}, {"storage", Storage},

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -19,16 +21,34 @@ func tiny() Options {
 	return o
 }
 
+// TestIDsAllResolvable checks the figure table's registration without
+// running any figure: every id is non-empty and unique, an unknown id is
+// rejected, and testdata/golden holds exactly one file per id, so a
+// renamed or dropped figure cannot leave an orphan golden behind.
 func TestIDsAllResolvable(t *testing.T) {
+	seen := map[string]bool{}
 	for _, id := range IDs() {
-		if _, err := ByID(id, Options{}); id == "" || err != nil && !strings.Contains(err.Error(), "unknown") {
-			// We don't run them here (expensive); just check registration
-			// below with one cheap figure.
-			break
+		if id == "" || seen[id] {
+			t.Fatalf("figure id %q is empty or registered twice", id)
 		}
+		seen[id] = true
 	}
 	if _, err := ByID("nope", tiny()); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	files, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		id := strings.TrimSuffix(f.Name(), ".txt")
+		if !seen[id] {
+			t.Errorf("golden file %s has no figure id", f.Name())
+		}
+		delete(seen, id)
+	}
+	for id := range seen {
+		t.Errorf("figure %s has no golden file", id)
 	}
 }
 
@@ -54,7 +74,10 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig2eLocality(t *testing.T) {
-	tab := Fig2e(tiny())
+	tab, err := ByID("fig2e", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig2e rows = %d", len(tab.Rows))
 	}

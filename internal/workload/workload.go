@@ -5,8 +5,9 @@
 //   - Bidirectional: the §4.1 extreme Rx/Tx interference experiment.
 //   - RPC: the netperf-style latency-sensitive app colocated with iperf
 //     (Figure 9).
-//   - Redis: SET-workload key-value server (Figure 11a) — bulk values
-//     inbound, small replies outbound.
+//   - Redis: SET-workload key-value server (Figure 11a; with 8KB values,
+//     the Figure 12 ablation) — bulk values inbound, small replies
+//     outbound.
 //   - Nginx: wrk-style web workload (Figure 11b), measured at the
 //     bulk-receiving side — small requests out, pages in.
 //   - SPDK: remote-storage client (Figure 11c) — small read requests out,
@@ -161,12 +162,6 @@ func SPDK(mode core.Mode, blockBytes int) Spec {
 			AppCPU:    1 * sim.Microsecond,
 		},
 	}
-}
-
-// RedisAblation is the Figure 12 configuration: the Redis workload with
-// 8KB values, run across the four ablation modes.
-func RedisAblation(mode core.Mode) Spec {
-	return Redis(mode, 8<<10)
 }
 
 // Serving is the serving-fleet churn scenario: an open-loop fleet of
