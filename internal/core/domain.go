@@ -133,17 +133,12 @@ func (c Config) withDefaults() Config {
 type Descriptor struct {
 	IOVAs []ptable.IOVA
 	cpu   int
-	// contiguous base/pages when the mode allocates one chunk
-	base   ptable.IOVA
-	contig bool
-	// persistent mode: descriptor is recycled, never unmapped
-	persistent bool
 	// FNSHuge: the 2MB chunk this descriptor was carved from
 	huge *hugeChunk
 	// pol is the policy that mapped this descriptor. Unmap and remap
-	// dispatch through it, so a descriptor in flight across a runtime
-	// mode switch completes under the rules that laid it out.
-	pol Policy
+	// follow it, so a descriptor in flight across a runtime mode switch
+	// completes under the rules that laid it out.
+	pol *Policy
 }
 
 // TxMapping is a mapped Tx packet: one IOVA per page.
@@ -153,7 +148,7 @@ type TxMapping struct {
 	// chunk slots used (FNS/StrictContig/FNSHuge Tx)
 	chunks []*txChunk
 	// pol is the policy that mapped this packet (see Descriptor.pol).
-	pol Policy
+	pol *Policy
 	// IOVAs and chunks of a packet of up to txInline pages live here,
 	// so mapping it costs one allocation.
 	iova  [txInline]ptable.IOVA
@@ -212,7 +207,7 @@ type Counters struct {
 type Domain struct {
 	cfg   Config
 	knobs Knobs
-	pol   Policy
+	pol   *Policy
 	mmu   *iommu.IOMMU
 	domID iommu.DomainID
 	table *ptable.Table
@@ -230,15 +225,10 @@ type Domain struct {
 	txPool   []*txPool    // per CPU, persistent mode
 	hugeRx   []*hugeChunk // per CPU, FNSHuge mode
 
-	// deferred mode state
-	deferredPending []pendingFree
-	// capability family state: the per-domain grant table registered
-	// with the IOMMU, plus the lazy-revoke batches (see cap.go)
-	caps            *iommu.CapTable
-	capRevokes      []pendingFree // granted ranges whose caps die at the next flush
-	capFrees        []pendingFree // IOVA ranges released only at the flush
-	capRegrants     []capRegrant  // window re-grants deferred to the flush
-	capPendingPages int
+	batch batch // deferred and cap-lazyrevoke revocations (see policy.go)
+	// caps is the capability family's per-domain grant table registered
+	// with the IOMMU (see cap.go); nil in page-table domains
+	caps *iommu.CapTable
 	// persistent mode descriptor pool, per CPU
 	pool [][]*Descriptor
 	// out-of-order consumption pool (see Config.FreePoolSize)
@@ -461,96 +451,19 @@ func (d *Domain) traceAccess(v ptable.IOVA) {
 	}
 }
 
-// MapRxDescriptor prepares an Rx descriptor of the configured page count
-// on cpu's ring (§2.1 step 1). It returns the descriptor and the CPU time
-// spent. In Off mode IOVAs are identities for fresh physical pages.
-func (d *Domain) MapRxDescriptor(cpu int) (*Descriptor, sim.Duration, error) {
-	desc, cost, err := d.pol.mapRx(d, cpu)
-	if desc != nil {
-		desc.pol = d.pol
-	}
-	return desc, cost, err
-}
-
-// descPolicy resolves the policy a descriptor completes under: the one
-// that mapped it, falling back to the bound policy for descriptors
-// built outside MapRxDescriptor (tests constructing bare values).
-func (d *Domain) descPolicy(desc *Descriptor) Policy {
-	if desc.pol != nil {
-		return desc.pol
-	}
-	return d.pol
-}
-
-// UnmapRxDescriptor completes an Rx descriptor (§2.1 step 4): unmap every
-// page, invalidate (or revoke) per the policy that mapped it, free the
-// IOVAs.
-func (d *Domain) UnmapRxDescriptor(desc *Descriptor) (sim.Duration, error) {
-	return d.descPolicy(desc).unmapRx(d, desc)
-}
-
-// RemapRxDescriptor rotates the buffers behind a registered descriptor:
-// one-sided RDMA peers address a memory window by fixed offsets for the
-// life of the registration, so the IOVA layout is preserved while every
-// page is unmapped — paying the mode's invalidation policy, including
-// the ATC shoot-down when a device cache is attached — and remapped to
-// fresh physical pages. This is exactly where an unsafe mode shows:
-// DeferNoShootdown re-points the pages with no invalidation at all, so
-// the IOTLB and any device-side ATC keep serving the old physical
-// addresses for IOVAs that are still mapped — just not there.
-func (d *Domain) RemapRxDescriptor(desc *Descriptor) (sim.Duration, error) {
-	return d.descPolicy(desc).remapRx(d, desc)
-}
-
-// maybeFlushDeferred performs the deferred-mode global flush once enough
-// unmaps are pending (Linux lazy mode flushes the whole IOTLB).
-func (d *Domain) maybeFlushDeferred() sim.Duration {
-	if len(d.deferredPending) < d.knobs.DeferredLimit {
-		return 0
-	}
-	cost := d.flushInvalidate()
-	d.c.DeferredFlushes++
-	for _, p := range d.deferredPending {
-		cost += d.freeIOVA(p.cpu, p.base, p.pages)
-	}
-	d.deferredPending = d.deferredPending[:0]
-	return cost
-}
-
 // PendingDeferred reports unmapped-but-not-invalidated pages (deferred
 // mode's unsafe window) — or, for cap-lazyrevoke, unmapped-but-not-
 // revoked pages (the capability analogue).
-func (d *Domain) PendingDeferred() int {
-	return len(d.deferredPending) + d.capPendingPages
-}
+func (d *Domain) PendingDeferred() int { return d.batch.pages }
 
 // FlushDeferred forces the batch flush regardless of the pending count
 // — the timer path of Linux's lazy mode, reused by cap-lazyrevoke for
-// the revocation batch. It drains both batch kinds unconditionally (a
-// mode switch can leave the foreign batch non-empty until in-flight
-// mappings complete), so it is a no-op exactly when nothing is pending.
-// Returns the CPU cost, already charged to the domain.
+// the revocation batch. It runs whatever the current mode (after a mode
+// switch, in-flight mappings of a batching mode still queue into the
+// batch), so it is a no-op exactly when nothing is pending. Returns the
+// CPU cost, already charged to the domain.
 func (d *Domain) FlushDeferred() sim.Duration {
-	cost := d.drainDeferred()
-	if c := d.capFlush(); c > 0 {
-		d.c.CPUTime += c
-		cost += c
-	}
-	return cost
-}
-
-// drainDeferred flushes the deferred-invalidation batch: one flush-all
-// invalidation, then the batched IOVA frees. Self-charging.
-func (d *Domain) drainDeferred() sim.Duration {
-	if len(d.deferredPending) == 0 {
-		return 0
-	}
-	cost := d.flushInvalidate()
-	d.c.DeferredFlushes++
-	for _, p := range d.deferredPending {
-		cost += d.freeIOVA(p.cpu, p.base, p.pages)
-	}
-	d.deferredPending = d.deferredPending[:0]
+	cost := d.flush()
 	d.c.CPUTime += cost
 	return cost
 }

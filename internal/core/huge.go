@@ -65,10 +65,9 @@ func (d *Domain) mapRxDescriptorHuge(cpu int) (*Descriptor, sim.Duration, error)
 		hc = &hugeChunk{rawBase: raw, rawPages: 2 * hugePages, base: base, descs: descsPer}
 		d.hugeRx[cpu] = hc
 	}
-	desc := &Descriptor{cpu: cpu, contig: true, huge: hc, IOVAs: make([]ptable.IOVA, 0, pages)}
+	desc := &Descriptor{cpu: cpu, huge: hc, IOVAs: make([]ptable.IOVA, 0, pages)}
 	start := hc.base + ptable.IOVA(uint64(hc.carved)*descBytes)
 	hc.carved++
-	desc.base = start
 	for i := 0; i < pages; i++ {
 		v := start + ptable.IOVA(i*ptable.PageSize)
 		d.traceAccess(v)

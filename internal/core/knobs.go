@@ -33,22 +33,6 @@ type Knobs struct {
 // Knobs returns the domain's current runtime knobs.
 func (d *Domain) Knobs() Knobs { return d.knobs }
 
-// switchable lists the modes a domain may transition between at
-// runtime. The excluded modes pin state no transition protocol can
-// drain: Off never built page tables (IOVAs are physical identities),
-// Persistent's recycled descriptor pools and FNSHuge's shared 2MB
-// chunks hold live mappings with no per-descriptor completion point.
-var switchable = map[Mode]bool{
-	Strict:           true,
-	Deferred:         true,
-	StrictPreserve:   true,
-	StrictContig:     true,
-	FNS:              true,
-	DeferNoShootdown: true,
-	Cap:              true,
-	CapLazyRevoke:    true,
-}
-
 // CanSwitch reports whether a runtime transition from mode `from` to
 // mode `to` is supported, with the same error SetKnobs would return.
 // Control planes validate their rules against it at construction so a
@@ -57,11 +41,12 @@ func CanSwitch(from, to Mode) error {
 	if from == to {
 		return nil
 	}
-	if _, ok := PolicyFor(to); !ok {
+	tp, ok := PolicyFor(to)
+	if !ok {
 		return fmt.Errorf("core: mode %v has no registered policy (valid: %s)",
 			to, strings.Join(ValidModeNames(), ", "))
 	}
-	if !switchable[from] || !switchable[to] {
+	if fp, ok := PolicyFor(from); !ok || !fp.switchable() || !tp.switchable() {
 		return fmt.Errorf("core: cannot switch %v -> %v at runtime (off, persistent and fns+huge pin identity mappings, recycled pools or shared 2MB chunks that no transition can drain)",
 			from, to)
 	}
@@ -74,7 +59,7 @@ func CanSwitch(from, to Mode) error {
 
 // SetKnobs retunes the domain's runtime knobs, switching protection
 // mode when k.Mode differs from the current one. A mode switch runs the
-// transition protocol — drain every batch the old policy accumulated,
+// transition protocol — drain the batch the old policy accumulated,
 // retire partially filled Tx chunks, and shoot down every cached
 // translation — before rebinding the policy, so nothing the old mode
 // left behind can be served under the new one (the auditor stays
@@ -96,8 +81,8 @@ func (d *Domain) SetKnobs(k Knobs) (sim.Duration, error) {
 		return 0, err
 	}
 	pol, _ := PolicyFor(k.Mode)
-	// Drain the deferred-invalidation and lazy-revoke batches (self-
-	// charging), so no unmap the old policy queued outlives its policy.
+	// Drain the revocation batch (self-charging), so no unmap the old
+	// policy queued outlives its policy.
 	cost := d.FlushDeferred()
 	var extra sim.Duration
 	// Retire partially filled Tx chunks: slots already handed to

@@ -144,7 +144,7 @@ func ParseMode(s string) (Mode, error) {
 // policy resolves m to its registered policy. NewDomain rejects an
 // unregistered mode, so reaching one here is a caller bug: panic and
 // name the mode instead of guessing its properties.
-func (m Mode) policy() Policy {
+func (m Mode) policy() *Policy {
 	p, ok := policies[m]
 	if !ok {
 		panic(fmt.Sprintf("core: %v is not a registered protection mode", m))

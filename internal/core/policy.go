@@ -5,661 +5,543 @@ import (
 	"fastsafe/internal/sim"
 )
 
-// The protection-policy seam. Every Mode resolves to a Policy when the
-// Domain is constructed, and the Domain's public datapath methods
-// (MapRxDescriptor, UnmapRxDescriptor, RemapRxDescriptor, MapTx, UnmapTx,
-// FlushDeferred) dispatch through it — the mode switches that used to
-// live in domain.go and tx.go became the method sets below. Mode stays
-// the stable parse/print surface; adding a protection design means
-// registering a new Policy, not editing the hottest file in the tree.
+// The protection-policy table. Every Mode is one row: the guarantees it
+// makes plus two mechanisms, a layout (where a mapping's IOVAs come
+// from) and a revocation (how the device loses access when the driver
+// unmaps). The Domain's driver operations switch on those mechanisms,
+// never on the mode, so each mechanism is written once here and a mode
+// that combines existing mechanisms is one more row.
 
-// Policy is one protection design's datapath: how Rx descriptors are
-// prepared, completed and remapped, how Tx packets are mapped and
-// unmapped, and what the design guarantees (the predicate methods, which
-// the corresponding Mode methods delegate to). The hooks are unexported:
-// policies manipulate Domain internals and live in this package; outside
-// callers select one by Mode and drive it through the Domain methods.
-type Policy interface {
-	// Mode returns the mode this policy is registered under.
-	Mode() Mode
-	// Translated reports whether DMA addresses pass through the IOMMU's
-	// protection check (address translation or capability validation).
-	Translated() bool
-	// StrictSafety reports whether the device provably loses access to a
-	// buffer as soon as its descriptor (or Tx packet) completes.
-	StrictSafety() bool
-	// Contiguous reports whether descriptor-sized (or larger) contiguous
-	// IOVA chunks are allocated.
-	Contiguous() bool
-	// PreservesPTCaches reports whether invalidations keep the IOMMU's
-	// page-table caches (F&S idea A).
-	PreservesPTCaches() bool
+// layout is where a mapping's IOVAs come from.
+type layout uint8
 
-	mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error)
-	unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error)
-	remapRx(d *Domain, desc *Descriptor) (sim.Duration, error)
-	mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error)
-	unmapTx(d *Domain, m *TxMapping) (sim.Duration, error)
-}
+const (
+	// identity: no IOMMU, IOVAs are physical addresses.
+	identity layout = iota
+	// paged: one page-sized IOVA allocation per page (default Linux).
+	paged
+	// contig: one descriptor-sized chunk per Rx descriptor, and per-CPU
+	// descriptor-sized chunks filled across Tx packets (F&S idea B).
+	contig
+	// huge: Rx descriptors carved from 2MB mappings (huge.go); Tx as
+	// contig.
+	huge
+	// pinned: mapped once, recycled, never unmapped — the DAMN [34] /
+	// hugepage-pinning [16] family.
+	pinned
+)
 
-// predicates carries a policy's identity and guarantee tuple.
-type predicates struct {
+// revocation is how the device loses access to pages the driver unmaps.
+type revocation uint8
+
+const (
+	// invalidate submits one invalidation request per unmapped run,
+	// keeping the page-table caches when the row preserves them (idea A).
+	invalidate revocation = iota
+	// noShootdown never tells the caches: the deliberately unsafe
+	// strawman, whose recycled IOVAs can be served stale.
+	noShootdown
+	// deferredFlush (Linux lazy mode) batches the invalidations and the
+	// IOVA frees behind one flush-all invalidation.
+	deferredFlush
+	// revokeCap kills each page's capability synchronously: O(1) per
+	// page, no completion wait.
+	revokeCap
+	// lazyRevokeCap batches the capability kills and the IOVA frees
+	// behind one grant sweep, the capability analogue of deferredFlush.
+	lazyRevokeCap
+)
+
+// Policy is one protection mode's row: what the mode guarantees (the
+// predicate methods, which the corresponding Mode methods delegate to)
+// and the layout and revocation its datapath runs.
+type Policy struct {
 	mode                          Mode
 	translated, strict            bool
 	contiguous, preservesPTCaches bool
+	layout                        layout
+	revocation                    revocation
 }
 
-func (p predicates) Mode() Mode              { return p.mode }
-func (p predicates) Translated() bool        { return p.translated }
-func (p predicates) StrictSafety() bool      { return p.strict }
-func (p predicates) Contiguous() bool        { return p.contiguous }
-func (p predicates) PreservesPTCaches() bool { return p.preservesPTCaches }
+// Mode returns the mode this row is registered under.
+func (p *Policy) Mode() Mode { return p.mode }
 
-// policies is the registry the Mode surface resolves through. An
-// unregistered mode is a construction-time error in NewDomain — the
-// runtime `unhandled mode` branches are gone.
-var policies = map[Mode]Policy{
-	Off:              offPolicy{predicates: predicates{mode: Off}},
-	Strict:           pagedPolicy{predicates: predicates{mode: Strict, translated: true, strict: true}},
-	Deferred:         deferredPolicy{predicates: predicates{mode: Deferred, translated: true}},
-	StrictPreserve:   pagedPolicy{predicates: predicates{mode: StrictPreserve, translated: true, strict: true, preservesPTCaches: true}},
-	StrictContig:     contigPolicy{predicates: predicates{mode: StrictContig, translated: true, strict: true, contiguous: true}},
-	FNS:              contigPolicy{predicates: predicates{mode: FNS, translated: true, strict: true, contiguous: true, preservesPTCaches: true}},
-	Persistent:       persistentPolicy{predicates: predicates{mode: Persistent, translated: true}},
-	FNSHuge:          hugePolicy{predicates: predicates{mode: FNSHuge, translated: true, contiguous: true, preservesPTCaches: true}},
-	DeferNoShootdown: noShootdownPolicy{predicates: predicates{mode: DeferNoShootdown, translated: true, contiguous: true}},
-	Cap:              capPolicy{predicates: predicates{mode: Cap, translated: true, strict: true, contiguous: true, preservesPTCaches: true}},
-	CapLazyRevoke:    capPolicy{predicates: predicates{mode: CapLazyRevoke, translated: true, contiguous: true, preservesPTCaches: true}, lazy: true},
+// Translated reports whether DMA addresses pass through the IOMMU's
+// protection check (address translation or capability validation).
+func (p *Policy) Translated() bool { return p.translated }
+
+// StrictSafety reports whether the device provably loses access to a
+// buffer as soon as its descriptor (or Tx packet) completes.
+func (p *Policy) StrictSafety() bool { return p.strict }
+
+// Contiguous reports whether descriptor-sized (or larger) contiguous
+// IOVA chunks are allocated.
+func (p *Policy) Contiguous() bool { return p.contiguous }
+
+// PreservesPTCaches reports whether invalidations keep the IOMMU's
+// page-table caches (F&S idea A).
+func (p *Policy) PreservesPTCaches() bool { return p.preservesPTCaches }
+
+// batched reports whether unmaps queue their revocation and IOVA frees
+// behind the domain's batch.
+func (p *Policy) batched() bool {
+	return p.revocation == deferredFlush || p.revocation == lazyRevokeCap
 }
 
-// PolicyFor resolves a mode to its registered policy.
-func PolicyFor(m Mode) (Policy, bool) {
+// switchable reports whether a domain may enter or leave this row at
+// runtime. The other layouts pin state no transition protocol can
+// drain: identity never built page tables, and pinned descriptor pools
+// and huge layouts' shared 2MB chunks hold live mappings with no
+// per-descriptor completion point.
+func (p *Policy) switchable() bool { return p.layout == paged || p.layout == contig }
+
+// rxRun is the pages per run of an Rx descriptor: a paged descriptor is
+// runs of one page, a contiguous one is one run.
+func (p *Policy) rxRun(pages int) int {
+	if p.layout == paged {
+		return 1
+	}
+	return pages
+}
+
+// policies is the table the Mode surface resolves through; NewDomain
+// rejects a mode without a row. Identity and pinned rows never revoke.
+var policies = map[Mode]*Policy{
+	Off:              {mode: Off, layout: identity},
+	Strict:           {mode: Strict, translated: true, strict: true, layout: paged, revocation: invalidate},
+	Deferred:         {mode: Deferred, translated: true, layout: paged, revocation: deferredFlush},
+	StrictPreserve:   {mode: StrictPreserve, translated: true, strict: true, preservesPTCaches: true, layout: paged, revocation: invalidate},
+	StrictContig:     {mode: StrictContig, translated: true, strict: true, contiguous: true, layout: contig, revocation: invalidate},
+	FNS:              {mode: FNS, translated: true, strict: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: invalidate},
+	Persistent:       {mode: Persistent, translated: true, layout: pinned},
+	FNSHuge:          {mode: FNSHuge, translated: true, contiguous: true, preservesPTCaches: true, layout: huge, revocation: invalidate},
+	DeferNoShootdown: {mode: DeferNoShootdown, translated: true, contiguous: true, layout: contig, revocation: noShootdown},
+	Cap:              {mode: Cap, translated: true, strict: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: revokeCap},
+	CapLazyRevoke:    {mode: CapLazyRevoke, translated: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: lazyRevokeCap},
+}
+
+// PolicyFor resolves a mode to its row.
+func PolicyFor(m Mode) (*Policy, bool) {
 	p, ok := policies[m]
 	return p, ok
 }
 
-// ---------------------------------------------------------------------------
-// Off: no IOMMU, IOVAs are physical identities.
-
-type offPolicy struct {
-	predicates
-}
-
-func (offPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
-	for i := 0; i < pages; i++ {
-		desc.IOVAs = append(desc.IOVAs, ptable.IOVA(d.newPhys()))
-	}
-	return desc, 0, nil
-}
-
-func (offPolicy) unmapRx(*Domain, *Descriptor) (sim.Duration, error) { return 0, nil }
-
-func (offPolicy) remapRx(*Domain, *Descriptor) (sim.Duration, error) { return 0, nil }
-
-func (offPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := newTxMapping(cpu, pages, false)
-	for i := 0; i < pages; i++ {
-		m.IOVAs = append(m.IOVAs, ptable.IOVA(d.newPhys()))
-	}
-	return m, 0, nil
-}
-
-func (offPolicy) unmapTx(*Domain, *TxMapping) (sim.Duration, error) { return 0, nil }
-
-// ---------------------------------------------------------------------------
-// Strict / StrictPreserve: default Linux — per-page IOVAs, per-page
-// invalidation requests (Figure 6a). StrictPreserve is ablation A:
-// invalidations keep the page-table caches.
-
-type pagedPolicy struct {
-	predicates
-}
-
-func (pagedPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	return d.mapRxPaged(cpu)
-}
-
-func (p pagedPolicy) unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	// Per-page unmap, per-page invalidation request (Figure 6a).
-	var cost sim.Duration
-	iotlbOnly := p.PreservesPTCaches()
-	for _, v := range desc.IOVAs {
-		res, err := d.table.Unmap(v, ptable.PageSize)
-		if err != nil {
-			return cost, err
+// MapRxDescriptor prepares an Rx descriptor of the configured page count
+// on cpu's ring (§2.1 step 1). It returns the descriptor and the CPU time
+// spent. In Off mode IOVAs are identities for fresh physical pages.
+func (d *Domain) MapRxDescriptor(cpu int) (*Descriptor, sim.Duration, error) {
+	p, pages := d.pol, d.cfg.DescriptorPages
+	switch p.layout {
+	case identity:
+		desc := &Descriptor{cpu: cpu, pol: p, IOVAs: make([]ptable.IOVA, 0, pages)}
+		for i := 0; i < pages; i++ {
+			desc.IOVAs = append(desc.IOVAs, ptable.IOVA(d.newPhys()))
 		}
-		cost += d.cfg.Costs.UnmapPage
-		d.c.PagesUnmapped++
-		cost += d.invalidate(v, 1, iotlbOnly)
-		if iotlbOnly && len(res.Reclaimed) > 0 {
-			d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
-			d.c.Reclaims += int64(len(res.Reclaimed))
-		}
-		cost += d.freeIOVA(desc.cpu, v, 1)
-	}
-	d.c.RxDescriptorsUnmapped++
-	d.c.CPUTime += cost
-	return cost, nil
-}
-
-func (p pagedPolicy) remapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	return d.remapRxPaged(desc, p.PreservesPTCaches())
-}
-
-func (pagedPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	return d.mapTxPaged(cpu, pages)
-}
-
-func (p pagedPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
-	var cost sim.Duration
-	iotlbOnly := p.PreservesPTCaches()
-	for _, v := range m.IOVAs {
-		res, err := d.table.Unmap(v, ptable.PageSize)
-		if err != nil {
-			return cost, err
-		}
-		cost += d.cfg.Costs.UnmapPage
-		d.c.PagesUnmapped++
-		cost += d.invalidate(v, 1, iotlbOnly)
-		if iotlbOnly && len(res.Reclaimed) > 0 {
-			d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
-			d.c.Reclaims += int64(len(res.Reclaimed))
-		}
-		cost += d.freeIOVA(d.txFreeCPU(m.cpu), v, 1)
-	}
-	d.c.TxPacketsUnmapped++
-	d.c.CPUTime += cost
-	return cost, nil
-}
-
-// ---------------------------------------------------------------------------
-// Deferred: Linux lazy mode — unmap now, batch invalidations and IOVA
-// frees until a threshold (or timer) flush.
-
-type deferredPolicy struct {
-	predicates
-}
-
-func (deferredPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	return d.mapRxPaged(cpu)
-}
-
-func (deferredPolicy) unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	// Unmap now; batch the invalidation and the IOVA free until the
-	// global flush.
-	var cost sim.Duration
-	for _, v := range desc.IOVAs {
-		if _, err := d.table.Unmap(v, ptable.PageSize); err != nil {
-			return cost, err
-		}
-		cost += d.cfg.Costs.UnmapPage
-		d.c.PagesUnmapped++
-		d.deferredPending = append(d.deferredPending, pendingFree{v, 1, desc.cpu})
-	}
-	cost += d.maybeFlushDeferred()
-	d.c.RxDescriptorsUnmapped++
-	d.c.CPUTime += cost
-	return cost, nil
-}
-
-func (p deferredPolicy) remapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	// Deferred degenerates to the strict remap: a registered window's
-	// IOVAs are reused immediately, so their invalidation cannot sit in
-	// the deferred batch.
-	return d.remapRxPaged(desc, p.PreservesPTCaches())
-}
-
-func (deferredPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	return d.mapTxPaged(cpu, pages)
-}
-
-func (deferredPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
-	var cost sim.Duration
-	for _, v := range m.IOVAs {
-		if _, err := d.table.Unmap(v, ptable.PageSize); err != nil {
-			return cost, err
-		}
-		cost += d.cfg.Costs.UnmapPage
-		d.c.PagesUnmapped++
-		d.deferredPending = append(d.deferredPending, pendingFree{v, 1, d.txFreeCPU(m.cpu)})
-	}
-	cost += d.maybeFlushDeferred()
-	d.c.TxPacketsUnmapped++
-	d.c.CPUTime += cost
-	return cost, nil
-}
-
-// ---------------------------------------------------------------------------
-// StrictContig / FNS: descriptor-sized contiguous IOVA chunks with one
-// ranged invalidation per descriptor (Figure 6b). FNS additionally keeps
-// the page-table caches (idea A).
-
-type contigPolicy struct {
-	predicates
-}
-
-func (contigPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	return d.mapRxContig(cpu)
-}
-
-func (p contigPolicy) unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	return d.unmapRxContig(desc, true, p.PreservesPTCaches())
-}
-
-func (p contigPolicy) remapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	return d.remapRxContig(desc, true, p.PreservesPTCaches())
-}
-
-func (contigPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	return d.mapTxChunked(cpu, pages)
-}
-
-func (p contigPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
-	return d.unmapTxChunked(m, true, p.PreservesPTCaches())
-}
-
-// ---------------------------------------------------------------------------
-// Persistent: mappings live forever, descriptors and Tx pages recycle —
-// the DAMN [34] / hugepage-pinning [16] family. No unmap, no
-// invalidation, weaker safety.
-
-type persistentPolicy struct {
-	predicates
-}
-
-func (persistentPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	pages := d.cfg.DescriptorPages
-	// Recycle a pre-mapped descriptor when available.
-	if n := len(d.pool[cpu]); n > 0 {
-		desc := d.pool[cpu][n-1]
-		d.pool[cpu] = d.pool[cpu][:n-1]
-		d.c.RxDescriptorsMapped++
 		return desc, 0, nil
+	case huge:
+		desc, cost, err := d.mapRxDescriptorHuge(cpu)
+		if desc != nil {
+			desc.pol = p
+		}
+		return desc, cost, err
+	case pinned:
+		if n := len(d.pool[cpu]); n > 0 {
+			desc := d.pool[cpu][n-1]
+			d.pool[cpu] = d.pool[cpu][:n-1]
+			d.c.RxDescriptorsMapped++
+			return desc, 0, nil
+		}
 	}
-	// First use: build a contiguous chunk and map it permanently.
-	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
-	base, cost, err := d.allocIOVA(cpu, pages)
+	desc := &Descriptor{cpu: cpu, pol: p, IOVAs: make([]ptable.IOVA, 0, pages)}
+	var cost sim.Duration
+	var err error
+	desc.IOVAs, cost, err = d.mapRuns(cpu, pages, p.rxRun(pages), desc.IOVAs)
 	if err != nil {
 		return nil, 0, err
 	}
-	desc.base, desc.contig, desc.persistent = base, true, true
-	for i := 0; i < pages; i++ {
-		v := base + ptable.IOVA(i*ptable.PageSize)
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return nil, 0, err
-		}
-		d.traceAccess(v)
-		desc.IOVAs = append(desc.IOVAs, v)
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-	}
 	d.c.RxDescriptorsMapped++
 	d.c.CPUTime += cost
 	return desc, cost, nil
 }
 
-func (persistentPolicy) unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	// No unmap, no invalidation: recycle. The device retains access —
-	// the weaker safety property.
-	d.pool[desc.cpu] = append(d.pool[desc.cpu], desc)
-	d.c.RxDescriptorsUnmapped++
-	return 0, nil
-}
-
-func (persistentPolicy) remapRx(*Domain, *Descriptor) (sim.Duration, error) {
-	// Persistent retains device access by design: remap is a free no-op.
-	return 0, nil
-}
-
-func (persistentPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := newTxMapping(cpu, pages, false)
+// UnmapRxDescriptor completes an Rx descriptor (§2.1 step 4): unmap every
+// page, invalidate (or revoke) per the policy that mapped it, free the
+// IOVAs.
+func (d *Domain) UnmapRxDescriptor(desc *Descriptor) (sim.Duration, error) {
+	p := desc.pol
+	switch p.layout {
+	case identity:
+		return 0, nil
+	case huge:
+		return d.unmapRxDescriptorHuge(desc)
+	case pinned:
+		// Recycle: the device keeps access, the weaker safety property.
+		d.pool[desc.cpu] = append(d.pool[desc.cpu], desc)
+		d.c.RxDescriptorsUnmapped++
+		return 0, nil
+	}
 	var cost sim.Duration
-	for i := 0; i < pages; i++ {
-		if p := d.txPools(cpu); len(p.free) > 0 {
-			v := p.free[len(p.free)-1]
-			p.free = p.free[:len(p.free)-1]
-			m.IOVAs = append(m.IOVAs, v)
-			continue
-		}
-		v, c, err := d.allocIOVA(cpu, 1)
-		if err != nil {
-			return nil, 0, err
-		}
+	run := p.rxRun(len(desc.IOVAs))
+	for i := 0; i < len(desc.IOVAs); i += run {
+		c, err := d.unmapRun(p, p.revocation, desc.IOVAs[i], run)
 		cost += c
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return nil, 0, err
-		}
-		d.traceAccess(v)
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-		m.IOVAs = append(m.IOVAs, v)
-	}
-	d.c.TxPacketsMapped++
-	d.c.CPUTime += cost
-	return m, cost, nil
-}
-
-func (persistentPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
-	p := d.txPools(m.cpu)
-	p.free = append(p.free, m.IOVAs...)
-	d.c.TxPacketsUnmapped++
-	return 0, nil
-}
-
-// ---------------------------------------------------------------------------
-// FNSHuge: Rx descriptors carved from 2MB huge mappings (§5 future
-// work); the Tx datapath is unchanged from FNS.
-
-type hugePolicy struct {
-	predicates
-}
-
-func (hugePolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	return d.mapRxDescriptorHuge(cpu)
-}
-
-func (hugePolicy) unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	return d.unmapRxDescriptorHuge(desc)
-}
-
-func (hugePolicy) remapRx(*Domain, *Descriptor) (sim.Duration, error) {
-	// FNSHuge revokes at 2MB granularity only — rotating one descriptor
-	// inside a shared huge chunk is impossible, so the window behaves
-	// persistently (the §5 trade-off at its extreme).
-	return 0, nil
-}
-
-func (hugePolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	return d.mapTxChunked(cpu, pages)
-}
-
-func (p hugePolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
-	return d.unmapTxChunked(m, true, p.PreservesPTCaches())
-}
-
-// ---------------------------------------------------------------------------
-// DeferNoShootdown: the deliberately unsafe strawman — contiguous unmaps
-// like FNS, but no invalidation is ever submitted.
-
-type noShootdownPolicy struct {
-	predicates
-}
-
-func (noShootdownPolicy) mapRx(d *Domain, cpu int) (*Descriptor, sim.Duration, error) {
-	// The strawman maps identically to FNS; it only differs on the unmap
-	// side (no shootdown).
-	return d.mapRxContig(cpu)
-}
-
-func (p noShootdownPolicy) unmapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	// Ranged unmap like FNS, but no invalidation is ever submitted and
-	// the IOVAs recycle immediately. Cached IOTLB/PTcache entries survive
-	// past the unmap, so a later DMA — stray or legitimate after
-	// recycling — can be served stale. The safety auditor exists to catch
-	// exactly this.
-	return d.unmapRxContig(desc, false, p.PreservesPTCaches())
-}
-
-func (p noShootdownPolicy) remapRx(d *Domain, desc *Descriptor) (sim.Duration, error) {
-	// The strawman: re-point the pages, never tell the caches.
-	return d.remapRxContig(desc, false, p.PreservesPTCaches())
-}
-
-func (noShootdownPolicy) mapTx(d *Domain, cpu, pages int) (*TxMapping, sim.Duration, error) {
-	return d.mapTxChunked(cpu, pages)
-}
-
-func (p noShootdownPolicy) unmapTx(d *Domain, m *TxMapping) (sim.Duration, error) {
-	// Ranged unmaps like FNS but no invalidation requests; chunk slots
-	// recycle immediately.
-	return d.unmapTxChunked(m, false, p.PreservesPTCaches())
-}
-
-// ---------------------------------------------------------------------------
-// Shared datapath bodies. Each is the verbatim case body of the
-// pre-seam switch, used by more than one policy.
-
-// mapRxPaged is default Linux Rx preparation: one page-sized IOVA per
-// page, no contiguity (Strict, Deferred, StrictPreserve).
-func (d *Domain) mapRxPaged(cpu int) (*Descriptor, sim.Duration, error) {
-	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
-	var cost sim.Duration
-	for i := 0; i < pages; i++ {
-		v, c, err := d.allocIOVA(cpu, 1)
 		if err != nil {
-			return nil, 0, err
+			return cost, err
 		}
-		cost += c
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return nil, 0, err
-		}
-		d.traceAccess(v)
-		desc.IOVAs = append(desc.IOVAs, v)
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
+		cost += d.release(p, desc.cpu, desc.IOVAs[i], run)
 	}
-	d.c.RxDescriptorsMapped++
-	d.c.CPUTime += cost
-	return desc, cost, nil
-}
-
-// mapRxContig is F&S idea B: one descriptor-sized contiguous chunk,
-// mapped page by page (Figure 4b) — no hardware or allocator changes
-// (StrictContig, FNS, DeferNoShootdown).
-func (d *Domain) mapRxContig(cpu int) (*Descriptor, sim.Duration, error) {
-	pages := d.cfg.DescriptorPages
-	desc := &Descriptor{cpu: cpu, IOVAs: make([]ptable.IOVA, 0, pages)}
-	base, cost, err := d.allocIOVA(cpu, pages)
-	if err != nil {
-		return nil, 0, err
-	}
-	desc.base, desc.contig = base, true
-	for i := 0; i < pages; i++ {
-		v := base + ptable.IOVA(i*ptable.PageSize)
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return nil, 0, err
-		}
-		d.traceAccess(v)
-		desc.IOVAs = append(desc.IOVAs, v)
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-	}
-	d.c.RxDescriptorsMapped++
-	d.c.CPUTime += cost
-	return desc, cost, nil
-}
-
-// unmapRxContig completes a contiguous descriptor: one ranged unmap and
-// — when inv is set — a single batched invalidation request for the
-// whole descriptor (Figure 6b); iotlbOnly is the calling policy's
-// PTcache-preservation predicate. The strawman passes inv=false.
-func (d *Domain) unmapRxContig(desc *Descriptor, inv, iotlbOnly bool) (sim.Duration, error) {
-	var cost sim.Duration
-	pages := len(desc.IOVAs)
-	res, err := d.table.Unmap(desc.base, uint64(pages)*ptable.PageSize)
-	if err != nil {
-		return cost, err
-	}
-	cost += d.cfg.Costs.UnmapPage * sim.Duration(pages)
-	d.c.PagesUnmapped += int64(pages)
-	if inv {
-		cost += d.invalidate(desc.base, pages, iotlbOnly)
-		if iotlbOnly && len(res.Reclaimed) > 0 {
-			d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
-			d.c.Reclaims += int64(len(res.Reclaimed))
-		}
-	}
-	cost += d.freeIOVA(desc.cpu, desc.base, pages)
+	cost += d.maybeFlush(p)
 	d.c.RxDescriptorsUnmapped++
 	d.c.CPUTime += cost
 	return cost, nil
 }
 
-// remapRxPaged rotates a registered window per page: unmap + eager
-// per-page invalidation, then remap in place (Strict, StrictPreserve,
-// Deferred); iotlbOnly is the calling policy's PTcache-preservation
-// predicate.
-func (d *Domain) remapRxPaged(desc *Descriptor, iotlbOnly bool) (sim.Duration, error) {
+// RemapRxDescriptor rotates the buffers behind a registered descriptor:
+// one-sided RDMA peers address a memory window by fixed offsets for the
+// life of the registration, so the IOVA layout is preserved while every
+// page is unmapped — paying the mode's invalidation policy, including
+// the ATC shoot-down when a device cache is attached — and remapped to
+// fresh physical pages. This is exactly where an unsafe mode shows:
+// DeferNoShootdown re-points the pages with no invalidation at all, so
+// the IOTLB and any device-side ATC keep serving the old physical
+// addresses for IOVAs that are still mapped — just not there.
+func (d *Domain) RemapRxDescriptor(desc *Descriptor) (sim.Duration, error) {
+	p := desc.pol
+	rev := p.revocation
+	switch {
+	case p.layout != paged && p.layout != contig:
+		// Identity and pinned windows keep device access by design, and
+		// a huge chunk revokes only at 2MB granularity: rotating one
+		// descriptor inside it is impossible (§5's trade-off at its
+		// extreme). The window stays in place, free.
+		return 0, nil
+	case rev == deferredFlush:
+		// The IOVAs are reused at once, so their invalidation cannot
+		// sit in the batch.
+		rev = invalidate
+	case rev == revokeCap || rev == lazyRevokeCap:
+		// The re-grant at the new frame is itself the revocation; only
+		// the shadow table is unmapped.
+		rev = noShootdown
+	}
 	var cost sim.Duration
-	for _, v := range desc.IOVAs {
-		res, err := d.table.Unmap(v, ptable.PageSize)
-		if err != nil {
-			return cost, err
-		}
-		cost += d.cfg.Costs.UnmapPage
-		d.c.PagesUnmapped++
-		cost += d.invalidate(v, 1, iotlbOnly)
-		if iotlbOnly && len(res.Reclaimed) > 0 {
-			d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
-			d.c.Reclaims += int64(len(res.Reclaimed))
-		}
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return cost, err
-		}
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-	}
-	d.c.RxDescriptorsUnmapped++
-	d.c.RxDescriptorsMapped++
-	d.c.CPUTime += cost
-	return cost, nil
-}
-
-// remapRxContig rotates a registered window with a ranged unmap, one
-// batched invalidation (when inv is set — the strawman re-points the
-// pages without telling the caches), then remaps page by page;
-// iotlbOnly is the calling policy's PTcache-preservation predicate.
-func (d *Domain) remapRxContig(desc *Descriptor, inv, iotlbOnly bool) (sim.Duration, error) {
-	var cost sim.Duration
-	pages := len(desc.IOVAs)
-	res, err := d.table.Unmap(desc.base, uint64(pages)*ptable.PageSize)
-	if err != nil {
-		return cost, err
-	}
-	cost += d.cfg.Costs.UnmapPage * sim.Duration(pages)
-	d.c.PagesUnmapped += int64(pages)
-	if inv {
-		cost += d.invalidate(desc.base, pages, iotlbOnly)
-		if iotlbOnly && len(res.Reclaimed) > 0 {
-			d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
-			d.c.Reclaims += int64(len(res.Reclaimed))
-		}
-	}
-	for _, v := range desc.IOVAs {
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return cost, err
-		}
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-	}
-	d.c.RxDescriptorsUnmapped++
-	d.c.RxDescriptorsMapped++
-	d.c.CPUTime += cost
-	return cost, nil
-}
-
-// mapTxPaged maps a Tx packet with one page-sized IOVA per page (Strict,
-// Deferred, StrictPreserve).
-func (d *Domain) mapTxPaged(cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := newTxMapping(cpu, pages, false)
-	var cost sim.Duration
-	for i := 0; i < pages; i++ {
-		v, c, err := d.allocIOVA(cpu, 1)
-		if err != nil {
-			return nil, 0, err
-		}
+	run := p.rxRun(len(desc.IOVAs))
+	for i := 0; i < len(desc.IOVAs); i += run {
+		c, err := d.unmapRun(p, rev, desc.IOVAs[i], run)
 		cost += c
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return nil, 0, err
+		if err != nil {
+			return cost, err
 		}
-		d.traceAccess(v)
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-		m.IOVAs = append(m.IOVAs, v)
-	}
-	d.c.TxPacketsMapped++
-	d.c.CPUTime += cost
-	return m, cost, nil
-}
-
-// mapTxChunked fills per-CPU descriptor-sized IOVA chunks across packets
-// in transmission order (§3's Tx generalisation: StrictContig, FNS,
-// FNSHuge, DeferNoShootdown).
-func (d *Domain) mapTxChunked(cpu, pages int) (*TxMapping, sim.Duration, error) {
-	m := newTxMapping(cpu, pages, true)
-	var cost sim.Duration
-	for i := 0; i < pages; i++ {
-		ch := d.txChunks[cpu]
-		if ch == nil || ch.next == ch.pages {
-			base, c, err := d.allocIOVA(cpu, d.cfg.DescriptorPages)
-			if err != nil {
-				return nil, 0, err
-			}
+		for _, v := range desc.IOVAs[i : i+run] {
+			c, err := d.remapPage(p, v)
 			cost += c
-			ch = &txChunk{base: base, pages: d.cfg.DescriptorPages}
-			d.txChunks[cpu] = ch
+			if err != nil {
+				return cost, err
+			}
 		}
-		v := ch.base + ptable.IOVA(ch.next*ptable.PageSize)
-		ch.next++
-		if err := d.table.Map(v, d.newPhys()); err != nil {
-			return nil, 0, err
+	}
+	if p.revocation == lazyRevokeCap {
+		cost += d.cfg.Costs.CacheAlloc + d.maybeFlush(p)
+	}
+	d.c.RxDescriptorsUnmapped++
+	d.c.RxDescriptorsMapped++
+	d.c.CPUTime += cost
+	return cost, nil
+}
+
+// MapTx maps a Tx packet occupying the given number of pages on cpu.
+func (d *Domain) MapTx(cpu, pages int) (*TxMapping, sim.Duration, error) {
+	if pages <= 0 {
+		pages = 1
+	}
+	p := d.pol
+	m := newTxMapping(cpu, pages, p.layout == contig || p.layout == huge)
+	m.pol = p
+	var cost sim.Duration
+	var err error
+	switch p.layout {
+	case identity:
+		for i := 0; i < pages; i++ {
+			m.IOVAs = append(m.IOVAs, ptable.IOVA(d.newPhys()))
 		}
-		d.traceAccess(v)
-		cost += d.cfg.Costs.MapPage
-		d.c.PagesMapped++
-		m.IOVAs = append(m.IOVAs, v)
-		m.chunks = append(m.chunks, ch)
+		return m, 0, nil
+	case pinned:
+		// Recycle pre-mapped pages first.
+		pool := d.txPools(cpu)
+		for len(pool.free) > 0 && len(m.IOVAs) < pages {
+			m.IOVAs = append(m.IOVAs, pool.free[len(pool.free)-1])
+			pool.free = pool.free[:len(pool.free)-1]
+		}
+		fallthrough
+	case paged:
+		m.IOVAs, cost, err = d.mapRuns(cpu, pages-len(m.IOVAs), 1, m.IOVAs)
+	default:
+		cost, err = d.mapChunked(m, pages)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	d.c.TxPacketsMapped++
 	d.c.CPUTime += cost
 	return m, cost, nil
 }
 
-// unmapTxChunked completes a chunk-mapped Tx packet: the packet's pages
-// are grouped into contiguous runs (they are contiguous except across a
-// chunk boundary), each run is unmapped — and, when inv is set, covered
-// by one ranged invalidation — and chunk slots are released, freeing the
-// chunk once fully released; iotlbOnly is the calling policy's
-// PTcache-preservation predicate.
-func (d *Domain) unmapTxChunked(m *TxMapping, inv, iotlbOnly bool) (sim.Duration, error) {
+// UnmapTx completes a Tx packet: unmap its pages and invalidate (or
+// revoke) per the policy that mapped it — a packet in flight across a
+// runtime mode switch completes under the rules that laid it out.
+// Strict safety requires the device to lose access as soon as the
+// packet completes, so even F&S invalidates here — but ranged over each
+// contiguous run the packet occupies within its chunks.
+func (d *Domain) UnmapTx(m *TxMapping) (sim.Duration, error) {
+	p := m.pol
+	switch p.layout {
+	case identity:
+		return 0, nil
+	case pinned:
+		pool := d.txPools(m.cpu)
+		pool.free = append(pool.free, m.IOVAs...)
+		d.c.TxPacketsUnmapped++
+		return 0, nil
+	}
+	cpu := d.txFreeCPU(m.cpu)
 	var cost sim.Duration
-	i := 0
-	for i < len(m.IOVAs) {
-		j := i + 1
-		for j < len(m.IOVAs) &&
-			m.IOVAs[j] == m.IOVAs[j-1]+ptable.PageSize &&
-			m.chunks[j] == m.chunks[i] {
+	for i, j := 0, 1; i < len(m.IOVAs); i, j = j, j+1 {
+		// A paged packet is runs of one page, a chunked one a run per
+		// chunk it touches.
+		for p.layout != paged && j < len(m.IOVAs) &&
+			m.IOVAs[j] == m.IOVAs[j-1]+ptable.PageSize && m.chunks[j] == m.chunks[i] {
 			j++
 		}
-		run := j - i
-		res, err := d.table.Unmap(m.IOVAs[i], uint64(run)*ptable.PageSize)
+		c, err := d.unmapRun(p, p.revocation, m.IOVAs[i], j-i)
+		cost += c
 		if err != nil {
 			return cost, err
 		}
-		cost += d.cfg.Costs.UnmapPage * sim.Duration(run)
-		d.c.PagesUnmapped += int64(run)
-		if inv {
-			cost += d.invalidate(m.IOVAs[i], run, iotlbOnly)
-			if iotlbOnly && len(res.Reclaimed) > 0 {
-				d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
-				d.c.Reclaims += int64(len(res.Reclaimed))
-			}
+		if p.layout == paged {
+			cost += d.release(p, cpu, m.IOVAs[i], 1)
+			continue
 		}
 		// Release chunk slots; free the chunk once fully released.
 		ch := m.chunks[i]
-		ch.released += run
+		ch.released += j - i
 		if ch.released == ch.pages {
-			cost += d.freeIOVA(d.txFreeCPU(m.cpu), ch.base, ch.pages)
+			cost += d.release(p, cpu, ch.base, ch.pages)
 			if d.txChunks[m.cpu] == ch {
 				d.txChunks[m.cpu] = nil
 			}
 		}
-		i = j
 	}
+	cost += d.maybeFlush(p)
 	d.c.TxPacketsUnmapped++
 	d.c.CPUTime += cost
 	return cost, nil
+}
+
+// mapPage maps v to a fresh physical page and records its L3 trace. A
+// capability domain also grants the device the page, at CapGrant
+// instead of MapPage.
+func (d *Domain) mapPage(v ptable.IOVA) (sim.Duration, error) {
+	phys := d.newPhys()
+	if err := d.table.Map(v, phys); err != nil {
+		return 0, err
+	}
+	d.traceAccess(v)
+	d.c.PagesMapped++
+	if d.caps != nil {
+		d.caps.Grant(v, phys)
+		return d.cfg.Costs.CapGrant, nil
+	}
+	return d.cfg.Costs.MapPage, nil
+}
+
+// mapRun maps the n pages from base, appending their IOVAs.
+func (d *Domain) mapRun(base ptable.IOVA, n int, iovas []ptable.IOVA) ([]ptable.IOVA, sim.Duration, error) {
+	var cost sim.Duration
+	for i := 0; i < n; i++ {
+		v := base + ptable.IOVA(i*ptable.PageSize)
+		c, err := d.mapPage(v)
+		if err != nil {
+			return iovas, cost, err
+		}
+		cost += c
+		iovas = append(iovas, v)
+	}
+	return iovas, cost, nil
+}
+
+// mapRuns maps pages pages on cpu as runs of run pages, each run one
+// IOVA allocation.
+func (d *Domain) mapRuns(cpu, pages, run int, iovas []ptable.IOVA) ([]ptable.IOVA, sim.Duration, error) {
+	var cost sim.Duration
+	for k := 0; k < pages; k += run {
+		base, c, err := d.allocIOVA(cpu, run)
+		if err != nil {
+			return iovas, cost, err
+		}
+		cost += c
+		if iovas, c, err = d.mapRun(base, run, iovas); err != nil {
+			return iovas, cost, err
+		}
+		cost += c
+	}
+	return iovas, cost, nil
+}
+
+// mapChunked fills the packet's CPU's descriptor-sized IOVA chunks
+// across packets in transmission order (§3's Tx generalisation): one run
+// per chunk the packet touches.
+func (d *Domain) mapChunked(m *TxMapping, pages int) (sim.Duration, error) {
+	var cost sim.Duration
+	for len(m.IOVAs) < pages {
+		ch := d.txChunks[m.cpu]
+		if ch == nil || ch.next == ch.pages {
+			base, c, err := d.allocIOVA(m.cpu, d.cfg.DescriptorPages)
+			if err != nil {
+				return cost, err
+			}
+			cost += c
+			ch = &txChunk{base: base, pages: d.cfg.DescriptorPages}
+			d.txChunks[m.cpu] = ch
+		}
+		n := min(pages-len(m.IOVAs), ch.pages-ch.next)
+		v := ch.base + ptable.IOVA(ch.next*ptable.PageSize)
+		ch.next += n
+		var c sim.Duration
+		var err error
+		if m.IOVAs, c, err = d.mapRun(v, n, m.IOVAs); err != nil {
+			return cost, err
+		}
+		cost += c
+		for k := 0; k < n; k++ {
+			m.chunks = append(m.chunks, ch)
+		}
+	}
+	return cost, nil
+}
+
+// remapPage points the still-reserved IOVA v at a fresh physical page.
+// In the capability family the grant moves with it: eagerly (the
+// overwrite revokes the old grant) or deferred to the batch, leaving the
+// old grant serving the old frame until the flush.
+func (d *Domain) remapPage(p *Policy, v ptable.IOVA) (sim.Duration, error) {
+	phys := d.newPhys()
+	if err := d.table.Map(v, phys); err != nil {
+		return 0, err
+	}
+	d.c.PagesMapped++
+	switch p.revocation {
+	case revokeCap:
+		d.caps.Grant(v, phys)
+		return d.cfg.Costs.CapGrant, nil
+	case lazyRevokeCap:
+		d.batch.regrants = append(d.batch.regrants, capRegrant{v, phys})
+		d.batch.pages++
+		return 0, nil
+	}
+	return d.cfg.Costs.MapPage, nil
+}
+
+// unmapRun unmaps the n pages from base with one table unmap, then
+// revokes the device's access to them as rev says. A capability
+// domain's shadow table is free to update; a page-table domain pays
+// UnmapPage per page.
+func (d *Domain) unmapRun(p *Policy, rev revocation, base ptable.IOVA, n int) (sim.Duration, error) {
+	res, err := d.table.Unmap(base, uint64(n)*ptable.PageSize)
+	if err != nil {
+		return 0, err
+	}
+	var cost sim.Duration
+	if d.caps == nil {
+		cost = d.cfg.Costs.UnmapPage * sim.Duration(n)
+	}
+	d.c.PagesUnmapped += int64(n)
+	switch rev {
+	case invalidate:
+		cost += d.invalidate(base, n, p.preservesPTCaches)
+		if p.preservesPTCaches && len(res.Reclaimed) > 0 {
+			// Keeping the page-table caches is safe only if entries
+			// pointing at reclaimed page-table pages go too.
+			d.mmu.InvalidateReclaimedIn(d.domID, res.Reclaimed)
+			d.c.Reclaims += int64(len(res.Reclaimed))
+		}
+	case deferredFlush:
+		d.batch.pages += n
+	case revokeCap:
+		for i := 0; i < n; i++ {
+			d.caps.Revoke(base + ptable.IOVA(i*ptable.PageSize))
+			cost += d.cfg.Costs.CapRevoke
+		}
+	case lazyRevokeCap:
+		// Until the flush the device's capability still stands: the
+		// window the auditor must catch. One bookkeeping charge for the
+		// batch append.
+		d.batch.revokes = append(d.batch.revokes, pendingFree{base: base, pages: n})
+		d.batch.pages += n
+		cost += d.cfg.Costs.CacheAlloc
+	}
+	return cost, nil
+}
+
+// release frees an unmapped IOVA range now or, under a batched
+// revocation, queues the free behind the batch, so no address is reused
+// while the device may still reach it.
+func (d *Domain) release(p *Policy, cpu int, base ptable.IOVA, n int) sim.Duration {
+	if p.batched() {
+		d.batch.frees = append(d.batch.frees, pendingFree{base, n, cpu})
+		return 0
+	}
+	return d.freeIOVA(cpu, base, n)
+}
+
+// batch is the one deferred-revocation batch: deferred's pending
+// invalidations or cap-lazyrevoke's pending revocations, with the IOVA
+// frees and window re-grants queued behind them. A domain never changes
+// protection family, so it only ever holds one family's entries.
+type batch struct {
+	pages    int           // unmapped pages the device may still reach
+	revokes  []pendingFree // capability ranges killed at the flush
+	frees    []pendingFree // IOVA ranges released at the flush
+	regrants []capRegrant  // window re-grants installed at the flush
+}
+
+// maybeFlush flushes the batch once a batched revocation has let enough
+// pages pile up (the threshold path; the caller charges the cost).
+func (d *Domain) maybeFlush(p *Policy) sim.Duration {
+	if !p.batched() || d.batch.pages < d.knobs.DeferredLimit {
+		return 0
+	}
+	return d.flush()
+}
+
+// flush drains the batch. A page-table domain submits one flush-all
+// invalidation (Linux lazy mode flushes the whole IOTLB); a capability
+// domain sweeps the pending grants away, an amortized per-entry table
+// update cheaper than an eager revoke. Revocation comes before the
+// frees, so no address is re-granted while an old capability or cached
+// translation still covers it.
+func (d *Domain) flush() sim.Duration {
+	b := &d.batch
+	if b.pages == 0 {
+		return 0
+	}
+	var cost sim.Duration
+	if d.caps == nil {
+		cost = d.flushInvalidate()
+	}
+	for _, r := range b.revokes {
+		for i := 0; i < r.pages; i++ {
+			d.caps.Revoke(r.base + ptable.IOVA(i*ptable.PageSize))
+			cost += d.cfg.Costs.CacheAlloc
+		}
+	}
+	for _, f := range b.frees {
+		cost += d.freeIOVA(f.cpu, f.base, f.pages)
+	}
+	for _, rg := range b.regrants {
+		d.caps.Grant(rg.v, rg.phys)
+		cost += d.cfg.Costs.CapGrant
+	}
+	*b = batch{revokes: b.revokes[:0], frees: b.frees[:0], regrants: b.regrants[:0]}
+	d.c.DeferredFlushes++
+	return cost
 }

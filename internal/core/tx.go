@@ -1,31 +1,16 @@
 package core
 
-import (
-	"fastsafe/internal/ptable"
-	"fastsafe/internal/sim"
-)
+import "fastsafe/internal/ptable"
 
 // Tx datapath. Unlike Rx descriptors, Tx packets arrive one at a time from
 // the stack and each packet needs its own page-sized mappings (§3). Under
 // F&S, per-CPU descriptor-sized IOVA chunks are filled *across* packets in
-// transmission order, so invalidations can still be ranged. The per-mode
-// bodies live with their policies (policy.go, cap.go).
+// transmission order, so invalidations can still be ranged. MapTx and
+// UnmapTx live with the other driver operations in policy.go.
 
 // txPool is the per-CPU freelist of persistent pre-mapped Tx pages.
 type txPool struct {
 	free []ptable.IOVA
-}
-
-// MapTx maps a Tx packet occupying the given number of pages on cpu.
-func (d *Domain) MapTx(cpu, pages int) (*TxMapping, sim.Duration, error) {
-	if pages <= 0 {
-		pages = 1
-	}
-	m, cost, err := d.pol.mapTx(d, cpu, pages)
-	if m != nil {
-		m.pol = d.pol
-	}
-	return m, cost, err
 }
 
 func (d *Domain) txPools(cpu int) *txPool {
@@ -36,18 +21,4 @@ func (d *Domain) txPools(cpu int) *txPool {
 		d.txPool[cpu] = &txPool{}
 	}
 	return d.txPool[cpu]
-}
-
-// UnmapTx completes a Tx packet: unmap its pages and invalidate (or
-// revoke) per the policy that mapped it — a packet in flight across a
-// runtime mode switch completes under the rules that laid it out.
-// Strict safety requires the device to lose access as soon as the
-// packet completes, so even F&S invalidates here — but ranged over each
-// contiguous run the packet occupies within its chunks.
-func (d *Domain) UnmapTx(m *TxMapping) (sim.Duration, error) {
-	pol := m.pol
-	if pol == nil {
-		pol = d.pol
-	}
-	return pol.unmapTx(d, m)
 }
