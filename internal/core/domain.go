@@ -61,6 +61,25 @@ func DefaultCosts() CostModel {
 	}
 }
 
+// Validate rejects a negative cost. Every field is CPU time charged to a
+// core per operation, so a negative one would silently credit the cores
+// and hide the protection overhead the figures measure.
+func (c CostModel) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    sim.Duration
+	}{
+		{"CacheAlloc", c.CacheAlloc}, {"TreeAlloc", c.TreeAlloc}, {"TreeNodeVisit", c.TreeNodeVisit},
+		{"MapPage", c.MapPage}, {"UnmapPage", c.UnmapPage}, {"InvRequest", c.InvRequest},
+		{"ATCInvRequest", c.ATCInvRequest}, {"CapGrant", c.CapGrant}, {"CapRevoke", c.CapRevoke},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: Costs.%s must be >= 0, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Config configures a protection Domain.
 type Config struct {
 	Mode            Mode
@@ -245,9 +264,12 @@ type pendingFree struct {
 }
 
 // NewDomain builds a protection domain. A mode with no registered
-// policy is a construction-time error — the datapaths carry no
-// "unhandled mode" branches.
+// policy or a negative cost is a construction-time error — the
+// datapaths carry no "unhandled mode" branches.
 func NewDomain(cfg Config) (*Domain, error) {
+	if err := cfg.Costs.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	pol, ok := PolicyFor(cfg.Mode)
 	if !ok {

@@ -44,6 +44,8 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{Seed: -3}, "host: Seed must be >= 0, got -3"},
 		{Config{FaultSeed: -2}, "host: FaultSeed must be >= 0, got -2"},
 		{Config{Telemetry: TelemetryConfig{SampleEvery: -1}}, "host: Telemetry.SampleEvery must be >= 0, got -1ns"},
+		// Protection costs are core.CostModel's to check.
+		{Config{Costs: core.CostModel{InvRequest: -1}}, "core: Costs.InvRequest must be >= 0, got -1ns"},
 		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
 		{Config{Serve: &ServeConfig{Conns: -4, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got -4"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 100}}, "host: Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
