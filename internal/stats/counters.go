@@ -1,15 +1,9 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // Counter is a monotonically increasing event count.
 //
-// Counters are engine-confined, not atomic: every Counter (and Set)
-// belongs to exactly one simulation's single-threaded event loop, and the
+// Counters are engine-confined, not atomic: every Counter belongs to
+// exactly one simulation's single-threaded event loop, and the
 // sweep runner keeps whole simulations on single goroutines. Audited for
 // the concurrent runner: nothing in this package is shared across hosts,
 // so the hot-path increments stay plain int64 (go test -race enforces
@@ -33,70 +27,6 @@ func (c *Counter) Value() int64 { return c.n }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
-
-// Set is a named collection of counters, the simulator's analogue of the
-// PCM hardware counters the paper reads. Names are created on first use.
-type Set struct {
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{counters: make(map[string]*Counter)} }
-
-// C returns the counter with the given name, creating it if needed.
-func (s *Set) C(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Value returns the value of the named counter (0 if never touched).
-func (s *Set) Value(name string) int64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// Names returns all counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of all counter values.
-func (s *Set) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(s.counters))
-	for n, c := range s.counters {
-		out[n] = c.Value()
-	}
-	return out
-}
-
-// Reset zeroes every counter, keeping the names registered.
-func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.Reset()
-	}
-}
-
-func (s *Set) String() string {
-	var b strings.Builder
-	for i, n := range s.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", n, s.counters[n].Value())
-	}
-	return b.String()
-}
 
 // Ratio returns a/b as float64, or 0 when b is 0. It is the helper used to
 // normalise miss counters "per page worth of data" the way the paper does.

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
@@ -26,61 +23,6 @@ func TestCounterNegativePanics(t *testing.T) {
 	}()
 	var c Counter
 	c.Add(-1)
-}
-
-func TestSetCreatesOnFirstUse(t *testing.T) {
-	s := NewSet()
-	s.C("iotlb_miss").Inc()
-	s.C("iotlb_miss").Inc()
-	if got := s.Value("iotlb_miss"); got != 2 {
-		t.Fatalf("Value = %d, want 2", got)
-	}
-	if got := s.Value("never"); got != 0 {
-		t.Fatalf("untouched counter = %d, want 0", got)
-	}
-}
-
-func TestSetNamesSorted(t *testing.T) {
-	s := NewSet()
-	s.C("z").Inc()
-	s.C("a").Inc()
-	s.C("m").Inc()
-	names := s.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
-		t.Fatalf("Names = %v, want sorted [a m z]", names)
-	}
-}
-
-func TestSetSnapshotIsCopy(t *testing.T) {
-	s := NewSet()
-	s.C("x").Add(7)
-	snap := s.Snapshot()
-	s.C("x").Inc()
-	if snap["x"] != 7 {
-		t.Fatalf("snapshot mutated: %d", snap["x"])
-	}
-}
-
-func TestSetReset(t *testing.T) {
-	s := NewSet()
-	s.C("x").Add(3)
-	s.Reset()
-	if s.Value("x") != 0 {
-		t.Fatal("Reset did not zero counters")
-	}
-	// Name should still be registered.
-	if len(s.Names()) != 1 {
-		t.Fatal("Reset dropped counter names")
-	}
-}
-
-func TestSetString(t *testing.T) {
-	s := NewSet()
-	s.C("b").Add(2)
-	s.C("a").Add(1)
-	if got := s.String(); !strings.Contains(got, "a=1") || !strings.Contains(got, "b=2") {
-		t.Fatalf("String = %q", got)
-	}
 }
 
 func TestRatio(t *testing.T) {

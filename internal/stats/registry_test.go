@@ -146,27 +146,6 @@ func TestRegistryDumpOrderDeterministic(t *testing.T) {
 	}
 }
 
-// Set dumps (the pre-registry counter collection) must also iterate
-// deterministically.
-func TestSetDumpOrderDeterministic(t *testing.T) {
-	names := []string{"m", "c", "x", "a", "k"}
-	build := func(perm []int) *Set {
-		s := NewSet()
-		for _, i := range perm {
-			s.C(names[i]).Add(int64(i + 1))
-		}
-		return s
-	}
-	ref := build([]int{0, 1, 2, 3, 4})
-	got := build(rand.New(rand.NewSource(2)).Perm(len(names)))
-	if ref.String() != got.String() {
-		t.Fatalf("Set dump depends on insertion order:\n%s\nvs\n%s", ref, got)
-	}
-	if !sort.StringsAreSorted(got.Names()) {
-		t.Fatalf("Set.Names() not sorted: %v", got.Names())
-	}
-}
-
 // Histogram quantiles must agree exactly with a sorted-slice oracle after
 // both are pushed through the bucket quantisation: the histogram's
 // Quantile(q) is the bucket lower bound of the sample at rank ceil(q*n).
