@@ -153,12 +153,11 @@ func (d *Domain) MapRxDescriptor(cpu int) (*Descriptor, sim.Duration, error) {
 		}
 	}
 	desc := &Descriptor{cpu: cpu, pol: p, IOVAs: make([]ptable.IOVA, 0, pages)}
-	var cost sim.Duration
-	var err error
-	desc.IOVAs, cost, err = d.mapRuns(cpu, pages, p.rxRun(pages), desc.IOVAs)
+	iovas, cost, err := d.mapRuns(cpu, pages, p.rxRun(pages), desc.IOVAs)
 	if err != nil {
 		return nil, 0, err
 	}
+	desc.IOVAs = iovas
 	d.c.RxDescriptorsMapped++
 	d.c.CPUTime += cost
 	return desc, cost, nil
@@ -406,9 +405,9 @@ func (d *Domain) mapChunked(m *TxMapping, pages int) (sim.Duration, error) {
 		n := min(pages-len(m.IOVAs), ch.pages-ch.next)
 		v := ch.base + ptable.IOVA(ch.next*ptable.PageSize)
 		ch.next += n
-		var c sim.Duration
-		var err error
-		if m.IOVAs, c, err = d.mapRun(v, n, m.IOVAs); err != nil {
+		iovas, c, err := d.mapRun(v, n, m.IOVAs)
+		m.IOVAs = iovas
+		if err != nil {
 			return cost, err
 		}
 		cost += c
