@@ -77,11 +77,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		h.InstallMessages(host.MsgConfig{
+		if _, err := h.InstallMessages(host.MsgConfig{
 			Pattern: host.LocalServes, Streams: 1, Depth: 1,
 			ReqBytes: *rpc, RespBytes: *rpc,
 			AppCPU: 2 * sim.Microsecond, Cores: 1, CoreBase: 5,
-		})
+		}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		h.Run(10*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond)
 		// The registry adopted the workload's own histogram when messages
 		// were installed, so reading it back through the telemetry layer

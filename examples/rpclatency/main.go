@@ -25,7 +25,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		h.InstallMessages(host.MsgConfig{
+		if _, err := h.InstallMessages(host.MsgConfig{
 			Pattern:   host.LocalServes,
 			Streams:   1,
 			Depth:     1,
@@ -34,7 +34,9 @@ func main() {
 			AppCPU:    2 * sim.Microsecond,
 			Cores:     1,
 			CoreBase:  5,
-		})
+		}); err != nil {
+			log.Fatal(err)
+		}
 		r := h.Run(10*sim.Millisecond, 100*sim.Millisecond)
 		p := r.Percentiles()
 		us := func(ns int64) float64 { return float64(ns) / 1000 }

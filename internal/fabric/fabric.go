@@ -216,39 +216,42 @@ func (c Config) PerHopProp() sim.Duration {
 	return c.Prop / c.hops()
 }
 
-// Router posts cross-shard packet hops when the switch's ports live on
-// different engine shards. gen is the virtual time the hop was generated
-// at and at its delivery time; implementations must schedule fn at time
-// at on the engine owning the destination (sim.Shards.Post has exactly
-// this contract). The switch guarantees at >= gen + PerHopProp() for
-// every hop it routes.
+// Router posts a packet's hop into the next stage of the switch. gen is
+// the virtual time the hop was generated at and at its delivery time;
+// implementations must schedule fn at time at on the engine owning the
+// destination (sim.Shards.Post has exactly this contract). The switch
+// guarantees at >= gen + PerHopProp() for every hop it routes.
 type Router interface {
-	// PostPort schedules fn in the shard owning port dst. src is the port
-	// whose shard generated the hop, or CorePort when the hop leaves the
-	// shared core link.
+	// PostPort schedules fn on the engine owning port dst. src is the
+	// port whose engine generated the hop, or CorePort when the hop
+	// leaves the shared core link.
 	PostPort(src, dst int, gen, at sim.Time, fn func())
-	// PostCore schedules fn in the shard owning the core link.
+	// PostCore schedules fn on the engine owning the core link.
 	PostCore(src int, gen, at sim.Time, fn func())
 }
+
+// engineRouter schedules every hop on one engine, the router of a
+// switch whose links all share it.
+type engineRouter struct{ eng *sim.Engine }
+
+func (r engineRouter) PostPort(_, _ int, _, at sim.Time, fn func()) { r.eng.At(at, fn) }
+func (r engineRouter) PostCore(_ int, _, at sim.Time, fn func())    { r.eng.At(at, fn) }
 
 // CorePort is the pseudo port id routers see as the source of hops that
 // leave the shared core link.
 const CorePort = -1
 
 // Switch is an N-port switched fabric. Ports are created up front so the
-// core link (when oversubscribed) can be sized to the port count.
-//
-// A switch is either engine-confined (NewSwitch: every link on one shared
-// engine, hops chained as ordinary local events) or sharded
-// (NewShardedSwitch: each port's links on its owner host's engine, hops
-// between ports posted through a Router as conservative cross-shard
-// messages).
+// core link (when oversubscribed) can be sized to the port count. Each
+// link runs on the engine that owns it, and every hop between links is
+// posted through the switch's Router: NewSwitch's schedules it on the
+// one engine, NewShardedSwitch's crosses engine shards as a
+// conservative message.
 type Switch struct {
-	eng    *sim.Engine
 	cfg    Config
 	ports  []*Port
-	core   *Link  // shared core hop, nil when non-blocking
-	router Router // nil for the engine-confined (unsharded) fabric
+	core   *Link // shared core hop, nil when non-blocking
+	router Router
 }
 
 // Port is one host's attachment point: an uplink into the switch and a
@@ -262,9 +265,9 @@ type Port struct {
 	down *Link // switch -> host
 }
 
-// NewSwitch builds an engine-confined fabric with n ports.
+// NewSwitch builds a fabric with n ports whose links all run on eng.
 func NewSwitch(eng *sim.Engine, n int, cfg Config) (*Switch, error) {
-	return newSwitch(n, cfg, func(int) *sim.Engine { return eng }, eng, nil)
+	return newSwitch(n, cfg, func(int) *sim.Engine { return eng }, eng, engineRouter{eng})
 }
 
 // NewShardedSwitch builds a fabric whose ports live on per-shard engines:
@@ -287,10 +290,13 @@ func newSwitch(n int, cfg Config, engOf func(port int) *sim.Engine, coreEng *sim
 		return nil, fmt.Errorf("fabric: a switch needs at least 2 ports, got %d", n)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Oversub < 0 {
+	switch {
+	case cfg.Prop < 0:
+		return nil, fmt.Errorf("fabric: Prop must be >= 0, got %v", cfg.Prop)
+	case cfg.Oversub < 0:
 		return nil, fmt.Errorf("fabric: Oversub must be >= 0, got %g", cfg.Oversub)
 	}
-	s := &Switch{eng: coreEng, cfg: cfg, router: r}
+	s := &Switch{cfg: cfg, router: r}
 	// The end-to-end propagation budget is split across the hops a packet
 	// takes, so a 2-port fabric matches a direct 2us link.
 	hops := cfg.hops()
@@ -340,53 +346,32 @@ func (p *Port) Send(dst int, bytes int, deliver func(ecn bool)) {
 	if dst < 0 || dst >= len(p.sw.ports) || dst == p.id {
 		panic(fmt.Sprintf("fabric: port %d sending to invalid port %d", p.id, dst))
 	}
-	out := p.sw.ports[dst]
-	if r := p.sw.router; r != nil {
-		// Sharded path: the uplink's serialisation outcome is computed
-		// synchronously (SendAt), so the hop into the next stage leaves as
-		// a timestamped message at least one per-hop propagation in the
-		// future — the router's lookahead guarantee. Each subsequent stage
-		// runs on the engine owning its link.
-		gen := p.up.eng.Now()
-		upAt, ecnUp := p.up.SendAt(bytes)
-		if p.sw.core != nil {
-			r.PostCore(p.id, gen, upAt, func() {
-				coreAt, ecnCore := p.sw.core.SendAt(bytes)
-				r.PostPort(CorePort, dst, upAt, coreAt, func() {
-					out.down.sendMarked(bytes, ecnUp || ecnCore, deliver)
-				})
+	out, r := p.sw.ports[dst], p.sw.router
+	// Each stage's serialisation outcome is computed synchronously
+	// (SendAt), so the hop into the next stage leaves as a timestamped
+	// post at least one per-hop propagation in the future — the
+	// lookahead a sharded router relies on — and runs on the engine
+	// owning the next link.
+	gen := p.up.eng.Now()
+	upAt, ecnUp := p.up.SendAt(bytes)
+	if core := p.sw.core; core != nil {
+		r.PostCore(p.id, gen, upAt, func() {
+			coreAt, ecnCore := core.SendAt(bytes)
+			r.PostPort(CorePort, dst, upAt, coreAt, func() {
+				out.down.sendMarked(bytes, ecnUp || ecnCore, deliver)
 			})
-			return
-		}
-		r.PostPort(p.id, dst, gen, upAt, func() {
-			out.down.sendMarked(bytes, ecnUp, deliver)
 		})
 		return
 	}
-	p.up.Send(bytes, func(ecnUp bool) {
-		if core := p.sw.core; core != nil {
-			core.sendMarked(bytes, ecnUp, func(ecn bool) {
-				out.down.sendMarked(bytes, ecn, deliver)
-			})
-			return
-		}
+	r.PostPort(p.id, dst, gen, upAt, func() {
 		out.down.sendMarked(bytes, ecnUp, deliver)
 	})
 }
 
-// RegisterProbes exposes every port's uplink/downlink counters (and the
-// core link's, when oversubscribed) under prefix, e.g.
-// "fabric.port0.up.bytes".
-func (s *Switch) RegisterProbes(r *stats.Registry, prefix string) {
-	for _, p := range s.ports {
-		s.RegisterPortProbes(r, prefix, p.id)
-	}
-	s.RegisterCoreProbes(r, prefix)
-}
-
 // RegisterPortProbes exposes port i's uplink/downlink counters under
-// prefix. Sharded clusters register each port's probes into the registry
-// owned by the port's shard, so probe reads stay engine-confined.
+// prefix, e.g. "fabric.port0.up.bytes". A cluster registers each port's
+// probes into the registry of the shard owning the port, so probe reads
+// stay engine-confined.
 func (s *Switch) RegisterPortProbes(r *stats.Registry, prefix string, i int) {
 	p := s.ports[i]
 	p.up.RegisterProbes(r, fmt.Sprintf("%sport%d.up.", prefix, p.id))
@@ -394,7 +379,7 @@ func (s *Switch) RegisterPortProbes(r *stats.Registry, prefix string, i int) {
 }
 
 // RegisterCoreProbes exposes the shared core link's counters under
-// prefix (a no-op for non-blocking fabrics). Sharded clusters call this
+// prefix (a no-op for non-blocking fabrics). A cluster calls this
 // against the core-owning shard's registry.
 func (s *Switch) RegisterCoreProbes(r *stats.Registry, prefix string) {
 	if s.core != nil {

@@ -74,6 +74,9 @@ func TestSwitchValidation(t *testing.T) {
 	if _, err := NewSwitch(eng, 4, Config{Oversub: -1}); err == nil {
 		t.Fatal("negative oversubscription accepted")
 	}
+	if _, err := NewSwitch(eng, 4, Config{Prop: -sim.Microsecond}); err == nil || err.Error() != "fabric: Prop must be >= 0, got -1000ns" {
+		t.Fatalf("negative propagation: err = %v", err)
+	}
 	sw, err := NewSwitch(eng, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +177,10 @@ func TestSwitchOversubscribedCore(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw, _ := NewSwitch(eng, 2, Config{Oversub: 2})
 	reg := stats.NewRegistry()
-	sw.RegisterProbes(reg, "fabric.")
+	for i := 0; i < sw.Ports(); i++ {
+		sw.RegisterPortProbes(reg, "fabric.", i)
+	}
+	sw.RegisterCoreProbes(reg, "fabric.")
 	for _, name := range []string{"fabric.port0.up.bytes", "fabric.port1.down.backlog", "fabric.core.packets"} {
 		if _, ok := reg.Value(name); !ok {
 			t.Fatalf("probe %s not registered", name)
@@ -194,14 +200,6 @@ func TestPerHopProp(t *testing.T) {
 	}
 }
 
-// directRouter posts every cross-shard hop onto one shared engine — the
-// degenerate single-shard topology, enough to drive the sharded Send
-// path end to end.
-type directRouter struct{ eng *sim.Engine }
-
-func (r directRouter) PostPort(src, dst int, gen, at sim.Time, fn func()) { r.eng.At(at, fn) }
-func (r directRouter) PostCore(src int, gen, at sim.Time, fn func())      { r.eng.At(at, fn) }
-
 func TestShardedSwitchRoutesHops(t *testing.T) {
 	if _, err := NewShardedSwitch(2, Config{}, nil, nil, nil); err == nil {
 		t.Fatal("nil router accepted")
@@ -210,7 +208,7 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 	for _, oversub := range []float64{0, 2} {
 		eng := sim.NewEngine(1)
 		sw, err := NewShardedSwitch(4, Config{Oversub: oversub},
-			func(int) *sim.Engine { return eng }, eng, directRouter{eng})
+			func(int) *sim.Engine { return eng }, eng, engineRouter{eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +237,8 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 
 // A mark set upstream survives the downlink: behind a slow core that
 // queues and marks, the downlink never queues, so every mark a packet
-// arrives with is the core's, on the engine-confined and the sharded
-// path alike.
+// arrives with is the core's, through NewSwitch and NewShardedSwitch
+// alike.
 func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		eng := sim.NewEngine(1)
@@ -248,7 +246,7 @@ func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
 		var sw *Switch
 		var err error
 		if sharded {
-			sw, err = NewShardedSwitch(4, cfg, func(int) *sim.Engine { return eng }, eng, directRouter{eng})
+			sw, err = NewShardedSwitch(4, cfg, func(int) *sim.Engine { return eng }, eng, engineRouter{eng})
 		} else {
 			sw, err = NewSwitch(eng, 4, cfg)
 		}

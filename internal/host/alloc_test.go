@@ -7,6 +7,7 @@ import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/race"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/transport"
 )
 
 // TestCoreDoToDoneAllocs locks in the bound core: with bound work and
@@ -67,5 +68,49 @@ func TestStrictHostAllocsPerDMA(t *testing.T) {
 	t.Logf("%d DMAs, %.3f allocs/DMA", d, per)
 	if per > 3 {
 		t.Errorf("%.3f allocs per DMA, want at most 3", per)
+	}
+}
+
+// TestSameShardCreditAllocs locks in the inline credit: in simbench's
+// fns-rdma-sharded configuration hosts 1-3 share shard 0 with the
+// incast sink, so the sink mirrors their delivered bytes into their Tx
+// accounting without allocating, while a credit to a host on shard 1 is
+// still posted and lands only at the next barrier.
+func TestSameShardCreditAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c, err := NewCluster(ClusterConfig{Hosts: 8, Traffic: Incast, Op: transport.Write, Shards: 2,
+		Host: Config{Mode: core.FNS, ATSEntries: 1024, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var same, cross *flow
+	for _, f := range c.Hosts()[0].net.sinks {
+		switch {
+		case f.src.h.shard == 0 && same == nil:
+			same = f
+		case f.src.h.shard != 0 && cross == nil:
+			cross = f
+		}
+	}
+	if same == nil || cross == nil {
+		t.Fatal("the incast sink has no same-shard and cross-shard flow")
+	}
+	before := same.src.c.txDeliveredBytes
+	if n := testing.AllocsPerRun(1000, func() { same.creditPeerTx(4096) }); n != 0 {
+		t.Errorf("same-shard credit: %v allocs, want 0", n)
+	}
+	if got := same.src.c.txDeliveredBytes - before; got != 1001*4096 {
+		t.Fatalf("same-shard credits applied %d bytes, want %d", got, 1001*4096)
+	}
+	before = cross.src.c.txDeliveredBytes
+	cross.creditPeerTx(4096)
+	if got := cross.src.c.txDeliveredBytes; got != before {
+		t.Fatalf("cross-shard credit applied before the barrier: %d -> %d bytes", before, got)
+	}
+	c.shards.Run(sim.Microsecond)
+	if got := cross.src.c.txDeliveredBytes - before; got != 4096 {
+		t.Fatalf("cross-shard credit landed %d bytes at the barrier, want 4096", got)
 	}
 }

@@ -17,10 +17,10 @@ import (
 // at both ends of every flow, and congestion forms where it does in a
 // real rack: at the receiver's switch port under incast.
 //
-// With Shards == 1 (the default) the whole cluster shares one event
-// engine and a Cluster is single-goroutine like a Host. With Shards > 1
-// the hosts are partitioned across engine shards run as a conservative
-// parallel DES (sim.Shards): in each synchronized lookahead window the
+// The hosts are partitioned across the engine shards of a conservative
+// parallel DES (sim.Shards). With one shard (the default) the shard's
+// engine runs straight to each deadline and a Cluster is single-goroutine
+// like a Host. With more, in each synchronized lookahead window the
 // goroutine calling Run runs one ready shard and hands every other ready
 // shard to that shard's worker goroutine, cross-host packets travel as
 // timestamped cross-shard messages, and results remain bit-deterministic
@@ -68,7 +68,7 @@ type ClusterConfig struct {
 	// Shards partitions the hosts across that many engine shards run
 	// under conservative parallel DES (sim.Shards), with lookahead equal
 	// to the fabric's per-hop propagation delay. 0 or 1 — the default —
-	// keeps every host on one shared engine, the exact legacy code path.
+	// keeps every host on one shard, whose engine runs with no rounds.
 	// Values above Hosts are clamped to Hosts (one host per shard).
 	// Results are deterministic for a given seed at any shard count and
 	// independent of GOMAXPROCS.
@@ -133,19 +133,16 @@ func (c ClusterConfig) pairs() [][2]int {
 
 // Cluster is the N-host simulation.
 type Cluster struct {
-	cfg   ClusterConfig
-	eng   *sim.Engine // shared engine (Shards==1) or shard 0's engine
-	sw    *fabric.Switch
-	hosts []*Host
-	reg   *stats.Registry
-
-	// Sharded-mode state, nil/empty when Shards == 1.
+	cfg     ClusterConfig
+	sw      *fabric.Switch
+	hosts   []*Host
+	regs    []*stats.Registry // one per shard
 	shards  *sim.Shards
 	shardOf []int // host ID -> owning shard
 }
 
-// clusterRouter carries cross-shard fabric hops: port i belongs to host
-// i's shard, the core link to shard 0.
+// clusterRouter carries fabric hops between shards: port i belongs to
+// host i's shard, the core link to shard 0.
 type clusterRouter struct{ c *Cluster }
 
 func (r clusterRouter) shardOfPort(p int) int {
@@ -211,52 +208,31 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		fc.Prop = base.PropDelay
 	}
 
-	// Engine + registry wiring: one of each shared by everything at
-	// Shards==1 (the legacy path, byte-identical behaviour), or one per
-	// shard with hosts assigned contiguously and registries merged at the
-	// end. Per-shard registries keep every instrument engine-confined
-	// during parallel rounds; names are disjoint (hostN.*, fabric.portN.*,
-	// fabric.core.*) so the merge is a pure adoption.
-	var (
-		regs  []*stats.Registry
-		engOf func(i int) *sim.Engine
-	)
-	if cfg.Shards == 1 {
-		eng := sim.NewEngine(base.Seed)
-		reg := stats.NewRegistry()
-		c.eng, c.reg = eng, reg
-		regs = []*stats.Registry{reg}
-		engOf = func(int) *sim.Engine { return eng }
-		sw, err := fabric.NewSwitch(eng, cfg.Hosts, fc)
-		if err != nil {
-			return nil, err
-		}
-		c.sw = sw
-	} else {
-		la := fc.PerHopProp()
-		if la <= 0 {
-			return nil, fmt.Errorf("host: sharded cluster needs positive fabric propagation, got per-hop %v", la)
-		}
-		c.shards = sim.NewShards(cfg.Shards, base.Seed, la)
-		c.eng = c.shards.Engine(0)
-		c.shardOf = make([]int, cfg.Hosts)
-		for i := range c.shardOf {
-			c.shardOf[i] = i * cfg.Shards / cfg.Hosts
-		}
-		regs = make([]*stats.Registry, cfg.Shards)
-		for i := range regs {
-			regs[i] = stats.NewRegistry()
-		}
-		engOf = func(i int) *sim.Engine { return c.shards.Engine(c.shardOf[i]) }
-		sw, err := fabric.NewShardedSwitch(cfg.Hosts, fc,
-			func(port int) *sim.Engine { return engOf(port) },
-			c.shards.Engine(0), clusterRouter{c})
-		if err != nil {
-			return nil, err
-		}
-		c.sw = sw
+	// One engine and one registry per shard, hosts assigned contiguously.
+	// Per-shard registries keep every instrument engine-confined during
+	// parallel rounds; names are disjoint (hostN.*, fabric.portN.*,
+	// fabric.core.*), so Registry merges them by pure adoption. The
+	// lookahead is the per-hop propagation, which sim.NewShards needs
+	// positive even for one shard.
+	la := fc.PerHopProp()
+	if la <= 0 {
+		return nil, fmt.Errorf("host: cluster needs positive fabric propagation, got per-hop %v", la)
 	}
-	sw := c.sw
+	c.shards = sim.NewShards(cfg.Shards, base.Seed, la)
+	c.shardOf = make([]int, cfg.Hosts)
+	for i := range c.shardOf {
+		c.shardOf[i] = i * cfg.Shards / cfg.Hosts
+	}
+	c.regs = make([]*stats.Registry, cfg.Shards)
+	for i := range c.regs {
+		c.regs[i] = stats.NewRegistry()
+	}
+	engOf := func(i int) *sim.Engine { return c.shards.Engine(c.shardOf[i]) }
+	sw, err := fabric.NewShardedSwitch(cfg.Hosts, fc, engOf, c.shards.Engine(0), clusterRouter{c})
+	if err != nil {
+		return nil, err
+	}
+	c.sw = sw
 
 	for i := 0; i < cfg.Hosts; i++ {
 		hc := base
@@ -270,24 +246,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if hc.PeerSlots > maxPeerSlots {
 			hc.PeerSlots = maxPeerSlots
 		}
-		hc.Telemetry.Registry = regs[c.shardIdx(i)]
+		hc.Telemetry.Registry = c.regs[c.shardOf[i]]
 		hc.Telemetry.Prefix = fmt.Sprintf("host%d.", i)
 		h, err := New(hc)
 		if err != nil {
 			return nil, fmt.Errorf("host: cluster host %d: %w", i, err)
 		}
-		if c.shards != nil {
-			id := i
-			h.shardPost = func(dst *Host, fn func()) {
-				s, d := c.shardOf[id], c.shardOf[dst.cfg.HostID]
-				if s == d {
-					fn()
-					return
-				}
-				now := c.shards.Engine(s).Now()
-				c.shards.Post(s, d, now, now, fn)
-			}
-		}
+		h.shards, h.shard = c.shards, c.shardOf[i]
 		c.hosts = append(c.hosts, h)
 	}
 
@@ -306,45 +271,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			flowID++
 		}
 	}
-	if cfg.Shards == 1 {
-		sw.RegisterProbes(c.reg, "fabric.")
-	} else {
-		for i := 0; i < cfg.Hosts; i++ {
-			sw.RegisterPortProbes(regs[c.shardIdx(i)], "fabric.", i)
-		}
-		sw.RegisterCoreProbes(regs[0], "fabric.")
-		// Merged read-only view across all shards; safe to read at
-		// barriers (between Run windows) and after the run.
-		c.reg = stats.NewRegistry()
-		for _, r := range regs {
-			c.reg.Adopt(r)
-		}
+	for i := 0; i < cfg.Hosts; i++ {
+		sw.RegisterPortProbes(c.regs[c.shardOf[i]], "fabric.", i)
 	}
+	sw.RegisterCoreProbes(c.regs[0], "fabric.")
 	return c, nil
-}
-
-// shardIdx returns the shard owning host i (0 when unsharded).
-func (c *Cluster) shardIdx(i int) int {
-	if c.shardOf == nil {
-		return 0
-	}
-	return c.shardOf[i]
 }
 
 // Shards returns the number of engine shards the cluster runs on.
 func (c *Cluster) Shards() int { return c.cfg.Shards }
 
 // Rounds returns the synchronization rounds the shard coordinator has
-// executed (0 when unsharded).
-func (c *Cluster) Rounds() uint64 {
-	if c.shards == nil {
-		return 0
-	}
-	return c.shards.Rounds()
-}
+// executed (0 on one shard).
+func (c *Cluster) Rounds() uint64 { return c.shards.Rounds() }
 
-// Engine returns the shared event engine (shard 0's when sharded).
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
+// Engine returns shard 0's event engine, the only one on one shard.
+func (c *Cluster) Engine() *sim.Engine { return c.shards.Engine(0) }
 
 // Hosts returns the cluster's hosts in ID order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }
@@ -352,9 +294,18 @@ func (c *Cluster) Hosts() []*Host { return c.hosts }
 // Switch returns the fabric.
 func (c *Cluster) Switch() *fabric.Switch { return c.sw }
 
-// Registry returns the shared registry: every host's instruments under
-// its "hostN." prefix plus the fabric's under "fabric.".
-func (c *Cluster) Registry() *stats.Registry { return c.reg }
+// Registry returns a read-only view merging every shard's registry:
+// every host's instruments under its "hostN." prefix plus the fabric's
+// under "fabric.", including those a host registered after NewCluster
+// (InstallMessages, InstallStorage). Read it at a barrier (between Run
+// windows) or after the run.
+func (c *Cluster) Registry() *stats.Registry {
+	reg := stats.NewRegistry()
+	for _, r := range c.regs {
+		reg.Adopt(r)
+	}
+	return reg
+}
 
 // ClusterResults is the measurement of one cluster window: per-host
 // Results (index = host ID) plus cluster-wide aggregates.
@@ -398,29 +349,19 @@ func (c *Cluster) Start() {
 	}
 }
 
-// run advances the whole cluster to deadline: the shared engine when
-// unsharded, the conservative shard coordinator otherwise. Either way all
-// clocks align to deadline on return, and no shard worker is left
-// running, so the snapshots Run takes observe every shard at the same
-// virtual instant from the calling goroutine.
-func (c *Cluster) run(deadline sim.Duration) {
-	if c.shards != nil {
-		c.shards.Run(deadline)
-		return
-	}
-	c.eng.Run(deadline)
-}
-
 // Run starts the workloads, runs a warmup window, then measures for the
-// given duration and returns per-host and aggregate results.
+// given duration and returns per-host and aggregate results. Each window
+// ends with every shard's clock aligned to its deadline and no shard
+// worker running, so the snapshots observe every shard at the same
+// virtual instant from the calling goroutine.
 func (c *Cluster) Run(warmup, measure sim.Duration) ClusterResults {
 	c.Start()
-	c.run(warmup)
+	c.shards.Run(warmup)
 	befores := make([]snapshot, len(c.hosts))
 	for i, h := range c.hosts {
 		befores[i] = h.beginMeasure()
 	}
-	c.run(warmup + measure)
+	c.shards.Run(warmup + measure)
 	r := ClusterResults{Mode: c.cfg.Host.Mode.String(), Measure: measure}
 	for i, h := range c.hosts {
 		hr := h.results(befores[i], h.snap())

@@ -195,6 +195,23 @@ func TestClusterRegistrySumsPerHost(t *testing.T) {
 	}
 }
 
+// The cluster registry holds what a host registers after NewCluster, on
+// one shard and on several.
+func TestClusterRegistryHoldsLateInstruments(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c, err := NewCluster(ClusterConfig{Hosts: 2, Shards: shards, Host: Config{Mode: core.FNS}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Hosts()[1].InstallMessages(MsgConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Registry().Value("host1.rpc.completed"); !ok {
+			t.Errorf("shards=%d: host1.rpc.completed not in the cluster registry", shards)
+		}
+	}
+}
+
 // The shared registry also carries the fabric's probes, and hosts in a
 // cluster keep fully separate IOMMUs.
 func TestClusterRegistryAndIsolation(t *testing.T) {

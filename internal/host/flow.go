@@ -332,22 +332,24 @@ func (f *flow) receive(seq int64, ecn bool) *transport.Ack {
 }
 
 // creditPeerTx mirrors delivered cluster-flow bytes into the sending
-// host's Tx accounting. Same-engine clusters apply it inline — exactly
-// the legacy behaviour. Sharded clusters post it to the sender's shard,
-// where it lands at the next synchronization barrier: the increment is
-// commutative bookkeeping whose timing only mid-window sampler reads can
-// observe, never simulated behaviour, and every post is drained before a
-// window's clocks align, so Results are unchanged.
+// host's Tx accounting. When both hosts share an engine shard it applies
+// inline. Otherwise it is posted to the sender's shard, where it lands
+// at the next synchronization barrier: the increment is commutative
+// bookkeeping whose timing only mid-window sampler reads can observe,
+// never simulated behaviour, and every post is drained before a window's
+// clocks align, so Results are unchanged.
 func (f *flow) creditPeerTx(bytes int64) {
 	src := f.src
 	if src == nil || bytes == 0 {
 		return
 	}
-	if post := f.dst.h.shardPost; post != nil {
-		post(src.h, func() { src.c.txDeliveredBytes += bytes })
+	sink, s := f.dst.h, src.h.shard
+	if sink.shard == s {
+		src.c.txDeliveredBytes += bytes
 		return
 	}
-	src.c.txDeliveredBytes += bytes
+	now := sink.eng.Now()
+	sink.shards.Post(sink.shard, s, now, now, func() { src.c.txDeliveredBytes += bytes })
 }
 
 // ackOrArm sends the ACK the receiver just produced or, when it is

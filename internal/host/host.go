@@ -8,13 +8,14 @@
 // Two topologies are supported. The single-host experiments pair one
 // detailed Host with an abstract remote end (infinitely fast CPU, no
 // IOMMU) over a point-to-point wire — the degenerate two-node fabric. A
-// Cluster (cluster.go) instead builds N full Hosts on one shared event
-// engine, every one paying its own CPU, IOMMU and PCIe costs, and
-// routes their peer flows through fabric.Switch ports. Every bulk
-// transfer in either topology is one flow type (flow.go): a DCTCP
-// sender at the source and a receiver at the sink, each end a detailed
-// NIC or the abstract remote, with the transport op picking the
-// two-sided stack datapath or the one-sided NIC datapath.
+// Cluster (cluster.go) instead builds N full Hosts on the engines of a
+// sim.Shards (one engine unless more shards are asked for), every one
+// paying its own CPU, IOMMU and PCIe costs, and routes their peer flows
+// through fabric.Switch ports. Every bulk transfer in either topology
+// is one flow type (flow.go): a DCTCP sender at the source and a
+// receiver at the sink, each end a detailed NIC or the abstract remote,
+// with the transport op picking the two-sided stack datapath or the
+// one-sided NIC datapath.
 //
 // Each host owns its own IOMMU; DMA devices (the NIC datapath in
 // netdev.go, device.Storage, anything else implementing device.Device)
@@ -135,8 +136,9 @@ type Config struct {
 
 	// Engine, when non-nil, attaches the host to a shared discrete-event
 	// engine instead of creating a private one — this is how a Cluster
-	// gives N hosts one clock. nil (the default) keeps the host fully
-	// self-contained, byte-identical to the pre-fabric behaviour.
+	// gives the hosts of a shard one clock. nil (the default) keeps the
+	// host fully self-contained, byte-identical to the pre-fabric
+	// behaviour.
 	Engine *sim.Engine
 	// HostID names this host within a cluster; transport endpoints bind
 	// to it. 0 (the default) for single-host runs.
@@ -162,10 +164,10 @@ type StorageSpec struct {
 }
 
 // validate rejects the values no default stands for: negative counts,
-// sizes, rates, times and seeds, an MTU too small to carry a packet, and
-// a serving fleet that cannot fill one cohort. Zero means "default" for
-// every field checked here and a negative RxFlows means "no bulk flows",
-// so neither is an error. This is the one range check every front end
+// sizes, rates, times, seeds and core indices, an MTU too small to carry
+// a packet, and a serving fleet that cannot fill one cohort. Zero means
+// "default" for every field checked here and a negative RxFlows means
+// "no bulk flows", so neither is an error. This is the one range check every front end
 // gets; each message names the field and the value.
 func (c Config) validate() error {
 	switch {
@@ -181,6 +183,12 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: MTU must be 0 (the default) or at least 64 bytes, got %d", c.MTU)
 	case c.ATSEntries < 0:
 		return fmt.Errorf("host: ATSEntries must be >= 0, got %d (0 disables the device TLB)", c.ATSEntries)
+	case c.LinkGbps < 0:
+		return fmt.Errorf("host: LinkGbps must be >= 0, got %g", c.LinkGbps)
+	case c.PCIeGbps < 0:
+		return fmt.Errorf("host: PCIeGbps must be >= 0, got %g", c.PCIeGbps)
+	case c.PropDelay < 0:
+		return fmt.Errorf("host: PropDelay must be >= 0, got %v", c.PropDelay)
 	case c.MemHogGBps < 0:
 		return fmt.Errorf("host: MemHogGBps must be >= 0, got %g", c.MemHogGBps)
 	case c.MemHogStart < 0:
@@ -201,6 +209,10 @@ func (c Config) validate() error {
 			return fmt.Errorf("host: Serve.Conns must be >= 1, got %d", s.Conns)
 		case s.Cohort > s.Conns:
 			return fmt.Errorf("host: Serve.Cohort must be <= Serve.Conns, got %d > %d", s.Cohort, s.Conns)
+		case s.AppCPU < 0:
+			return fmt.Errorf("host: Serve.AppCPU must be >= 0, got %v", s.AppCPU)
+		case s.CoreBase < 0:
+			return fmt.Errorf("host: Serve.CoreBase must be >= 0, got %d", s.CoreBase)
 		}
 	}
 	return nil
@@ -277,9 +289,10 @@ func (c Config) withDefaults() Config {
 // counters, RNGs) is reachable only through it. Distinct Hosts share no
 // mutable state — New takes no globals and registers nothing anywhere —
 // which is what lets internal/runner execute many simulations
-// concurrently with byte-identical results to a sequential run. Hosts in
-// a Cluster deliberately share the cluster's engine, registry and
-// fabric, and the cluster as a whole stays single-goroutine.
+// concurrently with byte-identical results to a sequential run. Hosts on
+// one shard of a Cluster deliberately share its engine and registry, all
+// of them share the fabric, and the cluster's shard coordinator keeps
+// each engine confined to one goroutine at a time.
 type Host struct {
 	cfg Config
 	eng *sim.Engine
@@ -304,12 +317,11 @@ type Host struct {
 	storageCount int // storage devices attached so far (cpu/seed slots)
 	started      bool
 
-	// shardPost, when set by a sharded Cluster, routes a mutation of
-	// another host's state to that host's engine shard (running it inline
-	// when both hosts share a shard). Nil for standalone hosts and
-	// single-shard clusters, where cross-host writes are ordinary
-	// same-engine calls.
-	shardPost func(dst *Host, fn func())
+	// shards and shard name a cluster host's engine shards and its own
+	// one, through which a write to a host on another shard is posted
+	// (flow.creditPeerTx). nil and 0 for a standalone host.
+	shards *sim.Shards
+	shard  int
 }
 
 // New builds the host per cfg, rejecting out-of-range values first.

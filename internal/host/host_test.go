@@ -39,6 +39,9 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{MTU: 1}, "host: MTU must be 0 (the default) or at least 64 bytes, got 1"},
 		{Config{MTU: 63}, "host: MTU must be 0 (the default) or at least 64 bytes, got 63"},
 		{Config{ATSEntries: -8}, "host: ATSEntries must be >= 0, got -8 (0 disables the device TLB)"},
+		{Config{LinkGbps: -5}, "host: LinkGbps must be >= 0, got -5"},
+		{Config{PCIeGbps: -1}, "host: PCIeGbps must be >= 0, got -1"},
+		{Config{PropDelay: -sim.Microsecond}, "host: PropDelay must be >= 0, got -1000ns"},
 		{Config{MemHogGBps: -3}, "host: MemHogGBps must be >= 0, got -3"},
 		{Config{MemHogStart: -sim.Microsecond}, "host: MemHogStart must be >= 0, got -1000ns"},
 		{Config{Seed: -3}, "host: Seed must be >= 0, got -3"},
@@ -49,6 +52,8 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
 		{Config{Serve: &ServeConfig{Conns: -4, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got -4"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 100}}, "host: Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
+		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 1, AppCPU: -1}}, "host: Serve.AppCPU must be >= 0, got -1ns"},
+		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 1, CoreBase: -1}}, "host: Serve.CoreBase must be >= 0, got -1"},
 		// The fleet's own knobs are cohort.Config's to check.
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 1.5, Cohort: 1}}, "churn rate must be in (0, 1], got 1.5"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 0}}, "cohort size must be >= 1, got 0"},
@@ -69,6 +74,12 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{ClusterConfig{Hosts: 2, FlowsPerPair: -3}, "host: FlowsPerPair must be >= 0, got -3"},
 		{ClusterConfig{Hosts: 2, Shards: -1}, "host: Shards must be >= 0, got -1"},
 		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{PortGbps: -5}}, "host: Fabric.PortGbps must be >= 0, got -5"},
+		// Every cluster runs on sim.Shards, whose lookahead is the per-hop
+		// propagation: it must be positive on one shard too, and 1ns over
+		// two hops rounds to 0.
+		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{Prop: 1}}, "host: cluster needs positive fabric propagation, got per-hop 0ns"},
+		{ClusterConfig{Hosts: 2, Shards: 2, Fabric: fabric.Config{Prop: 1}}, "host: cluster needs positive fabric propagation, got per-hop 0ns"},
+		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{Prop: -sim.Microsecond}}, "host: cluster needs positive fabric propagation, got per-hop -500ns"},
 		{ClusterConfig{Hosts: 2, Traffic: "mesh"}, `host: unknown traffic pattern "mesh"`},
 	}
 	for _, c := range clusterCases {

@@ -1,6 +1,8 @@
 package host
 
 import (
+	"fmt"
+
 	"fastsafe/internal/nic"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
@@ -103,8 +105,26 @@ type msgApp struct {
 	retries        int64
 }
 
-// InstallMessages attaches a request/response workload. Call before Start.
-func (h *Host) InstallMessages(cfg MsgConfig) *msgApp {
+// validate rejects what no default stands for: a negative core index,
+// application CPU cost or resend timeout.
+func (c MsgConfig) validate() error {
+	switch {
+	case c.AppCPU < 0:
+		return fmt.Errorf("host: MsgConfig.AppCPU must be >= 0, got %v", c.AppCPU)
+	case c.Timeout < 0:
+		return fmt.Errorf("host: MsgConfig.Timeout must be >= 0, got %v", c.Timeout)
+	case c.CoreBase < 0:
+		return fmt.Errorf("host: MsgConfig.CoreBase must be >= 0, got %d", c.CoreBase)
+	}
+	return nil
+}
+
+// InstallMessages attaches a request/response workload, rejecting
+// out-of-range values first. Call before Start.
+func (h *Host) InstallMessages(cfg MsgConfig) (*msgApp, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults(h)
 	app := &msgApp{h: h, cfg: cfg}
 	for s := 0; s < cfg.Streams; s++ {
@@ -125,7 +145,7 @@ func (h *Host) InstallMessages(cfg MsgConfig) *msgApp {
 		h.tele.reg.GaugeFunc(h.tele.name("rpc.completed"), func() float64 { return float64(app.completed) })
 		h.tele.reg.GaugeFunc(h.tele.name("rpc.retries"), func() float64 { return float64(app.retries) })
 	}
-	return app
+	return app, nil
 }
 
 // Latency returns the completion-latency histogram (ns), measured at the

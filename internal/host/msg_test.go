@@ -51,8 +51,11 @@ func TestMsgExchangeCountsAndLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := h.InstallMessages(MsgConfig{Pattern: LocalServes, Streams: 2, Depth: 2,
+	app, err := h.InstallMessages(MsgConfig{Pattern: LocalServes, Streams: 2, Depth: 2,
 		ReqBytes: 8 << 10, RespBytes: 128, AppCPU: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := h.Run(2*sim.Millisecond, 10*sim.Millisecond)
 	if r.Completed == 0 || app.Completed() == 0 {
 		t.Fatal("no exchanges completed")
@@ -62,6 +65,31 @@ func TestMsgExchangeCountsAndLatency(t *testing.T) {
 	}
 	if r.MsgGbps <= 0 {
 		t.Fatal("no message throughput")
+	}
+}
+
+// TestInstallMessagesRejectsOutOfRange: a negative core index, CPU cost
+// or resend timeout has no default to stand for, so InstallMessages
+// rejects it and installs nothing.
+func TestInstallMessagesRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		cfg  MsgConfig
+		want string
+	}{
+		{MsgConfig{CoreBase: -3}, "host: MsgConfig.CoreBase must be >= 0, got -3"},
+		{MsgConfig{AppCPU: -1}, "host: MsgConfig.AppCPU must be >= 0, got -1ns"},
+		{MsgConfig{Timeout: -sim.Millisecond}, "host: MsgConfig.Timeout must be >= 0, got -1000000ns"},
+	} {
+		h, err := New(Config{Mode: core.Strict})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.InstallMessages(c.cfg); err == nil || err.Error() != c.want {
+			t.Errorf("InstallMessages(%+v) err = %v, want %q", c.cfg, err, c.want)
+		}
+		if h.msgs != nil {
+			t.Errorf("InstallMessages(%+v) installed the app despite the error", c.cfg)
+		}
 	}
 }
 

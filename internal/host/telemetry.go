@@ -26,8 +26,8 @@ type TelemetryConfig struct {
 	TraceLimit int
 
 	// Registry, when non-nil, is the registry this host registers its
-	// probe points into — a Cluster shares one registry across all its
-	// hosts. nil (the default) gives the host a private registry.
+	// probe points into — a Cluster shares one registry across the hosts
+	// of a shard. nil (the default) gives the host a private registry.
 	Registry *stats.Registry
 	// Prefix is prepended to every instrument name the host registers
 	// ("host3." in a cluster); empty for single-host runs.

@@ -238,21 +238,9 @@ func (n *NIC) FrameStride(payload int) int { return n.align(payload + n.cfg.Head
 // It applies ECN marking above the K threshold and tail-drops when the
 // buffer is full.
 func (n *NIC) Arrive(pkt Packet) {
-	n.stats.Arrived++
-	n.stats.ArrivedBytes += int64(pkt.Bytes)
-	if n.bufferBytes+pkt.Bytes > n.cfg.BufferBytes {
-		n.stats.Dropped++
-		n.stats.DroppedBytes += int64(pkt.Bytes)
-		if n.OnDrop != nil {
-			n.OnDrop(pkt)
-		}
+	if !n.admit(&pkt, n.cfg.ECNKBytes) {
 		return
 	}
-	if n.cfg.ECNKBytes > 0 && n.bufferBytes > n.cfg.ECNKBytes {
-		pkt.ECN = true
-		n.stats.Marked++
-	}
-	n.bufferBytes += pkt.Bytes
 	r := n.rings[pkt.CPU%len(n.rings)]
 	r.queue.Push(pkt)
 	n.pumpRx()
@@ -265,21 +253,9 @@ func (n *NIC) Arrive(pkt Packet) {
 // through its ATS cache when one is attached — with no ring descriptor
 // consumed and no receive CPU involved.
 func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
-	n.stats.Arrived++
-	n.stats.ArrivedBytes += int64(pkt.Bytes)
-	if n.bufferBytes+pkt.Bytes > n.cfg.BufferBytes {
-		n.stats.Dropped++
-		n.stats.DroppedBytes += int64(pkt.Bytes)
-		if n.OnDrop != nil {
-			n.OnDrop(pkt)
-		}
+	if !n.admit(&pkt, n.directECNK()) {
 		return
 	}
-	if k := n.directECNK(); k > 0 && n.bufferBytes > k {
-		pkt.ECN = true
-		n.stats.Marked++
-	}
-	n.bufferBytes += pkt.Bytes
 	reads := 0
 	if n.dom.Mode().Translated() {
 		n.cfg.Faults.Observe(iovas[start/ptable.PageSize] + ptable.IOVA(start%ptable.PageSize))
@@ -290,6 +266,29 @@ func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
 	n.stats.RxBytes += int64(pkt.Bytes)
 	n.rxInflight.Push(inflight{ord: n.rx.Submitted(), pkt: pkt})
 	n.rx.Submit(pkt.Bytes, reads, n.rxDoneFn)
+}
+
+// admit counts an arriving packet into the input buffer: it tail-drops
+// the packet when the buffer is full (reporting false), and otherwise
+// marks it above k buffered bytes (k <= 0 never marks) and takes its
+// buffer space.
+func (n *NIC) admit(pkt *Packet, k int) bool {
+	n.stats.Arrived++
+	n.stats.ArrivedBytes += int64(pkt.Bytes)
+	if n.bufferBytes+pkt.Bytes > n.cfg.BufferBytes {
+		n.stats.Dropped++
+		n.stats.DroppedBytes += int64(pkt.Bytes)
+		if n.OnDrop != nil {
+			n.OnDrop(*pkt)
+		}
+		return false
+	}
+	if k > 0 && n.bufferBytes > k {
+		pkt.ECN = true
+		n.stats.Marked++
+	}
+	n.bufferBytes += pkt.Bytes
+	return true
 }
 
 // rxDone completes the oldest Rx DMA in flight: the frame is in memory,
@@ -540,22 +539,14 @@ func (n *NIC) pumpTx() {
 
 	for !n.tx.Busy() && n.txQueue.Len() > 0 {
 		e := n.txQueue.Pop()
+		iovas, start := e.iovas, e.start
+		if e.m != nil {
+			iovas, start = e.m.IOVAs, 0
+		}
 		reads := 0
-		if n.dom.Mode().Translated() && e.m != nil {
-			n.cfg.Faults.Observe(e.m.IOVAs[0])
-			for off := 0; off < e.pkt.Bytes+n.cfg.HeaderBytes; off += n.cfg.MPS {
-				page := off / ptable.PageSize
-				if page >= len(e.m.IOVAs) {
-					page = len(e.m.IOVAs) - 1
-				}
-				v := e.m.IOVAs[page] + ptable.IOVA(off%ptable.PageSize)
-				tr := n.dom.Translate(v)
-				reads += tr.MemReads
-			}
-			reads += n.cfg.Faults.MaybeMisbehave()
-		} else if n.dom.Mode().Translated() && len(e.iovas) > 0 {
-			n.cfg.Faults.Observe(e.iovas[e.start/ptable.PageSize])
-			reads = n.translateWindow(e.iovas, e.start, e.pkt.Bytes+n.cfg.HeaderBytes)
+		if n.dom.Mode().Translated() && len(iovas) > 0 {
+			n.cfg.Faults.Observe(iovas[start/ptable.PageSize])
+			reads = n.translateWindow(iovas, start, e.pkt.Bytes+n.cfg.HeaderBytes)
 			reads += n.cfg.Faults.MaybeMisbehave()
 		}
 		n.stats.TxDMAs++

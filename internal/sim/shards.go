@@ -114,7 +114,7 @@ func (s *Shards) Lookahead() Duration { return s.lookahead }
 
 // Rounds returns the number of synchronization rounds executed so far —
 // a telemetry hook for scaling analysis (wall-clock cost is roughly
-// events + rounds x barrier overhead).
+// events + rounds x barrier overhead). A single shard runs no rounds.
 func (s *Shards) Rounds() uint64 { return s.rounds }
 
 // Post schedules fn at virtual time at in shard dst. src names the shard
@@ -188,7 +188,15 @@ func comparePosts(a, b post) int {
 // the round still finishes on every other shard; Run then stops the
 // workers and panics on the calling goroutine with a *ShardPanic naming
 // the shard (the lowest one, if several panicked in the round).
+//
+// One shard has no cross-shard message to synchronise (every Post is an
+// Engine.At), so its engine runs straight to the deadline: no round, no
+// worker, and a panic propagates unwrapped like Engine.Run's.
 func (s *Shards) Run(deadline Time) {
+	if len(s.engs) == 1 {
+		s.engs[0].Run(deadline)
+		return
+	}
 	s.startWorkers()
 	defer s.stopWorkers()
 	for {

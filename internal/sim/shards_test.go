@@ -67,6 +67,56 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
+// TestShardsOneShardRunsTheEngine: one shard has nothing to synchronise,
+// so Run drives its engine exactly as Engine.Run does. A workload with
+// same-time ties, posted through the Shards on one side and scheduled
+// with Engine.At on the other, fires the same trace and leaves the same
+// clock at every deadline, with no round and no goroutine beyond the
+// caller's.
+func TestShardsOneShardRunsTheEngine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	trace := func(eng *Engine, post func(gen, at Time, fn func()), run func(Time), deadlines []Time) string {
+		var b strings.Builder
+		var step func(id, depth int)
+		step = func(id, depth int) {
+			fmt.Fprintf(&b, "%d#%d@%d ", id, depth, eng.Now())
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines inside Run, want at most %d", n, base)
+			}
+			if depth >= 6 {
+				return
+			}
+			now := eng.Now()
+			for k := 0; k < 2; k++ {
+				next := 2*id + k
+				post(now, now+Duration(3+(id+k)%2), func() { step(next, depth+1) })
+			}
+		}
+		eng.At(0, func() { step(1, 0) })
+		eng.At(0, func() { step(2, 0) })
+		for _, d := range deadlines {
+			run(d)
+			fmt.Fprintf(&b, "| now=%d ", eng.Now())
+		}
+		return b.String()
+	}
+	for _, deadlines := range [][]Time{{60}, {13, 60}, shortWindows()} {
+		eng := NewEngine(1)
+		want := trace(eng, func(_, at Time, fn func()) { eng.At(at, fn) }, eng.Run, deadlines)
+		s := NewShards(1, 1, 5)
+		got := trace(s.Engine(0), func(gen, at Time, fn func()) { s.Post(0, 0, gen, at, fn) }, s.Run, deadlines)
+		if got != want {
+			t.Fatalf("windows %v: one-shard trace diverged from the engine's\n got %s\nwant %s", deadlines, got, want)
+		}
+		if s.Rounds() != 0 {
+			t.Fatalf("windows %v: one shard ran %d rounds, want 0", deadlines, s.Rounds())
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Run, want at most %d", n, base)
+	}
+}
+
 func TestShardsConservativeDelivery(t *testing.T) {
 	// Two shards ping-pong a message with delivery timestamps exactly one
 	// lookahead ahead — the tightest legal conservative schedule. The trace

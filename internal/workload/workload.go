@@ -36,7 +36,9 @@ func (s Spec) Run() (host.Results, error) {
 		return host.Results{}, err
 	}
 	if s.Msg != nil {
-		h.InstallMessages(*s.Msg)
+		if _, err := h.InstallMessages(*s.Msg); err != nil {
+			return host.Results{}, err
+		}
 	}
 	warm, meas := s.Warmup, s.Measure
 	if warm == 0 {

@@ -163,3 +163,13 @@ func TestDefaultsAppliedOnZeroDurations(t *testing.T) {
 		t.Fatalf("default measure window = %v", r.Measure)
 	}
 }
+
+// A message config InstallMessages rejects fails the spec's Run with
+// that error instead of running.
+func TestSpecRunReturnsMessageError(t *testing.T) {
+	s := RPC(core.Strict, 4096)
+	s.Msg.CoreBase = -3
+	if _, err := s.Run(); err == nil || err.Error() != "host: MsgConfig.CoreBase must be >= 0, got -3" {
+		t.Fatalf("Run err = %v, want the CoreBase range error", err)
+	}
+}
