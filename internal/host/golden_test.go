@@ -80,19 +80,21 @@ func TestGoldenHostRunsByteIdentical(t *testing.T) {
 }
 
 // trafficGolden is one traffic-path configuration the golden files lock:
-// a single host (cfg, optionally with the message app) or a cluster.
+// a single host (cfg, optionally with the message app) or a cluster,
+// measured for 3ms after a 1ms warmup unless measure says otherwise.
 type trafficGolden struct {
 	name    string
 	cfg     Config
 	msgs    *MsgConfig
 	cluster *ClusterConfig
+	measure sim.Duration
 }
 
 // trafficGoldens cover every flow engine and app datapath in the package:
 // abstract-remote Rx and Tx bulk flows, both message patterns, the
-// serving fleet under faults, an extra Topology NIC, two-sided cluster
-// flows on one and two shards, one-sided READ and WRITE, and serving
-// fleets beside cluster flows.
+// serving fleet under faults and abandoning requests, an extra Topology
+// NIC, two-sided cluster flows on one and two shards, one-sided READ and
+// WRITE, and serving fleets beside cluster flows.
 var trafficGoldens = []trafficGolden{
 	{name: "bulk_rx2_tx2", cfg: Config{Mode: core.Strict, Cores: 2, RxFlows: 2, TxFlows: 2}},
 	{name: "rpc_serves_bulk_tx", cfg: Config{Mode: core.FNS, TxFlows: 1},
@@ -117,13 +119,21 @@ var trafficGoldens = []trafficGolden{
 		Op: transport.Write, Host: Config{Mode: core.Cap, Audit: true}}},
 	{name: "cluster_pairs_serving", cluster: &ClusterConfig{Hosts: 4, Traffic: Pairs,
 		Host: Config{Mode: core.FNS, Serve: &ServeConfig{Conns: 16, Churn: 0.2, Cohort: 1}}}},
+	// A small NIC buffer drops request segments, and the open loop
+	// abandons a request only once it is servingGCTimeout old: the 8ms
+	// window is what lets expiries land inside it.
+	{name: "serve_expiry", cfg: Config{Mode: core.Strict, RxFlows: 5, NICBufferBytes: 16 << 10, Seed: 3,
+		Serve: &ServeConfig{Conns: 48, Churn: 0.5, Cohort: 1}}, measure: 8 * sim.Millisecond},
 }
 
 // trafficRun renders one traffic golden: the Results (per host for a
 // cluster) of a short window, then every registry instrument.
 func trafficRun(t *testing.T, g trafficGolden) string {
 	t.Helper()
-	const warmup, measure = sim.Millisecond, 3 * sim.Millisecond
+	warmup, measure := sim.Millisecond, 3*sim.Millisecond
+	if g.measure > 0 {
+		measure = g.measure
+	}
 	var b strings.Builder
 	if g.cluster != nil {
 		c, err := NewCluster(*g.cluster)
