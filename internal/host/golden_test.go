@@ -124,7 +124,16 @@ var trafficGoldens = []trafficGolden{
 	// window is what lets expiries land inside it.
 	{name: "serve_expiry", cfg: Config{Mode: core.Strict, RxFlows: 5, NICBufferBytes: 16 << 10, Seed: 3,
 		Serve: &ServeConfig{Conns: 48, Churn: 0.5, Cohort: 1}}, measure: 8 * sim.Millisecond},
+	// Both message patterns under drops: a 64KB NIC buffer beside four
+	// bulk flows and a 300us timeout make the message app resend inside
+	// the window, several requests of one stream in one housekeeping tick.
+	{name: "msg_resend_serves", cfg: resendHost, msgs: &MsgConfig{Pattern: LocalServes, Streams: 2, Depth: 16,
+		ReqBytes: 32 << 10, RespBytes: 32 << 10, Timeout: 300 * sim.Microsecond}},
+	{name: "msg_resend_client", cfg: resendHost, msgs: &MsgConfig{Pattern: LocalClient, Streams: 2, Depth: 16,
+		ReqBytes: 32 << 10, RespBytes: 32 << 10, Timeout: 300 * sim.Microsecond}},
 }
+
+var resendHost = Config{Mode: core.Strict, Cores: 2, RxFlows: 4, NICBufferBytes: 64 << 10}
 
 // trafficRun renders one traffic golden: the Results (per host for a
 // cluster) of a short window, then every registry instrument.
@@ -177,5 +186,35 @@ func TestGoldenTrafficPaths(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("%s diverged from golden file %s", g.name, path)
 		}
+	}
+}
+
+// runTwice runs g twice in one process and requires the same Results
+// and registry dump from both: a run that depends on anything but its
+// config and seed, such as the order of a map range, differs between
+// the two.
+func runTwice(t *testing.T, g trafficGolden) {
+	t.Helper()
+	if a, b := trafficRun(t, g), trafficRun(t, g); a != b {
+		t.Errorf("%s: two runs of one config differ:\nfirst:\n%s\nsecond:\n%s", g.name, a, b)
+	}
+}
+
+// TestRunTwiceIdentical holds the stressed traffic goldens to run-twice
+// equality: both message patterns resending, the serving fleet
+// abandoning requests and under a fault campaign, and a congested
+// all-to-all cluster on two shards.
+func TestRunTwiceIdentical(t *testing.T) {
+	stressed := map[string]bool{"msg_resend_serves": true, "msg_resend_client": true,
+		"serve_expiry": true, "serve_strict_faults": true, "cluster_alltoall_2shards": true}
+	n := 0
+	for _, g := range trafficGoldens {
+		if stressed[g.name] {
+			runTwice(t, g)
+			n++
+		}
+	}
+	if n != len(stressed) {
+		t.Fatalf("ran %d of the %d stressed configs", n, len(stressed))
 	}
 }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"fastsafe/internal/nic"
 	"fastsafe/internal/sim"
@@ -103,6 +104,8 @@ type msgApp struct {
 	completed      int64
 	completedBytes int64
 	retries        int64
+
+	ids []int64 // housekeeping's scratch: one stream's live message ids
 }
 
 // validate rejects what no default stands for: a negative core index,
@@ -337,11 +340,18 @@ func (a *msgApp) complete(s *msgStream, slot *slotState, payload int64) {
 }
 
 // housekeeping retries requests whose exchange has stalled past the
-// timeout (a segment was tail-dropped at the NIC).
+// timeout (a segment was tail-dropped at the NIC). It resends stream by
+// stream, each stream in message-id order: the order of the resends
+// decides the run, and Go randomises the order of a map range.
 func (a *msgApp) housekeeping(now sim.Time) {
 	for _, s := range a.streams {
-		for _, slot := range s.slots {
-			if now-slot.lastTx >= a.cfg.Timeout {
+		a.ids = a.ids[:0]
+		for m := range s.slots {
+			a.ids = append(a.ids, m)
+		}
+		slices.Sort(a.ids)
+		for _, m := range a.ids {
+			if slot := s.slots[m]; now-slot.lastTx >= a.cfg.Timeout {
 				slot.lastTx = now
 				slot.retries++
 				a.retries++
