@@ -93,7 +93,7 @@ type Config struct {
 	Topology Topology
 
 	// Serve, when non-nil, installs the open-loop serving-fleet workload
-	// (serving.go): Poisson arrivals, heavy-tailed request/response
+	// (app.go): Poisson arrivals, heavy-tailed request/response
 	// sizes, connection churn, and cohort aggregation. In a cluster every
 	// host runs its own fleet (seeded per host), colocated with whatever
 	// peer traffic the cluster pattern generates.
@@ -305,8 +305,8 @@ type Host struct {
 
 	cores []*Core
 
-	msgs   *msgApp     // request/response machinery (nil unless installed)
-	serve  *servingApp // open-loop serving fleet (nil unless Config.Serve)
+	msgs   *app // closed-loop request/response app (nil unless installed)
+	serve  *app // open-loop serving fleet (nil unless Config.Serve)
 	walker *pcie.Walker
 	bus    *mem.Bus
 	tele   *Telemetry
@@ -542,12 +542,8 @@ func (h *Host) Start() {
 	for _, n := range h.nets {
 		n.Start()
 	}
-	if h.msgs != nil {
-		h.msgs.start()
-	}
-	if h.serve != nil {
-		h.serve.start()
-	}
+	h.msgs.start()
+	h.serve.start()
 	for _, d := range h.devices {
 		if _, ok := d.(*netDev); ok {
 			continue
@@ -577,12 +573,8 @@ func (h *Host) housekeeping() {
 	for _, n := range h.nets {
 		n.flowHousekeeping(now)
 	}
-	if h.msgs != nil {
-		h.msgs.housekeeping(now)
-	}
-	if h.serve != nil {
-		h.serve.housekeeping(now)
-	}
+	h.msgs.housekeeping(now)
+	h.serve.housekeeping(now)
 	for _, n := range h.nets {
 		n.deferredFlush(now)
 	}

@@ -26,22 +26,19 @@ func TestMsgSegmentation(t *testing.T) {
 }
 
 func TestMsgAssembleDedupes(t *testing.T) {
-	a := &msgApp{}
-	seen := map[int64]map[int]bool{}
-	seg := msgSeg{msg: 1, idx: 0, count: 2}
-	if a.assemble(seen, seg) {
+	var seen segSet
+	if seen.add(0, 2) {
 		t.Fatal("incomplete message reported complete")
 	}
 	// Duplicate of the same segment must not complete the message.
-	if a.assemble(seen, seg) {
+	if seen.add(0, 2) {
 		t.Fatal("duplicate segment completed message")
 	}
-	seg.idx = 1
-	if !a.assemble(seen, seg) {
+	if !seen.add(1, 2) {
 		t.Fatal("complete message not detected")
 	}
 	// Assembly state pruned: a late duplicate restarts from scratch.
-	if a.assemble(seen, msgSeg{msg: 1, idx: 1, count: 2}) {
+	if seen.add(1, 2) {
 		t.Fatal("stale duplicate completed pruned message")
 	}
 }
@@ -103,9 +100,16 @@ func TestMsgDepthBoundsOutstanding(t *testing.T) {
 	h.Start()
 	h.Engine().Run(5 * sim.Millisecond)
 	// Depth 3 slots per stream: never more outstanding than that.
-	s := h.msgs.streams[0]
-	if len(s.slots) > 3 {
-		t.Fatalf("outstanding slots = %d, want <= 3", len(s.slots))
+	live, outstanding := &h.msgs.live[0], 0
+	for i := 0; i < live.Len(); i++ {
+		e := live.Pop()
+		if !e.stale() {
+			outstanding++
+		}
+		live.Push(e)
+	}
+	if outstanding > 3 {
+		t.Fatalf("outstanding slots = %d, want <= 3", outstanding)
 	}
 }
 

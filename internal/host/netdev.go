@@ -374,10 +374,8 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 		p.onData(pkt.Seq, pkt.ECN)
 	case ackSeg:
 		p.f.onAck(p.ack)
-	case msgSeg:
-		h.msgs.onDeliver(pkt, p)
-	case *servReq:
-		h.serve.onDeliver(p)
+	case *req:
+		p.a.onDeliver(p, int(pkt.Seq))
 	default:
 		panic(fmt.Sprintf("host: unknown Rx payload %T", pkt.Payload))
 	}
@@ -403,10 +401,8 @@ func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 		p.toSink(pkt.Bytes, pkt.Seq)
 	case ackSeg:
 		p.f.toSource(pkt.Bytes, pkt.Payload, p.ack)
-	case msgSeg:
-		h.msgs.onTxDone(pkt, p)
-	case *servReq:
-		h.serve.onTxDone(pkt, p)
+	case *req:
+		p.a.onTxDone(pkt, p)
 	default:
 		panic(fmt.Sprintf("host: unknown Tx payload %T", pkt.Payload))
 	}

@@ -210,13 +210,8 @@ type snapshot struct {
 	rxDMAs  int64
 	sndRtx  int64
 	sndTo   int64
-	msgDone int64
-	msgByte int64
-	msgRtry int64
-	srvDone int64
-	srvByte int64
-	srvDead int64
-	srvExp  int64
+	msg     tally
+	srv     tally
 	payload int64
 	iovaSt  iova.Stats
 }
@@ -226,14 +221,7 @@ type snapshot struct {
 // requests. Its growth over an interval, in 4KB pages, is the per-page
 // normaliser of the miss rates in Results and in the timeline alike.
 func (h *Host) payloadBytes() int64 {
-	b := h.net.c.rxDeliveredBytes + h.net.c.txDeliveredBytes
-	if h.msgs != nil {
-		b += h.msgs.completedBytes
-	}
-	if h.serve != nil {
-		b += h.serve.completedBytes
-	}
-	return b
+	return h.net.c.rxDeliveredBytes + h.net.c.txDeliveredBytes + h.msgs.tally().bytes + h.serve.tally().bytes
 }
 
 func (h *Host) snap() snapshot {
@@ -271,17 +259,7 @@ func (h *Host) snap() snapshot {
 		s.sndRtx += f.snd.Stats().Retransmits
 		s.sndTo += f.snd.Stats().Timeouts
 	}
-	if h.msgs != nil {
-		s.msgDone = h.msgs.completed
-		s.msgByte = h.msgs.completedBytes
-		s.msgRtry = h.msgs.retries
-	}
-	if h.serve != nil {
-		s.srvDone = h.serve.completed
-		s.srvByte = h.serve.completedBytes
-		s.srvDead = h.serve.fleet.Deaths()
-		s.srvExp = h.serve.expired
-	}
+	s.msg, s.srv = h.msgs.tally(), h.serve.tally()
 	s.payload = h.payloadBytes()
 	s.iovaSt = h.net.dom.AllocatorStats()
 	return s
@@ -291,11 +269,10 @@ func (h *Host) snap() snapshot {
 // the window only, so they reset here; counters are diffed via the
 // snapshot it returns instead.
 func (h *Host) beginMeasure() snapshot {
-	if h.msgs != nil {
-		h.msgs.latency.Reset()
-	}
-	if h.serve != nil {
-		h.serve.latency.Reset()
+	for _, a := range [...]*app{h.msgs, h.serve} {
+		if a != nil {
+			a.latency.Reset()
+		}
 	}
 	h.net.rx.Latency().Reset()
 	h.net.tx.Latency().Reset()
@@ -325,21 +302,17 @@ func (h *Host) results(before, after snapshot) Results {
 
 	rxBytes := after.hostC.rxDeliveredBytes - before.hostC.rxDeliveredBytes
 	txBytes := after.hostC.txDeliveredBytes - before.hostC.txDeliveredBytes
-	msgBytes := after.msgByte - before.msgByte
-	srvBytes := after.srvByte - before.srvByte
 
 	r.RxGbps = stats.Gbps(rxBytes, int64(dt))
 	r.TxGbps = stats.Gbps(txBytes, int64(dt))
-	r.MsgGbps = stats.Gbps(msgBytes, int64(dt))
-	r.ServeGbps = stats.Gbps(srvBytes, int64(dt))
-	if h.msgs != nil {
-		// Message payload travels the Rx path in both patterns' bulk
-		// direction measurements; fold it into RxGbps for the LocalClient
-		// pattern (bulk inbound) and leave Redis-style accounting to
-		// MsgGbps.
-		if h.msgs.cfg.Pattern == LocalClient {
-			r.RxGbps += r.MsgGbps
-		}
+	r.MsgGbps = stats.Gbps(after.msg.bytes-before.msg.bytes, int64(dt))
+	r.ServeGbps = stats.Gbps(after.srv.bytes-before.srv.bytes, int64(dt))
+	// Message payload travels the Rx path in both patterns' bulk
+	// direction measurements; fold it into RxGbps for the LocalClient
+	// pattern (bulk inbound) and leave Redis-style accounting to
+	// MsgGbps.
+	if h.msgs != nil && !h.msgs.inbound {
+		r.RxGbps += r.MsgGbps
 	}
 
 	arrived := after.nicSt.Arrived - before.nicSt.Arrived
@@ -389,11 +362,11 @@ func (h *Host) results(before, after snapshot) Results {
 	r.CapDenied = after.mmu.CapDenied - before.mmu.CapDenied
 	r.Retransmits = after.sndRtx - before.sndRtx
 	r.Timeouts = after.sndTo - before.sndTo
-	r.Completed = after.msgDone - before.msgDone
-	r.MsgRetries = after.msgRtry - before.msgRtry
-	r.ServeCompleted = after.srvDone - before.srvDone
-	r.ServeDeaths = after.srvDead - before.srvDead
-	r.ServeExpired = after.srvExp - before.srvExp
+	r.Completed = after.msg.completed - before.msg.completed
+	r.MsgRetries = after.msg.retries - before.msg.retries
+	r.ServeCompleted = after.srv.completed - before.srv.completed
+	r.ServeDeaths = after.srv.deaths - before.srv.deaths
+	r.ServeExpired = after.srv.expired - before.srv.expired
 	r.IOVA = after.iovaSt.Sub(before.iovaSt)
 	if h.msgs != nil {
 		r.Latency = &h.msgs.latency

@@ -135,8 +135,8 @@ func (t *Telemetry) addSamplerProbes() {
 	// (bulk inbound responses).
 	goodput := func() int64 {
 		b := h.net.c.rxDeliveredBytes
-		if h.msgs != nil && h.msgs.cfg.Pattern == LocalClient {
-			b += h.msgs.completedBytes
+		if h.msgs != nil && !h.msgs.inbound {
+			b += h.msgs.n.bytes
 		}
 		return b
 	}
