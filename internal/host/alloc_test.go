@@ -114,3 +114,43 @@ func TestSameShardCreditAllocs(t *testing.T) {
 		t.Fatalf("cross-shard credit landed %d bytes at the barrier, want 4096", got)
 	}
 }
+
+// TestMsgAllocsPerExchange bounds the closed loop's allocations: a warm
+// F&S host with no bulk flows, 4 streams of depth 4 moving 16KB one way,
+// allocates at most 4 objects per completed exchange in either pattern.
+// Pooled request records and bound callbacks hold it near 1.5 with
+// go1.24, where a boxed segment and a closure per segment took 16.5.
+func TestMsgAllocsPerExchange(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, msgs := range []MsgConfig{
+		{Pattern: LocalServes, Streams: 4, Depth: 4, ReqBytes: 16 << 10},
+		{Pattern: LocalClient, Streams: 4, Depth: 4, RespBytes: 16 << 10},
+	} {
+		h, err := New(Config{Mode: core.FNS, RxFlows: -1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := h.InstallMessages(msgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start()
+		h.Engine().Run(sim.Millisecond)
+		var before, after runtime.MemStats
+		n0 := app.Completed()
+		runtime.ReadMemStats(&before)
+		h.Engine().Run(3 * sim.Millisecond)
+		runtime.ReadMemStats(&after)
+		n := app.Completed() - n0
+		if n < 100 {
+			t.Fatalf("pattern %d: only %d exchanges in 2ms", msgs.Pattern, n)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(n)
+		t.Logf("pattern %d: %d exchanges, %.2f allocs/exchange", msgs.Pattern, n, per)
+		if per > 4 {
+			t.Errorf("pattern %d: %.2f allocs per exchange, want at most 4", msgs.Pattern, per)
+		}
+	}
+}
