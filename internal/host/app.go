@@ -466,15 +466,17 @@ func (w *segWork) work() sim.Duration {
 	cost := w.irq + a.h.net.stackCost()
 	w.r = nil
 	a.works.put(w)
-	switch {
-	case !a.inbound: // a response segment at the local client
+	if !a.inbound { // a response segment at the local client
 		if !r.done && r.got[respSide].add(idx, r.respSegs) {
 			cost += a.appCPU
 			a.complete(r)
 		}
+		return cost
+	}
 	// A request segment at the local server, which never asks whether
 	// the client has finished: a late copy is reassembled and answered
 	// again.
+	switch {
 	case r.expired:
 	case r.answered: // a copy of an answered request: answer its tail again
 		if idx == r.reqSegs-1 {
@@ -524,7 +526,8 @@ func (a *app) complete(r *req) {
 	a.latency.Observe(lat)
 	a.n.completed++
 	a.n.bytes += r.payload
-	r.done, r.answered = true, false
+	r.done = true
+	r.answered = false // a late copy of the request is answered again
 	if !r.resent {
 		a.reqs.put(r)
 	}

@@ -221,7 +221,8 @@ type snapshot struct {
 // requests. Its growth over an interval, in 4KB pages, is the per-page
 // normaliser of the miss rates in Results and in the timeline alike.
 func (h *Host) payloadBytes() int64 {
-	return h.net.c.rxDeliveredBytes + h.net.c.txDeliveredBytes + h.msgs.tally().bytes + h.serve.tally().bytes
+	return h.net.c.rxDeliveredBytes + h.net.c.txDeliveredBytes +
+		h.msgs.tally().bytes + h.serve.tally().bytes
 }
 
 func (h *Host) snap() snapshot {
