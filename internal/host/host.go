@@ -17,6 +17,15 @@
 // with the transport op picking the two-sided stack datapath or the
 // one-sided NIC datapath.
 //
+// Request/response traffic is one app (app.go) with two arrival
+// sources: the closed-loop message workload behind Figures 9, 11 and 12
+// (InstallMessages) and the open-loop serving fleet (Config.Serve). The
+// host goldens traffic_rpc_serves_bulk_tx, traffic_msg_client_9k,
+// traffic_msg_resend_serves and traffic_msg_resend_client lock the
+// closed loop, the last two with resends; traffic_serve_strict_faults,
+// traffic_serve_expiry and traffic_cluster_pairs_serving lock the fleet,
+// the expiry one with abandoned requests.
+//
 // Each host owns its own IOMMU; DMA devices (the NIC datapath in
 // netdev.go, device.Storage, anything else implementing device.Device)
 // attach to it through AttachDevice or the Topology config, each with
