@@ -66,15 +66,16 @@ func TestNoMapOrderDependence(t *testing.T) {
 			return fmt.Errorf("type-check %s: %w", dir, err)
 		}
 		for _, f := range files {
+			file := filepath.ToSlash(fset.Position(f.Pos()).Filename)
 			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
+				site := file + ":package-level"
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					site = file + ":" + funcName(fn)
 				}
-				ast.Inspect(fn, func(n ast.Node) bool {
+				ast.Inspect(decl, func(n ast.Node) bool {
 					if rs, ok := n.(*ast.RangeStmt); ok {
 						if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
-							found[fmt.Sprintf("%s:%s", filepath.ToSlash(fset.Position(fn.Pos()).Filename), funcName(fn))]++
+							found[site]++
 						}
 					}
 					return true
@@ -106,18 +107,14 @@ func TestNoMapOrderDependence(t *testing.T) {
 
 // funcName names a function declaration as Type.Method or Func.
 func funcName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	typ := fn.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	if idx, ok := typ.(*ast.IndexExpr); ok {
-		typ = idx.X
-	}
-	if id, ok := typ.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
+	if fn.Recv != nil {
+		typ := fn.Recv.List[0].Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if id, ok := typ.(*ast.Ident); ok {
+			return id.Name + "." + fn.Name.Name
+		}
 	}
 	return fn.Name.Name
 }
