@@ -124,9 +124,10 @@ var trafficGoldens = []trafficGolden{
 	// window is what lets expiries land inside it.
 	{name: "serve_expiry", cfg: Config{Mode: core.Strict, RxFlows: 5, NICBufferBytes: 16 << 10, Seed: 3,
 		Serve: &ServeConfig{Conns: 48, Churn: 0.5, Cohort: 1}}, measure: 8 * sim.Millisecond},
-	// Both message patterns under drops: a 64KB NIC buffer beside four
-	// bulk flows and a 300us timeout make the message app resend inside
-	// the window, several requests of one stream in one housekeeping tick.
+	// Both message patterns resending: on two cores busy with four bulk
+	// flows an exchange takes longer than the 300us timeout, so the app
+	// resends inside the window, several requests of one stream in one
+	// housekeeping tick.
 	{name: "msg_resend_serves", cfg: resendHost, msgs: &MsgConfig{Pattern: LocalServes, Streams: 2, Depth: 16,
 		ReqBytes: 32 << 10, RespBytes: 32 << 10, Timeout: 300 * sim.Microsecond}},
 	{name: "msg_resend_client", cfg: resendHost, msgs: &MsgConfig{Pattern: LocalClient, Streams: 2, Depth: 16,
