@@ -262,8 +262,15 @@ type app struct {
 }
 
 // InstallMessages attaches the closed-loop request/response workload,
-// rejecting out-of-range values first. Call before Start.
+// rejecting out-of-range values first. Call it once, before Start: a
+// late or second call is an error and leaves any installed app in place.
 func (h *Host) InstallMessages(cfg MsgConfig) (*app, error) {
+	switch {
+	case h.started:
+		return nil, fmt.Errorf("host: InstallMessages after Start")
+	case h.msgs != nil:
+		return nil, fmt.Errorf("host: InstallMessages called twice; a host runs one message app")
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -278,9 +285,9 @@ func (h *Host) InstallMessages(cfg MsgConfig) (*app, error) {
 	return a, nil
 }
 
-// InstallServing attaches the serving-fleet workload. Called by New
-// when Config.Serve is set; call before Start.
-func (h *Host) InstallServing(cfg ServeConfig) (*app, error) {
+// installServing attaches the serving-fleet workload: New's step for
+// Config.Serve.
+func (h *Host) installServing(cfg ServeConfig) (*app, error) {
 	cfg = cfg.withDefaults(h)
 	fleet, err := cohort.New(cohort.Config{
 		Conns:   cfg.Conns,

@@ -174,7 +174,8 @@ type StorageSpec struct {
 
 // validate rejects the values no default stands for: negative counts,
 // sizes, rates, times, seeds and core indices, an MTU too small to carry
-// a packet, and a serving fleet that cannot fill one cohort. Zero means
+// a packet, on the primary NIC or an extra one, and a serving fleet that
+// cannot fill one cohort. Zero means
 // "default" for every field checked here and a negative RxFlows means
 // "no bulk flows", so neither is an error. This is the one range check every front end
 // gets; each message names the field and the value.
@@ -208,6 +209,20 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: FaultSeed must be >= 0, got %d", c.FaultSeed)
 	case c.Telemetry.SampleEvery < 0:
 		return fmt.Errorf("host: Telemetry.SampleEvery must be >= 0, got %v", c.Telemetry.SampleEvery)
+	}
+	// An extra NIC's zero fields inherit the host's values; a negative
+	// RxFlows means "no bulk flows" there too.
+	for i, n := range c.Topology.NICs {
+		switch {
+		case n.Cores < 0:
+			return fmt.Errorf("host: Topology.NICs[%d].Cores must be >= 0, got %d", i, n.Cores)
+		case n.TxFlows < 0:
+			return fmt.Errorf("host: Topology.NICs[%d].TxFlows must be >= 0, got %d", i, n.TxFlows)
+		case n.MTU != 0 && n.MTU < 64:
+			return fmt.Errorf("host: Topology.NICs[%d].MTU must be 0 (the host's) or at least 64 bytes, got %d", i, n.MTU)
+		case n.RingPackets < 0:
+			return fmt.Errorf("host: Topology.NICs[%d].RingPackets must be >= 0, got %d", i, n.RingPackets)
+		}
 	}
 	// The fleet's own knobs (churn, cohort >= 1) are cohort.Config's to
 	// check; a bad conns count is reported before the cohort bound it
@@ -443,7 +458,7 @@ func New(cfg Config) (*Host, error) {
 		h.ctl = ctl
 	}
 	if cfg.Serve != nil {
-		if _, err := h.InstallServing(*cfg.Serve); err != nil {
+		if _, err := h.installServing(*cfg.Serve); err != nil {
 			return nil, err
 		}
 	}

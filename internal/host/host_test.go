@@ -25,7 +25,8 @@ func run(t *testing.T, cfg Config) Results {
 // TestNewRejectsOutOfRange: New and NewCluster hold the one range check
 // behind every front end. Each rejection names the field and the value,
 // a cluster checks its host config before defaults apply, zero still
-// means "default" and a negative RxFlows "no bulk flows".
+// means "default" and a negative RxFlows "no bulk flows", on the primary
+// NIC and on an extra one alike.
 func TestNewRejectsOutOfRange(t *testing.T) {
 	hostCases := []struct {
 		cfg  Config
@@ -47,6 +48,11 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{Seed: -3}, "host: Seed must be >= 0, got -3"},
 		{Config{FaultSeed: -2}, "host: FaultSeed must be >= 0, got -2"},
 		{Config{Telemetry: TelemetryConfig{SampleEvery: -1}}, "host: Telemetry.SampleEvery must be >= 0, got -1ns"},
+		// An extra NIC gets the primary's rules, named by its index.
+		{Config{Topology: Topology{NICs: []NICSpec{{Cores: -2}}}}, "host: Topology.NICs[0].Cores must be >= 0, got -2"},
+		{Config{Topology: Topology{NICs: []NICSpec{{}, {TxFlows: -1}}}}, "host: Topology.NICs[1].TxFlows must be >= 0, got -1"},
+		{Config{Topology: Topology{NICs: []NICSpec{{MTU: 10}}}}, "host: Topology.NICs[0].MTU must be 0 (the host's) or at least 64 bytes, got 10"},
+		{Config{Topology: Topology{NICs: []NICSpec{{RingPackets: -7}}}}, "host: Topology.NICs[0].RingPackets must be >= 0, got -7"},
 		// Protection costs are core.CostModel's to check.
 		{Config{Costs: core.CostModel{InvRequest: -1}}, "core: Costs.InvRequest must be >= 0, got -1ns"},
 		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
@@ -93,6 +99,7 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{MTU: 64},
 		{ATSEntries: 4096},
 		{Serve: &ServeConfig{Conns: 8, Churn: 1, Cohort: 8}},
+		{Topology: Topology{NICs: []NICSpec{{RxFlows: -1, MTU: 64}}}},
 	} {
 		if _, err := New(cfg); err != nil {
 			t.Errorf("New(%+v): %v", cfg, err)

@@ -90,6 +90,50 @@ func TestInstallMessagesRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestInstallMessagesAfterStartRejected: an app installed after Start
+// would never start, so the call is an error and installs nothing.
+func TestInstallMessagesAfterStartRejected(t *testing.T) {
+	h, err := New(Config{Mode: core.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Start()
+	want := "host: InstallMessages after Start"
+	if _, err := h.InstallMessages(MsgConfig{}); err == nil || err.Error() != want {
+		t.Fatalf("InstallMessages after Start: err = %v, want %q", err, want)
+	}
+	if h.msgs != nil {
+		t.Fatal("InstallMessages after Start installed the app despite the error")
+	}
+}
+
+// TestInstallMessagesTwiceRejected: a host runs one message app, so a
+// second call is an error and the first app keeps its slot and its
+// rpc.* instruments.
+func TestInstallMessagesTwiceRejected(t *testing.T) {
+	h, err := New(Config{Mode: core.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := h.InstallMessages(MsgConfig{Streams: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "host: InstallMessages called twice; a host runs one message app"
+	if _, err := h.InstallMessages(MsgConfig{Streams: 3}); err == nil || err.Error() != want {
+		t.Fatalf("second InstallMessages: err = %v, want %q", err, want)
+	}
+	if h.msgs != first || len(first.live) != 2 {
+		t.Fatal("a rejected second InstallMessages replaced the first app")
+	}
+	if got := h.Telemetry().Histogram("rpc.latency_ns"); got != first.Latency() {
+		t.Fatal("a rejected second InstallMessages rebound rpc.latency_ns")
+	}
+	if r := h.Run(sim.Millisecond, 2*sim.Millisecond); r.Completed == 0 {
+		t.Fatal("the first app completed no exchanges")
+	}
+}
+
 func TestMsgDepthBoundsOutstanding(t *testing.T) {
 	h, err := New(Config{Mode: core.Off, Cores: 1, RxFlows: -1})
 	if err != nil {

@@ -38,9 +38,10 @@ type NICSpec struct {
 	PeerSlots int
 }
 
-// resolve fills zero fields from the host config.
+// resolve fills zero fields from the host config (Config.validate has
+// already rejected negative ones).
 func (s NICSpec) resolve(cfg Config) NICSpec {
-	if s.Cores <= 0 {
+	if s.Cores == 0 {
 		s.Cores = cfg.Cores
 	}
 	if s.RxFlows < 0 {
@@ -48,13 +49,10 @@ func (s NICSpec) resolve(cfg Config) NICSpec {
 	} else if s.RxFlows == 0 {
 		s.RxFlows = s.Cores
 	}
-	if s.TxFlows < 0 {
-		s.TxFlows = 0
-	}
-	if s.MTU <= 0 {
+	if s.MTU == 0 {
 		s.MTU = cfg.MTU
 	}
-	if s.RingPackets <= 0 {
+	if s.RingPackets == 0 {
 		s.RingPackets = cfg.RingPackets
 	}
 	if s.LinkGbps <= 0 {

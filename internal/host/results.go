@@ -113,7 +113,6 @@ type Results struct {
 // Latencies is the latency section of Results: the paper's distributional
 // evidence, one histogram per collection point.
 type Latencies struct {
-	RPC   *stats.Histogram // request/response exchange latency (ns), nil without messages
 	RxDMA *stats.Histogram // primary NIC Rx PCIe DMA completion latency (ns)
 	TxDMA *stats.Histogram // primary NIC Tx PCIe DMA completion latency (ns)
 }
@@ -373,7 +372,6 @@ func (h *Host) results(before, after snapshot) Results {
 		r.Latency = &h.msgs.latency
 	}
 	r.Latencies = Latencies{
-		RPC:   r.Latency,
 		RxDMA: h.net.rx.Latency(),
 		TxDMA: h.net.tx.Latency(),
 	}
@@ -387,12 +385,10 @@ func (h *Host) results(before, after snapshot) Results {
 		r.Timeline = h.tele.sampler.SeriesWindow(before.at, after.at)
 	}
 
+	// A device cannot attach after Start, so both snapshots list the same
+	// devices. Cores, created on demand, can still appear mid-window.
 	for i, d := range h.devices {
-		var b devSnap
-		if i < len(before.devs) {
-			b = before.devs[i]
-		}
-		a := after.devs[i]
+		b, a := before.devs[i], after.devs[i]
 		bytes := a.st.Bytes - b.st.Bytes
 		dr := DeviceResults{
 			Name:          d.Name(),
@@ -416,11 +412,7 @@ func (h *Host) results(before, after snapshot) Results {
 			dr.ATSHitRate = float64(a.ats.Hits-b.ats.Hits) / float64(dr.ATSLookups)
 		}
 		if h.aud != nil {
-			var bs fault.SafetyReport
-			if i < len(before.audDev) {
-				bs = before.audDev[i]
-			}
-			sr := after.audDev[i].Sub(bs)
+			sr := after.audDev[i].Sub(before.audDev[i])
 			dr.Safety = &sr
 		}
 		r.Devices = append(r.Devices, dr)

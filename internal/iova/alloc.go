@@ -7,16 +7,6 @@ import (
 	"fastsafe/internal/ptable"
 )
 
-// Allocator is the interface the IOMMU driver uses. Alloc returns the base
-// IOVA of a free, page-aligned range of the given number of 4KB pages, and
-// ok=false on exhaustion. The cpu argument selects the per-CPU cache (the
-// TreeAllocator ignores it). Free returns a range; freeing a range that was
-// not allocated is a programming error and panics.
-type Allocator interface {
-	Alloc(cpu, pages int) (ptable.IOVA, bool)
-	Free(cpu int, base ptable.IOVA, pages int)
-}
-
 // Stats counts allocator work, split so the simulator can charge different
 // CPU costs to tree operations (expensive: locking plus rebalancing plus
 // worst-case linear gap scans) and magazine operations (cheap).
@@ -135,7 +125,8 @@ func (a *TreeAllocator) allocRange(npages uint64) *node {
 	return nil
 }
 
-// Free returns a previously allocated range to the tree.
+// Free returns a previously allocated range to the tree; a range that
+// matches no allocation is a programming error and panics.
 func (a *TreeAllocator) Free(_ int, base ptable.IOVA, pages int) {
 	pfn := uint64(base) >> ptable.PageShift
 	n := a.tree.find(pfn)
@@ -348,8 +339,3 @@ func (a *CachedAllocator) FlushRCaches() int {
 	}
 	return released
 }
-
-var (
-	_ Allocator = (*TreeAllocator)(nil)
-	_ Allocator = (*CachedAllocator)(nil)
-)
