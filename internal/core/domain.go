@@ -14,71 +14,39 @@ import (
 	"fastsafe/internal/stats"
 )
 
-// CostModel gives the CPU time charged for each driver-side protection
-// operation. The values matter relative to the per-packet network-stack
-// cost: strict mode submits one invalidation request per page and waits
-// for completion [39], F&S submits one per descriptor (§3, Figure 6).
-type CostModel struct {
-	CacheAlloc sim.Duration // IOVA alloc/free served by a magazine
-	TreeAlloc  sim.Duration // IOVA alloc/free hitting the red-black tree
-	// TreeNodeVisit is charged per tree node touched while searching for a
-	// gap — the worst-case linear scans Peleg et al. [39] measured.
-	TreeNodeVisit sim.Duration
-	MapPage       sim.Duration // installing one 4KB page-table entry
-	UnmapPage     sim.Duration // clearing one 4KB page-table entry
-	InvRequest    sim.Duration // submitting one invalidation request and
-	// waiting for the IOMMU to complete it
-	// ATCInvRequest is the additional completion latency of the ATC-
-	// invalidate message class: the shootdown round-trips over PCIe to
-	// the device and back before the invalidation completes. Charged
-	// only when the domain has a device-side ATS cache attached.
-	ATCInvRequest sim.Duration
-	// CapGrant/CapRevoke are the capability family's per-page costs:
-	// installing (or overwriting) one entry in the per-domain capability
-	// table, and killing one. Both are O(1) table updates with no
-	// invalidation-queue round trip — that asymmetry against InvRequest
-	// is the whole point of the CAPIO-style design.
-	CapGrant  sim.Duration
-	CapRevoke sim.Duration
-}
-
-// DefaultCosts are calibrated so that, with the default per-packet stack
-// cost in internal/host, five cores saturate 100Gbps with the IOMMU off
-// (as in §2.2's setup) while strict-mode per-page operations add visible
-// but non-bottleneck CPU load — matching the paper's observation that CPU
+// The CPU time charged for each driver-side protection operation. The
+// values matter relative to the per-packet network-stack cost: strict
+// mode submits one invalidation request per page and waits for
+// completion [39], F&S submits one per descriptor (§3, Figure 6). They
+// are calibrated so that, with the per-packet stack cost in
+// internal/host, five cores saturate 100Gbps with the IOMMU off (as in
+// §2.2's setup) while strict-mode per-page operations add visible but
+// non-bottleneck CPU load — matching the paper's observation that CPU
 // was far from saturated when the IOMMU throttled throughput.
-func DefaultCosts() CostModel {
-	return CostModel{
-		CacheAlloc:    25,
-		TreeAlloc:     400,
-		TreeNodeVisit: 15,
-		MapPage:       60,
-		UnmapPage:     60,
-		InvRequest:    250,
-		ATCInvRequest: 450,
-		CapGrant:      90,
-		CapRevoke:     90,
-	}
-}
-
-// Validate rejects a negative cost. Every field is CPU time charged to a
-// core per operation, so a negative one would silently credit the cores
-// and hide the protection overhead the figures measure.
-func (c CostModel) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    sim.Duration
-	}{
-		{"CacheAlloc", c.CacheAlloc}, {"TreeAlloc", c.TreeAlloc}, {"TreeNodeVisit", c.TreeNodeVisit},
-		{"MapPage", c.MapPage}, {"UnmapPage", c.UnmapPage}, {"InvRequest", c.InvRequest},
-		{"ATCInvRequest", c.ATCInvRequest}, {"CapGrant", c.CapGrant}, {"CapRevoke", c.CapRevoke},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("core: Costs.%s must be >= 0, got %v", f.name, f.v)
-		}
-	}
-	return nil
-}
+const (
+	costCacheAlloc sim.Duration = 25  // IOVA alloc/free served by a magazine
+	costTreeAlloc  sim.Duration = 400 // IOVA alloc/free hitting the red-black tree
+	// costTreeNodeVisit is charged per tree node touched while searching
+	// for a gap — the worst-case linear scans Peleg et al. [39] measured.
+	costTreeNodeVisit sim.Duration = 15
+	costMapPage       sim.Duration = 60 // installing one 4KB page-table entry
+	costUnmapPage     sim.Duration = 60 // clearing one 4KB page-table entry
+	// costInvRequest is submitting one invalidation request and waiting
+	// for the IOMMU to complete it.
+	costInvRequest sim.Duration = 250
+	// costATCInvRequest is the additional completion latency of the ATC-
+	// invalidate message class: the shootdown round-trips over PCIe to
+	// the device and back before the invalidation completes. Charged only
+	// when the domain has a device-side ATS cache attached.
+	costATCInvRequest sim.Duration = 450
+	// costCapGrant and costCapRevoke are the capability family's per-page
+	// costs: installing (or overwriting) one entry in the per-domain
+	// capability table, and killing one. Both are O(1) table updates with
+	// no invalidation-queue round trip — that asymmetry against
+	// costInvRequest is the whole point of the CAPIO-style design.
+	costCapGrant  sim.Duration = 90
+	costCapRevoke sim.Duration = 90
+)
 
 // Config configures a protection Domain.
 type Config struct {
@@ -101,7 +69,6 @@ type Config struct {
 	FreePoolSize int
 	// Seed drives the free pool's deterministic shuffle.
 	Seed  int64
-	Costs CostModel    // zero value takes DefaultCosts
 	IOMMU iommu.Config // cache geometry (ignored when SharedIOMMU is set)
 	// SharedIOMMU attaches this domain to an existing IOMMU instead of
 	// creating a private one: the domain gets its own IOVA space and IO
@@ -125,7 +92,7 @@ type Config struct {
 	// ATS, with Entries > 0, fronts the domain's translations with a
 	// device-side ATS translation cache (see internal/ats): DMAs
 	// translate through the device TLB, invalidations send an extra
-	// ATC-invalidate message (Costs.ATCInvRequest), and misses pay an
+	// ATC-invalidate message (costATCInvRequest), and misses pay an
 	// ATS request with PRI fallback. Zero Entries — the default —
 	// routes straight to the IOMMU, byte-identical to the pre-seam code.
 	ATS ats.Config
@@ -140,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeferredLimit <= 0 {
 		c.DeferredLimit = 256
-	}
-	if c.Costs == (CostModel{}) {
-		c.Costs = DefaultCosts()
 	}
 	return c
 }
@@ -264,12 +228,9 @@ type pendingFree struct {
 }
 
 // NewDomain builds a protection domain. A mode with no registered
-// policy or a negative cost is a construction-time error — the
-// datapaths carry no "unhandled mode" branches.
+// policy is a construction-time error — the datapaths carry no
+// "unhandled mode" branches.
 func NewDomain(cfg Config) (*Domain, error) {
-	if err := cfg.Costs.Validate(); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	pol, ok := PolicyFor(cfg.Mode)
 	if !ok {
@@ -368,7 +329,7 @@ func (d *Domain) allocIOVA(cpu, pages int) (ptable.IOVA, sim.Duration, error) {
 	if inj := d.cfg.Faults; inj != nil && inj.FailAlloc(d.domID) {
 		// Transient allocator failure: the driver backs off and retries
 		// through the slow tree path before succeeding below.
-		fcost = d.cfg.Costs.TreeAlloc
+		fcost = costTreeAlloc
 	}
 	before := d.alloc.Stats()
 	base, ok := d.alloc.Alloc(cpu, pages)
@@ -376,10 +337,10 @@ func (d *Domain) allocIOVA(cpu, pages int) (ptable.IOVA, sim.Duration, error) {
 		return 0, 0, fmt.Errorf("core: IOVA space exhausted (%d pages)", pages)
 	}
 	after := d.alloc.Stats()
-	cost := d.cfg.Costs.CacheAlloc
+	cost := costCacheAlloc
 	if after.TreeAllocs > before.TreeAllocs {
-		cost = d.cfg.Costs.TreeAlloc +
-			d.cfg.Costs.TreeNodeVisit*sim.Duration(after.NodesVisited-before.NodesVisited)
+		cost = costTreeAlloc +
+			costTreeNodeVisit*sim.Duration(after.NodesVisited-before.NodesVisited)
 	}
 	d.c.IOVAAllocs++
 	return base, cost + fcost, nil
@@ -412,9 +373,9 @@ func (d *Domain) invalidate(base ptable.IOVA, pages int, iotlbOnly bool) sim.Dur
 // the base request, plus the ATC-invalidate message round trip when the
 // domain's device caches translations.
 func (d *Domain) invRequestCost() sim.Duration {
-	cost := d.cfg.Costs.InvRequest
+	cost := costInvRequest
 	if d.atc != nil {
-		cost += d.cfg.Costs.ATCInvRequest
+		cost += costATCInvRequest
 	}
 	return cost
 }
@@ -445,7 +406,7 @@ func (d *Domain) freeIOVA(cpu int, base ptable.IOVA, pages int) sim.Duration {
 	if d.cfg.FreePoolSize > 0 {
 		d.freePool = append(d.freePool, pendingFree{base, pages, cpu})
 		if len(d.freePool) <= d.cfg.FreePoolSize {
-			return d.cfg.Costs.CacheAlloc
+			return costCacheAlloc
 		}
 		i := d.rng.Intn(len(d.freePool))
 		p := d.freePool[i]
@@ -455,7 +416,7 @@ func (d *Domain) freeIOVA(cpu int, base ptable.IOVA, pages int) sim.Duration {
 	}
 	d.alloc.Free(cpu, base, pages)
 	d.c.IOVAFrees++
-	return d.cfg.Costs.CacheAlloc
+	return costCacheAlloc
 }
 
 // txFreeCPU returns the core a Tx completion's IOVA frees on.

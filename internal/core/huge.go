@@ -60,7 +60,7 @@ func (d *Domain) mapRxDescriptorHuge(cpu int) (*Descriptor, sim.Duration, error)
 		if err := d.table.MapHuge(base, d.newPhysHuge()); err != nil {
 			return nil, 0, err
 		}
-		cost += d.cfg.Costs.MapPage // a single page-table entry
+		cost += costMapPage // a single page-table entry
 		d.c.PagesMapped += int64(hugePages)
 		hc = &hugeChunk{rawBase: raw, rawPages: 2 * hugePages, base: base, descs: descsPer}
 		d.hugeRx[cpu] = hc
@@ -92,7 +92,7 @@ func (d *Domain) unmapRxDescriptorHuge(desc *Descriptor) (sim.Duration, error) {
 		if err := d.table.UnmapHuge(hc.base); err != nil {
 			return cost, err
 		}
-		cost += d.cfg.Costs.UnmapPage // a single page-table entry
+		cost += costUnmapPage // a single page-table entry
 		d.c.PagesUnmapped += int64(hugePages)
 		cost += d.invalidate(hc.base, hugePages, true)
 		cost += d.freeIOVA(desc.cpu, hc.rawBase, hc.rawPages)

@@ -240,7 +240,7 @@ func (d *Domain) RemapRxDescriptor(desc *Descriptor) (sim.Duration, error) {
 		}
 	}
 	if p.revocation == lazyRevokeCap {
-		cost += d.cfg.Costs.CacheAlloc + d.maybeFlush(p)
+		cost += costCacheAlloc + d.maybeFlush(p)
 	}
 	d.c.RxDescriptorsUnmapped++
 	d.c.RxDescriptorsMapped++
@@ -348,9 +348,9 @@ func (d *Domain) mapPage(v ptable.IOVA) (sim.Duration, error) {
 	d.c.PagesMapped++
 	if d.caps != nil {
 		d.caps.Grant(v, phys)
-		return d.cfg.Costs.CapGrant, nil
+		return costCapGrant, nil
 	}
-	return d.cfg.Costs.MapPage, nil
+	return costMapPage, nil
 }
 
 // mapRun maps the n pages from base, appending their IOVAs.
@@ -431,13 +431,13 @@ func (d *Domain) remapPage(p *Policy, v ptable.IOVA) (sim.Duration, error) {
 	switch p.revocation {
 	case revokeCap:
 		d.caps.Grant(v, phys)
-		return d.cfg.Costs.CapGrant, nil
+		return costCapGrant, nil
 	case lazyRevokeCap:
 		d.batch.regrants = append(d.batch.regrants, capRegrant{v, phys})
 		d.batch.pages++
 		return 0, nil
 	}
-	return d.cfg.Costs.MapPage, nil
+	return costMapPage, nil
 }
 
 // unmapRun unmaps the n pages from base with one table unmap, then
@@ -451,7 +451,7 @@ func (d *Domain) unmapRun(p *Policy, rev revocation, base ptable.IOVA, n int) (s
 	}
 	var cost sim.Duration
 	if d.caps == nil {
-		cost = d.cfg.Costs.UnmapPage * sim.Duration(n)
+		cost = costUnmapPage * sim.Duration(n)
 	}
 	d.c.PagesUnmapped += int64(n)
 	switch rev {
@@ -468,7 +468,7 @@ func (d *Domain) unmapRun(p *Policy, rev revocation, base ptable.IOVA, n int) (s
 	case revokeCap:
 		for i := 0; i < n; i++ {
 			d.caps.Revoke(base + ptable.IOVA(i*ptable.PageSize))
-			cost += d.cfg.Costs.CapRevoke
+			cost += costCapRevoke
 		}
 	case lazyRevokeCap:
 		// Until the flush the device's capability still stands: the
@@ -476,7 +476,7 @@ func (d *Domain) unmapRun(p *Policy, rev revocation, base ptable.IOVA, n int) (s
 		// batch append.
 		d.batch.revokes = append(d.batch.revokes, pendingFree{base: base, pages: n})
 		d.batch.pages += n
-		cost += d.cfg.Costs.CacheAlloc
+		cost += costCacheAlloc
 	}
 	return cost, nil
 }
@@ -530,7 +530,7 @@ func (d *Domain) flush() sim.Duration {
 	for _, r := range b.revokes {
 		for i := 0; i < r.pages; i++ {
 			d.caps.Revoke(r.base + ptable.IOVA(i*ptable.PageSize))
-			cost += d.cfg.Costs.CacheAlloc
+			cost += costCacheAlloc
 		}
 	}
 	for _, f := range b.frees {
@@ -538,7 +538,7 @@ func (d *Domain) flush() sim.Duration {
 	}
 	for _, rg := range b.regrants {
 		d.caps.Grant(rg.v, rg.phys)
-		cost += d.cfg.Costs.CapGrant
+		cost += costCapGrant
 	}
 	*b = batch{revokes: b.revokes[:0], frees: b.frees[:0], regrants: b.regrants[:0]}
 	d.c.DeferredFlushes++

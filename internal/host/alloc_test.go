@@ -88,9 +88,9 @@ func TestSameShardCreditAllocs(t *testing.T) {
 	var same, cross *flow
 	for _, f := range c.Hosts()[0].net.sinks {
 		switch {
-		case f.src.h.shard == 0 && same == nil:
+		case f.src.h.pl.shard == 0 && same == nil:
 			same = f
-		case f.src.h.shard != 0 && cross == nil:
+		case f.src.h.pl.shard != 0 && cross == nil:
 			cross = f
 		}
 	}

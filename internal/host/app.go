@@ -23,7 +23,7 @@ import (
 //     far behind the host falls, which makes protection cost visible as
 //     tail latency instead of lost goodput; a request whose segments
 //     were dropped is abandoned, never retried. Churn is the load-bearing
-//     part: every connection owns a buffer of ConnPages mapped at birth
+//     part: every connection owns a buffer of pages mapped at birth
 //     and unmapped at death, and every response rides freshly mapped Tx
 //     buffers, so IOVA allocation and (un)map rates scale with churn ×
 //     request rate — the regime that decides whether the rcache
@@ -98,46 +98,25 @@ func (c MsgConfig) validate() error {
 	return nil
 }
 
-// ServeConfig configures the serving-fleet workload on a host. Conns,
-// Churn and Cohort are the externally exposed knobs (validated through
-// cohort.Config); the rest shape the traffic and default to a
-// production-ish profile that loads five cores to ~50% before
+// ServeConfig configures the serving-fleet workload on a host. Its
+// traffic shape is fixed by the serve* constants: a production-ish
+// profile that loads the host's cores (five by default) to ~50% before
 // protection costs.
 type ServeConfig struct {
 	Conns  int     // fleet population (constant; dead connections are reborn)
 	Churn  float64 // per-request connection death probability, in (0, 1]
 	Cohort int     // connections per aggregated cohort (1 = exact per-flow model)
-
-	RatePerConn float64      // mean requests/s per connection (default 25000)
-	ReqBytes    int          // bounded-Pareto request payload cap (default 64KB)
-	RespBytes   int          // bounded-Pareto response payload cap (default 4KB)
-	ConnPages   int          // per-connection buffer pages mapped at birth (default 8)
-	AppCPU      sim.Duration // per-request application CPU (default 1us)
-	Cores       int          // cores the connections spread over (default host Cores)
-	CoreBase    int          // first core index (default 0)
 }
 
-func (c ServeConfig) withDefaults(h *Host) ServeConfig {
-	if c.RatePerConn <= 0 {
-		c.RatePerConn = 25000
-	}
-	if c.ReqBytes <= 0 {
-		c.ReqBytes = 64 << 10
-	}
-	if c.RespBytes <= 0 {
-		c.RespBytes = 4 << 10
-	}
-	if c.ConnPages <= 0 {
-		c.ConnPages = 8
-	}
-	if c.AppCPU == 0 {
-		c.AppCPU = 1 * sim.Microsecond
-	}
-	if c.Cores <= 0 {
-		c.Cores = h.cfg.Cores
-	}
-	return c
-}
+// The serving fleet's traffic shape. Its connections spread over the
+// host's Cores from core 0.
+const (
+	serveRatePerConn = 25000.0         // mean requests/s per connection
+	serveReqMax      = 64 << 10        // bounded-Pareto request payload cap
+	serveRespMax     = 4 << 10         // bounded-Pareto response payload cap
+	serveConnPages   = 8               // per-connection buffer pages mapped at birth
+	serveAppCPU      = sim.Microsecond // per-request application CPU
+)
 
 // servingGCTimeout is how long an unanswered request may sit before the
 // open loop abandons it (its segments were tail-dropped at the NIC; the
@@ -288,21 +267,21 @@ func (h *Host) InstallMessages(cfg MsgConfig) (*app, error) {
 // installServing attaches the serving-fleet workload: New's step for
 // Config.Serve.
 func (h *Host) installServing(cfg ServeConfig) (*app, error) {
-	cfg = cfg.withDefaults(h)
+	rate := serveRatePerConn // the gap divides in float64 at run time
 	fleet, err := cohort.New(cohort.Config{
 		Conns:   cfg.Conns,
 		Cohort:  cfg.Cohort,
 		Churn:   cfg.Churn,
-		MeanGap: sim.Duration(1e9 / cfg.RatePerConn),
-		ReqMax:  cfg.ReqBytes,
-		RespMax: cfg.RespBytes,
+		MeanGap: sim.Duration(1e9 / rate),
+		ReqMax:  serveReqMax,
+		RespMax: serveRespMax,
 		Seed:    h.cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("host: serving: %w", err)
 	}
-	a := &app{h: h, inbound: true, appCPU: cfg.AppCPU, coreBase: cfg.CoreBase, cpus: cfg.Cores,
-		fleet: fleet, connPages: cfg.ConnPages, connMaps: make([]*core.TxMapping, cfg.Conns),
+	a := &app{h: h, inbound: true, appCPU: serveAppCPU, cpus: h.cfg.Cores,
+		fleet: fleet, connPages: serveConnPages, connMaps: make([]*core.TxMapping, cfg.Conns),
 		live: make([]sim.FIFO[liveRef], 1)}
 	a.remoteFn, a.onTimerFn = a.landRemote, a.onTimer
 	h.serve = a
@@ -431,7 +410,7 @@ func (a *app) send(r *req, bytes, n int, inbound bool) {
 		if inbound {
 			a.h.net.arriveFromRemote(pkt)
 		} else {
-			a.h.net.sendTx(pkt, a.h.cfg.AckTxCost)
+			a.h.net.sendTx(pkt, ackTxCPU)
 		}
 	}
 }

@@ -78,8 +78,9 @@ type ClusterConfig struct {
 	// cluster hosts run peer flows instead of abstract-remote bulk flows).
 	Host Config
 
-	// Fabric configures the switch; Fabric.PortGbps 0 inherits the host
-	// NIC line rate.
+	// Fabric configures the switch. Its defaults match the testbed's
+	// hosts: the NICs' 100 Gbps line rate, their 150 KB ECN threshold and
+	// 2us propagation.
 	Fabric fabric.Config
 }
 
@@ -197,24 +198,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		outgoing[p[0]] += cfg.FlowsPerPair
 	}
 
-	fc := cfg.Fabric
-	if fc.PortGbps == 0 {
-		fc.PortGbps = base.LinkGbps
-	}
-	if fc.ECNK == 0 {
-		fc.ECNK = base.ECNKBytes
-	}
-	if fc.Prop == 0 {
-		fc.Prop = base.PropDelay
-	}
-
 	// One engine and one registry per shard, hosts assigned contiguously.
 	// Per-shard registries keep every instrument engine-confined during
 	// parallel rounds; names are disjoint (hostN.*, fabric.portN.*,
 	// fabric.core.*), so Registry merges them by pure adoption. The
 	// lookahead is the per-hop propagation, which sim.NewShards needs
 	// positive even for one shard.
-	la := fc.PerHopProp()
+	la := cfg.Fabric.PerHopProp()
 	if la <= 0 {
 		return nil, fmt.Errorf("host: cluster needs positive fabric propagation, got per-hop %v", la)
 	}
@@ -228,7 +218,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.regs[i] = stats.NewRegistry()
 	}
 	engOf := func(i int) *sim.Engine { return c.shards.Engine(c.shardOf[i]) }
-	sw, err := fabric.NewShardedSwitch(cfg.Hosts, fc, engOf, c.shards.Engine(0), clusterRouter{c})
+	sw, err := fabric.NewShardedSwitch(cfg.Hosts, cfg.Fabric, engOf, c.shards.Engine(0), clusterRouter{c})
 	if err != nil {
 		return nil, err
 	}
@@ -236,23 +226,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	for i := 0; i < cfg.Hosts; i++ {
 		hc := base
-		hc.Engine = engOf(i)
-		hc.HostID = i
 		hc.Seed = base.Seed + int64(i)*clusterSeedStride
 		// Cluster hosts run peer flows only: no abstract-remote bulk flows.
 		hc.RxFlows = -1
 		hc.TxFlows = 0
-		hc.PeerSlots = outgoing[i]
-		if hc.PeerSlots > maxPeerSlots {
-			hc.PeerSlots = maxPeerSlots
-		}
-		hc.Telemetry.Registry = c.regs[c.shardOf[i]]
-		hc.Telemetry.Prefix = fmt.Sprintf("host%d.", i)
-		h, err := New(hc)
+		h, err := newHost(hc, placement{
+			shards:    c.shards,
+			shard:     c.shardOf[i],
+			reg:       c.regs[c.shardOf[i]],
+			prefix:    fmt.Sprintf("host%d.", i),
+			peerSlots: min(outgoing[i], maxPeerSlots),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("host: cluster host %d: %w", i, err)
 		}
-		h.shards, h.shard = c.shards, c.shardOf[i]
 		c.hosts = append(c.hosts, h)
 	}
 
@@ -262,7 +249,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for _, p := range pairs {
 		src, dst := c.hosts[p[0]], c.hosts[p[1]]
 		for k := 0; k < cfg.FlowsPerPair; k++ {
-			srcCPU := src.cfg.Cores + src.cfg.TxFlows + out[p[0]]%src.cfg.PeerSlots
+			srcCPU := src.cfg.Cores + src.cfg.TxFlows + out[p[0]]%src.pl.peerSlots
 			dstCPU := in[p[1]] % dst.cfg.Cores
 			src.connect(dst, sw.Port(p[0]), sw.Port(p[1]), cfg.Op,
 				flowID, srcCPU, dstCPU, sim.Time(flowID)*sim.Microsecond)

@@ -120,24 +120,12 @@ func (p path) arrive(dev *nic.NIC, pkt nic.Packet) {
 	})
 }
 
-// open builds the flow's transport ends with params p and binds them to
-// the hosts at either end (transport.AbstractPeer for the abstract
-// remote).
+// open builds the flow's transport ends with params p.
 func (f *flow) open(p transport.Params) {
-	src, dst := endpointHost(f.src), endpointHost(f.dst)
 	f.snd = transport.NewSender(p)
 	f.rcv = transport.NewReceiver(p)
-	f.snd.Bind(transport.Endpoint{Host: src, Peer: dst})
-	f.rcv.Bind(transport.Endpoint{Host: dst, Peer: src})
 	f.pumpFn, f.flushFn = f.pump, f.flushTimer
 	f.sinkFn, f.sourceFn = f.landAtSink, f.landAtSource
-}
-
-func endpointHost(n *netDev) int {
-	if n == nil {
-		return transport.AbstractPeer
-	}
-	return n.h.cfg.HostID
 }
 
 // kind names the flow's probe namespace under its NIC: <dev>.<kind><id>.
@@ -173,21 +161,17 @@ func (h *Host) connect(dst *Host, srcPort, dstPort *fabric.Port, op transport.Op
 		rev:    path{port: dstPort, to: srcPort.ID()},
 		start:  start,
 	}
-	p := h.cfg.Transport
+	var p transport.Params
 	if op.OneSided() {
 		// The remote end of a one-sided flow is a device buffer, not a CPU
 		// ring: bound the outstanding payload to half the sink's input
 		// buffer (RDMA NICs cap outstanding WQE data the same way) so a
 		// slow translation path surfaces as ECN marks instead of tail
-		// drops, and floor the retransmission timer at device scale — NIC
+		// drops, and set the retransmission timer at device scale — NIC
 		// timers run far below the stack's 5ms, which would outlast a run.
 		stride := dst.net.dev.FrameStride(f.mtu)
-		if max := float64(dst.cfg.NICBufferBytes) / float64(2*stride); p.MaxCwnd == 0 || p.MaxCwnd > max {
-			p.MaxCwnd = max
-		}
-		if p.RTOMin == 0 || p.RTOMin > sim.Millisecond {
-			p.RTOMin = sim.Millisecond
-		}
+		p.MaxCwnd = float64(dst.cfg.NICBufferBytes) / float64(2*stride)
+		p.RTOMin = sim.Millisecond
 	}
 	f.open(p)
 	if op.OneSided() {
@@ -226,7 +210,7 @@ func (f *flow) pump() {
 			n.dev.SendTxDirect(seg, iovas, start)
 		default:
 			f.sendQueued++
-			n.sendTx(seg, n.h.cfg.StackCost)
+			n.sendTx(seg, stackCPU)
 		}
 	}
 }
@@ -237,7 +221,7 @@ func (f *flow) pump() {
 func (f *flow) postRead() {
 	n := f.dst
 	n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-		return n.h.cfg.StackCost
+		return stackCPU
 	}, func() {
 		f.rev.send(64, func(bool) { f.pump() })
 	})
@@ -343,13 +327,13 @@ func (f *flow) creditPeerTx(bytes int64) {
 	if src == nil || bytes == 0 {
 		return
 	}
-	sink, s := f.dst.h, src.h.shard
-	if sink.shard == s {
+	sink, s := f.dst.h, src.h.pl.shard
+	if sink.pl.shard == s {
 		src.c.txDeliveredBytes += bytes
 		return
 	}
 	now := sink.eng.Now()
-	sink.shards.Post(sink.shard, s, now, now, func() { src.c.txDeliveredBytes += bytes })
+	sink.pl.shards.Post(sink.pl.shard, s, now, now, func() { src.c.txDeliveredBytes += bytes })
 }
 
 // ackOrArm sends the ACK the receiver just produced or, when it is
@@ -374,7 +358,7 @@ func (f *flow) armFlush() {
 	if n == nil {
 		n = f.src // the abstract remote runs on the clock of the NIC it hangs off
 	}
-	n.h.eng.After(n.h.cfg.DelAck, f.flushFn)
+	n.h.eng.After(delAck, f.flushFn)
 }
 
 // flushTimer is the delayed-ACK timer firing.
@@ -403,7 +387,7 @@ func (f *flow) sendAck(ack transport.Ack) {
 		f.dst.c.acksSent++
 		f.rev.send(64, func(bool) { f.onAck(ack) })
 	default:
-		f.dst.sendTx(nic.Packet{CPU: f.dstCPU, Bytes: 64, Payload: ackSeg{f: f, ack: ack}}, f.dst.h.cfg.AckTxCost)
+		f.dst.sendTx(nic.Packet{CPU: f.dstCPU, Bytes: 64, Payload: ackSeg{f: f, ack: ack}}, ackTxCPU)
 	}
 }
 
@@ -456,7 +440,7 @@ func (w *ackWork) work() sim.Duration {
 	n := f.src
 	n.ackWorks.put(w)
 	f.snd.OnAck(ack, n.h.eng.Now())
-	return n.h.cfg.AckRxCost
+	return ackRxCPU
 }
 
 // rdmaWindowChunks sizes each registered window: chunks × descriptor

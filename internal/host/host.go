@@ -41,15 +41,46 @@ import (
 	"fastsafe/internal/fault"
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/mem"
+	"fastsafe/internal/model"
 	"fastsafe/internal/nic"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/sim"
-	"fastsafe/internal/transport"
+	"fastsafe/internal/stats"
 )
 
+// The testbed calibration (§2.2), fitted once to reproduce the paper's
+// measurements rather than set per experiment.
+const (
+	linkGbps  = 100                      // NIC line rate
+	pcieGbps  = 128                      // PCIe 3.0 serialisation cap
+	l0        = sim.Duration(model.L0Ns) // fitted DMA base latency
+	propDelay = 2 * sim.Microsecond      // one-way propagation
+	ecnBytes  = 150 << 10                // DCTCP marking threshold K
+)
+
+// Per-packet CPU costs, calibrated with core's per-operation costs so
+// that five cores saturate the link with the IOMMU off.
+const (
+	stackCPU sim.Duration = 600 // network stack, per data packet
+	ackTxCPU sim.Duration = 250 // building and sending an ACK
+	ackRxCPU sim.Duration = 150 // processing a received ACK
+	// irqCPU is charged when a delivery finds its core idle; NAPI
+	// batching amortises it under load.
+	irqCPU = 2 * sim.Microsecond
+	// ringCPUFactor inflates stackCPU per doubling of the ring past 256
+	// strides: the prefetcher-efficiency loss at large rings (§4.4).
+	ringCPUFactor = 0.55
+)
+
+// delAck is the delayed-ACK flush timeout. Without it, flows whose
+// window is smaller than the ACK coalescing factor stall until the next
+// housekeeping tick.
+const delAck = 30 * sim.Microsecond
+
 // Config describes one experiment's host setup. Zero fields take the
-// defaults of the paper's testbed (§2.2): 100Gbps NIC, 128Gbps PCIe 3.0,
-// 4KB MTU, 256-packet rings, 64-page descriptors, five cores.
+// defaults of the paper's testbed (§2.2): 4KB MTU, 256-packet rings,
+// 64-page descriptors, five cores, the fitted lm = 197ns. The rest of
+// the testbed's calibration is the constants above.
 type Config struct {
 	Mode            core.Mode
 	Cores           int // cores serving bulk Rx flows (default 5)
@@ -65,29 +96,12 @@ type Config struct {
 	// pre-ATS simulator. When positive, NIC DMAs first consult the
 	// device-local cache; misses become ATS translation requests, faults
 	// fall back to PRI, and host-side unmaps shoot the ATC down through
-	// the invalidation queue (at CostModel.ATCInvRequest extra per
+	// the invalidation queue (at core's ATC-invalidate cost extra per
 	// request).
 	ATSEntries int
 
-	LinkGbps  float64      // NIC line rate (default 100)
-	PCIeGbps  float64      // PCIe serialisation cap (default 128)
-	L0        sim.Duration // fitted DMA base latency (default 65ns)
-	Lm        sim.Duration // fitted page-table read latency (default 197ns)
-	PropDelay sim.Duration // one-way propagation (default 2us)
-
-	NICBufferBytes int // NIC input buffer (default 1MB)
-	ECNKBytes      int // DCTCP marking threshold (default 150KB)
-
-	StackCost sim.Duration // per-data-packet network-stack CPU (default 600ns)
-	IRQCost   sim.Duration // per-interrupt CPU cost charged when a delivery
-	// finds its core idle (NAPI batching amortises it under load; default 2us)
-	DelAck sim.Duration // delayed-ACK flush timeout (default 30us); without
-	// it, flows whose window is smaller than the ACK coalescing factor
-	// stall until the next housekeeping tick
-	AckTxCost     sim.Duration // CPU to build+send an ACK (default 250ns)
-	AckRxCost     sim.Duration // CPU to process a received ACK (default 150ns)
-	RingCPUFactor float64      // stack-cost inflation per log2(ring/256), modelling
-	// the prefetcher-efficiency loss at large rings (§4.4; default 0.55)
+	Lm             sim.Duration // fitted page-table read latency (default 197ns)
+	NICBufferBytes int          // NIC input buffer (default 1MB)
 
 	// Memory system (§2.2: two DDR4 channels, 46.9GB/s, DDIO disabled).
 	MemHogGBps float64 // co-tenant memory bandwidth antagonist (0 = none)
@@ -108,9 +122,7 @@ type Config struct {
 	// peer traffic the cluster pattern generates.
 	Serve *ServeConfig
 
-	Transport transport.Params
-	IOMMU     iommu.Config
-	Costs     core.CostModel
+	IOMMU iommu.Config
 
 	// Telemetry configures the observation layer: the virtual-time
 	// sampler and the PTcache-L3 locality trace. All of it is strictly
@@ -142,19 +154,19 @@ type Config struct {
 	Audit bool
 
 	Seed int64
+}
 
-	// Engine, when non-nil, attaches the host to a shared discrete-event
-	// engine instead of creating a private one — this is how a Cluster
-	// gives the hosts of a shard one clock. nil (the default) keeps the
-	// host fully self-contained, byte-identical to the pre-fabric
-	// behaviour.
-	Engine *sim.Engine
-	// HostID names this host within a cluster; transport endpoints bind
-	// to it. 0 (the default) for single-host runs.
-	HostID int
-	// PeerSlots provisions Tx cores on the primary NIC for cluster peer
-	// flows (see NICSpec.PeerSlots). 0 for single-host runs.
-	PeerSlots int
+// placement is a cluster host's wiring, which only NewCluster sets: the
+// engine shard it runs on, that shard's registry, the prefix of its
+// instrument names and the Tx cores its primary NIC provisions for peer
+// flows. The zero placement is a standalone host with a private engine
+// and registry.
+type placement struct {
+	shards    *sim.Shards // nil for a standalone host
+	shard     int
+	reg       *stats.Registry
+	prefix    string // "host3." in a cluster
+	peerSlots int
 }
 
 // Topology describes the DMA devices attached to the host beyond the
@@ -167,18 +179,17 @@ type Topology struct {
 
 // StorageSpec configures one storage device in a Topology.
 type StorageSpec struct {
-	ReadGBps   float64    // target block-read bandwidth (decimal GB/s)
-	BlockBytes int        // per-DMA block size (default 128KB)
-	Mode       *core.Mode // protection mode (nil = host Config.Mode)
+	ReadGBps float64    // target block-read bandwidth (decimal GB/s)
+	Mode     *core.Mode // protection mode (nil = host Config.Mode)
 }
 
 // validate rejects the values no default stands for: negative counts,
-// sizes, rates, times, seeds and core indices, an MTU too small to carry
-// a packet, on the primary NIC or an extra one, and a serving fleet that
-// cannot fill one cohort. Zero means
-// "default" for every field checked here and a negative RxFlows means
-// "no bulk flows", so neither is an error. This is the one range check every front end
-// gets; each message names the field and the value.
+// sizes, rates, times and seeds, an MTU too small to carry a packet, on
+// the primary NIC or an extra one, and a serving fleet that cannot fill
+// one cohort. Zero means "default" for every field checked here and a
+// negative RxFlows means "no bulk flows", so neither is an error. This
+// is the one range check every front end gets; each message names the
+// field and the value.
 func (c Config) validate() error {
 	switch {
 	case c.Cores < 0:
@@ -193,12 +204,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: MTU must be 0 (the default) or at least 64 bytes, got %d", c.MTU)
 	case c.ATSEntries < 0:
 		return fmt.Errorf("host: ATSEntries must be >= 0, got %d (0 disables the device TLB)", c.ATSEntries)
-	case c.LinkGbps < 0:
-		return fmt.Errorf("host: LinkGbps must be >= 0, got %g", c.LinkGbps)
-	case c.PCIeGbps < 0:
-		return fmt.Errorf("host: PCIeGbps must be >= 0, got %g", c.PCIeGbps)
-	case c.PropDelay < 0:
-		return fmt.Errorf("host: PropDelay must be >= 0, got %v", c.PropDelay)
 	case c.MemHogGBps < 0:
 		return fmt.Errorf("host: MemHogGBps must be >= 0, got %g", c.MemHogGBps)
 	case c.MemHogStart < 0:
@@ -220,8 +225,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("host: Topology.NICs[%d].TxFlows must be >= 0, got %d", i, n.TxFlows)
 		case n.MTU != 0 && n.MTU < 64:
 			return fmt.Errorf("host: Topology.NICs[%d].MTU must be 0 (the host's) or at least 64 bytes, got %d", i, n.MTU)
-		case n.RingPackets < 0:
-			return fmt.Errorf("host: Topology.NICs[%d].RingPackets must be >= 0, got %d", i, n.RingPackets)
 		}
 	}
 	// The fleet's own knobs (churn, cohort >= 1) are cohort.Config's to
@@ -233,10 +236,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("host: Serve.Conns must be >= 1, got %d", s.Conns)
 		case s.Cohort > s.Conns:
 			return fmt.Errorf("host: Serve.Cohort must be <= Serve.Conns, got %d > %d", s.Cohort, s.Conns)
-		case s.AppCPU < 0:
-			return fmt.Errorf("host: Serve.AppCPU must be >= 0, got %v", s.AppCPU)
-		case s.CoreBase < 0:
-			return fmt.Errorf("host: Serve.CoreBase must be >= 0, got %d", s.CoreBase)
 		}
 	}
 	return nil
@@ -260,44 +259,11 @@ func (c Config) withDefaults() Config {
 	if c.DescriptorPages <= 0 {
 		c.DescriptorPages = 64
 	}
-	if c.LinkGbps == 0 {
-		c.LinkGbps = 100
-	}
-	if c.PCIeGbps == 0 {
-		c.PCIeGbps = 128
-	}
-	if c.L0 == 0 {
-		c.L0 = 65
-	}
 	if c.Lm == 0 {
-		c.Lm = 197
-	}
-	if c.PropDelay == 0 {
-		c.PropDelay = 2 * sim.Microsecond
+		c.Lm = sim.Duration(model.LmNs)
 	}
 	if c.NICBufferBytes == 0 {
 		c.NICBufferBytes = 1 << 20
-	}
-	if c.ECNKBytes == 0 {
-		c.ECNKBytes = 150 << 10
-	}
-	if c.StackCost == 0 {
-		c.StackCost = 600
-	}
-	if c.DelAck == 0 {
-		c.DelAck = 30 * sim.Microsecond
-	}
-	if c.IRQCost == 0 {
-		c.IRQCost = 2 * sim.Microsecond
-	}
-	if c.AckTxCost == 0 {
-		c.AckTxCost = 250
-	}
-	if c.AckRxCost == 0 {
-		c.AckRxCost = 150
-	}
-	if c.RingCPUFactor == 0 {
-		c.RingCPUFactor = 0.55
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -319,6 +285,7 @@ func (c Config) withDefaults() Config {
 // each engine confined to one goroutine at a time.
 type Host struct {
 	cfg Config
+	pl  placement
 	eng *sim.Engine
 
 	mmu *iommu.IOMMU // the one shared IOMMU every device translates through
@@ -340,27 +307,27 @@ type Host struct {
 
 	storageCount int // storage devices attached so far (cpu/seed slots)
 	started      bool
-
-	// shards and shard name a cluster host's engine shards and its own
-	// one, through which a write to a host on another shard is posted
-	// (flow.creditPeerTx). nil and 0 for a standalone host.
-	shards *sim.Shards
-	shard  int
 }
 
 // New builds the host per cfg, rejecting out-of-range values first.
 // Additional cores are created on demand for Tx flows, app streams and
 // co-tenant devices.
-func New(cfg Config) (*Host, error) {
+func New(cfg Config) (*Host, error) { return newHost(cfg, placement{}) }
+
+// newHost builds a host with the given placement: a cluster host runs
+// on its shard's engine, the zero placement on a private one.
+func newHost(cfg Config, pl placement) (*Host, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	eng := cfg.Engine
-	if eng == nil {
+	var eng *sim.Engine
+	if pl.shards != nil {
+		eng = pl.shards.Engine(pl.shard)
+	} else {
 		eng = sim.NewEngine(cfg.Seed)
 	}
-	h := &Host{cfg: cfg, eng: eng}
+	h := &Host{cfg: cfg, pl: pl, eng: eng}
 	h.mmu = iommu.New(cfg.IOMMU)
 	h.walker = pcie.NewWalker(h.eng, cfg.Lm)
 	h.bus = mem.New(h.eng, mem.Config{})
@@ -392,16 +359,14 @@ func New(cfg Config) (*Host, error) {
 	primary := &netDev{
 		name: "nic0",
 		spec: NICSpec{
-			Cores:       cfg.Cores,
-			RxFlows:     cfg.RxFlows,
-			TxFlows:     cfg.TxFlows,
-			MTU:         cfg.MTU,
-			RingPackets: cfg.RingPackets,
-			LinkGbps:    cfg.LinkGbps,
-			PeerSlots:   cfg.PeerSlots,
+			Cores:   cfg.Cores,
+			RxFlows: cfg.RxFlows,
+			TxFlows: cfg.TxFlows,
+			MTU:     cfg.MTU,
 		},
-		mode:    cfg.Mode,
-		primary: true,
+		mode:      cfg.Mode,
+		primary:   true,
+		peerSlots: pl.peerSlots,
 	}
 	if err := h.AttachDevice(primary); err != nil {
 		return nil, err
@@ -451,7 +416,7 @@ func New(cfg Config) (*Host, error) {
 				},
 			})
 		}
-		ctl, err := control.New(h.eng, h.tele.reg, h.cfg.Telemetry.Prefix, *cfg.Control, targets)
+		ctl, err := control.New(h.eng, h.tele.reg, h.tele.prefix, *cfg.Control, targets)
 		if err != nil {
 			return nil, err
 		}
@@ -503,7 +468,7 @@ func (h *Host) SharedIOMMU() *iommu.IOMMU { return h.mmu }
 // NewLink implements device.Host: a PCIe link with the host's fitted
 // latencies, attached to the shared walkers.
 func (h *Host) NewLink() *pcie.Link {
-	l := pcie.New(h.eng, h.cfg.L0, h.cfg.Lm, h.cfg.PCIeGbps)
+	l := pcie.New(h.eng, l0, h.cfg.Lm, pcieGbps)
 	l.AttachWalker(h.walker)
 	h.inj.AttachLink(l) // nil-safe: flap target when a plan is active
 	return l
@@ -548,7 +513,7 @@ func (h *Host) core(cpu int) *Core {
 // a busy core ride the existing poll batch.
 func (h *Host) irqCost(cpu int) sim.Duration {
 	if h.core(cpu).QueueLen() == 0 && !h.core(cpu).Busy() {
-		return h.cfg.IRQCost
+		return irqCPU
 	}
 	return 0
 }

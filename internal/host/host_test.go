@@ -40,9 +40,6 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{MTU: 1}, "host: MTU must be 0 (the default) or at least 64 bytes, got 1"},
 		{Config{MTU: 63}, "host: MTU must be 0 (the default) or at least 64 bytes, got 63"},
 		{Config{ATSEntries: -8}, "host: ATSEntries must be >= 0, got -8 (0 disables the device TLB)"},
-		{Config{LinkGbps: -5}, "host: LinkGbps must be >= 0, got -5"},
-		{Config{PCIeGbps: -1}, "host: PCIeGbps must be >= 0, got -1"},
-		{Config{PropDelay: -sim.Microsecond}, "host: PropDelay must be >= 0, got -1000ns"},
 		{Config{MemHogGBps: -3}, "host: MemHogGBps must be >= 0, got -3"},
 		{Config{MemHogStart: -sim.Microsecond}, "host: MemHogStart must be >= 0, got -1000ns"},
 		{Config{Seed: -3}, "host: Seed must be >= 0, got -3"},
@@ -52,14 +49,9 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{Topology: Topology{NICs: []NICSpec{{Cores: -2}}}}, "host: Topology.NICs[0].Cores must be >= 0, got -2"},
 		{Config{Topology: Topology{NICs: []NICSpec{{}, {TxFlows: -1}}}}, "host: Topology.NICs[1].TxFlows must be >= 0, got -1"},
 		{Config{Topology: Topology{NICs: []NICSpec{{MTU: 10}}}}, "host: Topology.NICs[0].MTU must be 0 (the host's) or at least 64 bytes, got 10"},
-		{Config{Topology: Topology{NICs: []NICSpec{{RingPackets: -7}}}}, "host: Topology.NICs[0].RingPackets must be >= 0, got -7"},
-		// Protection costs are core.CostModel's to check.
-		{Config{Costs: core.CostModel{InvRequest: -1}}, "core: Costs.InvRequest must be >= 0, got -1ns"},
 		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
 		{Config{Serve: &ServeConfig{Conns: -4, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got -4"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 100}}, "host: Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
-		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 1, AppCPU: -1}}, "host: Serve.AppCPU must be >= 0, got -1ns"},
-		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 1, CoreBase: -1}}, "host: Serve.CoreBase must be >= 0, got -1"},
 		// The fleet's own knobs are cohort.Config's to check.
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 1.5, Cohort: 1}}, "churn rate must be in (0, 1], got 1.5"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 0}}, "cohort size must be >= 1, got 0"},

@@ -22,20 +22,14 @@ import (
 
 // NICSpec configures one NIC device in a Topology. Zero fields inherit
 // the host Config's corresponding value; Mode is a pointer so that an
-// explicit Off (a bypass device) is distinguishable from "inherit".
+// explicit Off (a bypass device) is distinguishable from "inherit". Every
+// NIC runs the host's ring size at the testbed's line rate.
 type NICSpec struct {
-	Mode        *core.Mode // protection mode (nil = host Config.Mode)
-	Cores       int        // cores serving bulk Rx flows
-	RxFlows     int        // bulk flows in (-1 = none, 0 = Cores)
-	TxFlows     int        // bulk flows out, one extra core each
-	MTU         int        // data packet payload
-	RingPackets int        // Rx ring strides per core
-	LinkGbps    float64    // line rate of this NIC's wire pair
-	// PeerSlots provisions extra Tx cores (and per-CPU IOVA magazines) for
-	// cluster peer flows originating at this NIC. 0 — the single-host
-	// default — changes nothing: core counts and cache layouts stay
-	// bit-for-bit identical to the pre-fabric host.
-	PeerSlots int
+	Mode    *core.Mode // protection mode (nil = host Config.Mode)
+	Cores   int        // cores serving bulk Rx flows
+	RxFlows int        // bulk flows in (-1 = none, 0 = Cores)
+	TxFlows int        // bulk flows out, one extra core each
+	MTU     int        // data packet payload
 }
 
 // resolve fills zero fields from the host config (Config.validate has
@@ -51,15 +45,6 @@ func (s NICSpec) resolve(cfg Config) NICSpec {
 	}
 	if s.MTU == 0 {
 		s.MTU = cfg.MTU
-	}
-	if s.RingPackets == 0 {
-		s.RingPackets = cfg.RingPackets
-	}
-	if s.LinkGbps <= 0 {
-		s.LinkGbps = cfg.LinkGbps
-	}
-	if s.PeerSlots < 0 {
-		s.PeerSlots = 0
 	}
 	return s
 }
@@ -83,6 +68,11 @@ type netDev struct {
 	cpuBase int
 	seedOff int64
 	primary bool
+	// peerSlots provisions extra Tx cores (and per-CPU IOVA magazines) on
+	// a cluster host's primary NIC for the peer flows it sources. 0 — a
+	// standalone host, or any other NIC — changes nothing: core counts and
+	// cache layouts stay bit-for-bit identical to the pre-fabric host.
+	peerSlots int
 
 	dom    *core.Domain
 	rx, tx *pcie.Link
@@ -154,9 +144,8 @@ func (n *netDev) Attach(dh device.Host) error {
 	cfg := h.cfg
 	dom, err := h.NewDomain(core.Config{
 		Mode:            n.mode,
-		NumCPUs:         n.spec.Cores + n.spec.TxFlows + n.spec.PeerSlots + 8, // slack for app cores
+		NumCPUs:         n.spec.Cores + n.spec.TxFlows + n.peerSlots + 8, // slack for app cores
 		DescriptorPages: cfg.DescriptorPages,
-		Costs:           cfg.Costs,
 		TxFreeCPUShift:  1,    // Tx-completion IRQ lands on a neighbouring core
 		FreePoolSize:    8192, // app threads release buffers out of order
 		// The primary NIC takes the IOMMU's default domain 0, keeping the
@@ -175,20 +164,20 @@ func (n *netDev) Attach(dh device.Host) error {
 	h.aud.AttachATC(n.dom.ID(), n.dom.ATC())
 	n.rx = h.NewLink()
 	n.tx = h.NewLink()
-	n.toLocal = fabric.NewLink(h.eng, n.spec.LinkGbps, cfg.PropDelay)
-	n.toLocal.SetECN(cfg.ECNKBytes)
-	n.toRemote = fabric.NewLink(h.eng, n.spec.LinkGbps, cfg.PropDelay)
-	n.toRemote.SetECN(cfg.ECNKBytes)
+	n.toLocal = fabric.NewLink(h.eng, linkGbps, propDelay)
+	n.toLocal.SetECN(ecnBytes)
+	n.toRemote = fabric.NewLink(h.eng, linkGbps, propDelay)
+	n.toRemote.SetECN(ecnBytes)
 
 	dev, err := nic.New(h.eng, nic.Config{
-		Cores:       n.spec.Cores + n.spec.TxFlows + n.spec.PeerSlots + 8,
+		Cores:       n.spec.Cores + n.spec.TxFlows + n.peerSlots + 8,
 		MTU:         n.spec.MTU,
-		RingPackets: n.spec.RingPackets,
+		RingPackets: cfg.RingPackets,
 		BufferBytes: cfg.NICBufferBytes,
 		ECNKBytes:   -1, // ECN marks come from the switch, not the NIC
 		// One-sided DMA terminates at the device, so its buffer is the
 		// congestion point — mark there (the CNP analog) at the DCTCP K.
-		DirectECNKBytes: cfg.ECNKBytes,
+		DirectECNKBytes: ecnBytes,
 		Faults:          h.Faults().Device(n.dom),
 	}, n.dom, n.rx, n.tx, netExec{n})
 	if err != nil {
@@ -199,19 +188,18 @@ func (n *netDev) Attach(dh device.Host) error {
 	dev.OnTxDone = n.onTxDone
 	n.arriveFn = n.landArrival
 
-	// Legacy bulk flows terminate at the abstract remote host: the local
-	// state machine binds (host, AbstractPeer), its far end the mirror.
+	// Legacy bulk flows terminate at the abstract remote host.
 	toLocal, toRemote := path{wire: n.toLocal, n: n}, path{wire: n.toRemote, n: n}
 	for i := 0; i < n.spec.RxFlows; i++ {
 		f := &flow{id: i, mtu: n.spec.MTU, dst: n, dstCPU: i % n.spec.Cores,
 			fwd: toLocal, rev: toRemote, start: sim.Time(i) * sim.Microsecond}
-		f.open(cfg.Transport)
+		f.open(transport.Params{})
 		n.flows = append(n.flows, f)
 	}
 	for j := 0; j < n.spec.TxFlows; j++ {
 		f := &flow{id: j, mtu: n.spec.MTU, src: n, srcCPU: n.spec.Cores + j,
 			fwd: toRemote, rev: toLocal, start: sim.Time(j) * sim.Microsecond}
-		f.open(cfg.Transport)
+		f.open(transport.Params{})
 		n.flows = append(n.flows, f)
 	}
 	return nil
@@ -236,10 +224,11 @@ func (n *netDev) Start() {
 // stackCost returns the per-packet network-stack CPU cost, inflated for
 // large rings (prefetcher inefficiency, §4.4).
 func (n *netDev) stackCost() sim.Duration {
-	c := float64(n.h.cfg.StackCost)
-	ring := float64(n.spec.RingPackets)
+	base := float64(stackCPU)
+	c := base
+	ring := float64(n.h.cfg.RingPackets)
 	for r := 256.0; r < ring; r *= 2 {
-		c += float64(n.h.cfg.StackCost) * n.h.cfg.RingCPUFactor
+		c += base * ringCPUFactor
 	}
 	return sim.Duration(c)
 }

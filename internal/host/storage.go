@@ -25,7 +25,6 @@ func (h *Host) InstallStorage(spec StorageSpec) (*device.Storage, error) {
 	s := device.NewStorage(device.StorageConfig{
 		Name:       fmt.Sprintf("storage%d", i),
 		ReadGBps:   spec.ReadGBps,
-		BlockBytes: spec.BlockBytes,
 		Mode:       mode,
 		CPU:        h.cfg.Cores + h.cfg.TxFlows + 1 + i,
 		SeedOffset: 1000 + int64(i),

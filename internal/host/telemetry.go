@@ -24,19 +24,13 @@ type TelemetryConfig struct {
 	TraceL3 bool
 	// TraceLimit caps the trace points kept (0 = unlimited).
 	TraceLimit int
-
-	// Registry, when non-nil, is the registry this host registers its
-	// probe points into — a Cluster shares one registry across the hosts
-	// of a shard. nil (the default) gives the host a private registry.
-	Registry *stats.Registry
-	// Prefix is prepended to every instrument name the host registers
-	// ("host3." in a cluster); empty for single-host runs.
-	Prefix string
 }
 
 // Telemetry is the host's metrics spine: one Registry every simulator
 // layer registers its typed probe points into, plus (when configured) the
-// virtual-time Sampler recording time series across the run.
+// virtual-time Sampler recording time series across the run. A
+// standalone host owns its registry; the hosts of a cluster shard share
+// theirs, each naming its instruments under its "hostN." prefix.
 //
 // Layer namespaces in the registry:
 //
@@ -72,11 +66,11 @@ func (t *Telemetry) name(s string) string { return t.prefix + s }
 // newTelemetry wires the registry over every layer already attached and,
 // when sampling is configured, registers the timeline probes.
 func newTelemetry(h *Host) *Telemetry {
-	reg := h.cfg.Telemetry.Registry
+	reg := h.pl.reg
 	if reg == nil {
 		reg = stats.NewRegistry()
 	}
-	t := &Telemetry{h: h, reg: reg, prefix: h.cfg.Telemetry.Prefix}
+	t := &Telemetry{h: h, reg: reg, prefix: h.pl.prefix}
 	r := t.reg
 	r.GaugeFunc(t.name("engine.fired"), func() float64 { return float64(h.eng.Fired()) })
 	r.GaugeFunc(t.name("engine.pending"), func() float64 { return float64(h.eng.Pending()) })

@@ -9,7 +9,8 @@
 // tracks measured throughput within 10%.
 package model
 
-// Paper-fitted constants (§2.2).
+// Paper-fitted constants (§2.2). The simulated host's PCIe links take
+// their base DMA latency and default page-table read latency from them.
 const (
 	L0Ns = 65.0
 	LmNs = 197.0

@@ -86,7 +86,6 @@ type Sender struct {
 
 	lastProgress sim.Time // last time una advanced (RTO reference)
 	stats        SenderStats
-	ep           Endpoint // (host, peer) pair this sender is bound to
 }
 
 // NewSender returns a sender starting at segment 0.
@@ -272,7 +271,6 @@ type Receiver struct {
 	pending int  // in-order segments since last ACK
 	ecn     bool // congestion seen since last ACK
 	stats   ReceiverStats
-	ep      Endpoint // (host, peer) pair this receiver is bound to
 }
 
 // NewReceiver returns a receiver expecting segment 0.
