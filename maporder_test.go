@@ -1,17 +1,10 @@
 package fastsafe
 
 import (
-	"fmt"
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io/fs"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -36,36 +29,10 @@ var mapRangeAllowed = map[string]struct {
 // a site mapRangeAllowed does not list, or at a listed site whose count
 // changed.
 func TestNoMapOrderDependence(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	fset, pkgs := checkedModule(t)
 	found := map[string]int{}
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); dir != "." && (name == "simbench" || name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		pkg, err := build.ImportDir(dir, 0)
-		if _, none := err.(*build.NoGoError); none {
-			return nil
-		} else if err != nil {
-			return err
-		}
-		var files []*ast.File
-		for _, name := range pkg.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-			if err != nil {
-				return err
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(dir, fset, files, info); err != nil {
-			return fmt.Errorf("type-check %s: %w", dir, err)
-		}
-		for _, f := range files {
+	for _, p := range pkgs {
+		for _, f := range p.files {
 			file := filepath.ToSlash(fset.Position(f.Pos()).Filename)
 			for _, decl := range f.Decls {
 				site := file + ":package-level"
@@ -74,7 +41,7 @@ func TestNoMapOrderDependence(t *testing.T) {
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if rs, ok := n.(*ast.RangeStmt); ok {
-						if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
+						if _, isMap := p.info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
 							found[site]++
 						}
 					}
@@ -82,10 +49,6 @@ func TestNoMapOrderDependence(t *testing.T) {
 				})
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	sites := make([]string, 0, len(found))
 	for site := range found {
