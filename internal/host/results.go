@@ -340,6 +340,7 @@ func (h *Host) results(before, after snapshot) Results {
 		r.RxReadsPerDMA = float64(after.rxReads-before.rxReads) / float64(d)
 	}
 
+	// Cores are created on demand, so one may be newer than the window.
 	for i, c := range h.cores {
 		var prev sim.Duration
 		if i < len(before.coreBsy) {
@@ -386,7 +387,7 @@ func (h *Host) results(before, after snapshot) Results {
 	}
 
 	// A device cannot attach after Start, so both snapshots list the same
-	// devices. Cores, created on demand, can still appear mid-window.
+	// devices.
 	for i, d := range h.devices {
 		b, a := before.devs[i], after.devs[i]
 		bytes := a.st.Bytes - b.st.Bytes
