@@ -98,26 +98,40 @@ func BenchmarkEventPoolChurn(b *testing.B) {
 // BenchmarkShardsPingPong measures the per-round overhead of the
 // conservative coordinator: two shards that each post one tightly-timed
 // message to the other per lookahead window, so both are ready in every
-// round and one of them runs off the calling goroutine — the worst case
-// for barrier cost (no local work to amortise it against). simbench's
-// sim.round replay runs the same exchange. The deep case runs every
-// event beneath about 10 KB of stack frames, the depth a simulator
-// event runs at, which a goroutine started per round would regrow its
-// stack to every round.
+// round — the worst case for barrier cost. The caller cases time the
+// path small rounds take: each shard fires one event per round, below
+// minHandoff, so the calling goroutine runs both shards and wakes no
+// worker. simbench's sim.round replay runs the same exchange. The handoff
+// cases time the other path: each hop also fires minHandoff-1 local
+// no-op events, so every round after the first hands shard 1 to its
+// worker. The deep cases run every event beneath about 10 KB of stack
+// frames, the depth a simulator event runs at, which a goroutine started
+// per round would regrow its stack to every round.
 func BenchmarkShardsPingPong(b *testing.B) {
+	const deep = 10 << 10 / frameBytes
 	for _, bc := range []struct {
-		name   string
-		frames int
-	}{{"shallow", 0}, {"deep", 10 << 10 / frameBytes}} {
+		name         string
+		frames, work int
+	}{
+		{"caller/shallow", 0, 0},
+		{"caller/deep", deep, 0},
+		{"handoff/shallow", 0, minHandoff - 1},
+		{"handoff/deep", deep, minHandoff - 1},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			const la = 10
 			s := NewShards(2, 1, la)
 			var hop [2]func()
+			noop := func() {}
 			for me := range hop {
 				me := me
 				post := func() {
-					now := s.Engine(me).Now()
+					eng := s.Engine(me)
+					now := eng.Now()
+					for k := 0; k < bc.work; k++ {
+						eng.At(now, noop)
+					}
 					s.Post(me, 1-me, now, now+la, hop[1-me])
 				}
 				hop[me] = func() { atDepth(bc.frames, post) }
@@ -125,6 +139,9 @@ func BenchmarkShardsPingPong(b *testing.B) {
 			}
 			b.ResetTimer()
 			s.Run(Time(b.N)*la - 1) // b.N rounds: both shards fire and post
+			if bc.work > 0 && b.N > 1 && s.Handoffs() == 0 {
+				b.Fatal("no round was handed off")
+			}
 		})
 	}
 }

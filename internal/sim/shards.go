@@ -20,7 +20,10 @@ import (
 // lower bound on cross-shard causality (for the fabric: the per-hop
 // propagation delay).
 //
-// Within a round the calling goroutine runs the first ready shard and
+// A round whose shards did too little work in their previous round to
+// hide a hand-off (fewer than minHandoff events on the busiest one) runs
+// every ready shard on the calling goroutine, one after another. Any
+// other round runs the first ready shard on the calling goroutine and
 // hands every other ready shard to that shard's worker goroutine. Each
 // engine touches only its own shard's state, so the usual
 // engine-confinement rules keep the simulation race-free. The workers
@@ -29,8 +32,9 @@ import (
 // worker's stack grows to the simulator's call depth once per Run, not
 // once per round. Message delivery order at the barrier is sorted by
 // (timestamp, generation time, source shard, post order), which is
-// independent of goroutine scheduling — sharded runs are bit-for-bit
-// deterministic for a given seed regardless of GOMAXPROCS.
+// independent of goroutine scheduling — and the choice of goroutine
+// reads only event counts, so it is deterministic too: sharded runs are
+// bit-for-bit deterministic for a given seed regardless of GOMAXPROCS.
 type Shards struct {
 	engs      []*Engine
 	lookahead Duration
@@ -51,8 +55,28 @@ type Shards struct {
 	bounds []chan Time
 	done   chan *ShardPanic
 
-	rounds uint64
+	// fired[i] is how many events shard i fired in the last round it was
+	// ready in, which runRound's hand-off gate reads; start[i] is its
+	// Engine.Fired count when the current round began. Only the
+	// coordinator touches either, outside the round. ready is runRound's
+	// scratch list of ready shards.
+	fired, start []uint64
+	ready        []int
+
+	rounds, handoffs uint64
 }
+
+// minHandoff is the fewest events the busiest ready shard must have fired
+// in its previous round for a round to be handed to the workers. Below
+// it, waking a worker and taking its completion back costs more than
+// running the shards one after another on the calling goroutine. It sits
+// between the two kinds of round measured after warm-up: in an 8-host
+// RDMA-write incast on two shards the busiest shard fires a median of 6
+// events a round (16 at the 99th percentile, 30 at most), and in 64-host
+// pairs a median of 79 at four shards and 146 at two. A threshold of 16
+// starts handing off the incast's busiest rounds; one of 128 serialises
+// the four-shard pairs run.
+const minHandoff = 32
 
 // ShardPanic is the value Run panics with when an event panicked on one
 // of the shards: the shard, the original panic value and the stack of
@@ -95,6 +119,8 @@ func NewShards(n int, seed int64, lookahead Duration) *Shards {
 		engs:      make([]*Engine, n),
 		lookahead: lookahead,
 		outbox:    make([][]post, n),
+		fired:     make([]uint64, n),
+		start:     make([]uint64, n),
 	}
 	for i := range s.engs {
 		s.engs[i] = NewEngine(seed + int64(i))
@@ -116,6 +142,10 @@ func (s *Shards) Lookahead() Duration { return s.lookahead }
 // a telemetry hook for scaling analysis (wall-clock cost is roughly
 // events + rounds x barrier overhead). A single shard runs no rounds.
 func (s *Shards) Rounds() uint64 { return s.rounds }
+
+// Handoffs returns the number of rounds that woke at least one worker;
+// every other round ran on the calling goroutine alone.
+func (s *Shards) Handoffs() uint64 { return s.handoffs }
 
 // Post schedules fn at virtual time at in shard dst. src names the shard
 // whose event loop is calling (the only shard allowed to post during its
@@ -185,9 +215,10 @@ func comparePosts(a, b post) int {
 //
 // Run starts a worker goroutine for each shard but shard 0 and stops
 // every one of them before it returns. If an event panics on any shard,
-// the round still finishes on every other shard; Run then stops the
-// workers and panics on the calling goroutine with a *ShardPanic naming
-// the shard (the lowest one, if several panicked in the round).
+// the round still finishes on every other shard, whichever goroutine
+// runs it; Run then stops the workers and panics on the calling
+// goroutine with a *ShardPanic naming the shard (the lowest one, if
+// several panicked in the round).
 //
 // One shard has no cross-shard message to synchronise (every Post is an
 // Engine.At), so its engine runs straight to the deadline: no round, no
@@ -274,28 +305,46 @@ func (s *Shards) runShard(i int, bound Time) (p *ShardPanic) {
 	return nil
 }
 
-// runRound drains every shard's events below bound, in parallel when more
-// than one shard has work in the window. The first ready shard runs on
-// the calling goroutine and every other ready shard on its worker, so a
-// round with one ready shard wakes no worker.
+// runRound drains every shard's events below bound. When the busiest
+// ready shard fired fewer than minHandoff events in its previous round,
+// the calling goroutine runs every ready shard in shard order and wakes
+// no worker. Otherwise the first ready shard runs on the calling
+// goroutine and every other ready shard on its worker, in parallel, so a
+// round with one ready shard still wakes no worker.
 func (s *Shards) runRound(bound Time) {
-	first, handed := -1, 0
+	var busiest uint64
+	s.ready = s.ready[:0]
 	for i, e := range s.engs {
-		if t, ok := e.PeekTime(); !ok || t >= bound {
-			continue
+		if t, ok := e.PeekTime(); ok && t < bound {
+			s.ready = append(s.ready, i)
+			busiest = max(busiest, s.fired[i])
+			s.start[i] = e.Fired()
 		}
-		if first < 0 {
-			first = i
-			continue
-		}
-		s.bounds[i] <- bound
-		handed++
 	}
-	p := s.runShard(first, bound)
-	for ; handed > 0; handed-- {
-		if q := <-s.done; q != nil && (p == nil || q.Shard < p.Shard) {
-			p = q
+	var p *ShardPanic
+	if busiest < minHandoff {
+		for _, i := range s.ready {
+			if q := s.runShard(i, bound); p == nil {
+				p = q
+			}
 		}
+	} else {
+		rest := s.ready[1:]
+		for _, i := range rest {
+			s.bounds[i] <- bound
+		}
+		if len(rest) > 0 {
+			s.handoffs++
+		}
+		p = s.runShard(s.ready[0], bound)
+		for range rest {
+			if q := <-s.done; q != nil && (p == nil || q.Shard < p.Shard) {
+				p = q
+			}
+		}
+	}
+	for _, i := range s.ready {
+		s.fired[i] = s.engs[i].Fired() - s.start[i]
 	}
 	if p != nil {
 		panic(p)
@@ -304,5 +353,6 @@ func (s *Shards) runRound(bound Time) {
 
 // String renders coordinator telemetry for debugging.
 func (s *Shards) String() string {
-	return fmt.Sprintf("shards{n=%d lookahead=%s rounds=%d}", len(s.engs), s.lookahead, s.rounds)
+	return fmt.Sprintf("shards{n=%d lookahead=%s rounds=%d handoffs=%d}",
+		len(s.engs), s.lookahead, s.rounds, s.handoffs)
 }

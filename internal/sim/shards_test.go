@@ -187,9 +187,15 @@ func TestShardsRelaxedPostClampsToNow(t *testing.T) {
 
 // shardTrace runs a deterministic 4-shard workload where every shard
 // floods every other with conservatively timestamped messages, one Run
-// call per deadline, and returns the merged event trace. After each call
+// call per deadline, and returns the merged event trace with the rounds
+// run and the rounds handed to workers. Each message also fires work
+// local events on its shard, each folding its time and index into the
+// shard's running hash, which the next message's trace line prints. With
+// work 0 the early rounds hold a few events and run on the calling
+// goroutine, and the flood's last rounds are handed off; with work
+// minHandoff every round after the first is handed off. After each call
 // every shard's clock must sit at that call's deadline.
-func shardTrace(t *testing.T, seed int64, deadlines ...Time) string {
+func shardTrace(t *testing.T, seed int64, work int, deadlines ...Time) (trace string, rounds, handoffs uint64) {
 	t.Helper()
 	const (
 		n  = 4
@@ -197,14 +203,19 @@ func shardTrace(t *testing.T, seed int64, deadlines ...Time) string {
 	)
 	s := NewShards(n, seed, la)
 	traces := make([][]string, n)
+	hash := make([]uint64, n)
 	var step func(me, from, depth int)
 	step = func(me, from, depth int) {
 		eng := s.Engine(me)
-		traces[me] = append(traces[me], fmt.Sprintf("%d<-%d@%d#%d", me, from, eng.Now(), depth))
+		traces[me] = append(traces[me], fmt.Sprintf("%d<-%d@%d#%d:%x", me, from, eng.Now(), depth, hash[me]))
+		now := eng.Now()
+		for k := 0; k < work; k++ {
+			k := uint64(k)
+			eng.At(now+Duration(k%3), func() { hash[me] = hash[me]*31 + uint64(eng.Now())<<8 + k })
+		}
 		if depth >= 5 {
 			return
 		}
-		now := eng.Now()
 		for dst := 0; dst < n; dst++ {
 			if dst == me {
 				continue
@@ -229,7 +240,7 @@ func shardTrace(t *testing.T, seed int64, deadlines ...Time) string {
 			}
 		}
 	}
-	return fmt.Sprintf("%v rounds>0=%v", traces, s.Rounds() > 0)
+	return fmt.Sprint(traces), s.Rounds(), s.Handoffs()
 }
 
 // shortWindows returns the deadlines of a run to 60 split into windows
@@ -242,19 +253,36 @@ func shortWindows() []Time {
 	return append(ds, 60)
 }
 
+// checkPaths fails unless a shardTrace run took the paths its work asks
+// for: with work 0, some rounds on the calling goroutine alone and some
+// handed off; with work minHandoff, every round after the first handed
+// off.
+func checkPaths(t *testing.T, work int, rounds, handoffs uint64) {
+	t.Helper()
+	if work == 0 && (handoffs == 0 || handoffs == rounds) {
+		t.Fatalf("work 0: %d of %d rounds handed off, want some but not all", handoffs, rounds)
+	}
+	if work >= minHandoff && handoffs+1 < rounds {
+		t.Fatalf("work %d: %d of %d rounds handed off, want all but the first", work, handoffs, rounds)
+	}
+}
+
 func TestShardsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	want := ""
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 3; rep++ {
-			got := shardTrace(t, 42, 60)
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("GOMAXPROCS=%d rep=%d: trace diverged\n got %s\nwant %s", procs, rep, got, want)
+	for _, work := range []int{0, minHandoff} {
+		want := ""
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 3; rep++ {
+				got, rounds, handoffs := shardTrace(t, 42, work, 60)
+				checkPaths(t, work, rounds, handoffs)
+				if want == "" {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Fatalf("work %d GOMAXPROCS=%d rep=%d: trace diverged\n got %s\nwant %s", work, procs, rep, got, want)
+				}
 			}
 		}
 	}
@@ -265,10 +293,12 @@ func TestShardsRepeatedRunWindows(t *testing.T) {
 	// than the lookahead, each starting and stopping the workers) and
 	// compare against one continuous run: the barrier at a window
 	// boundary must not change the event schedule.
-	one := shardTrace(t, 7, 60)
-	for _, windows := range [][]Time{{13, 60}, shortWindows()} {
-		if got := shardTrace(t, 7, windows...); got != one {
-			t.Fatalf("windows %v diverged from continuous run\n got %s\nwant %s", windows, got, one)
+	for _, work := range []int{0, minHandoff} {
+		one, _, _ := shardTrace(t, 7, work, 60)
+		for _, windows := range [][]Time{{13, 60}, shortWindows()} {
+			if got, _, _ := shardTrace(t, 7, work, windows...); got != one {
+				t.Fatalf("work %d windows %v diverged from continuous run\n got %s\nwant %s", work, windows, got, one)
+			}
 		}
 	}
 }
@@ -290,59 +320,77 @@ func waitGoroutines(t *testing.T, want int, after string) {
 
 func TestShardsWorkersExitWithRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	shardTrace(t, 1, 60)
-	waitGoroutines(t, base, "after Run")
-	shardTrace(t, 1, shortWindows()...)
-	waitGoroutines(t, base, "after many short Runs")
+	for _, work := range []int{0, minHandoff} {
+		shardTrace(t, 1, work, 60)
+		waitGoroutines(t, base, fmt.Sprintf("work %d: after Run", work))
+		shardTrace(t, 1, work, shortWindows()...)
+		waitGoroutines(t, base, fmt.Sprintf("work %d: after many short Runs", work))
+	}
 }
 
 func TestShardsPanicSurfacesOnCaller(t *testing.T) {
-	// Shard 0 runs on the calling goroutine and shard 1 on its worker. A
-	// panic on either lets the round finish on the other shard, then
-	// surfaces from Run naming the lowest panicking shard, with no
-	// worker left behind.
-	for _, tc := range []struct {
-		panics []int
-		want   int
-	}{{[]int{0}, 0}, {[]int{1}, 1}, {[]int{0, 1}, 0}} {
-		base := runtime.NumGoroutine()
-		s := NewShards(2, 1, 10)
-		var ran, late [2]bool
-		for i := 0; i < 2; i++ {
-			i := i
-			s.Engine(i).At(5, func() {
-				for _, p := range tc.panics {
-					if p == i {
-						panic(fmt.Sprintf("boom on %d", i))
-					}
+	// A panic on either shard lets the round finish on the other shard,
+	// then surfaces from Run naming the lowest panicking shard, with no
+	// worker left behind. With work 0 the panicking round is the first
+	// and runs both shards on the calling goroutine. With work
+	// minHandoff each shard first fires that many events in a round of
+	// their own, so the panicking round runs shard 0 on the calling
+	// goroutine and hands shard 1 to its worker.
+	for _, path := range []struct {
+		work     int
+		handoffs uint64
+	}{{0, 0}, {minHandoff, 1}} {
+		work := path.work
+		for _, tc := range []struct {
+			panics []int
+			want   int
+		}{{[]int{0}, 0}, {[]int{1}, 1}, {[]int{0, 1}, 0}} {
+			base := runtime.NumGoroutine()
+			s := NewShards(2, 1, 10)
+			var ran, late [2]bool
+			for i := 0; i < 2; i++ {
+				i := i
+				for k := 0; k < work; k++ {
+					s.Engine(i).At(0, func() {})
 				}
-			})
-			s.Engine(i).At(6, func() { ran[i] = true })
-			s.Engine(i).At(50, func() { late[i] = true })
-		}
-		v := func() (v any) {
-			defer func() { v = recover() }()
-			s.Run(100)
-			return nil
-		}()
-		p, ok := v.(*ShardPanic)
-		if !ok {
-			t.Fatalf("panics on %v: Run raised %v, want a *ShardPanic", tc.panics, v)
-		}
-		if p.Shard != tc.want || p.Value != fmt.Sprintf("boom on %d", tc.want) {
-			t.Fatalf("panics on %v: got shard %d value %v, want shard %d", tc.panics, p.Shard, p.Value, tc.want)
-		}
-		if !strings.Contains(p.Error(), fmt.Sprintf("sim: shard %d panicked: boom on %d", tc.want, tc.want)) {
-			t.Fatalf("panics on %v: message %q does not name the shard and value", tc.panics, p.Error())
-		}
-		for i := 0; i < 2; i++ {
-			if !slices.Contains(tc.panics, i) && !ran[i] {
-				t.Fatalf("panics on %v: the round did not finish on shard %d", tc.panics, i)
+				s.Engine(i).At(25, func() {
+					for _, p := range tc.panics {
+						if p == i {
+							panic(fmt.Sprintf("boom on %d", i))
+						}
+					}
+				})
+				s.Engine(i).At(26, func() { ran[i] = true })
+				s.Engine(i).At(70, func() { late[i] = true })
 			}
-			if late[i] {
-				t.Fatalf("panics on %v: shard %d ran a round after the panic", tc.panics, i)
+			v := func() (v any) {
+				defer func() { v = recover() }()
+				s.Run(100)
+				return nil
+			}()
+			name := fmt.Sprintf("work %d, panics on %v", work, tc.panics)
+			p, ok := v.(*ShardPanic)
+			if !ok {
+				t.Fatalf("%s: Run raised %v, want a *ShardPanic", name, v)
 			}
+			if p.Shard != tc.want || p.Value != fmt.Sprintf("boom on %d", tc.want) {
+				t.Fatalf("%s: got shard %d value %v, want shard %d", name, p.Shard, p.Value, tc.want)
+			}
+			if !strings.Contains(p.Error(), fmt.Sprintf("sim: shard %d panicked: boom on %d", tc.want, tc.want)) {
+				t.Fatalf("%s: message %q does not name the shard and value", name, p.Error())
+			}
+			if s.Handoffs() != path.handoffs {
+				t.Fatalf("%s: %d rounds handed off, want %d", name, s.Handoffs(), path.handoffs)
+			}
+			for i := 0; i < 2; i++ {
+				if !slices.Contains(tc.panics, i) && !ran[i] {
+					t.Fatalf("%s: the round did not finish on shard %d", name, i)
+				}
+				if late[i] {
+					t.Fatalf("%s: shard %d ran a round after the panic", name, i)
+				}
+			}
+			waitGoroutines(t, base, "after a panic: "+name)
 		}
-		waitGoroutines(t, base, fmt.Sprintf("after a panic on %v", tc.panics))
 	}
 }
