@@ -1123,7 +1123,8 @@ func clusterScaleGrid() []clusterScaleCell {
 // clusterScaleTable runs the cells strictly sequentially — never through
 // the runner pool — so each cell's wall-clock measurement is honest. The
 // deterministic columns (goodput, rounds, safety) land in Rows and are
-// golden-locked; per-cell wall-clock and the derived sharded-vs-single
+// golden-locked; per-cell wall-clock (with, for a sharded cell, the
+// rounds that woke a shard worker) and the derived sharded-vs-single
 // speedups land in Notes, which the JSON artifact publishes but the
 // golden rendering excludes.
 func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
@@ -1164,8 +1165,12 @@ func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
 			string(c.traffic), fmt.Sprintf("%d", c.hosts), fmt.Sprintf("%d", c.shards),
 			f1(r.AggRxGbps), fmt.Sprintf("%d", cl.Rounds()), fmt.Sprintf("%d", stale),
 		})
-		t.Notes = append(t.Notes, fmt.Sprintf("%s hosts=%d shards=%d wall_ms=%d",
-			c.traffic, c.hosts, c.shards, elapsed.Milliseconds()))
+		note := fmt.Sprintf("%s hosts=%d shards=%d wall_ms=%d",
+			c.traffic, c.hosts, c.shards, elapsed.Milliseconds())
+		if c.shards > 1 {
+			note += fmt.Sprintf(" handoffs=%d", cl.Handoffs())
+		}
+		t.Notes = append(t.Notes, note)
 	}
 	for _, c := range cells {
 		k := cfgKey{c.traffic, c.hosts}

@@ -285,8 +285,8 @@ func TestServingTrends(t *testing.T) {
 }
 
 // TestClusterScaleShape runs the clusterscale machinery on a reduced
-// grid: deterministic columns in Rows, wall-clock and speedup in Notes
-// (JSON only — the golden-locked rendering must exclude them).
+// grid: deterministic columns in Rows, wall-clock, hand-offs and speedup
+// in Notes (JSON only — the golden-locked rendering must exclude them).
 func TestClusterScaleShape(t *testing.T) {
 	cells := []clusterScaleCell{
 		{host.Pairs, 8, 1}, {host.Pairs, 8, 2},
@@ -309,6 +309,9 @@ func TestClusterScaleShape(t *testing.T) {
 	}
 	if len(tab.Notes) != 3 { // one wall-clock note per cell + one speedup
 		t.Fatalf("notes = %v", tab.Notes)
+	}
+	if strings.Contains(tab.Notes[0], "handoffs=") || !strings.Contains(tab.Notes[1], "handoffs=") {
+		t.Fatalf("want a handoffs count on the sharded cell's note only: %v", tab.Notes)
 	}
 	if !strings.Contains(tab.Notes[2], "speedup_shards2=") {
 		t.Fatalf("missing speedup note: %v", tab.Notes)

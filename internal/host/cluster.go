@@ -20,15 +20,19 @@ import (
 // The hosts are partitioned across the engine shards of a conservative
 // parallel DES (sim.Shards). With one shard (the default) the shard's
 // engine runs straight to each deadline and a Cluster is single-goroutine
-// like a Host. With more, in each synchronized lookahead window the
-// goroutine calling Run runs one ready shard and hands every other ready
-// shard to that shard's worker goroutine, cross-host packets travel as
-// timestamped cross-shard messages, and results remain bit-deterministic
-// for a given seed at any GOMAXPROCS. Each window Run advances (warm-up,
-// then measurement) starts the workers and waits for them to exit, so an
-// idle Cluster holds no goroutine, and a panic on any shard surfaces
-// from Run on the calling goroutine. Distinct Clusters still share no
-// state, so internal/runner can execute many concurrently either way.
+// like a Host. With more, cross-host packets travel as timestamped
+// cross-shard messages delivered at the barrier of each synchronized
+// lookahead window. A window whose shards did little work in their
+// previous one (a few hosts, or an incast's quiet senders) runs every
+// ready shard on the goroutine calling Run; a busier one runs one ready
+// shard there and hands every other ready shard to that shard's worker
+// goroutine (Handoffs counts those windows). The choice reads only event
+// counts, so results remain bit-deterministic for a given seed at any
+// GOMAXPROCS. Each window Run advances (warm-up, then measurement) starts
+// the workers and waits for them to exit, so an idle Cluster holds no
+// goroutine, and a panic on any shard surfaces from Run on the calling
+// goroutine. Distinct Clusters still share no state, so internal/runner
+// can execute many concurrently either way.
 
 // TrafficPattern names how cluster hosts pair up for bulk flows.
 type TrafficPattern string
@@ -70,8 +74,11 @@ type ClusterConfig struct {
 	// to the fabric's per-hop propagation delay. 0 or 1 — the default —
 	// keeps every host on one shard, whose engine runs with no rounds.
 	// Values above Hosts are clamped to Hosts (one host per shard).
-	// Results are deterministic for a given seed at any shard count and
-	// independent of GOMAXPROCS.
+	// Shards run in parallel only in rounds busy enough to repay waking
+	// a worker, so a small cluster gains little from more shards; pairs
+	// traffic at 64 hosts and more is where they pay. Results are
+	// deterministic for a given seed at any shard count and independent
+	// of GOMAXPROCS.
 	Shards int
 
 	// Host configures every host identically (flow counts are overridden:
@@ -271,6 +278,10 @@ func (c *Cluster) Shards() int { return c.cfg.Shards }
 // Rounds returns the synchronization rounds the shard coordinator has
 // executed (0 on one shard).
 func (c *Cluster) Rounds() uint64 { return c.shards.Rounds() }
+
+// Handoffs returns how many of those rounds woke at least one shard
+// worker; the rest ran on the goroutine calling Run.
+func (c *Cluster) Handoffs() uint64 { return c.shards.Handoffs() }
 
 // Engine returns shard 0's event engine, the only one on one shard.
 func (c *Cluster) Engine() *sim.Engine { return c.shards.Engine(0) }

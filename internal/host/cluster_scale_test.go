@@ -40,8 +40,9 @@ func TestClusterScaleSpeedup(t *testing.T) {
 		measure = 4 * sim.Millisecond
 		minGain = 1.5
 	)
-	wall := func(traffic TrafficPattern, shards int) time.Duration {
-		var best time.Duration
+	// wall returns the best wall time of two runs and the rounds of the
+	// last that woke a shard worker (the same in every run).
+	wall := func(traffic TrafficPattern, shards int) (best time.Duration, handoffs uint64) {
 		for rep := 0; rep < 2; rep++ { // best-of-2 shields against scheduler noise
 			c, err := NewCluster(ClusterConfig{
 				Hosts:   hosts,
@@ -57,17 +58,20 @@ func TestClusterScaleSpeedup(t *testing.T) {
 			if elapsed := time.Since(start); best == 0 || elapsed < best {
 				best = elapsed
 			}
+			handoffs = c.Handoffs()
 		}
-		return best
+		return best, handoffs
 	}
 	for _, shards := range []int{1, 2, 4} {
-		t.Logf("incast hosts=%d shards=%d wall=%v (informational: hot-LP bound)",
-			hosts, shards, wall(Incast, shards))
+		d, handoffs := wall(Incast, shards)
+		t.Logf("incast hosts=%d shards=%d wall=%v handoffs=%d (informational: hot-LP bound)",
+			hosts, shards, d, handoffs)
 	}
-	base := wall(Pairs, 1)
-	sharded := wall(Pairs, 4)
+	base, _ := wall(Pairs, 1)
+	sharded, handoffs := wall(Pairs, 4)
 	speedup := float64(base) / float64(sharded)
-	t.Logf("pairs hosts=%d: shards=1 %v, shards=4 %v, speedup %.2fx", hosts, base, sharded, speedup)
+	t.Logf("pairs hosts=%d: shards=1 %v, shards=4 %v handoffs=%d, speedup %.2fx",
+		hosts, base, sharded, handoffs, speedup)
 	if speedup < minGain {
 		t.Errorf("4-shard speedup %.2fx below the %.1fx gate (base %v, sharded %v)",
 			speedup, minGain, base, sharded)

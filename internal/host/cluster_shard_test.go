@@ -347,3 +347,53 @@ func TestShardedClusterParallelRunners(t *testing.T) {
 		}
 	}
 }
+
+// TestShardHandoffGate checks both sides of the coordinator's hand-off
+// gate on the clusters it was sized on, counting rounds after warm-up.
+// simbench's fns-rdma-sharded cluster (8-host RDMA-write incast on two
+// shards) holds a few events a round, too few to repay waking a worker,
+// so at most 1% of its rounds may hand off; 64-host pairs on four shards
+// holds about 45 events per shard a round, the parallel work sharding
+// exists for, so at least 90% must. The gate reads only event counts, so
+// this holds on any runner at any GOMAXPROCS: a threshold that drifts far
+// enough to serialise the scaling runs fails here, not only on the
+// multi-core scaling gate.
+func TestShardHandoffGate(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		cfg             ClusterConfig
+		warmup, measure sim.Duration
+		want            string
+		ok              func(rounds, handoffs uint64) bool
+	}{
+		{
+			name: "fns-rdma-sharded",
+			cfg: ClusterConfig{Hosts: 8, Traffic: Incast, Op: transport.Write, Shards: 2,
+				Host: Config{Mode: core.FNS, ATSEntries: 1024}},
+			warmup: 5 * sim.Millisecond, measure: 10 * sim.Millisecond,
+			want: "at most 1%",
+			ok:   func(rounds, handoffs uint64) bool { return 100*handoffs <= rounds },
+		},
+		{
+			name:   "pairs 64 hosts 4 shards",
+			cfg:    ClusterConfig{Hosts: 64, Traffic: Pairs, Shards: 4, Host: Config{Mode: core.FNS}},
+			warmup: 1 * sim.Millisecond, measure: 1 * sim.Millisecond,
+			want: "at least 90%",
+			ok:   func(rounds, handoffs uint64) bool { return 10*handoffs >= 9*rounds },
+		},
+	} {
+		c, err := NewCluster(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c.Start()
+		c.shards.Run(tc.warmup)
+		rounds, handoffs := c.Rounds(), c.Handoffs()
+		c.shards.Run(tc.warmup + tc.measure)
+		rounds, handoffs = c.Rounds()-rounds, c.Handoffs()-handoffs
+		t.Logf("%s: %d of %d rounds after warm-up handed off", tc.name, handoffs, rounds)
+		if rounds == 0 || !tc.ok(rounds, handoffs) {
+			t.Errorf("%s: %d of %d rounds after warm-up handed off, want %s", tc.name, handoffs, rounds, tc.want)
+		}
+	}
+}
