@@ -205,6 +205,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: MTU must be 0 (the default) or at least 64 bytes, got %d", c.MTU)
 	case c.ATSEntries < 0:
 		return fmt.Errorf("host: ATSEntries must be >= 0, got %d (0 disables the device TLB)", c.ATSEntries)
+	case c.NICBufferBytes < 0:
+		return fmt.Errorf("host: NICBufferBytes must be >= 0, got %d", c.NICBufferBytes)
+	case c.Lm < 0:
+		return fmt.Errorf("host: Lm must be >= 0, got %v", c.Lm)
 	case c.MemHogGBps < 0:
 		return fmt.Errorf("host: MemHogGBps must be >= 0, got %g", c.MemHogGBps)
 	case c.MemHogStart < 0:
@@ -215,6 +219,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: FaultSeed must be >= 0, got %d", c.FaultSeed)
 	case c.Telemetry.SampleEvery < 0:
 		return fmt.Errorf("host: Telemetry.SampleEvery must be >= 0, got %v", c.Telemetry.SampleEvery)
+	}
+	if err := c.IOMMU.Validate(); err != nil {
+		return fmt.Errorf("host: %w", err)
 	}
 	// An extra NIC's zero fields inherit the host's values; a negative
 	// RxFlows means "no bulk flows" there too.
