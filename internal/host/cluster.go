@@ -22,17 +22,17 @@ import (
 // engine runs straight to each deadline and a Cluster is single-goroutine
 // like a Host. With more, cross-host packets travel as timestamped
 // cross-shard messages delivered at the barrier of each synchronized
-// lookahead window. A window whose shards did little work in their
-// previous one (a few hosts, or an incast's quiet senders) runs every
-// ready shard on the goroutine calling Run; a busier one runs one ready
-// shard there and hands every other ready shard to that shard's worker
-// goroutine (Handoffs counts those windows). The choice reads only event
-// counts, so results remain bit-deterministic for a given seed at any
-// GOMAXPROCS. Each window Run advances (warm-up, then measurement) starts
-// the workers and waits for them to exit, so an idle Cluster holds no
-// goroutine, and a panic on any shard surfaces from Run on the calling
-// goroutine. Distinct Clusters still share no state, so internal/runner
-// can execute many concurrently either way.
+// lookahead window. A window in which every ready shard did little work
+// in its previous one (most windows of a small cluster or of an incast)
+// runs every ready shard on the goroutine calling Run; a busier one runs
+// one ready shard there and hands every other ready shard to that
+// shard's worker goroutine (Handoffs counts those windows). The choice
+// reads only event counts, so results remain bit-deterministic for a
+// given seed at any GOMAXPROCS. Each window Run advances (warm-up, then
+// measurement) starts the workers and waits for them to exit, so an idle
+// Cluster holds no goroutine, and a panic on any shard surfaces from Run
+// on the calling goroutine. Distinct Clusters still share no state, so
+// internal/runner can execute many concurrently either way.
 
 // TrafficPattern names how cluster hosts pair up for bulk flows.
 type TrafficPattern string
