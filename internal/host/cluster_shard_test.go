@@ -280,42 +280,50 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 // fabric.* instrument — is byte-identical across GOMAXPROCS=1/2/8 and
 // across repeated runs of the same seed. The dump includes per-port
 // fabric counters from every shard's registry, so it proves both the
-// merge and the barrier protocol are schedule-independent.
+// merge and the barrier protocol are schedule-independent. The 8-host
+// incast's rounds are too small to hand off, so they all run on the
+// calling goroutine; the 8-host all-to-all must hand some of its rounds
+// to shard workers, so the property is checked on both paths.
 func TestShardedRegistryDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func() (string, string) {
-		c, err := NewCluster(shardTestConfig(8, 4, Incast))
-		if err != nil {
-			t.Fatal(err)
+	for _, traffic := range []TrafficPattern{Incast, AllToAll} {
+		run := func() (reg, tl string, handoffs uint64) {
+			c, err := NewCluster(shardTestConfig(8, 4, traffic))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := c.Run(1*sim.Millisecond, 2*sim.Millisecond)
+			var b strings.Builder
+			for i, h := range r.Hosts {
+				for _, s := range h.Timeline {
+					fmt.Fprintf(&b, "host%d.%s %v %v\n", i, s.Name, s.Times, s.Values)
+				}
+			}
+			return c.Registry().String(), b.String(), c.Handoffs()
 		}
-		r := c.Run(1*sim.Millisecond, 2*sim.Millisecond)
-		var tl strings.Builder
-		for i, h := range r.Hosts {
-			for _, s := range h.Timeline {
-				fmt.Fprintf(&tl, "host%d.%s %v %v\n", i, s.Name, s.Times, s.Values)
+		wantReg, wantTL := "", ""
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 2; rep++ {
+				reg, tl, handoffs := run()
+				if traffic == AllToAll && handoffs == 0 {
+					t.Fatalf("%s: no round was handed to a shard worker", traffic)
+				}
+				if wantReg == "" {
+					wantReg, wantTL = reg, tl
+					continue
+				}
+				if reg != wantReg {
+					t.Fatalf("%s GOMAXPROCS=%d rep=%d: registry dump diverged (len %d vs %d)", traffic, procs, rep, len(reg), len(wantReg))
+				}
+				if tl != wantTL {
+					t.Fatalf("%s GOMAXPROCS=%d rep=%d: sampled timeline diverged", traffic, procs, rep)
+				}
 			}
 		}
-		return c.Registry().String(), tl.String()
-	}
-	wantReg, wantTL := "", ""
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 2; rep++ {
-			reg, tl := run()
-			if wantReg == "" {
-				wantReg, wantTL = reg, tl
-				continue
-			}
-			if reg != wantReg {
-				t.Fatalf("GOMAXPROCS=%d rep=%d: registry dump diverged (len %d vs %d)", procs, rep, len(reg), len(wantReg))
-			}
-			if tl != wantTL {
-				t.Fatalf("GOMAXPROCS=%d rep=%d: sampled timeline diverged", procs, rep)
-			}
+		if wantReg == "" || !strings.Contains(wantReg, "host7.") || !strings.Contains(wantReg, "fabric.port7.") || !strings.Contains(wantReg, "fabric.core.") {
+			t.Fatalf("%s: merged registry dump is missing expected instruments", traffic)
 		}
-	}
-	if wantReg == "" || !strings.Contains(wantReg, "host7.") || !strings.Contains(wantReg, "fabric.port7.") || !strings.Contains(wantReg, "fabric.core.") {
-		t.Fatalf("merged registry dump is missing expected instruments")
 	}
 }
 
