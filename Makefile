@@ -28,8 +28,8 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # The shard coordinator's tests run ten more times under the detector,
-# as in CI's sharded-equivalence cell: every round hands engines between
-# goroutines.
+# as in CI's sharded-equivalence cell: a busy round hands engines between
+# goroutines, and the tests cover rounds on the caller and handed off.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestShards' ./internal/sim
