@@ -1,6 +1,8 @@
 package iommu
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"fastsafe/internal/ptable"
@@ -53,5 +55,40 @@ func BenchmarkInvalidateRange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Invalidate(0, 64, true)
+	}
+}
+
+// BenchmarkLRU looks up a stream of keys in a full cache and inserts each
+// miss, at the IOTLB set's 4 entries, the PTcaches' default 32 and the
+// largest PTcache-L3 a figure sweeps (128). In the mru stream seven
+// accesses in eight reuse one of the two most recent keys, the depth
+// real IOTLB and PTcache hits land at; the uniform stream draws every key
+// from twice the capacity, so hits spread over the whole cache, the
+// array layout's worst case.
+func BenchmarkLRU(b *testing.B) {
+	for _, capacity := range []int{4, 32, 128} {
+		for _, stream := range []string{"mru", "uniform"} {
+			b.Run(fmt.Sprintf("%s/%d", stream, capacity), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				keys := make([]uint64, 1<<12)
+				for i := range keys {
+					keys[i] = uint64(rng.Intn(2 * capacity))
+					if stream == "mru" && i >= 2 && rng.Intn(8) != 0 {
+						keys[i] = keys[i-1-rng.Intn(2)]
+					}
+				}
+				c := newLRU(capacity)
+				for k := 0; k < capacity; k++ {
+					c.put(uint64(k), 0)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := keys[i&(len(keys)-1)]
+					if _, ok := c.get(k); !ok {
+						c.put(k, k)
+					}
+				}
+			})
+		}
 	}
 }

@@ -10,121 +10,92 @@ package iommu
 // selecting a page-table page; the value is the identity of that page,
 // used to detect stale (use-after-reclaim) entries.
 //
-// Nodes are reused: an insert at capacity takes over the evicted node, and
-// invalidated nodes wait on a free list for the next insert, so a cache
-// that has reached its working size inserts without allocating.
+// The live entries sit in two parallel arrays in recency order, most
+// recently used first, so the LRU entry is the last one. Every operation
+// is a scan and a shift, short because NIC traffic hits near the front:
+// in strict and fns runs, IOTLB hits land at mean position 0.02–0.06 and
+// 78–97% of PTcache hits within the first four entries. Nothing hashes,
+// and nothing allocates once the arrays are made.
 type lru struct {
-	cap   int
-	items map[uint64]*lruNode
-	head  *lruNode // most recently used
-	tail  *lruNode // least recently used
-	free  *lruNode // invalidated nodes, linked through next
+	keys, vals []uint64 // len = live entries, cap = capacity
 }
 
-type lruNode struct {
-	key        uint64
-	val        uint64
-	prev, next *lruNode
-}
-
-func newLRU(capacity int) *lru {
+func newLRU(capacity int) lru {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lru{cap: capacity, items: make(map[uint64]*lruNode, capacity)}
+	return lru{keys: make([]uint64, 0, capacity), vals: make([]uint64, 0, capacity)}
 }
 
-func (c *lru) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
+// find returns key's position, -1 when it is absent.
+func (c *lru) find(key uint64) int {
+	for i, k := range c.keys {
+		if k == key {
+			return i
+		}
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+	return -1
 }
 
-func (c *lru) pushFront(n *lruNode) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+// moveFront writes key and val at position 0, shifting entries 0..i-1
+// back one place over position i.
+func (c *lru) moveFront(i int, key, val uint64) {
+	if i > 0 {
+		copy(c.keys[1:i+1], c.keys[:i])
+		copy(c.vals[1:i+1], c.vals[:i])
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
+	c.keys[0], c.vals[0] = key, val
 }
 
 // get returns the value for key and marks it most recently used.
 func (c *lru) get(key uint64) (uint64, bool) {
-	n, ok := c.items[key]
-	if !ok {
+	i := c.find(key)
+	if i < 0 {
 		return 0, false
 	}
-	if c.head != n {
-		c.unlink(n)
-		c.pushFront(n)
-	}
-	return n.val, true
+	val := c.vals[i]
+	c.moveFront(i, key, val)
+	return val, true
 }
 
 // put inserts or refreshes key, evicting the LRU entry at capacity.
 func (c *lru) put(key, val uint64) {
-	if n, ok := c.items[key]; ok {
-		n.val = val
-		if c.head != n {
-			c.unlink(n)
-			c.pushFront(n)
+	i := c.find(key)
+	if i < 0 {
+		// A new entry takes a free slot, or the LRU entry's at capacity.
+		i = len(c.keys)
+		if i < cap(c.keys) {
+			c.keys, c.vals = c.keys[:i+1], c.vals[:i+1]
+		} else {
+			i--
 		}
-		return
 	}
-	var n *lruNode
-	switch {
-	case len(c.items) >= c.cap:
-		n = c.tail
-		c.unlink(n)
-		delete(c.items, n.key)
-	case c.free != nil:
-		n = c.free
-		c.free = n.next
-		n.next = nil
-	default:
-		n = new(lruNode)
-	}
-	n.key, n.val = key, val
-	c.items[key] = n
-	c.pushFront(n)
+	c.moveFront(i, key, val)
 }
 
 // invalidate removes key if present, reporting whether it was present.
 func (c *lru) invalidate(key uint64) bool {
-	n, ok := c.items[key]
-	if !ok {
+	i := c.find(key)
+	if i < 0 {
 		return false
 	}
-	c.unlink(n)
-	delete(c.items, key)
-	n.next = c.free
-	c.free = n
+	n := copy(c.keys[i:], c.keys[i+1:])
+	copy(c.vals[i:], c.vals[i+1:])
+	c.keys, c.vals = c.keys[:i+n], c.vals[:i+n]
 	return true
 }
 
-func (c *lru) len() int { return len(c.items) }
+func (c *lru) len() int { return len(c.keys) }
 
 // setAssoc is a set-associative cache used for the IOTLB: pageNumber keys
 // map to a set by their low bits, and each set is a tiny LRU of `ways`
 // entries. Conflict misses under scattered (poorly localised) IOVAs and
 // their absence under F&S-contiguous IOVAs emerge from the indexing.
 type setAssoc struct {
-	sets []*lru
-	ways int
+	sets []lru
 }
 
-func newSetAssoc(nsets, ways int) *setAssoc {
+func newSetAssoc(nsets, ways int) setAssoc {
 	if nsets < 1 {
 		nsets = 1
 	}
@@ -133,14 +104,14 @@ func newSetAssoc(nsets, ways int) *setAssoc {
 	for n < nsets {
 		n <<= 1
 	}
-	s := &setAssoc{sets: make([]*lru, n), ways: ways}
+	s := setAssoc{sets: make([]lru, n)}
 	for i := range s.sets {
 		s.sets[i] = newLRU(ways)
 	}
 	return s
 }
 
-func (s *setAssoc) set(key uint64) *lru { return s.sets[key&uint64(len(s.sets)-1)] }
+func (s *setAssoc) set(key uint64) *lru { return &s.sets[key&uint64(len(s.sets)-1)] }
 
 func (s *setAssoc) get(key uint64) (uint64, bool) { return s.set(key).get(key) }
 func (s *setAssoc) put(key, val uint64)           { s.set(key).put(key, val) }
@@ -148,8 +119,8 @@ func (s *setAssoc) invalidate(key uint64) bool    { return s.set(key).invalidate
 
 func (s *setAssoc) len() int {
 	n := 0
-	for _, set := range s.sets {
-		n += set.len()
+	for i := range s.sets {
+		n += s.sets[i].len()
 	}
 	return n
 }

@@ -17,8 +17,7 @@ import (
 // safety reduces to "is the grant current", which the fault auditor
 // cross-checks against the live page table.
 type CapTable struct {
-	m      *IOMMU
-	dom    DomainID
+	c      *Counters              // the owning domain's counters
 	grants map[uint64]ptable.Phys // IOVA page number -> granted frame
 }
 
@@ -26,20 +25,21 @@ type CapTable struct {
 // routes d's translations through it. Counters reset does not clear the
 // grants — capabilities are driver state, not cache state.
 func (m *IOMMU) AttachCapTable(d DomainID) *CapTable {
-	if m.capTables == nil {
-		m.capTables = make(map[DomainID]*CapTable)
+	dom := m.doms[d]
+	if dom.cap == nil {
+		dom.cap = &CapTable{c: &dom.c, grants: make(map[uint64]ptable.Phys)}
 	}
-	ct, ok := m.capTables[d]
-	if !ok {
-		ct = &CapTable{m: m, dom: d, grants: make(map[uint64]ptable.Phys)}
-		m.capTables[d] = ct
-	}
-	return ct
+	return dom.cap
 }
 
 // CapTableOf returns domain d's capability table, nil when the domain
 // does not use capability protection.
-func (m *IOMMU) CapTableOf(d DomainID) *CapTable { return m.capTables[d] }
+func (m *IOMMU) CapTableOf(d DomainID) *CapTable {
+	if dom := m.domainOf(d); dom != nil {
+		return dom.cap
+	}
+	return nil
+}
 
 // Grant installs (or overwrites) the capability for v. An overwrite
 // counts as a revocation of the previous grant — the re-grant path that
@@ -48,8 +48,7 @@ func (ct *CapTable) Grant(v ptable.IOVA, p ptable.Phys) (replaced bool) {
 	pn := v.PageNumber()
 	if _, ok := ct.grants[pn]; ok {
 		replaced = true
-		ct.m.c.CapRevocations++
-		ct.m.domCounters(ct.dom).CapRevocations++
+		ct.c.CapRevocations++
 	}
 	ct.grants[pn] = p
 	return replaced
@@ -62,8 +61,7 @@ func (ct *CapTable) Revoke(v ptable.IOVA) bool {
 		return false
 	}
 	delete(ct.grants, pn)
-	ct.m.c.CapRevocations++
-	ct.m.domCounters(ct.dom).CapRevocations++
+	ct.c.CapRevocations++
 	return true
 }
 
@@ -81,12 +79,12 @@ func (ct *CapTable) Len() int { return len(ct.grants) }
 // beside the translation agent. A miss is a blocked DMA (the analogue
 // of a remapping fault).
 func (ct *CapTable) check(v ptable.IOVA) Translation {
-	ct.m.c.Translations++
-	ct.m.c.CapChecks++
+	ct.c.Translations++
+	ct.c.CapChecks++
 	p, ok := ct.grants[v.PageNumber()]
 	if !ok {
-		ct.m.c.CapDenied++
-		ct.m.c.Faults++
+		ct.c.CapDenied++
+		ct.c.Faults++
 		return Translation{Cap: true}
 	}
 	// Like the walk path, the result is the page frame (Lookup aligns

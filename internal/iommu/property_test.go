@@ -128,59 +128,65 @@ func TestPropertyCrossDomainNoLeak(t *testing.T) {
 }
 
 // Two device domains interleave map/unmap/translate over the shared
-// hardware. Two properties the device layer depends on:
+// hardware, beside a capability domain that grants, revokes and checks.
+// Three properties the device layer depends on:
 //
 //  1. No cross-domain leakage (re-checked here under the F&S unmap path,
 //     which TestPropertyCrossDomainNoLeak does not exercise).
-//  2. Per-domain attribution is exact: summing CountersOf over Domains
-//     reproduces Counters field-for-field. host/results.go derives the
-//     per-device breakdown from CountersOf, so drift here would silently
-//     misreport device interference.
-//
-// FlushAll is deliberately absent: a global flush belongs to no single
-// domain, so the sum property only holds for the domain-scoped entry
-// points (Strict/F&S-style operation — the modes the breakdown targets).
+//  2. Per-domain attribution is exact: each domain's Translations and
+//     InvRequests equal the TranslateIn and InvalidateIn calls made on
+//     it, and the capability domain's CapChecks equal its translations.
+//     host/results.go derives the per-device breakdown from CountersOf,
+//     so drift here would silently misreport device interference.
+//  3. Summing CountersOf over Domains reproduces Counters field-for-field.
 func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 	const pages = 32
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := New(Config{IOTLBSets: 2, IOTLBWays: 2, L1Size: 2, L2Size: 2, L3Size: 2})
 		doms := []DomainID{m.CreateDomain(), m.CreateDomain()}
-		shadow := map[DomainID]map[ptable.IOVA]ptable.Phys{doms[0]: {}, doms[1]: {}}
+		capDom := m.CreateDomain()
+		ct := m.AttachCapTable(capDom)
+		shadow := map[DomainID]map[ptable.IOVA]ptable.Phys{doms[0]: {}, doms[1]: {}, capDom: {}}
+		translates := map[DomainID]int64{}
+		invalidates := map[DomainID]int64{}
 		nextPhys := ptable.Phys(1 << 28)
 
 		for op := 0; op < 5000; op++ {
-			d := doms[rng.Intn(2)]
+			d := []DomainID{doms[0], doms[1], capDom}[rng.Intn(3)]
 			v := ptable.IOVA(uint64(rng.Intn(pages)) * ptable.PageSize)
-			switch rng.Intn(5) {
-			case 0: // map
-				if _, live := shadow[d][v]; !live {
-					nextPhys += ptable.PageSize
-					if err := m.TableOf(d).Map(v, nextPhys); err != nil {
-						t.Fatal(err)
-					}
-					shadow[d][v] = nextPhys
+			_, live := shadow[d][v]
+			switch k := rng.Intn(6); {
+			case k == 0 && !live: // map, or grant
+				nextPhys += ptable.PageSize
+				if d == capDom {
+					ct.Grant(v, nextPhys)
+				} else if err := m.TableOf(d).Map(v, nextPhys); err != nil {
+					t.Fatal(err)
 				}
-			case 1: // unmap + strict invalidation
-				if _, live := shadow[d][v]; live {
-					if _, err := m.TableOf(d).Unmap(v, ptable.PageSize); err != nil {
-						t.Fatal(err)
-					}
-					m.InvalidateIn(d, v, 1, false)
-					delete(shadow[d], v)
+				shadow[d][v] = nextPhys
+			case k == 1 && live && d == capDom: // revoke
+				ct.Revoke(v)
+				delete(shadow[d], v)
+			case k == 1 && live: // unmap + strict invalidation
+				if _, err := m.TableOf(d).Unmap(v, ptable.PageSize); err != nil {
+					t.Fatal(err)
 				}
-			case 2: // unmap + IOTLB-only invalidation + reclaim hook (F&S)
-				if _, live := shadow[d][v]; live {
-					res, err := m.TableOf(d).Unmap(v, ptable.PageSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.InvalidateIn(d, v, 1, true)
-					m.InvalidateReclaimedIn(d, res.Reclaimed)
-					delete(shadow[d], v)
+				m.InvalidateIn(d, v, 1, false)
+				invalidates[d]++
+				delete(shadow[d], v)
+			case k == 2 && live && d != capDom: // unmap + IOTLB-only invalidation + reclaim hook (F&S)
+				res, err := m.TableOf(d).Unmap(v, ptable.PageSize)
+				if err != nil {
+					t.Fatal(err)
 				}
-			default: // translate, checked against the shadow model
+				m.InvalidateIn(d, v, 1, true)
+				m.InvalidateReclaimedIn(d, res.Reclaimed)
+				invalidates[d]++
+				delete(shadow[d], v)
+			case k >= 4: // translate, checked against the shadow model
 				tr := m.TranslateIn(d, v)
+				translates[d]++
 				want, live := shadow[d][v]
 				switch {
 				case tr.OK && !tr.Stale:
@@ -195,6 +201,17 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 					}
 				}
 			}
+		}
+
+		for _, d := range append(doms, capDom) {
+			c := m.CountersOf(d)
+			if c.Translations != translates[d] || c.InvRequests != invalidates[d] {
+				t.Fatalf("seed %d: domain %d counted %d translations and %d invalidation requests, made %d and %d",
+					seed, d, c.Translations, c.InvRequests, translates[d], invalidates[d])
+			}
+		}
+		if c := m.CountersOf(capDom); c.CapChecks != translates[capDom] {
+			t.Fatalf("seed %d: capability domain counted %d checks for %d translations", seed, c.CapChecks, translates[capDom])
 		}
 
 		// The sum property, field-for-field via reflection so a counter
