@@ -62,6 +62,11 @@ var goldenRuns = []struct {
 	{"fnshuge_shape", []string{"-mode", "fns+huge", "-flows", "8", "-txflows", "2", "-cores", "4",
 		"-ring", "512", "-mtu", "9000", "-desc", "32", "-seed", "5"}},
 	{"strict_storage2x2", []string{"-mode", "strict", "-storage", "2", "-storagedevs", "2"}},
+	// The NIC's deferred flushes drop only its own domain's entries, so
+	// the storage device's translations keep hitting. Its longer window
+	// (later flags win) gives the flushes time to show.
+	{"deferred_storage4_fns", []string{"-mode", "deferred", "-storage", "4", "-devmode", "fns",
+		"-ms", "10", "-warmup", "5"}},
 	{"fns_nic_devmode_ats", []string{"-mode", "fns", "-nics", "1", "-devmode", "strict", "-atsentries", "256"}},
 	{"strict_memhog_timeline", []string{"-mode", "strict", "-memhog", "12", "-timeline", "-sampleus", "1000"}},
 	{"fns_faults", []string{"-mode", "fns", "-faults", "1", "-faultseed", "7"}},

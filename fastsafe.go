@@ -28,7 +28,7 @@ const (
 	Off Mode = "off"
 	// Strict is Linux's strict mode: per-page unmap + full invalidation.
 	Strict Mode = "strict"
-	// Deferred is Linux's lazy mode: batched global flushes, unsafe window.
+	// Deferred is Linux's lazy mode: batched domain flushes, unsafe window.
 	Deferred Mode = "deferred"
 	// StrictPreserve is ablation A: strict + preserved page-table caches.
 	StrictPreserve Mode = "strict+preserve"

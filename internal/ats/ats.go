@@ -172,7 +172,8 @@ func (a *Cache) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {
 	a.inner.Invalidate(base, pages, iotlbOnly)
 }
 
-// InvalidateAll implements iommu.Translator: global flush (one message).
+// InvalidateAll implements iommu.Translator: it empties the device TLB
+// (one message) and flushes the domain's IOMMU entries.
 func (a *Cache) InvalidateAll() {
 	a.c.InvMessages++
 	dropped := int64(len(a.entries))

@@ -53,7 +53,7 @@ type Config struct {
 	Mode            Mode
 	NumCPUs         int // per-CPU IOVA caches and Tx chunks
 	DescriptorPages int // pages per Rx descriptor (64 on CX-5)
-	DeferredLimit   int // deferred mode: pending unmaps before a global flush (Linux: 256)
+	DeferredLimit   int // deferred mode: pending unmaps before a domain flush (Linux: 256)
 	// TxFreeCPUShift models Tx-completion interrupt steering: Tx buffers
 	// are unmapped (and their IOVAs freed) on a core offset from the one
 	// that allocated them. This is the cross-CPU magazine migration that
@@ -380,8 +380,8 @@ func (d *Domain) invRequestCost() sim.Duration {
 	return cost
 }
 
-// flushInvalidate is invalidate's analogue for the deferred-mode global
-// flush (one flush-all invalidation-queue request).
+// flushInvalidate is invalidate's analogue for the deferred-mode flush
+// (one domain-selective invalidation-queue request).
 func (d *Domain) flushInvalidate() sim.Duration {
 	d.trans.InvalidateAll()
 	cost := d.invRequestCost()

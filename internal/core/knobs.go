@@ -102,8 +102,8 @@ func (d *Domain) SetKnobs(k Knobs) (sim.Duration, error) {
 		}
 		d.txChunks[cpu] = nil
 	}
-	// Quiesce cached translation state: one flush-all invalidation
-	// covers the IOTLB, the page-table caches, and — because the
+	// Quiesce cached translation state: one domain-selective flush
+	// covers the domain's IOTLB and page-table cache entries, and — because the
 	// domain's translator is the ATC when one is attached — the
 	// device-side ATS cache. Capability domains have no translation
 	// caches to quiesce; their grant table is already exact.

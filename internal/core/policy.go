@@ -42,7 +42,7 @@ const (
 	// strawman, whose recycled IOVAs can be served stale.
 	noShootdown
 	// deferredFlush (Linux lazy mode) batches the invalidations and the
-	// IOVA frees behind one flush-all invalidation.
+	// IOVA frees behind one domain-selective flush.
 	deferredFlush
 	// revokeCap kills each page's capability synchronously: O(1) per
 	// page, no completion wait.
@@ -512,8 +512,9 @@ func (d *Domain) maybeFlush(p *Policy) sim.Duration {
 	return d.flush()
 }
 
-// flush drains the batch. A page-table domain submits one flush-all
-// invalidation (Linux lazy mode flushes the whole IOTLB); a capability
+// flush drains the batch. A page-table domain submits one
+// domain-selective flush (Linux's flush queue invalidates the whole
+// domain, not the whole IOMMU); a capability
 // domain sweeps the pending grants away, an amortized per-entry table
 // update cheaper than an eager revoke. Revocation comes before the
 // frees, so no address is re-granted while an old capability or cached

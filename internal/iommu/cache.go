@@ -85,6 +85,19 @@ func (c *lru) invalidate(key uint64) bool {
 	return true
 }
 
+// flush removes every entry tagged with domain d, keeping the others in
+// recency order.
+func (c *lru) flush(d DomainID) {
+	n := 0
+	for i, k := range c.keys {
+		if keyDomain(k) != d {
+			c.keys[n], c.vals[n] = k, c.vals[i]
+			n++
+		}
+	}
+	c.keys, c.vals = c.keys[:n], c.vals[:n]
+}
+
 func (c *lru) len() int { return len(c.keys) }
 
 // setAssoc is a set-associative cache used for the IOTLB: pageNumber keys
@@ -116,6 +129,12 @@ func (s *setAssoc) set(key uint64) *lru { return &s.sets[key&uint64(len(s.sets)-
 func (s *setAssoc) get(key uint64) (uint64, bool) { return s.set(key).get(key) }
 func (s *setAssoc) put(key, val uint64)           { s.set(key).put(key, val) }
 func (s *setAssoc) invalidate(key uint64) bool    { return s.set(key).invalidate(key) }
+
+func (s *setAssoc) flush(d DomainID) {
+	for i := range s.sets {
+		s.sets[i].flush(d)
+	}
+}
 
 func (s *setAssoc) len() int {
 	n := 0

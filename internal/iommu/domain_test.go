@@ -110,3 +110,40 @@ func TestDefaultDomainCompatibility(t *testing.T) {
 		t.Fatal("default-domain invalidation failed")
 	}
 }
+
+// TestFlushInIsDomainSelective: one domain's flush (Linux's flush queue
+// draining a deferred batch) drops that domain's IOTLB and PTcache
+// entries, 2MB ones included, and leaves every other domain's hitting.
+func TestFlushInIsDomainSelective(t *testing.T) {
+	m := New(Config{})
+	d1, d2 := m.CreateDomain(), m.CreateDomain()
+	huge := ptable.IOVA(ptable.L3PageSpan) // its own PT-L2 subtree
+	for _, d := range []DomainID{d1, d2} {
+		for i := 0; i < 2; i++ {
+			if err := m.TableOf(d).Map(ptable.IOVA(i*ptable.PageSize), ptable.Phys(i+1)<<ptable.PageShift); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.TableOf(d).MapHuge(huge, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+		m.TranslateIn(d, 0)
+		m.TranslateIn(d, huge)
+	}
+	m.FlushIn(d1)
+	if tr := m.TranslateIn(d2, 0); !tr.IOTLBHit {
+		t.Fatalf("d2 after d1's flush: %+v, want an IOTLB hit", tr)
+	}
+	if tr := m.TranslateIn(d2, huge+ptable.PageSize); !tr.IOTLBHit {
+		t.Fatalf("d2's 2MB entry after d1's flush: %+v, want an IOTLB hit", tr)
+	}
+	if tr := m.TranslateIn(d2, ptable.PageSize); tr.IOTLBHit || tr.MemReads != 1 {
+		t.Fatalf("d2 neighbour walk after d1's flush: %+v, want a PTcache-L3 hit", tr)
+	}
+	if tr := m.TranslateIn(d1, 0); tr.IOTLBHit || tr.MemReads != 4 {
+		t.Fatalf("d1 after its flush: %+v, want a cold walk", tr)
+	}
+	if tr := m.TranslateIn(d1, huge); tr.IOTLBHit || tr.MemReads != 2 {
+		t.Fatalf("d1's 2MB walk after its flush: %+v, want a walk from the PTcache-L1 entry", tr)
+	}
+}

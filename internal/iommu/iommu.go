@@ -139,7 +139,6 @@ type domain struct {
 // IOMMU couples the shared translation caches with per-domain IO page
 // tables.
 type IOMMU struct {
-	cfg   Config
 	doms  []*domain // indexed by DomainID
 	iotlb setAssoc
 	l1    lru // (domain, L1Key) -> PT-L2 page id
@@ -162,7 +161,6 @@ func (m *IOMMU) SetAuditHook(fn func(DomainID, ptable.IOVA, Translation)) {
 func New(cfg Config) *IOMMU {
 	cfg = cfg.withDefaults()
 	m := &IOMMU{
-		cfg:   cfg,
 		iotlb: newSetAssoc(cfg.IOTLBSets, cfg.IOTLBWays),
 		l1:    newLRU(cfg.L1Size),
 		l2:    newLRU(cfg.L2Size),
@@ -202,6 +200,9 @@ func (m *IOMMU) Table() *ptable.Table { return m.doms[0].table }
 // (page numbers are at most 2^36), leaving the domain tag and the
 // huge-entry bit disjoint.
 func domKey(d DomainID, key uint64) uint64 { return uint64(d)<<44 | key }
+
+// keyDomain reads the domain tag back out of a domKey.
+func keyDomain(key uint64) DomainID { return DomainID((key &^ hugeTag) >> 44) }
 
 // Counters returns a snapshot of the hardware counters: the sum of every
 // domain's.
@@ -499,14 +500,16 @@ func (m *IOMMU) InvalidateReclaimedIn(d DomainID, reclaimed []ptable.ReclaimedPa
 	}
 }
 
-// FlushAll empties every cache (global invalidation, used at domain
-// teardown and by tests).
-func (m *IOMMU) FlushAll() {
-	cfg := m.cfg
-	m.iotlb = newSetAssoc(cfg.IOTLBSets, cfg.IOTLBWays)
-	m.l1 = newLRU(cfg.L1Size)
-	m.l2 = newLRU(cfg.L2Size)
-	m.l3 = newLRU(cfg.L3Size)
+// FlushIn drops every IOTLB and PTcache entry tagged with domain d — a
+// VT-d domain-selective invalidation, which Linux's flush queue issues
+// for the one domain whose deferred unmaps it drains. Other domains'
+// entries keep hitting. It charges no counter: the driver counts the
+// flush request itself.
+func (m *IOMMU) FlushIn(d DomainID) {
+	m.iotlb.flush(d)
+	m.l1.flush(d)
+	m.l2.flush(d)
+	m.l3.flush(d)
 }
 
 // CacheOccupancy reports live entries per cache: IOTLB, L1, L2, L3.

@@ -304,12 +304,12 @@ func TestRangedInvalidationCoversAllPages(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
+func TestFlushInEmptiesTheDomain(t *testing.T) {
 	m := newMapped(t, Config{}, 4)
 	for i := 0; i < 4; i++ {
 		m.Translate(ptable.IOVA(uint64(i) * ptable.PageSize))
 	}
-	m.FlushAll()
+	m.FlushIn(0)
 	tlb, l1, l2, l3 := m.CacheOccupancy()
 	if tlb+l1+l2+l3 != 0 {
 		t.Fatalf("occupancy after flush = %d %d %d %d", tlb, l1, l2, l3)

@@ -127,12 +127,13 @@ func TestPropertyCrossDomainNoLeak(t *testing.T) {
 	}
 }
 
-// Two device domains interleave map/unmap/translate over the shared
-// hardware, beside a capability domain that grants, revokes and checks.
-// Three properties the device layer depends on:
+// Two device domains interleave map/unmap/translate/flush over the
+// shared hardware, beside a capability domain that grants, revokes and
+// checks. Three properties the device layer depends on:
 //
 //  1. No cross-domain leakage (re-checked here under the F&S unmap path,
-//     which TestPropertyCrossDomainNoLeak does not exercise).
+//     which TestPropertyCrossDomainNoLeak does not exercise), and a
+//     domain's flush never breaks another domain's translations.
 //  2. Per-domain attribution is exact: each domain's Translations and
 //     InvRequests equal the TranslateIn and InvalidateIn calls made on
 //     it, and the capability domain's CapChecks equal its translations.
@@ -184,6 +185,8 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 				m.InvalidateReclaimedIn(d, res.Reclaimed)
 				invalidates[d]++
 				delete(shadow[d], v)
+			case k == 3 && d != capDom: // one domain's flush
+				m.FlushIn(d)
 			case k >= 4: // translate, checked against the shadow model
 				tr := m.TranslateIn(d, v)
 				translates[d]++

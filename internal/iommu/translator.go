@@ -17,7 +17,9 @@ type Translator interface {
 	// [base, base+pages*4KB); iotlbOnly preserves the PTcaches (F&S
 	// idea A).
 	Invalidate(base ptable.IOVA, pages int, iotlbOnly bool)
-	// InvalidateAll is the global flush used at teardown.
+	// InvalidateAll is a domain-selective flush: it drops every cached
+	// translation of this domain and no other (a deferred-mode batch
+	// drain, a knob switch, teardown).
 	InvalidateAll()
 }
 
@@ -34,7 +36,7 @@ func (t direct) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {
 	t.m.InvalidateIn(t.d, base, pages, iotlbOnly)
 }
 
-func (t direct) InvalidateAll() { t.m.FlushAll() }
+func (t direct) InvalidateAll() { t.m.FlushIn(t.d) }
 
 // TranslatorOf returns domain d's direct (IOMMU-only) Translator.
 func (m *IOMMU) TranslatorOf(d DomainID) Translator { return direct{m: m, d: d} }
