@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench faults churn-gauntlet \
+.PHONY: all build vet fmt fmt-check test race bench fuzz faults churn-gauntlet \
 	scale-gate cover golden-check simbench-check lint ci
 
 all: build
@@ -39,6 +39,12 @@ race:
 # measurements.
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem ./...
+
+# Mirrors the CI fuzz job: the IOMMU's LRU caches against an
+# independently written oracle for a bounded time. A failing input lands
+# in internal/iommu/testdata/fuzz/FuzzLRU, where plain `go test` replays it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 30s ./internal/iommu
 
 # One figure's quick JSON artifact, for any id `fsbench -list` prints:
 # `make bench-serving` writes BENCH_serving.json.
@@ -105,4 +111,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping" >&2; \
 	fi
 
-ci: build vet fmt-check lint test race bench faults churn-gauntlet cover golden-check simbench-check
+ci: build vet fmt-check lint test race bench fuzz faults churn-gauntlet cover golden-check simbench-check

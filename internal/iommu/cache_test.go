@@ -137,6 +137,90 @@ func TestPropertyLRUContents(t *testing.T) {
 	}
 }
 
+// lruOracle is an LRU written the other way round from lru: each key
+// keeps the tick of its last use, and an insert at capacity evicts the
+// key with the smallest tick.
+type lruOracle struct {
+	cap  int
+	tick uint64
+	vals map[uint64]uint64
+	used map[uint64]uint64
+}
+
+func (o *lruOracle) get(key uint64) (uint64, bool) {
+	v, ok := o.vals[key]
+	if ok {
+		o.tick++
+		o.used[key] = o.tick
+	}
+	return v, ok
+}
+
+func (o *lruOracle) put(key, val uint64) {
+	if _, ok := o.vals[key]; !ok && len(o.vals) == o.cap {
+		victim, oldest := uint64(0), ^uint64(0)
+		for k, u := range o.used {
+			if u < oldest {
+				victim, oldest = k, u
+			}
+		}
+		delete(o.vals, victim)
+		delete(o.used, victim)
+	}
+	o.tick++
+	o.vals[key], o.used[key] = val, o.tick
+}
+
+func (o *lruOracle) invalidate(key uint64) bool {
+	_, ok := o.vals[key]
+	delete(o.vals, key)
+	delete(o.used, key)
+	return ok
+}
+
+// FuzzLRU runs decoded get/put/invalidate streams through lru and the
+// oracle and compares every result. The first byte picks the capacity;
+// then each byte pair is one operation: the first byte's low bits pick
+// get, put or invalidate, and the second picks one of 2*capacity+1 keys,
+// so every capacity sees hits, misses and evictions. A put stores the
+// operation's index, so a stale value cannot pass for a fresh one.
+func FuzzLRU(f *testing.F) {
+	capacities := []int{1, 2, 4, 32, 128}
+	for i := range capacities {
+		f.Add([]byte{byte(i), 1, 0, 1, 1, 0, 0, 1, 2, 2, 0, 0, 1})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := capacities[int(data[0])%len(capacities)]
+		c := newLRU(capacity)
+		o := &lruOracle{cap: capacity, vals: map[uint64]uint64{}, used: map[uint64]uint64{}}
+		ops := data[1:]
+		for i := 0; i+1 < len(ops); i += 2 {
+			key := uint64(ops[i+1]) % uint64(2*capacity+1)
+			switch ops[i] % 3 {
+			case 0:
+				v, ok := c.get(key)
+				wv, wok := o.get(key)
+				if v != wv || ok != wok {
+					t.Fatalf("cap %d op %d: get(%d) = %d,%v, oracle %d,%v", capacity, i/2, key, v, ok, wv, wok)
+				}
+			case 1:
+				c.put(key, uint64(i))
+				o.put(key, uint64(i))
+			case 2:
+				if got, want := c.invalidate(key), o.invalidate(key); got != want {
+					t.Fatalf("cap %d op %d: invalidate(%d) = %v, oracle %v", capacity, i/2, key, got, want)
+				}
+			}
+			if c.len() != len(o.vals) {
+				t.Fatalf("cap %d op %d: len = %d, oracle %d", capacity, i/2, c.len(), len(o.vals))
+			}
+		}
+	})
+}
+
 func TestSetAssocDistributesSets(t *testing.T) {
 	s := newSetAssoc(4, 1)
 	// Keys 0..3 land in distinct sets: no evictions despite ways=1.
