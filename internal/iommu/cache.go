@@ -79,9 +79,10 @@ func (c *lru) invalidate(key uint64) bool {
 	if i < 0 {
 		return false
 	}
-	n := copy(c.keys[i:], c.keys[i+1:])
+	last := len(c.keys) - 1
+	copy(c.keys[i:], c.keys[i+1:])
 	copy(c.vals[i:], c.vals[i+1:])
-	c.keys, c.vals = c.keys[:i+n], c.vals[:i+n]
+	c.keys, c.vals = c.keys[:last], c.vals[:last]
 	return true
 }
 
@@ -138,8 +139,8 @@ func (s *setAssoc) flush(d DomainID) {
 
 func (s *setAssoc) len() int {
 	n := 0
-	for i := range s.sets {
-		n += s.sets[i].len()
+	for _, set := range s.sets {
+		n += set.len()
 	}
 	return n
 }

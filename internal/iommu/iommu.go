@@ -392,11 +392,11 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 	if !mapped {
 		// Hardware would take a DMA remapping fault. If a stale PTcache
 		// entry was consulted, account the unsafe read of freed memory.
-		c.StalePTUses += stalePTUses(table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, ptable.Walk{})
+		checkStalePT(c, table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, ptable.Walk{})
 		c.Faults++
 		return Translation{OK: false, MemReads: reads}
 	}
-	c.StalePTUses += stalePTUses(table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, w)
+	checkStalePT(c, table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, w)
 
 	// Fill caches with the walk results.
 	m.l1.put(domKey(d, v.L1Key()), w.PageID[1])
@@ -406,26 +406,24 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 	return Translation{Phys: w.Phys, OK: true, MemReads: reads}
 }
 
-// stalePTUses counts the PTcache hits that point to page-table pages no
-// longer on v's translation path (reclaimed or replaced). Any such use is
-// a memory-safety violation in real hardware; every protection mode in
-// this repository must keep the StalePTUses counter at zero.
-func stalePTUses(table *ptable.Table, v ptable.IOVA, l3hit bool, l3id uint64, l2hit bool, l2id uint64, l1hit bool, l1id uint64, w ptable.Walk) int64 {
+// checkStalePT detects PTcache entries that point to page-table pages no
+// longer on v's translation path (reclaimed or replaced) and counts each
+// use in c. Any such use is a memory-safety violation in real hardware;
+// every protection mode in this repository must keep this counter at zero.
+func checkStalePT(c *Counters, table *ptable.Table, v ptable.IOVA, l3hit bool, l3id uint64, l2hit bool, l2id uint64, l1hit bool, l1id uint64, w ptable.Walk) {
 	ids := w.PageID
 	if ids == (ptable.Walk{}).PageID {
 		ids = table.PageIDs(v)
 	}
-	var n int64
 	if l1hit && l1id != ids[1] {
-		n++
+		c.StalePTUses++
 	}
 	if l2hit && l2id != ids[2] {
-		n++
+		c.StalePTUses++
 	}
 	if l3hit && l3id != ids[3] {
-		n++
+		c.StalePTUses++
 	}
-	return n
 }
 
 // Invalidate services one invalidation-queue request covering
