@@ -40,11 +40,14 @@ race:
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem ./...
 
-# Mirrors the CI fuzz job: the IOMMU's LRU caches against an
-# independently written oracle for a bounded time. A failing input lands
-# in internal/iommu/testdata/fuzz/FuzzLRU, where plain `go test` replays it.
+# Mirrors the CI fuzz job, 30 s per target (go test fuzzes one target a
+# call): the IOMMU's LRU caches against an independently written oracle,
+# then the device TLB's same-page runs and leaf-checked staleness against
+# per-transaction twins and a page-table walk. A failing input lands in
+# the package's testdata/fuzz/<target>, where plain `go test` replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLRU$$' -fuzztime 30s ./internal/iommu
+	$(GO) test -run '^$$' -fuzz '^FuzzATC$$' -fuzztime 30s ./internal/ats
 
 # One figure's quick JSON artifact, for any id `fsbench -list` prints:
 # `make bench-serving` writes BENCH_serving.json.

@@ -19,7 +19,7 @@ func TestInsertReusesEntries(t *testing.T) {
 	insert := func() ptable.IOVA {
 		p := next * ptable.PageSize
 		next++
-		a.insert(p, ptable.Phys(p), false)
+		a.insert(p, ptable.Phys(p), false, ptable.Leaf{})
 		return p
 	}
 	for i := 0; i < 4; i++ {

@@ -61,16 +61,30 @@ type Counters struct {
 }
 
 type entry struct {
-	page       ptable.IOVA // 4KB-aligned IOVA
-	phys       ptable.Phys // physical base of the cached 4KB page
-	huge       bool        // translation came from a 2MB leaf
+	page ptable.IOVA // 4KB-aligned IOVA
+	phys ptable.Phys // physical base of the cached 4KB page
+	huge bool        // translation came from a 2MB leaf
+	// leaf is where the fill's walk ended. While it is live it says what
+	// the page maps to now, so a hit needs no walk to tell if it is stale.
+	leaf       ptable.Leaf
 	prev, next *entry
+}
+
+// at returns the address e serves for v, an IOVA in its page. 4KB
+// translations are page-granular in this model; 2MB leaves resolve the
+// full offset (matching the IOMMU's own convention).
+func (e *entry) at(v ptable.IOVA) ptable.Phys {
+	if e.huge {
+		return e.phys + ptable.Phys(v-e.page)
+	}
+	return e.phys
 }
 
 // Cache is one device's ATC over one protection domain.
 type Cache struct {
 	mmu   *iommu.IOMMU
 	dom   iommu.DomainID
+	table *ptable.Table // the domain's, the ground truth for stale hits
 	inner iommu.Translator
 	cfg   Config
 
@@ -93,6 +107,7 @@ func New(m *iommu.IOMMU, d iommu.DomainID, inner iommu.Translator, cfg Config) *
 	return &Cache{
 		mmu:     m,
 		dom:     d,
+		table:   m.TableOf(d),
 		inner:   inner,
 		cfg:     cfg.withDefaults(),
 		entries: make(map[ptable.IOVA]*entry),
@@ -113,29 +128,96 @@ func (a *Cache) Len() int { return len(a.entries) }
 // pipeline) and cache the completion. A faulting request costs an extra
 // PRI round trip on top.
 func (a *Cache) Translate(v ptable.IOVA) iommu.Translation {
-	a.c.Lookups++
 	page := v.AlignDown()
-	if e, ok := a.entries[page]; ok {
-		a.c.Hits++
-		a.touch(e)
-		// 4KB translations are page-granular in this model; 2MB leaves
-		// resolve the full offset (matching the IOMMU's own convention).
-		phys := e.phys
-		if e.huge {
-			phys += ptable.Phys(v - page)
+	e := a.lookup(page)
+	if e == nil {
+		return a.miss(v, page)
+	}
+	return iommu.Translation{Phys: e.at(v), OK: true, ATC: true, Stale: a.serve(e, v, 1, 0)}
+}
+
+// TranslateRun implements iommu.Translator. The first transaction takes
+// Translate's path; once it leaves v's entry at the LRU head, the other
+// n-1 are head hits, charged at once.
+func (a *Cache) TranslateRun(v ptable.IOVA, n, stride int) (reads int) {
+	page := v.AlignDown()
+	if e := a.lookup(page); e != nil {
+		a.serve(e, v, n, stride)
+		return 0
+	}
+	t := a.miss(v, page)
+	reads = t.MemReads
+	switch {
+	case n == 1:
+	case t.OK:
+		a.serve(a.head, v+ptable.IOVA(stride), n-1, stride)
+	default:
+		// A fault cached nothing: each later transaction asks again.
+		for i := 1; i < n; i++ {
+			reads += a.Translate(v + ptable.IOVA(i*stride)).MemReads
 		}
-		t := iommu.Translation{Phys: phys, OK: true, ATC: true}
-		// Ground truth: a hit for an IOVA that is no longer mapped (or
-		// now maps elsewhere) is the ATS stale window in action.
-		if w, _, ok := a.mmu.TableOf(a.dom).LookupHugeAware(v); !ok || w.Phys != t.Phys {
-			a.c.StaleHits++
-			t.Stale = true
+	}
+	return reads
+}
+
+// lookup returns page's entry, moved to the LRU head, or nil. It checks
+// the head before it probes the map.
+func (a *Cache) lookup(page ptable.IOVA) *entry {
+	e := a.head
+	if e == nil || e.page != page {
+		if e = a.entries[page]; e == nil {
+			return nil
+		}
+		a.touch(e)
+	}
+	return e
+}
+
+// serve charges n hits on e, stride bytes apart from v on, and reports
+// whether the first was stale. It is the ATC's one hit path: Translate's
+// hit is a run of one.
+func (a *Cache) serve(e *entry, v ptable.IOVA, n, stride int) (firstStale bool) {
+	a.c.Lookups += int64(n)
+	a.c.Hits += int64(n)
+	// Ground truth: a hit for an IOVA that is no longer mapped (or now
+	// maps elsewhere) is the ATS stale window in action. A live leaf is
+	// on v's current walk (see ptable.Leaf) and of e's own kind, so it
+	// maps every offset in the page as e does, give or take one base:
+	// one comparison answers for the whole run.
+	live := e.leaf.Live()
+	stale := live && e.leaf.Phys(v) != e.at(v)
+	if stale {
+		a.c.StaleHits += int64(n)
+	}
+	if live && a.audit == nil {
+		return stale
+	}
+	for i := 0; i < n; i++ {
+		u := v + ptable.IOVA(i*stride)
+		t := iommu.Translation{Phys: e.at(u), OK: true, ATC: true, Stale: stale}
+		// A dead leaf says nothing about what maps u now, so walk. This
+		// stays per transaction: a 4KB entry whose page now sits under
+		// a 2MB leaf can be stale at some offsets and not at others.
+		if !live {
+			if w, _, ok := a.table.LookupHugeAware(u); !ok || w.Phys != t.Phys {
+				a.c.StaleHits++
+				t.Stale = true
+			}
 		}
 		if a.audit != nil {
-			a.audit(v, t)
+			a.audit(u, t)
 		}
-		return t
+		if i == 0 {
+			firstStale = t.Stale
+		}
 	}
+	return firstStale
+}
+
+// miss sends an ATS translation request for v and caches a completed
+// translation at the LRU head.
+func (a *Cache) miss(v, page ptable.IOVA) iommu.Translation {
+	a.c.Lookups++
 	a.c.Misses++
 	a.mmu.ChargeATSRequest(a.dom)
 	t := a.inner.Translate(v)
@@ -145,11 +227,13 @@ func (a *Cache) Translate(v ptable.IOVA) iommu.Translation {
 		t.MemReads += a.cfg.PRIReads
 		return t
 	}
-	base, huge := t.Phys, a.mmu.TableOf(a.dom).HugeMapped(v)
+	// One walk gives both the leaf kind and the leaf itself.
+	w, huge, _ := a.table.LookupHugeAware(v)
+	base := t.Phys
 	if huge {
 		base -= ptable.Phys(v - page)
 	}
-	a.insert(page, base, huge)
+	a.insert(page, base, huge, w.Leaf)
 	return t
 }
 
@@ -201,7 +285,7 @@ func (a *Cache) RegisterProbes(r *stats.Registry, prefix string) {
 	r.GaugeFunc(prefix+"occupancy", func() float64 { return float64(len(a.entries)) })
 }
 
-func (a *Cache) insert(page ptable.IOVA, phys ptable.Phys, huge bool) {
+func (a *Cache) insert(page ptable.IOVA, phys ptable.Phys, huge bool, leaf ptable.Leaf) {
 	if len(a.entries) >= a.cfg.Entries {
 		a.c.Evictions++
 		a.remove(a.tail)
@@ -212,7 +296,7 @@ func (a *Cache) insert(page ptable.IOVA, phys ptable.Phys, huge bool) {
 	} else {
 		e = new(entry)
 	}
-	*e = entry{page: page, phys: phys, huge: huge}
+	*e = entry{page: page, phys: phys, huge: huge, leaf: leaf}
 	a.entries[page] = e
 	a.pushFront(e)
 }
@@ -225,10 +309,12 @@ func (a *Cache) touch(e *entry) {
 	a.pushFront(e)
 }
 
-// remove drops e from the cache onto the free list.
+// remove drops e from the cache onto the free list. It drops e's leaf
+// too, so no free entry keeps a reclaimed page-table page alive.
 func (a *Cache) remove(e *entry) {
 	a.unlink(e)
 	delete(a.entries, e.page)
+	e.leaf = ptable.Leaf{}
 	e.next = a.free
 	a.free = e
 }

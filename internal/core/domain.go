@@ -304,6 +304,13 @@ func (d *Domain) Translate(v ptable.IOVA) iommu.Translation {
 	return d.trans.Translate(v)
 }
 
+// TranslateRun performs n translations stride bytes apart inside v's
+// page (see iommu.Translator) and returns the page-table reads they
+// cost.
+func (d *Domain) TranslateRun(v ptable.IOVA, n, stride int) int {
+	return d.trans.TranslateRun(v, n, stride)
+}
+
 // ATC returns the domain's device-side ATS cache (nil when disabled).
 func (d *Domain) ATC() *ats.Cache { return d.atc }
 

@@ -145,7 +145,7 @@ func ParseMode(s string) (Mode, error) {
 // unregistered mode, so reaching one here is a caller bug: panic and
 // name the mode instead of guessing its properties.
 func (m Mode) policy() *Policy {
-	p, ok := policies[m]
+	p, ok := PolicyFor(m)
 	if !ok {
 		panic(fmt.Sprintf("core: %v is not a registered protection mode", m))
 	}

@@ -104,9 +104,10 @@ func (p *Policy) rxRun(pages int) int {
 	return pages
 }
 
-// policies is the table the Mode surface resolves through; NewDomain
-// rejects a mode without a row. Identity and pinned rows never revoke.
-var policies = map[Mode]*Policy{
+// policies is the table the Mode surface resolves through, indexed by
+// Mode; NewDomain rejects a mode without a row. Identity and pinned rows
+// never revoke.
+var policies = [...]*Policy{
 	Off:              {mode: Off, layout: identity},
 	Strict:           {mode: Strict, translated: true, strict: true, layout: paged, revocation: invalidate},
 	Deferred:         {mode: Deferred, translated: true, layout: paged, revocation: deferredFlush},
@@ -122,8 +123,10 @@ var policies = map[Mode]*Policy{
 
 // PolicyFor resolves a mode to its row.
 func PolicyFor(m Mode) (*Policy, bool) {
-	p, ok := policies[m]
-	return p, ok
+	if uint(m) >= uint(len(policies)) || policies[m] == nil {
+		return nil, false
+	}
+	return policies[m], true
 }
 
 // MapRxDescriptor prepares an Rx descriptor of the configured page count

@@ -338,7 +338,8 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 
 	// Huge-leaf walk: the PT-L3 entry is the leaf, so PTcache-L3 is not
 	// involved — best case (PTcache-L2 hit) is one read of the leaf.
-	if w, huge, ok := table.LookupHugeAware(v); ok && huge {
+	w, huge, mapped := table.LookupHugeAware(v)
+	if mapped && huge {
 		_, l2hit := m.l2.get(domKey(d, v.L2Key()))
 		_, l1hit := m.l1.get(domKey(d, v.L1Key()))
 		reads := 0
@@ -388,7 +389,6 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 	// already encodes that.
 	c.MemReads += int64(reads)
 
-	w, mapped := table.Lookup(v)
 	if !mapped {
 		// Hardware would take a DMA remapping fault. If a stale PTcache
 		// entry was consulted, account the unsafe read of freed memory.

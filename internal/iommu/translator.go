@@ -13,6 +13,10 @@ import "fastsafe/internal/ptable"
 type Translator interface {
 	// Translate resolves one PCIe transaction's IOVA.
 	Translate(v ptable.IOVA) Translation
+	// TranslateRun resolves n transactions stride bytes apart, from v
+	// on, all inside v's 4KB page, and returns the page-table reads
+	// they cost. Its effects are exactly those of n Translate calls.
+	TranslateRun(v ptable.IOVA, n, stride int) (reads int)
 	// Invalidate services one invalidation-queue request covering
 	// [base, base+pages*4KB); iotlbOnly preserves the PTcaches (F&S
 	// idea A).
@@ -31,6 +35,13 @@ type direct struct {
 }
 
 func (t direct) Translate(v ptable.IOVA) Translation { return t.m.TranslateIn(t.d, v) }
+
+func (t direct) TranslateRun(v ptable.IOVA, n, stride int) (reads int) {
+	for i := 0; i < n; i++ {
+		reads += t.m.TranslateIn(t.d, v+ptable.IOVA(i*stride)).MemReads
+	}
+	return reads
+}
 
 func (t direct) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {
 	t.m.InvalidateIn(t.d, base, pages, iotlbOnly)

@@ -329,17 +329,20 @@ func (n *NIC) directECNK() int {
 
 // translateWindow translates one frame's PCIe transactions against a
 // window of page-sized IOVAs, returning the page-table reads performed.
+// The transactions whose byte offsets share a page go as one run.
 func (n *NIC) translateWindow(iovas []ptable.IOVA, start, bytes int) int {
-	reads := 0
-	for off := 0; off < bytes; off += n.cfg.MPS {
+	reads, mps := 0, n.cfg.MPS
+	for off := 0; off < bytes; {
 		b := start + off
-		page := b / ptable.PageSize
-		if page >= len(iovas) {
-			page = len(iovas) - 1
-		}
+		// The run's key is b's page before the clamp to the window's
+		// last page, so a run never crosses a page.
+		key := b / ptable.PageSize
+		end := min((key+1)*ptable.PageSize-start, bytes)
+		count := (end - off + mps - 1) / mps
+		page := min(key, len(iovas)-1)
 		v := iovas[page] + ptable.IOVA(b%ptable.PageSize)
-		tr := n.dom.Translate(v)
-		reads += tr.MemReads
+		reads += n.dom.TranslateRun(v, count, mps)
+		off += count * mps
 	}
 	return reads
 }

@@ -111,6 +111,7 @@ func (t *Table) LookupHugeAware(v IOVA) (w Walk, isHuge, ok bool) {
 			return Walk{}, false, false
 		}
 		w.Phys = l3.pte[i] + Phys(uint64(v)%HugeSize)
+		w.Leaf = Leaf{l3, i}
 		return w, true, true
 	}
 	l4 := l3.child[i]
@@ -120,6 +121,7 @@ func (t *Table) LookupHugeAware(v IOVA) (w Walk, isHuge, ok bool) {
 		return Walk{}, false, false
 	}
 	w.Phys = l4.pte[j]
+	w.Leaf = Leaf{l4, j}
 	return w, false, true
 }
 

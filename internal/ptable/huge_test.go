@@ -2,6 +2,7 @@ package ptable
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -121,5 +122,80 @@ func TestHugeAndRegularCoexist(t *testing.T) {
 	}
 	if _, huge, ok := tb.LookupHugeAware(IOVA(HugeSize)); !ok || huge {
 		t.Fatal("4K neighbour broken")
+	}
+}
+
+// TestPropertyLeavesTrackTheWalk drives random Map/Unmap/MapHuge/
+// UnmapHuge streams over two 2MB regions, including full-span unmaps
+// that reclaim the PT-L4 page, and holds on to the Leaf of every walk.
+// After each operation every leaf taken so far must read live exactly
+// when v's current walk ends at it (so a live leaf's Phys is the walk's),
+// and a leaf in a reclaimed page must read not live.
+func TestPropertyLeavesTrackTheWalk(t *testing.T) {
+	type held struct {
+		v    IOVA
+		leaf Leaf
+	}
+	regions := []IOVA{IOVA(HugeSize), IOVA(3 * HugeSize)}
+	slots := []int{0, 1, 2, 300, 511}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := New()
+		reclaimed := map[uint64]bool{}
+		var leaves []held
+		sawLive, sawReclaimed := false, false
+		for step := 0; step < 300; step++ {
+			r := regions[rng.Intn(len(regions))]
+			v := r + IOVA(slots[rng.Intn(len(slots))]*PageSize) + IOVA(rng.Intn(PageSize))
+			pa := Phys(rng.Intn(4)+1) << 30
+			// Errors (a page already mapped, a span not fully mapped, a
+			// 4KB page inside a 2MB leaf) leave the table as it was.
+			switch rng.Intn(6) {
+			case 0:
+				_ = tb.Map(v.AlignDown(), pa+Phys(uint64(v.AlignDown())%HugeSize))
+			case 1:
+				_, _ = tb.Unmap(v.AlignDown(), PageSize)
+			case 2:
+				_ = tb.MapHuge(r, pa)
+			case 3:
+				_ = tb.UnmapHuge(r)
+			case 4:
+				// Fill the span, then unmap it in one call: this reclaims.
+				for i := 0; i < EntriesPerPage; i++ {
+					_ = tb.Map(r+IOVA(i*PageSize), pa+Phys(i*PageSize))
+				}
+				if res, err := tb.Unmap(r, HugeSize); err == nil {
+					for _, p := range res.Reclaimed {
+						reclaimed[p.ID] = true
+					}
+				}
+			case 5:
+				if w, _, ok := tb.LookupHugeAware(v); ok {
+					leaves = append(leaves, held{v, w.Leaf})
+				}
+			}
+			for _, h := range leaves {
+				w, _, ok := tb.LookupHugeAware(h.v)
+				onWalk := ok && w.Leaf == h.leaf
+				if h.leaf.Live() != onWalk {
+					t.Fatalf("seed %d step %d: %v leaf live=%v, on the walk=%v", seed, step, h.v, h.leaf.Live(), onWalk)
+				}
+				if h.leaf.Live() {
+					sawLive = true
+					if got := h.leaf.Phys(h.v); got != w.Phys {
+						t.Fatalf("seed %d step %d: %v leaf Phys %#x, walk %#x", seed, step, h.v, uint64(got), uint64(w.Phys))
+					}
+				}
+				if reclaimed[h.leaf.pg.id] {
+					sawReclaimed = true
+					if h.leaf.Live() {
+						t.Fatalf("seed %d step %d: %v leaf in reclaimed page %d reads live", seed, step, h.v, h.leaf.pg.id)
+					}
+				}
+			}
+		}
+		if !sawLive || !sawReclaimed {
+			t.Fatalf("seed %d reached no live leaf (%v) or no leaf in a reclaimed page (%v)", seed, sawLive, sawReclaimed)
+		}
 	}
 }

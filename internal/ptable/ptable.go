@@ -104,10 +104,41 @@ type UnmapResult struct {
 }
 
 // Walk is the result of a full page-table walk for a mapped IOVA.
-// PageID[i] is the identity of the PT-L(i+1) page the walk reads.
+// PageID[i] is the identity of the PT-L(i+1) page the walk reads, and
+// Leaf is the entry the walk ends at.
 type Walk struct {
 	Phys   Phys
 	PageID [4]uint64
+	Leaf   Leaf
+}
+
+// Leaf is the page-table entry that maps an IOVA: a PT-L4 entry, or the
+// PT-L3 entry of a 2MB leaf. A cache that keeps the Leaf of the walk
+// that filled it can later ask what its IOVA maps to without walking.
+//
+// That answer is exact while the entry is live. A page-table page is
+// detached (reclaimed) only when it holds no live entry, and nothing
+// writes a detached page again, so a live entry's page is still on the
+// IOVA's current walk and the entry is what that walk would end at.
+// Once the entry reads not live the Leaf says nothing more: the IOVA may
+// since have been mapped again under another entry.
+type Leaf struct {
+	pg *page
+	i  int
+}
+
+// Live reports whether the entry still maps its IOVA. The zero Leaf is
+// never live.
+func (l Leaf) Live() bool { return l.pg != nil && l.pg.valid[l.i] }
+
+// Phys returns what a walk for v ends at, as LookupHugeAware(v) would:
+// the 4KB leaf's page, or the 2MB leaf's base plus v's offset in it. v
+// must be an IOVA the entry maps, and the result holds only while Live.
+func (l Leaf) Phys(v IOVA) Phys {
+	if l.pg.level == 3 {
+		return l.pg.pte[l.i] + Phys(uint64(v)%HugeSize)
+	}
+	return l.pg.pte[l.i]
 }
 
 // Table is a 4-level IO page table. The zero value is not usable; construct
@@ -217,6 +248,7 @@ func (t *Table) Lookup(v IOVA) (w Walk, ok bool) {
 		return Walk{}, false
 	}
 	w.Phys = l4.pte[i]
+	w.Leaf = Leaf{l4, i}
 	return w, true
 }
 
