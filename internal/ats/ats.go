@@ -28,25 +28,19 @@ type Config struct {
 	// Entries is the device-TLB capacity (4KB translations, true LRU).
 	// Zero disables ATS for the domain entirely.
 	Entries int
-	// ReqReads is the memory-read-equivalent cost of one ATS translation
-	// request round trip, charged on top of the walk the request
-	// triggers (default 1: the translation-agent completion message).
-	ReqReads int
-	// PRIReads is the additional cost of a PRI page request when the
-	// translation request faults (default 5: page-request, IOMMU fault
-	// handling, and the group-response round trip).
-	PRIReads int
 }
 
-func (c Config) withDefaults() Config {
-	if c.ReqReads == 0 {
-		c.ReqReads = 1
-	}
-	if c.PRIReads == 0 {
-		c.PRIReads = 5
-	}
-	return c
-}
+// The memory-read-equivalent costs of the ATS round trips, charged on
+// top of the walk a request triggers.
+const (
+	// reqReads is one ATS translation request: the translation-agent
+	// completion message.
+	reqReads = 1
+	// priReads is the PRI page request a faulting translation request
+	// falls back to: page-request, IOMMU fault handling, and the
+	// group-response round trip.
+	priReads = 5
+)
 
 // Counters is the ATC's hardware-counter view.
 type Counters struct {
@@ -96,20 +90,23 @@ type Cache struct {
 	c    Counters
 
 	// audit, when set, observes every ATC *hit* (misses reach the
-	// IOMMU's own audit hook through inner.Translate). It must not
-	// mutate cache or table state.
+	// IOMMU's own audit hook through the translation request). It must
+	// not mutate cache or table state.
 	audit func(v ptable.IOVA, t iommu.Translation)
 }
 
 // New builds an ATC of cfg.Entries translations for domain d, layered in
-// front of inner. cfg.Entries must be positive.
+// front of inner, d's own IOMMU path (m.TranslatorOf(d)): invalidations
+// pass through inner, and a miss's translation request goes to
+// m.TranslateLeafIn, which translates as inner would and hands over the
+// leaf too. cfg.Entries must be positive.
 func New(m *iommu.IOMMU, d iommu.DomainID, inner iommu.Translator, cfg Config) *Cache {
 	return &Cache{
 		mmu:     m,
 		dom:     d,
 		table:   m.TableOf(d),
 		inner:   inner,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		entries: make(map[ptable.IOVA]*entry),
 	}
 }
@@ -133,7 +130,7 @@ func (a *Cache) Translate(v ptable.IOVA) iommu.Translation {
 	if e == nil {
 		return a.miss(v, page)
 	}
-	return iommu.Translation{Phys: e.at(v), OK: true, ATC: true, Stale: a.serve(e, v, 1, 0)}
+	return iommu.Hit(e.at(v), iommu.ByATC, a.serve(e, v, 1, 0))
 }
 
 // TranslateRun implements iommu.Translator. The first transaction takes
@@ -146,15 +143,15 @@ func (a *Cache) TranslateRun(v ptable.IOVA, n, stride int) (reads int) {
 		return 0
 	}
 	t := a.miss(v, page)
-	reads = t.MemReads
+	reads = t.MemReads()
 	switch {
 	case n == 1:
-	case t.OK:
+	case t.OK():
 		a.serve(a.head, v+ptable.IOVA(stride), n-1, stride)
 	default:
 		// A fault cached nothing: each later transaction asks again.
 		for i := 1; i < n; i++ {
-			reads += a.Translate(v + ptable.IOVA(i*stride)).MemReads
+			reads += a.Translate(v + ptable.IOVA(i*stride)).MemReads()
 		}
 	}
 	return reads
@@ -194,46 +191,51 @@ func (a *Cache) serve(e *entry, v ptable.IOVA, n, stride int) (firstStale bool) 
 	}
 	for i := 0; i < n; i++ {
 		u := v + ptable.IOVA(i*stride)
-		t := iommu.Translation{Phys: e.at(u), OK: true, ATC: true, Stale: stale}
+		p, uStale := e.at(u), stale
 		// A dead leaf says nothing about what maps u now, so walk. This
 		// stays per transaction: a 4KB entry whose page now sits under
 		// a 2MB leaf can be stale at some offsets and not at others.
 		if !live {
-			if w, _, ok := a.table.LookupHugeAware(u); !ok || w.Phys != t.Phys {
+			if w, _, ok := a.table.LookupHugeAware(u); !ok || w.Phys != p {
 				a.c.StaleHits++
-				t.Stale = true
+				uStale = true
 			}
 		}
 		if a.audit != nil {
-			a.audit(u, t)
+			a.audit(u, iommu.Hit(p, iommu.ByATC, uStale))
 		}
 		if i == 0 {
-			firstStale = t.Stale
+			firstStale = uStale
 		}
 	}
 	return firstStale
 }
 
 // miss sends an ATS translation request for v and caches a completed
-// translation at the LRU head.
+// translation at the LRU head, with the leaf the request found.
 func (a *Cache) miss(v, page ptable.IOVA) iommu.Translation {
 	a.c.Lookups++
 	a.c.Misses++
 	a.mmu.ChargeATSRequest(a.dom)
-	t := a.inner.Translate(v)
-	t.MemReads += a.cfg.ReqReads
-	if !t.OK {
+	t, leaf := a.mmu.TranslateLeafIn(a.dom, v)
+	t = t.WithReads(reqReads)
+	if !t.OK() {
 		a.c.PRIRequests++
-		t.MemReads += a.cfg.PRIReads
-		return t
+		return t.WithReads(priReads)
 	}
-	// One walk gives both the leaf kind and the leaf itself.
-	w, huge, _ := a.table.LookupHugeAware(v)
+	if !leaf.Live() {
+		// A stale IOTLB hit hands over no leaf: its page may sit under a
+		// 2MB leaf now, where no 4KB leaf exists, so only a walk finds
+		// what maps v.
+		w, _, _ := a.table.LookupHugeAware(v)
+		leaf = w.Leaf
+	}
+	huge := leaf.Huge()
 	base := t.Phys
 	if huge {
 		base -= ptable.Phys(v - page)
 	}
-	a.insert(page, base, huge, w.Leaf)
+	a.insert(page, base, huge, leaf)
 	return t
 }
 

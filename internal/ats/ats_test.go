@@ -28,15 +28,15 @@ func TestMissFillsThenHits(t *testing.T) {
 	mustMap(t, m, d, v, 0x9000)
 
 	tr := a.Translate(v + 0x10)
-	if !tr.OK || tr.ATC || tr.Phys != 0x9000 {
+	if !tr.OK() || tr.Served() == iommu.ByATC || tr.Phys != 0x9000 {
 		t.Fatalf("miss path: %+v", tr)
 	}
 	// The ATS request costs one read beyond the walk itself.
-	if want := 4 + 1; tr.MemReads != want {
-		t.Fatalf("miss MemReads = %d, want %d", tr.MemReads, want)
+	if want := 4 + 1; tr.MemReads() != want {
+		t.Fatalf("miss MemReads = %d, want %d", tr.MemReads(), want)
 	}
 	tr = a.Translate(v + 0x20)
-	if !tr.OK || !tr.ATC || tr.Phys != 0x9000 || tr.MemReads != 0 || tr.Stale {
+	if !tr.OK() || tr.Served() != iommu.ByATC || tr.Phys != 0x9000 || tr.MemReads() != 0 || tr.Stale() {
 		t.Fatalf("hit path: %+v", tr)
 	}
 	c := a.Counters()
@@ -62,13 +62,13 @@ func TestStaleHitAfterSilentUnmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := a.Translate(v)
-	if !tr.ATC || !tr.Stale {
+	if tr.Served() != iommu.ByATC || !tr.Stale() {
 		t.Fatalf("unmapped page must be a stale ATC hit: %+v", tr)
 	}
 	// Remap the IOVA to a new physical page: still stale (re-pointed).
 	mustMap(t, m, d, v, 0xa000)
 	tr = a.Translate(v)
-	if !tr.ATC || !tr.Stale || tr.Phys != 0x9000 {
+	if tr.Served() != iommu.ByATC || !tr.Stale() || tr.Phys != 0x9000 {
 		t.Fatalf("re-pointed page must be a stale ATC hit serving the old phys: %+v", tr)
 	}
 	if c := a.Counters(); c.StaleHits != 2 {
@@ -101,7 +101,7 @@ func TestInvalidateDropsAndForwards(t *testing.T) {
 		t.Fatalf("inner invalidation not forwarded")
 	}
 	// Invalidated entries miss again.
-	if tr := a.Translate(0); tr.ATC {
+	if tr := a.Translate(0); tr.Served() == iommu.ByATC {
 		t.Fatal("entry survived its invalidation")
 	}
 }
@@ -138,10 +138,10 @@ func TestLRUEviction(t *testing.T) {
 	// Page 1 was least recent and must have been evicted; the
 	// recently-touched page 0 must have survived (probe it first — the
 	// page-1 probe re-inserts page 1 and evicts again).
-	if tr := a.Translate(0); !tr.ATC {
+	if tr := a.Translate(0); tr.Served() != iommu.ByATC {
 		t.Fatal("recently-touched entry evicted")
 	}
-	if tr := a.Translate(ptable.IOVA(ptable.PageSize)); tr.ATC {
+	if tr := a.Translate(ptable.IOVA(ptable.PageSize)); tr.Served() == iommu.ByATC {
 		t.Fatal("LRU victim survived")
 	}
 	if c := a.Counters(); c.Evictions < 1 {
@@ -152,12 +152,12 @@ func TestLRUEviction(t *testing.T) {
 func TestPRIFallbackOnFault(t *testing.T) {
 	_, _, a := newCache(t, 8)
 	tr := a.Translate(ptable.IOVA(0x7000)) // never mapped
-	if tr.OK || tr.ATC {
+	if tr.OK() || tr.Served() == iommu.ByATC {
 		t.Fatalf("unmapped translation: %+v", tr)
 	}
 	// Walk (4 reads) + ATS request (1) + PRI round trip (5).
-	if want := 4 + 1 + 5; tr.MemReads != want {
-		t.Fatalf("PRI MemReads = %d, want %d", tr.MemReads, want)
+	if want := 4 + 1 + 5; tr.MemReads() != want {
+		t.Fatalf("PRI MemReads = %d, want %d", tr.MemReads(), want)
 	}
 	if c := a.Counters(); c.PRIRequests != 1 {
 		t.Fatalf("PRIRequests = %d", c.PRIRequests)
@@ -171,7 +171,7 @@ func TestAuditHookFiresOnHitsOnly(t *testing.T) {
 	m, d, a := newCache(t, 8)
 	var hits int
 	a.SetAuditHook(func(v ptable.IOVA, tr iommu.Translation) {
-		if !tr.ATC {
+		if tr.Served() != iommu.ByATC {
 			t.Errorf("hook fired on a non-ATC translation: %+v", tr)
 		}
 		hits++
@@ -229,11 +229,11 @@ func TestHugeHitAddsOffset(t *testing.T) {
 	base := ptable.IOVA(ptable.HugeSize)
 	mustMapHuge(t, m, d, base, 0x4000_0000)
 	page := base + 5*ptable.PageSize
-	if tr := a.Translate(page + 0x10); tr.ATC || tr.Phys != 0x4000_0000+5*ptable.PageSize+0x10 {
+	if tr := a.Translate(page + 0x10); tr.Served() == iommu.ByATC || tr.Phys != 0x4000_0000+5*ptable.PageSize+0x10 {
 		t.Fatalf("huge miss: %+v", tr)
 	}
 	tr := a.Translate(page + 0x300)
-	if !tr.ATC || tr.Stale || tr.Phys != 0x4000_0000+5*ptable.PageSize+0x300 {
+	if tr.Served() != iommu.ByATC || tr.Stale() || tr.Phys != 0x4000_0000+5*ptable.PageSize+0x300 {
 		t.Fatalf("huge hit must add the offset in the page: %+v", tr)
 	}
 }
@@ -248,12 +248,12 @@ func TestHugeHitStaleAfterUnmapHuge(t *testing.T) {
 	if err := m.TableOf(d).UnmapHuge(base); err != nil {
 		t.Fatal(err)
 	}
-	if tr := a.Translate(v); !tr.ATC || !tr.Stale {
+	if tr := a.Translate(v); tr.Served() != iommu.ByATC || !tr.Stale() {
 		t.Fatalf("hit after UnmapHuge must be stale: %+v", tr)
 	}
 	// The same leaf mapped elsewhere: still stale.
 	mustMapHuge(t, m, d, base, 0x8000_0000)
-	if tr := a.Translate(v); !tr.ATC || !tr.Stale || tr.Phys != 0x4000_0000+7*ptable.PageSize+0x40 {
+	if tr := a.Translate(v); tr.Served() != iommu.ByATC || !tr.Stale() || tr.Phys != 0x4000_0000+7*ptable.PageSize+0x40 {
 		t.Fatalf("re-pointed leaf must be a stale hit on the old phys: %+v", tr)
 	}
 	// Mapped back where it was: the hit is right again.
@@ -261,7 +261,7 @@ func TestHugeHitStaleAfterUnmapHuge(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustMapHuge(t, m, d, base, 0x4000_0000)
-	if tr := a.Translate(v); !tr.ATC || tr.Stale {
+	if tr := a.Translate(v); tr.Served() != iommu.ByATC || tr.Stale() {
 		t.Fatalf("leaf mapped back must serve fresh hits: %+v", tr)
 	}
 	if c := a.Counters(); c.StaleHits != 2 {
@@ -289,7 +289,7 @@ func TestRunAcrossHugePage(t *testing.T) {
 	}
 	for i, tr := range *log {
 		want := ptable.Phys(0x4000_0000 + 3*ptable.PageSize + 0x200 + (i+1)*512)
-		if !tr.ATC || tr.Stale || tr.Phys != want {
+		if tr.Served() != iommu.ByATC || tr.Stale() || tr.Phys != want {
 			t.Fatalf("hit %d: %+v, want Phys %#x", i, tr, uint64(want))
 		}
 	}
@@ -322,7 +322,7 @@ func TestRunMatchesTranslates(t *testing.T) {
 			got := a.TranslateRun(v, 8, 512)
 			want := 0
 			for i := 0; i < 8; i++ {
-				want += b.Translate(v + ptable.IOVA(i*512)).MemReads
+				want += b.Translate(v + ptable.IOVA(i*512)).MemReads()
 			}
 			if got != want || a.Counters() != b.Counters() || ma.Counters() != mb.Counters() || a.Len() != b.Len() {
 				t.Fatalf("run: reads %d, ATC %+v, IOMMU %+v\n8 Translates: reads %d, ATC %+v, IOMMU %+v",
@@ -355,11 +355,11 @@ func TestRunStalenessPerOffsetUnderHugeLeaf(t *testing.T) {
 	if reads := a.TranslateRun(v, 8, 512); reads != 0 {
 		t.Fatalf("run of hits read %d", reads)
 	}
-	if len(*log) != 8 || (*log)[0].Stale {
+	if len(*log) != 8 || (*log)[0].Stale() {
 		t.Fatalf("audit log %+v: want 8 hits, the first fresh", *log)
 	}
 	for i, tr := range (*log)[1:] {
-		if !tr.Stale || tr.Phys != 0x4000_0000+2*ptable.PageSize {
+		if !tr.Stale() || tr.Phys != 0x4000_0000+2*ptable.PageSize {
 			t.Fatalf("hit %d: %+v, want a stale page-granular hit", i+1, tr)
 		}
 	}
@@ -376,7 +376,7 @@ func TestInvalidatedHeadMisses(t *testing.T) {
 	mustMap(t, m, d, v, 0x9000)
 	a.Translate(v)
 	a.Invalidate(v, 1, false)
-	if tr := a.Translate(v); tr.ATC {
+	if tr := a.Translate(v); tr.Served() == iommu.ByATC {
 		t.Fatalf("invalidated head entry served a hit: %+v", tr)
 	}
 	a.InvalidateAll()

@@ -10,13 +10,16 @@ import (
 	"fastsafe/internal/ptable"
 )
 
-// FuzzATC decodes a byte stream into page-table and ATC operations and
-// applies them to two identical worlds, each an IOMMU with one domain
-// and an ATC of 1-16 entries in front of it. The worlds differ only in
-// how they translate a run of transactions inside one page: world A
-// calls TranslateRun, world B calls Translate once per transaction.
-// After every operation both worlds must agree on every counter, the
-// ATC's size, the reads returned and the calls their audit hooks saw.
+// FuzzATC decodes a byte stream into page-table and translation
+// operations and applies them to four worlds, each an IOMMU with one
+// domain. Worlds A and B put an ATC of 1-16 entries in front of it and
+// differ only in how they translate a run of transactions inside one
+// page: world A calls TranslateRun, world B calls Translate once per
+// transaction. Worlds C and D have no ATC: world C calls the domain's
+// direct TranslateRun, world D calls TranslateIn once per transaction.
+// After every operation each pair must agree on every counter, the
+// reads returned and the calls their audit hooks saw, and A and B on
+// the ATC's size.
 //
 // Two oracles check world A besides: every hit's Stale must equal a
 // fresh walk's verdict, and every hit must serve a page filled since
@@ -81,8 +84,10 @@ type atcFill struct {
 
 type atcWorld struct {
 	m     *iommu.IOMMU
+	d     iommu.DomainID
 	tb    *ptable.Table
-	a     *Cache
+	a     *Cache           // nil in the worlds without an ATC
+	tr    iommu.Translator // a, or the domain's direct path
 	log   []atcEvent
 	fills map[ptable.IOVA]atcFill
 }
@@ -94,20 +99,44 @@ type atcReach struct {
 	// a 4KB entry whose page now sits under a 2MB leaf: the case where
 	// staleness must be found per transaction.
 	deadUnderHuge int
+	// staleFills counts ATC misses the IOMMU served from a stale IOTLB
+	// entry while a live leaf maps the page: the fills that must walk,
+	// as the stale hit hands over no leaf.
+	staleFills int
+	// The direct run's transactions after the first, by what served
+	// them: stale 4KB and 2MB IOTLB entries, fresh 2MB entries, and
+	// faults (each asking again).
+	runStale4K, runStale2M, runHuge, runFaults int
+}
+
+// newDirectWorld is a world without an ATC: its translations go
+// straight to the domain's IOMMU path.
+func newDirectWorld() *atcWorld {
+	m := iommu.New(iommu.Config{})
+	d := m.CreateDomain()
+	w := &atcWorld{m: m, d: d, tb: m.TableOf(d), tr: m.TranslatorOf(d)}
+	m.SetAuditHook(func(_ iommu.DomainID, v ptable.IOVA, tr iommu.Translation) {
+		w.log = append(w.log, atcEvent{false, v, tr})
+	})
+	return w
 }
 
 func newATCWorld(t *testing.T, entries int, reach *atcReach) *atcWorld {
 	m := iommu.New(iommu.Config{})
 	d := m.CreateDomain()
-	w := &atcWorld{m: m, tb: m.TableOf(d), fills: map[ptable.IOVA]atcFill{}}
+	w := &atcWorld{m: m, d: d, tb: m.TableOf(d), fills: map[ptable.IOVA]atcFill{}}
 	w.a = New(m, d, m.TranslatorOf(d), Config{Entries: entries})
+	w.tr = w.a
 	m.SetAuditHook(func(_ iommu.DomainID, v ptable.IOVA, tr iommu.Translation) {
 		w.log = append(w.log, atcEvent{false, v, tr})
-		if !tr.OK {
+		if !tr.OK() {
 			if reach != nil {
 				reach.faults++
 			}
 			return
+		}
+		if _, _, live := w.tb.LookupHugeAware(v); reach != nil && tr.Stale() && live {
+			reach.staleFills++
 		}
 		// The ATC caches this completion; record what it should serve.
 		_, huge, _ := w.tb.LookupHugeAware(v)
@@ -131,14 +160,14 @@ func newATCWorld(t *testing.T, entries int, reach *atcReach) *atcWorld {
 		if f.huge {
 			want += ptable.Phys(v - v.AlignDown())
 		}
-		if !tr.OK || !tr.ATC || tr.Phys != want {
+		if !tr.OK() || tr.Served() != iommu.ByATC || tr.Phys != want {
 			t.Fatalf("hit on %v: %+v, want Phys %#x", v, tr, uint64(want))
 		}
 		lw, _, mapped := w.tb.LookupHugeAware(v)
-		if stale := !mapped || lw.Phys != tr.Phys; tr.Stale != stale {
-			t.Fatalf("hit on %v: Stale %v, the live table says %v", v, tr.Stale, stale)
+		if stale := !mapped || lw.Phys != tr.Phys; tr.Stale() != stale {
+			t.Fatalf("hit on %v: Stale %v, the live table says %v", v, tr.Stale(), stale)
 		}
-		if tr.Stale {
+		if tr.Stale() {
 			reach.staleHits++
 		}
 	})
@@ -176,18 +205,18 @@ func (w *atcWorld) mutate(op int, r int, v ptable.IOVA, arg byte) {
 		}
 	case opInvalidate:
 		pages := 1 + int(arg%8)
-		w.a.Invalidate(v, pages, arg&8 != 0)
+		w.tr.Invalidate(v, pages, arg&8 != 0)
 		for i := 0; i < pages; i++ {
 			delete(w.fills, v+ptable.IOVA(i*ptable.PageSize))
 		}
 	case opInvalidateAll:
-		w.a.InvalidateAll()
+		w.tr.InvalidateAll()
 		clear(w.fills)
 	}
 }
 
-// runATCOps applies data to twin worlds, failing t on any divergence,
-// and reports what the stream reached.
+// runATCOps applies data to the four worlds, failing t on any
+// divergence within a pair, and reports what the stream reached.
 func runATCOps(t *testing.T, data []byte) atcReach {
 	var reach atcReach
 	if len(data) == 0 {
@@ -196,6 +225,7 @@ func runATCOps(t *testing.T, data []byte) atcReach {
 	entries := 1 + int(data[0]%16)
 	a := newATCWorld(t, entries, &reach)
 	b := newATCWorld(t, entries, nil)
+	c, d := newDirectWorld(), newDirectWorld()
 	ops := data[1:]
 	if len(ops) > 3*maxATCOps {
 		ops = ops[:3*maxATCOps]
@@ -203,14 +233,18 @@ func runATCOps(t *testing.T, data []byte) atcReach {
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, arg := int(ops[i]%numOps), ops[i+2]
 		r, v := atcPage(ops[i+1])
-		logged := len(a.log)
-		var readsA, readsB int
+		loggedAB, loggedCD := len(a.log), len(c.log)
+		var readsA, readsB, readsC, readsD int
 		switch op {
 		case opTranslate:
 			u := v + ptable.IOVA(int(arg)*16)
 			ta, tb := a.a.Translate(u), b.a.Translate(u)
 			if ta != tb {
-				t.Fatalf("op %d: Translate(%v) = %+v, twin %+v", i/3, u, ta, tb)
+				t.Fatalf("op %d: Translate(%v) = %v, twin %v", i/3, u, ta, tb)
+			}
+			tc, td := c.tr.Translate(u), d.m.TranslateIn(d.d, u)
+			if tc != td {
+				t.Fatalf("op %d: direct Translate(%v) = %v, TranslateIn %v", i/3, u, tc, td)
 			}
 		case opRun:
 			n := 1 + int(arg%8)
@@ -222,34 +256,58 @@ func runATCOps(t *testing.T, data []byte) atcReach {
 				underHuge = e != nil && !e.huge && !e.leaf.Live() && a.tb.HugeMapped(v)
 			}
 			readsA = a.a.TranslateRun(u, n, runStride)
+			readsC = c.tr.TranslateRun(u, n, runStride)
 			for j := 0; j < n; j++ {
-				readsB += b.a.Translate(u + ptable.IOVA(j*runStride)).MemReads
+				readsB += b.a.Translate(u + ptable.IOVA(j*runStride)).MemReads()
+				readsD += d.m.TranslateIn(d.d, u+ptable.IOVA(j*runStride)).MemReads()
 			}
 			if underHuge {
 				reach.deadUnderHuge += n - 1
 			}
+			for _, e := range c.log[loggedCD+1:] {
+				switch tr := e.t; {
+				case !tr.OK():
+					reach.runFaults++
+				case tr.Served() == iommu.ByIOTLB && tr.Stale():
+					reach.runStale4K++
+				case tr.Served() == iommu.ByIOTLBHuge && tr.Stale():
+					reach.runStale2M++
+				case tr.Served() == iommu.ByIOTLBHuge:
+					reach.runHuge++
+				}
+			}
 		default:
-			a.mutate(op, r, v, arg)
-			b.mutate(op, r, v, arg)
+			for _, w := range []*atcWorld{a, b, c, d} {
+				w.mutate(op, r, v, arg)
+			}
 		}
 		if readsA != readsB {
 			t.Fatalf("op %d: run read %d, %d Translates read %d", i/3, readsA, int(arg%8)+1, readsB)
 		}
+		if readsC != readsD {
+			t.Fatalf("op %d: direct run read %d, %d TranslateIns read %d", i/3, readsC, int(arg%8)+1, readsD)
+		}
 		if ca, cb := a.a.Counters(), b.a.Counters(); ca != cb {
 			t.Fatalf("op %d (%d): ATC counters %+v, twin %+v", i/3, op, ca, cb)
-		}
-		if ca, cb := a.m.Counters(), b.m.Counters(); ca != cb {
-			t.Fatalf("op %d (%d): IOMMU counters %+v, twin %+v", i/3, op, ca, cb)
 		}
 		if a.a.Len() != b.a.Len() || a.a.Len() > entries {
 			t.Fatalf("op %d (%d): ATC holds %d entries, twin %d, capacity %d", i/3, op, a.a.Len(), b.a.Len(), entries)
 		}
-		if len(a.log) != len(b.log) {
-			t.Fatalf("op %d (%d): audit hooks saw %d calls, twin %d", i/3, op, len(a.log)-logged, len(b.log)-logged)
-		}
-		for j := logged; j < len(a.log); j++ {
-			if a.log[j] != b.log[j] {
-				t.Fatalf("op %d (%d): audit call %d = %+v, twin %+v", i/3, op, j-logged, a.log[j], b.log[j])
+		for _, pair := range []struct {
+			x, y   *atcWorld
+			logged int
+		}{{a, b, loggedAB}, {c, d, loggedCD}} {
+			x, y, logged := pair.x, pair.y, pair.logged
+			if cx, cy := x.m.Counters(), y.m.Counters(); cx != cy {
+				t.Fatalf("op %d (%d): IOMMU counters %+v, twin %+v", i/3, op, cx, cy)
+			}
+			if len(x.log) != len(y.log) {
+				t.Fatalf("op %d (%d): audit hooks saw %d calls, twin %d", i/3, op, len(x.log)-logged, len(y.log)-logged)
+			}
+			for j := logged; j < len(x.log); j++ {
+				if x.log[j] != y.log[j] {
+					t.Fatalf("op %d (%d): audit call %d = %+v, twin %+v", i/3, op, j-logged, x.log[j], y.log[j])
+				}
 			}
 		}
 	}
@@ -293,6 +351,14 @@ var atcSeeds = []struct {
 	{"faulting_runs", atcOps(2,
 		opRun, pgA1, 7, opTranslate, pgA1, 0, opMap, pgA1, 0, opRun, pgA1, 7,
 		opUnmap, pgA1, 0, opRun, pgA1, 3)},
+	// A 4KB IOTLB entry outlives the ATC entry it filled and its page
+	// is mapped again under a 2MB leaf: the next miss is a stale IOTLB
+	// hit, which hands over no leaf, so the fill must walk to find the
+	// 2MB leaf and cache a 2MB entry.
+	{"stale_fill_under_huge", atcOps(1,
+		opMap, pgA2, 0, opTranslate, pgA2, 0, opMap, pgB0, 0, opTranslate, pgB0, 0,
+		opUnmapSpan, pgA0, 0, opMapHuge, pgA0, 0, opRun, pgA2, 11, opTranslate, pgA2, 40,
+		opRun, pgB0, 7)},
 	// One entry: every other run evicts, and the head check must not
 	// serve an entry an invalidation removed.
 	{"one_entry", atcOps(1,
@@ -302,8 +368,9 @@ var atcSeeds = []struct {
 }
 
 // TestFuzzATCCorpus: the committed corpus is atcSeeds encoded, and the
-// seeds reach hits, stale hits, faults and the per-transaction fallback
-// under a 2MB leaf, so replaying the corpus (plain go test) checks
+// seeds reach hits, stale hits, faults, the per-transaction fallback
+// under a 2MB leaf, fills after a stale IOTLB hit, and direct runs on
+// every kind of entry, so replaying the corpus (plain go test) checks
 // every path a run has.
 func TestFuzzATCCorpus(t *testing.T) {
 	var total atcReach
@@ -320,8 +387,16 @@ func TestFuzzATCCorpus(t *testing.T) {
 		total.staleHits += r.staleHits
 		total.faults += r.faults
 		total.deadUnderHuge += r.deadUnderHuge
+		total.staleFills += r.staleFills
+		total.runStale4K += r.runStale4K
+		total.runStale2M += r.runStale2M
+		total.runHuge += r.runHuge
+		total.runFaults += r.runFaults
 	}
-	if total.staleHits == 0 || total.faults == 0 || total.deadUnderHuge == 0 {
-		t.Fatalf("seeds reach %+v: want stale hits, faults and the per-transaction fallback", total)
+	if total.staleHits == 0 || total.faults == 0 || total.deadUnderHuge == 0 || total.staleFills == 0 {
+		t.Fatalf("seeds reach %+v: want stale hits, faults, the per-transaction fallback and fills after a stale IOTLB hit", total)
+	}
+	if total.runStale4K == 0 || total.runStale2M == 0 || total.runHuge == 0 || total.runFaults == 0 {
+		t.Fatalf("seeds reach %+v: want direct runs on stale 4KB and 2MB entries, on 2MB entries, and after a fault", total)
 	}
 }

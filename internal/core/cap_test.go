@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fastsafe/internal/ats"
+	"fastsafe/internal/iommu"
 	"fastsafe/internal/ptable"
 )
 
@@ -30,7 +31,7 @@ func TestCapMapGrantsUnmapRevokes(t *testing.T) {
 	}
 	for _, v := range desc.IOVAs {
 		tr := d.Translate(v)
-		if !tr.OK || !tr.Cap {
+		if !tr.OK() || tr.Served() != iommu.ByCap {
 			t.Fatalf("granted page %v: %+v", v, tr)
 		}
 	}
@@ -51,7 +52,7 @@ func TestCapMapGrantsUnmapRevokes(t *testing.T) {
 	if ct.Len() != 0 {
 		t.Fatalf("grants after unmap = %d, want 0", ct.Len())
 	}
-	if tr := d.Translate(desc.IOVAs[0]); tr.OK {
+	if tr := d.Translate(desc.IOVAs[0]); tr.OK() {
 		t.Fatalf("revoked page still translates: %+v", tr)
 	}
 	c = d.IOMMU().Counters()
@@ -93,7 +94,7 @@ func TestCapRemapRegrantsWithoutShootdown(t *testing.T) {
 	}
 	for i, v := range desc.IOVAs {
 		tr := d.Translate(v)
-		if !tr.OK {
+		if !tr.OK() {
 			t.Fatalf("post-remap translate failed at %v", v)
 		}
 		if tr.Phys == before[i] {
@@ -127,7 +128,7 @@ func TestCapLazyRevokeWindowAndFlush(t *testing.T) {
 		t.Fatal("lazy unmap queued nothing")
 	}
 	// The unsafe window: the grant outlives the mapping.
-	if tr := d.Translate(desc.IOVAs[0]); !tr.OK || !tr.Cap {
+	if tr := d.Translate(desc.IOVAs[0]); !tr.OK() || tr.Served() != iommu.ByCap {
 		t.Fatalf("stale window closed early: %+v", tr)
 	}
 	if cost := d.FlushDeferred(); cost <= 0 {
@@ -139,7 +140,7 @@ func TestCapLazyRevokeWindowAndFlush(t *testing.T) {
 	if d.CapTable().Len() != 0 {
 		t.Fatalf("grants after flush = %d, want 0", d.CapTable().Len())
 	}
-	if tr := d.Translate(desc.IOVAs[0]); tr.OK {
+	if tr := d.Translate(desc.IOVAs[0]); tr.OK() {
 		t.Fatalf("revoked grant still serves: %+v", tr)
 	}
 	if d.Counters().DeferredFlushes != 1 {
@@ -175,7 +176,7 @@ func TestCapLazyRemapDefersRegrant(t *testing.T) {
 		t.Fatal("re-grant flush should cost CPU time")
 	}
 	tr := d.Translate(v)
-	if !tr.OK || tr.Phys == old {
+	if !tr.OK() || tr.Phys == old {
 		t.Fatalf("flush did not install the re-grant: %+v", tr)
 	}
 }
@@ -193,7 +194,7 @@ func TestCapTxPath(t *testing.T) {
 			t.Fatalf("%v: MapTx cost %v, iovas %v", mode, cost, m.IOVAs)
 		}
 		for _, v := range m.IOVAs {
-			if tr := d.Translate(v); !tr.OK || !tr.Cap {
+			if tr := d.Translate(v); !tr.OK() || tr.Served() != iommu.ByCap {
 				t.Fatalf("%v: Tx page %v: %+v", mode, v, tr)
 			}
 		}
@@ -201,15 +202,15 @@ func TestCapTxPath(t *testing.T) {
 			t.Fatalf("%v: UnmapTx: %v", mode, err)
 		}
 		if mode == Cap {
-			if tr := d.Translate(m.IOVAs[0]); tr.OK {
+			if tr := d.Translate(m.IOVAs[0]); tr.OK() {
 				t.Fatalf("eager Tx revoke left a live grant: %+v", tr)
 			}
 		} else {
-			if tr := d.Translate(m.IOVAs[0]); !tr.OK {
+			if tr := d.Translate(m.IOVAs[0]); !tr.OK() {
 				t.Fatalf("lazy Tx revoke closed the window early: %+v", tr)
 			}
 			d.FlushDeferred()
-			if tr := d.Translate(m.IOVAs[0]); tr.OK {
+			if tr := d.Translate(m.IOVAs[0]); tr.OK() {
 				t.Fatalf("flushed Tx grant still serves: %+v", tr)
 			}
 		}
@@ -251,7 +252,7 @@ func TestCapPersistentPagesGranted(t *testing.T) {
 		if !d.CapTable().Granted(v) {
 			t.Fatalf("persistent page %v not granted", v)
 		}
-		if tr := d.Translate(v); !tr.OK || !tr.Cap {
+		if tr := d.Translate(v); !tr.OK() || tr.Served() != iommu.ByCap {
 			t.Fatalf("persistent page %v: %+v", v, tr)
 		}
 	}

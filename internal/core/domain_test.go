@@ -113,7 +113,7 @@ func TestStrictSafetyAfterUnmap(t *testing.T) {
 		}
 		for _, v := range desc.IOVAs {
 			tr := d.IOMMU().Translate(v)
-			if tr.OK {
+			if tr.OK() {
 				t.Fatalf("mode %v: device still reaches %v after unmap", mode, v)
 			}
 		}
@@ -140,7 +140,7 @@ func TestDeferredLeavesUnsafeWindow(t *testing.T) {
 	// IOTLB entries: the deferred-mode safety hole.
 	stale := 0
 	for _, v := range desc.IOVAs {
-		if tr := d.IOMMU().Translate(v); tr.OK && tr.Stale {
+		if tr := d.IOMMU().Translate(v); tr.OK() && tr.Stale() {
 			stale++
 		}
 	}
@@ -169,7 +169,7 @@ func TestDeferredFlushRevokesAccess(t *testing.T) {
 		t.Fatalf("PendingDeferred = %d, want 0 after flush", d.PendingDeferred())
 	}
 	for _, v := range desc.IOVAs {
-		if tr := d.IOMMU().Translate(v); tr.OK {
+		if tr := d.IOMMU().Translate(v); tr.OK() {
 			t.Fatalf("access to %v survived the deferred flush", v)
 		}
 	}
@@ -344,7 +344,7 @@ func TestTxStrictPerPacket(t *testing.T) {
 	if _, err := d.UnmapTx(m); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(m.IOVAs[0]); tr.OK {
+	if tr := d.IOMMU().Translate(m.IOVAs[0]); tr.OK() {
 		t.Fatal("Tx buffer reachable after completion")
 	}
 	if d.Counters().TxPacketsUnmapped != 1 {
@@ -409,10 +409,10 @@ func TestTxFNSSafetyPerPacket(t *testing.T) {
 	if _, err := d.UnmapTx(m1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(m1.IOVAs[0]); tr.OK {
+	if tr := d.IOMMU().Translate(m1.IOVAs[0]); tr.OK() {
 		t.Fatal("completed Tx packet still reachable")
 	}
-	if tr := d.IOMMU().Translate(m2.IOVAs[0]); !tr.OK {
+	if tr := d.IOMMU().Translate(m2.IOVAs[0]); !tr.OK() {
 		t.Fatal("in-flight Tx packet lost its mapping")
 	}
 }
@@ -527,17 +527,17 @@ func TestSharedIOMMUDomains(t *testing.T) {
 	}
 	t1 := nicDom.Translate(d1.IOVAs[0])
 	t2 := stDom.Translate(d2.IOVAs[0])
-	if !t1.OK || !t2.OK || t1.Phys == t2.Phys {
+	if !t1.OK() || !t2.OK() || t1.Phys == t2.Phys {
 		t.Fatalf("cross-domain resolution broken: %+v vs %+v", t1, t2)
 	}
 	// Unmapping one domain's descriptor leaves the other's intact.
 	if _, err := nicDom.UnmapRxDescriptor(d1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := nicDom.Translate(d1.IOVAs[0]); tr.OK {
+	if tr := nicDom.Translate(d1.IOVAs[0]); tr.OK() {
 		t.Fatal("nic domain retained access after unmap")
 	}
-	if tr := stDom.Translate(d2.IOVAs[0]); !tr.OK {
+	if tr := stDom.Translate(d2.IOVAs[0]); !tr.OK() {
 		t.Fatal("storage domain lost access to its own descriptor")
 	}
 	if c := nicDom.IOMMU().Counters(); c.StaleIOTLBUses != 0 || c.StalePTUses != 0 {

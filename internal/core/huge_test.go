@@ -67,7 +67,7 @@ func TestHugeRevocationAtChunkGranularity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr := d.IOMMU().Translate(descs[0].IOVAs[0]); !tr.OK {
+	if tr := d.IOMMU().Translate(descs[0].IOVAs[0]); !tr.OK() {
 		t.Fatal("chunk revoked before all descriptors completed")
 	}
 	// Completing the last one revokes the whole chunk with one request.
@@ -79,7 +79,7 @@ func TestHugeRevocationAtChunkGranularity(t *testing.T) {
 		t.Fatalf("invalidation requests for chunk = %d, want 1", got)
 	}
 	for _, desc := range descs {
-		if tr := d.IOMMU().Translate(desc.IOVAs[0]); tr.OK {
+		if tr := d.IOMMU().Translate(desc.IOVAs[0]); tr.OK() {
 			t.Fatal("access survived chunk completion")
 		}
 	}
@@ -129,7 +129,7 @@ func TestHugeTxUsesFNSPath(t *testing.T) {
 	if _, err := d.UnmapTx(m1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(m1.IOVAs[0]); tr.OK {
+	if tr := d.IOMMU().Translate(m1.IOVAs[0]); tr.OK() {
 		t.Fatal("Tx packet reachable after completion")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"fastsafe/internal/ats"
 	"fastsafe/internal/fault"
+	"fastsafe/internal/iommu"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
 )
@@ -101,8 +102,9 @@ func (l *ledger) translate(name string, v ptable.IOVA) {
 		return
 	}
 	tr := l.d.Translate(v)
+	by := tr.Served()
 	fmt.Fprintf(l.w, "  %s %#x -> phys=%#x ok=%t iotlb=%t reads=%d stale=%t atc=%t cap=%t\n",
-		name, uint64(v), uint64(tr.Phys), tr.OK, tr.IOTLBHit, tr.MemReads, tr.Stale, tr.ATC, tr.Cap)
+		name, uint64(v), uint64(tr.Phys), tr.OK(), by.IOTLB(), tr.MemReads(), tr.Stale(), by == iommu.ByATC, by == iommu.ByCap)
 }
 
 // flush records the pending batch and forces its flush.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fastsafe/internal/ats"
+	"fastsafe/internal/iommu"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/stats"
 )
@@ -29,7 +30,7 @@ func TestRemapPreservesIOVAsRotatesPhys(t *testing.T) {
 		before := make([]ptable.Phys, len(desc.IOVAs))
 		for i, v := range desc.IOVAs {
 			tr := d.Translate(v)
-			if !tr.OK {
+			if !tr.OK() {
 				t.Fatalf("%v: pre-remap translate failed", mode)
 			}
 			before[i] = tr.Phys
@@ -43,10 +44,10 @@ func TestRemapPreservesIOVAsRotatesPhys(t *testing.T) {
 		}
 		for i, v := range desc.IOVAs {
 			tr := d.Translate(v)
-			if !tr.OK {
+			if !tr.OK() {
 				t.Fatalf("%v: post-remap translate failed", mode)
 			}
-			if tr.Stale {
+			if tr.Stale() {
 				t.Fatalf("%v: post-remap translation served stale", mode)
 			}
 			if tr.Phys == before[i] {
@@ -93,7 +94,7 @@ func TestRemapShootsDownATC(t *testing.T) {
 			t.Fatalf("%v: unexpected warm hits %d", mode, got)
 		}
 		for _, v := range desc.IOVAs {
-			if tr := d.Translate(v); !tr.ATC {
+			if tr := d.Translate(v); tr.Served() != iommu.ByATC {
 				t.Fatalf("%v: warm lookup of %v missed the ATC", mode, v)
 			}
 		}
@@ -110,7 +111,7 @@ func TestRemapShootsDownATC(t *testing.T) {
 		}
 		for _, v := range desc.IOVAs {
 			tr := d.Translate(v)
-			if tr.Stale {
+			if tr.Stale() {
 				t.Fatalf("%v: post-remap device translation stale", mode)
 			}
 		}
@@ -138,7 +139,7 @@ func TestRemapStrawmanLeavesATCStale(t *testing.T) {
 	var stale int
 	for _, v := range desc.IOVAs {
 		tr := d.Translate(v)
-		if tr.ATC && tr.Stale {
+		if tr.Served() == iommu.ByATC && tr.Stale() {
 			stale++
 		}
 	}
@@ -243,7 +244,7 @@ func TestMapPersistentPages(t *testing.T) {
 		t.Fatalf("MapPersistentPages = %v, %v", iovas, err)
 	}
 	for _, v := range iovas {
-		if tr := d.Translate(v); !tr.OK || tr.Stale {
+		if tr := d.Translate(v); !tr.OK() || tr.Stale() {
 			t.Fatalf("persistent page %v: %+v", v, tr)
 		}
 	}

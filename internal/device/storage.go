@@ -113,11 +113,11 @@ func (s *Storage) issue() {
 		reads := 0
 		if s.dom.Mode().Translated() {
 			s.faults.Observe(m.IOVAs[0])
-			for off := 0; off < s.cfg.BlockBytes; off += 512 {
-				page := off / 4096
-				v := m.IOVAs[page] + ptable.IOVA(off%4096)
-				tr := s.dom.Translate(v)
-				reads += tr.MemReads
+			// One run of 512B transactions per page: eight, or what the
+			// block's tail leaves on its last page.
+			for off := 0; off < s.cfg.BlockBytes; off += ptable.PageSize {
+				n := (min(ptable.PageSize, s.cfg.BlockBytes-off) + 511) / 512
+				reads += s.dom.TranslateRun(m.IOVAs[off/ptable.PageSize], n, 512)
 			}
 			reads += s.faults.MaybeMisbehave()
 		}

@@ -102,10 +102,10 @@ func (a *Auditor) check(d iommu.DomainID, v ptable.IOVA, t iommu.Translation) {
 	g.Checked++
 	pd.Checked++
 	switch {
-	case !t.OK:
+	case !t.OK():
 		g.Blocked++
 		pd.Blocked++
-	case t.Stale:
+	case t.Stale():
 		g.StaleUnmapped++
 		pd.StaleUnmapped++
 	default:
@@ -118,7 +118,7 @@ func (a *Auditor) check(d iommu.DomainID, v ptable.IOVA, t iommu.Translation) {
 		// can pin it on the capability family the way stale-IOTLB serves
 		// pin deferred modes.
 		if w, _, ok := a.mmu.TableOf(d).LookupHugeAware(v); !ok || w.Phys != t.Phys {
-			if t.Cap {
+			if t.Served() == iommu.ByCap {
 				g.StaleCapability++
 				pd.StaleCapability++
 			} else {

@@ -67,7 +67,7 @@ func (d *Device) MaybeMisbehave() int {
 	if len(d.window) > 0 && d.inj.roll(d.inj.plan.StrayDMA) {
 		d.inj.c.StrayDMAs++
 		v := d.window[d.inj.rng.Intn(len(d.window))]
-		reads += d.dom.Translate(v).MemReads
+		reads += d.dom.Translate(v).MemReads()
 	}
 	if d.inj.roll(d.inj.plan.WildDMA) {
 		d.inj.c.WildDMAs++
@@ -75,7 +75,7 @@ func (d *Device) MaybeMisbehave() int {
 		// out IOVAs top-down, so these are never mapped and must fault.
 		d.wild++
 		v := ptable.IOVA(d.wild*0x5000 + 0x13)
-		reads += d.dom.Translate(v).MemReads
+		reads += d.dom.Translate(v).MemReads()
 	}
 	return reads
 }

@@ -75,10 +75,23 @@ func TestTranslateInvalidateNoAllocs(t *testing.T) {
 			return Translation{}
 		}},
 	} {
-		if tr := tc.op(); tc.reads >= 0 && (!tr.OK || tr.MemReads != tc.reads || tr.IOTLBHit != (tc.reads == 0)) {
+		if tr := tc.op(); tc.reads >= 0 && (!tr.OK() || tr.MemReads() != tc.reads || tr.Served().IOTLB() != (tc.reads == 0)) {
 			t.Fatalf("%s: %+v, want %d page-table reads", tc.name, tr, tc.reads)
 		}
 		if n := testing.AllocsPerRun(1000, func() { tc.op() }); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestTranslateRunNoAllocs: a run through the direct Translator
+// allocates nothing, whichever path its first transaction takes.
+func TestTranslateRunNoAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, tc := range runCases(t) {
+		if n := testing.AllocsPerRun(1000, func() { tc.run() }); n != 0 {
 			t.Errorf("%s: %v allocs, want 0", tc.name, n)
 		}
 	}

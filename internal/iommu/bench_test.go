@@ -92,3 +92,53 @@ func BenchmarkLRU(b *testing.B) {
 		}
 	}
 }
+
+// runCase is one nine-transaction run through a domain's direct
+// Translator, on state where its first transaction takes one path.
+type runCase struct {
+	name string
+	run  func() int
+}
+
+// runCases builds the runs BenchmarkTranslateRun times: the first
+// transaction hits a 4KB IOTLB entry, walks from a PTcache-L3 hit (after
+// an IOTLB-only invalidation), hits a 2MB IOTLB entry, or is a
+// capability check.
+func runCases(tb testing.TB) []runCase {
+	const huge = ptable.IOVA(ptable.HugeSize)
+	m := New(Config{})
+	d, capDom := m.CreateDomain(), m.CreateDomain()
+	if err := m.TableOf(d).Map(0, 1<<ptable.PageShift); err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.TableOf(d).MapHuge(huge, 1<<30); err != nil {
+		tb.Fatal(err)
+	}
+	m.AttachCapTable(capDom).Grant(0, 1<<ptable.PageShift)
+	tr, capTr := m.TranslatorOf(d), m.TranslatorOf(capDom)
+	tr.TranslateRun(0, 1, 0)
+	tr.TranslateRun(huge, 1, 0)
+	return []runCase{
+		{"hit", func() int { return tr.TranslateRun(0x40, 9, 256) }},
+		{"walk", func() int {
+			tr.Invalidate(0, 1, true)
+			return tr.TranslateRun(0x40, 9, 256)
+		}},
+		{"2MB", func() int { return tr.TranslateRun(huge+3*ptable.PageSize+0x40, 9, 256) }},
+		{"cap", func() int { return capTr.TranslateRun(0x40, 9, 256) }},
+	}
+}
+
+// runReads keeps the benchmarked runs' results live.
+var runReads int
+
+func BenchmarkTranslateRun(b *testing.B) {
+	for _, tc := range runCases(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runReads += tc.run()
+			}
+		})
+	}
+}

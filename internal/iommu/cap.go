@@ -85,9 +85,9 @@ func (ct *CapTable) check(v ptable.IOVA) Translation {
 	if !ok {
 		ct.c.CapDenied++
 		ct.c.Faults++
-		return Translation{Cap: true}
+		return faulted(ByCap, 0)
 	}
 	// Like the walk path, the result is the page frame (Lookup aligns
 	// down): the auditor compares frames, not byte addresses.
-	return Translation{Phys: p, OK: true, Cap: true}
+	return Hit(p, ByCap, false)
 }

@@ -23,15 +23,15 @@ func TestCapTableGrantCheckRevoke(t *testing.T) {
 		t.Fatalf("grant not installed: granted=%v len=%d", ct.Granted(v), ct.Len())
 	}
 	tr := m.TranslateIn(0, v)
-	if !tr.OK || !tr.Cap || tr.Phys != p {
+	if !tr.OK() || tr.Served() != ByCap || tr.Phys != p {
 		t.Fatalf("capability check = %+v, want grant for %v", tr, p)
 	}
-	if tr.MemReads != 0 {
+	if tr.MemReads() != 0 {
 		t.Fatalf("capability check read memory: %+v", tr)
 	}
 	// In-page offsets validate against the same page-granular grant and
 	// resolve to the page frame, the walk path's convention.
-	if tr := m.TranslateIn(0, v+57); !tr.OK || tr.Phys != p {
+	if tr := m.TranslateIn(0, v+57); !tr.OK() || tr.Phys != p {
 		t.Fatalf("offset check = %+v", tr)
 	}
 	if !ct.Revoke(v) {
@@ -40,7 +40,7 @@ func TestCapTableGrantCheckRevoke(t *testing.T) {
 	if ct.Revoke(v) {
 		t.Fatal("double revoke reported a kill")
 	}
-	if tr := m.TranslateIn(0, v); tr.OK || !tr.Cap {
+	if tr := m.TranslateIn(0, v); tr.OK() || tr.Served() != ByCap {
 		t.Fatalf("revoked check = %+v, want blocked capability miss", tr)
 	}
 	c := m.Counters()
@@ -102,7 +102,7 @@ func TestCapTableSurvivesCounterReset(t *testing.T) {
 	if !ct.Granted(0) {
 		t.Fatal("reset cleared the grants — capabilities are driver state, not cache state")
 	}
-	if tr := m.TranslateIn(0, 0); !tr.OK {
+	if tr := m.TranslateIn(0, 0); !tr.OK() {
 		t.Fatalf("post-reset check = %+v", tr)
 	}
 }
@@ -120,14 +120,14 @@ func TestCapDomainSkipsWalkPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := m.TranslateIn(0, 0)
-	if !tr.OK || !tr.Cap || tr.Phys != 0x999000 {
+	if !tr.OK() || tr.Served() != ByCap || tr.Phys != 0x999000 {
 		t.Fatalf("cap domain translation = %+v, want the grant (not the table mapping)", tr)
 	}
 	c := m.Counters()
 	if c.IOTLBMisses != 0 || c.IOTLBHits != 0 || c.MemReads != 0 {
 		t.Fatalf("cap check entered the walk pipeline: %+v", c)
 	}
-	if tr := m.TranslateIn(d1, 0); !tr.OK || tr.Cap {
+	if tr := m.TranslateIn(d1, 0); !tr.OK() || tr.Served() == ByCap {
 		t.Fatalf("walk-domain translation = %+v, want a plain walk", tr)
 	}
 	if m.Counters().MemReads == 0 {

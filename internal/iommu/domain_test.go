@@ -33,7 +33,7 @@ func TestCrossDomainIsolation(t *testing.T) {
 	}
 	t1 := m.TranslateIn(d1, 0x1000)
 	t2 := m.TranslateIn(d2, 0x1000)
-	if !t1.OK || !t2.OK {
+	if !t1.OK() || !t2.OK() {
 		t.Fatal("translations failed")
 	}
 	if t1.Phys == t2.Phys {
@@ -41,7 +41,7 @@ func TestCrossDomainIsolation(t *testing.T) {
 	}
 	// A third domain must fault despite both entries being cached.
 	d3 := m.CreateDomain()
-	if tr := m.TranslateIn(d3, 0x1000); tr.OK {
+	if tr := m.TranslateIn(d3, 0x1000); tr.OK() {
 		t.Fatal("unmapped domain translated through another domain's cache entry")
 	}
 }
@@ -60,11 +60,11 @@ func TestDomainScopedInvalidation(t *testing.T) {
 	m.TranslateIn(d1, 0x2000)
 	m.TranslateIn(d2, 0x2000)
 	m.InvalidateIn(d1, 0x2000, 1, false)
-	if tr := m.TranslateIn(d2, 0x2000); !tr.IOTLBHit {
+	if tr := m.TranslateIn(d2, 0x2000); !tr.Served().IOTLB() {
 		t.Fatal("d1's invalidation evicted d2's IOTLB entry")
 	}
 	// d1's entry must be gone and its PTcaches dropped (full walk).
-	if tr := m.TranslateIn(d1, 0x2000); tr.IOTLBHit || tr.MemReads != 4 {
+	if tr := m.TranslateIn(d1, 0x2000); tr.Served().IOTLB() || tr.MemReads() != 4 {
 		t.Fatalf("d1 after invalidation: %+v", tr)
 	}
 }
@@ -91,8 +91,8 @@ func TestDomainsContendForCacheCapacity(t *testing.T) {
 	// but its PTcache-L3 entry was evicted: invalidate the IOTLB entry and
 	// re-translate — the walk must read more than one level.
 	m.InvalidateIn(d1, 0, 1, true)
-	if tr := m.TranslateIn(d1, 0); tr.MemReads < 2 {
-		t.Fatalf("d1 walk reads = %d, want >= 2 after capacity eviction", tr.MemReads)
+	if tr := m.TranslateIn(d1, 0); tr.MemReads() < 2 {
+		t.Fatalf("d1 walk reads = %d, want >= 2 after capacity eviction", tr.MemReads())
 	}
 }
 
@@ -102,11 +102,11 @@ func TestDefaultDomainCompatibility(t *testing.T) {
 	if err := m.Table().Map(0x1000, 7); err != nil {
 		t.Fatal(err)
 	}
-	if tr := m.Translate(0x1000); !tr.OK || tr.Phys != 7 {
+	if tr := m.Translate(0x1000); !tr.OK() || tr.Phys != 7 {
 		t.Fatalf("default-domain translation = %+v", tr)
 	}
 	m.Invalidate(0x1000, 1, false)
-	if tr := m.Translate(0x1000); tr.IOTLBHit {
+	if tr := m.Translate(0x1000); tr.Served().IOTLB() {
 		t.Fatal("default-domain invalidation failed")
 	}
 }
@@ -131,19 +131,19 @@ func TestFlushInIsDomainSelective(t *testing.T) {
 		m.TranslateIn(d, huge)
 	}
 	m.FlushIn(d1)
-	if tr := m.TranslateIn(d2, 0); !tr.IOTLBHit {
+	if tr := m.TranslateIn(d2, 0); !tr.Served().IOTLB() {
 		t.Fatalf("d2 after d1's flush: %+v, want an IOTLB hit", tr)
 	}
-	if tr := m.TranslateIn(d2, huge+ptable.PageSize); !tr.IOTLBHit {
+	if tr := m.TranslateIn(d2, huge+ptable.PageSize); !tr.Served().IOTLB() {
 		t.Fatalf("d2's 2MB entry after d1's flush: %+v, want an IOTLB hit", tr)
 	}
-	if tr := m.TranslateIn(d2, ptable.PageSize); tr.IOTLBHit || tr.MemReads != 1 {
+	if tr := m.TranslateIn(d2, ptable.PageSize); tr.Served().IOTLB() || tr.MemReads() != 1 {
 		t.Fatalf("d2 neighbour walk after d1's flush: %+v, want a PTcache-L3 hit", tr)
 	}
-	if tr := m.TranslateIn(d1, 0); tr.IOTLBHit || tr.MemReads != 4 {
+	if tr := m.TranslateIn(d1, 0); tr.Served().IOTLB() || tr.MemReads() != 4 {
 		t.Fatalf("d1 after its flush: %+v, want a cold walk", tr)
 	}
-	if tr := m.TranslateIn(d1, huge); tr.IOTLBHit || tr.MemReads != 2 {
+	if tr := m.TranslateIn(d1, huge); tr.Served().IOTLB() || tr.MemReads() != 2 {
 		t.Fatalf("d1's 2MB walk after its flush: %+v, want a walk from the PTcache-L1 entry", tr)
 	}
 }

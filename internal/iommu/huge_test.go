@@ -13,18 +13,18 @@ func TestHugeTranslationColdThenHot(t *testing.T) {
 	}
 	// Cold: PTcache-L1/L2 miss, three reads (the PT-L3 entry is the leaf).
 	tr := m.Translate(0x5000)
-	if !tr.OK || tr.IOTLBHit {
+	if !tr.OK() || tr.Served().IOTLB() {
 		t.Fatalf("cold huge translation = %+v", tr)
 	}
-	if tr.MemReads != 3 {
-		t.Fatalf("cold huge MemReads = %d, want 3", tr.MemReads)
+	if tr.MemReads() != 3 {
+		t.Fatalf("cold huge MemReads = %d, want 3", tr.MemReads())
 	}
 	if tr.Phys != 0x40000000+0x5000 {
 		t.Fatalf("Phys = %#x", uint64(tr.Phys))
 	}
 	// Hot: any address in the same 2MB hits the single huge IOTLB entry.
 	tr = m.Translate(0x1ff000)
-	if !tr.IOTLBHit || tr.MemReads != 0 {
+	if !tr.Served().IOTLB() || tr.MemReads() != 0 {
 		t.Fatalf("hot huge translation = %+v", tr)
 	}
 	if tr.Phys != 0x40000000+0x1ff000 {
@@ -42,8 +42,8 @@ func TestHugeWalkWithWarmPTCacheL2(t *testing.T) {
 	}
 	m.Translate(0) // warms PTcache-L1/L2
 	tr := m.Translate(ptable.IOVA(ptable.HugeSize))
-	if tr.MemReads != 1 {
-		t.Fatalf("warm huge walk MemReads = %d, want 1 (PTcache-L2 hit)", tr.MemReads)
+	if tr.MemReads() != 1 {
+		t.Fatalf("warm huge walk MemReads = %d, want 1 (PTcache-L2 hit)", tr.MemReads())
 	}
 	// Reads identity holds for huge walks too.
 	c := m.Counters()
@@ -78,7 +78,7 @@ func TestHugeInvalidation(t *testing.T) {
 	}
 	m.Invalidate(0, 512, true)
 	tr := m.Translate(0)
-	if tr.OK {
+	if tr.OK() {
 		t.Fatal("huge mapping reachable after unmap+invalidate")
 	}
 	if m.Counters().StaleIOTLBUses != 0 {
@@ -97,7 +97,7 @@ func TestHugeStaleUseDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := m.Translate(0x1000)
-	if !tr.OK || !tr.Stale {
+	if !tr.OK() || !tr.Stale() {
 		t.Fatalf("translation = %+v, want stale huge hit", tr)
 	}
 	if m.Counters().StaleIOTLBUses != 1 {

@@ -105,17 +105,6 @@ type Counters struct {
 	CapDenied      int64
 }
 
-// Translation is the outcome of translating one PCIe transaction's IOVA.
-type Translation struct {
-	Phys     ptable.Phys
-	OK       bool // translation produced an address
-	IOTLBHit bool
-	MemReads int  // page-table reads performed (0 on IOTLB hit)
-	Stale    bool // served by a stale IOTLB entry (safety violation)
-	ATC      bool // served by a device-side ATS translation cache
-	Cap      bool // validated against a capability table, not a walk
-}
-
 // DomainID names one protection domain: one device's IOVA space and IO
 // page table. All domains share the IOMMU's caches and walkers — entries
 // are tagged by domain, exactly as VT-d tags IOTLB/PTcache entries with
@@ -150,8 +139,8 @@ type IOMMU struct {
 	audit func(DomainID, ptable.IOVA, Translation)
 }
 
-// SetAuditHook installs fn to observe every TranslateIn result (nil
-// uninstalls). The fault layer's safety auditor uses this to cross-check
+// SetAuditHook installs fn to observe every translated transaction,
+// each of a run's included (nil uninstalls). The fault layer's safety auditor uses this to cross-check
 // translations against the live page table.
 func (m *IOMMU) SetAuditHook(fn func(DomainID, ptable.IOVA, Translation)) {
 	m.audit = fn
@@ -295,43 +284,52 @@ func (m *IOMMU) Translate(v ptable.IOVA) Translation { return m.TranslateIn(0, v
 // that first probes the three page-table caches (in parallel) and starts
 // the walk at the deepest level that hits.
 func (m *IOMMU) TranslateIn(d DomainID, v ptable.IOVA) Translation {
-	t := m.translateIn(d, m.doms[d], v)
-	if m.audit != nil {
-		m.audit(d, v, t)
-	}
+	t, _ := m.TranslateLeafIn(d, v)
 	return t
 }
 
-func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation {
+// TranslateLeafIn is TranslateIn that also hands over the page-table
+// leaf behind the translation, found on the way: the 4KB leaf a hit's
+// check looked up, or the leaf a walk ended at. The leaf is live and is
+// where a walk for v ends now when t is OK, not Stale and not from a
+// capability table; otherwise it is the zero Leaf. A device-side cache
+// filling from t keeps the leaf without walking again.
+func (m *IOMMU) TranslateLeafIn(d DomainID, v ptable.IOVA) (Translation, ptable.Leaf) {
+	t, leaf := m.translateIn(d, m.doms[d], v)
+	if m.audit != nil {
+		m.audit(d, v, t)
+	}
+	return t, leaf
+}
+
+func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) (Translation, ptable.Leaf) {
 	// Capability domains bypass the walk pipeline entirely: one O(1)
 	// table check, no cache state, no memory reads.
 	if dom.cap != nil {
-		return dom.cap.check(v)
+		return dom.cap.check(v), ptable.Leaf{}
 	}
 	table, c := dom.table, &dom.c
 	c.Translations++
 	pn := domKey(d, v.PageNumber())
 	if val, ok := m.iotlb.get(pn); ok {
 		c.IOTLBHits++
-		t := Translation{Phys: ptable.Phys(val), OK: true, IOTLBHit: true}
 		// A hit for an unmapped IOVA means the device retained access
 		// after unmap — the deferred-mode safety hole.
-		if !table.Mapped(v) {
+		w, mapped := table.Lookup(v)
+		if !mapped {
 			c.StaleIOTLBUses++
-			t.Stale = true
 		}
-		return t
+		return Hit(ptable.Phys(val), ByIOTLB, !mapped), w.Leaf
 	}
 	if val, ok := m.iotlb.get(domKey(d, hugeKey(v))); ok {
 		// A 2MB IOTLB entry covers this address.
 		c.IOTLBHits++
 		phys := ptable.Phys(val + uint64(v)%ptable.HugeSize)
-		t := Translation{Phys: phys, OK: true, IOTLBHit: true}
-		if !table.HugeMapped(v) {
-			c.StaleIOTLBUses++
-			t.Stale = true
+		if w, huge, mapped := table.LookupHugeAware(v); mapped && huge {
+			return Hit(phys, ByIOTLBHuge, false), w.Leaf
 		}
-		return t
+		c.StaleIOTLBUses++
+		return Hit(phys, ByIOTLBHuge, true), ptable.Leaf{}
 	}
 	c.IOTLBMisses++
 	c.Walks++
@@ -342,15 +340,15 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 	if mapped && huge {
 		_, l2hit := m.l2.get(domKey(d, v.L2Key()))
 		_, l1hit := m.l1.get(domKey(d, v.L1Key()))
-		reads := 0
+		reads, by := 0, ByWalkL2
 		switch {
 		case l2hit:
 			reads = 1
 		case l1hit:
-			reads = 2
+			reads, by = 2, ByWalkL1
 			c.L2Misses++
 		default:
-			reads = 3
+			reads, by = 3, ByWalkMem
 			c.L2Misses++
 			c.L1Misses++
 		}
@@ -358,7 +356,7 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 		m.l1.put(domKey(d, v.L1Key()), w.PageID[1])
 		m.l2.put(domKey(d, v.L2Key()), w.PageID[2])
 		m.iotlb.put(domKey(d, hugeKey(v)), uint64(w.Phys)-uint64(v)%ptable.HugeSize)
-		return Translation{Phys: w.Phys, OK: true, MemReads: reads}
+		return walked(w.Phys, by, reads), w.Leaf
 	}
 
 	// Probe the page-table caches. Hardware probes all three in parallel;
@@ -367,19 +365,19 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 	l2id, l2hit := m.l2.get(domKey(d, v.L2Key()))
 	l1id, l1hit := m.l1.get(domKey(d, v.L1Key()))
 
-	reads := 0
+	reads, by := 0, ByWalkL3
 	switch {
 	case l3hit:
 		reads = 1 // read the PT-L4 entry only
 	case l2hit:
-		reads = 2 // PT-L4 page address from PT-L3, then PT-L4
+		reads, by = 2, ByWalkL2 // PT-L4 page address from PT-L3, then PT-L4
 		c.L3Misses++
 	case l1hit:
-		reads = 3
+		reads, by = 3, ByWalkL1
 		c.L3Misses++
 		c.L2Misses++
 	default:
-		reads = 4
+		reads, by = 4, ByWalkMem
 		c.L3Misses++
 		c.L2Misses++
 		c.L1Misses++
@@ -394,7 +392,7 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 		// entry was consulted, account the unsafe read of freed memory.
 		checkStalePT(c, table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, ptable.Walk{})
 		c.Faults++
-		return Translation{OK: false, MemReads: reads}
+		return faulted(by, reads), ptable.Leaf{}
 	}
 	checkStalePT(c, table, v, l3hit, l3id, l2hit, l2id, l1hit, l1id, w)
 
@@ -403,7 +401,67 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) Translation 
 	m.l2.put(domKey(d, v.L2Key()), w.PageID[2])
 	m.l3.put(domKey(d, v.L3Key()), w.PageID[3])
 	m.iotlb.put(pn, uint64(w.Phys))
-	return Translation{Phys: w.Phys, OK: true, MemReads: reads}
+	return walked(w.Phys, by, reads), w.Leaf
+}
+
+// translateRun is direct's TranslateRun: n transactions stride bytes
+// apart from v on, inside v's page, at the cost of one full translation.
+// It returns the page-table reads they cost.
+//
+// A first transaction that produced an address hit or filled one entry —
+// a 4KB or 2MB IOTLB entry, or the page's capability grant — and left it
+// at the front of its set. Each later transaction would find it there,
+// change no cache state, and get the verdict the first got: Mapped,
+// HugeMapped and grants are all per page. So the other n-1 are hits on
+// that entry, charged at once. An audit hook still sees each
+// transaction, in order, with its own IOVA. A first transaction that
+// faulted cached nothing, so each of the rest takes the full path.
+func (m *IOMMU) translateRun(d DomainID, v ptable.IOVA, n, stride int) int {
+	dom := m.doms[d]
+	t, leaf := m.translateIn(d, dom, v)
+	if m.audit != nil {
+		m.audit(d, v, t)
+	}
+	reads := t.MemReads()
+	if n == 1 {
+		return reads
+	}
+	if !t.OK() {
+		for i := 1; i < n; i++ {
+			reads += m.TranslateIn(d, v+ptable.IOVA(i*stride)).MemReads()
+		}
+		return reads
+	}
+	by := t.Served()
+	if by.Walk() {
+		// The walk filled the IOTLB entry of its leaf's size.
+		by = ByIOTLB
+		if leaf.Huge() {
+			by = ByIOTLBHuge
+		}
+	}
+	k, c := int64(n-1), &dom.c
+	c.Translations += k
+	if by == ByCap {
+		c.CapChecks += k
+	} else {
+		c.IOTLBHits += k
+	}
+	if t.Stale() {
+		c.StaleIOTLBUses += k
+	}
+	if m.audit != nil {
+		for i := 1; i < n; i++ {
+			u := v + ptable.IOVA(i*stride)
+			p := t.Phys
+			if by == ByIOTLBHuge {
+				// A 2MB entry resolves the full offset.
+				p += ptable.Phys(u - v)
+			}
+			m.audit(d, u, Hit(p, by, t.Stale()))
+		}
+	}
+	return reads
 }
 
 // checkStalePT detects PTcache entries that point to page-table pages no

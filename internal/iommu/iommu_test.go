@@ -45,11 +45,11 @@ func TestConfigValidate(t *testing.T) {
 func TestColdTranslationWalksFourLevels(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
 	tr := m.Translate(0)
-	if !tr.OK || tr.IOTLBHit {
+	if !tr.OK() || tr.Served().IOTLB() {
 		t.Fatalf("translation = %+v, want cold walk", tr)
 	}
-	if tr.MemReads != 4 {
-		t.Fatalf("MemReads = %d, want 4 (all caches cold)", tr.MemReads)
+	if tr.MemReads() != 4 {
+		t.Fatalf("MemReads = %d, want 4 (all caches cold)", tr.MemReads())
 	}
 	c := m.Counters()
 	if c.IOTLBMisses != 1 || c.L3Misses != 1 || c.L2Misses != 1 || c.L1Misses != 1 {
@@ -61,7 +61,7 @@ func TestWarmTranslationHitsIOTLB(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
 	m.Translate(0)
 	tr := m.Translate(0)
-	if !tr.IOTLBHit || tr.MemReads != 0 {
+	if !tr.Served().IOTLB() || tr.MemReads() != 0 {
 		t.Fatalf("second translation = %+v, want IOTLB hit", tr)
 	}
 	if got := m.Counters().IOTLBHits; got != 1 {
@@ -74,11 +74,11 @@ func TestPTCacheReducesWalkToOneRead(t *testing.T) {
 	m.Translate(0) // cold: 4 reads, fills PTcaches
 	// Neighbouring page shares all PTcache entries: 1 read (PT-L4 entry).
 	tr := m.Translate(ptable.PageSize)
-	if tr.IOTLBHit {
+	if tr.Served().IOTLB() {
 		t.Fatal("distinct page should miss IOTLB")
 	}
-	if tr.MemReads != 1 {
-		t.Fatalf("MemReads = %d, want 1 (PTcache-L3 hit)", tr.MemReads)
+	if tr.MemReads() != 1 {
+		t.Fatalf("MemReads = %d, want 1 (PTcache-L3 hit)", tr.MemReads())
 	}
 	c := m.Counters()
 	if c.MemReads != 5 {
@@ -101,8 +101,8 @@ func TestPartialPTCacheHitL2(t *testing.T) {
 	}
 	m.Translate(a)
 	tr := m.Translate(b)
-	if tr.MemReads != 2 {
-		t.Fatalf("MemReads = %d, want 2 (L2 hit, L3 miss)", tr.MemReads)
+	if tr.MemReads() != 2 {
+		t.Fatalf("MemReads = %d, want 2 (L2 hit, L3 miss)", tr.MemReads())
 	}
 	c := m.Counters()
 	if c.L3Misses != 2 || c.L2Misses != 1 || c.L1Misses != 1 {
@@ -122,8 +122,8 @@ func TestPartialPTCacheHitL1(t *testing.T) {
 	}
 	m.Translate(a)
 	tr := m.Translate(b)
-	if tr.MemReads != 3 {
-		t.Fatalf("MemReads = %d, want 3 (L1 hit only)", tr.MemReads)
+	if tr.MemReads() != 3 {
+		t.Fatalf("MemReads = %d, want 3 (L1 hit only)", tr.MemReads())
 	}
 }
 
@@ -142,7 +142,7 @@ func TestMemReadsArithmetic(t *testing.T) {
 func TestTranslateUnmappedFaults(t *testing.T) {
 	m := New(Config{})
 	tr := m.Translate(0x5000)
-	if tr.OK {
+	if tr.OK() {
 		t.Fatal("translation of unmapped IOVA succeeded")
 	}
 	if m.Counters().Faults != 1 {
@@ -156,11 +156,11 @@ func TestInvalidateIOTLBOnlyPreservesPTCaches(t *testing.T) {
 	// F&S-style: IOTLB-only invalidation.
 	m.Invalidate(0, 1, true)
 	tr := m.Translate(0)
-	if tr.IOTLBHit {
+	if tr.Served().IOTLB() {
 		t.Fatal("IOTLB entry survived invalidation")
 	}
-	if tr.MemReads != 1 {
-		t.Fatalf("MemReads = %d, want 1 (PTcaches preserved)", tr.MemReads)
+	if tr.MemReads() != 1 {
+		t.Fatalf("MemReads = %d, want 1 (PTcaches preserved)", tr.MemReads())
 	}
 	c := m.Counters()
 	if c.PTInvalidated != 0 {
@@ -174,8 +174,8 @@ func TestInvalidateFullDropsPTCaches(t *testing.T) {
 	// Linux-style: invalidate IOTLB and all PTcache levels for the IOVA.
 	m.Invalidate(0, 1, false)
 	tr := m.Translate(0)
-	if tr.MemReads != 4 {
-		t.Fatalf("MemReads = %d, want 4 (PTcaches dropped)", tr.MemReads)
+	if tr.MemReads() != 4 {
+		t.Fatalf("MemReads = %d, want 4 (PTcaches dropped)", tr.MemReads())
 	}
 	c := m.Counters()
 	if c.PTInvalidated != 3 {
@@ -190,7 +190,7 @@ func TestInvalidationCrossIOVAInterference(t *testing.T) {
 	m.Translate(0) // fills shared PTcache entries
 	m.Invalidate(ptable.PageSize, 1, false)
 	// Page 0's own IOTLB entry survives a neighbour's invalidation.
-	if tr := m.Translate(0); !tr.IOTLBHit {
+	if tr := m.Translate(0); !tr.Served().IOTLB() {
 		t.Fatal("unrelated invalidation dropped a live IOTLB entry")
 	}
 	// But a *different* page sharing the PTcache entries pays full walks.
@@ -198,8 +198,8 @@ func TestInvalidationCrossIOVAInterference(t *testing.T) {
 	m2.Translate(0)
 	m2.Invalidate(ptable.PageSize, 1, false) // invalidates shared L1/L2/L3 keys
 	tr2 := m2.Translate(2 * ptable.PageSize)
-	if tr2.MemReads != 4 {
-		t.Fatalf("MemReads = %d, want 4: invalidation killed shared entries", tr2.MemReads)
+	if tr2.MemReads() != 4 {
+		t.Fatalf("MemReads = %d, want 4: invalidation killed shared entries", tr2.MemReads())
 	}
 }
 
@@ -212,7 +212,7 @@ func TestStaleIOTLBUseDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := m.Translate(0)
-	if !tr.OK || !tr.Stale {
+	if !tr.OK() || !tr.Stale() {
 		t.Fatalf("translation = %+v, want stale hit", tr)
 	}
 	if m.Counters().StaleIOTLBUses != 1 {
@@ -228,7 +228,7 @@ func TestStrictInvalidationPreventsStaleUse(t *testing.T) {
 	}
 	m.Invalidate(0, 1, false)
 	tr := m.Translate(0)
-	if tr.OK {
+	if tr.OK() {
 		t.Fatal("translation succeeded after strict unmap+invalidate")
 	}
 	if m.Counters().StaleIOTLBUses != 0 {

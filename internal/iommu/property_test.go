@@ -57,7 +57,7 @@ func TestPropertyNoSilentMistranslation(t *testing.T) {
 				tr := m.Translate(v)
 				want, live := shadow[v]
 				switch {
-				case tr.OK && !tr.Stale:
+				case tr.OK() && !tr.Stale():
 					if !live {
 						t.Fatalf("seed %d op %d: %v translated OK while unmapped (unflagged stale)", seed, op, v)
 					}
@@ -65,7 +65,7 @@ func TestPropertyNoSilentMistranslation(t *testing.T) {
 						t.Fatalf("seed %d op %d: %v -> %#x, want %#x (silent mistranslation)",
 							seed, op, v, uint64(tr.Phys), uint64(want))
 					}
-				case tr.OK && tr.Stale:
+				case tr.OK() && tr.Stale():
 					// Stale hits only possible without invalidation; both
 					// unmap paths above invalidate the IOTLB entry, so this
 					// must never happen here.
@@ -116,11 +116,11 @@ func TestPropertyCrossDomainNoLeak(t *testing.T) {
 		default:
 			tr := m.TranslateIn(d, v)
 			want, live := shadow[d][v]
-			if tr.OK && !tr.Stale {
+			if tr.OK() && !tr.Stale() {
 				if !live || tr.Phys != want {
 					t.Fatalf("op %d: domain %d leaked/mistranslated %v", op, d, v)
 				}
-			} else if !tr.OK && live {
+			} else if !tr.OK() && live {
 				t.Fatalf("op %d: domain %d faulted on live mapping %v", op, d, v)
 			}
 		}
@@ -192,11 +192,11 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 				translates[d]++
 				want, live := shadow[d][v]
 				switch {
-				case tr.OK && !tr.Stale:
+				case tr.OK() && !tr.Stale():
 					if !live || tr.Phys != want {
 						t.Fatalf("seed %d op %d: domain %d leaked/mistranslated %v", seed, op, d, v)
 					}
-				case tr.OK && tr.Stale:
+				case tr.OK() && tr.Stale():
 					t.Fatalf("seed %d op %d: stale hit despite invalidation", seed, op)
 				default:
 					if live {

@@ -8,8 +8,7 @@ import "fastsafe/internal/ptable"
 // cache wraps it, caching completed translations in the device and
 // intercepting invalidations so the host can shoot down the device TLB.
 // A domain built without ATS routes through the direct implementation,
-// which forwards verbatim to the IOMMU — same calls, same counters, same
-// event stream.
+// which forwards to the IOMMU — same counters, same event stream.
 type Translator interface {
 	// Translate resolves one PCIe transaction's IOVA.
 	Translate(v ptable.IOVA) Translation
@@ -28,7 +27,8 @@ type Translator interface {
 }
 
 // direct is the ATS-less Translator: the domain talks straight to the
-// shared IOMMU, exactly as before the seam existed.
+// shared IOMMU. Its TranslateRun translates the run's first transaction
+// and charges the rest as hits on the entry that one hit or filled.
 type direct struct {
 	m *IOMMU
 	d DomainID
@@ -37,10 +37,7 @@ type direct struct {
 func (t direct) Translate(v ptable.IOVA) Translation { return t.m.TranslateIn(t.d, v) }
 
 func (t direct) TranslateRun(v ptable.IOVA, n, stride int) (reads int) {
-	for i := 0; i < n; i++ {
-		reads += t.m.TranslateIn(t.d, v+ptable.IOVA(i*stride)).MemReads
-	}
-	return reads
+	return t.m.translateRun(t.d, v, n, stride)
 }
 
 func (t direct) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {

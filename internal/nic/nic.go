@@ -1,7 +1,7 @@
 // Package nic models the network interface card: per-core Rx descriptor
 // rings with multi-page descriptors (64 pages on Mellanox CX-5), a finite
 // input buffer with tail drop and DCTCP-style ECN marking, the Rx DMA
-// engine that splits packets into PCIe transactions and translates each
+// engine that splits packets into PCIe transactions and translates them
 // through the IOMMU, and the Tx DMA engine that reads packets (and ACKs)
 // out of host memory.
 //
@@ -361,15 +361,9 @@ func (n *NIC) pumpRx() {
 	// interleave at PCIe-transaction granularity — this is what lets
 	// concurrent DMAs contend for the IOTLB and PTcaches (§2.2).
 	for n.rx.Outstanding() < rxPipeline {
-		type pending struct {
-			r     *ring
-			pkt   Packet
-			desc  *core.Descriptor
-			start int // byte offset within the descriptor
-		}
 		// A batch never exceeds rxPipeline strides, so it and its read
 		// counts live on the stack.
-		var claims [rxPipeline]pending
+		var claims [rxPipeline]rxClaim
 		var reads [rxPipeline]int
 		batch := claims[:0]
 		for n.rx.Outstanding()+len(batch) < rxPipeline {
@@ -382,41 +376,58 @@ func (n *NIC) pumpRx() {
 			start := n.align(r.curByte)
 			r.curByte = start + n.frameBytes(pkt)
 			r.pending[desc]++
-			batch = append(batch, pending{r, pkt, desc, start})
+			batch = append(batch, rxClaim{r, pkt, desc, start})
 		}
 		if len(batch) == 0 {
 			return
 		}
-		// Translate the batch's transactions round-robin, the way they
-		// interleave on the wire, then submit each DMA.
 		if n.dom.Mode().Translated() {
-			for t := 0; ; t++ {
-				progress := false
-				for i, p := range batch {
-					off := t * n.cfg.MPS
-					if off >= n.frameBytes(p.pkt) {
-						continue
-					}
-					progress = true
-					b := p.start + off
-					page := b / ptable.PageSize
-					v := p.desc.IOVAs[page] + ptable.IOVA(b%ptable.PageSize)
-					if t == 0 {
-						n.cfg.Faults.Observe(v)
-					}
-					tr := n.dom.Translate(v)
-					reads[i] += tr.MemReads
-				}
-				if !progress {
-					break
-				}
-			}
+			n.translateBatch(batch, reads[:len(batch)])
 			for i := range batch {
 				reads[i] += n.cfg.Faults.MaybeMisbehave()
 			}
 		}
 		for i, p := range batch {
 			n.submitRxDMA(p.r, p.pkt, p.desc, reads[i])
+		}
+	}
+}
+
+// rxClaim is one frame a batch claimed: its ring, its descriptor and the
+// frame's byte offset in it.
+type rxClaim struct {
+	r     *ring
+	pkt   Packet
+	desc  *core.Descriptor
+	start int
+}
+
+// translateBatch translates a batch's transactions round-robin, the way
+// they interleave on the wire, and adds each DMA's page-table reads to
+// reads. Once one DMA is left with transactions, nothing interleaves
+// with the rest of its frame, so that rest goes page by page as runs; a
+// batch of one DMA runs from its first transaction.
+func (n *NIC) translateBatch(batch []rxClaim, reads []int) {
+	mps, live := n.cfg.MPS, len(batch)
+	for off := 0; live > 0; off += mps {
+		for i, p := range batch {
+			bytes := n.frameBytes(p.pkt)
+			if off >= bytes {
+				continue
+			}
+			b := p.start + off
+			v := p.desc.IOVAs[b/ptable.PageSize] + ptable.IOVA(b%ptable.PageSize)
+			if off == 0 {
+				n.cfg.Faults.Observe(v)
+			}
+			if live == 1 {
+				reads[i] += n.translateWindow(p.desc.IOVAs, b, bytes-off)
+				return
+			}
+			reads[i] += n.dom.Translate(v).MemReads()
+			if off+mps >= bytes {
+				live--
+			}
 		}
 	}
 }

@@ -131,6 +131,10 @@ type Leaf struct {
 // never live.
 func (l Leaf) Live() bool { return l.pg != nil && l.pg.valid[l.i] }
 
+// Huge reports whether the entry is a 2MB leaf, as LookupHugeAware's
+// isHuge would for an IOVA it maps. The zero Leaf is not.
+func (l Leaf) Huge() bool { return l.pg != nil && l.pg.level == 3 }
+
 // Phys returns what a walk for v ends at, as LookupHugeAware(v) would:
 // the 4KB leaf's page, or the 2MB leaf's base plus v's offset in it. v
 // must be an IOVA the entry maps, and the result holds only while Live.
