@@ -124,21 +124,31 @@ func (c Config) expGap(r *rng) sim.Duration {
 	return d
 }
 
-// pareto draws a bounded-Pareto size in [lo, hi] by inverse CDF.
-func (c Config) pareto(r *rng, lo, hi int) int {
-	if lo >= hi {
-		return lo
+// sizes is a bounded-Pareto size distribution on [lo, hi] with tail
+// index alpha. ratio, (lo/hi)^alpha, depends only on the config, so New
+// computes it once per distribution instead of once per draw.
+type sizes struct {
+	lo, hi       int
+	alpha, ratio float64
+}
+
+func (c Config) sizes(lo, hi int) sizes {
+	return sizes{lo: lo, hi: hi, alpha: c.Alpha, ratio: math.Pow(float64(lo)/float64(hi), c.Alpha)}
+}
+
+// draw draws a size by inverse CDF.
+func (s *sizes) draw(r *rng) int {
+	if s.lo >= s.hi {
+		return s.lo
 	}
 	u := r.float64()
-	l, h, a := float64(lo), float64(hi), c.Alpha
-	ratio := math.Pow(l/h, a)
-	x := l / math.Pow(1-u*(1-ratio), 1/a)
+	x := float64(s.lo) / math.Pow(1-u*(1-s.ratio), 1/s.alpha)
 	n := int(x)
-	if n < lo {
-		n = lo
+	if n < s.lo {
+		n = s.lo
 	}
-	if n > hi {
-		n = hi
+	if n > s.hi {
+		n = s.hi
 	}
 	return n
 }
@@ -181,6 +191,8 @@ type conn struct {
 // min-heap, so scheduling order is independent of cohort grouping.
 type Fleet struct {
 	cfg    Config
+	req    sizes
+	resp   sizes
 	conns  []conn
 	groups []Group
 	heap   []int // connection indices ordered by (nextAt, index)
@@ -196,7 +208,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	f := &Fleet{cfg: cfg}
+	f := &Fleet{cfg: cfg, req: cfg.sizes(cfg.ReqMin, cfg.ReqMax), resp: cfg.sizes(cfg.RespMin, cfg.RespMax)}
 	f.conns = make([]conn, cfg.Conns)
 	nGroups := (cfg.Conns + cfg.Cohort - 1) / cfg.Cohort
 	f.groups = make([]Group, nGroups)
@@ -246,8 +258,8 @@ func (f *Fleet) Next(now sim.Time) (Arrival, bool) {
 		Conn:  i,
 		Group: i / f.cfg.Cohort,
 		ID:    f.nextID,
-		Req:   f.cfg.pareto(&c.rng, f.cfg.ReqMin, f.cfg.ReqMax),
-		Resp:  f.cfg.pareto(&c.rng, f.cfg.RespMin, f.cfg.RespMax),
+		Req:   f.req.draw(&c.rng),
+		Resp:  f.resp.draw(&c.rng),
 	}
 	f.nextID++
 	a.Last = c.rng.float64() < f.cfg.Churn

@@ -1,6 +1,7 @@
 package cohort
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -280,5 +281,54 @@ func TestDegeneratePayloadRange(t *testing.T) {
 	a, _ := f.Next(sim.Time(at))
 	if a.Req != 512 || a.Resp != 64 {
 		t.Fatalf("degenerate range drew req=%d resp=%d, want 512 and 64", a.Req, a.Resp)
+	}
+}
+
+// paretoPerDraw is the bounded-Pareto inverse CDF with (lo/hi)^alpha
+// computed at every draw, as the fleet once did.
+func paretoPerDraw(r *rng, lo, hi int, alpha float64) int {
+	if lo >= hi {
+		return lo
+	}
+	u := r.float64()
+	l, h := float64(lo), float64(hi)
+	ratio := math.Pow(l/h, alpha)
+	n := int(l / math.Pow(1-u*(1-ratio), 1/alpha))
+	return max(lo, min(n, hi))
+}
+
+// TestParetoMatchesPerDrawFormula: the fleet's size draws, with the
+// constant computed once in New, equal the per-draw formula draw for
+// draw and consume the stream alike, at the defaults, other tail
+// indices, a range wide enough that int(x) keeps most of x's bits, and
+// a degenerate range.
+func TestParetoMatchesPerDrawFormula(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{Alpha: 0.7, ReqMin: 1, ReqMax: 1 << 20},
+		{Alpha: 2.9, RespMin: 100, RespMax: 101},
+		{Alpha: 1.1, ReqMin: 64, ReqMax: 1 << 50},
+		{ReqMin: 512, ReqMax: 512},
+	} {
+		cfg.Conns, cfg.Cohort, cfg.Churn, cfg.Seed = 4, 1, 0.5, 7
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := f.cfg
+		for conn := 0; conn < 64; conn++ {
+			got, want := connRNG(c.Seed, conn, 0), connRNG(c.Seed, conn, 0)
+			for i := 0; i < 2000; i++ {
+				if g, w := f.req.draw(&got), paretoPerDraw(&want, c.ReqMin, c.ReqMax, c.Alpha); g != w {
+					t.Fatalf("%+v conn %d draw %d: request %d, per-draw formula %d", cfg, conn, i, g, w)
+				}
+				if g, w := f.resp.draw(&got), paretoPerDraw(&want, c.RespMin, c.RespMax, c.Alpha); g != w {
+					t.Fatalf("%+v conn %d draw %d: response %d, per-draw formula %d", cfg, conn, i, g, w)
+				}
+			}
+			if got != want {
+				t.Fatalf("%+v conn %d: streams diverged", cfg, conn)
+			}
+		}
 	}
 }

@@ -120,8 +120,8 @@ func TestRxBatchMatchesRoundRobin(t *testing.T) {
 					pkt := Packet{Bytes: 64 + rng.Intn(n.cfg.MTU-64+1)}
 					d := rng.Intn(2 * descs)
 					start := rng.Intn(descBytes - pkt.Bytes - header + 1)
-					batchA[j] = rxClaim{pkt: pkt, desc: a.descs[d], start: start}
-					batchB[j] = rxClaim{pkt: pkt, desc: b.descs[d], start: start}
+					batchA[j] = rxClaim{pkt: pkt, desc: &rxDesc{Descriptor: a.descs[d]}, start: start}
+					batchB[j] = rxClaim{pkt: pkt, desc: &rxDesc{Descriptor: b.descs[d]}, start: start}
 				}
 				loggedA, loggedB := len(a.log), len(b.log)
 				readsA, readsB := make([]int, size), make([]int, size)

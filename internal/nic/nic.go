@@ -114,13 +114,26 @@ type Stats struct {
 // interference (§2.2).
 type ring struct {
 	cpu      int
-	avail    sim.FIFO[*core.Descriptor]
-	cur      *core.Descriptor
-	curByte  int                      // next free byte in the current descriptor
-	pending  map[*core.Descriptor]int // outstanding DMAs per descriptor
-	done     map[*core.Descriptor]bool
+	avail    sim.FIFO[*rxDesc]
+	cur      *rxDesc
+	curByte  int              // next free byte in the current descriptor
 	queue    sim.FIFO[Packet] // packets waiting for DMA on this ring
 	ringIOVA ptable.IOVA
+}
+
+// rxDesc is the NIC's record of one Rx descriptor slot: the driver's
+// descriptor, its DMAs in flight, and whether it has been handed back
+// for recycling. Recycling puts the replacement descriptor in the same
+// record, so the functions it schedules are bound once, at New.
+type rxDesc struct {
+	*core.Descriptor
+	n       *NIC
+	r       *ring
+	pending int  // DMAs in flight
+	done    bool // handed to the driver for unmap and replenish
+
+	recycleFn func()
+	replaceFn func() sim.Duration
 }
 
 // NIC is the device model.
@@ -133,6 +146,7 @@ type NIC struct {
 	exec Executor
 
 	rings       []*ring
+	queued      int // packets waiting in the rings' queues
 	bufferBytes int
 	nextRing    int // round-robin pump cursor
 
@@ -143,6 +157,7 @@ type NIC struct {
 	// record of the DMA completing.
 	rxInflight, txInflight sim.FIFO[inflight]
 	rxDoneFn, txDoneFn     func()
+	pumpRxFn               func() // pumpRx, run after each descriptor recycle
 
 	// OnDeliver fires when a packet's DMA into memory completes; the host
 	// then charges per-packet stack work to the core.
@@ -169,13 +184,12 @@ type txEntry struct {
 
 // inflight is one submitted DMA awaiting completion. ord is its ordinal
 // on its link (pcie.Link.Submitted before Submit). An Rx record names its
-// ring stride (r and desc are nil for a one-sided DirectRx); a Tx record
-// carries the mapping to unmap.
+// stride's descriptor (nil for a one-sided DirectRx); a Tx record carries
+// the mapping to unmap.
 type inflight struct {
 	ord  int64
 	pkt  Packet
-	r    *ring
-	desc *core.Descriptor
+	desc *rxDesc
 	m    *core.TxMapping
 }
 
@@ -183,7 +197,7 @@ type inflight struct {
 func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec Executor) (*NIC, error) {
 	cfg = cfg.withDefaults()
 	n := &NIC{eng: eng, cfg: cfg, dom: dom, rx: rx, tx: tx, exec: exec}
-	n.rxDoneFn, n.txDoneFn = n.rxDone, n.txDone
+	n.rxDoneFn, n.txDoneFn, n.pumpRxFn = n.rxDone, n.txDone, n.pumpRx
 	descPages := dom.DescriptorPages()
 	descBytes := descPages * ptable.PageSize
 	frame := cfg.MTU + cfg.HeaderBytes
@@ -195,7 +209,7 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 	// footnote 2 observes this factor of two in practice).
 	numDesc := 2 * ((cfg.RingPackets + framesPerDesc - 1) / framesPerDesc)
 	for c := 0; c < cfg.Cores; c++ {
-		r := &ring{cpu: c, pending: map[*core.Descriptor]int{}, done: map[*core.Descriptor]bool{}}
+		r := &ring{cpu: c}
 		// The ring table itself is coherent DMA memory, mapped once.
 		iovas, err := dom.MapPersistentPages(c, 1)
 		if err != nil {
@@ -207,7 +221,9 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 			if err != nil {
 				return nil, err
 			}
-			r.avail.Push(desc)
+			d := &rxDesc{Descriptor: desc, n: n, r: r}
+			d.recycleFn, d.replaceFn = d.recycle, d.replace
+			r.avail.Push(d)
 		}
 		n.rings = append(n.rings, r)
 	}
@@ -243,6 +259,7 @@ func (n *NIC) Arrive(pkt Packet) {
 	}
 	r := n.rings[pkt.CPU%len(n.rings)]
 	r.queue.Push(pkt)
+	n.queued++
 	n.pumpRx()
 }
 
@@ -297,9 +314,9 @@ func (n *NIC) admit(pkt *Packet, k int) bool {
 func (n *NIC) rxDone() {
 	d := popCompleted(&n.rxInflight, n.rx, "Rx")
 	n.bufferBytes -= d.pkt.Bytes
-	if d.r != nil {
-		d.r.pending[d.desc]--
-		n.maybeRecycle(d.r, d.desc)
+	if d.desc != nil {
+		d.desc.pending--
+		n.maybeRecycle(d.desc)
 	}
 	if n.OnDeliver != nil {
 		n.OnDeliver(d.pkt)
@@ -372,11 +389,12 @@ func (n *NIC) pumpRx() {
 				break
 			}
 			pkt := r.queue.Pop()
+			n.queued--
 			desc := r.cur
 			start := n.align(r.curByte)
 			r.curByte = start + n.frameBytes(pkt)
-			r.pending[desc]++
-			batch = append(batch, rxClaim{r, pkt, desc, start})
+			desc.pending++
+			batch = append(batch, rxClaim{pkt, desc, start})
 		}
 		if len(batch) == 0 {
 			return
@@ -388,17 +406,16 @@ func (n *NIC) pumpRx() {
 			}
 		}
 		for i, p := range batch {
-			n.submitRxDMA(p.r, p.pkt, p.desc, reads[i])
+			n.submitRxDMA(p.pkt, p.desc, reads[i])
 		}
 	}
 }
 
-// rxClaim is one frame a batch claimed: its ring, its descriptor and the
-// frame's byte offset in it.
+// rxClaim is one frame a batch claimed: its descriptor and the frame's
+// byte offset in it.
 type rxClaim struct {
-	r     *ring
 	pkt   Packet
-	desc  *core.Descriptor
+	desc  *rxDesc
 	start int
 }
 
@@ -438,8 +455,15 @@ const rxPipeline = 4
 
 // pickRing round-robins over rings that can make progress.
 func (n *NIC) pickRing() *ring {
-	for i := 0; i < len(n.rings); i++ {
-		r := n.rings[(n.nextRing+i)%len(n.rings)]
+	if n.queued == 0 {
+		return nil
+	}
+	i := n.nextRing
+	for range n.rings {
+		r := n.rings[i]
+		if i++; i == len(n.rings) {
+			i = 0
+		}
 		if r.queue.Len() == 0 {
 			continue
 		}
@@ -447,7 +471,7 @@ func (n *NIC) pickRing() *ring {
 			n.stats.RingStalls++
 			continue
 		}
-		n.nextRing = (n.nextRing + i + 1) % len(n.rings)
+		n.nextRing = i
 		return r
 	}
 	return nil
@@ -478,54 +502,59 @@ func (n *NIC) ensureDescriptor(r *ring) bool {
 
 // submitRxDMA submits one translated stride DMA (slot accounting was done
 // when the batch claimed the stride).
-func (n *NIC) submitRxDMA(r *ring, pkt Packet, desc *core.Descriptor, reads int) {
+func (n *NIC) submitRxDMA(pkt Packet, desc *rxDesc, reads int) {
 	n.stats.RxDMAs++
 	n.stats.RxBytes += int64(pkt.Bytes)
-	n.rxInflight.Push(inflight{ord: n.rx.Submitted(), pkt: pkt, r: r, desc: desc})
+	n.rxInflight.Push(inflight{ord: n.rx.Submitted(), pkt: pkt, desc: desc})
 	n.rx.Submit(pkt.Bytes, reads, n.rxDoneFn)
 }
 
 // maybeRecycle retires a fully-consumed, fully-DMAed descriptor: the
 // driver unmaps it (strict safety: the NIC loses access now) and maps a
 // fresh descriptor, all as CPU work on the owning core.
-func (n *NIC) maybeRecycle(r *ring, desc *core.Descriptor) {
-	if desc == r.cur && n.align(r.curByte)+n.cfg.MTU+n.cfg.HeaderBytes <= len(desc.IOVAs)*ptable.PageSize {
+func (n *NIC) maybeRecycle(d *rxDesc) {
+	r := d.r
+	if d == r.cur && n.align(r.curByte)+n.cfg.MTU+n.cfg.HeaderBytes <= len(d.IOVAs)*ptable.PageSize {
 		return // still being filled
 	}
-	if r.pending[desc] != 0 || r.done[desc] {
+	if d.pending != 0 || d.done {
 		return
 	}
-	r.done[desc] = true
-	if r.cur == desc {
+	d.done = true
+	if r.cur == d {
 		r.cur = nil
 		r.curByte = 0
-	}
-	recycle := func() {
-		n.exec.Do(r.cpu, func() sim.Duration {
-			unmapCost, err := n.dom.UnmapRxDescriptor(desc)
-			if err != nil {
-				panic(fmt.Sprintf("nic: unmap descriptor: %v", err))
-			}
-			fresh, mapCost, err := n.dom.MapRxDescriptor(r.cpu)
-			if err != nil {
-				panic(fmt.Sprintf("nic: replenish descriptor: %v", err))
-			}
-			delete(r.pending, desc)
-			delete(r.done, desc)
-			r.avail.Push(fresh)
-			return unmapCost + mapCost
-		}, func() {
-			n.pumpRx()
-		})
 	}
 	// An injected late completion writeback delays the driver seeing the
 	// descriptor as done — the unmap happens later, never earlier, so
 	// this widens timing windows without ever weakening safety itself.
 	if delay := n.cfg.Faults.DelayWriteback(); delay > 0 {
-		n.eng.After(delay, recycle)
+		n.eng.After(delay, d.recycleFn)
 	} else {
-		recycle()
+		d.recycle()
 	}
+}
+
+// recycle queues the descriptor's unmap and replenish on its ring's core;
+// the pump runs again once that work is done.
+func (d *rxDesc) recycle() { d.n.exec.Do(d.r.cpu, d.replaceFn, d.n.pumpRxFn) }
+
+// replace is the driver's recycling work: it unmaps the descriptor, maps
+// a fresh one into this record and returns it to the ring, reporting the
+// CPU time spent.
+func (d *rxDesc) replace() sim.Duration {
+	n := d.n
+	unmapCost, err := n.dom.UnmapRxDescriptor(d.Descriptor)
+	if err != nil {
+		panic(fmt.Sprintf("nic: unmap descriptor: %v", err))
+	}
+	fresh, mapCost, err := n.dom.MapRxDescriptor(d.r.cpu)
+	if err != nil {
+		panic(fmt.Sprintf("nic: replenish descriptor: %v", err))
+	}
+	d.Descriptor, d.done = fresh, false
+	d.r.avail.Push(d)
+	return unmapCost + mapCost
 }
 
 // SendTx enqueues a Tx DMA: the NIC reads the packet out of host memory

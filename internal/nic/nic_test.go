@@ -5,6 +5,7 @@ import (
 
 	"fastsafe/internal/core"
 	"fastsafe/internal/pcie"
+	"fastsafe/internal/race"
 	"fastsafe/internal/sim"
 )
 
@@ -323,5 +324,54 @@ func TestRingStallCounter(t *testing.T) {
 	h.eng.RunAll()
 	if h.nic.Stats().RingStalls == 0 {
 		t.Fatal("expected ring stalls with a dead executor")
+	}
+}
+
+// TestRxRecycleAllocatesOnlyInTheDriver: in steady state the Rx path —
+// arrivals, DMAs and the recycling of each used descriptor — allocates
+// nothing beyond what the driver's own unmap and replenish allocate.
+func TestRxRecycleAllocatesOnlyInTheDriver(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, mode := range []core.Mode{core.Strict, core.Cap} {
+		h := newHarness(t, mode, Config{})
+		h.nic.OnDeliver = func(Packet) {}
+		burst := func() {
+			for i := 0; i < 60; i++ { // one descriptor's worth of MTU frames
+				h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
+			}
+			h.eng.RunAll()
+		}
+		for i := 0; i < 40; i++ {
+			burst()
+		}
+		const runs = 50
+		before := h.dom.Counters().RxDescriptorsUnmapped
+		for i := 0; i < runs; i++ {
+			burst()
+		}
+		recycled := float64(h.dom.Counters().RxDescriptorsUnmapped-before) / runs
+		nicAllocs := testing.AllocsPerRun(runs, burst)
+		twin := newHarness(t, mode, Config{})
+		desc, _, err := twin.dom.MapRxDescriptor(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driverAllocs := testing.AllocsPerRun(runs, func() {
+			if _, err := twin.dom.UnmapRxDescriptor(desc); err != nil {
+				t.Fatal(err)
+			}
+			if desc, _, err = twin.dom.MapRxDescriptor(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if recycled < 0.5 {
+			t.Fatalf("%v: %v descriptors recycled a burst; the test needs about one", mode, recycled)
+		}
+		if nicAllocs > recycled*driverAllocs {
+			t.Errorf("%v: %v allocs a burst, which recycles %v descriptors; the driver's unmap and replenish make %v each",
+				mode, nicAllocs, recycled, driverAllocs)
+		}
 	}
 }

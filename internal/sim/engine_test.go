@@ -236,21 +236,6 @@ func TestCancelAfterCancelIsInert(t *testing.T) {
 	}
 }
 
-func TestPopClearsHeapIndex(t *testing.T) {
-	// eventQueue.Pop must reset idx so a popped event no longer claims a
-	// position inside the live heap.
-	e := NewEngine(1)
-	e.At(10, func() {})
-	e.At(20, func() {})
-	var popped *event
-	e.queue[0].fn = func() {}
-	popped = e.queue[0]
-	e.Step()
-	if popped.idx != -1 {
-		t.Fatalf("popped event idx = %d, want -1", popped.idx)
-	}
-}
-
 func TestFreeListReusesStructs(t *testing.T) {
 	e := NewEngine(1)
 	for round := 0; round < 3; round++ {

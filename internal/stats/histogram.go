@@ -7,49 +7,59 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // Histogram records int64 samples (typically latencies in nanoseconds) in
 // logarithmically-spaced buckets with bounded relative error, similar in
 // spirit to HDR histograms. The zero value is ready to use.
+//
+// The buckets are rows of subBuckets counts. Row 0 counts the values
+// 0..63 exactly; row r >= 1 splits [2^(r+5), 2^(r+6)) into subBuckets
+// linear sub-buckets. A row is allocated when a sample first lands in it.
 type Histogram struct {
-	buckets map[int64]int64
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
+	rows  [numRows]*[subBuckets]int64
+	count int64
+	sum   int64
+	min   int64
+	max   int64
 }
 
 // subBuckets controls relative precision: each power-of-two range is split
 // into this many linear sub-buckets, bounding relative error to ~1/subBuckets.
-const subBuckets = 64
+const (
+	subBuckets = 64
+	subBits    = 6 // log2(subBuckets)
+	// numRows covers every int64: row 0, then one row per power of two
+	// from 2^subBits to 2^62.
+	numRows = 64 - subBits
+)
 
 // bucketKey maps a value to its bucket's lower bound.
 func bucketKey(v int64) int64 {
 	if v < subBuckets {
 		return v
 	}
-	// Find the highest set bit.
-	shift := 63 - leadingZeros(uint64(v))
-	// Keep the top log2(subBuckets)+1 bits.
-	drop := shift - 6 // log2(64) = 6
-	if drop <= 0 {
-		return v
-	}
+	// Keep the top subBits+1 bits.
+	drop := 63 - bits.LeadingZeros64(uint64(v)) - subBits
 	return (v >> drop) << drop
 }
 
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
+// bucket returns the row and sub-bucket that count v (v >= 0).
+func bucket(v int64) (row, i int) {
+	if v < subBuckets {
+		return 0, int(v)
 	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
+	row = numRows - bits.LeadingZeros64(uint64(v))
+	return row, int(v>>(row-1)) - subBuckets
+}
+
+// bucketLow is the lower bound of sub-bucket i of row r.
+func bucketLow(r, i int) int64 {
+	if r == 0 {
+		return int64(i)
 	}
-	return n
+	return int64(subBuckets+i) << (r - 1)
 }
 
 // Observe records one sample. Negative samples are clamped to zero.
@@ -57,16 +67,18 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	if h.buckets == nil {
-		h.buckets = make(map[int64]int64)
-		h.min = math.MaxInt64
+	r, i := bucket(v)
+	row := h.rows[r]
+	if row == nil {
+		row = new([subBuckets]int64)
+		h.rows[r] = row
 	}
-	h.buckets[bucketKey(v)]++
-	h.count++
-	h.sum += v
-	if v < h.min {
+	row[i]++
+	if h.count == 0 || v < h.min {
 		h.min = v
 	}
+	h.count++
+	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -110,17 +122,16 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q >= 1 {
 		return h.max
 	}
-	keys := make([]int64, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	rank := int64(math.Ceil(q * float64(h.count)))
 	var cum int64
-	for _, k := range keys {
-		cum += h.buckets[k]
-		if cum >= rank {
-			return k
+	for r, row := range &h.rows {
+		if row == nil {
+			continue
+		}
+		for i, n := range row {
+			if cum += n; cum >= rank {
+				return bucketLow(r, i)
+			}
 		}
 	}
 	return h.max
@@ -138,9 +149,14 @@ func (h *Histogram) Percentiles() [5]int64 {
 	}
 }
 
-// Reset discards all samples.
+// Reset discards all samples. The rows stay allocated, zeroed, for the
+// samples that follow.
 func (h *Histogram) Reset() {
-	h.buckets = nil
+	for _, row := range &h.rows {
+		if row != nil {
+			*row = [subBuckets]int64{}
+		}
+	}
 	h.count = 0
 	h.sum = 0
 	h.min = 0

@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"fastsafe/internal/race"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -140,5 +143,87 @@ func TestHistogramString(t *testing.T) {
 	h.Observe(10)
 	if s := h.String(); s == "" {
 		t.Fatal("String() returned empty")
+	}
+}
+
+// histBoundaries are the row boundaries: 0, the ends of row 0 and row 1,
+// 2^k-1 and 2^k for every larger power of two, and MaxInt64.
+func histBoundaries() []int64 {
+	vs := []int64{0, 63, 64, 127, 128}
+	for k := 8; k < 63; k++ {
+		vs = append(vs, 1<<k-1, 1<<k)
+	}
+	return append(vs, math.MaxInt64)
+}
+
+// TestHistogramRowBoundaries: a sample at each row boundary lands in the
+// bucket bucketKey names, alone and among the others, read through
+// Quantile at every rank and through Percentiles.
+func TestHistogramRowBoundaries(t *testing.T) {
+	for _, c := range []struct{ v, key int64 }{
+		{63, 63}, {64, 64}, {127, 127}, {128, 128}, {255, 254},
+		{1<<40 - 1, 1<<40 - 1<<33}, {math.MaxInt64, 127 << 56},
+	} {
+		if got := bucketKey(c.v); got != c.key {
+			t.Errorf("bucketKey(%d) = %d, want %d", c.v, got, c.key)
+		}
+	}
+	vs := histBoundaries()
+	var all Histogram
+	for _, v := range vs {
+		if r, i := bucket(v); bucketLow(r, i) != bucketKey(v) {
+			t.Errorf("%d: row %d sub-bucket %d starts at %d, bucketKey %d", v, r, i, bucketLow(r, i), bucketKey(v))
+		}
+		var h Histogram
+		h.Observe(v)
+		if got := h.Quantile(0.5); got != bucketKey(v) {
+			t.Errorf("one sample %d: Quantile(0.5) = %d, want %d", v, got, bucketKey(v))
+		}
+		if p := h.Percentiles(); p != [5]int64{bucketKey(v), bucketKey(v), bucketKey(v), bucketKey(v), bucketKey(v)} {
+			t.Errorf("one sample %d: Percentiles %v, want bucketKey %d", v, p, bucketKey(v))
+		}
+		all.Observe(v)
+	}
+	n := float64(len(vs)) // vs is sorted
+	for i, v := range vs {
+		if got := all.Quantile((float64(i) + 0.5) / n); got != bucketKey(v) {
+			t.Errorf("rank %d of %d: Quantile = %d, want bucketKey(%d) = %d", i+1, len(vs), got, v, bucketKey(v))
+		}
+	}
+	p := all.Percentiles()
+	for j, q := range []float64{0.50, 0.90, 0.99, 0.999, 0.9999} {
+		if want := bucketKey(vs[int(math.Ceil(q*n))-1]); p[j] != want {
+			t.Errorf("Percentiles[%d] (q=%g) = %d, want %d", j, q, p[j], want)
+		}
+	}
+	if all.Min() != 0 || all.Max() != math.MaxInt64 || all.Quantile(1) != math.MaxInt64 {
+		t.Errorf("min %d max %d Quantile(1) %d, want 0 and MaxInt64 twice", all.Min(), all.Max(), all.Quantile(1))
+	}
+}
+
+// TestHistogramResetReusesRows: Reset zeroes the rows it keeps, so the
+// samples after it allocate nothing and count from zero.
+func TestHistogramResetReusesRows(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	vs := histBoundaries()
+	var h Histogram
+	for _, v := range vs {
+		h.Observe(v)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		h.Reset()
+		for _, v := range vs {
+			h.Observe(v)
+		}
+	}); n != 0 {
+		t.Fatalf("Reset then observe: %v allocs, want 0", n)
+	}
+	h.Reset()
+	h.Observe(1 << 20)
+	if h.Count() != 1 || h.Min() != 1<<20 || h.Quantile(0.001) != 1<<20 || h.Quantile(0.999) != 1<<20 {
+		t.Fatalf("after Reset: count %d min %d quantiles %d %d, want one sample of 2^20",
+			h.Count(), h.Min(), h.Quantile(0.001), h.Quantile(0.999))
 	}
 }

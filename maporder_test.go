@@ -16,12 +16,11 @@ var mapRangeAllowed = map[string]struct {
 	n   int
 	why string
 }{
-	"internal/core/mode.go:ValidModeNames":           {1, "collects the names, then sorts them"},
-	"internal/core/mode.go:ParseMode":                {1, "looks up a unique name"},
-	"internal/stats/histogram.go:Histogram.Quantile": {1, "collects the keys, then sorts them"},
-	"internal/stats/registry.go:Registry.Adopt":      {3, "copies into maps; a name collision is a bug and panics"},
-	"internal/stats/registry.go:Registry.Names":      {3, "collects the names, then sorts them"},
-	"internal/stats/registry.go:Registry.Snapshot":   {2, "copies into a map"},
+	"internal/core/mode.go:ValidModeNames":         {1, "collects the names, then sorts them"},
+	"internal/core/mode.go:ParseMode":              {1, "looks up a unique name"},
+	"internal/stats/registry.go:Registry.Adopt":    {3, "copies into maps; a name collision is a bug and panics"},
+	"internal/stats/registry.go:Registry.Names":    {3, "collects the names, then sorts them"},
+	"internal/stats/registry.go:Registry.Snapshot": {2, "copies into a map"},
 }
 
 // TestNoMapOrderDependence type-checks every non-test package of the
