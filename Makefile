@@ -35,8 +35,9 @@ race:
 	$(GO) test -race -count=10 -run 'TestShards' ./internal/sim
 
 # Compile and run every benchmark exactly once so they cannot bit-rot,
-# printing allocs/op; use `go test -bench=. -benchmem ./...` for real
-# measurements.
+# printing allocs/op (the sim, iommu, iova, ptable, stats and core
+# benchmarks' allocation counts); use `go test -bench=. -benchmem ./...`
+# for real measurements.
 bench:
 	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem ./...
 

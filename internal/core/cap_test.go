@@ -198,19 +198,20 @@ func TestCapTxPath(t *testing.T) {
 				t.Fatalf("%v: Tx page %v: %+v", mode, v, tr)
 			}
 		}
+		v := m.IOVAs[0] // the record is dead once unmapped
 		if _, err := d.UnmapTx(m); err != nil {
 			t.Fatalf("%v: UnmapTx: %v", mode, err)
 		}
 		if mode == Cap {
-			if tr := d.Translate(m.IOVAs[0]); tr.OK() {
+			if tr := d.Translate(v); tr.OK() {
 				t.Fatalf("eager Tx revoke left a live grant: %+v", tr)
 			}
 		} else {
-			if tr := d.Translate(m.IOVAs[0]); !tr.OK() {
+			if tr := d.Translate(v); !tr.OK() {
 				t.Fatalf("lazy Tx revoke closed the window early: %+v", tr)
 			}
 			d.FlushDeferred()
-			if tr := d.Translate(m.IOVAs[0]); tr.OK() {
+			if tr := d.Translate(v); tr.OK() {
 				t.Fatalf("flushed Tx grant still serves: %+v", tr)
 			}
 		}

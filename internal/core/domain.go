@@ -124,40 +124,19 @@ type Descriptor struct {
 	pol *Policy
 }
 
-// TxMapping is a mapped Tx packet: one IOVA per page.
+// TxMapping is a mapped Tx packet: one IOVA per page. The domain owns
+// the record. It is live from MapTx until UnmapTx succeeds; after that
+// the mapping is dead, and the domain hands the record to a later MapTx.
+// A caller keeps neither the pointer nor IOVAs past a successful UnmapTx
+// and copies any IOVA it still needs before the call.
 type TxMapping struct {
 	IOVAs []ptable.IOVA
 	cpu   int
-	// chunk slots used (FNS/StrictContig/FNSHuge Tx)
+	// chunk slots used (contig and huge layouts), one per IOVA
 	chunks []*txChunk
-	// pol is the policy that mapped this packet (see Descriptor.pol).
+	// pol is the policy that mapped this packet (see Descriptor.pol);
+	// nil once UnmapTx has released the record.
 	pol *Policy
-	// IOVAs and chunks of a packet of up to txInline pages live here,
-	// so mapping it costs one allocation.
-	iova  [txInline]ptable.IOVA
-	chunk [txInline]*txChunk
-}
-
-// txInline is the page count a TxMapping holds without separate slices:
-// an MTU-sized packet and an ACK take one or two pages.
-const txInline = 2
-
-// newTxMapping returns an empty mapping on cpu with room for pages IOVAs
-// and, when chunked, as many chunk slots.
-func newTxMapping(cpu, pages int, chunked bool) *TxMapping {
-	m := &TxMapping{cpu: cpu}
-	if pages <= txInline {
-		m.IOVAs = m.iova[:0]
-		if chunked {
-			m.chunks = m.chunk[:0]
-		}
-		return m
-	}
-	m.IOVAs = make([]ptable.IOVA, 0, pages)
-	if chunked {
-		m.chunks = make([]*txChunk, 0, pages)
-	}
-	return m
 }
 
 // txChunk is a per-CPU descriptor-sized IOVA chunk filled across Tx
@@ -207,6 +186,10 @@ type Domain struct {
 	txChunks []*txChunk   // per CPU
 	txPool   []*txPool    // per CPU, persistent mode
 	hugeRx   []*hugeChunk // per CPU, FNSHuge mode
+	// Tx records and chunks UnmapTx released, reused last in first out
+	// (see TxMapping).
+	freeTx     []*TxMapping
+	freeChunks []*txChunk
 
 	batch batch // deferred and cap-lazyrevoke revocations (see policy.go)
 	// caps is the capability family's per-domain grant table registered

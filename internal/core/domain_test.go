@@ -340,11 +340,12 @@ func TestTxStrictPerPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.IOMMU().Translate(m.IOVAs[0])
+	v := m.IOVAs[0] // the record is dead once unmapped
+	d.IOMMU().Translate(v)
 	if _, err := d.UnmapTx(m); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(m.IOVAs[0]); tr.OK() {
+	if tr := d.IOMMU().Translate(v); tr.OK() {
 		t.Fatal("Tx buffer reachable after completion")
 	}
 	if d.Counters().TxPacketsUnmapped != 1 {
@@ -404,12 +405,13 @@ func TestTxFNSSafetyPerPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.IOMMU().Translate(m1.IOVAs[0])
+	v1 := m1.IOVAs[0] // the record is dead once unmapped
+	d.IOMMU().Translate(v1)
 	d.IOMMU().Translate(m2.IOVAs[0])
 	if _, err := d.UnmapTx(m1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(m1.IOVAs[0]); tr.OK() {
+	if tr := d.IOMMU().Translate(v1); tr.OK() {
 		t.Fatal("completed Tx packet still reachable")
 	}
 	if tr := d.IOMMU().Translate(m2.IOVAs[0]); !tr.OK() {

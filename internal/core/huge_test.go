@@ -125,11 +125,12 @@ func TestHugeTxUsesFNSPath(t *testing.T) {
 	if m2.IOVAs[0] != m1.IOVAs[0]+ptable.PageSize {
 		t.Fatal("Tx chunking not active under fns+huge")
 	}
-	d.IOMMU().Translate(m1.IOVAs[0])
+	v1 := m1.IOVAs[0] // the record is dead once unmapped
+	d.IOMMU().Translate(v1)
 	if _, err := d.UnmapTx(m1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(m1.IOVAs[0]); tr.OK() {
+	if tr := d.IOMMU().Translate(v1); tr.OK() {
 		t.Fatal("Tx packet reachable after completion")
 	}
 }

@@ -99,6 +99,7 @@ func (d *Domain) SetKnobs(k Knobs) (sim.Duration, error) {
 		ch.next = ch.pages
 		if ch.released == ch.pages {
 			extra += d.freeIOVA(d.txFreeCPU(cpu), ch.base, ch.pages)
+			d.freeChunks = append(d.freeChunks, ch)
 		}
 		d.txChunks[cpu] = nil
 	}

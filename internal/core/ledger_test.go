@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,11 +172,13 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 	// cpu1's third cross a 4-page chunk boundary.
 	txs := []struct{ cpu, pages int }{{0, 3}, {0, 2}, {1, 1}, {1, 3}, {1, 2}, {2, 2}, {0, 3}}
 	var tx []*TxMapping
+	var txIOVAs [][]ptable.IOVA // copies: a record is dead once unmapped
 	for i, p := range txs {
 		mp, cost, err := d.MapTx(p.cpu, p.pages)
 		l.op(fmt.Sprintf("tx%d map cpu%d", i, p.cpu), cost, err, mp.IOVAs)
 		l.translate(fmt.Sprintf("tx%d[last]", i), mp.IOVAs[len(mp.IOVAs)-1])
 		tx = append(tx, mp)
+		txIOVAs = append(txIOVAs, slices.Clone(mp.IOVAs))
 	}
 	l.translate("rx1[0] again", rx[1].IOVAs[0])
 
@@ -189,7 +192,7 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 	for _, i := range []int{1, 4, 0, 6} {
 		cost, err := d.UnmapTx(tx[i])
 		l.op(fmt.Sprintf("tx%d unmap", i), cost, err, nil)
-		l.translate(fmt.Sprintf("tx%d[last] after unmap", i), tx[i].IOVAs[len(tx[i].IOVAs)-1])
+		l.translate(fmt.Sprintf("tx%d[last] after unmap", i), txIOVAs[i][len(txIOVAs[i])-1])
 	}
 
 	// Window rotation on two live descriptors.
@@ -201,7 +204,7 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 	}
 	l.flush()
 	l.translate("rx5[0] after flush", rx[5].IOVAs[0])
-	l.translate("tx0[last] after flush", tx[0].IOVAs[2])
+	l.translate("tx0[last] after flush", txIOVAs[0][2])
 
 	// A runtime switch with rx1, rx2, rx4, tx2, tx3 and tx5 in flight:
 	// each completes under the mode that mapped it.
@@ -217,6 +220,7 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 	ntx, cost, err := d.MapTx(0, 2)
 	l.op("tx7 map cpu0", cost, err, ntx.IOVAs)
 	l.translate("tx7[0]", ntx.IOVAs[0])
+	ntxIOVAs := slices.Clone(ntx.IOVAs)
 	for _, i := range []int{2, 1, 4} {
 		cost, err := d.UnmapRxDescriptor(rx[i])
 		l.op(fmt.Sprintf("rx%d unmap", i), cost, err, nil)
@@ -230,7 +234,7 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 	cost, err = d.UnmapTx(ntx)
 	l.op("tx7 unmap", cost, err, nil)
 	l.translate("rx2[0] after unmap", rx[2].IOVAs[0])
-	l.translate("tx7[1] after unmap", ntx.IOVAs[1])
+	l.translate("tx7[1] after unmap", ntxIOVAs[1])
 	l.flush()
 
 	c := d.Counters()

@@ -251,14 +251,16 @@ func (d *Domain) RemapRxDescriptor(desc *Descriptor) (sim.Duration, error) {
 	return cost, nil
 }
 
-// MapTx maps a Tx packet occupying the given number of pages on cpu.
+// MapTx maps a Tx packet occupying the given number of pages on cpu. The
+// record it returns may be one an earlier UnmapTx released: it stays
+// live, and the caller's, until UnmapTx succeeds on it.
 func (d *Domain) MapTx(cpu, pages int) (*TxMapping, sim.Duration, error) {
 	if pages <= 0 {
 		pages = 1
 	}
 	p := d.pol
-	m := newTxMapping(cpu, pages, p.layout == contig || p.layout == huge)
-	m.pol = p
+	m := pop(&d.freeTx)
+	m.cpu, m.pol = cpu, p
 	var cost sim.Duration
 	var err error
 	switch p.layout {
@@ -294,14 +296,24 @@ func (d *Domain) MapTx(cpu, pages int) (*TxMapping, sim.Duration, error) {
 // Strict safety requires the device to lose access as soon as the
 // packet completes, so even F&S invalidates here — but ranged over each
 // contiguous run the packet occupies within its chunks.
+//
+// Once UnmapTx succeeds the mapping is dead: the domain empties the
+// record and hands it to a later MapTx. Unmapping a record that is not
+// live is an error that changes nothing, and an UnmapTx that fails
+// leaves the record live.
 func (d *Domain) UnmapTx(m *TxMapping) (sim.Duration, error) {
 	p := m.pol
+	if p == nil {
+		return 0, errTxUnmapped
+	}
 	switch p.layout {
 	case identity:
+		d.releaseTx(m)
 		return 0, nil
 	case pinned:
 		pool := d.txPools(m.cpu)
 		pool.free = append(pool.free, m.IOVAs...)
+		d.releaseTx(m)
 		d.c.TxPacketsUnmapped++
 		return 0, nil
 	}
@@ -331,9 +343,11 @@ func (d *Domain) UnmapTx(m *TxMapping) (sim.Duration, error) {
 			if d.txChunks[m.cpu] == ch {
 				d.txChunks[m.cpu] = nil
 			}
+			d.freeChunks = append(d.freeChunks, ch)
 		}
 	}
 	cost += d.maybeFlush(p)
+	d.releaseTx(m)
 	d.c.TxPacketsUnmapped++
 	d.c.CPUTime += cost
 	return cost, nil
@@ -402,7 +416,8 @@ func (d *Domain) mapChunked(m *TxMapping, pages int) (sim.Duration, error) {
 				return cost, err
 			}
 			cost += c
-			ch = &txChunk{base: base, pages: d.cfg.DescriptorPages}
+			ch = pop(&d.freeChunks)
+			*ch = txChunk{base: base, pages: d.cfg.DescriptorPages}
 			d.txChunks[m.cpu] = ch
 		}
 		n := min(pages-len(m.IOVAs), ch.pages-ch.next)

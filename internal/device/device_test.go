@@ -7,6 +7,7 @@ import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/device"
 	"fastsafe/internal/host"
+	"fastsafe/internal/race"
 	"fastsafe/internal/sim"
 )
 
@@ -72,5 +73,39 @@ func TestNewStorageDefaults(t *testing.T) {
 	}
 	if s.Domain() != nil {
 		t.Fatal("domain must be nil before Attach")
+	}
+}
+
+// TestStorageBlockCycleAllocs: once warm, a storage block — map, DMA,
+// completion and unmap — allocates nothing, in the modes the storage
+// figures run. Each stage is bound once at attach and each block's
+// mapping rides the device's FIFO queues and the domain's recycled Tx
+// records.
+func TestStorageBlockCycleAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, mode := range []core.Mode{core.Strict, core.Deferred, core.FNS, core.Off} {
+		h, err := host.New(host.Config{Mode: mode, RxFlows: -1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := h.InstallStorage(host.StorageSpec{ReadGBps: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start()
+		eng := h.Engine()
+		eng.Run(sim.Millisecond)
+		// 128KB at 8GB/s: one block every 16.384us.
+		const runs, interval = 200, 16384
+		b0 := s.Blocks()
+		n := testing.AllocsPerRun(runs, func() { eng.Run(eng.Now() + interval) })
+		if got := s.Blocks() - b0; got < runs {
+			t.Fatalf("%v: %d blocks in %d intervals", mode, got, runs+1)
+		}
+		if n != 0 {
+			t.Errorf("%v: %v allocs a block, want 0", mode, n)
+		}
 	}
 }

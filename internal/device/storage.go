@@ -27,8 +27,19 @@ type Storage struct {
 	link     *pcie.Link
 	faults   *fault.Device
 	interval sim.Duration
+	pages    int // pages per block
 	blocks   int64
 	bytes    int64
+
+	// Blocks mapped and not yet submitted, and submitted and not yet
+	// unmapped, each oldest first. The host core runs work FIFO and the
+	// link completes DMAs FIFO, so the submit, and later the unmap,
+	// always takes the oldest block of its queue.
+	mapped, submitted sim.FIFO[*core.TxMapping]
+	// The stages of a block, bound once in Attach so a block allocates
+	// nothing.
+	issueFn, submitFn, completeFn func()
+	mapFn, unmapFn                func() sim.Duration
 }
 
 // StorageConfig configures one storage device. The host chooses CPU and
@@ -53,6 +64,7 @@ func NewStorage(cfg StorageConfig) *Storage {
 	return &Storage{
 		cfg:      cfg,
 		interval: sim.Duration(float64(cfg.BlockBytes) / cfg.ReadGBps),
+		pages:    (cfg.BlockBytes + ptable.PageSize - 1) / ptable.PageSize,
 	}
 }
 
@@ -88,50 +100,66 @@ func (s *Storage) Attach(h Host) error {
 	}
 	s.dom = dom
 	s.faults = h.Faults().Device(s.dom)
+	s.issueFn, s.submitFn, s.completeFn = s.issue, s.submit, s.complete
+	s.mapFn, s.unmapFn = s.mapBlock, s.unmapBlock
 	return nil
 }
 
 // Start begins the periodic block stream.
 func (s *Storage) Start() {
-	s.h.Engine().After(s.interval, s.issue)
+	s.h.Engine().After(s.interval, s.issueFn)
 }
 
-// issue maps one block, translates and DMAs it, and unmaps on completion —
-// the storage driver's strict-safety datapath, sharing every IOMMU
-// structure with the other devices.
+// issue starts one block — the storage driver's strict-safety datapath,
+// sharing every IOMMU structure with the other devices: the host core
+// maps it, the device translates and DMAs it, and the core unmaps it on
+// completion. The next block is due one interval later.
 func (s *Storage) issue() {
-	pages := (s.cfg.BlockBytes + 4095) / 4096
-	var m *core.TxMapping
-	s.h.Exec(s.cfg.CPU, func() sim.Duration {
-		tm, mc, err := s.dom.MapTx(0, pages)
-		if err != nil {
-			panic(fmt.Sprintf("device: storage MapTx: %v", err))
+	s.h.Exec(s.cfg.CPU, s.mapFn, s.submitFn)
+	s.h.Engine().After(s.interval, s.issueFn)
+}
+
+// mapBlock is a block's map work on the host core.
+func (s *Storage) mapBlock() sim.Duration {
+	m, cost, err := s.dom.MapTx(0, s.pages)
+	if err != nil {
+		panic(fmt.Sprintf("device: storage MapTx: %v", err))
+	}
+	s.mapped.Push(m)
+	return cost
+}
+
+// submit translates the oldest mapped block and hands its DMA to the
+// link.
+func (s *Storage) submit() {
+	m := s.mapped.Pop()
+	s.submitted.Push(m)
+	reads := 0
+	if s.dom.Mode().Translated() {
+		s.faults.Observe(m.IOVAs[0])
+		// One run of 512B transactions per page: eight, or what the
+		// block's tail leaves on its last page.
+		for off := 0; off < s.cfg.BlockBytes; off += ptable.PageSize {
+			n := (min(ptable.PageSize, s.cfg.BlockBytes-off) + 511) / 512
+			reads += s.dom.TranslateRun(m.IOVAs[off/ptable.PageSize], n, 512)
 		}
-		m = tm
-		return mc
-	}, func() {
-		reads := 0
-		if s.dom.Mode().Translated() {
-			s.faults.Observe(m.IOVAs[0])
-			// One run of 512B transactions per page: eight, or what the
-			// block's tail leaves on its last page.
-			for off := 0; off < s.cfg.BlockBytes; off += ptable.PageSize {
-				n := (min(ptable.PageSize, s.cfg.BlockBytes-off) + 511) / 512
-				reads += s.dom.TranslateRun(m.IOVAs[off/ptable.PageSize], n, 512)
-			}
-			reads += s.faults.MaybeMisbehave()
-		}
-		s.link.Submit(s.cfg.BlockBytes, reads, func() {
-			s.blocks++
-			s.bytes += int64(s.cfg.BlockBytes)
-			s.h.Exec(s.cfg.CPU, func() sim.Duration {
-				cost, err := s.dom.UnmapTx(m)
-				if err != nil {
-					panic(fmt.Sprintf("device: storage UnmapTx: %v", err))
-				}
-				return cost
-			}, nil)
-		})
-	})
-	s.h.Engine().After(s.interval, s.issue)
+		reads += s.faults.MaybeMisbehave()
+	}
+	s.link.Submit(s.cfg.BlockBytes, reads, s.completeFn)
+}
+
+// complete counts the oldest DMA in flight and queues its unmap.
+func (s *Storage) complete() {
+	s.blocks++
+	s.bytes += int64(s.cfg.BlockBytes)
+	s.h.Exec(s.cfg.CPU, s.unmapFn, nil)
+}
+
+// unmapBlock is the unmap work of the oldest completed block.
+func (s *Storage) unmapBlock() sim.Duration {
+	cost, err := s.dom.UnmapTx(s.submitted.Pop())
+	if err != nil {
+		panic(fmt.Sprintf("device: storage UnmapTx: %v", err))
+	}
+	return cost
 }

@@ -143,9 +143,6 @@ func (a *TreeAllocator) Free(_ int, base ptable.IOVA, pages int) {
 	a.stats.TreeFrees++
 }
 
-// Allocated returns the number of live allocated ranges.
-func (a *TreeAllocator) Allocated() int { return a.tree.size }
-
 // Magazine geometry, matching the Linux iova rcache.
 const (
 	// MagSize is the number of IOVAs per magazine (IOVA_MAG_SIZE).
@@ -186,6 +183,11 @@ type cpuRCache struct {
 type rcache struct {
 	percpu []*cpuRCache
 	depot  []*magazine
+	// spare holds emptied magazines — swapped out for a depot one, or
+	// drained by FlushRCaches — for Free to load when it next spills to
+	// the depot: Linux frees and reallocates them, the simulator reuses
+	// them so a warm allocator allocates nothing.
+	spare []*magazine
 }
 
 // CachedAllocator is the Linux allocator with the per-CPU rcache front-end
@@ -265,6 +267,7 @@ func (a *CachedAllocator) Alloc(cpu, pages int) (ptable.IOVA, bool) {
 	case !pc.prev.empty():
 		pc.loaded, pc.prev = pc.prev, pc.loaded
 	case len(rc.depot) > 0:
+		rc.spare = append(rc.spare, pc.loaded)
 		pc.loaded = rc.depot[len(rc.depot)-1]
 		rc.depot = rc.depot[:len(rc.depot)-1]
 		a.stats.DepotMoves++
@@ -293,7 +296,12 @@ func (a *CachedAllocator) Free(cpu int, base ptable.IOVA, pages int) {
 	default:
 		if len(rc.depot) < MaxGlobalMags {
 			rc.depot = append(rc.depot, pc.loaded)
-			pc.loaded = new(magazine)
+			if n := len(rc.spare); n > 0 {
+				pc.loaded = rc.spare[n-1]
+				rc.spare = rc.spare[:n-1]
+			} else {
+				pc.loaded = new(magazine)
+			}
 			a.stats.DepotMoves++
 		} else {
 			// Depot full: flush the loaded magazine back to the tree.
@@ -335,6 +343,7 @@ func (a *CachedAllocator) FlushRCaches() int {
 		for _, m := range rc.depot {
 			drain(m)
 		}
+		rc.spare = append(rc.spare, rc.depot...)
 		rc.depot = rc.depot[:0]
 	}
 	return released

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fastsafe/internal/ptable"
+	"fastsafe/internal/race"
 )
 
 func TestTreeAllocTopDown(t *testing.T) {
@@ -264,6 +265,38 @@ func TestCachedDepotSpill(t *testing.T) {
 	}
 	if a.Stats().TreeAllocs != treeBefore {
 		t.Fatal("depot should have served the overflow")
+	}
+}
+
+// TestCachedDepotChurnAllocs: once warm, a CPU cache that spills full
+// magazines to the depot and loads them back allocates nothing, because
+// the magazines it empties are reused for the next spill.
+func TestCachedDepotChurnAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	a := NewCached(1)
+	vs := make([]ptable.IOVA, 0, 4*MagSize)
+	churn := func() {
+		for i := 0; i < 4*MagSize; i++ {
+			v, ok := a.Alloc(0, 1)
+			if !ok {
+				t.Fatal("alloc failed")
+			}
+			vs = append(vs, v)
+		}
+		for _, v := range vs {
+			a.Free(0, v, 1)
+		}
+		vs = vs[:0]
+	}
+	churn()
+	moves := a.Stats().DepotMoves
+	if n := testing.AllocsPerRun(10, churn); n != 0 {
+		t.Errorf("depot churn: %v allocs a round, want 0", n)
+	}
+	if got := a.Stats().DepotMoves - moves; got != 11*4 {
+		t.Fatalf("%d depot moves in 11 rounds, want 44 (two magazines out and back a round)", got)
 	}
 }
 

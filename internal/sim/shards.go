@@ -134,10 +134,6 @@ func (s *Shards) N() int { return len(s.engs) }
 // Engine returns shard i's engine.
 func (s *Shards) Engine(i int) *Engine { return s.engs[i] }
 
-// Lookahead returns the cross-shard causality bound the coordinator was
-// built with.
-func (s *Shards) Lookahead() Duration { return s.lookahead }
-
 // Rounds returns the number of synchronization rounds executed so far —
 // a telemetry hook for scaling analysis (wall-clock cost is roughly
 // events + rounds x barrier overhead). A single shard runs no rounds.

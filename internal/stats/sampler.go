@@ -56,9 +56,6 @@ func NewSampler(eng *sim.Engine, every sim.Duration) *Sampler {
 	return &Sampler{eng: eng, every: every}
 }
 
-// Interval returns the sampling interval.
-func (s *Sampler) Interval() sim.Duration { return s.every }
-
 // Probe registers a named probe. fn receives the interval covered by this
 // tick and returns the series value for it. Probes appear in Series() in
 // registration order, which is fixed by the wiring code and therefore

@@ -109,9 +109,6 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 // Alpha returns the current DCTCP congestion estimate.
 func (s *Sender) Alpha() float64 { return s.alpha }
 
-// Una returns the oldest unacknowledged segment.
-func (s *Sender) Una() int64 { return s.una }
-
 // Inflight returns the number of outstanding segments.
 func (s *Sender) Inflight() int64 { return s.next - s.una }
 
