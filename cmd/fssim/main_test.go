@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime/coverage"
 	"strings"
 	"testing"
 
@@ -20,9 +21,24 @@ const asMainEnv = "FSSIM_TEST_AS_MAIN"
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
 		main()
+		writeCoverage()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// writeCoverage saves the statement counters of a test binary built
+// with -cover and running as fssim in $GOCOVERDIR: such a run ends
+// before the testing package would write them. `make reach` runs the
+// goldenRuns vectors this way.
+func writeCoverage() {
+	dir := os.Getenv("GOCOVERDIR")
+	if dir == "" {
+		return
+	}
+	if coverage.WriteMetaDir(dir) == nil { // fails unless built with -cover
+		coverage.WriteCountersDir(dir)
+	}
 }
 
 // fssim runs the test binary as fssim with args and returns its stdout,

@@ -35,7 +35,7 @@ func TestInsertReusesEntries(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("insert after a shoot-down: %v allocs, want 0", n)
 	}
-	if a.Len() > 4 {
-		t.Fatalf("cache holds %d entries, capacity 4", a.Len())
+	if len(a.entries) > 4 {
+		t.Fatalf("cache holds %d entries, capacity 4", len(a.entries))
 	}
 }

@@ -117,9 +117,6 @@ func (a *Cache) SetAuditHook(fn func(ptable.IOVA, iommu.Translation)) { a.audit 
 // Counters returns a snapshot of the ATC counters.
 func (a *Cache) Counters() Counters { return a.c }
 
-// Len reports the live entry count.
-func (a *Cache) Len() int { return len(a.entries) }
-
 // Translate implements iommu.Translator: serve from the device TLB when
 // possible, otherwise send an ATS translation request (the inner
 // pipeline) and cache the completion. A faulting request costs an extra

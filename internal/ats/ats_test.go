@@ -85,8 +85,8 @@ func TestInvalidateDropsAndForwards(t *testing.T) {
 	}
 	before := m.CountersOf(d)
 	a.Invalidate(0, 2, false)
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d after invalidating 2 of 4", a.Len())
+	if len(a.entries) != 2 {
+		t.Fatalf("Len = %d after invalidating 2 of 4", len(a.entries))
 	}
 	c := a.Counters()
 	if c.InvMessages != 1 || c.Invalidated != 2 {
@@ -114,8 +114,8 @@ func TestInvalidateAllFlushes(t *testing.T) {
 		a.Translate(v)
 	}
 	a.InvalidateAll()
-	if a.Len() != 0 {
-		t.Fatalf("Len = %d after flush", a.Len())
+	if len(a.entries) != 0 {
+		t.Fatalf("Len = %d after flush", len(a.entries))
 	}
 	if c := a.Counters(); c.Invalidated != 3 {
 		t.Fatalf("Invalidated = %d, want 3", c.Invalidated)
@@ -162,7 +162,7 @@ func TestPRIFallbackOnFault(t *testing.T) {
 	if c := a.Counters(); c.PRIRequests != 1 {
 		t.Fatalf("PRIRequests = %d", c.PRIRequests)
 	}
-	if a.Len() != 0 {
+	if len(a.entries) != 0 {
 		t.Fatal("faulting translation cached")
 	}
 }
@@ -324,7 +324,7 @@ func TestRunMatchesTranslates(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				want += b.Translate(v + ptable.IOVA(i*512)).MemReads()
 			}
-			if got != want || a.Counters() != b.Counters() || ma.Counters() != mb.Counters() || a.Len() != b.Len() {
+			if got != want || a.Counters() != b.Counters() || ma.Counters() != mb.Counters() || len(a.entries) != len(b.entries) {
 				t.Fatalf("run: reads %d, ATC %+v, IOMMU %+v\n8 Translates: reads %d, ATC %+v, IOMMU %+v",
 					got, a.Counters(), ma.Counters(), want, b.Counters(), mb.Counters())
 			}

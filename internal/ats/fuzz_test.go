@@ -30,6 +30,12 @@ func FuzzATC(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { runATCOps(t, data) })
 }
 
+// hugeMapped reports whether v is covered by a live 2MB leaf.
+func hugeMapped(tb *ptable.Table, v ptable.IOVA) bool {
+	_, huge, ok := tb.LookupHugeAware(v)
+	return ok && huge
+}
+
 // The operations a FuzzATC input encodes, three bytes each: the
 // operation, a page selector and an argument. A selector's low three
 // bits pick one of four pages at the start of one of two 2MB regions;
@@ -186,7 +192,7 @@ func (w *atcWorld) mutate(op int, r int, v ptable.IOVA, arg byte) {
 	case opUnmap:
 		_, _ = w.tb.Unmap(v, ptable.PageSize)
 	case opUnmapSpan:
-		if w.tb.HugeMapped(atcRegions[r]) {
+		if hugeMapped(w.tb, atcRegions[r]) {
 			return
 		}
 		for i := 0; i < ptable.EntriesPerPage; i++ {
@@ -253,7 +259,7 @@ func runATCOps(t *testing.T, data []byte) atcReach {
 			var underHuge bool
 			if n > 1 {
 				e := a.a.entries[v]
-				underHuge = e != nil && !e.huge && !e.leaf.Live() && a.tb.HugeMapped(v)
+				underHuge = e != nil && !e.huge && !e.leaf.Live() && hugeMapped(a.tb, v)
 			}
 			readsA = a.a.TranslateRun(u, n, runStride)
 			readsC = c.tr.TranslateRun(u, n, runStride)
@@ -290,8 +296,8 @@ func runATCOps(t *testing.T, data []byte) atcReach {
 		if ca, cb := a.a.Counters(), b.a.Counters(); ca != cb {
 			t.Fatalf("op %d (%d): ATC counters %+v, twin %+v", i/3, op, ca, cb)
 		}
-		if a.a.Len() != b.a.Len() || a.a.Len() > entries {
-			t.Fatalf("op %d (%d): ATC holds %d entries, twin %d, capacity %d", i/3, op, a.a.Len(), b.a.Len(), entries)
+		if len(a.a.entries) != len(b.a.entries) || len(a.a.entries) > entries {
+			t.Fatalf("op %d (%d): ATC holds %d entries, twin %d, capacity %d", i/3, op, len(a.a.entries), len(b.a.entries), entries)
 		}
 		for _, pair := range []struct {
 			x, y   *atcWorld

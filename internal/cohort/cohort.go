@@ -197,7 +197,6 @@ type Fleet struct {
 	groups []Group
 	heap   []int // connection indices ordered by (nextAt, index)
 	nextID int64
-	births int64
 	deaths int64
 }
 
@@ -230,7 +229,6 @@ func (f *Fleet) birth(i int, now sim.Time) {
 	c := &f.conns[i]
 	c.rng = connRNG(f.cfg.Seed, i, c.gen)
 	c.nextAt = now + sim.Time(f.cfg.expGap(&c.rng))
-	f.births++
 	f.push(i)
 }
 
@@ -312,15 +310,8 @@ func (f *Fleet) die(i int, now sim.Time) {
 	f.birth(i, now)
 }
 
-// Births returns total connection incarnations (including the initial
-// population).
-func (f *Fleet) Births() int64 { return f.births }
-
 // Deaths returns total connection deaths (the churn event count).
 func (f *Fleet) Deaths() int64 { return f.deaths }
-
-// Groups returns the live cohort states (index = Arrival.Group).
-func (f *Fleet) Groups() []Group { return f.groups }
 
 // Cohort returns the configured cohort size.
 func (f *Fleet) Cohort() int { return f.cfg.Cohort }

@@ -74,9 +74,9 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("arrival %d diverged across identical fleets: %+v vs %+v", i, a1[i], a2[i])
 		}
 	}
-	if f1.Deaths() != f2.Deaths() || f1.Births() != f2.Births() {
+	if f1.Deaths() != f2.Deaths() || births(f1) != births(f2) {
 		t.Fatalf("churn accounting diverged: %d/%d deaths, %d/%d births",
-			f1.Deaths(), f2.Deaths(), f1.Births(), f2.Births())
+			f1.Deaths(), f2.Deaths(), births(f1), births(f2))
 	}
 	if f1.Deaths() == 0 {
 		t.Fatal("no deaths in 5000 requests at churn 0.3: the churn path is vacuous")
@@ -193,7 +193,7 @@ func TestGroupAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := f.Groups()
+	gs := f.groups
 	if len(gs) != 3 || gs[0].Members != 4 || gs[2].Members != 2 {
 		t.Fatalf("group layout wrong: %+v", gs)
 	}
@@ -203,13 +203,23 @@ func TestGroupAggregates(t *testing.T) {
 		want[a.Group] += int64(a.Req + a.Resp)
 	}
 	for g, w := range want {
-		if got := f.Groups()[g].Bytes; got != w {
+		if got := f.groups[g].Bytes; got != w {
 			t.Errorf("group %d bytes = %d, want exact member sum %d", g, got, w)
 		}
-		if f.Groups()[g].InFlight != 0 {
-			t.Errorf("group %d leaked in-flight accounting: %d", g, f.Groups()[g].InFlight)
+		if f.groups[g].InFlight != 0 {
+			t.Errorf("group %d leaked in-flight accounting: %d", g, f.groups[g].InFlight)
 		}
 	}
+}
+
+// births counts connection incarnations: each slot's first and one per
+// rebirth since.
+func births(f *Fleet) int64 {
+	n := int64(len(f.conns))
+	for _, c := range f.conns {
+		n += int64(c.gen)
+	}
+	return n
 }
 
 // Abandon must keep churn accounting consistent: a Last arrival still
@@ -239,13 +249,13 @@ func TestAbandonChurnAccounting(t *testing.T) {
 	if !f.Abandon(a, sim.Time(at)) {
 		t.Fatal("abandoning a Last arrival must rebirth the connection")
 	}
-	if f.Deaths() != 1 || f.Births() != 2 {
-		t.Fatalf("deaths=%d births=%d, want 1 and 2", f.Deaths(), f.Births())
+	if f.Deaths() != 1 || births(f) != 2 {
+		t.Fatalf("deaths=%d births=%d, want 1 and 2", f.Deaths(), births(f))
 	}
 	if _, ok := f.Peek(); !ok {
 		t.Fatal("rebirth must reschedule the slot")
 	}
-	if g := f.Groups()[0]; g.InFlight != 0 {
+	if g := f.groups[0]; g.InFlight != 0 {
 		t.Fatalf("InFlight = %d after abandon, want 0", g.InFlight)
 	}
 	if f.Cohort() != 1 {

@@ -150,7 +150,8 @@ func TestCooldownSuppressesThrash(t *testing.T) {
 func TestPressureRule(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := stats.NewRegistry()
-	util := reg.Gauge("util")
+	var util float64
+	reg.GaugeFunc("util", func() float64 { return util })
 	dom := testDomain(t, core.Strict)
 	c, err := New(eng, reg, "", Config{Every: 100, Rules: []Rule{{
 		Kind: Pressure, Metric: "util", High: 0.8, Low: 0.2,
@@ -160,17 +161,17 @@ func TestPressureRule(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	c.Start()
-	util.Set(0.9)
+	util = 0.9
 	eng.Run(150)
 	if dom.Mode() != core.FNS {
 		t.Fatalf("mode under pressure = %v, want fns", dom.Mode())
 	}
-	util.Set(0.5) // inside the hysteresis band: hold
+	util = 0.5 // inside the hysteresis band: hold
 	eng.Run(250)
 	if dom.Mode() != core.FNS {
 		t.Fatalf("mode in hysteresis band = %v, want fns held", dom.Mode())
 	}
-	util.Set(0.1)
+	util = 0.1
 	eng.Run(350)
 	if dom.Mode() != core.Strict {
 		t.Fatalf("mode after pressure = %v, want strict restored", dom.Mode())
@@ -183,8 +184,8 @@ func TestPressureRule(t *testing.T) {
 func TestMetricLookupPrefixAndFallback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := stats.NewRegistry()
-	reg.Gauge("util").Set(0.0)       // bare name: calm
-	reg.Gauge("host1.util").Set(1.0) // prefixed: pressure
+	reg.GaugeFunc("util", func() float64 { return 0 })       // bare name: calm
+	reg.GaugeFunc("host1.util", func() float64 { return 1 }) // prefixed: pressure
 	dom := testDomain(t, core.Strict)
 	mk := func(metric string) *Controller {
 		c, err := New(eng, reg, "host1.", Config{Every: 100, Rules: []Rule{{

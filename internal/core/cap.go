@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fastsafe/internal/iommu"
-	"fastsafe/internal/ptable"
-)
+import "fastsafe/internal/ptable"
 
 // The CAPIO-style capability family. The domain grants the device one
 // capability per page at map time and the IOMMU validates every DMA
@@ -36,7 +33,3 @@ type capRegrant struct {
 	v    ptable.IOVA
 	phys ptable.Phys
 }
-
-// CapTable exposes the domain's capability table (nil outside the
-// capability family).
-func (d *Domain) CapTable() *iommu.CapTable { return d.caps }

@@ -22,7 +22,7 @@ func TestCapMapGrantsUnmapRevokes(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("cap map should cost CPU time (grants are not free)")
 	}
-	ct := d.CapTable()
+	ct := d.caps
 	if ct == nil {
 		t.Fatal("cap domain has no capability table")
 	}
@@ -35,7 +35,7 @@ func TestCapMapGrantsUnmapRevokes(t *testing.T) {
 			t.Fatalf("granted page %v: %+v", v, tr)
 		}
 	}
-	c := d.IOMMU().Counters()
+	c := d.mmu.Counters()
 	if c.CapChecks != 64 {
 		t.Fatalf("CapChecks = %d, want 64", c.CapChecks)
 	}
@@ -55,7 +55,7 @@ func TestCapMapGrantsUnmapRevokes(t *testing.T) {
 	if tr := d.Translate(desc.IOVAs[0]); tr.OK() {
 		t.Fatalf("revoked page still translates: %+v", tr)
 	}
-	c = d.IOMMU().Counters()
+	c = d.mmu.Counters()
 	if c.CapDenied == 0 {
 		t.Fatal("denied access not counted")
 	}
@@ -101,7 +101,7 @@ func TestCapRemapRegrantsWithoutShootdown(t *testing.T) {
 			t.Fatalf("page %d not rotated", i)
 		}
 	}
-	c := d.IOMMU().Counters()
+	c := d.mmu.Counters()
 	if c.InvRequests != 0 || c.ATCInvRequests != 0 {
 		t.Fatalf("cap remap issued shootdowns: %+v", c)
 	}
@@ -137,8 +137,8 @@ func TestCapLazyRevokeWindowAndFlush(t *testing.T) {
 	if d.PendingDeferred() != 0 {
 		t.Fatal("flush left pending revocations")
 	}
-	if d.CapTable().Len() != 0 {
-		t.Fatalf("grants after flush = %d, want 0", d.CapTable().Len())
+	if d.caps.Len() != 0 {
+		t.Fatalf("grants after flush = %d, want 0", d.caps.Len())
 	}
 	if tr := d.Translate(desc.IOVAs[0]); tr.OK() {
 		t.Fatalf("revoked grant still serves: %+v", tr)
@@ -215,7 +215,7 @@ func TestCapTxPath(t *testing.T) {
 				t.Fatalf("flushed Tx grant still serves: %+v", tr)
 			}
 		}
-		if c := d.IOMMU().Counters(); c.InvRequests != 0 {
+		if c := d.mmu.Counters(); c.InvRequests != 0 {
 			t.Fatalf("%v: Tx path used the invalidation queue", mode)
 		}
 	}
@@ -234,7 +234,7 @@ func TestCapDomainsNeverAttachATC(t *testing.T) {
 		if d.ATC() != nil {
 			t.Fatalf("%v: capability domain attached an ATC", mode)
 		}
-		if d.CapTable() == nil {
+		if d.caps == nil {
 			t.Fatalf("%v: capability domain missing its table", mode)
 		}
 	}
@@ -250,9 +250,7 @@ func TestCapPersistentPagesGranted(t *testing.T) {
 		t.Fatalf("MapPersistentPages = %v, %v", iovas, err)
 	}
 	for _, v := range iovas {
-		if !d.CapTable().Granted(v) {
-			t.Fatalf("persistent page %v not granted", v)
-		}
+		// Only a live grant passes the capability check.
 		if tr := d.Translate(v); !tr.OK() || tr.Served() != iommu.ByCap {
 			t.Fatalf("persistent page %v: %+v", v, tr)
 		}

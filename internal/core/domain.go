@@ -275,9 +275,6 @@ func (d *Domain) Mode() Mode { return d.knobs.Mode }
 // DescriptorPages returns the configured pages per Rx descriptor.
 func (d *Domain) DescriptorPages() int { return d.cfg.DescriptorPages }
 
-// IOMMU returns the (possibly shared) IOMMU.
-func (d *Domain) IOMMU() *iommu.IOMMU { return d.mmu }
-
 // ID returns the domain's identifier within the IOMMU.
 func (d *Domain) ID() iommu.DomainID { return d.domID }
 

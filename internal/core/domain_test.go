@@ -4,11 +4,20 @@ import (
 	"testing"
 
 	"fastsafe/internal/ptable"
+	"fastsafe/internal/stats"
 )
 
 func newDomain(t *testing.T, mode Mode) *Domain {
 	t.Helper()
 	return mustDomain(t, Config{Mode: mode, NumCPUs: 2, DescriptorPages: 64})
+}
+
+// mappings reads a page table's live 4KB mappings through its probes.
+func mappings(tb *ptable.Table) int {
+	r := stats.NewRegistry()
+	tb.RegisterProbes(r, "")
+	n, _ := r.Value("mappings")
+	return int(n)
 }
 
 func mustDomain(t *testing.T, cfg Config) *Domain {
@@ -72,7 +81,7 @@ func TestOffModeNoIOMMUWork(t *testing.T) {
 	if _, err := d.UnmapRxDescriptor(desc); err != nil {
 		t.Fatal(err)
 	}
-	if d.IOMMU().Table().Mappings() != 0 {
+	if mappings(d.mmu.TableOf(0)) != 0 {
 		t.Fatal("Off mode touched the page table")
 	}
 }
@@ -86,11 +95,11 @@ func TestStrictRxMapsEveryPage(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("strict map should cost CPU time")
 	}
-	if d.IOMMU().Table().Mappings() != 64 {
-		t.Fatalf("mappings = %d, want 64", d.IOMMU().Table().Mappings())
+	if mappings(d.mmu.TableOf(0)) != 64 {
+		t.Fatalf("mappings = %d, want 64", mappings(d.mmu.TableOf(0)))
 	}
 	for _, v := range desc.IOVAs {
-		if !d.IOMMU().Table().Mapped(v) {
+		if !d.mmu.TableOf(0).Mapped(v) {
 			t.Fatalf("%v not mapped", v)
 		}
 	}
@@ -106,18 +115,18 @@ func TestStrictSafetyAfterUnmap(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range desc.IOVAs {
-			d.IOMMU().Translate(v)
+			d.mmu.TranslateIn(0, v)
 		}
 		if _, err := d.UnmapRxDescriptor(desc); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range desc.IOVAs {
-			tr := d.IOMMU().Translate(v)
+			tr := d.mmu.TranslateIn(0, v)
 			if tr.OK() {
 				t.Fatalf("mode %v: device still reaches %v after unmap", mode, v)
 			}
 		}
-		c := d.IOMMU().Counters()
+		c := d.mmu.Counters()
 		if c.StaleIOTLBUses != 0 || c.StalePTUses != 0 {
 			t.Fatalf("mode %v: stale uses: %+v", mode, c)
 		}
@@ -131,7 +140,7 @@ func TestDeferredLeavesUnsafeWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range desc.IOVAs {
-		d.IOMMU().Translate(v)
+		d.mmu.TranslateIn(0, v)
 	}
 	if _, err := d.UnmapRxDescriptor(desc); err != nil {
 		t.Fatal(err)
@@ -140,7 +149,7 @@ func TestDeferredLeavesUnsafeWindow(t *testing.T) {
 	// IOTLB entries: the deferred-mode safety hole.
 	stale := 0
 	for _, v := range desc.IOVAs {
-		if tr := d.IOMMU().Translate(v); tr.OK() && tr.Stale() {
+		if tr := d.mmu.TranslateIn(0, v); tr.OK() && tr.Stale() {
 			stale++
 		}
 	}
@@ -159,7 +168,7 @@ func TestDeferredFlushRevokesAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range desc.IOVAs {
-		d.IOMMU().Translate(v)
+		d.mmu.TranslateIn(0, v)
 	}
 	if _, err := d.UnmapRxDescriptor(desc); err != nil {
 		t.Fatal(err)
@@ -169,7 +178,7 @@ func TestDeferredFlushRevokesAccess(t *testing.T) {
 		t.Fatalf("PendingDeferred = %d, want 0 after flush", d.PendingDeferred())
 	}
 	for _, v := range desc.IOVAs {
-		if tr := d.IOMMU().Translate(v); tr.OK() {
+		if tr := d.mmu.TranslateIn(0, v); tr.OK() {
 			t.Fatalf("access to %v survived the deferred flush", v)
 		}
 	}
@@ -255,13 +264,13 @@ func TestFNSPreservesPTCachesUnderTxInterference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range desc.IOVAs {
-				d.IOMMU().Translate(v)
+				d.mmu.TranslateIn(0, v)
 				if i%8 == 7 { // an ACK per 8 received pages
 					m, _, err := d.MapTx(0, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					d.IOMMU().Translate(m.IOVAs[0])
+					d.mmu.TranslateIn(0, m.IOVAs[0])
 					if _, err := d.UnmapTx(m); err != nil {
 						t.Fatal(err)
 					}
@@ -271,7 +280,7 @@ func TestFNSPreservesPTCachesUnderTxInterference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c := d.IOMMU().Counters()
+		c := d.mmu.Counters()
 		return float64(c.MemReads) / float64(c.Walks)
 	}
 	fns := run(FNS)
@@ -298,12 +307,12 @@ func TestStrictPreserveOnlyFixesInvalidationsNotLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range desc.IOVAs {
-		d.IOMMU().Translate(v)
+		d.mmu.TranslateIn(0, v)
 	}
 	if _, err := d.UnmapRxDescriptor(desc); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.IOMMU().Counters().PTInvalidated; got != 0 {
+	if got := d.mmu.Counters().PTInvalidated; got != 0 {
 		t.Fatalf("PTInvalidated = %d, want 0 under preserve", got)
 	}
 }
@@ -329,7 +338,7 @@ func TestPersistentModeRecyclesDescriptors(t *testing.T) {
 		t.Fatalf("recycled descriptor cost = %v, want 0", cost)
 	}
 	// Mappings stay alive: the device retains access (weaker safety).
-	if !d.IOMMU().Table().Mapped(base1) {
+	if !d.mmu.TableOf(0).Mapped(base1) {
 		t.Fatal("persistent mapping was dropped")
 	}
 }
@@ -341,11 +350,11 @@ func TestTxStrictPerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := m.IOVAs[0] // the record is dead once unmapped
-	d.IOMMU().Translate(v)
+	d.mmu.TranslateIn(0, v)
 	if _, err := d.UnmapTx(m); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(v); tr.OK() {
+	if tr := d.mmu.TranslateIn(0, v); tr.OK() {
 		t.Fatal("Tx buffer reachable after completion")
 	}
 	if d.Counters().TxPacketsUnmapped != 1 {
@@ -406,15 +415,15 @@ func TestTxFNSSafetyPerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := m1.IOVAs[0] // the record is dead once unmapped
-	d.IOMMU().Translate(v1)
-	d.IOMMU().Translate(m2.IOVAs[0])
+	d.mmu.TranslateIn(0, v1)
+	d.mmu.TranslateIn(0, m2.IOVAs[0])
 	if _, err := d.UnmapTx(m1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(v1); tr.OK() {
+	if tr := d.mmu.TranslateIn(0, v1); tr.OK() {
 		t.Fatal("completed Tx packet still reachable")
 	}
-	if tr := d.IOMMU().Translate(m2.IOVAs[0]); !tr.OK() {
+	if tr := d.mmu.TranslateIn(0, m2.IOVAs[0]); !tr.OK() {
 		t.Fatal("in-flight Tx packet lost its mapping")
 	}
 }
@@ -507,8 +516,8 @@ func TestSharedIOMMUDomains(t *testing.T) {
 	// Two driver domains over one IOMMU: separate IOVA spaces and page
 	// tables, shared caches, independent safety.
 	nicDom := mustDomain(t, Config{Mode: FNS, NumCPUs: 1})
-	stDom := mustDomain(t, Config{Mode: FNS, NumCPUs: 1, SharedIOMMU: nicDom.IOMMU()})
-	if nicDom.IOMMU() != stDom.IOMMU() {
+	stDom := mustDomain(t, Config{Mode: FNS, NumCPUs: 1, SharedIOMMU: nicDom.mmu})
+	if nicDom.mmu != stDom.mmu {
 		t.Fatal("domains do not share the IOMMU")
 	}
 	if nicDom.ID() == stDom.ID() {
@@ -542,7 +551,7 @@ func TestSharedIOMMUDomains(t *testing.T) {
 	if tr := stDom.Translate(d2.IOVAs[0]); !tr.OK() {
 		t.Fatal("storage domain lost access to its own descriptor")
 	}
-	if c := nicDom.IOMMU().Counters(); c.StaleIOTLBUses != 0 || c.StalePTUses != 0 {
+	if c := nicDom.mmu.Counters(); c.StaleIOTLBUses != 0 || c.StalePTUses != 0 {
 		t.Fatalf("stale uses across domains: %+v", c)
 	}
 }

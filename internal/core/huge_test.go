@@ -42,9 +42,9 @@ func TestHugeSingleIOTLBMissPerChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range desc.IOVAs {
-		d.IOMMU().Translate(v)
+		d.mmu.TranslateIn(0, v)
 	}
-	if c := d.IOMMU().Counters(); c.IOTLBMisses != 1 {
+	if c := d.mmu.Counters(); c.IOTLBMisses != 1 {
 		t.Fatalf("IOTLBMisses = %d, want 1 for 64 pages under a hugepage", c.IOTLBMisses)
 	}
 }
@@ -67,23 +67,23 @@ func TestHugeRevocationAtChunkGranularity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr := d.IOMMU().Translate(descs[0].IOVAs[0]); !tr.OK() {
+	if tr := d.mmu.TranslateIn(0, descs[0].IOVAs[0]); !tr.OK() {
 		t.Fatal("chunk revoked before all descriptors completed")
 	}
 	// Completing the last one revokes the whole chunk with one request.
-	before := d.IOMMU().Counters().InvRequests
+	before := d.mmu.Counters().InvRequests
 	if _, err := d.UnmapRxDescriptor(descs[7]); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.IOMMU().Counters().InvRequests - before; got != 1 {
+	if got := d.mmu.Counters().InvRequests - before; got != 1 {
 		t.Fatalf("invalidation requests for chunk = %d, want 1", got)
 	}
 	for _, desc := range descs {
-		if tr := d.IOMMU().Translate(desc.IOVAs[0]); tr.OK() {
+		if tr := d.mmu.TranslateIn(0, desc.IOVAs[0]); tr.OK() {
 			t.Fatal("access survived chunk completion")
 		}
 	}
-	if c := d.IOMMU().Counters(); c.StaleIOTLBUses != 0 || c.StalePTUses != 0 {
+	if c := d.mmu.Counters(); c.StaleIOTLBUses != 0 || c.StalePTUses != 0 {
 		t.Fatalf("stale uses: %+v", c)
 	}
 }
@@ -126,11 +126,11 @@ func TestHugeTxUsesFNSPath(t *testing.T) {
 		t.Fatal("Tx chunking not active under fns+huge")
 	}
 	v1 := m1.IOVAs[0] // the record is dead once unmapped
-	d.IOMMU().Translate(v1)
+	d.mmu.TranslateIn(0, v1)
 	if _, err := d.UnmapTx(m1); err != nil {
 		t.Fatal(err)
 	}
-	if tr := d.IOMMU().Translate(v1); tr.OK() {
+	if tr := d.mmu.TranslateIn(0, v1); tr.OK() {
 		t.Fatal("Tx packet reachable after completion")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/stats"
 )
 
 // ledgerVariants are the attachments every mode runs the ledger script
@@ -105,7 +106,7 @@ func (l *ledger) translate(name string, v ptable.IOVA) {
 	tr := l.d.Translate(v)
 	by := tr.Served()
 	fmt.Fprintf(l.w, "  %s %#x -> phys=%#x ok=%t iotlb=%t reads=%d stale=%t atc=%t cap=%t\n",
-		name, uint64(v), uint64(tr.Phys), tr.OK(), by.IOTLB(), tr.MemReads(), tr.Stale(), by == iommu.ByATC, by == iommu.ByCap)
+		name, uint64(v), uint64(tr.Phys), tr.OK(), by == iommu.ByIOTLB || by == iommu.ByIOTLBHuge, tr.MemReads(), tr.Stale(), by == iommu.ByATC, by == iommu.ByCap)
 }
 
 // flush records the pending batch and forces its flush.
@@ -242,12 +243,15 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 		d.Mode(), c.RxDescriptorsMapped, c.RxDescriptorsUnmapped, c.TxPacketsMapped, c.TxPacketsUnmapped,
 		c.PagesMapped, c.PagesUnmapped, c.IOVAAllocs, c.IOVAFrees, c.InvRequests, c.DeferredFlushes,
 		c.Reclaims, int64(c.CPUTime))
-	fmt.Fprintf(w, "iommu %+v\n", d.IOMMU().CountersOf(d.ID()))
+	fmt.Fprintf(w, "iommu %+v\n", d.mmu.CountersOf(d.ID()))
 	fmt.Fprintf(w, "alloc %+v\n", d.AllocatorStats())
 	if atc := d.ATC(); atc != nil {
-		fmt.Fprintf(w, "atc %+v len=%d\n", atc.Counters(), atc.Len())
+		r := stats.NewRegistry()
+		atc.RegisterProbes(r, "")
+		occupancy, _ := r.Value("occupancy")
+		fmt.Fprintf(w, "atc %+v len=%d\n", atc.Counters(), int(occupancy))
 	}
-	if ct := d.CapTable(); ct != nil {
+	if ct := d.caps; ct != nil {
 		fmt.Fprintf(w, "caps len=%d\n", ct.Len())
 	}
 	if inj != nil {

@@ -56,15 +56,11 @@ const (
 // predicate methods, which the corresponding Mode methods delegate to)
 // and the layout and revocation its datapath runs.
 type Policy struct {
-	mode                          Mode
 	translated, strict            bool
 	contiguous, preservesPTCaches bool
 	layout                        layout
 	revocation                    revocation
 }
-
-// Mode returns the mode this row is registered under.
-func (p *Policy) Mode() Mode { return p.mode }
 
 // Translated reports whether DMA addresses pass through the IOMMU's
 // protection check (address translation or capability validation).
@@ -108,17 +104,17 @@ func (p *Policy) rxRun(pages int) int {
 // Mode; NewDomain rejects a mode without a row. Identity and pinned rows
 // never revoke.
 var policies = [...]*Policy{
-	Off:              {mode: Off, layout: identity},
-	Strict:           {mode: Strict, translated: true, strict: true, layout: paged, revocation: invalidate},
-	Deferred:         {mode: Deferred, translated: true, layout: paged, revocation: deferredFlush},
-	StrictPreserve:   {mode: StrictPreserve, translated: true, strict: true, preservesPTCaches: true, layout: paged, revocation: invalidate},
-	StrictContig:     {mode: StrictContig, translated: true, strict: true, contiguous: true, layout: contig, revocation: invalidate},
-	FNS:              {mode: FNS, translated: true, strict: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: invalidate},
-	Persistent:       {mode: Persistent, translated: true, layout: pinned},
-	FNSHuge:          {mode: FNSHuge, translated: true, contiguous: true, preservesPTCaches: true, layout: huge, revocation: invalidate},
-	DeferNoShootdown: {mode: DeferNoShootdown, translated: true, contiguous: true, layout: contig, revocation: noShootdown},
-	Cap:              {mode: Cap, translated: true, strict: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: revokeCap},
-	CapLazyRevoke:    {mode: CapLazyRevoke, translated: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: lazyRevokeCap},
+	Off:              {layout: identity},
+	Strict:           {translated: true, strict: true, layout: paged, revocation: invalidate},
+	Deferred:         {translated: true, layout: paged, revocation: deferredFlush},
+	StrictPreserve:   {translated: true, strict: true, preservesPTCaches: true, layout: paged, revocation: invalidate},
+	StrictContig:     {translated: true, strict: true, contiguous: true, layout: contig, revocation: invalidate},
+	FNS:              {translated: true, strict: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: invalidate},
+	Persistent:       {translated: true, layout: pinned},
+	FNSHuge:          {translated: true, contiguous: true, preservesPTCaches: true, layout: huge, revocation: invalidate},
+	DeferNoShootdown: {translated: true, contiguous: true, layout: contig, revocation: noShootdown},
+	Cap:              {translated: true, strict: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: revokeCap},
+	CapLazyRevoke:    {translated: true, contiguous: true, preservesPTCaches: true, layout: contig, revocation: lazyRevokeCap},
 }
 
 // PolicyFor resolves a mode to its row.

@@ -39,8 +39,8 @@ func TestPolicyPredicatesMatchPreRefactorTable(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: no registered policy", row.mode)
 		}
-		if pol.Mode() != row.mode {
-			t.Fatalf("%v: policy reports mode %v", row.mode, pol.Mode())
+		if pol != policies[row.mode] {
+			t.Fatalf("%v: PolicyFor returns another mode's row", row.mode)
 		}
 		got := [4]bool{pol.Translated(), pol.StrictSafety(), pol.Contiguous(), pol.PreservesPTCaches()}
 		viaMode := [4]bool{row.mode.Translated(), row.mode.StrictSafety(), row.mode.Contiguous(), row.mode.PreservesPTCaches()}

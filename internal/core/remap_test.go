@@ -105,7 +105,7 @@ func TestRemapShootsDownATC(t *testing.T) {
 		if ac.InvMessages == 0 || ac.Invalidated == 0 {
 			t.Fatalf("%v: remap sent no ATC invalidations: %+v", mode, ac)
 		}
-		mc := d.IOMMU().Counters()
+		mc := d.mmu.Counters()
 		if mc.ATCInvRequests == 0 {
 			t.Fatalf("%v: ATC-invalidate requests not charged to the IOMMU", mode)
 		}

@@ -15,9 +15,9 @@ import (
 // registeredModes returns every mode with a row in the policy table.
 func registeredModes() []Mode {
 	var out []Mode
-	for _, p := range policies {
+	for m, p := range policies {
 		if p != nil {
-			out = append(out, p.mode)
+			out = append(out, Mode(m))
 		}
 	}
 	return out

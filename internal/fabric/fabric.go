@@ -151,15 +151,6 @@ func (w *Link) deliverNext() {
 	d.deliver(d.ecn)
 }
 
-// Bytes returns the total bytes sent.
-func (w *Link) Bytes() int64 { return w.bytes }
-
-// Packets returns the total packets sent.
-func (w *Link) Packets() int64 { return w.packets }
-
-// Marked returns the number of ECN-marked packets.
-func (w *Link) Marked() int64 { return w.marked }
-
 // RegisterProbes exposes the link's counters and queue state through the
 // registry under prefix. Read-only over live state.
 func (w *Link) RegisterProbes(r *stats.Registry, prefix string) {
@@ -320,23 +311,11 @@ func newSwitch(n int, cfg Config, engOf func(port int) *sim.Engine, coreEng *sim
 	return s, nil
 }
 
-// Ports returns the number of ports.
-func (s *Switch) Ports() int { return len(s.ports) }
-
 // Port returns port i.
 func (s *Switch) Port(i int) *Port { return s.ports[i] }
 
 // ID returns the port's index.
 func (p *Port) ID() int { return p.id }
-
-// Uplink returns the host -> switch link.
-func (p *Port) Uplink() *Link { return p.up }
-
-// Downlink returns the switch -> host link.
-func (p *Port) Downlink() *Link { return p.down }
-
-// Core returns the shared core link, or nil for a non-blocking fabric.
-func (s *Switch) Core() *Link { return s.core }
 
 // Send carries a packet from this port's host to dst's host: serialise
 // on the uplink, cross the (possibly oversubscribed) core, queue at the

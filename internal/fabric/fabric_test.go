@@ -30,8 +30,8 @@ func TestLinkSerialises(t *testing.T) {
 			t.Fatalf("delivery %d at %d, want %d", i, at[i], want)
 		}
 	}
-	if l.Packets() != 3 || l.Bytes() != 3*4096 {
-		t.Fatalf("counters: packets=%d bytes=%d", l.Packets(), l.Bytes())
+	if l.packets != 3 || l.bytes != 3*4096 {
+		t.Fatalf("counters: packets=%d bytes=%d", l.packets, l.bytes)
 	}
 }
 
@@ -61,8 +61,8 @@ func TestLinkECNMarksStandingQueue(t *testing.T) {
 		}
 	})
 	eng.Run(eng.Now() + sim.Time(1)*sim.Millisecond)
-	if idle.Marked() != 0 {
-		t.Fatalf("idle link marked %d packets", idle.Marked())
+	if idle.marked != 0 {
+		t.Fatalf("idle link marked %d packets", idle.marked)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestSwitchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Ports() != 4 {
-		t.Fatalf("Ports() = %d, want 4", sw.Ports())
+	if len(sw.ports) != 4 {
+		t.Fatalf("ports = %d, want 4", len(sw.ports))
 	}
 	defer func() {
 		if recover() == nil {
@@ -139,11 +139,11 @@ func TestSwitchIncastMarksAtDownlink(t *testing.T) {
 		t.Fatal("incast produced no ECN marks at the destination downlink")
 	}
 	for src := 1; src < 8; src++ {
-		if m := sw.Port(src).up.Marked(); m != 0 {
+		if m := sw.Port(src).up.marked; m != 0 {
 			t.Fatalf("uplink %d marked %d packets; incast congestion must mark at the downlink", src, m)
 		}
 	}
-	if sw.Port(0).down.Marked() == 0 {
+	if sw.Port(0).down.marked == 0 {
 		t.Fatal("destination downlink recorded no marks")
 	}
 }
@@ -177,7 +177,7 @@ func TestSwitchOversubscribedCore(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw, _ := NewSwitch(eng, 2, Config{Oversub: 2})
 	reg := stats.NewRegistry()
-	for i := 0; i < sw.Ports(); i++ {
+	for i := 0; i < len(sw.ports); i++ {
 		sw.RegisterPortProbes(reg, "fabric.", i)
 	}
 	sw.RegisterCoreProbes(reg, "fabric.")
@@ -212,15 +212,15 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if oversub > 0 && sw.Core() == nil {
+		if oversub > 0 && sw.core == nil {
 			t.Fatal("oversubscribed switch has no core link")
 		}
-		if oversub == 0 && sw.Core() != nil {
+		if oversub == 0 && sw.core != nil {
 			t.Fatal("non-blocking switch grew a core link")
 		}
 		p := sw.Port(1)
-		if p.ID() != 1 || p.Uplink() == nil || p.Downlink() == nil {
-			t.Fatalf("port accessors: id=%d up=%v down=%v", p.ID(), p.Uplink(), p.Downlink())
+		if p.ID() != 1 || p.up == nil || p.down == nil {
+			t.Fatalf("port accessors: id=%d up=%v down=%v", p.ID(), p.up, p.down)
 		}
 		delivered := false
 		p.Send(3, 4096, func(bool) { delivered = true })
@@ -228,9 +228,9 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 		if !delivered {
 			t.Fatalf("oversub %g: packet never delivered through the sharded path", oversub)
 		}
-		if sw.Port(3).Downlink().Packets() != 1 {
+		if sw.Port(3).down.packets != 1 {
 			t.Fatalf("oversub %g: destination downlink saw %d packets, want 1",
-				oversub, sw.Port(3).Downlink().Packets())
+				oversub, sw.Port(3).down.packets)
 		}
 	}
 }
@@ -265,10 +265,10 @@ func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
 			}
 		}
 		eng.Run(sim.Time(10) * sim.Millisecond)
-		if down := sw.Port(0).Downlink().Marked(); down != 0 {
+		if down := sw.Port(0).down.marked; down != 0 {
 			t.Fatalf("sharded=%v: downlink marked %d packets, want 0 behind a slower core", sharded, down)
 		}
-		if core := sw.Core().Marked(); core == 0 || marks != core {
+		if core := sw.core.marked; core == 0 || marks != core {
 			t.Fatalf("sharded=%v: %d packets arrived marked, want the core's %d marks (> 0)", sharded, marks, core)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fastsafe/internal/fault"
 	"fastsafe/internal/host"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/stats"
 )
 
 // runFaulted executes one short faulted simulation and returns everything
@@ -37,7 +38,29 @@ func runFaulted(t *testing.T, mode core.Mode, plan fault.Plan, seed, fseed int64
 		t.Fatal(err)
 	}
 	r := h.Run(2*sim.Millisecond, 5*sim.Millisecond)
-	return outcome{rxGbps: r.RxGbps, injected: h.Faults().Counters(), safety: h.Auditor().Report()}
+	return outcome{rxGbps: r.RxGbps, injected: h.Faults().Counters(), safety: auditReport(t, h.Telemetry().Registry())}
+}
+
+// auditReport reads a host's whole-run safety audit, warmup included,
+// through the auditor's telemetry probes.
+func auditReport(t *testing.T, reg *stats.Registry) fault.SafetyReport {
+	t.Helper()
+	read := func(name string) int64 {
+		v, ok := reg.Value("audit." + name)
+		if !ok {
+			t.Fatalf("audit.%s is not registered", name)
+		}
+		return int64(v)
+	}
+	return fault.SafetyReport{
+		Checked:         read("checked"),
+		Blocked:         read("blocked"),
+		StaleUnmapped:   read("stale_unmapped"),
+		StaleRemapped:   read("stale_remapped"),
+		StaleATS:        read("stale_ats"),
+		StaleCapability: read("stale_cap"),
+		Retries:         read("retries"),
+	}
 }
 
 // faultSeeds is the replay-sweep width: FAULT_SEEDS overrides the local

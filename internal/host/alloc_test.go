@@ -38,6 +38,31 @@ func TestCoreDoToDoneAllocs(t *testing.T) {
 	}
 }
 
+// TestHousekeepingAllocs locks in the bound housekeeping tick: on a
+// warm host with no traffic, each 200us tick of RTO checks, ACK and
+// deferred flushes allocates nothing.
+func TestHousekeepingAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	h, err := New(Config{Mode: core.Strict, RxFlows: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Start()
+	eng := h.Engine()
+	eng.Run(sim.Millisecond)
+	fired := eng.Fired()
+	if n := testing.AllocsPerRun(100, func() {
+		eng.Run(eng.Now() + 200*sim.Microsecond)
+	}); n != 0 {
+		t.Errorf("housekeeping tick: %v allocs, want 0", n)
+	}
+	if eng.Fired() == fired {
+		t.Fatal("no events fired: the ticks are vacuous")
+	}
+}
+
 // TestStrictHostAllocsPerDMA bounds the whole host datapath: a strict
 // run with Rx and Tx bulk flows allocates well under 3 objects per DMA
 // once warm (about 0.70 with go1.24, where closures per packet took 16).
@@ -84,7 +109,7 @@ func allocsPerDMA(t *testing.T, h *Host, warm, window sim.Duration) float64 {
 	h.Start()
 	h.Engine().Run(warm)
 	dmas := func() int64 {
-		st := h.NIC().Stats()
+		st := h.net.dev.Stats()
 		return st.RxDMAs + st.TxDMAs
 	}
 	var before, after runtime.MemStats
@@ -169,11 +194,11 @@ func TestMsgAllocsPerExchange(t *testing.T) {
 		h.Start()
 		h.Engine().Run(sim.Millisecond)
 		var before, after runtime.MemStats
-		n0 := app.Completed()
+		n0 := app.n.completed
 		runtime.ReadMemStats(&before)
 		h.Engine().Run(3 * sim.Millisecond)
 		runtime.ReadMemStats(&after)
-		n := app.Completed() - n0
+		n := app.n.completed - n0
 		if n < 100 {
 			t.Fatalf("pattern %d: only %d exchanges in 2ms", msgs.Pattern, n)
 		}

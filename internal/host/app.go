@@ -307,18 +307,6 @@ func (a *app) bind(prefix string) {
 	t.reg.GaugeFunc(t.name(prefix+"expired"), func() float64 { return float64(a.n.expired) })
 }
 
-// Latency returns the completion-latency histogram (ns), measured at the
-// client: the closed loop's measured values, the fleet's as its cohort
-// model records them.
-func (a *app) Latency() *stats.Histogram { return &a.latency }
-
-// Completed returns the number of finished exchanges.
-func (a *app) Completed() int64 { return a.n.completed }
-
-// Fleet exposes the open loop's generator (tests read its churn
-// accounting); nil for the closed loop.
-func (a *app) Fleet() *cohort.Fleet { return a.fleet }
-
 // tally returns the app's counters; zero for an app not installed.
 func (a *app) tally() tally {
 	if a == nil {

@@ -272,9 +272,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Shards returns the number of engine shards the cluster runs on.
-func (c *Cluster) Shards() int { return c.cfg.Shards }
-
 // Rounds returns the synchronization rounds the shard coordinator has
 // executed (0 on one shard).
 func (c *Cluster) Rounds() uint64 { return c.shards.Rounds() }
@@ -283,14 +280,8 @@ func (c *Cluster) Rounds() uint64 { return c.shards.Rounds() }
 // worker; the rest ran on the goroutine calling Run.
 func (c *Cluster) Handoffs() uint64 { return c.shards.Handoffs() }
 
-// Engine returns shard 0's event engine, the only one on one shard.
-func (c *Cluster) Engine() *sim.Engine { return c.shards.Engine(0) }
-
 // Hosts returns the cluster's hosts in ID order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }
-
-// Switch returns the fabric.
-func (c *Cluster) Switch() *fabric.Switch { return c.sw }
 
 // Registry returns a read-only view merging every shard's registry:
 // every host's instruments under its "hostN." prefix plus the fabric's

@@ -226,7 +226,7 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if got := c.Shards(); got != shards {
+			if got := c.cfg.Shards; got != shards {
 				t.Fatalf("%s: Shards() = %d, want %d", label, got, shards)
 			}
 			r := c.Run(warmup, measure)
@@ -339,8 +339,8 @@ func TestShardedClusterParallelRunners(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			if c.Shards() != 4 {
-				return "", fmt.Errorf("Shards() = %d, want clamp to 4", c.Shards())
+			if c.cfg.Shards != 4 {
+				return "", fmt.Errorf("Shards() = %d, want clamp to 4", c.cfg.Shards)
 			}
 			return clusterKey(c.Run(500*sim.Microsecond, 1*sim.Millisecond)), nil
 		}

@@ -238,7 +238,7 @@ func TestClusterRegistryAndIsolation(t *testing.T) {
 				t.Fatalf("hosts %d and %d share an IOMMU", i, j)
 			}
 		}
-		if h.Engine() != c.Engine() {
+		if h.Engine() != c.shards.Engine(0) {
 			t.Fatalf("host %d not on the cluster engine", i)
 		}
 	}

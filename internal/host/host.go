@@ -42,7 +42,6 @@ import (
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/mem"
 	"fastsafe/internal/model"
-	"fastsafe/internal/nic"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
@@ -315,6 +314,9 @@ type Host struct {
 
 	storageCount int // storage devices attached so far (cpu/seed slots)
 	started      bool
+	// housekeepingFn is housekeeping bound once, so a tick schedules no
+	// fresh method value.
+	housekeepingFn func()
 }
 
 // New builds the host per cfg, rejecting out-of-range values first.
@@ -336,6 +338,7 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 		eng = sim.NewEngine(cfg.Seed)
 	}
 	h := &Host{cfg: cfg, pl: pl, eng: eng}
+	h.housekeepingFn = h.housekeeping
 	h.mmu = iommu.New(cfg.IOMMU)
 	h.walker = pcie.NewWalker(h.eng, cfg.Lm)
 	h.bus = mem.New(h.eng, mem.Config{})
@@ -495,9 +498,6 @@ func (h *Host) NewDomain(cfg core.Config, seedOffset int64) (*core.Domain, error
 // plan. Safety auditing is exposed through Results.Safety.
 func (h *Host) Faults() *fault.Injector { return h.inj }
 
-// Auditor exposes the safety auditor (nil unless auditing).
-func (h *Host) Auditor() *fault.Auditor { return h.aud }
-
 // Exec implements device.Host: schedule driver work on host core cpu.
 func (h *Host) Exec(cpu int, work func() sim.Duration, done func()) {
 	h.core(cpu).Do(work, done)
@@ -505,9 +505,6 @@ func (h *Host) Exec(cpu int, work func() sim.Duration, done func()) {
 
 // Domain exposes the primary NIC's protection domain.
 func (h *Host) Domain() *core.Domain { return h.net.dom }
-
-// NIC exposes the primary NIC's device model.
-func (h *Host) NIC() *nic.NIC { return h.net.dev }
 
 func (h *Host) core(cpu int) *Core {
 	for len(h.cores) <= cpu {
@@ -556,7 +553,7 @@ func (h *Host) Start() {
 	if h.ctl != nil {
 		h.ctl.Start()
 	}
-	h.eng.After(200*sim.Microsecond, h.housekeeping)
+	h.eng.After(200*sim.Microsecond, h.housekeepingFn)
 	// The sampler starts last: its read-only ticks interleave after the
 	// workload events already scheduled at each timestamp.
 	if h.tele != nil && h.tele.sampler != nil {
@@ -575,27 +572,22 @@ func (h *Host) housekeeping() {
 	for _, n := range h.nets {
 		n.deferredFlush(now)
 	}
-	h.eng.After(200*sim.Microsecond, h.housekeeping)
+	h.eng.After(200*sim.Microsecond, h.housekeepingFn)
 }
 
-// DebugFlows reports mean cwnd, mean alpha, mean inflight and total
-// timeouts/retransmits across the primary NIC's bulk Rx flows — those
-// the abstract remote sources (diagnostics).
-func (h *Host) DebugFlows() (cwnd, alpha, inflight float64, timeouts, rtx int64) {
-	var n float64
+// meanCwnd is the mean congestion window of the primary NIC's bulk Rx
+// flows that abstract remote sources drive, 0 without any.
+func (h *Host) meanCwnd() float64 {
+	var n, cwnd float64
 	for _, f := range h.net.flows {
 		if f.src != nil {
 			continue
 		}
 		n++
 		cwnd += f.snd.Cwnd()
-		alpha += f.snd.Alpha()
-		inflight += float64(f.snd.Inflight())
-		timeouts += f.snd.Stats().Timeouts
-		rtx += f.snd.Stats().Retransmits
 	}
 	if n == 0 {
-		return 0, 0, 0, 0, 0
+		return 0
 	}
-	return cwnd / n, alpha / n, inflight / n, timeouts, rtx
+	return cwnd / n
 }

@@ -9,6 +9,7 @@ import (
 	"fastsafe/internal/fabric"
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/stats"
 )
 
 // run executes a short iperf-style experiment and returns results. Windows
@@ -460,11 +461,13 @@ func TestWireSerialisationAndECN(t *testing.T) {
 	if marked == 0 {
 		t.Fatal("no ECN marks despite a standing queue above K")
 	}
-	if w.Marked() != int64(marked) {
+	r := stats.NewRegistry()
+	w.RegisterProbes(r, "")
+	if v, _ := r.Value("marked"); v != float64(marked) {
 		t.Fatal("mark counter mismatch")
 	}
-	if w.Bytes() != 100*4096 {
-		t.Fatalf("Bytes = %d", w.Bytes())
+	if v, _ := r.Value("bytes"); v != 100*4096 {
+		t.Fatalf("bytes = %v", v)
 	}
 }
 
@@ -571,8 +574,8 @@ func TestPacketConservation(t *testing.T) {
 	h.Run(5*sim.Millisecond, 15*sim.Millisecond)
 	// Drain: no new sends (senders are window-limited and we stop pumping
 	// by running only the existing queue until empty or quiescent).
-	st := h.NIC().Stats()
-	inFlight := h.NIC().BufferOccupancy()
+	st := h.net.dev.Stats()
+	inFlight := bufferBytes(t, h)
 	delivered := st.RxDMAs // every Rx DMA completion is a delivery
 	if delivered+st.Dropped > st.Arrived {
 		t.Fatalf("delivered(%d)+dropped(%d) > arrived(%d)", delivered, st.Dropped, st.Arrived)
@@ -584,6 +587,17 @@ func TestPacketConservation(t *testing.T) {
 	}
 }
 
+// bufferBytes reads the primary NIC's input-buffer fill through its
+// telemetry probe.
+func bufferBytes(t *testing.T, h *Host) int {
+	t.Helper()
+	v, ok := h.Telemetry().Registry().Value("nic0.buffer_bytes")
+	if !ok {
+		t.Fatal("nic0.buffer_bytes is not registered")
+	}
+	return int(v)
+}
+
 func TestBufferNeverNegative(t *testing.T) {
 	h, err := New(Config{Mode: core.FNS, RxFlows: 8, NICBufferBytes: 128 << 10})
 	if err != nil {
@@ -592,7 +606,7 @@ func TestBufferNeverNegative(t *testing.T) {
 	h.Start()
 	for tick := sim.Duration(1); tick <= 20; tick++ {
 		h.Engine().Run(tick * sim.Millisecond)
-		if h.NIC().BufferOccupancy() < 0 {
+		if bufferBytes(t, h) < 0 {
 			t.Fatalf("negative buffer occupancy at %v", tick)
 		}
 	}

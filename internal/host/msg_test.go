@@ -54,7 +54,7 @@ func TestMsgExchangeCountsAndLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := h.Run(2*sim.Millisecond, 10*sim.Millisecond)
-	if r.Completed == 0 || app.Completed() == 0 {
+	if r.Completed == 0 || app.n.completed == 0 {
 		t.Fatal("no exchanges completed")
 	}
 	if r.Latency.Count() == 0 {
@@ -126,7 +126,7 @@ func TestInstallMessagesTwiceRejected(t *testing.T) {
 	if h.msgs != first || len(first.live) != 2 {
 		t.Fatal("a rejected second InstallMessages replaced the first app")
 	}
-	if got := h.Telemetry().Histogram("rpc.latency_ns"); got != first.Latency() {
+	if got := h.Telemetry().Histogram("rpc.latency_ns"); got != &first.latency {
 		t.Fatal("a rejected second InstallMessages rebound rpc.latency_ns")
 	}
 	if r := h.Run(sim.Millisecond, 2*sim.Millisecond); r.Completed == 0 {

@@ -258,8 +258,8 @@ func TestServingClusterChurn(t *testing.T) {
 	}
 }
 
-// The app's direct accessors (used by the churn accounting above via
-// Results) stay consistent with the reported counters.
+// The app's own state (read by the churn accounting above via Results)
+// stays consistent with the reported counters.
 func TestServingAppAccessors(t *testing.T) {
 	h, err := New(servingConfig(core.FNS, 0.3, 1, 11))
 	if err != nil {
@@ -270,16 +270,16 @@ func TestServingAppAccessors(t *testing.T) {
 	if app == nil {
 		t.Fatal("serving app not installed")
 	}
-	if app.Fleet().Cohort() != 1 {
-		t.Fatalf("Fleet().Cohort() = %d, want 1", app.Fleet().Cohort())
+	if app.fleet.Cohort() != 1 {
+		t.Fatalf("fleet cohort = %d, want 1", app.fleet.Cohort())
 	}
 	// The fleet counts deaths since time zero; Results only the
 	// measured window after warmup.
-	if app.Fleet().Deaths() < r.ServeDeaths || r.ServeDeaths == 0 {
+	if app.fleet.Deaths() < r.ServeDeaths || r.ServeDeaths == 0 {
 		t.Fatalf("Fleet().Deaths() = %d, Results.ServeDeaths = %d",
-			app.Fleet().Deaths(), r.ServeDeaths)
+			app.fleet.Deaths(), r.ServeDeaths)
 	}
-	if app.Latency() == nil || app.Latency().Count() == 0 {
+	if app.latency.Count() == 0 {
 		t.Fatal("latency histogram empty after a measured run")
 	}
 }

@@ -147,10 +147,7 @@ func (t *Telemetry) addSamplerProbes() {
 		}, h.payloadBytes))
 	s.Probe("walk_reads", stats.DeltaProbe(func() int64 { return h.mmu.Counters().MemReads }))
 	s.Probe("inv_reqs", stats.DeltaProbe(func() int64 { return h.mmu.Counters().InvRequests }))
-	s.GaugeProbe("cwnd_mean", func() float64 {
-		cwnd, _, _, _, _ := h.DebugFlows()
-		return cwnd
-	})
+	s.GaugeProbe("cwnd_mean", h.meanCwnd)
 	var prevBusy []sim.Duration
 	s.Probe("core_util_max", func(dt sim.Duration) float64 {
 		var peak float64
@@ -184,20 +181,6 @@ func (h *Host) Telemetry() *Telemetry { return h.tele }
 
 // Registry returns the instrument registry.
 func (t *Telemetry) Registry() *stats.Registry { return t.reg }
-
-// Sampler returns the virtual-time sampler, nil unless SampleEvery was
-// configured.
-func (t *Telemetry) Sampler() *stats.Sampler { return t.sampler }
-
-// Series returns every sampled time series over the whole run (warmup
-// included); nil without sampling. Results.Timeline carries the same
-// series restricted to the measurement window.
-func (t *Telemetry) Series() []stats.Series {
-	if t.sampler == nil {
-		return nil
-	}
-	return t.sampler.Series()
-}
 
 // Histogram returns a registered histogram by host-local name (e.g.
 // "rpc.latency_ns", "nic0.pcie.rx.latency_ns"), or nil when absent. In a

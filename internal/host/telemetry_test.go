@@ -89,9 +89,9 @@ func TestTimelineRecorded(t *testing.T) {
 		t.Fatal("rx_gbps series is all zeros under active flows")
 	}
 	// The full-run view includes warmup samples too.
-	full := h.Telemetry().Series()
+	full := h.Telemetry().sampler.Series()
 	if len(full[0].Times) <= len(r.Timeline[0].Times) {
-		t.Fatal("Telemetry().Series() should include warmup samples")
+		t.Fatal("the sampler's series should include warmup samples")
 	}
 }
 

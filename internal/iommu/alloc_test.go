@@ -75,7 +75,7 @@ func TestTranslateInvalidateNoAllocs(t *testing.T) {
 			return Translation{}
 		}},
 	} {
-		if tr := tc.op(); tc.reads >= 0 && (!tr.OK() || tr.MemReads() != tc.reads || tr.Served().IOTLB() != (tc.reads == 0)) {
+		if tr := tc.op(); tc.reads >= 0 && (!tr.OK() || tr.MemReads() != tc.reads || byIOTLB(tr) != (tc.reads == 0)) {
 			t.Fatalf("%s: %+v, want %d page-table reads", tc.name, tr, tc.reads)
 		}
 		if n := testing.AllocsPerRun(1000, func() { tc.op() }); n != 0 {

@@ -12,7 +12,7 @@ func benchIOMMU(b *testing.B, pages int) *IOMMU {
 	b.Helper()
 	m := New(Config{})
 	for i := 0; i < pages; i++ {
-		if err := m.Table().Map(ptable.IOVA(uint64(i)*ptable.PageSize), ptable.Phys(i)); err != nil {
+		if err := m.TableOf(0).Map(ptable.IOVA(uint64(i)*ptable.PageSize), ptable.Phys(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,20 +21,20 @@ func benchIOMMU(b *testing.B, pages int) *IOMMU {
 
 func BenchmarkTranslateIOTLBHit(b *testing.B) {
 	m := benchIOMMU(b, 1)
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Translate(0)
+		m.TranslateIn(0, 0)
 	}
 }
 
 func BenchmarkTranslateWalkPTCacheHit(b *testing.B) {
 	m := benchIOMMU(b, 2)
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Invalidate(ptable.PageSize, 1, true)
-		m.Translate(ptable.PageSize)
+		m.InvalidateIn(0, ptable.PageSize, 1, true)
+		m.TranslateIn(0, ptable.PageSize)
 	}
 }
 
@@ -42,19 +42,19 @@ func BenchmarkTranslateColdWalk(b *testing.B) {
 	m := benchIOMMU(b, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Invalidate(0, 2, false)
-		m.Translate(0)
+		m.InvalidateIn(0, 0, 2, false)
+		m.TranslateIn(0, 0)
 	}
 }
 
 func BenchmarkInvalidateRange(b *testing.B) {
 	m := benchIOMMU(b, 64)
 	for i := 0; i < 64; i++ {
-		m.Translate(ptable.IOVA(uint64(i) * ptable.PageSize))
+		m.TranslateIn(0, ptable.IOVA(uint64(i)*ptable.PageSize))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Invalidate(0, 64, true)
+		m.InvalidateIn(0, 0, 64, true)
 	}
 }
 

@@ -52,15 +52,6 @@ func (m *IOMMU) AttachCapTable(d DomainID) *CapTable {
 	return dom.cap
 }
 
-// CapTableOf returns domain d's capability table, nil when the domain
-// does not use capability protection.
-func (m *IOMMU) CapTableOf(d DomainID) *CapTable {
-	if dom := m.domainOf(d); dom != nil {
-		return dom.cap
-	}
-	return nil
-}
-
 // regions returns the region slots of v's 1GB span, nil when no grant
 // was ever made in it (or v lies outside the 48-bit IOVA space).
 func (ct *CapTable) regions(v ptable.IOVA) *[ptable.EntriesPerPage]*capPage {
@@ -150,12 +141,6 @@ func (ct *CapTable) Revoke(v ptable.IOVA) bool {
 		ct.free = append(ct.free, pg)
 	}
 	return true
-}
-
-// Granted reports whether v currently holds a capability.
-func (ct *CapTable) Granted(v ptable.IOVA) bool {
-	_, ok := ct.lookup(v)
-	return ok
 }
 
 // Len reports the number of live grants.

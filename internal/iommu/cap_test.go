@@ -16,15 +16,15 @@ func TestCapTableGrantCheckRevoke(t *testing.T) {
 	if m.AttachCapTable(0) != ct {
 		t.Fatal("re-attach returned a different table")
 	}
-	if m.CapTableOf(0) != ct {
-		t.Fatal("CapTableOf does not resolve the attached table")
+	if m.doms[0].cap != ct {
+		t.Fatal("the domain does not hold the attached table")
 	}
 	v, p := ptable.IOVA(ptable.PageSize), ptable.Phys(0x200000)
 	if ct.Grant(v, p) {
 		t.Fatal("fresh grant reported an overwrite")
 	}
-	if !ct.Granted(v) || ct.Len() != 1 {
-		t.Fatalf("grant not installed: granted=%v len=%d", ct.Granted(v), ct.Len())
+	if !granted(ct, v) || ct.Len() != 1 {
+		t.Fatalf("grant not installed: granted=%v len=%d", granted(ct, v), ct.Len())
 	}
 	tr := m.TranslateIn(0, v)
 	if !tr.OK() || tr.Served() != ByCap || tr.Phys != p {
@@ -94,17 +94,24 @@ func TestCapCountersChargePerDomain(t *testing.T) {
 	}
 }
 
+// granted reports whether v holds a capability in ct.
+func granted(ct *CapTable, v ptable.IOVA) bool {
+	_, ok := ct.lookup(v)
+	return ok
+}
+
 func TestCapTableSurvivesCounterReset(t *testing.T) {
 	m := New(Config{})
 	ct := m.AttachCapTable(0)
 	ct.Grant(0, 0x1000)
 	m.TranslateIn(0, 0)
-	m.ResetCounters()
+	m.doms[0].c = Counters{}
+	m.FlushIn(0)
 	if got := m.Counters().CapChecks; got != 0 {
 		t.Fatalf("CapChecks after reset = %d", got)
 	}
-	if !ct.Granted(0) {
-		t.Fatal("reset cleared the grants — capabilities are driver state, not cache state")
+	if !granted(ct, 0) {
+		t.Fatal("reset or flush cleared the grants — capabilities are driver state, not cache state")
 	}
 	if tr := m.TranslateIn(0, 0); !tr.OK() {
 		t.Fatalf("post-reset check = %+v", tr)
@@ -140,7 +147,7 @@ func TestCapDomainSkipsWalkPipeline(t *testing.T) {
 }
 
 // TestCapTableMatchesMapOracle drives one domain's capability table with
-// random Grant, Revoke, Granted, Len and TranslateIn calls against a
+// random Grant, Revoke, lookup, Len and TranslateIn calls against a
 // plain map, comparing every result and the domain's counters after
 // every op. The pages lie in 2MB regions on either side of a 1GB and a
 // 512GB boundary and at the top of the IOVA space, a few pages each, so
@@ -207,7 +214,7 @@ func TestCapTableMatchesMapOracle(t *testing.T) {
 				}
 			case r < 7:
 				_, had := model[v]
-				if got := ct.Granted(v); got != had {
+				if got := granted(ct, v); got != had {
 					t.Fatalf("%s: Granted %v, model %v", what, got, had)
 				}
 			default:

@@ -13,7 +13,7 @@ func TestDomainsHaveSeparateTables(t *testing.T) {
 	if d1 == 0 || d2 == 0 || d1 == d2 {
 		t.Fatalf("domain ids = %d, %d", d1, d2)
 	}
-	if m.TableOf(d1) == m.TableOf(d2) || m.TableOf(d1) == m.Table() {
+	if m.TableOf(d1) == m.TableOf(d2) || m.TableOf(d1) == m.TableOf(0) {
 		t.Fatal("domains share a page table")
 	}
 }
@@ -60,11 +60,11 @@ func TestDomainScopedInvalidation(t *testing.T) {
 	m.TranslateIn(d1, 0x2000)
 	m.TranslateIn(d2, 0x2000)
 	m.InvalidateIn(d1, 0x2000, 1, false)
-	if tr := m.TranslateIn(d2, 0x2000); !tr.Served().IOTLB() {
+	if tr := m.TranslateIn(d2, 0x2000); !byIOTLB(tr) {
 		t.Fatal("d1's invalidation evicted d2's IOTLB entry")
 	}
 	// d1's entry must be gone and its PTcaches dropped (full walk).
-	if tr := m.TranslateIn(d1, 0x2000); tr.Served().IOTLB() || tr.MemReads() != 4 {
+	if tr := m.TranslateIn(d1, 0x2000); byIOTLB(tr) || tr.MemReads() != 4 {
 		t.Fatalf("d1 after invalidation: %+v", tr)
 	}
 }
@@ -99,14 +99,14 @@ func TestDomainsContendForCacheCapacity(t *testing.T) {
 func TestDefaultDomainCompatibility(t *testing.T) {
 	// The domain-less API operates on domain 0.
 	m := New(Config{})
-	if err := m.Table().Map(0x1000, 7); err != nil {
+	if err := m.TableOf(0).Map(0x1000, 7); err != nil {
 		t.Fatal(err)
 	}
-	if tr := m.Translate(0x1000); !tr.OK() || tr.Phys != 7 {
+	if tr := m.TranslateIn(0, 0x1000); !tr.OK() || tr.Phys != 7 {
 		t.Fatalf("default-domain translation = %+v", tr)
 	}
-	m.Invalidate(0x1000, 1, false)
-	if tr := m.Translate(0x1000); tr.Served().IOTLB() {
+	m.InvalidateIn(0, 0x1000, 1, false)
+	if tr := m.TranslateIn(0, 0x1000); byIOTLB(tr) {
 		t.Fatal("default-domain invalidation failed")
 	}
 }
@@ -131,19 +131,19 @@ func TestFlushInIsDomainSelective(t *testing.T) {
 		m.TranslateIn(d, huge)
 	}
 	m.FlushIn(d1)
-	if tr := m.TranslateIn(d2, 0); !tr.Served().IOTLB() {
+	if tr := m.TranslateIn(d2, 0); !byIOTLB(tr) {
 		t.Fatalf("d2 after d1's flush: %+v, want an IOTLB hit", tr)
 	}
-	if tr := m.TranslateIn(d2, huge+ptable.PageSize); !tr.Served().IOTLB() {
+	if tr := m.TranslateIn(d2, huge+ptable.PageSize); !byIOTLB(tr) {
 		t.Fatalf("d2's 2MB entry after d1's flush: %+v, want an IOTLB hit", tr)
 	}
-	if tr := m.TranslateIn(d2, ptable.PageSize); tr.Served().IOTLB() || tr.MemReads() != 1 {
+	if tr := m.TranslateIn(d2, ptable.PageSize); byIOTLB(tr) || tr.MemReads() != 1 {
 		t.Fatalf("d2 neighbour walk after d1's flush: %+v, want a PTcache-L3 hit", tr)
 	}
-	if tr := m.TranslateIn(d1, 0); tr.Served().IOTLB() || tr.MemReads() != 4 {
+	if tr := m.TranslateIn(d1, 0); byIOTLB(tr) || tr.MemReads() != 4 {
 		t.Fatalf("d1 after its flush: %+v, want a cold walk", tr)
 	}
-	if tr := m.TranslateIn(d1, huge); tr.Served().IOTLB() || tr.MemReads() != 2 {
+	if tr := m.TranslateIn(d1, huge); byIOTLB(tr) || tr.MemReads() != 2 {
 		t.Fatalf("d1's 2MB walk after its flush: %+v, want a walk from the PTcache-L1 entry", tr)
 	}
 }

@@ -8,12 +8,12 @@ import (
 
 func TestHugeTranslationColdThenHot(t *testing.T) {
 	m := New(Config{})
-	if err := m.Table().MapHuge(0, 0x40000000); err != nil {
+	if err := m.TableOf(0).MapHuge(0, 0x40000000); err != nil {
 		t.Fatal(err)
 	}
 	// Cold: PTcache-L1/L2 miss, three reads (the PT-L3 entry is the leaf).
-	tr := m.Translate(0x5000)
-	if !tr.OK() || tr.Served().IOTLB() {
+	tr := m.TranslateIn(0, 0x5000)
+	if !tr.OK() || byIOTLB(tr) {
 		t.Fatalf("cold huge translation = %+v", tr)
 	}
 	if tr.MemReads() != 3 {
@@ -23,8 +23,8 @@ func TestHugeTranslationColdThenHot(t *testing.T) {
 		t.Fatalf("Phys = %#x", uint64(tr.Phys))
 	}
 	// Hot: any address in the same 2MB hits the single huge IOTLB entry.
-	tr = m.Translate(0x1ff000)
-	if !tr.Served().IOTLB() || tr.MemReads() != 0 {
+	tr = m.TranslateIn(0, 0x1ff000)
+	if !byIOTLB(tr) || tr.MemReads() != 0 {
 		t.Fatalf("hot huge translation = %+v", tr)
 	}
 	if tr.Phys != 0x40000000+0x1ff000 {
@@ -34,14 +34,14 @@ func TestHugeTranslationColdThenHot(t *testing.T) {
 
 func TestHugeWalkWithWarmPTCacheL2(t *testing.T) {
 	m := New(Config{})
-	if err := m.Table().MapHuge(0, 1<<30); err != nil {
+	if err := m.TableOf(0).MapHuge(0, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Table().MapHuge(ptable.IOVA(ptable.HugeSize), 1<<31); err != nil {
+	if err := m.TableOf(0).MapHuge(ptable.IOVA(ptable.HugeSize), 1<<31); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(0) // warms PTcache-L1/L2
-	tr := m.Translate(ptable.IOVA(ptable.HugeSize))
+	m.TranslateIn(0, 0) // warms PTcache-L1/L2
+	tr := m.TranslateIn(0, ptable.IOVA(ptable.HugeSize))
 	if tr.MemReads() != 1 {
 		t.Fatalf("warm huge walk MemReads = %d, want 1 (PTcache-L2 hit)", tr.MemReads())
 	}
@@ -56,11 +56,11 @@ func TestHugeIOTLBReach(t *testing.T) {
 	// 512 pages, one IOTLB entry: translating every page costs exactly one
 	// IOTLB miss.
 	m := New(Config{})
-	if err := m.Table().MapHuge(0, 1<<30); err != nil {
+	if err := m.TableOf(0).MapHuge(0, 1<<30); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 512; p++ {
-		m.Translate(ptable.IOVA(p * ptable.PageSize))
+		m.TranslateIn(0, ptable.IOVA(p*ptable.PageSize))
 	}
 	if c := m.Counters(); c.IOTLBMisses != 1 {
 		t.Fatalf("IOTLBMisses = %d, want 1 for a whole hugepage", c.IOTLBMisses)
@@ -69,15 +69,15 @@ func TestHugeIOTLBReach(t *testing.T) {
 
 func TestHugeInvalidation(t *testing.T) {
 	m := New(Config{})
-	if err := m.Table().MapHuge(0, 1<<30); err != nil {
+	if err := m.TableOf(0).MapHuge(0, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(0)
-	if err := m.Table().UnmapHuge(0); err != nil {
+	m.TranslateIn(0, 0)
+	if err := m.TableOf(0).UnmapHuge(0); err != nil {
 		t.Fatal(err)
 	}
-	m.Invalidate(0, 512, true)
-	tr := m.Translate(0)
+	m.InvalidateIn(0, 0, 512, true)
+	tr := m.TranslateIn(0, 0)
 	if tr.OK() {
 		t.Fatal("huge mapping reachable after unmap+invalidate")
 	}
@@ -89,14 +89,14 @@ func TestHugeInvalidation(t *testing.T) {
 func TestHugeStaleUseDetected(t *testing.T) {
 	// Unmap without invalidation: the huge IOTLB entry is stale.
 	m := New(Config{})
-	if err := m.Table().MapHuge(0, 1<<30); err != nil {
+	if err := m.TableOf(0).MapHuge(0, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(0)
-	if err := m.Table().UnmapHuge(0); err != nil {
+	m.TranslateIn(0, 0)
+	if err := m.TableOf(0).UnmapHuge(0); err != nil {
 		t.Fatal(err)
 	}
-	tr := m.Translate(0x1000)
+	tr := m.TranslateIn(0, 0x1000)
 	if !tr.OK() || !tr.Stale() {
 		t.Fatalf("translation = %+v, want stale huge hit", tr)
 	}

@@ -120,7 +120,7 @@ type domain struct {
 	table *ptable.Table
 	// cap routes the domain's translations when set: its DMAs validate
 	// against the table and never touch the caches or walkers. Grants are
-	// driver state — ResetCounters keeps them.
+	// driver state — a flush keeps them.
 	cap *CapTable
 	c   Counters
 }
@@ -182,9 +182,6 @@ func (m *IOMMU) TableOf(d DomainID) *ptable.Table {
 	return nil
 }
 
-// Table exposes the default domain's page table.
-func (m *IOMMU) Table() *ptable.Table { return m.doms[0].table }
-
 // domKey namespaces a cache key by domain: every key fits in 44 bits
 // (page numbers are at most 2^36), leaving the domain tag and the
 // huge-entry bit disjoint.
@@ -238,23 +235,6 @@ func (m *IOMMU) CountersOf(d DomainID) Counters {
 	return Counters{}
 }
 
-// Domains lists the existing domain ids in ascending order (domain 0,
-// the default, is always present).
-func (m *IOMMU) Domains() []DomainID {
-	out := make([]DomainID, len(m.doms))
-	for i := range out {
-		out[i] = DomainID(i)
-	}
-	return out
-}
-
-// ResetCounters zeroes the counters (e.g. after warmup).
-func (m *IOMMU) ResetCounters() {
-	for _, dom := range m.doms {
-		dom.c = Counters{}
-	}
-}
-
 // ChargeATSRequest accounts one ATS translation request from domain d's
 // device (the ATC-miss round trip to the translation agent). The request
 // itself is charged here; the walk it triggers is charged by TranslateIn
@@ -274,9 +254,6 @@ func (m *IOMMU) ChargeATCInvalidation(d DomainID, dropped int64) {
 const hugeTag = uint64(1) << 63
 
 func hugeKey(v ptable.IOVA) uint64 { return v.L3Key() | hugeTag }
-
-// Translate performs the address translation in the default domain.
-func (m *IOMMU) Translate(v ptable.IOVA) Translation { return m.TranslateIn(0, v) }
 
 // TranslateIn performs the address translation for one PCIe transaction
 // from domain d targeting v, updating caches and counters exactly as the
@@ -411,11 +388,11 @@ func (m *IOMMU) translateIn(d DomainID, dom *domain, v ptable.IOVA) (Translation
 // A first transaction that produced an address hit or filled one entry —
 // a 4KB or 2MB IOTLB entry, or the page's capability grant — and left it
 // at the front of its set. Each later transaction would find it there,
-// change no cache state, and get the verdict the first got: Mapped,
-// HugeMapped and grants are all per page. So the other n-1 are hits on
-// that entry, charged at once. An audit hook still sees each
-// transaction, in order, with its own IOVA. A first transaction that
-// faulted cached nothing, so each of the rest takes the full path.
+// change no cache state, and get the verdict the first got: a page's
+// mapping, its 2MB leaf and its grant are all per page. So the other
+// n-1 are hits on that entry, charged at once. An audit hook still sees
+// each transaction, in order, with its own IOVA. A first transaction
+// that faulted cached nothing, so each of the rest takes the full path.
 func (m *IOMMU) translateRun(d DomainID, v ptable.IOVA, n, stride int) int {
 	dom := m.doms[d]
 	t, leaf := m.translateIn(d, dom, v)
@@ -484,18 +461,14 @@ func checkStalePT(c *Counters, table *ptable.Table, v ptable.IOVA, l3hit bool, l
 	}
 }
 
-// Invalidate services one invalidation-queue request covering
-// [base, base+pages*4KB): the IOTLB entries in the range are always
-// dropped; unless iotlbOnly is set, the PTcache-L1/L2/L3 entries whose
-// spans overlap the range are dropped too — this is exactly Linux's
-// behaviour on IOVA unmap, and the iotlbOnly flag is the invalidation-
-// queue option F&S sets to preserve the page-table caches (§3).
-func (m *IOMMU) Invalidate(base ptable.IOVA, pages int, iotlbOnly bool) {
-	m.InvalidateIn(0, base, pages, iotlbOnly)
-}
-
-// InvalidateIn is Invalidate scoped to domain d: only d's cache entries
-// are affected (VT-d invalidations carry the domain id).
+// InvalidateIn services one invalidation-queue request from domain d
+// covering [base, base+pages*4KB): d's IOTLB entries in the range are
+// always dropped; unless iotlbOnly is set, d's PTcache-L1/L2/L3 entries
+// whose spans overlap the range are dropped too — this is exactly
+// Linux's behaviour on IOVA unmap, and the iotlbOnly flag is the
+// invalidation-queue option F&S sets to preserve the page-table caches
+// (§3). Other domains' entries are untouched (VT-d invalidations carry
+// the domain id).
 func (m *IOMMU) InvalidateIn(d DomainID, base ptable.IOVA, pages int, iotlbOnly bool) {
 	c := &m.doms[d].c
 	c.InvRequests++
@@ -526,16 +499,10 @@ func (m *IOMMU) InvalidateIn(d DomainID, base ptable.IOVA, pages int, iotlbOnly 
 	}
 }
 
-// InvalidateReclaimed drops the PTcache entries that point at reclaimed
-// page-table pages. F&S calls this when (and only when) an unmap operation
-// reclaims pages, keeping stale-entry use impossible while preserving the
-// caches in the common case.
-func (m *IOMMU) InvalidateReclaimed(reclaimed []ptable.ReclaimedPage) {
-	m.InvalidateReclaimedIn(0, reclaimed)
-}
-
-// InvalidateReclaimedIn drops domain d's PTcache entries pointing at
-// reclaimed page-table pages.
+// InvalidateReclaimedIn drops domain d's PTcache entries that point at
+// reclaimed page-table pages. F&S calls this when (and only when) an
+// unmap operation reclaims pages, keeping stale-entry use impossible
+// while preserving the caches in the common case.
 func (m *IOMMU) InvalidateReclaimedIn(d DomainID, reclaimed []ptable.ReclaimedPage) {
 	c := &m.doms[d].c
 	for _, r := range reclaimed {

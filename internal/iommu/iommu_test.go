@@ -11,7 +11,7 @@ func newMapped(t *testing.T, cfg Config, pages int) *IOMMU {
 	m := New(cfg)
 	for i := 0; i < pages; i++ {
 		v := ptable.IOVA(uint64(i) * ptable.PageSize)
-		if err := m.Table().Map(v, ptable.Phys(0x100000+uint64(i)*ptable.PageSize)); err != nil {
+		if err := m.TableOf(0).Map(v, ptable.Phys(0x100000+uint64(i)*ptable.PageSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,8 +44,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestColdTranslationWalksFourLevels(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
-	tr := m.Translate(0)
-	if !tr.OK() || tr.Served().IOTLB() {
+	tr := m.TranslateIn(0, 0)
+	if !tr.OK() || byIOTLB(tr) {
 		t.Fatalf("translation = %+v, want cold walk", tr)
 	}
 	if tr.MemReads() != 4 {
@@ -59,9 +59,9 @@ func TestColdTranslationWalksFourLevels(t *testing.T) {
 
 func TestWarmTranslationHitsIOTLB(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
-	m.Translate(0)
-	tr := m.Translate(0)
-	if !tr.Served().IOTLB() || tr.MemReads() != 0 {
+	m.TranslateIn(0, 0)
+	tr := m.TranslateIn(0, 0)
+	if !byIOTLB(tr) || tr.MemReads() != 0 {
 		t.Fatalf("second translation = %+v, want IOTLB hit", tr)
 	}
 	if got := m.Counters().IOTLBHits; got != 1 {
@@ -71,10 +71,10 @@ func TestWarmTranslationHitsIOTLB(t *testing.T) {
 
 func TestPTCacheReducesWalkToOneRead(t *testing.T) {
 	m := newMapped(t, Config{}, 2)
-	m.Translate(0) // cold: 4 reads, fills PTcaches
+	m.TranslateIn(0, 0) // cold: 4 reads, fills PTcaches
 	// Neighbouring page shares all PTcache entries: 1 read (PT-L4 entry).
-	tr := m.Translate(ptable.PageSize)
-	if tr.Served().IOTLB() {
+	tr := m.TranslateIn(0, ptable.PageSize)
+	if byIOTLB(tr) {
 		t.Fatal("distinct page should miss IOTLB")
 	}
 	if tr.MemReads() != 1 {
@@ -93,14 +93,14 @@ func TestPartialPTCacheHitL2(t *testing.T) {
 	// gets an L2 hit -> 2 reads.
 	a := ptable.IOVA(0)
 	b := ptable.IOVA(ptable.L4PageSpan)
-	if err := m.Table().Map(a, 1); err != nil {
+	if err := m.TableOf(0).Map(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Table().Map(b, 2); err != nil {
+	if err := m.TableOf(0).Map(b, 2); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(a)
-	tr := m.Translate(b)
+	m.TranslateIn(0, a)
+	tr := m.TranslateIn(0, b)
 	if tr.MemReads() != 2 {
 		t.Fatalf("MemReads = %d, want 2 (L2 hit, L3 miss)", tr.MemReads())
 	}
@@ -114,14 +114,14 @@ func TestPartialPTCacheHitL1(t *testing.T) {
 	m := New(Config{})
 	a := ptable.IOVA(0)
 	b := ptable.IOVA(ptable.L3PageSpan) // different 1GB span, same 512GB
-	if err := m.Table().Map(a, 1); err != nil {
+	if err := m.TableOf(0).Map(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Table().Map(b, 2); err != nil {
+	if err := m.TableOf(0).Map(b, 2); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(a)
-	tr := m.Translate(b)
+	m.TranslateIn(0, a)
+	tr := m.TranslateIn(0, b)
 	if tr.MemReads() != 3 {
 		t.Fatalf("MemReads = %d, want 3 (L1 hit only)", tr.MemReads())
 	}
@@ -131,7 +131,7 @@ func TestMemReadsArithmetic(t *testing.T) {
 	// The paper's identity: MemReads = IOTLBMisses + L3 + L2 + L1 misses.
 	m := newMapped(t, Config{}, 64)
 	for i := 0; i < 64; i++ {
-		m.Translate(ptable.IOVA(uint64(i) * ptable.PageSize))
+		m.TranslateIn(0, ptable.IOVA(uint64(i)*ptable.PageSize))
 	}
 	c := m.Counters()
 	if c.MemReads != c.IOTLBMisses+c.L3Misses+c.L2Misses+c.L1Misses {
@@ -141,7 +141,7 @@ func TestMemReadsArithmetic(t *testing.T) {
 
 func TestTranslateUnmappedFaults(t *testing.T) {
 	m := New(Config{})
-	tr := m.Translate(0x5000)
+	tr := m.TranslateIn(0, 0x5000)
 	if tr.OK() {
 		t.Fatal("translation of unmapped IOVA succeeded")
 	}
@@ -152,11 +152,11 @@ func TestTranslateUnmappedFaults(t *testing.T) {
 
 func TestInvalidateIOTLBOnlyPreservesPTCaches(t *testing.T) {
 	m := newMapped(t, Config{}, 2)
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	// F&S-style: IOTLB-only invalidation.
-	m.Invalidate(0, 1, true)
-	tr := m.Translate(0)
-	if tr.Served().IOTLB() {
+	m.InvalidateIn(0, 0, 1, true)
+	tr := m.TranslateIn(0, 0)
+	if byIOTLB(tr) {
 		t.Fatal("IOTLB entry survived invalidation")
 	}
 	if tr.MemReads() != 1 {
@@ -170,10 +170,10 @@ func TestInvalidateIOTLBOnlyPreservesPTCaches(t *testing.T) {
 
 func TestInvalidateFullDropsPTCaches(t *testing.T) {
 	m := newMapped(t, Config{}, 2)
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	// Linux-style: invalidate IOTLB and all PTcache levels for the IOVA.
-	m.Invalidate(0, 1, false)
-	tr := m.Translate(0)
+	m.InvalidateIn(0, 0, 1, false)
+	tr := m.TranslateIn(0, 0)
 	if tr.MemReads() != 4 {
 		t.Fatalf("MemReads = %d, want 4 (PTcaches dropped)", tr.MemReads())
 	}
@@ -187,17 +187,17 @@ func TestInvalidationCrossIOVAInterference(t *testing.T) {
 	// The §2.2 phenomenon: invalidating one IOVA's PTcache entries hurts
 	// *other* IOVAs sharing those entries (Tx ACKs hurting Rx).
 	m := newMapped(t, Config{}, 2)
-	m.Translate(0) // fills shared PTcache entries
-	m.Invalidate(ptable.PageSize, 1, false)
+	m.TranslateIn(0, 0) // fills shared PTcache entries
+	m.InvalidateIn(0, ptable.PageSize, 1, false)
 	// Page 0's own IOTLB entry survives a neighbour's invalidation.
-	if tr := m.Translate(0); !tr.Served().IOTLB() {
+	if tr := m.TranslateIn(0, 0); !byIOTLB(tr) {
 		t.Fatal("unrelated invalidation dropped a live IOTLB entry")
 	}
 	// But a *different* page sharing the PTcache entries pays full walks.
 	m2 := newMapped(t, Config{}, 3)
-	m2.Translate(0)
-	m2.Invalidate(ptable.PageSize, 1, false) // invalidates shared L1/L2/L3 keys
-	tr2 := m2.Translate(2 * ptable.PageSize)
+	m2.TranslateIn(0, 0)
+	m2.InvalidateIn(0, ptable.PageSize, 1, false) // invalidates shared L1/L2/L3 keys
+	tr2 := m2.TranslateIn(0, 2*ptable.PageSize)
 	if tr2.MemReads() != 4 {
 		t.Fatalf("MemReads = %d, want 4: invalidation killed shared entries", tr2.MemReads())
 	}
@@ -207,11 +207,11 @@ func TestStaleIOTLBUseDetected(t *testing.T) {
 	// Deferred-mode hole: unmap without invalidation leaves a usable
 	// IOTLB entry.
 	m := newMapped(t, Config{}, 1)
-	m.Translate(0)
-	if _, err := m.Table().Unmap(0, ptable.PageSize); err != nil {
+	m.TranslateIn(0, 0)
+	if _, err := m.TableOf(0).Unmap(0, ptable.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	tr := m.Translate(0)
+	tr := m.TranslateIn(0, 0)
 	if !tr.OK() || !tr.Stale() {
 		t.Fatalf("translation = %+v, want stale hit", tr)
 	}
@@ -222,12 +222,12 @@ func TestStaleIOTLBUseDetected(t *testing.T) {
 
 func TestStrictInvalidationPreventsStaleUse(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
-	m.Translate(0)
-	if _, err := m.Table().Unmap(0, ptable.PageSize); err != nil {
+	m.TranslateIn(0, 0)
+	if _, err := m.TableOf(0).Unmap(0, ptable.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	m.Invalidate(0, 1, false)
-	tr := m.Translate(0)
+	m.InvalidateIn(0, 0, 1, false)
+	tr := m.TranslateIn(0, 0)
 	if tr.OK() {
 		t.Fatal("translation succeeded after strict unmap+invalidate")
 	}
@@ -243,23 +243,23 @@ func TestStalePTUseDetectedWithoutReclaimInvalidation(t *testing.T) {
 	// page and must be flagged.
 	m := New(Config{})
 	for i := 0; i < 512; i++ {
-		if err := m.Table().Map(ptable.IOVA(uint64(i)*ptable.PageSize), 1); err != nil {
+		if err := m.TableOf(0).Map(ptable.IOVA(uint64(i)*ptable.PageSize), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m.Translate(0)
-	res, err := m.Table().Unmap(0, ptable.L4PageSpan)
+	m.TranslateIn(0, 0)
+	res, err := m.TableOf(0).Unmap(0, ptable.L4PageSpan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Reclaimed) == 0 {
 		t.Fatal("expected reclamation")
 	}
-	m.Invalidate(0, 1, true) // drop the IOTLB entry but keep PTcaches
-	if err := m.Table().Map(0, 2); err != nil {
+	m.InvalidateIn(0, 0, 1, true) // drop the IOTLB entry but keep PTcaches
+	if err := m.TableOf(0).Map(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	if m.Counters().StalePTUses == 0 {
 		t.Fatal("stale PTcache use not detected after reclamation")
 	}
@@ -269,21 +269,21 @@ func TestInvalidateReclaimedPreventsStalePTUse(t *testing.T) {
 	// Same as above, but with the F&S reclamation hook: no stale use.
 	m := New(Config{})
 	for i := 0; i < 512; i++ {
-		if err := m.Table().Map(ptable.IOVA(uint64(i)*ptable.PageSize), 1); err != nil {
+		if err := m.TableOf(0).Map(ptable.IOVA(uint64(i)*ptable.PageSize), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m.Translate(0)
-	res, err := m.Table().Unmap(0, ptable.L4PageSpan)
+	m.TranslateIn(0, 0)
+	res, err := m.TableOf(0).Unmap(0, ptable.L4PageSpan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Invalidate(0, 1, true)
-	m.InvalidateReclaimed(res.Reclaimed)
-	if err := m.Table().Map(0, 2); err != nil {
+	m.InvalidateIn(0, 0, 1, true)
+	m.InvalidateReclaimedIn(0, res.Reclaimed)
+	if err := m.TableOf(0).Map(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	if m.Counters().StalePTUses != 0 {
 		t.Fatalf("StalePTUses = %d, want 0 with reclamation invalidation", m.Counters().StalePTUses)
 	}
@@ -292,9 +292,9 @@ func TestInvalidateReclaimedPreventsStalePTUse(t *testing.T) {
 func TestRangedInvalidationCoversAllPages(t *testing.T) {
 	m := newMapped(t, Config{}, 8)
 	for i := 0; i < 8; i++ {
-		m.Translate(ptable.IOVA(uint64(i) * ptable.PageSize))
+		m.TranslateIn(0, ptable.IOVA(uint64(i)*ptable.PageSize))
 	}
-	m.Invalidate(0, 8, true)
+	m.InvalidateIn(0, 0, 8, true)
 	c := m.Counters()
 	if c.IOTLBInvalidated != 8 {
 		t.Fatalf("IOTLBInvalidated = %d, want 8", c.IOTLBInvalidated)
@@ -307,7 +307,7 @@ func TestRangedInvalidationCoversAllPages(t *testing.T) {
 func TestFlushInEmptiesTheDomain(t *testing.T) {
 	m := newMapped(t, Config{}, 4)
 	for i := 0; i < 4; i++ {
-		m.Translate(ptable.IOVA(uint64(i) * ptable.PageSize))
+		m.TranslateIn(0, ptable.IOVA(uint64(i)*ptable.PageSize))
 	}
 	m.FlushIn(0)
 	tlb, l1, l2, l3 := m.CacheOccupancy()
@@ -316,12 +316,20 @@ func TestFlushInEmptiesTheDomain(t *testing.T) {
 	}
 }
 
+// TestResetCounters: nothing zeroes the counters; a run measures a
+// window as the difference of two Counters snapshots taken at its ends
+// (host.Run's warmup), so a snapshot is a copy later traffic leaves
+// alone.
 func TestResetCounters(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
-	m.Translate(0)
-	m.ResetCounters()
-	if m.Counters() != (Counters{}) {
-		t.Fatalf("counters not zeroed: %+v", m.Counters())
+	m.TranslateIn(0, 0)
+	warm := m.Counters()
+	m.TranslateIn(0, 0)
+	if warm.Translations != 1 || warm.IOTLBMisses != 1 || warm.IOTLBHits != 0 {
+		t.Fatalf("warmup snapshot moved: %+v", warm)
+	}
+	if end := m.Counters(); end.Translations-warm.Translations != 1 || end.IOTLBHits-warm.IOTLBHits != 1 || end.Walks != warm.Walks {
+		t.Fatalf("window = %+v less %+v, want one IOTLB hit", end, warm)
 	}
 }
 
@@ -329,11 +337,11 @@ func TestIOTLBCapacityEviction(t *testing.T) {
 	// Tiny IOTLB: translating more distinct pages than capacity evicts.
 	m := newMapped(t, Config{IOTLBSets: 2, IOTLBWays: 1}, 8)
 	for i := 0; i < 8; i++ {
-		m.Translate(ptable.IOVA(uint64(i) * ptable.PageSize))
+		m.TranslateIn(0, ptable.IOVA(uint64(i)*ptable.PageSize))
 	}
 	// Re-translate the first page: must miss (evicted by conflicts).
 	before := m.Counters().IOTLBMisses
-	m.Translate(0)
+	m.TranslateIn(0, 0)
 	if m.Counters().IOTLBMisses != before+1 {
 		t.Fatal("expected capacity/conflict miss in tiny IOTLB")
 	}

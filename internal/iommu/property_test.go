@@ -30,31 +30,31 @@ func TestPropertyNoSilentMistranslation(t *testing.T) {
 			case 0: // map
 				if _, live := shadow[v]; !live {
 					nextPhys += ptable.PageSize
-					if err := m.Table().Map(v, nextPhys); err != nil {
+					if err := m.TableOf(0).Map(v, nextPhys); err != nil {
 						t.Fatalf("seed %d op %d: map: %v", seed, op, err)
 					}
 					shadow[v] = nextPhys
 				}
 			case 1: // unmap + strict invalidation
 				if _, live := shadow[v]; live {
-					if _, err := m.Table().Unmap(v, ptable.PageSize); err != nil {
+					if _, err := m.TableOf(0).Unmap(v, ptable.PageSize); err != nil {
 						t.Fatalf("seed %d op %d: unmap: %v", seed, op, err)
 					}
-					m.Invalidate(v, 1, false)
+					m.InvalidateIn(0, v, 1, false)
 					delete(shadow, v)
 				}
 			case 2: // unmap + IOTLB-only invalidation (F&S) + reclaim hook
 				if _, live := shadow[v]; live {
-					res, err := m.Table().Unmap(v, ptable.PageSize)
+					res, err := m.TableOf(0).Unmap(v, ptable.PageSize)
 					if err != nil {
 						t.Fatalf("seed %d op %d: unmap: %v", seed, op, err)
 					}
-					m.Invalidate(v, 1, true)
-					m.InvalidateReclaimed(res.Reclaimed)
+					m.InvalidateIn(0, v, 1, true)
+					m.InvalidateReclaimedIn(0, res.Reclaimed)
 					delete(shadow, v)
 				}
 			default: // translate and check against the shadow model
-				tr := m.Translate(v)
+				tr := m.TranslateIn(0, v)
 				want, live := shadow[v]
 				switch {
 				case tr.OK() && !tr.Stale():
@@ -221,8 +221,8 @@ func TestPropertyPerDomainCountersSumToGlobal(t *testing.T) {
 		// added later can't silently escape attribution.
 		var sum Counters
 		sv := reflect.ValueOf(&sum).Elem()
-		for _, d := range m.Domains() {
-			dc := reflect.ValueOf(m.CountersOf(d))
+		for d := range m.doms {
+			dc := reflect.ValueOf(m.CountersOf(DomainID(d)))
 			for i := 0; i < sv.NumField(); i++ {
 				sv.Field(i).SetInt(sv.Field(i).Int() + dc.Field(i).Int())
 			}

@@ -40,10 +40,6 @@ var servedNames = [...]string{"none", "iotlb", "iotlb-2mb", "walk-l3", "walk-l2"
 
 func (s ServedBy) String() string { return servedNames[s] }
 
-// IOTLB reports whether an IOTLB entry, of either size, served the
-// translation.
-func (s ServedBy) IOTLB() bool { return s == ByIOTLB || s == ByIOTLBHuge }
-
 // Walk reports whether the translation walked the page table.
 func (s ServedBy) Walk() bool { return s >= ByWalkL3 && s <= ByWalkMem }
 

@@ -37,9 +37,14 @@ func TestTranslationWord(t *testing.T) {
 		}
 	}
 	var zero Translation
-	if zero.OK() || zero.Stale() || zero.MemReads() != 0 || zero.Served() != 0 || zero.Served().IOTLB() || zero.Served().Walk() {
+	if zero.OK() || zero.Stale() || zero.MemReads() != 0 || zero.Served() != 0 || byIOTLB(zero) || zero.Served().Walk() {
 		t.Errorf("zero Translation = %v", zero)
 	}
+}
+
+// byIOTLB reports whether an IOTLB entry, of either size, served t.
+func byIOTLB(t Translation) bool {
+	return t.Served() == ByIOTLB || t.Served() == ByIOTLBHuge
 }
 
 // twinDomains builds two IOMMUs, each with one domain set up by setup,
@@ -107,13 +112,13 @@ func TestCapRunMatchesTranslateIn(t *testing.T) {
 	tw.run(t, "granted, one transaction", page+ptable.PageSize, 1, 512)
 	tw.run(t, "denied", page+2*ptable.PageSize, 6, 512)
 	for _, m := range tw.m {
-		m.CapTableOf(tw.d[0]).Revoke(page)
+		m.AttachCapTable(tw.d[0]).Revoke(page)
 	}
 	tw.run(t, "revoked", page, 8, 512)
 	tw.run(t, "still granted", page+ptable.PageSize+0x200, 7, 512)
 	for _, m := range tw.m {
-		m.CapTableOf(tw.d[0]).Grant(page, 0x9000)
-		m.CapTableOf(tw.d[0]).Grant(page+ptable.PageSize, 0xa000)
+		m.AttachCapTable(tw.d[0]).Grant(page, 0x9000)
+		m.AttachCapTable(tw.d[0]).Grant(page+ptable.PageSize, 0xa000)
 	}
 	tw.run(t, "granted again", page, 8, 512)
 	tw.run(t, "re-granted", page+ptable.PageSize, 4, 1024)

@@ -317,9 +317,6 @@ func (a *CachedAllocator) Free(cpu int, base ptable.IOVA, pages int) {
 	a.stats.CacheFrees++
 }
 
-// Base exposes the underlying tree allocator (for tests and diagnostics).
-func (a *CachedAllocator) Base() *TreeAllocator { return a.base }
-
 // FlushRCaches empties every per-CPU magazine and the global depots back
 // into the tree, returning the number of IOVA ranges released. This is
 // Linux's free_cpu_cached_iovas/free_global_cached_iovas path, run on CPU

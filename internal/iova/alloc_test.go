@@ -445,20 +445,20 @@ func TestFlushRCachesReturnsEverythingToTree(t *testing.T) {
 	if cached == 0 {
 		t.Fatal("setup cached nothing")
 	}
-	treeFreesBefore := a.Base().Stats().TreeFrees
+	treeFreesBefore := a.base.Stats().TreeFrees
 	released := a.FlushRCaches()
 	if released != len(vs) {
 		t.Fatalf("FlushRCaches released %d ranges, want %d", released, len(vs))
 	}
-	if got := a.Base().Stats().TreeFrees - treeFreesBefore; got != int64(len(vs)) {
+	if got := a.base.Stats().TreeFrees - treeFreesBefore; got != int64(len(vs)) {
 		t.Fatalf("tree absorbed %d frees, want %d", got, len(vs))
 	}
 	// Flushed magazines are empty: the next alloc must come from the tree.
-	tb := a.Base().Stats().TreeAllocs
+	tb := a.base.Stats().TreeAllocs
 	if _, ok := a.Alloc(0, 1); !ok {
 		t.Fatal("alloc failed")
 	}
-	if a.Base().Stats().TreeAllocs != tb+1 {
+	if a.base.Stats().TreeAllocs != tb+1 {
 		t.Fatal("alloc after flush did not hit the tree")
 	}
 	// A second flush with empty caches is a no-op.

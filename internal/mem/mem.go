@@ -123,9 +123,6 @@ func (b *Bus) LatencyFactor() float64 {
 	return f
 }
 
-// TotalBytes returns cumulative consumed traffic.
-func (b *Bus) TotalBytes() int64 { return b.totalBytes }
-
 // PeekUtilization returns the utilisation EWMA as last folded, without
 // rolling the window. Unlike Utilization it never mutates the bus, so the
 // telemetry sampler can read it without perturbing the (deterministic)

@@ -84,7 +84,7 @@ func TestHogConsumesTargetBandwidth(t *testing.T) {
 	NewHog(b, 8) // 8GB/s
 	e.Run(10 * sim.Millisecond)
 	// 8GB/s for 10ms = 80MB.
-	got := b.TotalBytes()
+	got := b.totalBytes
 	want := int64(80 << 20)
 	if got < want*9/10 || got > want*11/10 {
 		t.Fatalf("hog consumed %d bytes, want ~%d", got, want)

@@ -15,6 +15,7 @@ import (
 // batchTwin is one of two identical domains an Rx batch is translated
 // in, with every audited translation logged in order.
 type batchTwin struct {
+	mmu   *iommu.IOMMU
 	dom   *core.Domain
 	descs []*core.Descriptor // mapped descriptors, then unmapped ones
 	log   []string
@@ -22,12 +23,14 @@ type batchTwin struct {
 
 func newBatchTwin(t *testing.T, cfg core.Config, descs int) *batchTwin {
 	t.Helper()
+	mmu := iommu.New(cfg.IOMMU)
+	cfg.SharedIOMMU, cfg.DefaultDomain = mmu, true
 	dom, err := core.NewDomain(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &batchTwin{dom: dom}
-	dom.IOMMU().SetAuditHook(func(_ iommu.DomainID, v ptable.IOVA, tr iommu.Translation) {
+	w := &batchTwin{mmu: mmu, dom: dom}
+	mmu.SetAuditHook(func(_ iommu.DomainID, v ptable.IOVA, tr iommu.Translation) {
 		w.log = append(w.log, fmt.Sprintf("iommu %#x %v", uint64(v), tr))
 	})
 	if atc := dom.ATC(); atc != nil {
@@ -131,7 +134,7 @@ func TestRxBatchMatchesRoundRobin(t *testing.T) {
 				if !reflect.DeepEqual(readsA, readsB) {
 					t.Fatalf("%s: reads per DMA %v, round robin %v", what, readsA, readsB)
 				}
-				if ca, cb := a.dom.IOMMU().Counters(), b.dom.IOMMU().Counters(); ca != cb {
+				if ca, cb := a.mmu.Counters(), b.mmu.Counters(); ca != cb {
 					t.Fatalf("%s: IOMMU counters %+v, round robin %+v", what, ca, cb)
 				}
 				if a.dom.ATC() != nil && a.dom.ATC().Counters() != b.dom.ATC().Counters() {
@@ -141,7 +144,7 @@ func TestRxBatchMatchesRoundRobin(t *testing.T) {
 					t.Fatalf("%s: audit calls\n%v\nround robin\n%v", what, a.log[loggedA:], b.log[loggedB:])
 				}
 			}
-			c := a.dom.IOMMU().Counters()
+			c := a.mmu.Counters()
 			reach.IOTLBHits += c.IOTLBHits
 			reach.Faults += c.Faults
 			reach.CapChecks += c.CapChecks

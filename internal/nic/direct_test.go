@@ -5,6 +5,7 @@ import (
 
 	"fastsafe/internal/ats"
 	"fastsafe/internal/core"
+	"fastsafe/internal/iommu"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/ptable"
 	"fastsafe/internal/sim"
@@ -18,9 +19,11 @@ func newDirectHarness(t *testing.T, mode core.Mode, atsEntries int, cfg Config) 
 	if cfg.Cores == 0 {
 		cfg.Cores = 1
 	}
+	h.mmu = iommu.New(iommu.Config{})
 	dom, err := core.NewDomain(core.Config{
 		Mode: mode, NumCPUs: cfg.Cores, DescriptorPages: 8,
-		ATS: ats.Config{Entries: atsEntries},
+		ATS:         ats.Config{Entries: atsEntries},
+		SharedIOMMU: h.mmu, DefaultDomain: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +78,7 @@ func TestDirectRxDeliversThroughATC(t *testing.T) {
 	if len(h.delivered) != 2 {
 		t.Fatalf("delivered = %v", h.delivered)
 	}
-	if h.nic.BufferOccupancy() != 0 {
+	if h.nic.bufferBytes != 0 {
 		t.Fatal("buffer not drained")
 	}
 	st := h.nic.Stats()
@@ -104,7 +107,7 @@ func TestDirectRxWithoutATCUsesIOMMU(t *testing.T) {
 	if h.dom.ATC() != nil {
 		t.Fatal("domain grew an ATC without entries")
 	}
-	if c := h.dom.IOMMU().Counters(); c.Translations == 0 {
+	if c := h.mmu.Counters(); c.Translations == 0 {
 		t.Fatal("no IOMMU translations on the direct path")
 	}
 }

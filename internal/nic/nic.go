@@ -233,9 +233,6 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 // Stats returns NIC counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
-// BufferOccupancy returns the current input-buffer fill in bytes.
-func (n *NIC) BufferOccupancy() int { return n.bufferBytes }
-
 // frameBytes returns the DMA size of a packet: payload plus headers.
 func (n *NIC) frameBytes(pkt Packet) int { return pkt.Bytes + n.cfg.HeaderBytes }
 
@@ -608,6 +605,3 @@ func (n *NIC) txDone() {
 	}
 	n.pumpTx()
 }
-
-// TxQueueLen reports packets waiting for a Tx DMA slot.
-func (n *NIC) TxQueueLen() int { return n.txQueue.Len() }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fastsafe/internal/core"
+	"fastsafe/internal/iommu"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/race"
 	"fastsafe/internal/sim"
@@ -21,6 +22,7 @@ func (e *instantExec) Do(_ int, work func() sim.Duration, done func()) {
 
 type harness struct {
 	eng *sim.Engine
+	mmu *iommu.IOMMU // the domain's, as a host attaches its primary NIC
 	dom *core.Domain
 	nic *NIC
 	rx  *pcie.Link
@@ -37,7 +39,9 @@ func newHarness(t *testing.T, mode core.Mode, cfg Config) *harness {
 	if cfg.Cores == 0 {
 		cfg.Cores = 1
 	}
-	dom, err := core.NewDomain(core.Config{Mode: mode, NumCPUs: cfg.Cores, DescriptorPages: 64})
+	h.mmu = iommu.New(iommu.Config{})
+	dom, err := core.NewDomain(core.Config{Mode: mode, NumCPUs: cfg.Cores, DescriptorPages: 64,
+		SharedIOMMU: h.mmu, DefaultDomain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func TestRxDeliversPacket(t *testing.T) {
 	if len(h.delivered) != 1 || h.delivered[0].Payload != "p" {
 		t.Fatalf("delivered = %v", h.delivered)
 	}
-	if h.nic.BufferOccupancy() != 0 {
+	if h.nic.bufferBytes != 0 {
 		t.Fatal("buffer not drained")
 	}
 }
@@ -78,7 +82,7 @@ func TestRxTranslationCountsReads(t *testing.T) {
 	h := newHarness(t, core.Strict, Config{})
 	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
 	h.eng.RunAll()
-	c := h.dom.IOMMU().Counters()
+	c := h.mmu.Counters()
 	// 8 transactions of 512B: at least one IOTLB miss, seven hits.
 	if c.Translations < 8 {
 		t.Fatalf("Translations = %d, want >= 8", c.Translations)
@@ -95,7 +99,7 @@ func TestOffModeNoTranslations(t *testing.T) {
 	h := newHarness(t, core.Off, Config{})
 	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
 	h.eng.RunAll()
-	if h.dom.IOMMU().Counters().Translations != 0 {
+	if h.mmu.Counters().Translations != 0 {
 		t.Fatal("Off mode performed translations")
 	}
 }
@@ -212,7 +216,7 @@ func TestTxQueueSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.nic.SendTx(Packet{CPU: 0, Bytes: 4096, Payload: i}, nil)
 	}
-	if h.nic.TxQueueLen() == 0 && h.tx.Busy() == false {
+	if h.nic.txQueue.Len() == 0 && h.tx.Busy() == false {
 		t.Fatal("expected queued Tx work")
 	}
 	h.eng.RunAll()
@@ -234,7 +238,7 @@ func TestJumboMTUConsumesMultiplePages(t *testing.T) {
 		t.Fatalf("delivered = %d, want 1", len(h.delivered))
 	}
 	// 9000B at 512B MPS = 18 transactions spanning 3 pages.
-	if c := h.dom.IOMMU().Counters(); c.Translations < 18 {
+	if c := h.mmu.Counters(); c.Translations < 18 {
 		t.Fatalf("Translations = %d, want >= 18", c.Translations)
 	}
 }
@@ -267,10 +271,10 @@ func TestBytePackedFramesSharePages(t *testing.T) {
 	h := newHarness(t, core.FNS, Config{})
 	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
 	h.eng.RunAll()
-	missesAfterFirst := h.dom.IOMMU().Counters().IOTLBMisses
+	missesAfterFirst := h.mmu.Counters().IOTLBMisses
 	h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
 	h.eng.RunAll()
-	missesAfterSecond := h.dom.IOMMU().Counters().IOTLBMisses
+	missesAfterSecond := h.mmu.Counters().IOTLBMisses
 	// First frame touches pages 0 and 1 (2 misses); the second starts in
 	// page 1 (hit) and crosses into page 2 (1 miss).
 	if d := missesAfterSecond - missesAfterFirst; d != 1 {
@@ -291,7 +295,7 @@ func TestSmallFramesPackDensely(t *testing.T) {
 	}
 	// All 30 frames fit within the first couple of pages: at most a few
 	// IOTLB misses, not one per frame.
-	if c := h.dom.IOMMU().Counters(); c.IOTLBMisses > 3 {
+	if c := h.mmu.Counters(); c.IOTLBMisses > 3 {
 		t.Fatalf("IOTLBMisses = %d for 30 packed small frames, want <= 3", c.IOTLBMisses)
 	}
 }

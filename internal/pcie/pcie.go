@@ -78,9 +78,6 @@ func (w *Walker) Reserve(reads int) sim.Time {
 	return w.engines[best]
 }
 
-// Reads returns the total page-table reads served.
-func (w *Walker) Reads() int64 { return w.reads }
-
 // Stats counts link activity.
 type Stats struct {
 	DMAs      int64
@@ -136,16 +133,6 @@ func (l *Link) AttachWalker(w *Walker) { l.walker = w }
 
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() Stats { return l.stats }
-
-// ServiceTime returns the uncontended service time for a DMA.
-func (l *Link) ServiceTime(bytes, memReads int) sim.Duration {
-	translate := l.l0 + sim.Duration(memReads)*l.walker.lm
-	ser := sim.Duration(float64(bytes) * 8 / l.gbps) // bits at gbps = ns
-	if translate > ser {
-		return translate
-	}
-	return ser
-}
 
 // Stall pauses service until the given virtual time: queued DMAs wait
 // and new submissions enqueue behind them — a transient link flap
@@ -250,13 +237,4 @@ func (l *Link) RegisterProbes(r *stats.Registry, prefix string) {
 // prefix (e.g. "walker.").
 func (w *Walker) RegisterProbes(r *stats.Registry, prefix string) {
 	r.GaugeFunc(prefix+"reads", func() float64 { return float64(w.reads) })
-}
-
-// Utilization returns the fraction of elapsed time the link was busy.
-func (l *Link) Utilization() float64 {
-	now := l.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(l.stats.BusyTime) / float64(now)
 }

@@ -124,9 +124,3 @@ func (t *Table) LookupHugeAware(v IOVA) (w Walk, isHuge, ok bool) {
 	w.Leaf = Leaf{l4, j}
 	return w, false, true
 }
-
-// HugeMapped reports whether v is covered by a live 2MB leaf.
-func (t *Table) HugeMapped(v IOVA) bool {
-	_, huge, ok := t.LookupHugeAware(v)
-	return ok && huge
-}

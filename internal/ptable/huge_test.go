@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// hugeMapped reports whether v is covered by a live 2MB leaf.
+func hugeMapped(tb *Table, v IOVA) bool {
+	_, huge, ok := tb.LookupHugeAware(v)
+	return ok && huge
+}
+
 func TestMapHugeLookup(t *testing.T) {
 	tb := New()
 	if err := tb.MapHuge(0, 0x40000000); err != nil {
@@ -22,12 +28,12 @@ func TestMapHugeLookup(t *testing.T) {
 	if w.PageID[3] != 0 {
 		t.Fatal("huge walk should have no PT-L4 page")
 	}
-	if !tb.HugeMapped(PageSize) {
-		t.Fatal("HugeMapped false inside span")
+	if !hugeMapped(tb, PageSize) {
+		t.Fatal("no 2MB leaf inside span")
 	}
 	// Mappings accounting: 512 pages worth.
-	if tb.Mappings() != EntriesPerPage {
-		t.Fatalf("Mappings = %d, want 512", tb.Mappings())
+	if tb.maps != EntriesPerPage {
+		t.Fatalf("Mappings = %d, want 512", tb.maps)
 	}
 }
 
@@ -73,7 +79,7 @@ func TestUnmapHuge(t *testing.T) {
 	if err := tb.UnmapHuge(0); err != nil {
 		t.Fatal(err)
 	}
-	if tb.HugeMapped(0) || tb.Mappings() != 0 {
+	if hugeMapped(tb, 0) || tb.maps != 0 {
 		t.Fatal("huge mapping survived unmap")
 	}
 	if err := tb.UnmapHuge(0); !errors.Is(err, ErrNotMapped) {
@@ -117,7 +123,7 @@ func TestHugeAndRegularCoexist(t *testing.T) {
 	if err := tb.Map(IOVA(HugeSize), 0x55000); err != nil {
 		t.Fatal(err)
 	}
-	if !tb.HugeMapped(0x1000) {
+	if !hugeMapped(tb, 0x1000) {
 		t.Fatal("huge span lost")
 	}
 	if _, huge, ok := tb.LookupHugeAware(IOVA(HugeSize)); !ok || huge {

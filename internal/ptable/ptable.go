@@ -167,12 +167,6 @@ func (t *Table) newPage(level int) *page {
 	return &page{id: t.nextID, level: level}
 }
 
-// LivePages returns the number of allocated page-table pages (≥1: the root).
-func (t *Table) LivePages() int { return t.live }
-
-// Mappings returns the number of live 4KB mappings.
-func (t *Table) Mappings() int { return t.maps }
-
 func checkPage(v IOVA) error {
 	if uint64(v)&(PageSize-1) != 0 {
 		return ErrUnaligned

@@ -132,8 +132,8 @@ func TestUnmapRemovesMappings(t *testing.T) {
 			t.Fatalf("page %d still mapped", i)
 		}
 	}
-	if tb.Mappings() != 0 {
-		t.Fatalf("Mappings = %d, want 0", tb.Mappings())
+	if tb.maps != 0 {
+		t.Fatalf("Mappings = %d, want 0", tb.maps)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestLargeUnmapReclaims(t *testing.T) {
 	// page under it.
 	tb := New()
 	mapRange(t, tb, 0, 512) // exactly one full PT-L4 page
-	before := tb.LivePages()
+	before := tb.live
 	res, err := tb.Unmap(0, 2*mb)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestLargeUnmapReclaims(t *testing.T) {
 	if !found {
 		t.Fatalf("Reclaimed = %+v, want level-4 page with key 0", res.Reclaimed)
 	}
-	if tb.LivePages() >= before {
+	if tb.live >= before {
 		t.Fatal("LivePages did not decrease after reclamation")
 	}
 }
@@ -188,12 +188,12 @@ func TestSmallUnmapsDoNotReclaim(t *testing.T) {
 			t.Fatalf("256KB unmap at %#x reclaimed %+v", off, res.Reclaimed)
 		}
 	}
-	if tb.Mappings() != 0 {
+	if tb.maps != 0 {
 		t.Fatal("range not fully unmapped")
 	}
 	// The empty PT-L4 page must still be allocated (only root+L2+L3+L4 = 4).
-	if tb.LivePages() != 4 {
-		t.Fatalf("LivePages = %d, want 4 (no reclamation)", tb.LivePages())
+	if tb.live != 4 {
+		t.Fatalf("LivePages = %d, want 4 (no reclamation)", tb.live)
 	}
 }
 
@@ -258,7 +258,7 @@ func TestReclaimCascadesUpLevels(t *testing.T) {
 			t.Fatal("single-page unmap must not reclaim")
 		}
 	}
-	if tb.Mappings() != 0 {
+	if tb.maps != 0 {
 		t.Fatal("mappings remain")
 	}
 }
@@ -319,21 +319,21 @@ func TestRemapAfterReclaimGetsNewPageID(t *testing.T) {
 
 func TestLivePageAccounting(t *testing.T) {
 	tb := New()
-	if tb.LivePages() != 1 {
-		t.Fatalf("fresh table LivePages = %d, want 1 (root)", tb.LivePages())
+	if tb.live != 1 {
+		t.Fatalf("fresh table LivePages = %d, want 1 (root)", tb.live)
 	}
 	if err := tb.Map(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tb.LivePages() != 4 {
-		t.Fatalf("LivePages = %d, want 4", tb.LivePages())
+	if tb.live != 4 {
+		t.Fatalf("LivePages = %d, want 4", tb.live)
 	}
 	// Second mapping in the same 2MB region allocates nothing new.
 	if err := tb.Map(PageSize, 2); err != nil {
 		t.Fatal(err)
 	}
-	if tb.LivePages() != 4 {
-		t.Fatalf("LivePages = %d, want 4", tb.LivePages())
+	if tb.live != 4 {
+		t.Fatalf("LivePages = %d, want 4", tb.live)
 	}
 }
 
@@ -366,7 +366,7 @@ func TestPropertyMapUnmapRoundtrip(t *testing.T) {
 				return false
 			}
 		}
-		if tb.Mappings() != 0 {
+		if tb.maps != 0 {
 			return false
 		}
 		for _, v := range mapped {

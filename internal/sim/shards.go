@@ -128,9 +128,6 @@ func NewShards(n int, seed int64, lookahead Duration) *Shards {
 	return s
 }
 
-// N returns the shard count.
-func (s *Shards) N() int { return len(s.engs) }
-
 // Engine returns shard i's engine.
 func (s *Shards) Engine(i int) *Engine { return s.engs[i] }
 

@@ -19,23 +19,8 @@ func (c *Counter) Add(d int64) {
 	c.n += d
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Ratio returns a/b as float64, or 0 when b is 0. It is the helper used to
-// normalise miss counters "per page worth of data" the way the paper does.
-func Ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
 
 // Gbps converts a byte count over a duration in nanoseconds into gigabits
 // per second (decimal gigabits, as in "100Gbps NIC").

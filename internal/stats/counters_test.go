@@ -4,14 +4,10 @@ import "testing"
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset did not zero counter")
 	}
 }
 
@@ -25,12 +21,14 @@ func TestCounterNegativePanics(t *testing.T) {
 	c.Add(-1)
 }
 
+// TestRatio checks PerPage, the normaliser miss counters go through:
+// a count over the 4KB pages a byte count spans, 0 when nothing moved.
 func TestRatio(t *testing.T) {
-	if got := Ratio(3, 4); got != 0.75 {
-		t.Fatalf("Ratio = %v, want 0.75", got)
+	if got := PerPage(3, 16<<10); got != 0.75 {
+		t.Fatalf("PerPage(3, 16KB) = %v, want 0.75", got)
 	}
-	if got := Ratio(3, 0); got != 0 {
-		t.Fatalf("Ratio by zero = %v, want 0", got)
+	if got := PerPage(3, 0); got != 0 {
+		t.Fatalf("PerPage over 0 bytes = %v, want 0", got)
 	}
 }
 

@@ -87,9 +87,6 @@ func (h *Histogram) Observe(v int64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -97,17 +94,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return float64(h.sum) / float64(h.count)
 }
-
-// Min returns the smallest observed sample, or 0 with no samples.
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observed sample, or 0 with no samples.
-func (h *Histogram) Max() int64 { return h.max }
 
 // Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1). The estimate
 // is the lower bound of the bucket containing the quantile, so the relative

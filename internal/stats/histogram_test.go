@@ -12,7 +12,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.min != 0 || h.max != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	if h.Quantile(0.5) != 0 {
@@ -26,8 +26,8 @@ func TestHistogramSingleSample(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("Count = %d, want 1", h.Count())
 	}
-	if h.Min() != 42 || h.Max() != 42 {
-		t.Fatalf("Min/Max = %d/%d, want 42/42", h.Min(), h.Max())
+	if h.min != 42 || h.max != 42 {
+		t.Fatalf("Min/Max = %d/%d, want 42/42", h.min, h.max)
 	}
 	if h.Mean() != 42 {
 		t.Fatalf("Mean = %v, want 42", h.Mean())
@@ -40,8 +40,8 @@ func TestHistogramSingleSample(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-5)
-	if h.Min() != 0 {
-		t.Fatalf("negative sample should clamp to 0, got min %d", h.Min())
+	if h.min != 0 {
+		t.Fatalf("negative sample should clamp to 0, got min %d", h.min)
 	}
 }
 
@@ -104,12 +104,12 @@ func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(10)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.sum != 0 || h.max != 0 {
 		t.Fatal("Reset did not clear histogram")
 	}
 	h.Observe(7)
-	if h.Min() != 7 {
-		t.Fatalf("Min after reset+observe = %d, want 7", h.Min())
+	if h.min != 7 {
+		t.Fatalf("Min after reset+observe = %d, want 7", h.min)
 	}
 }
 
@@ -196,8 +196,8 @@ func TestHistogramRowBoundaries(t *testing.T) {
 			t.Errorf("Percentiles[%d] (q=%g) = %d, want %d", j, q, p[j], want)
 		}
 	}
-	if all.Min() != 0 || all.Max() != math.MaxInt64 || all.Quantile(1) != math.MaxInt64 {
-		t.Errorf("min %d max %d Quantile(1) %d, want 0 and MaxInt64 twice", all.Min(), all.Max(), all.Quantile(1))
+	if all.min != 0 || all.max != math.MaxInt64 || all.Quantile(1) != math.MaxInt64 {
+		t.Errorf("min %d max %d Quantile(1) %d, want 0 and MaxInt64 twice", all.min, all.max, all.Quantile(1))
 	}
 }
 
@@ -222,8 +222,8 @@ func TestHistogramResetReusesRows(t *testing.T) {
 	}
 	h.Reset()
 	h.Observe(1 << 20)
-	if h.Count() != 1 || h.Min() != 1<<20 || h.Quantile(0.001) != 1<<20 || h.Quantile(0.999) != 1<<20 {
+	if h.Count() != 1 || h.min != 1<<20 || h.Quantile(0.001) != 1<<20 || h.Quantile(0.999) != 1<<20 {
 		t.Fatalf("after Reset: count %d min %d quantiles %d %d, want one sample of 2^20",
-			h.Count(), h.Min(), h.Quantile(0.001), h.Quantile(0.999))
+			h.Count(), h.min, h.Quantile(0.001), h.Quantile(0.999))
 	}
 }

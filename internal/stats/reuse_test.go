@@ -14,8 +14,8 @@ func TestReuseColdAccess(t *testing.T) {
 	if d := r.Access(2); d != -1 {
 		t.Fatalf("first access of new key = %d, want -1", d)
 	}
-	if r.Unique() != 2 {
-		t.Fatalf("Unique = %d, want 2", r.Unique())
+	if r.live != 2 {
+		t.Fatalf("distinct keys = %d, want 2", r.live)
 	}
 }
 

@@ -15,11 +15,3 @@ func (s *Sender) RegisterProbes(r *stats.Registry, prefix string) {
 	r.GaugeFunc(prefix+"retransmits", func() float64 { return float64(s.stats.Retransmits) })
 	r.GaugeFunc(prefix+"timeouts", func() float64 { return float64(s.stats.Timeouts) })
 }
-
-// RegisterProbes exposes one receiver's counters through the registry
-// under prefix.
-func (r *Receiver) RegisterProbes(reg *stats.Registry, prefix string) {
-	reg.GaugeFunc(prefix+"received", func() float64 { return float64(r.stats.Received) })
-	reg.GaugeFunc(prefix+"out_of_order", func() float64 { return float64(r.stats.OutOfOrder) })
-	reg.GaugeFunc(prefix+"acks_sent", func() float64 { return float64(r.stats.AcksSent) })
-}

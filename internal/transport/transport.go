@@ -252,14 +252,6 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// ReceiverStats counts receiver-side events.
-type ReceiverStats struct {
-	Received   int64
-	OutOfOrder int64
-	Duplicates int64
-	AcksSent   int64
-}
-
 // Receiver is one flow's receive-side reassembly and ACK generation.
 type Receiver struct {
 	p       Params
@@ -267,16 +259,12 @@ type Receiver struct {
 	ooo     map[int64]bool
 	pending int  // in-order segments since last ACK
 	ecn     bool // congestion seen since last ACK
-	stats   ReceiverStats
 }
 
 // NewReceiver returns a receiver expecting segment 0.
 func NewReceiver(p Params) *Receiver {
 	return &Receiver{p: p.withDefaults(), ooo: make(map[int64]bool)}
 }
-
-// Stats returns the receiver's counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
 // RcvNxt returns the next expected segment.
 func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
@@ -286,7 +274,6 @@ func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 // duplicate arrivals generate an immediate (duplicate) ACK — this is the
 // mechanism that inflates the Tx ACK rate as drops increase (§2.2).
 func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack) {
-	r.stats.Received++
 	if ecnMarked {
 		r.ecn = true
 	}
@@ -307,18 +294,15 @@ func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack)
 		}
 		return delivered, nil
 	case seq > r.rcvNxt:
-		r.stats.OutOfOrder++
 		r.ooo[seq] = true
 		return 0, r.makeAck(true)
 	default:
 		// Duplicate of already-delivered data (spurious retransmit).
-		r.stats.Duplicates++
 		return 0, r.makeAck(true)
 	}
 }
 
 func (r *Receiver) makeAck(dup bool) *Ack {
-	r.stats.AcksSent++
 	r.pending = 0
 	a := &Ack{CumAck: r.rcvNxt, ECNEcho: r.ecn, Dup: dup}
 	r.ecn = false
