@@ -56,12 +56,35 @@ type Link struct {
 	deliverFn func()
 }
 
-// delivery is one packet in flight on a Link: the callback to fire, the
-// packet's ECN mark and the time it is due at the far end.
+// Packet is one packet on a Link or through a Switch, as a value: its
+// size, the endpoint that receives it and the word that endpoint reads
+// (a segment's sequence number, an ACK's packed fields). ECN is the OR
+// of every mark the packet picked up on its way.
+type Packet struct {
+	Bytes int
+	ECN   bool
+	Seq   int64
+	To    Endpoint
+}
+
+// Endpoint receives packets at the far end of a Link or a Switch. An
+// endpoint is bound once (a flow's sink, say), so a packet carries it
+// without allocating.
+type Endpoint interface {
+	Deliver(p Packet)
+}
+
+// deliverFunc is a callback as an Endpoint: it reads only the mark. A
+// func value is pointer-shaped, so the conversion allocates nothing.
+type deliverFunc func(ecn bool)
+
+func (f deliverFunc) Deliver(p Packet) { f(p.ECN) }
+
+// delivery is one packet in flight on a Link and the time it is due at
+// the far end.
 type delivery struct {
-	deliver func(ecn bool)
-	ecn     bool
-	at      sim.Time
+	pkt Packet
+	at  sim.Time
 }
 
 // ecnTau is the backlog-averaging time constant.
@@ -116,26 +139,25 @@ func (w *Link) SendAt(bytes int) (at sim.Time, ecn bool) {
 	return w.busyUntil + w.prop, ecn
 }
 
-// Send serialises a packet onto the link; deliver fires at the far end
-// with the packet's ECN mark. Deliveries fall due in send order, because
-// busyUntil + prop never decreases, and same-time deliveries fire in
-// scheduling order; so each delivery event pops the oldest packet in
-// flight.
+// Send serialises a packet of bytes onto the link; deliver fires at the
+// far end with the packet's ECN mark.
 func (w *Link) Send(bytes int, deliver func(ecn bool)) {
-	w.sendMarked(bytes, false, deliver)
+	w.SendPacket(Packet{Bytes: bytes, To: deliverFunc(deliver)})
 }
 
-// sendMarked is Send for a packet that reaches this link carrying an
-// upstream ECN mark: deliver fires with the OR of that mark and this
+// SendPacket serialises p onto the link and delivers it to p.To at the
+// far end, its ECN field the OR of the mark it arrived with and this
 // link's own, since switches propagate CE marks and never clear them.
-// The mark rides in the delivery ring, so a hop needs no closure to add
-// it.
-func (w *Link) sendMarked(bytes int, marked bool, deliver func(ecn bool)) {
-	at, ecn := w.SendAt(bytes)
+// Deliveries fall due in send order, because busyUntil + prop never
+// decreases, and same-time deliveries fire in scheduling order; so each
+// delivery event pops the oldest packet in flight.
+func (w *Link) SendPacket(p Packet) {
+	at, ecn := w.SendAt(p.Bytes)
 	if now := w.eng.Now(); at < now {
 		at = now // as the engine clamps it (a negative propagation delay)
 	}
-	w.inflight.Push(delivery{deliver: deliver, ecn: ecn || marked, at: at})
+	p.ECN = p.ECN || ecn
+	w.inflight.Push(delivery{pkt: p, at: at})
 	w.eng.At(at, w.deliverFn)
 }
 
@@ -148,7 +170,7 @@ func (w *Link) deliverNext() {
 	if now := w.eng.Now(); d.at != now {
 		panic(fmt.Sprintf("fabric: link delivery due at %v fired at %v", d.at, now))
 	}
-	d.deliver(d.ecn)
+	d.pkt.To.Deliver(d.pkt)
 }
 
 // RegisterProbes exposes the link's counters and queue state through the
@@ -207,42 +229,29 @@ func (c Config) PerHopProp() sim.Duration {
 	return c.Prop / c.hops()
 }
 
-// Router posts a packet's hop into the next stage of the switch. gen is
-// the virtual time the hop was generated at and at its delivery time;
-// implementations must schedule fn at time at on the engine owning the
-// destination (sim.Shards.Post has exactly this contract). The switch
-// guarantees at >= gen + PerHopProp() for every hop it routes.
-type Router interface {
-	// PostPort schedules fn on the engine owning port dst. src is the
-	// port whose engine generated the hop, or CorePort when the hop
-	// leaves the shared core link.
-	PostPort(src, dst int, gen, at sim.Time, fn func())
-	// PostCore schedules fn on the engine owning the core link.
-	PostCore(src int, gen, at sim.Time, fn func())
-}
-
-// engineRouter schedules every hop on one engine, the router of a
-// switch whose links all share it.
-type engineRouter struct{ eng *sim.Engine }
-
-func (r engineRouter) PostPort(_, _ int, _, at sim.Time, fn func()) { r.eng.At(at, fn) }
-func (r engineRouter) PostCore(_ int, _, at sim.Time, fn func())    { r.eng.At(at, fn) }
-
-// CorePort is the pseudo port id routers see as the source of hops that
-// leave the shared core link.
-const CorePort = -1
-
 // Switch is an N-port switched fabric. Ports are created up front so the
 // core link (when oversubscribed) can be sized to the port count. Each
-// link runs on the engine that owns it, and every hop between links is
-// posted through the switch's Router: NewSwitch's schedules it on the
-// one engine, NewShardedSwitch's crosses engine shards as a
-// conservative message.
+// link runs on the engine of the shard that owns it, and every hop
+// between links is a value posted through the shards' mail: on one
+// engine (NewSwitch) it is an event there, between shards
+// (NewShardedSwitch) a conservative cross-shard message.
 type Switch struct {
-	cfg    Config
-	ports  []*Port
-	core   *Link // shared core hop, nil when non-blocking
-	router Router
+	cfg   Config
+	ports []*Port
+	core  *Link // shared core hop, nil when non-blocking
+	// shardOf[i] is the shard owning port i's links; the core link
+	// belongs to shard 0. hops carries a packet from one link to the
+	// next.
+	shardOf []int
+	hops    *sim.Mail[hop]
+}
+
+// hop is a packet on its way from one of the switch's links to the
+// next: into the core link, or into port dst's downlink.
+type hop struct {
+	pkt  Packet
+	dst  int
+	core bool
 }
 
 // Port is one host's attachment point: an uplink into the switch and a
@@ -258,25 +267,23 @@ type Port struct {
 
 // NewSwitch builds a fabric with n ports whose links all run on eng.
 func NewSwitch(eng *sim.Engine, n int, cfg Config) (*Switch, error) {
-	return newSwitch(n, cfg, func(int) *sim.Engine { return eng }, eng, engineRouter{eng})
+	return newSwitch(sim.OneShard(eng), n, cfg, func(int) int { return 0 })
 }
 
-// NewShardedSwitch builds a fabric whose ports live on per-shard engines:
-// port i's uplink and downlink are driven by engOf(i), the core link
-// (when oversubscribed) by coreEng, and hops between ports owned by
-// different engines cross through r. The per-hop propagation delay
-// (Config.PerHopProp) guarantees every routed hop a positive lookahead.
-func NewShardedSwitch(n int, cfg Config, engOf func(port int) *sim.Engine, coreEng *sim.Engine, r Router) (*Switch, error) {
-	if r == nil {
-		return nil, fmt.Errorf("fabric: a sharded switch needs a router")
-	}
+// NewShardedSwitch builds a fabric with n ports whose links live on the
+// engines of shards: port i's uplink and downlink run on shard
+// shardOf(i), the core link (when oversubscribed) on shard 0, and a hop
+// between links of different shards crosses as a post. The per-hop
+// propagation delay (Config.PerHopProp) guarantees every such hop a
+// positive lookahead.
+func NewShardedSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int) (*Switch, error) {
 	if cfg.withDefaults().PerHopProp() <= 0 {
 		return nil, fmt.Errorf("fabric: sharded switch needs a positive per-hop propagation, got %v", cfg.withDefaults().PerHopProp())
 	}
-	return newSwitch(n, cfg, engOf, coreEng, r)
+	return newSwitch(shards, n, cfg, shardOf)
 }
 
-func newSwitch(n int, cfg Config, engOf func(port int) *sim.Engine, coreEng *sim.Engine, r Router) (*Switch, error) {
+func newSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int) (*Switch, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("fabric: a switch needs at least 2 ports, got %d", n)
 	}
@@ -287,13 +294,15 @@ func newSwitch(n int, cfg Config, engOf func(port int) *sim.Engine, coreEng *sim
 	case cfg.Oversub < 0:
 		return nil, fmt.Errorf("fabric: Oversub must be >= 0, got %g", cfg.Oversub)
 	}
-	s := &Switch{cfg: cfg, router: r}
+	s := &Switch{cfg: cfg, shardOf: make([]int, n)}
+	s.hops = sim.NewMail(shards, s.forward)
 	// The end-to-end propagation budget is split across the hops a packet
 	// takes, so a 2-port fabric matches a direct 2us link.
 	hops := cfg.hops()
 	prop := cfg.Prop / hops
 	for i := 0; i < n; i++ {
-		eng := engOf(i)
+		s.shardOf[i] = shardOf(i)
+		eng := shards.Engine(s.shardOf[i])
 		p := &Port{
 			sw:   s,
 			id:   i,
@@ -304,7 +313,7 @@ func newSwitch(n int, cfg Config, engOf func(port int) *sim.Engine, coreEng *sim
 		s.ports = append(s.ports, p)
 	}
 	if cfg.Oversub > 0 {
-		core := NewLink(coreEng, float64(n)*cfg.PortGbps/cfg.Oversub, prop)
+		core := NewLink(shards.Engine(0), float64(n)*cfg.PortGbps/cfg.Oversub, prop)
 		core.SetECN(cfg.ECNK)
 		s.core = core
 	}
@@ -317,34 +326,50 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 // ID returns the port's index.
 func (p *Port) ID() int { return p.id }
 
-// Send carries a packet from this port's host to dst's host: serialise
-// on the uplink, cross the (possibly oversubscribed) core, queue at the
-// destination's downlink port FIFO, then deliver with the OR of every
-// hop's ECN mark — switches propagate CE marks, they never clear them.
+// Send carries a packet of bytes from this port's host to dst's host;
+// deliver fires there with the packet's ECN mark.
 func (p *Port) Send(dst int, bytes int, deliver func(ecn bool)) {
-	if dst < 0 || dst >= len(p.sw.ports) || dst == p.id {
+	p.SendPacket(dst, Packet{Bytes: bytes, To: deliverFunc(deliver)})
+}
+
+// SendPacket carries pkt from this port's host to dst's host: serialise
+// on the uplink, cross the (possibly oversubscribed) core, queue at the
+// destination's downlink port FIFO, then deliver to pkt.To with the OR
+// of every hop's ECN mark — switches propagate CE marks, they never
+// clear them.
+func (p *Port) SendPacket(dst int, pkt Packet) {
+	s := p.sw
+	if dst < 0 || dst >= len(s.ports) || dst == p.id {
 		panic(fmt.Sprintf("fabric: port %d sending to invalid port %d", p.id, dst))
 	}
-	out, r := p.sw.ports[dst], p.sw.router
 	// Each stage's serialisation outcome is computed synchronously
 	// (SendAt), so the hop into the next stage leaves as a timestamped
 	// post at least one per-hop propagation in the future — the
-	// lookahead a sharded router relies on — and runs on the engine
+	// lookahead a sharded switch relies on — and runs on the engine
 	// owning the next link.
 	gen := p.up.eng.Now()
-	upAt, ecnUp := p.up.SendAt(bytes)
-	if core := p.sw.core; core != nil {
-		r.PostCore(p.id, gen, upAt, func() {
-			coreAt, ecnCore := core.SendAt(bytes)
-			r.PostPort(CorePort, dst, upAt, coreAt, func() {
-				out.down.sendMarked(bytes, ecnUp || ecnCore, deliver)
-			})
-		})
+	at, ecn := p.up.SendAt(pkt.Bytes)
+	pkt.ECN = pkt.ECN || ecn
+	h := hop{pkt: pkt, dst: dst, core: s.core != nil}
+	next := s.shardOf[dst]
+	if h.core {
+		next = 0
+	}
+	s.hops.Post(s.shardOf[p.id], next, gen, at, h)
+}
+
+// forward carries a hop into its next link: through the core, whence it
+// hops on to the destination's downlink, or into that downlink.
+func (s *Switch) forward(h hop) {
+	if !h.core {
+		s.ports[h.dst].down.SendPacket(h.pkt)
 		return
 	}
-	r.PostPort(p.id, dst, gen, upAt, func() {
-		out.down.sendMarked(bytes, ecnUp, deliver)
-	})
+	gen := s.core.eng.Now()
+	at, ecn := s.core.SendAt(h.pkt.Bytes)
+	h.pkt.ECN = h.pkt.ECN || ecn
+	h.core = false
+	s.hops.Post(0, s.shardOf[h.dst], gen, at, h)
 }
 
 // RegisterPortProbes exposes port i's uplink/downlink counters under

@@ -201,14 +201,16 @@ func TestPerHopProp(t *testing.T) {
 }
 
 func TestShardedSwitchRoutesHops(t *testing.T) {
-	if _, err := NewShardedSwitch(2, Config{}, nil, nil, nil); err == nil {
-		t.Fatal("nil router accepted")
+	// 1ns over three hops truncates to no per-hop propagation: no
+	// lookahead for a hop between shards.
+	if _, err := NewShardedSwitch(sim.NewShards(2, 1, 1), 2, Config{Prop: 1, Oversub: 2}, func(p int) int { return p }); err == nil ||
+		err.Error() != "fabric: sharded switch needs a positive per-hop propagation, got 0ns" {
+		t.Fatalf("zero per-hop propagation: err = %v", err)
 	}
 
 	for _, oversub := range []float64{0, 2} {
 		eng := sim.NewEngine(1)
-		sw, err := NewShardedSwitch(4, Config{Oversub: oversub},
-			func(int) *sim.Engine { return eng }, eng, engineRouter{eng})
+		sw, err := NewShardedSwitch(sim.OneShard(eng), 4, Config{Oversub: oversub}, func(int) int { return 0 })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,18 +239,23 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 
 // A mark set upstream survives the downlink: behind a slow core that
 // queues and marks, the downlink never queues, so every mark a packet
-// arrives with is the core's, through NewSwitch and NewShardedSwitch
-// alike.
+// arrives with is the core's, through NewSwitch and, with the
+// destination port on the core's shard and the sources on another,
+// NewShardedSwitch alike.
 func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
-		eng := sim.NewEngine(1)
 		cfg := Config{PortGbps: 100, Oversub: 8, ECNK: 16 << 10} // core at 50Gbps
 		var sw *Switch
 		var err error
+		var run func(sim.Time)
 		if sharded {
-			sw, err = NewShardedSwitch(4, cfg, func(int) *sim.Engine { return eng }, eng, engineRouter{eng})
+			shards := sim.NewShards(2, 1, cfg.PerHopProp())
+			sw, err = NewShardedSwitch(shards, 4, cfg, func(p int) int { return min(p, 1) })
+			run = shards.Run
 		} else {
+			eng := sim.NewEngine(1)
 			sw, err = NewSwitch(eng, 4, cfg)
+			run = eng.Run
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -264,7 +271,7 @@ func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
 				sw.Port(src).Send(0, 4096, deliver)
 			}
 		}
-		eng.Run(sim.Time(10) * sim.Millisecond)
+		run(sim.Time(10) * sim.Millisecond)
 		if down := sw.Port(0).down.marked; down != 0 {
 			t.Fatalf("sharded=%v: downlink marked %d packets, want 0 behind a slower core", sharded, down)
 		}

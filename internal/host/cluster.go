@@ -149,25 +149,6 @@ type Cluster struct {
 	shardOf []int // host ID -> owning shard
 }
 
-// clusterRouter carries fabric hops between shards: port i belongs to
-// host i's shard, the core link to shard 0.
-type clusterRouter struct{ c *Cluster }
-
-func (r clusterRouter) shardOfPort(p int) int {
-	if p == fabric.CorePort {
-		return 0
-	}
-	return r.c.shardOf[p]
-}
-
-func (r clusterRouter) PostPort(src, dst int, gen, at sim.Time, fn func()) {
-	r.c.shards.Post(r.shardOfPort(src), r.c.shardOf[dst], gen, at, fn)
-}
-
-func (r clusterRouter) PostCore(src int, gen, at sim.Time, fn func()) {
-	r.c.shards.Post(r.shardOfPort(src), 0, gen, at, fn)
-}
-
 // validate rejects what no default stands for, before withDefaults
 // clamps it: the cluster-level counts and the fabric port rate here, the
 // host values through Config.validate. The fabric checks the rest of its
@@ -224,12 +205,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range c.regs {
 		c.regs[i] = stats.NewRegistry()
 	}
-	engOf := func(i int) *sim.Engine { return c.shards.Engine(c.shardOf[i]) }
-	sw, err := fabric.NewShardedSwitch(cfg.Hosts, cfg.Fabric, engOf, c.shards.Engine(0), clusterRouter{c})
+	// Port i belongs to host i's shard, the core link to shard 0.
+	sw, err := fabric.NewShardedSwitch(c.shards, cfg.Hosts, cfg.Fabric, func(i int) int { return c.shardOf[i] })
 	if err != nil {
 		return nil, err
 	}
 	c.sw = sw
+	credits := sim.NewMail(c.shards, applyCredit)
 
 	for i := 0; i < cfg.Hosts; i++ {
 		hc := base
@@ -239,6 +221,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		hc.TxFlows = 0
 		h, err := newHost(hc, placement{
 			shards:    c.shards,
+			credits:   credits,
 			shard:     c.shardOf[i],
 			reg:       c.regs[c.shardOf[i]],
 			prefix:    fmt.Sprintf("host%d.", i),

@@ -66,58 +66,55 @@ type flow struct {
 
 	// pump and flushTimer, bound once.
 	pumpFn, flushFn func()
-	// Segments and ACKs on the wire toward an abstract end, in send
-	// order. The wire delivers in send order, so landAtSink and
-	// landAtSource (bound once as sinkFn and sourceFn) pop the one
-	// landing.
-	toAbstractSink   sim.FIFO[int64]
-	toAbstractSource sim.FIFO[transport.Ack]
-	sinkFn, sourceFn func(ecn bool)
+	// The flow's two fabric endpoints: data lands at the sink, ACKs at
+	// the source.
+	data dataEnd
+	acks ackEnd
 }
 
-// Payloads carried in nic.Packet.Payload by flows: a *flow marks one of
-// its bulk data segments (source -> sink), numbered by Packet.Seq; an
-// ackSeg is a stack-built or abstract-remote ACK (sink -> source).
-// One-sided ACKs are NIC-generated and never enter a datapath, so they
-// need none.
-type ackSeg struct {
-	f   *flow
-	ack transport.Ack
+// dataEnd and ackEnd are a flow's fabric endpoints, bound once in the
+// flow: its data segments (source -> sink) land at the first, its ACKs
+// (sink -> source) at the second. On a wire or through the fabric a
+// packet carries one as its endpoint; in a NIC a segment carries its
+// *flow as the payload and a stack-built or abstract-remote ACK its
+// *ackEnd. Each is a pointer, so no packet boxes a value. A segment's
+// number rides in the packet's Seq, and so does an ACK, packed by
+// ackWord. A one-sided ACK is NIC-generated and never enters a datapath.
+type dataEnd struct{ f *flow }
+type ackEnd struct{ f *flow }
+
+// ackWord packs an ACK into the one word a packet carries for its
+// endpoint: the cumulative ACK above the echo and duplicate bits.
+func ackWord(a transport.Ack) int64 {
+	w := a.CumAck << 2
+	if a.ECNEcho {
+		w |= 2
+	}
+	if a.Dup {
+		w |= 1
+	}
+	return w
+}
+
+// wordAck unpacks ackWord's word.
+func wordAck(w int64) transport.Ack {
+	return transport.Ack{CumAck: w >> 2, ECNEcho: w&2 != 0, Dup: w&1 != 0}
 }
 
 // path is one direction of a flow's route: one wire of a NIC's pair to
 // the abstract remote, or a fabric port toward another port.
 type path struct {
 	wire *fabric.Link
-	n    *netDev // a wire path's NIC, owner of the wire pair
 	port *fabric.Port
 	to   int // destination port ID
 }
 
-func (p path) send(bytes int, deliver func(ecn bool)) {
+func (p path) send(pkt fabric.Packet) {
 	if p.wire != nil {
-		p.wire.Send(bytes, deliver)
+		p.wire.SendPacket(pkt)
 		return
 	}
-	p.port.Send(p.to, bytes, deliver)
-}
-
-// arrive carries pkt along p into dev's input buffer, marked as the path
-// marked it. A wire path arrives only at its own NIC, from the abstract
-// remote.
-func (p path) arrive(dev *nic.NIC, pkt nic.Packet) {
-	if p.wire != nil {
-		if p.wire != p.n.toLocal || dev != p.n.dev {
-			panic("host: a wire arrival must cross the wire into its own NIC")
-		}
-		p.n.arriveFromRemote(pkt)
-		return
-	}
-	p.port.Send(p.to, pkt.Bytes, func(ecn bool) {
-		pkt := pkt
-		pkt.ECN = ecn
-		dev.Arrive(pkt)
-	})
+	p.port.SendPacket(p.to, pkt)
 }
 
 // open builds the flow's transport ends with params p.
@@ -125,7 +122,7 @@ func (f *flow) open(p transport.Params) {
 	f.snd = transport.NewSender(p)
 	f.rcv = transport.NewReceiver(p)
 	f.pumpFn, f.flushFn = f.pump, f.flushTimer
-	f.sinkFn, f.sourceFn = f.landAtSink, f.landAtSource
+	f.data.f, f.acks.f = f, f
 }
 
 // kind names the flow's probe namespace under its NIC: <dev>.<kind><id>.
@@ -223,33 +220,33 @@ func (f *flow) postRead() {
 	n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
 		return stackCPU
 	}, func() {
-		f.rev.send(64, func(bool) { f.pump() })
+		// READ flows run only in a cluster, so rev is a fabric port.
+		f.rev.port.Send(f.rev.to, 64, func(bool) { f.pump() })
 	})
 }
 
 // toSink carries a data segment that left the source toward the sink.
-// The abstract remote receives it on arrival. A one-sided frame lands as
-// a direct DMA into the target window — no ring, no descriptor
-// recycling, no per-packet remote CPU. A two-sided segment arrives like
-// any other packet, through the sink's Rx datapath.
 func (f *flow) toSink(bytes int, seq int64) {
-	switch {
-	case f.dst == nil:
-		f.toAbstractSink.Push(seq)
-		f.fwd.send(bytes, f.sinkFn)
-	case f.op.OneSided():
-		f.fwd.send(bytes, func(ecn bool) {
-			iovas, start := f.dstMR.frame(seq)
-			f.dst.dev.DirectRx(nic.Packet{CPU: f.dstCPU, Bytes: bytes, ECN: ecn, Seq: seq, Payload: f}, iovas, start)
-		})
-	default:
-		f.fwd.arrive(f.dst.dev, nic.Packet{CPU: f.dstCPU, Bytes: bytes, Seq: seq, Payload: f})
-	}
+	f.fwd.send(fabric.Packet{Bytes: bytes, Seq: seq, To: &f.data})
 }
 
-// landAtSink is the abstract sink receiving the oldest segment on the
-// wire.
-func (f *flow) landAtSink(ecn bool) { f.ackOrArm(f.receive(f.toAbstractSink.Pop(), ecn)) }
+// Deliver lands a data segment at the sink. The abstract remote receives
+// it on arrival. A one-sided frame lands as a direct DMA into the target
+// window — no ring, no descriptor recycling, no per-packet remote CPU. A
+// two-sided segment arrives like any other packet, through the sink's Rx
+// datapath.
+func (e *dataEnd) Deliver(p fabric.Packet) {
+	f := e.f
+	switch {
+	case f.dst == nil:
+		f.ackOrArm(f.receive(p.Seq, p.ECN))
+	case f.op.OneSided():
+		iovas, start := f.dstMR.frame(p.Seq)
+		f.dst.dev.DirectRx(nic.Packet{CPU: f.dstCPU, Bytes: p.Bytes, ECN: p.ECN, Seq: p.Seq, Payload: f}, iovas, start)
+	default:
+		f.dst.dev.Arrive(nic.Packet{CPU: f.dstCPU, Bytes: p.Bytes, ECN: p.ECN, Seq: p.Seq, Payload: f})
+	}
+}
 
 // onData handles a data segment whose DMA into the sink's memory
 // completed. One-sided, everything here is NIC-side: transport state,
@@ -270,28 +267,36 @@ func (f *flow) onData(seq int64, ecn bool) {
 }
 
 // sinkWork is a two-sided sink's stack work for one data segment: the
-// receive runs on the core, and the ACK it produced goes out once the
-// core has spent the time. Pooled by the sink NIC.
+// receive runs on the core, and the ACK it produced, copied out of the
+// receiver, goes out once the core has spent the time. Pooled by the
+// sink NIC.
 type sinkWork struct {
 	f      *flow
 	seq    int64
 	ecn    bool
 	irq    sim.Duration
-	ack    *transport.Ack
+	ack    transport.Ack
+	acked  bool // the receive produced ack
 	workFn func() sim.Duration
 	doneFn func()
 }
 
 func (w *sinkWork) work() sim.Duration {
-	w.ack = w.f.receive(w.seq, w.ecn)
+	if ack := w.f.receive(w.seq, w.ecn); ack != nil {
+		w.ack, w.acked = *ack, true
+	}
 	return w.irq + w.f.dst.stackCost()
 }
 
 func (w *sinkWork) done() {
-	f, ack := w.f, w.ack
-	w.f, w.ack = nil, nil
+	f, ack, acked := w.f, w.ack, w.acked
+	w.f, w.acked = nil, false
 	f.dst.sinkWorks.put(w)
-	f.ackOrArm(ack)
+	if acked {
+		f.sendAck(ack)
+	} else {
+		f.armFlush()
+	}
 }
 
 // receive runs the sink's transport over one data segment, accounts the
@@ -333,8 +338,16 @@ func (f *flow) creditPeerTx(bytes int64) {
 		return
 	}
 	now := sink.eng.Now()
-	sink.pl.shards.Post(sink.pl.shard, s, now, now, func() { src.c.txDeliveredBytes += bytes })
+	sink.pl.credits.Post(sink.pl.shard, s, now, now, txCredit{src, bytes})
 }
+
+// txCredit is a cross-shard creditPeerTx: bytes for n's Tx accounting.
+type txCredit struct {
+	n     *netDev
+	bytes int64
+}
+
+func applyCredit(c txCredit) { c.n.c.txDeliveredBytes += c.bytes }
 
 // ackOrArm sends the ACK the receiver just produced or, when it is
 // coalescing, arms the delayed-ACK timer.
@@ -382,30 +395,33 @@ func (f *flow) flushAck() {
 func (f *flow) sendAck(ack transport.Ack) {
 	switch {
 	case f.dst == nil:
-		f.rev.arrive(f.src.dev, nic.Packet{CPU: f.srcCPU, Bytes: 64, Payload: ackSeg{f: f, ack: ack}})
+		f.toSource(64, ackWord(ack))
 	case f.op.OneSided():
 		f.dst.c.acksSent++
-		f.rev.send(64, func(bool) { f.onAck(ack) })
+		f.toSource(64, ackWord(ack))
 	default:
-		f.dst.sendTx(nic.Packet{CPU: f.dstCPU, Bytes: 64, Payload: ackSeg{f: f, ack: ack}}, ackTxCPU)
+		f.dst.sendTx(nic.Packet{CPU: f.dstCPU, Bytes: 64, Seq: ackWord(ack), Payload: &f.acks}, ackTxCPU)
 	}
 }
 
-// toSource carries an ACK that left the sink's NIC toward the source: the
-// abstract remote takes it on arrival; a detailed source receives it
-// through its Rx datapath like any other packet.
-func (f *flow) toSource(bytes int, payload any, ack transport.Ack) {
-	if f.src == nil {
-		f.toAbstractSource.Push(ack)
-		f.rev.send(bytes, f.sourceFn)
+// toSource carries an ACK, packed as ackWord packs it, that left the
+// sink toward the source.
+func (f *flow) toSource(bytes int, word int64) {
+	f.rev.send(fabric.Packet{Bytes: bytes, Seq: word, To: &f.acks})
+}
+
+// Deliver lands an ACK at the source. The abstract remote takes it on
+// arrival, and a one-sided initiator as the completion of its hardware
+// ACK; a two-sided source receives it through its Rx datapath like any
+// other packet.
+func (e *ackEnd) Deliver(p fabric.Packet) {
+	f := e.f
+	if f.src == nil || f.op.OneSided() {
+		f.onAck(wordAck(p.Seq))
 		return
 	}
-	f.rev.arrive(f.src.dev, nic.Packet{CPU: f.srcCPU, Bytes: bytes, Payload: payload})
+	f.src.dev.Arrive(nic.Packet{CPU: f.srcCPU, Bytes: p.Bytes, ECN: p.ECN, Seq: p.Seq, Payload: e})
 }
-
-// landAtSource is the abstract source receiving the oldest ACK on the
-// wire.
-func (f *flow) landAtSource(bool) { f.onAck(f.toAbstractSource.Pop()) }
 
 // onAck lands an ACK at the source, which re-arms the stream. The
 // abstract remote processes it at once; a detailed source's core pays
@@ -494,13 +510,30 @@ func (f *flow) maybeRecycleMR() {
 	for f.rcv.RcvNxt() >= (w.recycled+1)*int64(w.framesPer) {
 		ord := w.recycled
 		w.recycled++
-		slot := int(ord % int64(len(w.chunks)))
-		n.h.core(n.cpuBase+f.dstCPU).Do(func() sim.Duration {
-			cost, err := n.dom.RemapRxDescriptor(w.chunks[slot])
-			if err != nil {
-				panic(fmt.Sprintf("host: RemapRx(rdma window): %v", err))
-			}
-			return cost
-		}, nil)
+		r := n.mrRemaps.get()
+		if r.workFn == nil {
+			r.workFn = r.work
+		}
+		r.n, r.desc = n, w.chunks[int(ord%int64(len(w.chunks)))]
+		n.h.core(n.cpuBase+f.dstCPU).Do(r.workFn, nil)
 	}
+}
+
+// mrRemap is the driver's remap of one recycled window chunk. Pooled by
+// the sink NIC.
+type mrRemap struct {
+	n      *netDev
+	desc   *core.Descriptor
+	workFn func() sim.Duration
+}
+
+func (r *mrRemap) work() sim.Duration {
+	n, desc := r.n, r.desc
+	r.n, r.desc = nil, nil
+	n.mrRemaps.put(r)
+	cost, err := n.dom.RemapRxDescriptor(desc)
+	if err != nil {
+		panic(fmt.Sprintf("host: RemapRx(rdma window): %v", err))
+	}
+	return cost
 }

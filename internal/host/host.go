@@ -156,14 +156,15 @@ type Config struct {
 }
 
 // placement is a cluster host's wiring, which only NewCluster sets: the
-// cluster's engine shards (a credit to a host on another shard is posted
-// through them, flow.creditPeerTx) and its own one, that shard's
+// cluster's engine shards and its own one, the mail a credit to a host
+// on another shard is posted through (flow.creditPeerTx), its shard's
 // registry, the prefix of its instrument names and the Tx cores its
 // primary NIC provisions for peer flows. The zero placement is a
 // standalone host with a private engine and registry.
 type placement struct {
 	shards    *sim.Shards // nil for a standalone host
 	shard     int
+	credits   *sim.Mail[txCredit]
 	reg       *stats.Registry
 	prefix    string // "host3." in a cluster
 	peerSlots int

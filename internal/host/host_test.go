@@ -10,6 +10,7 @@ import (
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
+	"fastsafe/internal/transport"
 )
 
 // run executes a short iperf-style experiment and returns results. Windows
@@ -676,5 +677,21 @@ func TestDDIOReducesMemoryPressure(t *testing.T) {
 	}
 	if d := ddio.ReadsPerPage - base.ReadsPerPage; d > 0.1 || d < -0.1 {
 		t.Fatalf("DDIO changed IOMMU behaviour: reads/pg %.2f vs %.2f", ddio.ReadsPerPage, base.ReadsPerPage)
+	}
+}
+
+// An ACK packet carries its ACK in the packet's one word: ackWord and
+// wordAck round-trip every flag combination, from the first ACK to a
+// cumulative ACK far beyond any run's segment count.
+func TestAckWordRoundTrips(t *testing.T) {
+	for _, cum := range []int64{0, 1, 8, 1<<40 + 3} {
+		for _, echo := range []bool{false, true} {
+			for _, dup := range []bool{false, true} {
+				a := transport.Ack{CumAck: cum, ECNEcho: echo, Dup: dup}
+				if got := wordAck(ackWord(a)); got != a {
+					t.Fatalf("ACK %+v came back as %+v", a, got)
+				}
+			}
+		}
 	}
 }

@@ -92,9 +92,9 @@ type netDev struct {
 
 	c hostCounters
 
-	// Packets on toLocal from the abstract remote, in send order; the
-	// wire delivers in send order, so landArrival (bound once as
-	// arriveFn) pops the one landing.
+	// The request/response app's packets on toLocal from the abstract
+	// remote, in send order; the wire delivers in send order, so
+	// landArrival (bound once as arriveFn) pops the one landing.
 	arrivals sim.FIFO[nic.Packet]
 	arriveFn func(ecn bool)
 
@@ -103,6 +103,7 @@ type netDev struct {
 	unmaps    pool[txUnmap]
 	sinkWorks pool[sinkWork]
 	ackWorks  pool[ackWork]
+	mrRemaps  pool[mrRemap]
 }
 
 // netExec lets the NIC schedule driver work on host cores, offsetting
@@ -189,7 +190,7 @@ func (n *netDev) Attach(dh device.Host) error {
 	n.arriveFn = n.landArrival
 
 	// Legacy bulk flows terminate at the abstract remote host.
-	toLocal, toRemote := path{wire: n.toLocal, n: n}, path{wire: n.toRemote, n: n}
+	toLocal, toRemote := path{wire: n.toLocal}, path{wire: n.toRemote}
 	for i := 0; i < n.spec.RxFlows; i++ {
 		f := &flow{id: i, mtu: n.spec.MTU, dst: n, dstCPU: i % n.spec.Cores,
 			fwd: toLocal, rev: toRemote, start: sim.Time(i) * sim.Microsecond}
@@ -293,7 +294,7 @@ func (j *txJob) mapTx() sim.Duration {
 		panic(fmt.Sprintf("host: MapTx(%T): %v", j.pkt.Payload, err))
 	}
 	j.m = tm
-	if _, ok := j.pkt.Payload.(ackSeg); ok {
+	if _, ok := j.pkt.Payload.(*ackEnd); ok {
 		j.n.c.acksSent++
 	}
 	return j.cost + mc
@@ -359,8 +360,8 @@ func (n *netDev) onDeliver(pkt nic.Packet) {
 	switch p := pkt.Payload.(type) {
 	case *flow:
 		p.onData(pkt.Seq, pkt.ECN)
-	case ackSeg:
-		p.f.onAck(p.ack)
+	case *ackEnd:
+		p.f.onAck(wordAck(pkt.Seq))
 	case *req:
 		p.a.onDeliver(p, int(pkt.Seq))
 	default:
@@ -386,8 +387,8 @@ func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 	switch p := pkt.Payload.(type) {
 	case *flow:
 		p.toSink(pkt.Bytes, pkt.Seq)
-	case ackSeg:
-		p.f.toSource(pkt.Bytes, pkt.Payload, p.ack)
+	case *ackEnd:
+		p.f.toSource(pkt.Bytes, pkt.Seq)
 	case *req:
 		p.a.onTxDone(pkt, p)
 	default:

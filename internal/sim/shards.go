@@ -10,7 +10,8 @@ import (
 // Shards runs N engines under conservative parallel discrete-event
 // simulation. Each shard owns one Engine and the simulation state pinned
 // to it; shards only influence each other through timestamped messages
-// posted via Post. Execution proceeds in synchronized rounds: the
+// posted via Post, as closures, or via a Mail, as values for a handler
+// bound once (mail.go). Execution proceeds in synchronized rounds: the
 // coordinator finds the globally earliest pending event at time T, lets
 // every shard run its local events in the window [T, T+lookahead) in
 // parallel, then delivers the cross-shard messages generated during the
@@ -40,8 +41,9 @@ type Shards struct {
 	lookahead Duration
 
 	// outbox[src] collects the posts generated by shard src during the
-	// current round. Only shard src's goroutine appends to it, so no two
-	// goroutines share a slice; the coordinator drains them between rounds.
+	// current round, closures and the keys of Mail values alike. Only
+	// shard src's goroutine appends to it, so no two goroutines share a
+	// slice; the coordinator drains them between rounds.
 	outbox [][]post
 	// inbox is the coordinator's scratch buffer for barrier delivery.
 	inbox []post
@@ -92,12 +94,15 @@ func (p *ShardPanic) Error() string {
 	return fmt.Sprintf("sim: shard %d panicked: %v\n\n%s", p.Shard, p.Value, p.Stack)
 }
 
-// post is one cross-shard message awaiting barrier delivery.
+// post is one cross-shard message awaiting barrier delivery: a closure
+// fn, or the value at index idx of mail's outbox for src.
 type post struct {
 	src, dst int
 	gen, at  Time
 	seq      int // arrival order within (src, round); breaks exact ties
 	fn       func()
+	mail     mailbox
+	idx      int
 }
 
 // NewShards returns n engines coordinated with the given lookahead.
@@ -115,17 +120,28 @@ func NewShards(n int, seed int64, lookahead Duration) *Shards {
 	if lookahead <= 0 {
 		panic("sim: NewShards needs a positive lookahead")
 	}
-	s := &Shards{
-		engs:      make([]*Engine, n),
+	engs := make([]*Engine, n)
+	for i := range engs {
+		engs[i] = NewEngine(seed + int64(i))
+	}
+	return newShards(engs, lookahead)
+}
+
+// OneShard returns a Shards of one shard that runs eng, for code that
+// posts through a Shards (a Mail, a sharded switch) on an engine its
+// caller owns. Every post is an Engine.At on eng, and Run runs eng
+// straight to the deadline, so the lookahead is never read.
+func OneShard(eng *Engine) *Shards { return newShards([]*Engine{eng}, 0) }
+
+func newShards(engs []*Engine, lookahead Duration) *Shards {
+	n := len(engs)
+	return &Shards{
+		engs:      engs,
 		lookahead: lookahead,
 		outbox:    make([][]post, n),
 		fired:     make([]uint64, n),
 		start:     make([]uint64, n),
 	}
-	for i := range s.engs {
-		s.engs[i] = NewEngine(seed + int64(i))
-	}
-	return s
 }
 
 // Engine returns shard i's engine.
@@ -152,6 +168,10 @@ func (s *Shards) Handoffs() uint64 { return s.handoffs }
 // for commutative bookkeeping (counter credits whose timing is invisible
 // to simulated behaviour): delivery clamps them to the destination's
 // current time, i.e. they apply at the next barrier.
+//
+// fn is a closure, which a caller that posts per packet allocates per
+// packet; a Mail posts a value instead, with this contract and in the
+// same order.
 func (s *Shards) Post(src, dst int, gen, at Time, fn func()) {
 	if src == dst {
 		s.engs[dst].At(at, fn)
@@ -180,8 +200,18 @@ func (s *Shards) flush() {
 	slices.SortFunc(s.inbox, comparePosts)
 	for i := range s.inbox {
 		p := &s.inbox[i]
-		s.engs[p.dst].AtStamped(p.at, p.gen, p.fn)
-		p.fn = nil
+		if p.mail != nil {
+			p.mail.schedule(p)
+		} else {
+			s.engs[p.dst].AtStamped(p.at, p.gen, p.fn)
+		}
+	}
+	for i := range s.inbox {
+		p := &s.inbox[i]
+		if p.mail != nil {
+			p.mail.drained(p.src)
+		}
+		p.fn, p.mail = nil, nil
 	}
 }
 
@@ -342,10 +372,4 @@ func (s *Shards) runRound(bound Time) {
 	if p != nil {
 		panic(p)
 	}
-}
-
-// String renders coordinator telemetry for debugging.
-func (s *Shards) String() string {
-	return fmt.Sprintf("shards{n=%d lookahead=%s rounds=%d handoffs=%d}",
-		len(s.engs), s.lookahead, s.rounds, s.handoffs)
 }

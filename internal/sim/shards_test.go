@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fastsafe/internal/race"
 )
 
 func TestPeekTimeAndRunBefore(t *testing.T) {
@@ -391,6 +393,119 @@ func TestShardsPanicSurfacesOnCaller(t *testing.T) {
 				}
 			}
 			waitGoroutines(t, base, "after a panic: "+name)
+		}
+	}
+}
+
+// msg is postTrace's message: the shard it goes to, the shard that sent
+// it and its depth in the flood.
+type msg struct{ to, from, depth int }
+
+// postTrace runs a random 4-shard flood and returns its trace with the
+// rounds run and the rounds handed off, as shardTrace does. Each message
+// posts one to three more to random shards, its own included, at random
+// offsets of at most two ticks beyond the lookahead (none for its own
+// shard), so same-shard and cross-shard posts interleave and share
+// (at, gen) stamps. Each shard draws from its own engine's source in its
+// own event order, so the schedule depends on the seed alone. Every
+// message is posted as a closure through Shards.Post or, when valued, as
+// a value through a Mail; work is shardTrace's knob.
+func postTrace(t *testing.T, seed int64, work int, valued bool) (trace string, rounds, handoffs uint64) {
+	t.Helper()
+	const (
+		n  = 4
+		la = Duration(5)
+	)
+	s := NewShards(n, seed, la)
+	traces := make([][]string, n)
+	hash := make([]uint64, n)
+	var step func(m msg)
+	mail := NewMail(s, func(m msg) { step(m) })
+	step = func(m msg) {
+		me := m.to
+		eng := s.Engine(me)
+		now := eng.Now()
+		traces[me] = append(traces[me], fmt.Sprintf("%d<-%d@%d#%d:%x", me, m.from, now, m.depth, hash[me]))
+		for k := 0; k < work; k++ {
+			k := uint64(k)
+			eng.At(now+Duration(k%3), func() { hash[me] = hash[me]*31 + uint64(eng.Now())<<8 + k })
+		}
+		if m.depth >= 7 {
+			return
+		}
+		rng := eng.Rand()
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			next := msg{to: rng.Intn(n), from: me, depth: m.depth + 1}
+			at := now + Duration(rng.Intn(3))
+			if next.to != me {
+				at += la
+			}
+			if valued {
+				mail.Post(me, next.to, now, at, next)
+			} else {
+				s.Post(me, next.to, now, at, func() { step(next) })
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		i := i
+		s.Engine(i).At(Time(i%2), func() { step(msg{to: i, from: i}) })
+	}
+	s.Run(200)
+	return fmt.Sprint(traces), s.Rounds(), s.Handoffs()
+}
+
+// TestShardsValuedPostsMatchClosures is the ordering oracle for valued
+// posts: one random schedule sent as closures and sent as values fires
+// the same trace, in the same rounds, at GOMAXPROCS 1, 2 and 8, with
+// rounds run on the calling goroutine and rounds handed off (work 0)
+// and with every round handed off (work minHandoff).
+func TestShardsValuedPostsMatchClosures(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, work := range []int{0, minHandoff} {
+		want, rounds, handoffs := postTrace(t, 3, work, false)
+		checkPaths(t, work, rounds, handoffs)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, valued := range []bool{false, true} {
+				got, r, h := postTrace(t, 3, work, valued)
+				if got != want || r != rounds || h != handoffs {
+					t.Fatalf("work %d GOMAXPROCS=%d valued=%v: %d rounds, %d handed off, want %d and %d; trace diverged: %v\n got %s\nwant %s",
+						work, procs, valued, r, h, rounds, handoffs, got != want, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestShardsValuedPostAllocs: a warm valued post allocates nothing from
+// the post through the barrier to its handler, from shard 0 to shard 1,
+// back, and on one shard; and a cross-shard value lands only at the
+// barrier.
+func TestShardsValuedPostAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := NewShards(2, 1, 10)
+	got := 0
+	m := NewMail(s, func(v int) { got += v })
+	for _, d := range []struct{ src, dst int }{{0, 1}, {1, 0}, {0, 0}} {
+		dst := s.Engine(d.dst)
+		post := func() {
+			now := s.Engine(d.src).Now()
+			m.Post(d.src, d.dst, now, now+10, 1)
+			if pending := dst.Pending(); d.src != d.dst && pending != 0 {
+				t.Fatalf("%d -> %d: the value was scheduled before the barrier (%d pending)", d.src, d.dst, pending)
+			}
+			s.flush()
+			dst.RunAll()
+		}
+		before := got
+		if n := testing.AllocsPerRun(100, post); n != 0 {
+			t.Errorf("%d -> %d: a warm valued post allocates %v objects, want 0", d.src, d.dst, n)
+		}
+		if got-before != 101 {
+			t.Fatalf("%d -> %d: %d values handled, want 101", d.src, d.dst, got-before)
 		}
 	}
 }

@@ -259,6 +259,7 @@ type Receiver struct {
 	ooo     map[int64]bool
 	pending int  // in-order segments since last ACK
 	ecn     bool // congestion seen since last ACK
+	ack     Ack  // the last ACK built, which OnData and FlushAck point at
 }
 
 // NewReceiver returns a receiver expecting segment 0.
@@ -272,7 +273,10 @@ func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 // OnData processes an arriving segment, returning how many segments were
 // newly delivered in order and the ACK to send, if any. Out-of-order and
 // duplicate arrivals generate an immediate (duplicate) ACK — this is the
-// mechanism that inflates the Tx ACK rate as drops increase (§2.2).
+// mechanism that inflates the Tx ACK rate as drops increase (§2.2). The
+// ACK lives in the receiver: the pointer stays valid only until the
+// receiver's next OnData or FlushAck, so a caller that keeps the ACK
+// copies it.
 func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack) {
 	if ecnMarked {
 		r.ecn = true
@@ -304,13 +308,14 @@ func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack)
 
 func (r *Receiver) makeAck(dup bool) *Ack {
 	r.pending = 0
-	a := &Ack{CumAck: r.rcvNxt, ECNEcho: r.ecn, Dup: dup}
+	r.ack = Ack{CumAck: r.rcvNxt, ECNEcho: r.ecn, Dup: dup}
 	r.ecn = false
-	return a
+	return &r.ack
 }
 
 // FlushAck forces a delayed ACK out (host calls this on a delayed-ACK
-// timer when traffic pauses).
+// timer when traffic pauses). Like OnData's, the ACK it returns is valid
+// until the receiver's next call.
 func (r *Receiver) FlushAck() *Ack {
 	if r.pending == 0 {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fastsafe/internal/race"
 	"fastsafe/internal/sim"
 )
 
@@ -237,6 +238,31 @@ func TestReceiverFlushAck(t *testing.T) {
 	}
 	if r.FlushAck() != nil {
 		t.Fatal("second flush returned an ack")
+	}
+}
+
+// TestReceiverAckAllocs: the receiver builds its ACK in a field it owns,
+// so in-order segments, the ACK the delayed-ACK threshold sends and a
+// flushed ACK allocate nothing; the pointer OnData returned reads the
+// ACK until the next call.
+func TestReceiverAckAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := NewReceiver(Params{AckEvery: 2})
+	seq := int64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		r.OnData(seq, false)
+		if _, ack := r.OnData(seq+1, true); ack == nil || ack.CumAck != seq+2 || !ack.ECNEcho {
+			t.Fatalf("ack = %+v, want cumack %d with echo", ack, seq+2)
+		}
+		r.OnData(seq+2, false)
+		if ack := r.FlushAck(); ack == nil || ack.CumAck != seq+3 || ack.ECNEcho {
+			t.Fatalf("flush ack = %+v, want cumack %d", ack, seq+3)
+		}
+		seq += 3
+	}); n != 0 {
+		t.Errorf("%v allocs per three segments and two ACKs, want 0", n)
 	}
 }
 
