@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt fmt-check test race bench fuzz faults churn-gauntlet \
-	scale-gate cover reach golden-check simbench-check lint ci
+	scale-gate cover reach examples golden-check simbench-check lint ci
 
 all: build
 
@@ -95,8 +95,8 @@ cover:
 # the functions at 0% in .reach/zero.txt. It reports; nothing gates on
 # it. About two minutes on 2 vCPUs.
 REACH := $(CURDIR)/.reach
-REACH_CMDS := cmd/fsbench cmd/fstrace examples/ablation examples/cotenant \
-	examples/keyvalue examples/quickstart examples/rpclatency
+EXAMPLES := ablation cotenant keyvalue quickstart rpclatency
+REACH_CMDS := cmd/fsbench cmd/fstrace $(addprefix examples/,$(EXAMPLES))
 
 reach:
 	rm -rf $(REACH) && mkdir -p $(REACH)/bin $(REACH)/cov
@@ -109,7 +109,7 @@ reach:
 	(cd cmd/fssim && $(REACH)/bin/fssim.test -test.run '^TestGoldenFssimRuns$$' -test.gocoverdir=$(REACH)/cov) && \
 	$(REACH)/bin/fstrace -kind locality > /dev/null && \
 	$(REACH)/bin/fstrace -kind latency > /dev/null && \
-	for e in ablation cotenant keyvalue quickstart rpclatency; do \
+	for e in $(EXAMPLES); do \
 		$(REACH)/bin/$$e > /dev/null || exit 1; \
 	done
 	$(GO) tool covdata percent -i=$(REACH)/cov
@@ -117,6 +117,14 @@ reach:
 	$(GO) tool cover -func=$(REACH)/cover.out | tail -1
 	$(GO) tool covdata func -i=$(REACH)/cov | awk '$$NF == "0.0%"' > $(REACH)/zero.txt
 	@echo "$$(wc -l < $(REACH)/zero.txt) functions at 0% (listed in .reach/zero.txt)"
+
+# Build and run every example (CI's examples job): one that fails to
+# build or exits non-zero fails the target. About 4 s on 2 vCPUs.
+examples:
+	for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # Regenerate every golden file and fail if any drift from the committed
 # ones — catches accidentally-committed stale goldens.
@@ -146,4 +154,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping" >&2; \
 	fi
 
-ci: build vet fmt-check lint test race bench fuzz faults churn-gauntlet cover golden-check simbench-check
+ci: build vet fmt-check lint test race bench fuzz faults churn-gauntlet cover examples golden-check simbench-check

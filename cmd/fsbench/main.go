@@ -26,7 +26,6 @@ func main() {
 	quick := flag.Bool("quick", false, "use short measurement windows")
 	list := flag.Bool("list", false, "list available figure ids")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "simulations to run concurrently")
-	flag.IntVar(parallel, "j", runtime.NumCPU(), "alias for -parallel")
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of aligned tables (for CI artifacts)")
 	progress := flag.Bool("progress", true, "report per-figure progress on stderr (with -fig all)")

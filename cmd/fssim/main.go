@@ -69,6 +69,11 @@
 // extra full network datapaths, and -devmode overrides their protection
 // mode (default: the host's -mode). When devices are attached the
 // per-device breakdown prints after the host line.
+//
+// A flag the run would ignore exits 2 like a bad value: the cluster
+// knobs need -hosts, -flows, -txflows, -timeline and -trace need a
+// single host, the serving knobs need -serve, -devmode a co-tenant
+// device, -sampleus -timeline, -faultseed -faults and -parallel -seeds.
 package main
 
 import (
@@ -147,6 +152,9 @@ func main() {
 	if cc.Op, err = transport.ParseOp(*rdma); err != nil {
 		exitUsage(err)
 	}
+	if cc.Traffic, err = host.ParseTraffic(*traffic); err != nil {
+		exitUsage(err)
+	}
 	if cfg.Faults, err = fault.Parse(*faults); err != nil {
 		exitUsage(err)
 	}
@@ -176,16 +184,34 @@ func main() {
 		exitUsage(fmt.Errorf("-nics must be >= 0, got %d", *nics))
 	case *timeline && *sampleus <= 0:
 		exitUsage(fmt.Errorf("-sampleus must be positive, got %d", *sampleus))
-	case cc.Op.OneSided() && cc.Hosts == 0:
-		exitUsage(errors.New("-rdma needs cluster mode (-hosts >= 2): one-sided verbs run between full hosts"))
 	}
 
 	nStorage := *storagedevs
 	if nStorage == 0 && *storage > 0 {
 		nStorage = 1
 	}
-	if nStorage > 0 && *storage == 0 {
-		exitUsage(errors.New("-storagedevs needs a positive -storage rate"))
+	cluster := cc.Hosts != 0
+	// A flag the run would ignore is an error: each row names a switch
+	// and the flags that need it on.
+	for _, r := range []struct {
+		needs string
+		on    bool
+		flags []string
+	}{
+		{"cluster mode (-hosts >= 2)", cluster, []string{"traffic", "flowsperpair", "fabricgbps", "oversub", "shards", "rdma"}},
+		{"a single host (without -hosts)", !cluster, []string{"flows", "txflows", "timeline", "trace"}},
+		{"-serve (the serving-fleet churn scenario)", *serveFleet, []string{"churn", "conns", "cohort"}},
+		{"a co-tenant device (-storage or -nics)", nStorage+*nics > 0, []string{"devmode"}},
+		{"a positive -storage rate", *storage > 0, []string{"storagedevs"}},
+		{"-timeline", *timeline, []string{"sampleus"}},
+		{"-faults", cfg.Faults.Enabled(), []string{"faultseed"}},
+		{"-seeds above 1", *seeds > 1, []string{"parallel"}},
+	} {
+		for _, name := range r.flags {
+			if set[name] && !r.on {
+				exitUsage(fmt.Errorf("%s needs %s", given(name), r.needs))
+			}
+		}
 	}
 	for i := 0; i < nStorage; i++ {
 		cfg.Topology.Storage = append(cfg.Topology.Storage, host.StorageSpec{ReadGBps: *storage, Mode: devMode})
@@ -202,12 +228,6 @@ func main() {
 		if !set["flows"] {
 			cfg.RxFlows = -1
 		}
-	} else {
-		for _, name := range []string{"churn", "conns", "cohort"} {
-			if set[name] {
-				exitUsage(fmt.Errorf("-%s %s needs -serve (the serving-fleet churn scenario)", name, flag.Lookup(name).Value))
-			}
-		}
 	}
 	if *timeline {
 		cfg.Telemetry.SampleEvery = sim.Duration(*sampleus) * sim.Microsecond
@@ -215,8 +235,7 @@ func main() {
 	cfg.Telemetry.TraceLimit = 200000
 	warm, meas := sim.Duration(*warmup)*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond
 
-	if cc.Hosts != 0 {
-		cc.Traffic = host.TrafficPattern(*traffic)
+	if cluster {
 		runCluster(cc, cfg, *seeds, *parallel, warm, meas)
 		return
 	}
@@ -263,6 +282,17 @@ func main() {
 			printTimeline(r.Timeline)
 		}
 	}
+}
+
+// given names a flag the user set as an error message shows it: a
+// number with its value, a name or a switch on its own.
+func given(name string) string {
+	f := flag.Lookup(name)
+	switch f.Value.(flag.Getter).Get().(type) {
+	case string, bool:
+		return "-" + name
+	}
+	return fmt.Sprintf("-%s %s", name, f.Value)
 }
 
 // exitUsage reports a configuration error and exits 2, the status the

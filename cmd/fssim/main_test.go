@@ -158,8 +158,8 @@ func TestRejectsBadConfigs(t *testing.T) {
 		{"fault spec", []string{"-faults", "junk=1"}, `unknown key "junk"`},
 		{"control spec", []string{"-control", "governor,metric=x"}, `unknown rule kind "governor"`},
 		{"traffic", []string{"-hosts", "2", "-traffic", "mesh"}, `traffic pattern "mesh"`},
-		// Rejected by host.New and host.NewCluster, the same rules the
-		// public facade applies.
+		// Rejected by host.New and host.NewCluster, whose range rules
+		// every caller of host.Config gets; fssim prints them as is.
 		{"tiny mtu", []string{"-mtu", "32"}, "MTU must be 0 (the default) or at least 64 bytes, got 32"},
 		{"cohort above conns", []string{"-serve", "-conns", "8", "-cohort", "100"}, "Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
 		{"zero cohort", []string{"-serve", "-cohort", "0"}, "cohort size must be >= 1, got 0"},
@@ -183,6 +183,22 @@ func TestRejectsBadConfigs(t *testing.T) {
 		{"negative storage rate", []string{"-storage", "-2"}, "-storage must be >= 0, got -2"},
 		{"zero window", []string{"-ms", "0"}, "-ms must be >= 1, got 0"},
 		{"negative warmup", []string{"-warmup", "-1"}, "-warmup must be >= 0, got -1"},
+		{"devmode names capability modes", []string{"-nics", "1", "-devmode", "cap-lazy"}, "cap-lazyrevoke"},
+		// Flags the run would ignore: each needs a switch that is off.
+		{"traffic single host", []string{"-traffic", "mesh"}, `traffic pattern "mesh"`},
+		{"shards single host", []string{"-shards", "4"}, "-shards 4 needs cluster mode"},
+		{"oversub single host", []string{"-oversub", "2"}, "-oversub 2 needs cluster mode"},
+		{"fabric rate single host", []string{"-fabricgbps", "50"}, "-fabricgbps 50 needs cluster mode"},
+		{"flows per pair single host", []string{"-flowsperpair", "3"}, "-flowsperpair 3 needs cluster mode"},
+		{"two-sided rdma single host", []string{"-rdma", "sendrecv"}, "-rdma needs cluster mode"},
+		{"cluster flows", []string{"-hosts", "2", "-flows", "8"}, "-flows 8 needs a single host"},
+		{"cluster tx flows", []string{"-hosts", "2", "-txflows", "1"}, "-txflows 1 needs a single host"},
+		{"cluster timeline", []string{"-hosts", "2", "-timeline"}, "-timeline needs a single host"},
+		{"cluster trace", []string{"-hosts", "2", "-trace"}, "-trace needs a single host"},
+		{"sampleus without timeline", []string{"-sampleus", "7"}, "-sampleus 7 needs -timeline"},
+		{"parallel one seed", []string{"-parallel", "2"}, "-parallel 2 needs -seeds above 1"},
+		{"fault seed without faults", []string{"-faultseed", "7"}, "-faultseed 7 needs -faults"},
+		{"devmode without device", []string{"-devmode", "strict"}, "-devmode needs a co-tenant device"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

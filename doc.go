@@ -13,13 +13,20 @@
 // DCTCP-style transport (internal/transport), and the host wiring with
 // per-core CPU accounting (internal/host).
 //
-// cmd/fsbench regenerates every figure in the paper's evaluation;
-// EXPERIMENTS.md records the paper-vs-simulated comparison. Start with
-// examples/quickstart.
+// cmd/fsbench regenerates every figure in the paper's evaluation and
+// cmd/fssim runs one configuration from its flags; EXPERIMENTS.md records
+// the paper-vs-simulated comparison. Start with examples/quickstart.
 //
-// Simulations are deterministic and self-contained, so sweeps are
-// embarrassingly parallel: Simulate runs one configuration, Compare runs
-// one configuration under several modes concurrently, and Sweep fans any
-// configuration series across GOMAXPROCS workers (internal/runner) while
-// returning reports in job order.
+// Every front end — fsbench's figures, fssim, the examples — builds a
+// host.Config (a host.ClusterConfig for a switched cluster) and reads
+// host.Results. Simulations are deterministic and self-contained, so
+// sweeps are embarrassingly parallel: internal/runner fans the cells of
+// a figure, or fssim's seeds, across workers and returns results in job
+// order. A Go program outside this module embeds the simulator the way
+// simbench/ does: its module path lies under fastsafe/ (so it may import
+// the internal packages) and its go.mod replaces fastsafe with a
+// checkout of this repository.
+//
+// The root package holds no code, only repo-wide tests: the lints over
+// every package's source and the per-figure benchmarks.
 package fastsafe

@@ -1,5 +1,5 @@
-// Quickstart: the paper's headline result through the public API — five
-// bulk DCTCP flows into a 100Gbps receiver under three protection modes.
+// Quickstart: the paper's headline result — five bulk DCTCP flows into
+// a 100Gbps receiver under four protection modes.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"fastsafe"
+	"fastsafe/internal/core"
+	"fastsafe/internal/sim"
+	"fastsafe/internal/workload"
 )
 
 func main() {
@@ -18,19 +20,20 @@ func main() {
 	fmt.Printf("%-10s %9s %9s %11s %12s %11s\n",
 		"mode", "rx_gbps", "drops", "iotlb/page", "reads/page", "reads/miss")
 
-	reports, err := fastsafe.Compare(fastsafe.Options{},
-		fastsafe.Off, fastsafe.Strict, fastsafe.FNS, fastsafe.FNSHuge)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range reports {
+	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS, core.FNSHuge} {
+		s := workload.Iperf(mode, 0, 0)
+		s.Warmup = 10 * sim.Millisecond
+		s.Measure = 30 * sim.Millisecond
+		r, err := s.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
 		perMiss := 0.0
-		if r.IOTLBMissesPerPage > 0 {
-			perMiss = r.MemReadsPerPage / r.IOTLBMissesPerPage
+		if r.IOTLBPerPage > 0 {
+			perMiss = r.ReadsPerPage / r.IOTLBPerPage
 		}
 		fmt.Printf("%-10s %9.1f %8.2f%% %11.2f %12.2f %11.2f\n",
-			r.Mode, r.RxGbps, r.DropRate*100, r.IOTLBMissesPerPage,
-			r.MemReadsPerPage, perMiss)
+			mode, r.RxGbps, r.DropRate*100, r.IOTLBPerPage, r.ReadsPerPage, perMiss)
 	}
 
 	fmt.Println()

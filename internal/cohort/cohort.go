@@ -52,7 +52,7 @@ type Config struct {
 
 // Validate checks the externally exposed knobs. Each rejection names
 // the knob, the value and its meaning, since host.New passes it on to
-// fssim and the public facade as is.
+// fssim as is.
 func (c Config) Validate() error {
 	switch {
 	case c.Conns < 1:

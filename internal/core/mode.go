@@ -129,8 +129,8 @@ func ValidModeNames() []string {
 }
 
 // ParseMode maps a name (as printed by String) back to a Mode. It is
-// the one parser for protection-mode specs from CLI flags and the public
-// facade; the error names the input and lists every valid mode.
+// the one parser for protection-mode specs from CLI flags and control
+// rules; the error names the input and lists every valid mode.
 func ParseMode(s string) (Mode, error) {
 	for m, name := range modeNames {
 		if s == name {

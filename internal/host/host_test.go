@@ -59,6 +59,9 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{Config{Topology: Topology{NICs: []NICSpec{{Cores: -2}}}}, "host: Topology.NICs[0].Cores must be >= 0, got -2"},
 		{Config{Topology: Topology{NICs: []NICSpec{{}, {TxFlows: -1}}}}, "host: Topology.NICs[1].TxFlows must be >= 0, got -1"},
 		{Config{Topology: Topology{NICs: []NICSpec{{MTU: 10}}}}, "host: Topology.NICs[0].MTU must be 0 (the host's) or at least 64 bytes, got 10"},
+		// A storage device's rate is device.Storage's to check, on attach.
+		{Config{Topology: Topology{Storage: []StorageSpec{{ReadGBps: -4}}}}, "storage storage0: ReadGBps must be positive, got -4"},
+		{Config{Topology: Topology{Storage: []StorageSpec{{ReadGBps: 8}, {}}}}, "storage storage1: ReadGBps must be positive, got 0"},
 		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
 		{Config{Serve: &ServeConfig{Conns: -4, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got -4"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 100}}, "host: Serve.Cohort must be <= Serve.Conns, got 100 > 8"},

@@ -80,10 +80,6 @@ type Results struct {
 	// overflow path that marks where the rcache stops absorbing churn.
 	IOVA iova.Stats
 
-	// Latencies groups every latency distribution the telemetry layer
-	// collects over the measurement window (all reset at its start).
-	Latencies Latencies
-
 	// Timeline is the sampled per-interval series restricted to the
 	// measurement window, in probe-registration order; nil unless
 	// Telemetry.SampleEvery was configured.
@@ -108,13 +104,6 @@ type Results struct {
 	FaultsInjected int64
 
 	Trace *stats.ReuseTrace // PTcache-L3 locality trace, nil unless enabled
-}
-
-// Latencies is the latency section of Results: the paper's distributional
-// evidence, one histogram per collection point.
-type Latencies struct {
-	RxDMA *stats.Histogram // primary NIC Rx PCIe DMA completion latency (ns)
-	TxDMA *stats.Histogram // primary NIC Tx PCIe DMA completion latency (ns)
 }
 
 // DeviceResults is one attached device's share of the measurement
@@ -371,10 +360,6 @@ func (h *Host) results(before, after snapshot) Results {
 	r.IOVA = after.iovaSt.Sub(before.iovaSt)
 	if h.msgs != nil {
 		r.Latency = &h.msgs.latency
-	}
-	r.Latencies = Latencies{
-		RxDMA: h.net.rx.Latency(),
-		TxDMA: h.net.tx.Latency(),
 	}
 	if h.serve != nil {
 		r.ServeLatency = &h.serve.latency

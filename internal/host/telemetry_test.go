@@ -45,11 +45,9 @@ func TestSamplingIsSideEffectFree(t *testing.T) {
 	if len(rSampled.Timeline) == 0 {
 		t.Fatal("sampled run recorded no timeline")
 	}
-	// Strip the telemetry-only sections, then demand exact equality.
+	// Strip the telemetry-only section, then demand exact equality.
 	rSampled.Timeline = nil
 	rPlain.Timeline = nil
-	rSampled.Latencies = Latencies{}
-	rPlain.Latencies = Latencies{}
 	if !reflect.DeepEqual(rPlain, rSampled) {
 		t.Fatalf("sampling changed simulation results:\nplain:   %+v\nsampled: %+v", rPlain, rSampled)
 	}
@@ -163,8 +161,8 @@ func TestRegistryCoversLayers(t *testing.T) {
 			t.Errorf("registry missing %q", name)
 		}
 	}
-	if reg.LookupHistogram("nic0.pcie.rx.latency_ns") == nil {
-		t.Error("registry missing Rx DMA latency histogram")
+	if rx := reg.LookupHistogram("nic0.pcie.rx.latency_ns"); rx == nil || rx.Count() == 0 {
+		t.Error("Rx DMA latency histogram missing or empty over the measure window")
 	}
 	if h.Telemetry().Histogram("rpc.latency_ns") == nil {
 		t.Error("registry missing rpc.latency_ns")
@@ -173,9 +171,6 @@ func TestRegistryCoversLayers(t *testing.T) {
 	// quantiles by construction.
 	if h.Telemetry().Histogram("rpc.latency_ns") != r.Latency {
 		t.Error("rpc.latency_ns is not the workload's histogram object")
-	}
-	if r.Latencies.RxDMA == nil || r.Latencies.RxDMA.Count() == 0 {
-		t.Error("Rx DMA latency histogram empty over the measure window")
 	}
 	if v, _ := reg.Value("nic0.iommu.iotlb_misses"); v <= 0 {
 		t.Error("per-domain attribution gauge did not advance")

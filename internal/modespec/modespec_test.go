@@ -1,10 +1,11 @@
-// Package modespec holds no code, only the spec-string contract that
-// fssim and the public facade share. Each front end parses a spec with
-// the parser of the package that owns its type (core.ParseMode for host
-// and device modes, transport.ParseOp, control.Parse), leaves the
-// serving fleet's ranges to cohort.Config.Validate and every other
-// value's range to host.New, and prints the error as is. These tests pin
-// what both front ends accept and the wording they print.
+// Package modespec holds no code, only the spec-string contract fssim
+// relies on. fssim parses a spec with the parser of the package that
+// owns its type (core.ParseMode for host and device modes,
+// transport.ParseOp, control.Parse), leaves the serving fleet's ranges
+// to cohort.Config.Validate and every other value's range to host.New,
+// and prints the error as is. These tests pin what those parsers accept
+// and the wording they print; fssim's TestRejectsBadConfigs checks the
+// flags that reach them.
 package modespec
 
 import (
@@ -12,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"fastsafe"
 	"fastsafe/internal/cohort"
 	"fastsafe/internal/control"
 	"fastsafe/internal/core"
@@ -63,9 +63,9 @@ func TestHostRejectsEmpty(t *testing.T) {
 	}
 }
 
-// TestDeviceInheritsOnEmpty: both front ends map an empty device mode to
-// a nil StorageSpec/NICSpec.Mode, which host.New resolves to the host's
-// mode; an explicit mode holds.
+// TestDeviceInheritsOnEmpty: fssim maps an empty -devmode to a nil
+// StorageSpec/NICSpec.Mode, which host.New resolves to the host's mode;
+// an explicit mode holds.
 func TestDeviceInheritsOnEmpty(t *testing.T) {
 	strict := core.Strict
 	h, err := host.New(host.Config{Mode: core.FNS, Topology: host.Topology{
@@ -87,16 +87,6 @@ func TestDeviceInheritsOnEmpty(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("devices %v not installed", want)
-	}
-}
-
-func TestDeviceRejectionMessage(t *testing.T) {
-	_, err := fastsafe.Simulate(fastsafe.Options{Devices: []fastsafe.DeviceOptions{{Mode: "turbo"}}})
-	if err == nil {
-		t.Fatal("device mode \"turbo\" accepted")
-	}
-	if want := `Devices[0].Mode: core: unknown protection mode "turbo"`; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q missing %q", err, want)
 	}
 }
 
@@ -289,9 +279,10 @@ func TestCapabilityModesParseInBothRoles(t *testing.T) {
 	}
 }
 
-// TestRejectionNamesCapabilityModes: the host-mode and device-mode
-// rejections must list the capability modes among the valid names, so
-// the family is discoverable from a typo.
+// TestRejectionNamesCapabilityModes: a mode rejection must list the
+// capability modes among the valid names, so the family is discoverable
+// from a typo. fssim's TestRejectsBadConfigs checks that -devmode prints
+// the same list.
 func TestRejectionNamesCapabilityModes(t *testing.T) {
 	for _, junk := range []string{"capability", "cap-lazy"} {
 		_, err := core.ParseMode(junk)
@@ -302,13 +293,6 @@ func TestRejectionNamesCapabilityModes(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("ParseMode(%q) error %q does not name %q", junk, err, want)
 			}
-		}
-		_, err = fastsafe.Simulate(fastsafe.Options{Devices: []fastsafe.DeviceOptions{{Mode: fastsafe.Mode(junk)}}})
-		if err == nil {
-			t.Fatalf("device mode %q accepted", junk)
-		}
-		if !strings.Contains(err.Error(), "cap-lazyrevoke") {
-			t.Fatalf("device mode %q error %q does not name the capability modes", junk, err)
 		}
 	}
 }
