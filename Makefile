@@ -129,7 +129,7 @@ examples:
 # Regenerate every golden file and fail if any drift from the committed
 # ones — catches accidentally-committed stale goldens.
 golden-check:
-	UPDATE_GOLDEN=1 $(GO) test -run Golden ./internal/core ./internal/experiments ./internal/host ./cmd/fssim
+	UPDATE_GOLDEN=1 $(GO) test -run Golden ./internal/core ./internal/experiments ./internal/host ./cmd/fssim ./cmd/fstrace
 	git diff --exit-code
 
 # The simulator benchmark (simbench/) is its own Go module, so the root

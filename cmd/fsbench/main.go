@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -62,7 +61,7 @@ func main() {
 		jobs := make([]runner.Job[experiments.Table], len(ids))
 		for i, id := range ids {
 			id := id
-			jobs[i] = func(context.Context) (experiments.Table, error) {
+			jobs[i] = func() (experiments.Table, error) {
 				return experiments.ByID(id, opts)
 			}
 		}
@@ -72,7 +71,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "fsbench: %s done (%d/%d)\n", ids[p.Index], p.Done, p.Total)
 			}
 		}
-		tables := runner.All(context.Background(), cfg, jobs)
+		tables := runner.All(cfg, jobs)
 		for i, r := range tables {
 			if r.Err != nil {
 				fmt.Fprintf(os.Stderr, "fsbench: %s: %v\n", ids[i], r.Err)

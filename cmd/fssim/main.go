@@ -77,7 +77,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -310,9 +309,9 @@ func runSeeds[R any](first int64, seeds, parallel int, run func(seed int64) (R, 
 	jobs := make([]runner.Job[R], seeds)
 	for i := range jobs {
 		s := first + int64(i)
-		jobs[i] = func(context.Context) (R, error) { return run(s) }
+		jobs[i] = func() (R, error) { return run(s) }
 	}
-	results, err := runner.Collect(context.Background(), runner.Config{Workers: parallel}, jobs)
+	results, err := runner.Collect(runner.Config{Workers: parallel}, jobs)
 	var panicked *runner.PanicError
 	switch {
 	case errors.As(err, &panicked):

@@ -17,6 +17,7 @@ import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/host"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/workload"
 )
 
 const csvDoc = `
@@ -54,50 +55,45 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *ms <= 0 {
+		fmt.Fprintf(os.Stderr, "-ms must be > 0, got %d\n", *ms)
+		os.Exit(2)
+	}
 
 	switch *kind {
 	case "locality":
-		h, err := host.New(host.Config{
-			Mode: m, RxFlows: *flows, RingPackets: *ring, Seed: *seed,
-			Telemetry: host.TelemetryConfig{TraceL3: true, TraceLimit: *limit},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		h.Run(10*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond)
+		s := workload.IperfTrace(m, *flows, *ring, *limit)
+		r := run(s, *seed, *ms)
 		fmt.Println("alloc_index,l3_stack_distance")
-		for i, d := range h.Telemetry().ReuseTrace().Dists {
+		for i, d := range r.Trace.Dists {
 			fmt.Printf("%d,%d\n", i, d)
 		}
 
 	case "latency":
-		h, err := host.New(host.Config{Mode: m, RxFlows: *flows, RingPackets: *ring, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if _, err := h.InstallMessages(host.MsgConfig{
-			Pattern: host.LocalServes, Streams: 1, Depth: 1,
-			ReqBytes: *rpc, RespBytes: *rpc,
-			AppCPU: 2 * sim.Microsecond, Cores: 1, CoreBase: 5,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		h.Run(10*sim.Millisecond, sim.Duration(*ms)*sim.Millisecond)
-		// The registry adopted the workload's own histogram when messages
-		// were installed, so reading it back through the telemetry layer
-		// reproduces the pre-refactor quantiles exactly.
-		lat := h.Telemetry().Histogram("rpc.latency_ns")
+		s := workload.RPC(m, *rpc)
+		s.Host.RxFlows, s.Host.RingPackets = *flows, *ring
+		r := run(s, *seed, *ms)
 		fmt.Println("quantile,latency_us")
 		for _, q := range []float64{0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90,
 			0.95, 0.99, 0.995, 0.999, 0.9999} {
-			fmt.Printf("%g,%.2f\n", q, float64(lat.Quantile(q))/1000)
+			fmt.Printf("%g,%.2f\n", q, float64(r.Latency.Quantile(q))/1000)
 		}
 
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -kind %q\n", *kind)
 		os.Exit(2)
 	}
+}
+
+// run runs s under seed after a 10 ms warm-up for ms measured
+// milliseconds, exiting on a config error.
+func run(s workload.Spec, seed int64, ms int) host.Results {
+	s.Host.Seed = seed
+	s.Warmup, s.Measure = 10*sim.Millisecond, sim.Duration(ms)*sim.Millisecond
+	r, err := s.Run()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return r
 }

@@ -5,53 +5,107 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// hostConfigTypes are internal/host's config types: each exported field
-// is a knob every front end could set, so each must have a caller.
-var hostConfigTypes = []string{
-	"Config", "TelemetryConfig", "Topology", "NICSpec", "StorageSpec",
-	"ServeConfig", "MsgConfig", "ClusterConfig",
+// configTypes are the config types of each layer under internal/, by
+// package name: each exported field is a knob some caller above the
+// layer could set, so each must have a caller.
+var configTypes = map[string][]string{
+	"ats":       {"Config"},
+	"cohort":    {"Config"},
+	"control":   {"Config"},
+	"core":      {"Config"},
+	"device":    {"StorageConfig"},
+	"fabric":    {"Config"},
+	"host":      {"Config", "TelemetryConfig", "Topology", "NICSpec", "StorageSpec", "ServeConfig", "MsgConfig", "ClusterConfig"},
+	"iommu":     {"Config"},
+	"nic":       {"Config"},
+	"runner":    {"Config"},
+	"transport": {"Params"},
 }
 
-// configFieldTestOnly lists the host config fields no non-test caller
-// sets, each with the test that sets it and what that test checks.
+// configFieldTestOnly lists the config fields no non-test caller outside
+// the declaring package sets, each with the test that sets it and what
+// that test checks. Keys are package.Type.Field.
 var configFieldTestOnly = map[string]string{
-	"Config.NICBufferBytes": "the drop and resend goldens (traffic_serve_expiry, traffic_msg_resend_*) shrink the NIC buffer",
-	"MsgConfig.Timeout":     "the resend goldens (traffic_msg_resend_*) shorten the resend timeout",
-	"Config.DDIO":           "TestDDIOReducesMemoryPressure checks the paper's §4.1 DDIO remark",
-	"NICSpec.Cores":         "the traffic_extra_nic_tx golden shapes a second NIC's flows",
-	"NICSpec.RxFlows":       "the traffic_extra_nic_tx golden shapes a second NIC's flows",
-	"NICSpec.TxFlows":       "the traffic_extra_nic_tx golden shapes a second NIC's flows",
-	"NICSpec.MTU":           "the traffic_extra_nic_tx golden shapes a second NIC's flows",
+	"host.Config.NICBufferBytes": "the drop and resend goldens (traffic_serve_expiry, traffic_msg_resend_*) shrink the NIC buffer",
+	"host.MsgConfig.Timeout":     "the resend goldens (traffic_msg_resend_*) shorten the resend timeout",
+	"host.Config.DDIO":           "TestDDIOReducesMemoryPressure checks the paper's §4.1 DDIO remark",
+	"host.NICSpec.Cores":         "the traffic_extra_nic_tx golden shapes a second NIC's flows",
+	"host.NICSpec.RxFlows":       "the traffic_extra_nic_tx golden shapes a second NIC's flows",
+	"host.NICSpec.TxFlows":       "the traffic_extra_nic_tx golden shapes a second NIC's flows",
+	"host.NICSpec.MTU":           "the traffic_extra_nic_tx golden shapes a second NIC's flows",
+	"core.Config.DeferredLimit":  "core's TestGoldenPolicyLedger batches 6 pages (testdata/golden/ledger.txt), and TestDeferredLeavesUnsafeWindow, TestDeferredFlushRevokesAccess and TestTxRecordsNeverAlias flush at 8 or 16 pages or never",
+	"iommu.Config.IOTLBSets":     shrunkCaches,
+	"iommu.Config.IOTLBWays":     shrunkCaches,
+	"iommu.Config.L1Size":        shrunkCaches,
+	"iommu.Config.L2Size":        shrunkCaches,
 }
 
-// TestConfigFieldsHaveCallers fails on an exported field of a host
-// config type that no non-test file outside package host sets, unless
-// configFieldTestOnly lists it; and on a listed field that gained such a
-// setter or no longer exists. A field counts as set by a composite-
-// literal key, an assignment or increment target (every field along the
-// selector chain, so s.Host.IOMMU.L3Size = ... sets Config.IOMMU), or an
-// &x.F flag binding. Defaults inside package host set nothing: a field
-// only they set is a constant.
+const shrunkCaches = "iommu's property tests (TestPropertyNoSilentMistranslation, TestPropertyCrossDomainNoLeak, TestPropertyPerDomainCountersSumToGlobal) and nic's TestRxBatchMatchesRoundRobin shrink the caches to force evictions"
+
+// TestConfigFieldsHaveCallers fails on an exported field of a config
+// type in configTypes that no non-test file outside the declaring
+// package sets, in the module or in simbench, unless configFieldTestOnly
+// lists it; and on a listed field that gained such a setter or no longer
+// exists. A field counts as set by a composite-literal key, an
+// assignment or increment target (every field along the selector chain,
+// so s.Host.IOMMU.L3Size = ... sets host.Config.IOMMU and
+// iommu.Config.L3Size), or an &x.F flag binding. Defaults inside the
+// declaring package set nothing: a field only they set is a constant.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	_, pkgs := checkedModule(t)
-	const hostPath = "fastsafe/internal/host"
-	var hostPkg *types.Package
+	keys := map[*types.TypeName]string{} // each config type's package.Type
+	seen := map[string]bool{}
+	exists := map[string]bool{}
+	var fields []string
+	for _, p := range pkgs {
+		rel, ok := strings.CutPrefix(p.dir, "internal/")
+		if !ok {
+			continue
+		}
+		seen[rel] = true
+		for _, name := range configTypes[rel] {
+			obj, _ := p.pkg.Scope().Lookup(name).(*types.TypeName)
+			if obj == nil {
+				t.Errorf("%s.%s: no such type; drop it from configTypes", rel, name)
+				continue
+			}
+			key := rel + "." + name
+			keys[obj] = key
+			st := obj.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					exists[key+"."+f.Name()] = true
+					fields = append(fields, key+"."+f.Name())
+				}
+			}
+		}
+	}
+	for _, rel := range sortedKeys(configTypes) {
+		if !seen[rel] {
+			t.Errorf("internal/%s: no such package; drop it from configTypes", rel)
+		}
+	}
 	set := map[string]bool{}
 	for _, p := range pkgs {
-		if p.dir == "internal/host" {
-			hostPkg = p.pkg
-			continue
+		// outside returns the key of a config type declared in another
+		// package than p, or "".
+		outside := func(named *types.Named) string {
+			if named == nil || named.Obj().Pkg() == p.pkg {
+				return ""
+			}
+			return keys[named.Obj()]
 		}
 		mark := func(e ast.Expr) {
 			for {
 				switch x := e.(type) {
 				case *ast.SelectorExpr:
 					if sel := p.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-						if owner := fieldOwner(sel); owner != nil && owner.Obj().Pkg().Path() == hostPath {
-							set[owner.Obj().Name()+"."+x.Sel.Name] = true
+						if key := outside(fieldOwner(sel)); key != "" {
+							set[key+"."+x.Sel.Name] = true
 						}
 					}
 					e = x.X
@@ -70,14 +124,15 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
-					named, ok := types.Unalias(p.info.TypeOf(n)).(*types.Named)
-					if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != hostPath {
+					named, _ := deref(p.info.TypeOf(n)).(*types.Named)
+					key := outside(named)
+					if key == "" {
 						break
 					}
 					for _, e := range n.Elts {
 						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							if key, ok := kv.Key.(*ast.Ident); ok {
-								set[named.Obj().Name()+"."+key.Name] = true
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set[key+"."+id.Name] = true
 							}
 						}
 					}
@@ -96,45 +151,29 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 			})
 		}
 	}
-	if hostPkg == nil {
-		t.Fatal("internal/host was not type-checked")
-	}
-	exists := map[string]bool{}
-	var fields []string
-	for _, name := range hostConfigTypes {
-		obj := hostPkg.Scope().Lookup(name)
-		if obj == nil {
-			t.Errorf("host.%s: no such type; drop it from hostConfigTypes", name)
-			continue
-		}
-		st := obj.Type().Underlying().(*types.Struct)
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() {
-				key := name + "." + f.Name()
-				exists[key] = true
-				fields = append(fields, key)
-			}
-		}
-	}
 	for _, key := range fields {
 		_, listed := configFieldTestOnly[key]
 		switch {
 		case !set[key] && !listed:
-			t.Errorf("host.%s: no non-test caller outside package host sets it: make it a constant, or list it in configFieldTestOnly with the test that sets it", key)
+			t.Errorf("%s: no non-test caller outside its package sets it: make it a constant, or list it in configFieldTestOnly with the test that sets it", key)
 		case set[key] && listed:
-			t.Errorf("host.%s: a non-test caller sets it; drop it from configFieldTestOnly", key)
+			t.Errorf("%s: a non-test caller sets it; drop it from configFieldTestOnly", key)
 		}
 	}
-	listed := make([]string, 0, len(configFieldTestOnly))
-	for key := range configFieldTestOnly {
-		listed = append(listed, key)
-	}
-	sort.Strings(listed)
-	for _, key := range listed {
+	for _, key := range sortedKeys(configFieldTestOnly) {
 		if !exists[key] {
-			t.Errorf("host.%s: listed in configFieldTestOnly, but no such field; drop the entry", key)
+			t.Errorf("%s: listed in configFieldTestOnly, but no such field; drop the entry", key)
 		}
 	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // fieldOwner returns the named struct type that declares the field sel

@@ -11,8 +11,8 @@ import (
 	"log"
 
 	"fastsafe/internal/core"
-	"fastsafe/internal/host"
 	"fastsafe/internal/sim"
+	"fastsafe/internal/workload"
 )
 
 func main() {
@@ -21,23 +21,12 @@ func main() {
 	fmt.Printf("%-10s %9s %9s %9s %10s %8s\n", "mode", "p50_us", "p99_us", "p99.9_us", "p99.99_us", "rpcs")
 
 	for _, mode := range []core.Mode{core.Off, core.Strict, core.FNS} {
-		h, err := host.New(host.Config{Mode: mode})
+		s := workload.RPC(mode, 4096)
+		s.Warmup = 10 * sim.Millisecond
+		r, err := s.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := h.InstallMessages(host.MsgConfig{
-			Pattern:   host.LocalServes,
-			Streams:   1,
-			Depth:     1,
-			ReqBytes:  4096,
-			RespBytes: 4096,
-			AppCPU:    2 * sim.Microsecond,
-			Cores:     1,
-			CoreBase:  5,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		r := h.Run(10*sim.Millisecond, 100*sim.Millisecond)
 		p := r.Percentiles()
 		us := func(ns int64) float64 { return float64(ns) / 1000 }
 		fmt.Printf("%-10s %9.1f %9.1f %9.1f %10.1f %8d\n",

@@ -43,12 +43,20 @@ type Config struct {
 
 	MeanGap sim.Duration // mean per-connection inter-arrival time (default 40us)
 
-	ReqMin, ReqMax   int     // bounded-Pareto request payload (default 256..64KB)
-	RespMin, RespMax int     // bounded-Pareto response payload (default 64..4KB)
-	Alpha            float64 // Pareto tail index for both (default 1.3)
+	ReqMax  int // bounded-Pareto request payload cap (default 64KB; floor reqMin)
+	RespMax int // bounded-Pareto response payload cap (default 4KB; floor respMin)
 
 	Seed int64
 }
+
+// The bounded-Pareto payload floors and the tail index both payload
+// distributions share. The index is a typed constant, so 1/paretoAlpha
+// rounds as a float64 division does.
+const (
+	reqMin              = 256
+	respMin             = 64
+	paretoAlpha float64 = 1.3
+)
 
 // Validate checks the externally exposed knobs. Each rejection names
 // the knob, the value and its meaning, since host.New passes it on to
@@ -69,20 +77,11 @@ func (c Config) withDefaults() Config {
 	if c.MeanGap <= 0 {
 		c.MeanGap = 40 * sim.Microsecond
 	}
-	if c.ReqMin <= 0 {
-		c.ReqMin = 256
-	}
 	if c.ReqMax <= 0 {
 		c.ReqMax = 64 << 10
 	}
-	if c.RespMin <= 0 {
-		c.RespMin = 64
-	}
 	if c.RespMax <= 0 {
 		c.RespMax = 4 << 10
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 1.3
 	}
 	return c
 }
@@ -125,15 +124,15 @@ func (c Config) expGap(r *rng) sim.Duration {
 }
 
 // sizes is a bounded-Pareto size distribution on [lo, hi] with tail
-// index alpha. ratio, (lo/hi)^alpha, depends only on the config, so New
-// computes it once per distribution instead of once per draw.
+// index paretoAlpha. ratio, (lo/hi)^alpha, depends only on the bounds,
+// so New computes it once per distribution instead of once per draw.
 type sizes struct {
-	lo, hi       int
-	alpha, ratio float64
+	lo, hi int
+	ratio  float64
 }
 
-func (c Config) sizes(lo, hi int) sizes {
-	return sizes{lo: lo, hi: hi, alpha: c.Alpha, ratio: math.Pow(float64(lo)/float64(hi), c.Alpha)}
+func newSizes(lo, hi int) sizes {
+	return sizes{lo: lo, hi: hi, ratio: math.Pow(float64(lo)/float64(hi), paretoAlpha)}
 }
 
 // draw draws a size by inverse CDF.
@@ -142,7 +141,7 @@ func (s *sizes) draw(r *rng) int {
 		return s.lo
 	}
 	u := r.float64()
-	x := float64(s.lo) / math.Pow(1-u*(1-s.ratio), 1/s.alpha)
+	x := float64(s.lo) / math.Pow(1-u*(1-s.ratio), 1/paretoAlpha)
 	n := int(x)
 	if n < s.lo {
 		n = s.lo
@@ -207,7 +206,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	f := &Fleet{cfg: cfg, req: cfg.sizes(cfg.ReqMin, cfg.ReqMax), resp: cfg.sizes(cfg.RespMin, cfg.RespMax)}
+	f := &Fleet{cfg: cfg, req: newSizes(reqMin, cfg.ReqMax), resp: newSizes(respMin, cfg.RespMax)}
 	f.conns = make([]conn, cfg.Conns)
 	nGroups := (cfg.Conns + cfg.Cohort - 1) / cfg.Cohort
 	f.groups = make([]Group, nGroups)

@@ -147,11 +147,11 @@ func TestDistributionShape(t *testing.T) {
 	var sumReq, sumResp float64
 	var tailReq int
 	for _, a := range arr {
-		if a.Req < full.ReqMin || a.Req > full.ReqMax {
-			t.Fatalf("request size %d outside [%d, %d]", a.Req, full.ReqMin, full.ReqMax)
+		if a.Req < reqMin || a.Req > full.ReqMax {
+			t.Fatalf("request size %d outside [%d, %d]", a.Req, reqMin, full.ReqMax)
 		}
-		if a.Resp < full.RespMin || a.Resp > full.RespMax {
-			t.Fatalf("response size %d outside [%d, %d]", a.Resp, full.RespMin, full.RespMax)
+		if a.Resp < respMin || a.Resp > full.RespMax {
+			t.Fatalf("response size %d outside [%d, %d]", a.Resp, respMin, full.RespMax)
 		}
 		sumReq += float64(a.Req)
 		sumResp += float64(a.Resp)
@@ -280,17 +280,16 @@ func TestAbandonChurnAccounting(t *testing.T) {
 	}
 }
 
-// A degenerate Pareto range (lo == hi) pins every draw to that size.
+// A degenerate Pareto range (cap == floor) pins every draw to that size.
 func TestDegeneratePayloadRange(t *testing.T) {
-	f, err := New(Config{Conns: 1, Cohort: 1, Churn: 0.5,
-		ReqMin: 512, ReqMax: 512, RespMin: 64, RespMax: 64})
+	f, err := New(Config{Conns: 1, Cohort: 1, Churn: 0.5, ReqMax: reqMin, RespMax: respMin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	at, _ := f.Peek()
 	a, _ := f.Next(sim.Time(at))
-	if a.Req != 512 || a.Resp != 64 {
-		t.Fatalf("degenerate range drew req=%d resp=%d, want 512 and 64", a.Req, a.Resp)
+	if a.Req != reqMin || a.Resp != respMin {
+		t.Fatalf("degenerate range drew req=%d resp=%d, want %d and %d", a.Req, a.Resp, reqMin, respMin)
 	}
 }
 
@@ -307,38 +306,30 @@ func paretoPerDraw(r *rng, lo, hi int, alpha float64) int {
 	return max(lo, min(n, hi))
 }
 
-// TestParetoMatchesPerDrawFormula: the fleet's size draws, with the
-// constant computed once in New, equal the per-draw formula draw for
-// draw and consume the stream alike, at the defaults, other tail
-// indices, a range wide enough that int(x) keeps most of x's bits, and
-// a degenerate range.
+// TestParetoMatchesPerDrawFormula: size draws, with the constant
+// computed once in newSizes, equal the per-draw formula draw for draw
+// and consume the stream alike: the fleet's own distributions at the
+// defaults, a narrow range, a range wide enough that int(x) keeps most
+// of x's bits, and a degenerate range.
 func TestParetoMatchesPerDrawFormula(t *testing.T) {
-	for _, cfg := range []Config{
-		{},
-		{Alpha: 0.7, ReqMin: 1, ReqMax: 1 << 20},
-		{Alpha: 2.9, RespMin: 100, RespMax: 101},
-		{Alpha: 1.1, ReqMin: 64, ReqMax: 1 << 50},
-		{ReqMin: 512, ReqMax: 512},
-	} {
-		cfg.Conns, cfg.Cohort, cfg.Churn, cfg.Seed = 4, 1, 0.5, 7
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := f.cfg
+	f, err := New(Config{Conns: 4, Cohort: 1, Churn: 0.5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []sizes{f.req, f.resp, newSizes(1, 1<<20), newSizes(100, 101), newSizes(64, 1<<50), newSizes(512, 512)} {
 		for conn := 0; conn < 64; conn++ {
-			got, want := connRNG(c.Seed, conn, 0), connRNG(c.Seed, conn, 0)
+			got, want := connRNG(7, conn, 0), connRNG(7, conn, 0)
 			for i := 0; i < 2000; i++ {
-				if g, w := f.req.draw(&got), paretoPerDraw(&want, c.ReqMin, c.ReqMax, c.Alpha); g != w {
-					t.Fatalf("%+v conn %d draw %d: request %d, per-draw formula %d", cfg, conn, i, g, w)
-				}
-				if g, w := f.resp.draw(&got), paretoPerDraw(&want, c.RespMin, c.RespMax, c.Alpha); g != w {
-					t.Fatalf("%+v conn %d draw %d: response %d, per-draw formula %d", cfg, conn, i, g, w)
+				if g, w := s.draw(&got), paretoPerDraw(&want, s.lo, s.hi, 1.3); g != w {
+					t.Fatalf("[%d, %d] conn %d draw %d: size %d, per-draw formula %d", s.lo, s.hi, conn, i, g, w)
 				}
 			}
 			if got != want {
-				t.Fatalf("%+v conn %d: streams diverged", cfg, conn)
+				t.Fatalf("[%d, %d] conn %d: streams diverged", s.lo, s.hi, conn)
 			}
 		}
+	}
+	if f.req.hi != 64<<10 || f.resp.hi != 4<<10 {
+		t.Fatalf("default caps: request %d, response %d, want 64KB and 4KB", f.req.hi, f.resp.hi)
 	}
 }

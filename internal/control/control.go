@@ -1,7 +1,7 @@
 // Package control is the simulator's adaptive protection-mode control
 // plane: a deterministic rule engine running on the virtual clock that
-// watches the telemetry registry and retunes per-domain runtime knobs
-// (core.Knobs) through the SetKnobs transition protocol.
+// watches the telemetry registry and switches per-domain protection
+// modes through the core.Domain.SetMode transition protocol.
 //
 // Determinism contract: the controller consumes no randomness, reads
 // the registry only at its own tick events, and schedules nothing but
@@ -92,7 +92,7 @@ func (d Decision) String() string {
 }
 
 // Controller evaluates the configured rules against the registry on
-// virtual-clock ticks and applies mode switches through SetKnobs.
+// virtual-clock ticks and applies mode switches through SetMode.
 type Controller struct {
 	eng     *sim.Engine
 	reg     *stats.Registry
@@ -104,9 +104,9 @@ type Controller struct {
 	cooldown []sim.Time // per target: no switches before this time
 	log      []Decision
 
-	ticks    *stats.Counter
-	switches *stats.Counter
-	rejected *stats.Counter
+	// ticks, switches and rejected count evaluations, applied switches
+	// and refused ones, published as control.* gauges.
+	ticks, switches, rejected int64
 }
 
 // New validates cfg against the targets and builds a controller wired
@@ -132,10 +132,10 @@ func New(eng *sim.Engine, reg *stats.Registry, prefix string, cfg Config, target
 		targets:  targets,
 		last:     make([]float64, len(cfg.Rules)*len(targets)),
 		cooldown: make([]sim.Time, len(targets)),
-		ticks:    reg.Counter(prefix + "control.ticks"),
-		switches: reg.Counter(prefix + "control.switches"),
-		rejected: reg.Counter(prefix + "control.rejected"),
 	}
+	reg.GaugeFunc(prefix+"control.ticks", func() float64 { return float64(c.ticks) })
+	reg.GaugeFunc(prefix+"control.switches", func() float64 { return float64(c.switches) })
+	reg.GaugeFunc(prefix+"control.rejected", func() float64 { return float64(c.rejected) })
 	return c, nil
 }
 
@@ -197,7 +197,7 @@ func (c *Controller) value(metric string) (float64, bool) {
 }
 
 func (c *Controller) tick() {
-	c.ticks.Add(1)
+	c.ticks++
 	now := c.eng.Now()
 	for ri, r := range c.cfg.Rules {
 		v, ok := c.value(r.Metric)
@@ -236,20 +236,18 @@ func (c *Controller) tick() {
 			if !fired || want == cur || now < c.cooldown[ti] {
 				continue
 			}
-			knobs := t.Domain.Knobs()
-			knobs.Mode = want
-			cost, err := t.Domain.SetKnobs(knobs)
+			cost, err := t.Domain.SetMode(want)
 			if err != nil {
 				// Another rule left the domain in a mode this pair cannot
 				// reach (validated pairs never fail from their own modes).
-				c.rejected.Add(1)
+				c.rejected++
 				continue
 			}
 			if t.Exec != nil {
 				t.Exec(cost)
 			}
 			c.cooldown[ti] = now + r.Cooldown
-			c.switches.Add(1)
+			c.switches++
 			c.log = append(c.log, Decision{
 				At: now, Domain: t.Name, Rule: r.Kind, Metric: r.Metric,
 				Value: obs, From: cur, To: want,

@@ -58,7 +58,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 func TestGuardHysteresis(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := stats.NewRegistry()
-	blocked := reg.Counter("blocked")
+	var blocked int64
+	reg.GaugeFunc("blocked", func() float64 { return float64(blocked) })
 	dom := testDomain(t, core.FNS)
 	var charged int
 	c, err := New(eng, reg, "", Config{Every: 100, Rules: []Rule{guardRule()}},
@@ -72,12 +73,12 @@ func TestGuardHysteresis(t *testing.T) {
 	if dom.Mode() != core.FNS {
 		t.Fatalf("mode after quiet tick = %v, want fns", dom.Mode())
 	}
-	blocked.Add(3)
+	blocked += 3
 	eng.Run(250) // tick at 200: delta 3 >= 1 -> strict
 	if dom.Mode() != core.Strict {
 		t.Fatalf("mode after burst tick = %v, want strict", dom.Mode())
 	}
-	blocked.Add(2)
+	blocked += 2
 	eng.Run(350) // tick at 300: delta 2, still bursting -> hold strict
 	if dom.Mode() != core.Strict {
 		t.Fatalf("mode mid-burst = %v, want strict held", dom.Mode())
@@ -117,7 +118,8 @@ func TestGuardHysteresis(t *testing.T) {
 func TestCooldownSuppressesThrash(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := stats.NewRegistry()
-	blocked := reg.Counter("blocked")
+	var blocked int64
+	reg.GaugeFunc("blocked", func() float64 { return float64(blocked) })
 	dom := testDomain(t, core.FNS)
 	r := guardRule()
 	r.Cooldown = 500
@@ -133,7 +135,7 @@ func TestCooldownSuppressesThrash(t *testing.T) {
 	next := int64(2)
 	for at := sim.Time(100); at <= 500; at += 100 {
 		eng.Run(at + 50)
-		blocked.Add(next)
+		blocked += next
 		next = 2 - next
 	}
 	if got := len(c.Decisions()); got != 1 {
@@ -216,7 +218,7 @@ func TestMetricLookupPrefixAndFallback(t *testing.T) {
 func TestDomainScope(t *testing.T) {
 	eng := sim.NewEngine(1)
 	reg := stats.NewRegistry()
-	reg.Counter("blocked").Add(10)
+	reg.GaugeFunc("blocked", func() float64 { return 10 })
 	d0, d1 := testDomain(t, core.FNS), testDomain(t, core.FNS)
 	r := guardRule()
 	r.Domain = "nic1"

@@ -68,12 +68,12 @@ type Config struct {
 	// immediate); the host wiring enables it for realism.
 	FreePoolSize int
 	// Seed drives the free pool's deterministic shuffle.
-	Seed  int64
-	IOMMU iommu.Config // cache geometry (ignored when SharedIOMMU is set)
+	Seed int64
 	// SharedIOMMU attaches this domain to an existing IOMMU instead of
-	// creating a private one: the domain gets its own IOVA space and IO
-	// page table but shares the IOTLB, page-table caches and walkers —
-	// how multiple devices coexist on one root complex.
+	// creating a private one of the default geometry: the domain gets
+	// its own IOVA space and IO page table but shares the IOTLB,
+	// page-table caches and walkers — how multiple devices coexist on one
+	// root complex.
 	SharedIOMMU *iommu.IOMMU
 	// DefaultDomain, with SharedIOMMU set, attaches as the IOMMU's
 	// pre-existing default domain 0 instead of creating a fresh one. The
@@ -168,7 +168,7 @@ type Counters struct {
 // allocator and a protection-mode datapath.
 type Domain struct {
 	cfg   Config
-	knobs Knobs
+	mode  Mode // the bound protection mode (SetMode switches it)
 	pol   *Policy
 	mmu   *iommu.IOMMU
 	domID iommu.DomainID
@@ -227,13 +227,13 @@ func NewDomain(cfg Config) (*Domain, error) {
 	mmu := cfg.SharedIOMMU
 	var domID iommu.DomainID
 	if mmu == nil {
-		mmu = iommu.New(cfg.IOMMU)
+		mmu = iommu.New(iommu.Config{})
 	} else if !cfg.DefaultDomain {
 		domID = mmu.CreateDomain()
 	}
 	d := &Domain{
 		cfg:      cfg,
-		knobs:    Knobs{Mode: cfg.Mode, DeferredLimit: cfg.DeferredLimit, FlushInterval: DefaultFlushInterval},
+		mode:     cfg.Mode,
 		pol:      pol,
 		mmu:      mmu,
 		domID:    domID,
@@ -268,9 +268,9 @@ func NewDomain(cfg Config) (*Domain, error) {
 	return d, nil
 }
 
-// Mode returns the domain's current protection mode (live: a runtime
-// knob switch changes it).
-func (d *Domain) Mode() Mode { return d.knobs.Mode }
+// Mode returns the domain's current protection mode (live: SetMode
+// changes it).
+func (d *Domain) Mode() Mode { return d.mode }
 
 // DescriptorPages returns the configured pages per Rx descriptor.
 func (d *Domain) DescriptorPages() int { return d.cfg.DescriptorPages }
@@ -444,7 +444,7 @@ func (d *Domain) FlushDeferred() sim.Duration {
 // the returned IOVAs are physical identities.
 func (d *Domain) MapPersistentPages(cpu, pages int) ([]ptable.IOVA, error) {
 	out := make([]ptable.IOVA, 0, pages)
-	if d.knobs.Mode == Off {
+	if d.mode == Off {
 		for i := 0; i < pages; i++ {
 			out = append(out, ptable.IOVA(d.newPhys()))
 		}

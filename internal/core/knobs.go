@@ -7,34 +7,14 @@ import (
 	"fastsafe/internal/sim"
 )
 
-// Runtime-tunable protection knobs. Construction (Config) decides the
-// frozen shape of a domain — IOMMU geometry, CPU count, capability-table
-// attachment — while Knobs carries the parameters a control plane may
-// retune while traffic is in flight: the bound protection mode, the
-// deferred/lazy-revoke batch threshold, and the timer-flush period.
-// NewDomain seeds them from Config; SetKnobs is the only writer.
-
-// DefaultFlushInterval is the timer-flush period for batched
-// invalidations (Linux's 10ms lazy-mode timer), seeded into every
-// domain's knobs and consumed by the host's housekeeping loop.
-const DefaultFlushInterval = 10 * sim.Millisecond
-
-// Knobs are the runtime-tunable parameters of one protection domain.
-type Knobs struct {
-	// Mode is the protection mode the datapath currently runs.
-	Mode Mode
-	// DeferredLimit is the pending-page threshold that triggers a batch
-	// flush in deferred and cap-lazyrevoke modes.
-	DeferredLimit int
-	// FlushInterval is the timer-flush period for the same batches.
-	FlushInterval sim.Duration
-}
-
-// Knobs returns the domain's current runtime knobs.
-func (d *Domain) Knobs() Knobs { return d.knobs }
+// Runtime mode switching. Construction (Config) decides the frozen shape
+// of a domain — IOMMU attachment, CPU count, capability-table
+// attachment, batch threshold — while the bound protection mode is the
+// one parameter a control plane may retune while traffic is in flight.
+// NewDomain binds Config.Mode; SetMode is the only writer.
 
 // CanSwitch reports whether a runtime transition from mode `from` to
-// mode `to` is supported, with the same error SetKnobs would return.
+// mode `to` is supported, with the same error SetMode would return.
 // Control planes validate their rules against it at construction so a
 // mis-specced rule fails loudly before traffic flows.
 func CanSwitch(from, to Mode) error {
@@ -57,8 +37,7 @@ func CanSwitch(from, to Mode) error {
 	return nil
 }
 
-// SetKnobs retunes the domain's runtime knobs, switching protection
-// mode when k.Mode differs from the current one. A mode switch runs the
+// SetMode switches the domain's protection mode to m. A switch runs the
 // transition protocol — drain the batch the old policy accumulated,
 // retire partially filled Tx chunks, and shoot down every cached
 // translation — before rebinding the policy, so nothing the old mode
@@ -66,21 +45,14 @@ func CanSwitch(from, to Mode) error {
 // zero-stale across the switch). In-flight descriptors and Tx packets
 // keep the policy that mapped them and complete through it. Returns the
 // CPU time the transition cost (already charged to the domain).
-func (d *Domain) SetKnobs(k Knobs) (sim.Duration, error) {
-	if k.DeferredLimit <= 0 {
-		return 0, fmt.Errorf("core: knobs deferred limit must be > 0, got %d", k.DeferredLimit)
-	}
-	if k.FlushInterval <= 0 {
-		return 0, fmt.Errorf("core: knobs flush interval must be > 0, got %s", k.FlushInterval)
-	}
-	if k.Mode == d.knobs.Mode {
-		d.knobs = k
+func (d *Domain) SetMode(m Mode) (sim.Duration, error) {
+	if m == d.mode {
 		return 0, nil
 	}
-	if err := CanSwitch(d.knobs.Mode, k.Mode); err != nil {
+	if err := CanSwitch(d.mode, m); err != nil {
 		return 0, err
 	}
-	pol, _ := PolicyFor(k.Mode)
+	pol, _ := PolicyFor(m)
 	// Drain the revocation batch (self-charging), so no unmap the old
 	// policy queued outlives its policy.
 	cost := d.FlushDeferred()
@@ -112,7 +84,7 @@ func (d *Domain) SetKnobs(k Knobs) (sim.Duration, error) {
 		extra += d.flushInvalidate()
 	}
 	d.pol = pol
-	d.knobs = k
+	d.mode = m
 	d.c.CPUTime += extra
 	return cost + extra, nil
 }

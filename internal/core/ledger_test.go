@@ -210,7 +210,7 @@ func runLedger(t *testing.T, w *strings.Builder, m Mode, atcEntries int, faults 
 	// A runtime switch with rx1, rx2, rx4, tx2, tx3 and tx5 in flight:
 	// each completes under the mode that mapped it.
 	if to, ok := switchTarget(m); ok {
-		cost, err := d.SetKnobs(Knobs{Mode: to, DeferredLimit: 6, FlushInterval: DefaultFlushInterval})
+		cost, err := d.SetMode(to)
 		l.op("switch to "+to.String(), cost, err, nil)
 	} else {
 		fmt.Fprintln(w, "no switch")

@@ -108,7 +108,7 @@ func (m Mode) String() string {
 // ValidModeNames is the one shared name table: every parseable mode
 // name, Modes() presentation order first, then the modes deliberately
 // kept out of Modes() (strawmen and the capability family) sorted by
-// name. ParseMode, NewDomain, SetKnobs and the control-spec parser all
+// name. ParseMode, NewDomain, SetMode and the control-spec parser all
 // list it, so every rejection of a mode uses the same vocabulary.
 func ValidModeNames() []string {
 	listed := Modes()

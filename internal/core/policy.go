@@ -520,7 +520,7 @@ type batch struct {
 // maybeFlush flushes the batch once a batched revocation has let enough
 // pages pile up (the threshold path; the caller charges the cost).
 func (d *Domain) maybeFlush(p *Policy) sim.Duration {
-	if !p.batched() || d.batch.pages < d.knobs.DeferredLimit {
+	if !p.batched() || d.batch.pages < d.cfg.DeferredLimit {
 		return 0
 	}
 	return d.flush()

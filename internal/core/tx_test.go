@@ -128,7 +128,7 @@ func TestTxRecordsNeverAlias(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			if op == ops/2 {
 				if to, ok := switchTarget(mode); ok {
-					if _, err := d.SetKnobs(Knobs{Mode: to, DeferredLimit: 16, FlushInterval: DefaultFlushInterval}); err != nil {
+					if _, err := d.SetMode(to); err != nil {
 						t.Fatal(err)
 					}
 				}

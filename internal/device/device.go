@@ -16,20 +16,16 @@ package device
 import (
 	"fastsafe/internal/core"
 	"fastsafe/internal/fault"
-	"fastsafe/internal/iommu"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/sim"
 )
 
 // Host is the attachment surface a device sees: the event engine for
-// time, the shared IOMMU, and factories that wire new links and domains
-// into the host's walker and seed space. Implemented by *host.Host.
+// time, and factories that wire new links and domains into the host's
+// shared IOMMU, walkers and seed space. Implemented by *host.Host.
 type Host interface {
 	// Engine returns the discrete-event engine driving the simulation.
 	Engine() *sim.Engine
-	// SharedIOMMU returns the host's single IOMMU. All attached devices'
-	// domains translate through it — that sharing is the point.
-	SharedIOMMU() *iommu.IOMMU
 	// NewLink creates a PCIe link with the host's fitted latency
 	// parameters, attached to the host's shared page walkers.
 	NewLink() *pcie.Link

@@ -10,7 +10,10 @@ import (
 	"fastsafe/internal/sim"
 )
 
-// Storage is an NVMe-style storage controller: it issues BlockBytes-sized
+// blockBytes is a storage DMA's block size.
+const blockBytes = 128 << 10
+
+// Storage is an NVMe-style storage controller: it starts 128KB block
 // read DMAs at a fixed rate through its own PCIe link, with translations
 // through the host's shared IOMMU — same IOTLB, same page-table caches,
 // same walkers as every other attached device. Its block DMAs are mapped
@@ -47,7 +50,6 @@ type Storage struct {
 type StorageConfig struct {
 	Name       string
 	ReadGBps   float64   // target block-read bandwidth (decimal GB/s)
-	BlockBytes int       // per-DMA block size (default 128KB)
 	Mode       core.Mode // protection mode of the device's domain
 	CPU        int       // host core the driver work runs on
 	SeedOffset int64     // domain seed offset from the host seed
@@ -55,16 +57,13 @@ type StorageConfig struct {
 
 // NewStorage builds a storage device; Attach wires it to a host.
 func NewStorage(cfg StorageConfig) *Storage {
-	if cfg.BlockBytes <= 0 {
-		cfg.BlockBytes = 128 << 10
-	}
 	if cfg.Name == "" {
 		cfg.Name = "storage"
 	}
 	return &Storage{
 		cfg:      cfg,
-		interval: sim.Duration(float64(cfg.BlockBytes) / cfg.ReadGBps),
-		pages:    (cfg.BlockBytes + ptable.PageSize - 1) / ptable.PageSize,
+		interval: sim.Duration(float64(blockBytes) / cfg.ReadGBps),
+		pages:    (blockBytes + ptable.PageSize - 1) / ptable.PageSize,
 	}
 }
 
@@ -139,19 +138,19 @@ func (s *Storage) submit() {
 		s.faults.Observe(m.IOVAs[0])
 		// One run of 512B transactions per page: eight, or what the
 		// block's tail leaves on its last page.
-		for off := 0; off < s.cfg.BlockBytes; off += ptable.PageSize {
-			n := (min(ptable.PageSize, s.cfg.BlockBytes-off) + 511) / 512
+		for off := 0; off < blockBytes; off += ptable.PageSize {
+			n := (min(ptable.PageSize, blockBytes-off) + 511) / 512
 			reads += s.dom.TranslateRun(m.IOVAs[off/ptable.PageSize], n, 512)
 		}
 		reads += s.faults.MaybeMisbehave()
 	}
-	s.link.Submit(s.cfg.BlockBytes, reads, s.completeFn)
+	s.link.Submit(blockBytes, reads, s.completeFn)
 }
 
 // complete counts the oldest DMA in flight and queues its unmap.
 func (s *Storage) complete() {
 	s.blocks++
-	s.bytes += int64(s.cfg.BlockBytes)
+	s.bytes += int64(blockBytes)
 	s.h.Exec(s.cfg.CPU, s.unmapFn, nil)
 }
 

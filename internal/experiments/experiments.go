@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -136,9 +135,9 @@ func (t Table) String() string {
 func run[C, R any](id string, o Options, cells []C, fn func(C) (R, error)) []R {
 	jobs := make([]runner.Job[R], len(cells))
 	for i, c := range cells {
-		jobs[i] = func(context.Context) (R, error) { return fn(c) }
+		jobs[i] = func() (R, error) { return fn(c) }
 	}
-	rs, err := runner.Collect(context.Background(), runner.Config{Workers: o.Parallel}, jobs)
+	rs, err := runner.Collect(runner.Config{Workers: o.Parallel}, jobs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", id, err))
 	}

@@ -182,14 +182,17 @@ func (w *Link) RegisterProbes(r *stats.Registry, prefix string) {
 	r.GaugeFunc(prefix+"backlog", func() float64 { return float64(w.Backlog()) })
 }
 
+// The fabric of the paper's testbed scaled to a cluster.
+const (
+	prop = 2 * sim.Microsecond // end-to-end propagation, split across hops
+	ecnK = 150 << 10           // output-port ECN marking threshold, bytes (DCTCP's K)
+)
+
 // Config describes a switched fabric. Zero fields take the defaults of
-// the paper's testbed scaled to a cluster: 100Gbps ports, 2us end-to-end
-// propagation, the 150KB DCTCP marking threshold, and a non-blocking
-// core.
+// the paper's testbed scaled to a cluster: 100Gbps ports and a
+// non-blocking core.
 type Config struct {
-	PortGbps float64      // per-port line rate (default 100)
-	Prop     sim.Duration // end-to-end propagation, split across hops (default 2us)
-	ECNK     int          // output-port ECN marking threshold, bytes (default 150KB)
+	PortGbps float64 // per-port line rate (default 100)
 	// Oversub is the core oversubscription factor: the shared core link
 	// runs at ports*PortGbps/Oversub. 0 (or 1 with no explicit request)
 	// leaves the core non-blocking — packets pass straight from uplink
@@ -200,12 +203,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.PortGbps == 0 {
 		c.PortGbps = 100
-	}
-	if c.Prop == 0 {
-		c.Prop = 2 * sim.Microsecond
-	}
-	if c.ECNK == 0 {
-		c.ECNK = 150 << 10
 	}
 	return c
 }
@@ -224,10 +221,7 @@ func (c Config) hops() sim.Duration {
 // this long in flight before it can touch another port's state, so it is
 // the conservative lower bound on cross-shard event causality — the
 // lookahead a sharded cluster hands to sim.NewShards.
-func (c Config) PerHopProp() sim.Duration {
-	c = c.withDefaults()
-	return c.Prop / c.hops()
-}
+func (c Config) PerHopProp() sim.Duration { return prop / c.hops() }
 
 // Switch is an N-port switched fabric. Ports are created up front so the
 // core link (when oversubscribed) can be sized to the port count. Each
@@ -277,9 +271,6 @@ func NewSwitch(eng *sim.Engine, n int, cfg Config) (*Switch, error) {
 // propagation delay (Config.PerHopProp) guarantees every such hop a
 // positive lookahead.
 func NewShardedSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int) (*Switch, error) {
-	if cfg.withDefaults().PerHopProp() <= 0 {
-		return nil, fmt.Errorf("fabric: sharded switch needs a positive per-hop propagation, got %v", cfg.withDefaults().PerHopProp())
-	}
 	return newSwitch(shards, n, cfg, shardOf)
 }
 
@@ -288,10 +279,7 @@ func newSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int
 		return nil, fmt.Errorf("fabric: a switch needs at least 2 ports, got %d", n)
 	}
 	cfg = cfg.withDefaults()
-	switch {
-	case cfg.Prop < 0:
-		return nil, fmt.Errorf("fabric: Prop must be >= 0, got %v", cfg.Prop)
-	case cfg.Oversub < 0:
+	if cfg.Oversub < 0 {
 		return nil, fmt.Errorf("fabric: Oversub must be >= 0, got %g", cfg.Oversub)
 	}
 	s := &Switch{cfg: cfg, shardOf: make([]int, n)}
@@ -299,22 +287,22 @@ func newSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int
 	// The end-to-end propagation budget is split across the hops a packet
 	// takes, so a 2-port fabric matches a direct 2us link.
 	hops := cfg.hops()
-	prop := cfg.Prop / hops
+	perHop := prop / hops
 	for i := 0; i < n; i++ {
 		s.shardOf[i] = shardOf(i)
 		eng := shards.Engine(s.shardOf[i])
 		p := &Port{
 			sw:   s,
 			id:   i,
-			up:   NewLink(eng, cfg.PortGbps, prop),
-			down: NewLink(eng, cfg.PortGbps, cfg.Prop-prop*(hops-1)),
+			up:   NewLink(eng, cfg.PortGbps, perHop),
+			down: NewLink(eng, cfg.PortGbps, prop-perHop*(hops-1)),
 		}
-		p.down.SetECN(cfg.ECNK)
+		p.down.SetECN(ecnK)
 		s.ports = append(s.ports, p)
 	}
 	if cfg.Oversub > 0 {
-		core := NewLink(shards.Engine(0), float64(n)*cfg.PortGbps/cfg.Oversub, prop)
-		core.SetECN(cfg.ECNK)
+		core := NewLink(shards.Engine(0), float64(n)*cfg.PortGbps/cfg.Oversub, perHop)
+		core.SetECN(ecnK)
 		s.core = core
 	}
 	return s, nil

@@ -74,9 +74,6 @@ func TestSwitchValidation(t *testing.T) {
 	if _, err := NewSwitch(eng, 4, Config{Oversub: -1}); err == nil {
 		t.Fatal("negative oversubscription accepted")
 	}
-	if _, err := NewSwitch(eng, 4, Config{Prop: -sim.Microsecond}); err == nil || err.Error() != "fabric: Prop must be >= 0, got -1000ns" {
-		t.Fatalf("negative propagation: err = %v", err)
-	}
 	sw, err := NewSwitch(eng, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +91,10 @@ func TestSwitchValidation(t *testing.T) {
 
 // The end-to-end propagation budget is preserved across the switch: a
 // packet on an unloaded 2-hop fabric arrives exactly one serialisation
-// per hop plus the configured propagation later.
+// per hop plus the 2us propagation later.
 func TestSwitchPropagationBudget(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sw, err := NewSwitch(eng, 2, Config{PortGbps: 100, Prop: 2 * sim.Microsecond})
+	sw, err := NewSwitch(eng, 2, Config{PortGbps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,7 @@ func TestSwitchPropagationBudget(t *testing.T) {
 // clean.
 func TestSwitchIncastMarksAtDownlink(t *testing.T) {
 	eng := sim.NewEngine(1)
-	sw, err := NewSwitch(eng, 8, Config{PortGbps: 100, Prop: 2 * sim.Microsecond, ECNK: 16 << 10})
+	sw, err := NewSwitch(eng, 8, Config{PortGbps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +198,6 @@ func TestPerHopProp(t *testing.T) {
 }
 
 func TestShardedSwitchRoutesHops(t *testing.T) {
-	// 1ns over three hops truncates to no per-hop propagation: no
-	// lookahead for a hop between shards.
-	if _, err := NewShardedSwitch(sim.NewShards(2, 1, 1), 2, Config{Prop: 1, Oversub: 2}, func(p int) int { return p }); err == nil ||
-		err.Error() != "fabric: sharded switch needs a positive per-hop propagation, got 0ns" {
-		t.Fatalf("zero per-hop propagation: err = %v", err)
-	}
-
 	for _, oversub := range []float64{0, 2} {
 		eng := sim.NewEngine(1)
 		sw, err := NewShardedSwitch(sim.OneShard(eng), 4, Config{Oversub: oversub}, func(int) int { return 0 })
@@ -244,7 +234,7 @@ func TestShardedSwitchRoutesHops(t *testing.T) {
 // NewShardedSwitch alike.
 func TestSwitchPropagatesUpstreamMarks(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
-		cfg := Config{PortGbps: 100, Oversub: 8, ECNK: 16 << 10} // core at 50Gbps
+		cfg := Config{PortGbps: 100, Oversub: 8} // core at 50Gbps
 		var sw *Switch
 		var err error
 		var run func(sim.Time)

@@ -85,9 +85,9 @@ type ClusterConfig struct {
 	// cluster hosts run peer flows instead of abstract-remote bulk flows).
 	Host Config
 
-	// Fabric configures the switch. Its defaults match the testbed's
-	// hosts: the NICs' 100 Gbps line rate, their 150 KB ECN threshold and
-	// 2us propagation.
+	// Fabric configures the switch's line rate (default the NICs' 100
+	// Gbps) and core. Its 150 KB ECN threshold and 2us propagation match
+	// the testbed's hosts.
 	Fabric fabric.Config
 }
 
@@ -190,13 +190,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// Per-shard registries keep every instrument engine-confined during
 	// parallel rounds; names are disjoint (hostN.*, fabric.portN.*,
 	// fabric.core.*), so Registry merges them by pure adoption. The
-	// lookahead is the per-hop propagation, which sim.NewShards needs
-	// positive even for one shard.
-	la := cfg.Fabric.PerHopProp()
-	if la <= 0 {
-		return nil, fmt.Errorf("host: cluster needs positive fabric propagation, got per-hop %v", la)
-	}
-	c.shards = sim.NewShards(cfg.Shards, base.Seed, la)
+	// lookahead is the per-hop propagation.
+	c.shards = sim.NewShards(cfg.Shards, base.Seed, cfg.Fabric.PerHopProp())
 	c.shardOf = make([]int, cfg.Hosts)
 	for i := range c.shardOf {
 		c.shardOf[i] = i * cfg.Shards / cfg.Hosts

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -333,7 +332,7 @@ func TestShardedRegistryDeterminism(t *testing.T) {
 func TestShardedClusterParallelRunners(t *testing.T) {
 	jobs := make([]runner.Job[string], 3)
 	for i := range jobs {
-		jobs[i] = func(context.Context) (string, error) {
+		jobs[i] = func() (string, error) {
 			cfg := shardTestConfig(4, 16, Pairs) // 16 clamps to 4 (one host per shard)
 			c, err := NewCluster(cfg)
 			if err != nil {
@@ -345,7 +344,7 @@ func TestShardedClusterParallelRunners(t *testing.T) {
 			return clusterKey(c.Run(500*sim.Microsecond, 1*sim.Millisecond)), nil
 		}
 	}
-	keys, err := runner.Collect(context.Background(), runner.Config{Workers: 2}, jobs)
+	keys, err := runner.Collect(runner.Config{Workers: 2}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -150,7 +149,7 @@ func TestClusterRegistrySumsPerHost(t *testing.T) {
 		{mode: core.FNS, hosts: 8, shards: 4, op: transport.Write, ats: 256},
 	} {
 		j := j
-		jobs = append(jobs, func(context.Context) (string, error) {
+		jobs = append(jobs, func() (string, error) {
 			cfg := ClusterConfig{
 				Hosts:   j.hosts,
 				Traffic: AllToAll,
@@ -190,7 +189,7 @@ func TestClusterRegistrySumsPerHost(t *testing.T) {
 			return fmt.Sprintf("%v/%d ok", j.mode, j.hosts), nil
 		})
 	}
-	if _, err := runner.Collect(context.Background(), runner.Config{}, jobs); err != nil {
+	if _, err := runner.Collect(runner.Config{}, jobs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,7 +233,7 @@ func TestClusterRegistryAndIsolation(t *testing.T) {
 		}
 		seen[h] = true
 		for j, o := range c.Hosts() {
-			if i != j && h.SharedIOMMU() == o.SharedIOMMU() {
+			if i != j && h.mmu == o.mmu {
 				t.Fatalf("hosts %d and %d share an IOMMU", i, j)
 			}
 		}

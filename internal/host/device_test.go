@@ -100,7 +100,7 @@ func TestPerDeviceCountersSumToGlobal(t *testing.T) {
 		}
 		h.Run(2*sim.Millisecond, 6*sim.Millisecond)
 
-		mmu := h.SharedIOMMU()
+		mmu := h.mmu
 		var doms []iommu.DomainID
 		for _, d := range h.Devices() {
 			doms = append(doms, d.Domain().ID())

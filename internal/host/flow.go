@@ -166,7 +166,7 @@ func (h *Host) connect(dst *Host, srcPort, dstPort *fabric.Port, op transport.Op
 		// slow translation path surfaces as ECN marks instead of tail
 		// drops, and set the retransmission timer at device scale — NIC
 		// timers run far below the stack's 5ms, which would outlast a run.
-		stride := dst.net.dev.FrameStride(f.mtu)
+		stride := nic.FrameStride(f.mtu)
 		p.MaxCwnd = float64(dst.cfg.NICBufferBytes) / float64(2*stride)
 		p.RTOMin = sim.Millisecond
 	}
@@ -486,7 +486,7 @@ func (w *mrWindow) frame(seq int64) (iovas []ptable.IOVA, start int) {
 // happens at connection setup, before the clock runs, so it costs
 // nothing — exactly like ring and descriptor pre-population.
 func (n *netDev) newMRWindow(cpu, mtu int) *mrWindow {
-	w := &mrWindow{stride: n.dev.FrameStride(mtu)}
+	w := &mrWindow{stride: nic.FrameStride(mtu)}
 	for i := 0; i < rdmaWindowChunks; i++ {
 		desc, _, err := n.dom.MapRxDescriptor(cpu)
 		if err != nil {

@@ -55,6 +55,9 @@ const (
 	l0        = sim.Duration(model.L0Ns) // fitted DMA base latency
 	propDelay = 2 * sim.Microsecond      // one-way propagation
 	ecnBytes  = 150 << 10                // DCTCP marking threshold K
+	// flushInterval is Linux's lazy-mode timer: a deferred domain
+	// flushes its batch at least this often.
+	flushInterval = 10 * sim.Millisecond
 )
 
 // Per-packet CPU costs, calibrated with core's per-operation costs so
@@ -131,8 +134,8 @@ type Config struct {
 
 	// Control, when non-nil, installs the adaptive protection control
 	// plane (internal/control): a deterministic rule engine ticking on
-	// the virtual clock that watches the telemetry registry and retunes
-	// each NIC domain's runtime knobs through the SetKnobs transition
+	// the virtual clock that watches the telemetry registry and switches
+	// each NIC domain's protection mode through the SetMode transition
 	// protocol. nil — the default — builds no controller, schedules no
 	// events and reads no metrics, so runs are byte-identical to a
 	// build without the package (the property tests lock this down).
@@ -342,7 +345,7 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 	h.housekeepingFn = h.housekeeping
 	h.mmu = iommu.New(cfg.IOMMU)
 	h.walker = pcie.NewWalker(h.eng, cfg.Lm)
-	h.bus = mem.New(h.eng, mem.Config{})
+	h.bus = mem.New(h.eng)
 	h.walker.SetLatencyFactor(h.bus.LatencyFactor)
 	// Fault layer before any device attaches, so every domain and link
 	// created below is wired into it.
@@ -473,9 +476,6 @@ func (h *Host) Devices() []device.Device { return h.devices }
 
 // Engine implements device.Host (examples also drive it directly).
 func (h *Host) Engine() *sim.Engine { return h.eng }
-
-// SharedIOMMU implements device.Host.
-func (h *Host) SharedIOMMU() *iommu.IOMMU { return h.mmu }
 
 // NewLink implements device.Host: a PCIe link with the host's fitted
 // latencies, attached to the shared walkers.

@@ -85,12 +85,6 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{ClusterConfig{Hosts: 2, FlowsPerPair: -3}, "host: FlowsPerPair must be >= 0, got -3"},
 		{ClusterConfig{Hosts: 2, Shards: -1}, "host: Shards must be >= 0, got -1"},
 		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{PortGbps: -5}}, "host: Fabric.PortGbps must be >= 0, got -5"},
-		// Every cluster runs on sim.Shards, whose lookahead is the per-hop
-		// propagation: it must be positive on one shard too, and 1ns over
-		// two hops rounds to 0.
-		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{Prop: 1}}, "host: cluster needs positive fabric propagation, got per-hop 0ns"},
-		{ClusterConfig{Hosts: 2, Shards: 2, Fabric: fabric.Config{Prop: 1}}, "host: cluster needs positive fabric propagation, got per-hop 0ns"},
-		{ClusterConfig{Hosts: 2, Fabric: fabric.Config{Prop: -sim.Microsecond}}, "host: cluster needs positive fabric propagation, got per-hop -500ns"},
 		{ClusterConfig{Hosts: 2, Traffic: "mesh"}, `host: unknown traffic pattern "mesh"`},
 	}
 	for _, c := range clusterCases {

@@ -126,7 +126,7 @@ func TestInstallMessagesTwiceRejected(t *testing.T) {
 	if h.msgs != first || len(first.live) != 2 {
 		t.Fatal("a rejected second InstallMessages replaced the first app")
 	}
-	if got := h.Telemetry().Histogram("rpc.latency_ns"); got != &first.latency {
+	if got := h.Telemetry().Registry().LookupHistogram("rpc.latency_ns"); got != &first.latency {
 		t.Fatal("a rejected second InstallMessages rebound rpc.latency_ns")
 	}
 	if r := h.Run(sim.Millisecond, 2*sim.Millisecond); r.Completed == 0 {

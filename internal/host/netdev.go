@@ -175,9 +175,9 @@ func (n *netDev) Attach(dh device.Host) error {
 		MTU:         n.spec.MTU,
 		RingPackets: cfg.RingPackets,
 		BufferBytes: cfg.NICBufferBytes,
-		ECNKBytes:   -1, // ECN marks come from the switch, not the NIC
-		// One-sided DMA terminates at the device, so its buffer is the
-		// congestion point — mark there (the CNP analog) at the DCTCP K.
+		// Ring arrivals take their ECN marks from the switch. One-sided
+		// DMA terminates at the device, so its buffer is the congestion
+		// point — mark there (the CNP analog) at the DCTCP K.
 		DirectECNKBytes: ecnBytes,
 		Faults:          h.Faults().Device(n.dom),
 	}, n.dom, n.rx, n.tx, netExec{n})
@@ -254,9 +254,9 @@ func (n *netDev) flowHousekeeping(now sim.Time) {
 
 // deferredFlush is the deferred-mode timer flush of this NIC's domain.
 // Linux lazy mode also flushes on a timer, not just the 256-entry
-// threshold (10ms in the kernel); the period is a runtime knob.
+// threshold: every flushInterval.
 func (n *netDev) deferredFlush(now sim.Time) {
-	if now-n.lastDeferredFlush >= n.dom.Knobs().FlushInterval {
+	if now-n.lastDeferredFlush >= flushInterval {
 		n.lastDeferredFlush = now
 		if cost := n.dom.FlushDeferred(); cost > 0 {
 			n.h.core(n.cpuBase).Do(func() sim.Duration { return cost }, nil)

@@ -185,7 +185,6 @@ type devSnap struct {
 type snapshot struct {
 	at      sim.Time
 	mmu     iommu.Counters
-	dom     core.Counters
 	nicSt   nic.Stats
 	hostC   hostCounters
 	devs    []devSnap
@@ -217,7 +216,6 @@ func (h *Host) snap() snapshot {
 	s := snapshot{
 		at:    h.eng.Now(),
 		mmu:   h.mmu.Counters(),
-		dom:   h.net.dom.Counters(),
 		nicSt: h.net.dev.Stats(),
 		hostC: h.net.c,
 	}

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -76,7 +75,7 @@ func TestCohortExactEquivalence(t *testing.T) {
 			if exact.dom != agg.dom {
 				t.Errorf("domain counters diverged:\nexact %+v\ncohort %+v", exact.dom, agg.dom)
 			}
-			if a, b := exact.h.SharedIOMMU().Counters(), agg.h.SharedIOMMU().Counters(); a != b {
+			if a, b := exact.h.mmu.Counters(), agg.h.mmu.Counters(); a != b {
 				t.Errorf("IOMMU counters diverged:\nexact %+v\ncohort %+v", a, b)
 			}
 			if exact.r.IOVA != agg.r.IOVA {
@@ -134,7 +133,7 @@ func TestServingDeterminismAndReplay(t *testing.T) {
 	// Across the runner pool: concurrent identical simulations.
 	jobs := make([]runner.Job[Results], 4)
 	for i := range jobs {
-		jobs[i] = func(context.Context) (Results, error) {
+		jobs[i] = func() (Results, error) {
 			h, err := New(cfg)
 			if err != nil {
 				return Results{}, err
@@ -142,7 +141,7 @@ func TestServingDeterminismAndReplay(t *testing.T) {
 			return h.Run(warmup, measure), nil
 		}
 	}
-	rs, err := runner.Collect(context.Background(), runner.Config{Workers: 4}, jobs)
+	rs, err := runner.Collect(runner.Config{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

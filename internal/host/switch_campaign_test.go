@@ -40,9 +40,7 @@ func forceSwitch(t *testing.T, h *Host, at sim.Time, to core.Mode) {
 	t.Helper()
 	h.eng.At(at, func() {
 		for _, n := range h.nets {
-			k := n.dom.Knobs()
-			k.Mode = to
-			if _, err := n.dom.SetKnobs(k); err != nil {
+			if _, err := n.dom.SetMode(to); err != nil {
 				t.Errorf("forced switch to %v at %v failed: %v", to, at, err)
 			}
 		}

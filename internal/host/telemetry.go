@@ -181,14 +181,3 @@ func (h *Host) Telemetry() *Telemetry { return h.tele }
 
 // Registry returns the instrument registry.
 func (t *Telemetry) Registry() *stats.Registry { return t.reg }
-
-// Histogram returns a registered histogram by host-local name (e.g.
-// "rpc.latency_ns", "nic0.pcie.rx.latency_ns"), or nil when absent. In a
-// cluster the host's prefix is applied before lookup.
-func (t *Telemetry) Histogram(name string) *stats.Histogram {
-	return t.reg.LookupHistogram(t.name(name))
-}
-
-// ReuseTrace returns the primary NIC domain's PTcache-L3 reuse-distance
-// trace, nil unless TelemetryConfig.TraceL3 was set.
-func (t *Telemetry) ReuseTrace() *stats.ReuseTrace { return t.h.net.dom.Trace() }

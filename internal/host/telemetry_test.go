@@ -1,7 +1,6 @@
 package host
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -123,9 +122,9 @@ func TestSamplerParallelInvariance(t *testing.T) {
 
 	jobs := make([]runner.Job[string], 6)
 	for i := range jobs {
-		jobs[i] = func(context.Context) (string, error) { return render(runOne()), nil }
+		jobs[i] = func() (string, error) { return render(runOne()), nil }
 	}
-	got, err := runner.Collect(context.Background(), runner.Config{Workers: 3}, jobs)
+	got, err := runner.Collect(runner.Config{Workers: 3}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +163,12 @@ func TestRegistryCoversLayers(t *testing.T) {
 	if rx := reg.LookupHistogram("nic0.pcie.rx.latency_ns"); rx == nil || rx.Count() == 0 {
 		t.Error("Rx DMA latency histogram missing or empty over the measure window")
 	}
-	if h.Telemetry().Histogram("rpc.latency_ns") == nil {
+	if reg.LookupHistogram("rpc.latency_ns") == nil {
 		t.Error("registry missing rpc.latency_ns")
 	}
 	// The registry shares the workload's histogram object: identical
 	// quantiles by construction.
-	if h.Telemetry().Histogram("rpc.latency_ns") != r.Latency {
+	if reg.LookupHistogram("rpc.latency_ns") != r.Latency {
 		t.Error("rpc.latency_ns is not the workload's histogram object")
 	}
 	if v, _ := reg.Value("nic0.iommu.iotlb_misses"); v <= 0 {

@@ -21,37 +21,20 @@ import (
 	"fastsafe/internal/stats"
 )
 
-// Config sizes the bus. Zero fields take the paper's testbed values.
-type Config struct {
-	CapacityGBps float64      // theoretical bandwidth (default 46.9, §2.2)
-	Window       sim.Duration // utilisation averaging window (default 100µs)
-	// CalibrationUtil is the utilisation at which the latency factor is 1
-	// (default 0.8: a saturated 100Gbps receiver with DDIO off).
-	CalibrationUtil float64
-	// MaxFactor caps the latency inflation (default 4).
-	MaxFactor float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.CapacityGBps == 0 {
-		c.CapacityGBps = 46.9
-	}
-	if c.Window == 0 {
-		c.Window = 100 * sim.Microsecond
-	}
-	if c.CalibrationUtil == 0 {
-		c.CalibrationUtil = 0.8
-	}
-	if c.MaxFactor == 0 {
-		c.MaxFactor = 4
-	}
-	return c
-}
+// The bus of the paper's testbed.
+const (
+	capacityGBps = 46.9                  // theoretical bandwidth (§2.2)
+	window       = 100 * sim.Microsecond // utilisation averaging window
+	// calibrationUtil is the utilisation at which the latency factor is
+	// 1: a saturated 100Gbps receiver with DDIO off. It is typed, so
+	// 1-calibrationUtil rounds as a float64 subtraction does.
+	calibrationUtil float64 = 0.8
+	maxFactor               = 4 // cap on the latency inflation
+)
 
 // Bus is the shared memory-bandwidth model.
 type Bus struct {
 	eng *sim.Engine
-	cfg Config
 
 	windowBytes int64
 	windowStart sim.Time
@@ -60,8 +43,8 @@ type Bus struct {
 }
 
 // New returns a bus attached to the engine.
-func New(eng *sim.Engine, cfg Config) *Bus {
-	return &Bus{eng: eng, cfg: cfg.withDefaults()}
+func New(eng *sim.Engine) *Bus {
+	return &Bus{eng: eng}
 }
 
 // Consume records bytes of memory traffic (DMA writes/reads, copies,
@@ -75,17 +58,17 @@ func (b *Bus) Consume(bytes int) {
 // roll folds completed windows into the utilisation EWMA.
 func (b *Bus) roll() {
 	now := b.eng.Now()
-	for now-b.windowStart >= b.cfg.Window {
+	for now-b.windowStart >= window {
 		// Bandwidth over the window in GB/s: bytes / ns == GB/s.
-		bw := float64(b.windowBytes) / float64(b.cfg.Window)
-		u := bw / b.cfg.CapacityGBps
+		bw := float64(b.windowBytes) / float64(window)
+		u := bw / capacityGBps
 		if u > 1 {
 			u = 1
 		}
 		b.util = 0.7*b.util + 0.3*u
 		b.windowBytes = 0
-		b.windowStart += b.cfg.Window
-		if now-b.windowStart > 100*b.cfg.Window {
+		b.windowStart += window
+		if now-b.windowStart > 100*window {
 			// Long idle gap: jump the window forward.
 			b.windowStart = now
 			b.util *= 0.1
@@ -102,23 +85,22 @@ func (b *Bus) Utilization() float64 {
 // LatencyFactor returns the multiplier applied to memory-read latency,
 // normalised to 1 at the calibration utilisation:
 //
-//	factor = (1 - u0) / (1 - u), clamped to [1, MaxFactor].
+//	factor = (1 - u0) / (1 - u), clamped to [1, maxFactor].
 func (b *Bus) LatencyFactor() float64 {
 	u := b.Utilization()
-	u0 := b.cfg.CalibrationUtil
-	if u <= u0 {
+	if u <= calibrationUtil {
 		return 1
 	}
 	denom := 1 - u
 	if denom < 1e-3 {
 		denom = 1e-3
 	}
-	f := (1 - u0) / denom
+	f := (1 - calibrationUtil) / denom
 	if f < 1 {
 		f = 1
 	}
-	if f > b.cfg.MaxFactor {
-		f = b.cfg.MaxFactor
+	if f > maxFactor {
+		f = maxFactor
 	}
 	return f
 }

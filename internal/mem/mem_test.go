@@ -6,9 +6,21 @@ import (
 	"fastsafe/internal/sim"
 )
 
+// load returns the bytes that keep the bus at utilisation u for one
+// window.
+func load(u float64) int { return int(u * capacityGBps * float64(window)) }
+
+// consume books bytes at the start of each of n windows from the first.
+func consume(e *sim.Engine, b *Bus, first, n, bytes int) {
+	for w := first; w < first+n; w++ {
+		e.At(sim.Time(w)*sim.Time(window), func() { b.Consume(bytes) })
+	}
+	e.RunAll()
+}
+
 func TestIdleBusFactorOne(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := New(e, Config{})
+	b := New(e)
 	if f := b.LatencyFactor(); f != 1 {
 		t.Fatalf("idle factor = %v, want 1", f)
 	}
@@ -19,13 +31,9 @@ func TestIdleBusFactorOne(t *testing.T) {
 
 func TestUtilizationTracksConsumption(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := New(e, Config{CapacityGBps: 10, Window: 1000})
-	// Consume 5 bytes/ns = 5GB/s = 50% for many windows.
-	for w := 0; w < 100; w++ {
-		e.At(sim.Time(w*1000), func() { b.Consume(5000) })
-	}
-	e.RunAll()
-	e.At(100_000, func() {})
+	b := New(e)
+	consume(e, b, 0, 100, load(0.5))
+	e.At(100*sim.Time(window), func() {})
 	e.RunAll()
 	u := b.Utilization()
 	if u < 0.35 || u > 0.6 {
@@ -33,30 +41,25 @@ func TestUtilizationTracksConsumption(t *testing.T) {
 	}
 }
 
+// TestFactorGrowsPastCalibration: at 90% the factor is (1-0.8)/(1-0.9)
+// = 2; at 99% it would be 20, capped at maxFactor.
 func TestFactorGrowsPastCalibration(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := New(e, Config{CapacityGBps: 10, Window: 1000, CalibrationUtil: 0.5})
-	// 9GB/s = 90% utilisation: factor = 0.5/0.1 = 5, capped at 4.
-	for w := 0; w < 200; w++ {
-		e.At(sim.Time(w*1000), func() { b.Consume(9000) })
+	b := New(e)
+	consume(e, b, 0, 200, load(0.9))
+	if f := b.LatencyFactor(); f < 1.9 || f > 2.01 {
+		t.Fatalf("factor at 90%% = %v, want ~2", f)
 	}
-	e.RunAll()
-	f := b.LatencyFactor()
-	if f < 2 {
-		t.Fatalf("factor = %v, want inflated past calibration", f)
-	}
-	if f > 4 {
-		t.Fatalf("factor = %v, want capped at 4", f)
+	consume(e, b, 200, 200, load(0.99))
+	if f := b.LatencyFactor(); f != maxFactor {
+		t.Fatalf("factor at 99%% = %v, want capped at %v", f, maxFactor)
 	}
 }
 
 func TestFactorClampedBelowCalibration(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := New(e, Config{CapacityGBps: 100, Window: 1000, CalibrationUtil: 0.8})
-	for w := 0; w < 50; w++ {
-		e.At(sim.Time(w*1000), func() { b.Consume(1000) }) // 1%
-	}
-	e.RunAll()
+	b := New(e)
+	consume(e, b, 0, 50, load(0.01))
 	if f := b.LatencyFactor(); f != 1 {
 		t.Fatalf("underloaded factor = %v, want 1", f)
 	}
@@ -64,14 +67,11 @@ func TestFactorClampedBelowCalibration(t *testing.T) {
 
 func TestIdleGapDecaysUtilization(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := New(e, Config{CapacityGBps: 10, Window: 1000})
-	for w := 0; w < 50; w++ {
-		e.At(sim.Time(w*1000), func() { b.Consume(9000) })
-	}
-	e.RunAll()
+	b := New(e)
+	consume(e, b, 0, 50, load(0.9))
 	hot := b.Utilization()
 	// A long quiet period must decay the estimate.
-	e.At(e.Now()+1_000_000, func() {})
+	e.At(e.Now()+1000*sim.Time(window), func() {})
 	e.RunAll()
 	if cold := b.Utilization(); cold >= hot/2 {
 		t.Fatalf("utilisation did not decay: %v -> %v", hot, cold)
@@ -80,7 +80,7 @@ func TestIdleGapDecaysUtilization(t *testing.T) {
 
 func TestHogConsumesTargetBandwidth(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := New(e, Config{CapacityGBps: 40})
+	b := New(e)
 	NewHog(b, 8) // 8GB/s
 	e.Run(10 * sim.Millisecond)
 	// 8GB/s for 10ms = 80MB.

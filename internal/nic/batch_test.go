@@ -21,9 +21,9 @@ type batchTwin struct {
 	log   []string
 }
 
-func newBatchTwin(t *testing.T, cfg core.Config, descs int) *batchTwin {
+func newBatchTwin(t *testing.T, cfg core.Config, geometry iommu.Config, descs int) *batchTwin {
 	t.Helper()
-	mmu := iommu.New(cfg.IOMMU)
+	mmu := iommu.New(geometry)
 	cfg.SharedIOMMU, cfg.DefaultDomain = mmu, true
 	dom, err := core.NewDomain(cfg)
 	if err != nil {
@@ -66,11 +66,11 @@ func (w *batchTwin) remap(t *testing.T, i, j int) {
 // roundRobin is the reference the Rx path must match: the batch's
 // transactions round-robin, one Translate each, the way they
 // interleave on the wire.
-func roundRobin(dom *core.Domain, batch []rxClaim, mps, header int, reads []int) {
+func roundRobin(dom *core.Domain, batch []rxClaim, reads []int) {
 	for off := 0; ; off += mps {
 		progress := false
 		for i, p := range batch {
-			if off >= p.pkt.Bytes+header {
+			if off >= p.pkt.Bytes+headerBytes {
 				continue
 			}
 			progress = true
@@ -104,11 +104,10 @@ func TestRxBatchMatchesRoundRobin(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.NumCPUs, cfg.DescriptorPages, cfg.IOMMU = 1, 4, tiny
+			cfg.NumCPUs, cfg.DescriptorPages = 1, 4
 			const descs = 4 // mapped, and as many unmapped
-			a, b := newBatchTwin(t, cfg, descs), newBatchTwin(t, cfg, descs)
+			a, b := newBatchTwin(t, cfg, tiny, descs), newBatchTwin(t, cfg, tiny, descs)
 			n := &NIC{cfg: Config{}.withDefaults(), dom: a.dom}
-			mps, header := n.cfg.MPS, n.cfg.HeaderBytes
 			descBytes := cfg.DescriptorPages * ptable.PageSize
 			rng := rand.New(rand.NewSource(1))
 			for round := 0; round < 400; round++ {
@@ -122,14 +121,14 @@ func TestRxBatchMatchesRoundRobin(t *testing.T) {
 				for j := range batchA {
 					pkt := Packet{Bytes: 64 + rng.Intn(n.cfg.MTU-64+1)}
 					d := rng.Intn(2 * descs)
-					start := rng.Intn(descBytes - pkt.Bytes - header + 1)
+					start := rng.Intn(descBytes - pkt.Bytes - headerBytes + 1)
 					batchA[j] = rxClaim{pkt: pkt, desc: &rxDesc{Descriptor: a.descs[d]}, start: start}
 					batchB[j] = rxClaim{pkt: pkt, desc: &rxDesc{Descriptor: b.descs[d]}, start: start}
 				}
 				loggedA, loggedB := len(a.log), len(b.log)
 				readsA, readsB := make([]int, size), make([]int, size)
 				n.translateBatch(batchA, readsA)
-				roundRobin(b.dom, batchB, mps, header, readsB)
+				roundRobin(b.dom, batchB, readsB)
 				what := fmt.Sprintf("round %d, batch of %d", round, size)
 				if !reflect.DeepEqual(readsA, readsB) {
 					t.Fatalf("%s: reads per DMA %v, round robin %v", what, readsA, readsB)

@@ -40,25 +40,28 @@ type Packet struct {
 	Payload any
 }
 
+// The PCIe and framing constants of the paper's testbed NIC.
+const (
+	mps         = 512 // PCIe max payload size per transaction
+	headerBytes = 66  // per-frame link+transport header overhead
+	strideAlign = 256 // frame placement alignment within a descriptor
+)
+
 // Config sizes the NIC.
 type Config struct {
 	Cores       int
 	MTU         int // max packet payload (default 4096)
 	RingPackets int // Rx ring capacity in MTU-sized frames per core (default 256)
 	BufferBytes int // shared input buffer (default 2MB)
-	ECNKBytes   int // mark threshold; <0 disables marking (default 100KB).
-	// Real NICs do not ECN-mark on host-side congestion — the host sets
-	// this negative and relies on switch marking; PCIe backpressure is
-	// invisible to DCTCP and surfaces as tail drops (the host-congestion
-	// observation of [1, 2]).
-	DirectECNKBytes int // mark threshold for one-sided DMA (DirectRx);
-	// 0 falls back to ECNKBytes, <0 disables. One-sided traffic
-	// terminates at the NIC, so the device buffer IS the congestion
-	// point: RDMA NICs surface it as congestion notification (CNP /
-	// PFC-fed switch marks), which this threshold stands in for.
-	MPS         int // PCIe max payload size per transaction (default 512)
-	HeaderBytes int // per-frame link+transport header overhead (default 66)
-	StrideAlign int // frame placement alignment within a descriptor (default 256)
+	// DirectECNKBytes is the mark threshold for one-sided DMA (DirectRx);
+	// <= 0 disables. Ring arrivals never mark: real NICs do not ECN-mark
+	// on host-side congestion, so PCIe backpressure is invisible to DCTCP
+	// and surfaces as tail drops (the host-congestion observation of
+	// [1, 2]). One-sided traffic terminates at the NIC, so the device
+	// buffer IS the congestion point: RDMA NICs surface it as congestion
+	// notification (CNP / PFC-fed switch marks), which this threshold
+	// stands in for.
+	DirectECNKBytes int
 	// Faults, when non-nil, makes this NIC misbehave per the fault plan:
 	// stray/wild DMA translations, duplicate descriptor fetches, delayed
 	// completion writebacks. Nil (the default) is a guaranteed no-op.
@@ -77,18 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufferBytes <= 0 {
 		c.BufferBytes = 2 << 20
-	}
-	if c.ECNKBytes == 0 {
-		c.ECNKBytes = 100 << 10
-	}
-	if c.MPS <= 0 {
-		c.MPS = 512
-	}
-	if c.HeaderBytes <= 0 {
-		c.HeaderBytes = 66
-	}
-	if c.StrideAlign <= 0 {
-		c.StrideAlign = 256
 	}
 	return c
 }
@@ -165,8 +156,6 @@ type NIC struct {
 	// OnTxDone fires when a Tx DMA read completes (the packet is on the
 	// wire); the host unmaps the Tx mapping.
 	OnTxDone func(pkt Packet, m *core.TxMapping)
-	// OnDrop fires when the input buffer tail-drops a packet.
-	OnDrop func(pkt Packet)
 
 	stats     Stats
 	rxPumping bool
@@ -200,7 +189,7 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 	n.rxDoneFn, n.txDoneFn, n.pumpRxFn = n.rxDone, n.txDone, n.pumpRx
 	descPages := dom.DescriptorPages()
 	descBytes := descPages * ptable.PageSize
-	frame := cfg.MTU + cfg.HeaderBytes
+	frame := cfg.MTU + headerBytes
 	if frame > descBytes {
 		return nil, fmt.Errorf("nic: MTU %d larger than a descriptor", cfg.MTU)
 	}
@@ -234,24 +223,21 @@ func New(eng *sim.Engine, cfg Config, dom *core.Domain, rx, tx *pcie.Link, exec 
 func (n *NIC) Stats() Stats { return n.stats }
 
 // frameBytes returns the DMA size of a packet: payload plus headers.
-func (n *NIC) frameBytes(pkt Packet) int { return pkt.Bytes + n.cfg.HeaderBytes }
+func frameBytes(pkt Packet) int { return pkt.Bytes + headerBytes }
 
 // align rounds b up to the frame placement alignment.
-func (n *NIC) align(b int) int {
-	a := n.cfg.StrideAlign
-	return (b + a - 1) / a * a
-}
+func align(b int) int { return (b + strideAlign - 1) / strideAlign * strideAlign }
 
 // FrameStride returns the aligned byte stride one frame of the given
 // payload occupies in a registered memory window — the same packing the
 // Rx rings use, so window capacity math matches ring capacity math.
-func (n *NIC) FrameStride(payload int) int { return n.align(payload + n.cfg.HeaderBytes) }
+func FrameStride(payload int) int { return align(payload + headerBytes) }
 
 // Arrive delivers a wire packet into the NIC input buffer (§2.1 step 2).
-// It applies ECN marking above the K threshold and tail-drops when the
-// buffer is full.
+// It tail-drops when the buffer is full and never marks (see
+// Config.DirectECNKBytes).
 func (n *NIC) Arrive(pkt Packet) {
-	if !n.admit(&pkt, n.cfg.ECNKBytes) {
+	if !n.admit(&pkt, 0) {
 		return
 	}
 	r := n.rings[pkt.CPU%len(n.rings)]
@@ -267,13 +253,13 @@ func (n *NIC) Arrive(pkt Packet) {
 // through its ATS cache when one is attached — with no ring descriptor
 // consumed and no receive CPU involved.
 func (n *NIC) DirectRx(pkt Packet, iovas []ptable.IOVA, start int) {
-	if !n.admit(&pkt, n.directECNK()) {
+	if !n.admit(&pkt, n.cfg.DirectECNKBytes) {
 		return
 	}
 	reads := 0
 	if n.dom.Mode().Translated() {
 		n.cfg.Faults.Observe(iovas[start/ptable.PageSize] + ptable.IOVA(start%ptable.PageSize))
-		reads = n.translateWindow(iovas, start, n.frameBytes(pkt))
+		reads = n.translateWindow(iovas, start, frameBytes(pkt))
 		reads += n.cfg.Faults.MaybeMisbehave()
 	}
 	n.stats.RxDMAs++
@@ -292,9 +278,6 @@ func (n *NIC) admit(pkt *Packet, k int) bool {
 	if n.bufferBytes+pkt.Bytes > n.cfg.BufferBytes {
 		n.stats.Dropped++
 		n.stats.DroppedBytes += int64(pkt.Bytes)
-		if n.OnDrop != nil {
-			n.OnDrop(*pkt)
-		}
 		return false
 	}
 	if k > 0 && n.bufferBytes > k {
@@ -334,18 +317,11 @@ func popCompleted(q *sim.FIFO[inflight], link *pcie.Link, dir string) inflight {
 	return d
 }
 
-func (n *NIC) directECNK() int {
-	if n.cfg.DirectECNKBytes != 0 {
-		return n.cfg.DirectECNKBytes
-	}
-	return n.cfg.ECNKBytes
-}
-
 // translateWindow translates one frame's PCIe transactions against a
 // window of page-sized IOVAs, returning the page-table reads performed.
 // The transactions whose byte offsets share a page go as one run.
 func (n *NIC) translateWindow(iovas []ptable.IOVA, start, bytes int) int {
-	reads, mps := 0, n.cfg.MPS
+	reads := 0
 	for off := 0; off < bytes; {
 		b := start + off
 		// The run's key is b's page before the clamp to the window's
@@ -388,8 +364,8 @@ func (n *NIC) pumpRx() {
 			pkt := r.queue.Pop()
 			n.queued--
 			desc := r.cur
-			start := n.align(r.curByte)
-			r.curByte = start + n.frameBytes(pkt)
+			start := align(r.curByte)
+			r.curByte = start + frameBytes(pkt)
 			desc.pending++
 			batch = append(batch, rxClaim{pkt, desc, start})
 		}
@@ -422,10 +398,10 @@ type rxClaim struct {
 // with the rest of its frame, so that rest goes page by page as runs; a
 // batch of one DMA runs from its first transaction.
 func (n *NIC) translateBatch(batch []rxClaim, reads []int) {
-	mps, live := n.cfg.MPS, len(batch)
+	live := len(batch)
 	for off := 0; live > 0; off += mps {
 		for i, p := range batch {
-			bytes := n.frameBytes(p.pkt)
+			bytes := frameBytes(p.pkt)
 			if off >= bytes {
 				continue
 			}
@@ -480,7 +456,7 @@ func (n *NIC) pickRing() *ring {
 func (n *NIC) ensureDescriptor(r *ring) bool {
 	// A descriptor is usable only if a maximum-size frame fits after the
 	// current fill point; the partial tail is wasted, as on real hardware.
-	if r.cur != nil && n.align(r.curByte)+n.cfg.MTU+n.cfg.HeaderBytes <= len(r.cur.IOVAs)*ptable.PageSize {
+	if r.cur != nil && align(r.curByte)+n.cfg.MTU+headerBytes <= len(r.cur.IOVAs)*ptable.PageSize {
 		return true
 	}
 	if r.avail.Len() == 0 {
@@ -511,7 +487,7 @@ func (n *NIC) submitRxDMA(pkt Packet, desc *rxDesc, reads int) {
 // fresh descriptor, all as CPU work on the owning core.
 func (n *NIC) maybeRecycle(d *rxDesc) {
 	r := d.r
-	if d == r.cur && n.align(r.curByte)+n.cfg.MTU+n.cfg.HeaderBytes <= len(d.IOVAs)*ptable.PageSize {
+	if d == r.cur && align(r.curByte)+n.cfg.MTU+headerBytes <= len(d.IOVAs)*ptable.PageSize {
 		return // still being filled
 	}
 	if d.pending != 0 || d.done {
@@ -586,7 +562,7 @@ func (n *NIC) pumpTx() {
 		reads := 0
 		if n.dom.Mode().Translated() && len(iovas) > 0 {
 			n.cfg.Faults.Observe(iovas[start/ptable.PageSize])
-			reads = n.translateWindow(iovas, start, e.pkt.Bytes+n.cfg.HeaderBytes)
+			reads = n.translateWindow(iovas, start, e.pkt.Bytes+headerBytes)
 			reads += n.cfg.Faults.MaybeMisbehave()
 		}
 		n.stats.TxDMAs++

@@ -29,7 +29,6 @@ type harness struct {
 	tx  *pcie.Link
 
 	delivered []Packet
-	dropped   []Packet
 	txDone    []Packet
 }
 
@@ -54,7 +53,6 @@ func newHarness(t *testing.T, mode core.Mode, cfg Config) *harness {
 	}
 	h.nic = n
 	n.OnDeliver = func(p Packet) { h.delivered = append(h.delivered, p) }
-	n.OnDrop = func(p Packet) { h.dropped = append(h.dropped, p) }
 	n.OnTxDone = func(p Packet, m *core.TxMapping) {
 		h.txDone = append(h.txDone, p)
 		if m != nil {
@@ -111,33 +109,31 @@ func TestBufferTailDrop(t *testing.T) {
 	}
 	// First packet may start its DMA immediately, freeing no buffer until
 	// completion; at least one of the four must drop.
-	if len(h.dropped) == 0 {
+	if h.nic.Stats().Dropped == 0 {
 		t.Fatal("no tail drop with tiny buffer")
 	}
 	h.eng.RunAll()
-	s := h.nic.Stats()
-	if s.Dropped != int64(len(h.dropped)) {
-		t.Fatalf("drop stats mismatch: %d vs %d", s.Dropped, len(h.dropped))
+	if s := h.nic.Stats(); int(s.Dropped)+len(h.delivered) != 4 || s.DroppedBytes == 0 {
+		t.Fatalf("drops not accounted: %+v, %d delivered", s, len(h.delivered))
 	}
 }
 
-func TestECNMarkingAboveThreshold(t *testing.T) {
-	h := newHarness(t, core.Off, Config{BufferBytes: 1 << 20, ECNKBytes: 4096})
-	for i := 0; i < 4; i++ {
-		h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
+// TestRingArrivalsNeverMark: however full the input buffer, a ring
+// arrival keeps its ECN bit as the wire delivered it; only the one-sided
+// path marks (TestDirectRxMarksAtOwnThreshold).
+func TestRingArrivalsNeverMark(t *testing.T) {
+	h := newHarness(t, core.Off, Config{DirectECNKBytes: 1000})
+	for i := 0; i < 64; i++ {
+		h.nic.Arrive(Packet{CPU: 0, Bytes: 4096, ECN: i == 1})
 	}
 	h.eng.RunAll()
-	marked := 0
-	for _, p := range h.delivered {
-		if p.ECN {
-			marked++
+	if st := h.nic.Stats(); st.Marked != 0 || len(h.delivered) != 64 {
+		t.Fatalf("ring arrivals: %+v, %d delivered", st, len(h.delivered))
+	}
+	for i, p := range h.delivered {
+		if p.ECN != (i == 1) {
+			t.Fatalf("packet %d delivered with ECN %v", i, p.ECN)
 		}
-	}
-	if marked == 0 {
-		t.Fatal("no ECN marks above threshold")
-	}
-	if h.delivered[0].ECN {
-		t.Fatal("first packet marked while buffer was empty")
 	}
 }
 
@@ -154,8 +150,8 @@ func TestDescriptorRecycling(t *testing.T) {
 		t.Fatal("no descriptor was recycled")
 	}
 	// All arrived packets eventually delivered (ring big enough).
-	if len(h.delivered)+len(h.dropped) != 130 {
-		t.Fatalf("delivered %d + dropped %d != 130", len(h.delivered), len(h.dropped))
+	if dropped := int(h.nic.Stats().Dropped); len(h.delivered)+dropped != 130 {
+		t.Fatalf("delivered %d + dropped %d != 130", len(h.delivered), dropped)
 	}
 }
 
@@ -309,8 +305,8 @@ func TestDescriptorTailWasted(t *testing.T) {
 		h.nic.Arrive(Packet{CPU: 0, Bytes: 4096})
 	}
 	h.eng.RunAll()
-	if len(h.delivered)+len(h.dropped) != n {
-		t.Fatalf("accounted %d of %d", len(h.delivered)+len(h.dropped), n)
+	if got := len(h.delivered) + int(h.nic.Stats().Dropped); got != n {
+		t.Fatalf("accounted %d of %d", got, n)
 	}
 	if h.dom.Counters().RxDescriptorsUnmapped == 0 {
 		t.Fatal("no descriptor completed despite tail waste")

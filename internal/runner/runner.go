@@ -1,6 +1,6 @@
 // Package runner is the concurrency backbone for experiment sweeps: a
-// context-aware worker pool that fans independent simulation jobs across
-// CPUs while keeping everything callers rely on deterministic.
+// worker pool that fans independent simulation jobs across CPUs while
+// keeping everything callers rely on deterministic.
 //
 // Each simulation is a self-contained deterministic event loop (its own
 // engine, domain, RNG), so a sweep over modes, flow counts, or seeds is
@@ -9,38 +9,34 @@
 //
 //   - results are indexed by job, independent of completion order;
 //   - a panicking job fails that job (with its stack), not the process;
-//   - cancelling the context stops handing out work, and jobs never
-//     started report the context's error;
-//   - an optional per-job timeout context and a serialised progress
-//     callback for long sweeps.
+//   - Collect stops handing out work once a job fails, and the jobs it
+//     never started report ErrSkipped;
+//   - a serialised progress callback for long sweeps.
 //
-// Jobs receive a context but are not preempted by it: a pure-CPU
-// simulation that ignores ctx runs to completion, and the timeout/cancel
-// takes effect at the next job boundary. That is the right trade for this
-// codebase — simulations are short (seconds) and deterministic, and
-// injecting cancellation checks into the event loop would cost more than
-// it saves.
+// A running job is never preempted: simulations are short (seconds) and
+// deterministic, and a failure takes effect at the next job boundary.
 package runner
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 )
 
-// Job computes one result. The context carries pool cancellation and the
-// per-job timeout; long-running jobs may observe it, short simulations
-// typically ignore it.
-type Job[R any] func(ctx context.Context) (R, error)
+// Job computes one result.
+type Job[R any] func() (R, error)
 
 // Result is one job's outcome.
 type Result[R any] struct {
 	Value R
 	Err   error
 }
+
+// ErrSkipped is the failure Collect records for a job it never started
+// because an earlier one failed.
+var ErrSkipped = errors.New("runner: job skipped after an earlier failure")
 
 // Progress describes one finished (or skipped) job. Callbacks are invoked
 // serially under the pool's lock, so they need no synchronisation of
@@ -56,9 +52,6 @@ type Progress struct {
 type Config struct {
 	// Workers bounds concurrency; <= 0 means GOMAXPROCS(0).
 	Workers int
-	// Timeout, when positive, bounds each job's context. Jobs that do not
-	// observe their context are not preempted (see the package comment).
-	Timeout time.Duration
 	// OnProgress, when non-nil, is called once per job as it completes,
 	// serially and in completion order.
 	OnProgress func(Progress)
@@ -79,17 +72,34 @@ func (e *PanicError) Error() string {
 
 // All runs every job on a bounded worker pool and returns one Result per
 // job, with results[i] holding job i's outcome regardless of completion
-// order. Job failures do not stop the run; cancellation does — jobs not
-// yet started when ctx is cancelled are recorded with Err = ctx.Err()
-// (and reported through OnProgress) without being executed.
-func All[R any](ctx context.Context, cfg Config, jobs []Job[R]) []Result[R] {
+// order. Job failures do not stop the run.
+func All[R any](cfg Config, jobs []Job[R]) []Result[R] {
+	out, _ := run(cfg, jobs, false)
+	return out
+}
+
+// Collect is the fail-fast variant sweeps use: it runs the jobs until one
+// fails, skips the jobs not yet started then (recording ErrSkipped and
+// reporting them through OnProgress), and returns the values in job
+// order alongside the first failure observed (nil when all succeed).
+// Values of failed or skipped jobs are zero.
+func Collect[R any](cfg Config, jobs []Job[R]) ([]R, error) {
+	results, first := run(cfg, jobs, true)
+	out := make([]R, len(results))
+	for i, r := range results {
+		out[i] = r.Value
+	}
+	return out, first
+}
+
+// run runs the jobs on the pool and returns their results and the first
+// failure observed; with failFast, a job handed out after that failure
+// is skipped.
+func run[R any](cfg Config, jobs []Job[R], failFast bool) ([]Result[R], error) {
 	n := len(jobs)
 	out := make([]Result[R], n)
 	if n == 0 {
-		return out
-	}
-	if ctx == nil {
-		ctx = context.Background()
+		return out, nil
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -99,13 +109,17 @@ func All[R any](ctx context.Context, cfg Config, jobs []Job[R]) []Result[R] {
 		workers = n
 	}
 
-	var mu sync.Mutex // guards next, done, out writes, OnProgress
+	var mu sync.Mutex // guards next, done, first, out writes, OnProgress
 	next, done := 0, 0
+	var first error
 	finish := func(i int, r Result[R]) {
 		mu.Lock()
 		defer mu.Unlock()
 		out[i] = r
 		done++
+		if first == nil {
+			first = r.Err
+		}
 		if cfg.OnProgress != nil {
 			cfg.OnProgress(Progress{Index: i, Done: done, Total: n, Err: r.Err})
 		}
@@ -120,71 +134,30 @@ func All[R any](ctx context.Context, cfg Config, jobs []Job[R]) []Result[R] {
 				mu.Lock()
 				i := next
 				next++
+				skip := failFast && first != nil
 				mu.Unlock()
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					finish(i, Result[R]{Err: err})
+				if skip {
+					finish(i, Result[R]{Err: ErrSkipped})
 					continue
 				}
-				finish(i, runOne(ctx, cfg.Timeout, i, jobs[i]))
+				finish(i, runOne(i, jobs[i]))
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	return out, first
 }
 
-// runOne executes one job with panic capture and the per-job timeout.
-func runOne[R any](ctx context.Context, timeout time.Duration, i int, job Job[R]) (res Result[R]) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// runOne executes one job with panic capture.
+func runOne[R any](i int, job Job[R]) (res Result[R]) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = Result[R]{Err: &PanicError{Index: i, Value: v, Stack: debug.Stack()}}
 		}
 	}()
-	v, err := job(ctx)
+	v, err := job()
 	return Result[R]{Value: v, Err: err}
-}
-
-// Collect is the fail-fast variant sweeps use: it runs every job, cancels
-// the jobs not yet started when one fails, and returns the values in job
-// order alongside the first failure observed (nil when all succeed).
-// Values of failed or skipped jobs are zero.
-func Collect[R any](ctx context.Context, cfg Config, jobs []Job[R]) ([]R, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var first error
-	userProgress := cfg.OnProgress
-	// OnProgress runs under the pool lock, so recording the first error
-	// here needs no extra synchronisation.
-	cfg.OnProgress = func(p Progress) {
-		if p.Err != nil && first == nil {
-			first = p.Err
-			cancel()
-		}
-		if userProgress != nil {
-			userProgress(p)
-		}
-	}
-	results := All(cctx, cfg, jobs)
-	out := make([]R, len(results))
-	for i, r := range results {
-		out[i] = r.Value
-	}
-	if first == nil {
-		// All jobs succeeded from the pool's perspective, but the parent
-		// context may have been cancelled before any job started.
-		first = ctx.Err()
-	}
-	return out, first
 }

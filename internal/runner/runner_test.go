@@ -1,12 +1,10 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestOrderingUnderShuffledCompletion forces jobs to complete in exactly
@@ -31,14 +29,14 @@ func TestOrderingUnderShuffledCompletion(t *testing.T) {
 	jobs := make([]Job[string], n)
 	for i := 0; i < n; i++ {
 		i := i
-		jobs[i] = func(context.Context) (string, error) {
+		jobs[i] = func() (string, error) {
 			if i < n-1 {
 				<-gates[i+1] // block until the higher-indexed job completed
 			}
 			return fmt.Sprintf("job-%d", i), nil
 		}
 	}
-	results := All(context.Background(), cfg, jobs)
+	results := All(cfg, jobs)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -59,9 +57,9 @@ func TestAllRunsEveryJob(t *testing.T) {
 	jobs := make([]Job[int], 20)
 	for i := range jobs {
 		i := i
-		jobs[i] = func(context.Context) (int, error) { ran.Add(1); return i * i, nil }
+		jobs[i] = func() (int, error) { ran.Add(1); return i * i, nil }
 	}
-	results := All(context.Background(), Config{Workers: 4}, jobs)
+	results := All(Config{Workers: 4}, jobs)
 	if ran.Load() != 20 {
 		t.Fatalf("ran %d jobs, want 20", ran.Load())
 	}
@@ -72,53 +70,20 @@ func TestAllRunsEveryJob(t *testing.T) {
 	}
 }
 
-// TestCancellationMidSweep cancels from inside job 1 with a single worker
-// and checks the remaining jobs are reported, not run.
-func TestCancellationMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int64
-	jobs := make([]Job[int], 6)
-	for i := range jobs {
-		i := i
-		jobs[i] = func(context.Context) (int, error) {
-			ran.Add(1)
-			if i == 1 {
-				cancel()
-			}
-			return i, nil
-		}
-	}
-	results := All(ctx, Config{Workers: 1}, jobs)
-	if ran.Load() != 2 {
-		t.Fatalf("ran %d jobs, want 2 (0 and 1)", ran.Load())
-	}
-	for i := 0; i < 2; i++ {
-		if results[i].Err != nil || results[i].Value != i {
-			t.Fatalf("results[%d] = %+v", i, results[i])
-		}
-	}
-	for i := 2; i < len(jobs); i++ {
-		if !errors.Is(results[i].Err, context.Canceled) {
-			t.Fatalf("results[%d].Err = %v, want context.Canceled", i, results[i].Err)
-		}
-	}
-}
-
 // TestPanicIsolation: a panicking job must fail its own slot with a
 // PanicError and leave every other job untouched.
 func TestPanicIsolation(t *testing.T) {
 	jobs := make([]Job[int], 5)
 	for i := range jobs {
 		i := i
-		jobs[i] = func(context.Context) (int, error) {
+		jobs[i] = func() (int, error) {
 			if i == 2 {
 				panic("simulated simulation bug")
 			}
 			return i, nil
 		}
 	}
-	results := All(context.Background(), Config{Workers: 2}, jobs)
+	results := All(Config{Workers: 2}, jobs)
 	var pe *PanicError
 	if !errors.As(results[2].Err, &pe) {
 		t.Fatalf("results[2].Err = %v, want *PanicError", results[2].Err)
@@ -130,30 +95,6 @@ func TestPanicIsolation(t *testing.T) {
 		if i != 2 && (r.Err != nil || r.Value != i) {
 			t.Fatalf("results[%d] = %+v, want clean %d", i, r, i)
 		}
-	}
-}
-
-// TestPerJobTimeout: a job that observes its context is released by the
-// per-job deadline without affecting its siblings.
-func TestPerJobTimeout(t *testing.T) {
-	jobs := []Job[int]{
-		func(context.Context) (int, error) { return 0, nil },
-		func(ctx context.Context) (int, error) {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(30 * time.Second):
-				return 0, errors.New("timeout never fired")
-			}
-		},
-		func(context.Context) (int, error) { return 2, nil },
-	}
-	results := All(context.Background(), Config{Workers: 3, Timeout: 10 * time.Millisecond}, jobs)
-	if !errors.Is(results[1].Err, context.DeadlineExceeded) {
-		t.Fatalf("results[1].Err = %v, want DeadlineExceeded", results[1].Err)
-	}
-	if results[0].Err != nil || results[2].Err != nil || results[2].Value != 2 {
-		t.Fatalf("siblings disturbed: %+v", results)
 	}
 }
 
@@ -175,23 +116,23 @@ func TestProgressSerialised(t *testing.T) {
 	}}
 	jobs := make([]Job[struct{}], n)
 	for i := range jobs {
-		jobs[i] = func(context.Context) (struct{}, error) { return struct{}{}, nil }
+		jobs[i] = func() (struct{}, error) { return struct{}{}, nil }
 	}
-	All(context.Background(), cfg, jobs)
+	All(cfg, jobs)
 	if len(seen) != n {
 		t.Fatalf("reported %d indices, want %d", len(seen), n)
 	}
 }
 
 // TestCollectFailFast: the first failure is returned, and with one worker
-// the jobs after the failing one never run.
+// the jobs after the failing one never run: each reports ErrSkipped.
 func TestCollectFailFast(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	jobs := make([]Job[int], 5)
 	for i := range jobs {
 		i := i
-		jobs[i] = func(context.Context) (int, error) {
+		jobs[i] = func() (int, error) {
 			ran.Add(1)
 			if i == 1 {
 				return 0, boom
@@ -199,7 +140,8 @@ func TestCollectFailFast(t *testing.T) {
 			return i + 10, nil
 		}
 	}
-	vals, err := Collect(context.Background(), Config{Workers: 1}, jobs)
+	errs := make([]error, len(jobs))
+	vals, err := Collect(Config{Workers: 1, OnProgress: func(p Progress) { errs[p.Index] = p.Err }}, jobs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -209,6 +151,11 @@ func TestCollectFailFast(t *testing.T) {
 	if vals[0] != 10 || vals[1] != 0 {
 		t.Fatalf("vals = %v", vals)
 	}
+	for i := 2; i < len(jobs); i++ {
+		if errs[i] != ErrSkipped || vals[i] != 0 {
+			t.Fatalf("job %d: err %v, value %d, want ErrSkipped and 0", i, errs[i], vals[i])
+		}
+	}
 }
 
 // TestCollectSuccess returns the values in job order with a nil error.
@@ -216,9 +163,9 @@ func TestCollectSuccess(t *testing.T) {
 	jobs := make([]Job[int], 10)
 	for i := range jobs {
 		i := i
-		jobs[i] = func(context.Context) (int, error) { return i * 3, nil }
+		jobs[i] = func() (int, error) { return i * 3, nil }
 	}
-	vals, err := Collect(context.Background(), Config{Workers: 4}, jobs)
+	vals, err := Collect(Config{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +180,10 @@ func TestCollectSuccess(t *testing.T) {
 // returned error rather than crashing or hiding it.
 func TestCollectPanicBecomesError(t *testing.T) {
 	jobs := []Job[int]{
-		func(context.Context) (int, error) { return 1, nil },
-		func(context.Context) (int, error) { panic("kaboom") },
+		func() (int, error) { return 1, nil },
+		func() (int, error) { panic("kaboom") },
 	}
-	_, err := Collect(context.Background(), Config{Workers: 1}, jobs)
+	_, err := Collect(Config{Workers: 1}, jobs)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 1 {
 		t.Fatalf("err = %v, want PanicError{Index: 1}", err)
@@ -245,11 +192,11 @@ func TestCollectPanicBecomesError(t *testing.T) {
 
 // TestEmptyAndDefaults: zero jobs and the zero Config must both be safe.
 func TestEmptyAndDefaults(t *testing.T) {
-	if got := All[int](nil, Config{}, nil); len(got) != 0 {
+	if got := All[int](Config{}, nil); len(got) != 0 {
 		t.Fatalf("All(nil) = %v", got)
 	}
-	vals, err := Collect(nil, Config{}, []Job[int]{
-		func(context.Context) (int, error) { return 7, nil },
+	vals, err := Collect(Config{}, []Job[int]{
+		func() (int, error) { return 7, nil },
 	})
 	if err != nil || len(vals) != 1 || vals[0] != 7 {
 		t.Fatalf("Collect = %v, %v", vals, err)

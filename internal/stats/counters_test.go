@@ -2,25 +2,6 @@ package stats
 
 import "testing"
 
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	c.Add(1)
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
 // TestRatio checks PerPage, the normaliser miss counters go through:
 // a count over the 4KB pages a byte count spans, 0 when nothing moved.
 func TestRatio(t *testing.T) {

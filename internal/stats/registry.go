@@ -8,12 +8,13 @@ import (
 )
 
 // Gauge is an instantaneous value: queue depths, utilisations, window
-// sizes. Like Counter it is engine-confined and deliberately not atomic —
-// every Gauge belongs to one simulation's single-threaded event loop.
+// sizes, event counts. It is engine-confined and deliberately not atomic
+// — every Gauge belongs to one simulation's single-threaded event loop,
+// and the sweep runner keeps whole simulations on single goroutines.
 //
 // A Gauge is function-backed: its value is computed on every read from a
 // probe closure installed via Registry.GaugeFunc. That is how the
-// simulator layers expose their existing typed counters without copying
+// simulator layers publish their own typed counters without copying
 // them: the closure reads live state, so the registry always reports the
 // current value.
 type Gauge struct {
@@ -24,10 +25,9 @@ type Gauge struct {
 func (g *Gauge) Value() float64 { return g.fn() }
 
 // Registry is a named collection of instruments — the telemetry spine every
-// simulator layer reports through. Three instrument kinds are supported:
+// simulator layer reports through. Two instrument kinds are supported:
 //
-//   - Counter: monotonically increasing event counts
-//   - Gauge: instantaneous values, computed by a probe function
+//   - Gauge: counts and instantaneous values, computed by a probe function
 //   - Histogram: log-bucketed sample distributions with quantile readout
 //
 // A name identifies exactly one instrument of one kind; reusing a name for
@@ -38,25 +38,21 @@ func (g *Gauge) Value() float64 { return g.fn() }
 // Like every type in this package the Registry is engine-confined: one
 // registry per simulation, touched only from that simulation's event loop.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	gauges map[string]*Gauge
+	hists  map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		gauges: make(map[string]*Gauge),
+		hists:  make(map[string]*Histogram),
 	}
 }
 
 // kindOf reports the kind holding name, or "" when the name is free.
 func (r *Registry) kindOf(name string) string {
 	switch {
-	case r.counters[name] != nil:
-		return "counter"
 	case r.gauges[name] != nil:
 		return "gauge"
 	case r.hists[name] != nil:
@@ -69,17 +65,6 @@ func (r *Registry) mustBe(name, kind string) {
 	if k := r.kindOf(name); k != "" && k != kind {
 		panic(fmt.Sprintf("stats: instrument %q already registered as a %s", name, k))
 	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mustBe(name, "counter")
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn on every
@@ -106,7 +91,7 @@ func (r *Registry) AddHistogram(name string, h *Histogram) {
 }
 
 // Adopt merges every instrument of src into r by reference: the merged
-// registry reads the same live Counter/Gauge/Histogram objects the source
+// registry reads the same live Gauge/Histogram objects the source
 // layers mutate, so it always reports current values without copying.
 // A name already present in r panics — shard registries keep disjoint
 // namespaces (hostN.*, fabric.portN.*, fabric.core.*), and a collision
@@ -116,12 +101,6 @@ func (r *Registry) AddHistogram(name string, h *Histogram) {
 // source: read it only at synchronization barriers (or after the run),
 // never while shard event loops are executing in parallel.
 func (r *Registry) Adopt(src *Registry) {
-	for n, c := range src.counters {
-		if r.kindOf(n) != "" {
-			panic(fmt.Sprintf("stats: Adopt collision on %q", n))
-		}
-		r.counters[n] = c
-	}
 	for n, g := range src.gauges {
 		if r.kindOf(n) != "" {
 			panic(fmt.Sprintf("stats: Adopt collision on %q", n))
@@ -141,25 +120,19 @@ func (r *Registry) LookupHistogram(name string) *Histogram {
 	return r.hists[name]
 }
 
-// Value returns the named counter or gauge value as a float64. The second
-// result is false when the name is unregistered or names a histogram.
+// Value returns the named gauge's value. The second result is false when
+// the name is unregistered or names a histogram.
 func (r *Registry) Value(name string) (float64, bool) {
-	if c, ok := r.counters[name]; ok {
-		return float64(c.Value()), true
-	}
 	if g, ok := r.gauges[name]; ok {
 		return g.Value(), true
 	}
 	return 0, false
 }
 
-// Names returns every registered instrument name across all three kinds,
+// Names returns every registered instrument name across both kinds,
 // sorted.
 func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
+	names := make([]string, 0, len(r.gauges)+len(r.hists))
 	for n := range r.gauges {
 		names = append(names, n)
 	}
@@ -178,14 +151,11 @@ func (r *Registry) String() string {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
-		switch {
-		case r.counters[n] != nil:
-			fmt.Fprintf(&b, "%s=%d", n, r.counters[n].Value())
-		case r.gauges[n] != nil:
+		if g := r.gauges[n]; g != nil {
 			b.WriteString(n)
 			b.WriteByte('=')
-			b.WriteString(strconv.FormatFloat(r.gauges[n].Value(), 'g', -1, 64))
-		default:
+			b.WriteString(strconv.FormatFloat(g.Value(), 'g', -1, 64))
+		} else {
 			fmt.Fprintf(&b, "%s={%s}", n, r.hists[n])
 		}
 	}

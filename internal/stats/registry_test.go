@@ -12,15 +12,9 @@ import (
 
 func TestRegistryCreateOnFirstUse(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("walks")
-	c.Add(3)
-	if r.Counter("walks") != c {
-		t.Fatal("Counter did not return the existing instrument")
+	if _, ok := r.Value("depth"); ok {
+		t.Fatal("Value invented a gauge")
 	}
-	if v, ok := r.Value("walks"); !ok || v != 3 {
-		t.Fatalf("Value(walks) = %v,%v, want 3,true", v, ok)
-	}
-
 	depth := 2.5
 	r.GaugeFunc("depth", func() float64 { return depth })
 	depth -= 0.5
@@ -81,7 +75,7 @@ func TestRegistryGaugeFuncRebindsInPlace(t *testing.T) {
 
 func TestRegistryKindCollisionPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	r.AddHistogram("x", new(Histogram))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-kind reuse did not panic")
@@ -111,7 +105,7 @@ func TestRegistryDumpOrderDeterministic(t *testing.T) {
 			n := names[i]
 			switch i % 3 {
 			case 0:
-				r.Counter(n).Add(int64(i))
+				r.GaugeFunc(n, func() float64 { return float64(i) })
 			case 1:
 				v := float64(i) / 2
 				r.GaugeFunc(n, func() float64 { return v })
@@ -249,29 +243,22 @@ func TestProbeAdapters(t *testing.T) {
 // collision — shard wiring double-registering a name — panics.
 func TestAdoptMergesByReferenceAndPanicsOnCollision(t *testing.T) {
 	src := NewRegistry()
-	c := src.Counter("host0.ticks")
 	depth := 0.0
 	src.GaugeFunc("host0.depth", func() float64 { return depth })
 	src.AddHistogram("host0.lat", new(Histogram))
 	merged := NewRegistry()
-	merged.Counter("fabric.drops")
+	merged.GaugeFunc("fabric.drops", func() float64 { return 0 })
 	merged.Adopt(src)
-	c.Add(3)
 	depth = 7
-	if v, ok := merged.Value("host0.ticks"); !ok || v != 3 {
-		t.Fatalf("adopted counter = %v, %v; want live value 3", v, ok)
-	}
 	if v, ok := merged.Value("host0.depth"); !ok || v != 7 {
 		t.Fatalf("adopted gauge = %v, %v; want live value 7", v, ok)
 	}
 	if merged.LookupHistogram("host0.lat") == nil {
 		t.Fatal("adopted histogram absent from merged view")
 	}
-	for _, dup := range []string{"counter", "gauge", "hist"} {
+	for _, dup := range []string{"gauge", "hist"} {
 		other := NewRegistry()
 		switch dup {
-		case "counter":
-			other.Counter("host0.ticks")
 		case "gauge":
 			other.GaugeFunc("host0.depth", func() float64 { return 0 })
 		case "hist":

@@ -3,8 +3,8 @@ package transport
 import "testing"
 
 func BenchmarkSenderReceiverLoop(b *testing.B) {
-	s := NewSender(Params{InitCwnd: 32, MaxCwnd: 64})
-	r := NewReceiver(Params{AckEvery: 8})
+	s := NewSender(Params{MaxCwnd: 64})
+	r := NewReceiver(Params{})
 	for i := 0; i < b.N; i++ {
 		// One window's worth of segment+ACK processing per iteration
 		// (instant ACKs keep the window open, so bound the inner loop).
@@ -22,7 +22,7 @@ func BenchmarkSenderReceiverLoop(b *testing.B) {
 }
 
 func BenchmarkReceiverOutOfOrder(b *testing.B) {
-	r := NewReceiver(Params{AckEvery: 8})
+	r := NewReceiver(Params{})
 	var seq int64
 	for i := 0; i < b.N; i++ {
 		// Deliver 2 then 1 of every 3-segment group: one gap per group.

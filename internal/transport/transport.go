@@ -11,35 +11,24 @@ package transport
 
 import "fastsafe/internal/sim"
 
-// Params tunes the transport. Zero fields take defaults.
+// The DCTCP constants of the paper's testbed.
+const (
+	initCwnd     = 10       // initial window, segments
+	minCwnd      = 2        // window floor, segments (TCP's two-segment floor)
+	gain         = 1.0 / 16 // DCTCP alpha EWMA gain g
+	ackEvery     = 8        // in-order segments per delayed ACK
+	dupAckThresh = 3        // duplicate ACKs triggering fast retransmit
+)
+
+// Params tunes a sender. Zero fields take defaults.
 type Params struct {
-	InitCwnd     float64      // initial window, segments (default 10)
-	MinCwnd      float64      // floor (default 1)
-	MaxCwnd      float64      // cap, segments (default 512)
-	Gain         float64      // DCTCP alpha EWMA gain g (default 1/16)
-	AckEvery     int          // in-order segments per delayed ACK (default 8)
-	DupAckThresh int          // duplicate ACKs triggering fast rtx (default 3)
-	RTOMin       sim.Duration // minimum retransmission timeout (default 5ms)
+	MaxCwnd float64      // cap, segments (default 512)
+	RTOMin  sim.Duration // minimum retransmission timeout (default 5ms)
 }
 
 func (p Params) withDefaults() Params {
-	if p.InitCwnd == 0 {
-		p.InitCwnd = 10
-	}
-	if p.MinCwnd == 0 {
-		p.MinCwnd = 2 // TCP's two-segment floor
-	}
 	if p.MaxCwnd == 0 {
 		p.MaxCwnd = 512
-	}
-	if p.Gain == 0 {
-		p.Gain = 1.0 / 16
-	}
-	if p.AckEvery == 0 {
-		p.AckEvery = 8
-	}
-	if p.DupAckThresh == 0 {
-		p.DupAckThresh = 3
 	}
 	if p.RTOMin == 0 {
 		p.RTOMin = 5 * sim.Millisecond
@@ -93,7 +82,7 @@ func NewSender(p Params) *Sender {
 	p = p.withDefaults()
 	return &Sender{
 		p:        p,
-		cwnd:     p.InitCwnd,
+		cwnd:     initCwnd,
 		ssthresh: p.MaxCwnd,
 		rtxSeq:   -1,
 		recover:  -1,
@@ -152,11 +141,11 @@ func (s *Sender) OnAck(a Ack, now sim.Time) int64 {
 	if a.CumAck <= s.una {
 		if a.Dup {
 			s.dupAcks++
-			if s.dupAcks == s.p.DupAckThresh && s.una > s.recover {
+			if s.dupAcks == dupAckThresh && s.una > s.recover {
 				// Fast retransmit + multiplicative decrease.
 				s.rtxSeq = s.una
 				s.recover = s.next
-				s.ssthresh = maxf(s.cwnd/2, s.p.MinCwnd)
+				s.ssthresh = maxf(s.cwnd/2, minCwnd)
 				s.cwnd = s.ssthresh
 				s.stats.FastRtx++
 			}
@@ -189,7 +178,7 @@ func (s *Sender) OnAck(a Ack, now sim.Time) int64 {
 		if s.ackedWin > 0 {
 			f = float64(s.ecnSeen) / float64(s.ackedWin)
 		}
-		s.alpha = (1-s.p.Gain)*s.alpha + s.p.Gain*f
+		s.alpha = (1-gain)*s.alpha + gain*f
 		s.ecnSeen, s.ackedWin = 0, 0
 		s.windowEnd = s.una + int64(s.cwnd) + 1
 	}
@@ -197,7 +186,7 @@ func (s *Sender) OnAck(a Ack, now sim.Time) int64 {
 		// One multiplicative cut per window, scaled by alpha. The cut also
 		// ends slow start, as in DCTCP/TCP: ssthresh tracks the reduced
 		// window so growth continues additively.
-		s.cwnd = maxf(s.cwnd*(1-s.alpha/2), s.p.MinCwnd)
+		s.cwnd = maxf(s.cwnd*(1-s.alpha/2), minCwnd)
 		s.ssthresh = s.cwnd
 		s.cutEnd = s.next
 	}
@@ -228,8 +217,8 @@ func (s *Sender) MaybeTimeout(now sim.Time) bool {
 		return false
 	}
 	s.stats.Timeouts++
-	s.ssthresh = maxf(s.cwnd/2, s.p.MinCwnd)
-	s.cwnd = s.p.MinCwnd
+	s.ssthresh = maxf(s.cwnd/2, minCwnd)
+	s.cwnd = minCwnd
 	s.next = s.una // go-back-N
 	s.rtxSeq = -1
 	s.dupAcks = 0
@@ -254,7 +243,6 @@ func minf(a, b float64) float64 {
 
 // Receiver is one flow's receive-side reassembly and ACK generation.
 type Receiver struct {
-	p       Params
 	rcvNxt  int64
 	ooo     map[int64]bool
 	pending int  // in-order segments since last ACK
@@ -262,9 +250,10 @@ type Receiver struct {
 	ack     Ack  // the last ACK built, which OnData and FlushAck point at
 }
 
-// NewReceiver returns a receiver expecting segment 0.
-func NewReceiver(p Params) *Receiver {
-	return &Receiver{p: p.withDefaults(), ooo: make(map[int64]bool)}
+// NewReceiver returns a receiver expecting segment 0. A receiver reads
+// none of Params; it takes them so both ends of a flow build alike.
+func NewReceiver(Params) *Receiver {
+	return &Receiver{ooo: make(map[int64]bool)}
 }
 
 // RcvNxt returns the next expected segment.
@@ -293,7 +282,7 @@ func (r *Receiver) OnData(seq int64, ecnMarked bool) (delivered int64, ack *Ack)
 		r.pending += int(delivered)
 		// ACK immediately when filling a gap (we had OOO data) or at the
 		// delayed-ACK threshold.
-		if r.pending >= r.p.AckEvery || len(r.ooo) > 0 || delivered > 1 {
+		if r.pending >= ackEvery || len(r.ooo) > 0 || delivered > 1 {
 			return delivered, r.makeAck(false)
 		}
 		return delivered, nil

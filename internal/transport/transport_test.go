@@ -19,8 +19,8 @@ func TestSenderInitialWindow(t *testing.T) {
 }
 
 func TestSenderWindowLimitsInflight(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 3})
-	for i := 0; i < 3; i++ {
+	s := NewSender(Params{})
+	for i := 0; i < initCwnd; i++ {
 		if !s.CanSend() {
 			t.Fatalf("cannot send segment %d within window", i)
 		}
@@ -33,13 +33,13 @@ func TestSenderWindowLimitsInflight(t *testing.T) {
 	if s.CanSend() {
 		t.Fatal("window exceeded")
 	}
-	if s.Inflight() != 3 {
-		t.Fatalf("inflight = %d, want 3", s.Inflight())
+	if s.Inflight() != initCwnd {
+		t.Fatalf("inflight = %d, want %d", s.Inflight(), initCwnd)
 	}
 }
 
 func TestSlowStartGrowth(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 2})
+	s := NewSender(Params{})
 	s.OnSent(0, 0)
 	s.OnSent(1, 0)
 	before := s.Cwnd()
@@ -50,7 +50,7 @@ func TestSlowStartGrowth(t *testing.T) {
 }
 
 func TestCongestionAvoidanceGrowth(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 10})
+	s := NewSender(Params{})
 	s.ssthresh = 5 // below cwnd: congestion avoidance
 	s.OnSent(0, 0)
 	before := s.Cwnd()
@@ -62,7 +62,7 @@ func TestCongestionAvoidanceGrowth(t *testing.T) {
 }
 
 func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 10})
+	s := NewSender(Params{})
 	for i := int64(0); i < 5; i++ {
 		s.OnSent(i, 0)
 	}
@@ -88,7 +88,7 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 }
 
 func TestNoSecondFastRtxInSameWindow(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 10})
+	s := NewSender(Params{})
 	for i := int64(0); i < 5; i++ {
 		s.OnSent(i, 0)
 	}
@@ -101,7 +101,7 @@ func TestNoSecondFastRtxInSameWindow(t *testing.T) {
 }
 
 func TestTimeoutCollapsesWindow(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 10, RTOMin: sim.Millisecond})
+	s := NewSender(Params{RTOMin: sim.Millisecond})
 	for i := int64(0); i < 5; i++ {
 		s.OnSent(i, 0)
 	}
@@ -129,7 +129,7 @@ func TestNoTimeoutWhenIdle(t *testing.T) {
 }
 
 func TestDCTCPAlphaTracksMarks(t *testing.T) {
-	s := NewSender(Params{InitCwnd: 10})
+	s := NewSender(Params{})
 	// Several windows of fully-marked ACKs push alpha toward 1.
 	var seq int64
 	for w := 0; w < 200; w++ {
@@ -144,7 +144,7 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 		t.Fatalf("alpha = %v, want pushed toward 1 under persistent marking", s.Alpha())
 	}
 	// Cwnd must be cut relative to unmarked operation.
-	u := NewSender(Params{InitCwnd: 10})
+	u := NewSender(Params{})
 	seq = 0
 	for w := 0; w < 200; w++ {
 		for i := 0; i < 10 && u.CanSend(); i++ {
@@ -160,9 +160,9 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 }
 
 func TestReceiverInOrderDelivery(t *testing.T) {
-	r := NewReceiver(Params{AckEvery: 4})
+	r := NewReceiver(Params{})
 	var acks int
-	for i := int64(0); i < 8; i++ {
+	for i := int64(0); i < 2*ackEvery; i++ {
 		d, ack := r.OnData(i, false)
 		if d != 1 {
 			t.Fatalf("delivered = %d, want 1", d)
@@ -175,12 +175,12 @@ func TestReceiverInOrderDelivery(t *testing.T) {
 		}
 	}
 	if acks != 2 {
-		t.Fatalf("acks = %d, want 2 (one per 4 segments)", acks)
+		t.Fatalf("acks = %d, want 2 (one per %d segments)", acks, ackEvery)
 	}
 }
 
 func TestReceiverOutOfOrderDupAck(t *testing.T) {
-	r := NewReceiver(Params{AckEvery: 100})
+	r := NewReceiver(Params{})
 	r.OnData(0, false)
 	d, ack := r.OnData(2, false) // gap at 1
 	if d != 0 {
@@ -200,7 +200,7 @@ func TestReceiverOutOfOrderDupAck(t *testing.T) {
 }
 
 func TestReceiverDuplicateSegment(t *testing.T) {
-	r := NewReceiver(Params{AckEvery: 100})
+	r := NewReceiver(Params{})
 	r.OnData(0, false)
 	d, ack := r.OnData(0, false)
 	if d != 0 || ack == nil || !ack.Dup {
@@ -212,22 +212,27 @@ func TestReceiverDuplicateSegment(t *testing.T) {
 }
 
 func TestReceiverECNEcho(t *testing.T) {
-	r := NewReceiver(Params{AckEvery: 2})
+	r := NewReceiver(Params{})
 	r.OnData(0, true) // marked, no ack yet
-	_, ack := r.OnData(1, false)
+	for seq := int64(1); seq < ackEvery-1; seq++ {
+		r.OnData(seq, false)
+	}
+	_, ack := r.OnData(ackEvery-1, false)
 	if ack == nil || !ack.ECNEcho {
 		t.Fatalf("ack = %+v, want ECN echo", ack)
 	}
 	// Echo is cleared after being sent.
-	r.OnData(2, false)
-	_, ack = r.OnData(3, false)
+	for seq := int64(ackEvery); seq < 2*ackEvery-1; seq++ {
+		r.OnData(seq, false)
+	}
+	_, ack = r.OnData(2*ackEvery-1, false)
 	if ack == nil || ack.ECNEcho {
 		t.Fatalf("ack = %+v, want echo cleared", ack)
 	}
 }
 
 func TestReceiverFlushAck(t *testing.T) {
-	r := NewReceiver(Params{AckEvery: 100})
+	r := NewReceiver(Params{})
 	if r.FlushAck() != nil {
 		t.Fatal("flush with nothing pending returned an ack")
 	}
@@ -249,30 +254,33 @@ func TestReceiverAckAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	r := NewReceiver(Params{AckEvery: 2})
+	r := NewReceiver(Params{})
 	seq := int64(0)
 	if n := testing.AllocsPerRun(1000, func() {
-		r.OnData(seq, false)
-		if _, ack := r.OnData(seq+1, true); ack == nil || ack.CumAck != seq+2 || !ack.ECNEcho {
-			t.Fatalf("ack = %+v, want cumack %d with echo", ack, seq+2)
+		for end := seq + ackEvery - 1; seq < end; seq++ {
+			r.OnData(seq, false)
 		}
-		r.OnData(seq+2, false)
-		if ack := r.FlushAck(); ack == nil || ack.CumAck != seq+3 || ack.ECNEcho {
-			t.Fatalf("flush ack = %+v, want cumack %d", ack, seq+3)
+		if _, ack := r.OnData(seq, true); ack == nil || ack.CumAck != seq+1 || !ack.ECNEcho {
+			t.Fatalf("ack = %+v, want cumack %d with echo", ack, seq+1)
 		}
-		seq += 3
+		r.OnData(seq+1, false)
+		if ack := r.FlushAck(); ack == nil || ack.CumAck != seq+2 || ack.ECNEcho {
+			t.Fatalf("flush ack = %+v, want cumack %d", ack, seq+2)
+		}
+		seq += 2
 	}); n != 0 {
-		t.Errorf("%v allocs per three segments and two ACKs, want 0", n)
+		t.Errorf("%v allocs per %d segments and two ACKs, want 0", n, ackEvery+1)
 	}
 }
 
 // End-to-end property: over a lossy reordered channel, the receiver
 // eventually delivers a prefix 0..n without gaps, and rcvNxt never
-// decreases.
+// decreases. Once the window closes each step, the receiver flushes its
+// delayed ACK, as the host's delayed-ACK timer does when traffic pauses.
 func TestPropertyReliableDelivery(t *testing.T) {
 	f := func(dropPattern []bool) bool {
-		s := NewSender(Params{InitCwnd: 8, RTOMin: sim.Millisecond, MaxCwnd: 64})
-		r := NewReceiver(Params{AckEvery: 4})
+		s := NewSender(Params{RTOMin: sim.Millisecond, MaxCwnd: 64})
+		r := NewReceiver(Params{})
 		now := sim.Time(0)
 		drop := func(i int64) bool {
 			if len(dropPattern) == 0 {
@@ -299,6 +307,9 @@ func TestPropertyReliableDelivery(t *testing.T) {
 				if ack != nil {
 					s.OnAck(*ack, now)
 				}
+			}
+			if ack := r.FlushAck(); ack != nil {
+				s.OnAck(*ack, now)
 			}
 		}
 		return r.RcvNxt() >= 200

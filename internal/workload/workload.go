@@ -22,7 +22,6 @@ import (
 
 // Spec is one runnable experiment cell.
 type Spec struct {
-	Name    string
 	Host    host.Config
 	Msg     *host.MsgConfig
 	Warmup  sim.Duration
@@ -54,7 +53,6 @@ func (s Spec) Run() (host.Results, error) {
 // 4KB MTU, ring 256 (§2.2 defaults). ring <= 0 keeps the default.
 func Iperf(mode core.Mode, flows, ring int) Spec {
 	return Spec{
-		Name: "iperf",
 		Host: host.Config{Mode: mode, RxFlows: flows, RingPackets: ring},
 	}
 }
@@ -72,7 +70,6 @@ func IperfTrace(mode core.Mode, flows, ring, limit int) Spec {
 // core (Figure 10's per-core flow placement).
 func Bidirectional(mode core.Mode, pairs int) Spec {
 	return Spec{
-		Name: "bidirectional",
 		Host: host.Config{Mode: mode, Cores: pairs, RxFlows: pairs, TxFlows: pairs},
 	}
 }
@@ -81,7 +78,6 @@ func Bidirectional(mode core.Mode, pairs int) Spec {
 // with the default five-flow iperf load, on a dedicated core (Figure 9).
 func RPC(mode core.Mode, rpcBytes int) Spec {
 	return Spec{
-		Name: "rpc",
 		Host: host.Config{Mode: mode},
 		Msg: &host.MsgConfig{
 			Pattern:   host.LocalServes,
@@ -119,7 +115,6 @@ func boundedDepth(want, streams, payload int) int {
 // value payloads inbound and 64B replies outbound.
 func Redis(mode core.Mode, valueBytes int) Spec {
 	return Spec{
-		Name: "redis",
 		Host: host.Config{Mode: mode, Cores: 8, RxFlows: -1, MTU: 9000},
 		Msg: &host.MsgConfig{
 			Pattern:   host.LocalServes,
@@ -136,7 +131,6 @@ func Redis(mode core.Mode, valueBytes int) Spec {
 // small HTTP requests out, page-sized responses in, 8 cores, 9K MTU.
 func Nginx(mode core.Mode, pageBytes int) Spec {
 	return Spec{
-		Name: "nginx",
 		Host: host.Config{Mode: mode, Cores: 8, RxFlows: -1, MTU: 9000},
 		Msg: &host.MsgConfig{
 			Pattern:   host.LocalClient,
@@ -153,7 +147,6 @@ func Nginx(mode core.Mode, pageBytes int) Spec {
 // block payloads in, IO depth 8 per stream, 8 cores, 9K MTU.
 func SPDK(mode core.Mode, blockBytes int) Spec {
 	return Spec{
-		Name: "spdk",
 		Host: host.Config{Mode: mode, Cores: 8, RxFlows: -1, MTU: 9000},
 		Msg: &host.MsgConfig{
 			Pattern:   host.LocalClient,
@@ -174,7 +167,6 @@ func SPDK(mode core.Mode, blockBytes int) Spec {
 // simulated latency model; 1 simulates every connection exactly.
 func Serving(mode core.Mode, conns int, churn float64, cohortSize int) Spec {
 	return Spec{
-		Name: "serving",
 		Host: host.Config{
 			Mode:    mode,
 			RxFlows: -1, // the open-loop fleet is the workload; no bulk flows
