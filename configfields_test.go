@@ -17,7 +17,6 @@ var configTypes = map[string][]string{
 	"cohort":    {"Config"},
 	"control":   {"Config"},
 	"core":      {"Config"},
-	"device":    {"StorageConfig"},
 	"fabric":    {"Config"},
 	"host":      {"Config", "TelemetryConfig", "Topology", "NICSpec", "StorageSpec", "ServeConfig", "MsgConfig", "ClusterConfig"},
 	"iommu":     {"Config"},
@@ -52,8 +51,8 @@ const shrunkCaches = "iommu's property tests (TestPropertyNoSilentMistranslation
 // lists it; and on a listed field that gained such a setter or no longer
 // exists. A field counts as set by a composite-literal key, an
 // assignment or increment target (every field along the selector chain,
-// so s.Host.IOMMU.L3Size = ... sets host.Config.IOMMU and
-// iommu.Config.L3Size), or an &x.F flag binding. Defaults inside the
+// so s.Host.Telemetry.SampleEvery = ... sets host.Config.Telemetry and
+// host.TelemetryConfig.SampleEvery), or an &x.F flag binding. Defaults inside the
 // declaring package set nothing: a field only they set is a constant.
 func TestConfigFieldsHaveCallers(t *testing.T) {
 	_, pkgs := checkedModule(t)

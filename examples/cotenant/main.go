@@ -27,23 +27,18 @@ func main() {
 			cfg := host.Config{Mode: mode}
 			if loaded {
 				cfg.MemHogGBps = 8
+				cfg.Topology.Storage = []host.StorageSpec{{ReadGBps: 8}}
 			}
 			h, err := host.New(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			var blocks int64
-			var dev interface{ Blocks() int64 }
-			if loaded {
-				s, err := h.InstallStorage(host.StorageSpec{ReadGBps: 8})
-				if err != nil {
-					log.Fatal(err)
-				}
-				dev = s
-			}
 			r := h.Run(10*sim.Millisecond, 30*sim.Millisecond)
-			if dev != nil {
-				blocks = dev.Blocks()
+			var blocks int64
+			for _, d := range h.Devices() {
+				if d.Kind() == "storage" {
+					blocks += d.Stats().Ops
+				}
 			}
 			label := "none"
 			if loaded {

@@ -18,6 +18,7 @@ var exportedTestOnly = map[string]string{
 	"cohort.Fleet.Cohort": "host's TestServingAppAccessors checks the serving config's cohort size reaches the fleet; no Results field or probe carries it",
 	"iommu.CapTable.Len":  "core's TestGoldenPolicyLedger prints the live grant count and TestCapMapGrantsUnmapRevokes and TestCapLazyRevokeWindowAndFlush check it after map, unmap and flush; no probe exposes it",
 	"sim.Engine.Rand":     "TestDeterministicRand checks one seed gives one stream; NewEngine(seed) and NewShards(n, seed, la), which simbench calls, seed it, so it goes when the seed does",
+	"sim.Shards.Handoffs": "host's TestShardHandoffGate checks both sides of the coordinator's hand-off gate on simbench's sharded incast and 64-host pairs; no Results field or probe carries the count",
 }
 
 // TestExportedHaveCallers fails on an exported-name function or method

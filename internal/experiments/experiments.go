@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"fastsafe/internal/control"
 	"fastsafe/internal/core"
@@ -60,27 +59,16 @@ func Quick() Options {
 
 // Table is one figure's regenerated data.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	// Notes carries non-deterministic side information (wall-clock
-	// timings, environment remarks). It is published in JSON() for CI
-	// artifacts but excluded from String() and CSV(), so golden files —
-	// which lock the rendered table — stay byte-stable across machines.
-	Notes []string
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // JSON renders the table as an indented JSON object — the machine-
 // readable form CI publishes as benchmark artifacts.
 func (t Table) JSON() string {
-	out, err := json.MarshalIndent(struct {
-		ID     string     `json:"id"`
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes,omitempty"`
-	}{t.ID, t.Title, t.Header, t.Rows, t.Notes}, "", "  ")
+	out, err := json.MarshalIndent(t, "", "  ")
 	if err != nil { // unreachable: plain strings always marshal
 		return fmt.Sprintf("{\"id\":%q,\"error\":%q}", t.ID, err)
 	}
@@ -401,7 +389,7 @@ func CacheSizes(o Options) Table {
 		Header: []string{"mode", "l3_entries", "rx_gbps", "ptL3/pg", "reads/pg"}}
 	spec := func(m core.Mode, size int) workload.Spec {
 		s := workload.Iperf(m, 0, 0)
-		s.Host.IOMMU.L3Size = size
+		s.Host.PTcacheL3 = size
 		return s
 	}
 	return sweep(o, t, []core.Mode{core.Strict, core.FNS}, []int{16, 32, 64, 128}, spec, func(size int, r host.Results) []string {
@@ -466,6 +454,33 @@ func Seeds(o Options) Table {
 	})
 }
 
+// storageRun is one withStorage cell: the host's results and the blocks
+// its storage co-tenants read.
+type storageRun struct {
+	r      host.Results
+	blocks int64
+}
+
+// withStorage runs the default microbenchmark in mode on a host that
+// shares its IOMMU with devices storage co-tenants reading gbps each.
+func withStorage(o Options, mode core.Mode, devices int, gbps float64) (storageRun, error) {
+	var topo host.Topology
+	for d := 0; d < devices; d++ {
+		topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: gbps})
+	}
+	h, err := host.New(host.Config{Mode: mode, Topology: topo})
+	if err != nil {
+		return storageRun{}, err
+	}
+	out := storageRun{r: h.Run(o.Warmup, o.Measure)}
+	for _, d := range h.Devices() {
+		if d.Kind() == "storage" {
+			out.blocks += d.Stats().Ops
+		}
+	}
+	return out, nil
+}
+
 // Storage explores cross-device IOMMU contention (extension): an
 // NVMe-style storage device shares the IOMMU with the NIC; under strict
 // mode its per-block map/unmap/invalidate traffic pollutes the caches the
@@ -473,29 +488,13 @@ func Seeds(o Options) Table {
 func Storage(o Options) Table {
 	t := Table{ID: "storage", Title: "Cross-device IOMMU contention: NIC + storage (extension)",
 		Header: []string{"mode", "storage_GBps", "rx_gbps", "iotlb/pg", "reads/pg", "blocks"}}
-	type result struct {
-		r      host.Results
-		blocks int64
-	}
 	cells := grid([]core.Mode{core.Strict, core.FNS}, []float64{0, 4, 8}...)
-	rs := run(t.ID, o, cells, func(c cell[float64]) (result, error) {
-		h, err := host.New(host.Config{Mode: c.mode})
-		if err != nil {
-			return result{}, err
-		}
-		var dev interface{ Blocks() int64 }
+	rs := run(t.ID, o, cells, func(c cell[float64]) (storageRun, error) {
+		devices := 0
 		if c.p > 0 {
-			s, err := h.InstallStorage(host.StorageSpec{ReadGBps: c.p})
-			if err != nil {
-				return result{}, err
-			}
-			dev = s
+			devices = 1
 		}
-		out := result{r: h.Run(o.Warmup, o.Measure)}
-		if dev != nil {
-			out.blocks = dev.Blocks()
-		}
-		return out, nil
+		return withStorage(o, c.mode, devices, c.p)
 	})
 	for i, c := range rs {
 		t.Rows = append(t.Rows, []string{
@@ -516,32 +515,14 @@ func Storage(o Options) Table {
 func Multidev(o Options) Table {
 	t := Table{ID: "multidev", Title: "Multi-device interference: NIC vs N storage co-tenants (extension)",
 		Header: []string{"mode", "devices", "nic_gbps", "iotlb/pg", "reads/pg", "inv_total", "blocks"}}
-	type result struct {
-		r      host.Results
-		blocks int64
-	}
 	cells := grid([]core.Mode{core.Strict, core.FNS}, 0, 1, 2, 4)
-	rs := run(t.ID, o, cells, func(c cell[int]) (result, error) {
-		topo := host.Topology{}
-		for d := 0; d < c.p; d++ {
-			// 1.5GB/s per device: enough aggregate DMA to collapse
-			// strict mode at four co-tenants while staying under the
-			// point where raw memory-bus and shared-IOTLB capacity
-			// pressure drags F&S down too (that regime is mode-
-			// independent and says nothing about protection cost).
-			topo.Storage = append(topo.Storage, host.StorageSpec{ReadGBps: 1.5})
-		}
-		h, err := host.New(host.Config{Mode: c.mode, Topology: topo})
-		if err != nil {
-			return result{}, err
-		}
-		out := result{r: h.Run(o.Warmup, o.Measure)}
-		for _, d := range h.Devices() {
-			if d.Kind() == "storage" {
-				out.blocks += d.Stats().Ops
-			}
-		}
-		return out, nil
+	rs := run(t.ID, o, cells, func(c cell[int]) (storageRun, error) {
+		// 1.5GB/s per device: enough aggregate DMA to collapse strict
+		// mode at four co-tenants while staying under the point where
+		// raw memory-bus and shared-IOTLB capacity pressure drags F&S
+		// down too (that regime is mode-independent and says nothing
+		// about protection cost).
+		return withStorage(o, c.mode, c.p, 1.5)
 	})
 	for i, c := range rs {
 		t.Rows = append(t.Rows, []string{
@@ -1119,24 +1100,18 @@ func clusterScaleGrid() []clusterScaleCell {
 	return cells
 }
 
-// clusterScaleTable runs the cells strictly sequentially — never through
-// the runner pool — so each cell's wall-clock measurement is honest. The
-// deterministic columns (goodput, rounds, safety) land in Rows and are
-// golden-locked; per-cell wall-clock (with, for a sharded cell, the
-// rounds that woke a shard worker) and the derived sharded-vs-single
-// speedups land in Notes, which the JSON artifact publishes but the
-// golden rendering excludes.
+// clusterScaleTable runs the cells through the runner pool, as every
+// figure does. Each row is deterministic: goodput, the coordinator's
+// rounds and the audited stale serves.
 func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
 	t := Table{ID: "clusterscale",
 		Title:  "Sharded conservative-parallel engine at cluster scale (extension)",
 		Header: []string{"traffic", "hosts", "shards", "agg_gbps", "rounds", "stale_total"}}
-	type cfgKey struct {
-		traffic host.TrafficPattern
-		hosts   int
+	type result struct {
+		r      host.ClusterResults
+		rounds uint64
 	}
-	wall := map[clusterScaleCell]time.Duration{}
-	maxShards := map[cfgKey]int{}
-	for _, c := range cells {
+	rs := run(t.ID, o, cells, func(c clusterScaleCell) (result, error) {
 		cl, err := host.NewCluster(host.ClusterConfig{
 			Hosts:   c.hosts,
 			Traffic: c.traffic,
@@ -1144,43 +1119,15 @@ func clusterScaleTable(cells []clusterScaleCell, o Options) Table {
 			Host:    host.Config{Mode: core.FNS, Audit: true},
 		})
 		if err != nil {
-			panic(fmt.Sprintf("experiments: clusterscale: %v", err))
+			return result{}, err
 		}
-		start := time.Now()
-		r := cl.Run(o.Warmup, o.Measure)
-		elapsed := time.Since(start)
-		wall[c] = elapsed
-		k := cfgKey{c.traffic, c.hosts}
-		if c.shards > maxShards[k] {
-			maxShards[k] = c.shards
-		}
-		var stale int64
-		for _, h := range r.Hosts {
-			if h.Safety != nil {
-				stale += h.Safety.Violations()
-			}
-		}
+		return result{cl.Run(o.Warmup, o.Measure), cl.Rounds()}, nil
+	})
+	for i, c := range cells {
 		t.Rows = append(t.Rows, []string{
 			string(c.traffic), fmt.Sprintf("%d", c.hosts), fmt.Sprintf("%d", c.shards),
-			f1(r.AggRxGbps), fmt.Sprintf("%d", cl.Rounds()), fmt.Sprintf("%d", stale),
+			f1(rs[i].r.AggRxGbps), fmt.Sprintf("%d", rs[i].rounds), fmt.Sprintf("%d", rs[i].r.Violations()),
 		})
-		note := fmt.Sprintf("%s hosts=%d shards=%d wall_ms=%d",
-			c.traffic, c.hosts, c.shards, elapsed.Milliseconds())
-		if c.shards > 1 {
-			note += fmt.Sprintf(" handoffs=%d", cl.Handoffs())
-		}
-		t.Notes = append(t.Notes, note)
-	}
-	for _, c := range cells {
-		k := cfgKey{c.traffic, c.hosts}
-		if c.shards != 1 || maxShards[k] <= 1 {
-			continue
-		}
-		base, sharded := wall[c], wall[clusterScaleCell{c.traffic, c.hosts, maxShards[k]}]
-		if sharded > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s hosts=%d speedup_shards%d=%.2f",
-				c.traffic, c.hosts, maxShards[k], float64(base)/float64(sharded)))
-		}
 	}
 	return t
 }

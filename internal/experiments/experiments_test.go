@@ -285,8 +285,8 @@ func TestServingTrends(t *testing.T) {
 }
 
 // TestClusterScaleShape runs the clusterscale machinery on a reduced
-// grid: deterministic columns in Rows, wall-clock, hand-offs and speedup
-// in Notes (JSON only — the golden-locked rendering must exclude them).
+// grid: one row per cell, the sharded run matching the unsharded one's
+// goodput and only it counting coordinator rounds.
 func TestClusterScaleShape(t *testing.T) {
 	cells := []clusterScaleCell{
 		{host.Pairs, 8, 1}, {host.Pairs, 8, 2},
@@ -306,24 +306,6 @@ func TestClusterScaleShape(t *testing.T) {
 	}
 	if tab.Rows[1][4] == "0" {
 		t.Fatal("sharded run reported zero coordinator rounds")
-	}
-	if len(tab.Notes) != 3 { // one wall-clock note per cell + one speedup
-		t.Fatalf("notes = %v", tab.Notes)
-	}
-	if strings.Contains(tab.Notes[0], "handoffs=") || !strings.Contains(tab.Notes[1], "handoffs=") {
-		t.Fatalf("want a handoffs count on the sharded cell's note only: %v", tab.Notes)
-	}
-	if !strings.Contains(tab.Notes[2], "speedup_shards2=") {
-		t.Fatalf("missing speedup note: %v", tab.Notes)
-	}
-	if !strings.Contains(tab.JSON(), "\"notes\"") {
-		t.Fatal("JSON rendering dropped the notes")
-	}
-	if out := tab.String(); strings.Contains(out, "wall_ms") {
-		t.Fatalf("golden-locked rendering leaked wall-clock notes:\n%s", out)
-	}
-	if out := tab.CSV(); strings.Contains(out, "wall_ms") {
-		t.Fatalf("CSV rendering leaked wall-clock notes:\n%s", out)
 	}
 }
 

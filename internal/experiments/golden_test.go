@@ -27,8 +27,6 @@ func goldenOpts() Options {
 // so a refactor that perturbs event ordering anywhere — the flow sweeps,
 // the locality and model figures, the multi-device, storage, cluster,
 // sharded, RDMA, capability, serving and adaptive paths — fails here.
-// The clusterscale rows are deterministic; its wall-clock lives in the
-// JSON-only Notes.
 var goldenFigs = IDs()
 
 // TestGoldenFiguresByteIdentical regenerates each golden figure and
@@ -39,10 +37,9 @@ func TestGoldenFiguresByteIdentical(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, id := range goldenFigs {
 		if id == "clusterscale" && race.Enabled {
-			// The figure times sequential 64-256-host cells; under the
-			// race detector that is ~10x slower and the wall-clock notes
-			// are meaningless. The sharded engine's race coverage comes
-			// from the host equivalence tests instead.
+			// The figure runs 64-256-host clusters, ~10x slower under
+			// the race detector. The sharded engine's race coverage
+			// comes from the host equivalence tests instead.
 			continue
 		}
 		tab, err := ByID(id, goldenOpts())

@@ -139,12 +139,6 @@ func (w *Link) SendAt(bytes int) (at sim.Time, ecn bool) {
 	return w.busyUntil + w.prop, ecn
 }
 
-// Send serialises a packet of bytes onto the link; deliver fires at the
-// far end with the packet's ECN mark.
-func (w *Link) Send(bytes int, deliver func(ecn bool)) {
-	w.SendPacket(Packet{Bytes: bytes, To: deliverFunc(deliver)})
-}
-
 // SendPacket serialises p onto the link and delivers it to p.To at the
 // far end, its ECN field the OR of the mark it arrived with and this
 // link's own, since switches propagate CE marks and never clear them.

@@ -14,7 +14,7 @@ func TestLinkSerialises(t *testing.T) {
 	l := NewLink(eng, 100, 2*sim.Microsecond) // 100Gbps, 2us prop
 	var at []sim.Time
 	for i := 0; i < 3; i++ {
-		l.Send(4096, func(bool) { at = append(at, eng.Now()) })
+		l.SendPacket(Packet{Bytes: 4096, To: deliverFunc(func(bool) { at = append(at, eng.Now()) })})
 	}
 	eng.Run(sim.Time(1) * sim.Millisecond)
 	if len(at) != 3 {
@@ -45,7 +45,7 @@ func TestLinkECNMarksStandingQueue(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		i := i
 		eng.At(sim.Time(i)*sim.Microsecond, func() {
-			l.Send(4096, func(ecn bool) { marked = marked || ecn })
+			l.SendPacket(Packet{Bytes: 4096, To: deliverFunc(func(ecn bool) { marked = marked || ecn })})
 		})
 	}
 	eng.Run(sim.Time(10) * sim.Millisecond)
@@ -55,11 +55,11 @@ func TestLinkECNMarksStandingQueue(t *testing.T) {
 
 	idle := NewLink(eng, 100, 0)
 	idle.SetECN(8 << 10)
-	idle.Send(4096, func(ecn bool) {
+	idle.SendPacket(Packet{Bytes: 4096, To: deliverFunc(func(ecn bool) {
 		if ecn {
 			t.Fatal("idle link marked ECN")
 		}
-	})
+	})})
 	eng.Run(eng.Now() + sim.Time(1)*sim.Millisecond)
 	if idle.marked != 0 {
 		t.Fatalf("idle link marked %d packets", idle.marked)

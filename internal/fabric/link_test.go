@@ -9,7 +9,7 @@ import (
 )
 
 // TestLinkSendToDeliverAllocs locks in the bound delivery: with a bound
-// deliver callback, a packet from Send to delivery allocates nothing.
+// endpoint, a packet from SendPacket to delivery allocates nothing.
 func TestLinkSendToDeliverAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -17,14 +17,14 @@ func TestLinkSendToDeliverAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l := NewLink(eng, 100, 2*sim.Microsecond)
 	got := 0
-	deliver := func(bool) { got++ }
+	deliver := deliverFunc(func(bool) { got++ })
 	for i := 0; i < 8; i++ {
-		l.Send(4096, deliver)
+		l.SendPacket(Packet{Bytes: 4096, To: deliver})
 	}
 	eng.RunAll()
 	if n := testing.AllocsPerRun(1000, func() {
-		l.Send(4096, deliver)
-		l.Send(64, deliver)
+		l.SendPacket(Packet{Bytes: 4096, To: deliver})
+		l.SendPacket(Packet{Bytes: 64, To: deliver})
 		eng.RunAll()
 	}); n != 0 {
 		t.Errorf("send-to-deliver: %v allocs, want 0", n)
@@ -90,7 +90,7 @@ func TestLinkDeliveryOrderIsChecked(t *testing.T) {
 	}
 	eng := sim.NewEngine(1)
 	l := NewLink(eng, 100, 2*sim.Microsecond)
-	l.Send(4096, func(bool) {})
+	l.SendPacket(Packet{Bytes: 4096, To: deliverFunc(func(bool) {})})
 	expectPanic("early delivery", l.deliverNext)
 
 	eng = sim.NewEngine(1)

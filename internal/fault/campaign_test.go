@@ -38,20 +38,49 @@ func runFaulted(t *testing.T, mode core.Mode, plan fault.Plan, seed, fseed int64
 		t.Fatal(err)
 	}
 	r := h.Run(2*sim.Millisecond, 5*sim.Millisecond)
-	return outcome{rxGbps: r.RxGbps, injected: h.Faults().Counters(), safety: auditReport(t, h.Telemetry().Registry())}
+	reg := h.Telemetry().Registry()
+	o := outcome{rxGbps: r.RxGbps, safety: auditReport(t, reg)}
+	if plan.Enabled() { // no plan builds no injector, and no fault.* gauges
+		o.injected = injected(t, reg)
+	}
+	return o
+}
+
+// gauge reads a registered instrument as a count.
+func gauge(t *testing.T, reg *stats.Registry, name string) int64 {
+	t.Helper()
+	v, ok := reg.Value(name)
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return int64(v)
+}
+
+// injected reads a host's whole-run fault tallies, warmup included,
+// through the injector's telemetry probes.
+func injected(t *testing.T, reg *stats.Registry) fault.Counters {
+	t.Helper()
+	read := func(name string) int64 { return gauge(t, reg, "fault."+name) }
+	return fault.Counters{
+		InvDrops:        read("inv_drops"),
+		InvDelays:       read("inv_delays"),
+		WritebackDelays: read("writeback_delays"),
+		StrayDMAs:       read("stray_dmas"),
+		WildDMAs:        read("wild_dmas"),
+		DupDescReads:    read("dup_desc_reads"),
+		AllocFails:      read("alloc_fails"),
+		RcacheFlushes:   read("rcache_flushes"),
+		LinkFlaps:       read("link_flaps"),
+		MemSpikes:       read("mem_spikes"),
+		Retries:         read("retries"),
+	}
 }
 
 // auditReport reads a host's whole-run safety audit, warmup included,
 // through the auditor's telemetry probes.
 func auditReport(t *testing.T, reg *stats.Registry) fault.SafetyReport {
 	t.Helper()
-	read := func(name string) int64 {
-		v, ok := reg.Value("audit." + name)
-		if !ok {
-			t.Fatalf("audit.%s is not registered", name)
-		}
-		return int64(v)
-	}
+	read := func(name string) int64 { return gauge(t, reg, "audit."+name) }
 	return fault.SafetyReport{
 		Checked:         read("checked"),
 		Blocked:         read("blocked"),

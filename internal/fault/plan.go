@@ -42,8 +42,8 @@ type Plan struct {
 	WritebackDelay   float64      // P(a recycle writeback is delayed)
 	WritebackDelayBy sim.Duration // delay per late writeback (default 2us)
 
-	// Device misbehaviour, exercised through the internal/device
-	// interface on every DMA issued by a NIC or storage device.
+	// Device misbehaviour, exercised through the fault.Device hooks on
+	// every DMA issued by a NIC or storage device.
 	StrayDMA    float64 // P(device replays a previously used — likely freed — IOVA)
 	WildDMA     float64 // P(device touches a never-mapped, unaligned IOVA)
 	DupDescRead float64 // P(an extra out-of-window duplicate descriptor fetch)

@@ -63,6 +63,38 @@ func TestHousekeepingAllocs(t *testing.T) {
 	}
 }
 
+// TestStorageBlockCycleAllocs: once warm, a storage block — map, DMA,
+// completion and unmap — allocates nothing, in the modes the storage
+// figures run. Each stage is bound once at construction and each
+// block's mapping rides the device's FIFO queues and the domain's
+// recycled Tx records.
+func TestStorageBlockCycleAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, mode := range []core.Mode{core.Strict, core.Deferred, core.FNS, core.Off} {
+		h, err := New(Config{Mode: mode, RxFlows: -1, Seed: 1,
+			Topology: Topology{Storage: []StorageSpec{{ReadGBps: 8}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := h.stores[0]
+		h.Start()
+		eng := h.Engine()
+		eng.Run(sim.Millisecond)
+		// 128KB at 8GB/s: one block every 16.384us.
+		const runs, interval = 200, 16384
+		b0 := s.blocks
+		n := testing.AllocsPerRun(runs, func() { eng.Run(eng.Now() + interval) })
+		if got := s.blocks - b0; got < runs {
+			t.Fatalf("%v: %d blocks in %d intervals", mode, got, runs+1)
+		}
+		if n != 0 {
+			t.Errorf("%v: %v allocs a block, want 0", mode, n)
+		}
+	}
+}
+
 // TestStrictHostAllocsPerDMA bounds the whole host datapath: a strict
 // run with Rx and Tx bulk flows allocates at most 0.1 objects per DMA
 // once warm (about 0.03 with go1.24, and 0.28 when each stack ACK was

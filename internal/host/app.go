@@ -5,6 +5,7 @@ import (
 
 	"fastsafe/internal/cohort"
 	"fastsafe/internal/core"
+	"fastsafe/internal/fabric"
 	"fastsafe/internal/nic"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
@@ -29,11 +30,13 @@ import (
 //     request rate — the regime that decides whether the rcache
 //     magazines absorb the storm.
 //
-// Both split a message into MTU segments, each carrying its request
-// record as nic.Packet.Payload and its index as nic.Packet.Seq. A
-// request travels into the local host (LocalServes, the fleet) or out of
-// it (LocalClient), and its response the other way; the far end is the
-// abstract remote, which has no CPU cost.
+// Both split a message into MTU segments, each carrying its index as
+// its Seq. A request travels into the local host (LocalServes, the
+// fleet) or out of it (LocalClient), and its response the other way; the
+// far end is the abstract remote, which has no CPU cost. In the local
+// NIC a segment carries its request record as nic.Packet.Payload; on the
+// wire it is a fabric.Packet to one of the record's two endpoints, like
+// a flow's segments and ACKs.
 
 // MsgPattern selects which side holds the bulk payload.
 type MsgPattern int
@@ -147,6 +150,41 @@ type req struct {
 
 	got                             [2]segSet
 	answered, done, expired, resent bool
+
+	// The exchange's wire endpoints: its segments from the abstract
+	// remote land at the local NIC, and those to it at the remote.
+	local  nicEnd
+	remote remoteEnd
+}
+
+// nicEnd and remoteEnd are an exchange's endpoints on the primary NIC's
+// wire pair, bound in its record, so a segment on the wire allocates
+// nothing.
+type nicEnd struct{ r *req }
+type remoteEnd struct{ r *req }
+
+// Deliver hands a segment from the abstract remote to the local NIC,
+// which may tail-drop it.
+func (e *nicEnd) Deliver(p fabric.Packet) {
+	r := e.r
+	r.a.h.net.dev.Arrive(nic.Packet{CPU: r.a.cpu(r.conn), Bytes: p.Bytes, ECN: p.ECN, Seq: p.Seq, Payload: r})
+}
+
+// Deliver lands a segment at the abstract remote: its server answers a
+// reassembled request at once, and its client completes the exchange at
+// the last response segment.
+func (e *remoteEnd) Deliver(p fabric.Packet) {
+	r := e.r
+	a, idx := r.a, int(p.Seq)
+	if !a.inbound {
+		if r.got[reqSide].add(idx, r.reqSegs) {
+			a.answer(r)
+		}
+		return
+	}
+	if !r.done && r.got[respSide].add(idx, r.respSegs) {
+		a.complete(r)
+	}
 }
 
 // segSet is the set of segment indexes one side of an exchange holds.
@@ -186,12 +224,6 @@ type liveRef struct {
 
 func (l liveRef) stale() bool { return l.r.done || l.r.gen != l.gen }
 
-// wireSeg is one segment on the wire to the abstract remote.
-type wireSeg struct {
-	r   *req
-	idx int
-}
-
 // tally is an app's cumulative counters, diffed across the measured
 // window.
 type tally struct {
@@ -227,11 +259,6 @@ type app struct {
 	// stale entries.
 	live []sim.FIFO[liveRef]
 
-	// Segments on the wire to the abstract remote, in send order;
-	// landRemote (bound once as remoteFn) pops the one landing.
-	wire     sim.FIFO[wireSeg]
-	remoteFn func(ecn bool)
-
 	reqs      pool[req]
 	works     pool[segWork]
 	connWorks pool[connWork]
@@ -258,7 +285,6 @@ func (h *Host) InstallMessages(cfg MsgConfig) (*app, error) {
 		coreBase: cfg.CoreBase, cpus: cfg.Cores, depth: cfg.Depth,
 		reqBytes: cfg.ReqBytes, respBytes: cfg.RespBytes, timeout: cfg.Timeout,
 		live: make([]sim.FIFO[liveRef], cfg.Streams)}
-	a.remoteFn = a.landRemote
 	h.msgs = a
 	a.bind("rpc.")
 	return a, nil
@@ -283,7 +309,7 @@ func (h *Host) installServing(cfg ServeConfig) (*app, error) {
 	a := &app{h: h, inbound: true, appCPU: serveAppCPU, cpus: h.cfg.Cores,
 		fleet: fleet, connPages: serveConnPages, connMaps: make([]*core.TxMapping, cfg.Conns),
 		live: make([]sim.FIFO[liveRef], 1)}
-	a.remoteFn, a.onTimerFn = a.landRemote, a.onTimer
+	a.onTimerFn = a.onTimer
 	h.serve = a
 	a.bind("serve.")
 	return a, nil
@@ -372,7 +398,8 @@ func (a *app) open(l, conn, reqBytes, respBytes int) *req {
 	*r = req{a: a, gen: r.gen + 1, conn: conn, start: now, lastTx: now,
 		reqBytes: reqBytes, respBytes: respBytes,
 		reqSegs: segCount(reqBytes, mtu), respSegs: segCount(respBytes, mtu),
-		got: [2]segSet{{words: r.got[reqSide].words[:0]}, {words: r.got[respSide].words[:0]}}}
+		got:   [2]segSet{{words: r.got[reqSide].words[:0]}, {words: r.got[respSide].words[:0]}},
+		local: nicEnd{r}, remote: remoteEnd{r}}
 	a.live[l].Push(liveRef{r, r.gen})
 	return r
 }
@@ -389,16 +416,16 @@ func (a *app) initiate(s int) {
 }
 
 // send puts n segments of bytes in all on the wire: inbound from the
-// abstract remote, where the NIC may tail-drop them, or outbound through
-// a Tx mapping on the connection's core.
+// abstract remote to the local NIC, or outbound through a Tx mapping on
+// the connection's core.
 func (a *app) send(r *req, bytes, n int, inbound bool) {
-	cpu, mtu := a.cpu(r.conn), a.h.cfg.MTU
+	mtu := a.h.cfg.MTU
 	for i := 0; i < n; i++ {
-		pkt := nic.Packet{CPU: cpu, Bytes: segBytes(bytes, mtu, i), Seq: int64(i), Payload: r}
+		b := segBytes(bytes, mtu, i)
 		if inbound {
-			a.h.net.arriveFromRemote(pkt)
+			a.h.net.toLocal.SendPacket(fabric.Packet{Bytes: b, Seq: int64(i), To: &r.local})
 		} else {
-			a.h.net.sendTx(pkt, ackTxCPU)
+			a.h.net.sendTx(nic.Packet{CPU: a.cpu(r.conn), Bytes: b, Seq: int64(i), Payload: r}, ackTxCPU)
 		}
 	}
 }
@@ -461,31 +488,6 @@ func (w *segWork) work() sim.Duration {
 		a.answer(r)
 	}
 	return cost
-}
-
-// onTxDone routes a sent segment of r onto the wire toward the abstract
-// remote (the generic netDev completion path already unmapped its Tx
-// buffer).
-func (a *app) onTxDone(pkt nic.Packet, r *req) {
-	a.wire.Push(wireSeg{r, int(pkt.Seq)})
-	a.h.net.toRemote.Send(pkt.Bytes, a.remoteFn)
-}
-
-// landRemote is the abstract remote's side, for the oldest segment on
-// the wire: its server answers a reassembled request at once, and its
-// client completes the exchange at the last response segment.
-func (a *app) landRemote(bool) {
-	s := a.wire.Pop()
-	r := s.r
-	if !a.inbound {
-		if r.got[reqSide].add(s.idx, r.reqSegs) {
-			a.answer(r)
-		}
-		return
-	}
-	if !r.done && r.got[respSide].add(s.idx, r.respSegs) {
-		a.complete(r)
-	}
 }
 
 // complete finishes r: it records the latency, then starts the stream's

@@ -26,7 +26,7 @@ import (
 // in its previous one (most windows of a small cluster or of an incast)
 // runs every ready shard on the goroutine calling Run; a busier one runs
 // one ready shard there and hands every other ready shard to that
-// shard's worker goroutine (Handoffs counts those windows). The choice
+// shard's worker goroutine (sim.Shards counts those windows). The choice
 // reads only event counts, so results remain bit-deterministic for a
 // given seed at any GOMAXPROCS. Each window Run advances (warm-up, then
 // measurement) starts the workers and waits for them to exit, so an idle
@@ -254,18 +254,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // executed (0 on one shard).
 func (c *Cluster) Rounds() uint64 { return c.shards.Rounds() }
 
-// Handoffs returns how many of those rounds woke at least one shard
-// worker; the rest ran on the goroutine calling Run.
-func (c *Cluster) Handoffs() uint64 { return c.shards.Handoffs() }
-
 // Hosts returns the cluster's hosts in ID order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }
 
 // Registry returns a read-only view merging every shard's registry:
 // every host's instruments under its "hostN." prefix plus the fabric's
 // under "fabric.", including those a host registered after NewCluster
-// (InstallMessages, InstallStorage). Read it at a barrier (between Run
-// windows) or after the run.
+// (InstallMessages). Read it at a barrier (between Run windows) or after
+// the run.
 func (c *Cluster) Registry() *stats.Registry {
 	reg := stats.NewRegistry()
 	for _, r := range c.regs {

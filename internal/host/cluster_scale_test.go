@@ -58,7 +58,7 @@ func TestClusterScaleSpeedup(t *testing.T) {
 			if elapsed := time.Since(start); best == 0 || elapsed < best {
 				best = elapsed
 			}
-			handoffs = c.Handoffs()
+			handoffs = c.shards.Handoffs()
 		}
 		return best, handoffs
 	}

@@ -298,7 +298,7 @@ func TestShardedRegistryDeterminism(t *testing.T) {
 					fmt.Fprintf(&b, "host%d.%s %v %v\n", i, s.Name, s.Times, s.Values)
 				}
 			}
-			return c.Registry().String(), b.String(), c.Handoffs()
+			return c.Registry().String(), b.String(), c.shards.Handoffs()
 		}
 		wantReg, wantTL := "", ""
 		for _, procs := range []int{1, 2, 8} {
@@ -395,9 +395,9 @@ func TestShardHandoffGate(t *testing.T) {
 		}
 		c.Start()
 		c.shards.Run(tc.warmup)
-		rounds, handoffs := c.Rounds(), c.Handoffs()
+		rounds, handoffs := c.Rounds(), c.shards.Handoffs()
 		c.shards.Run(tc.warmup + tc.measure)
-		rounds, handoffs = c.Rounds()-rounds, c.Handoffs()-handoffs
+		rounds, handoffs = c.Rounds()-rounds, c.shards.Handoffs()-handoffs
 		t.Logf("%s: %d of %d rounds after warm-up handed off", tc.name, handoffs, rounds)
 		if rounds == 0 || !tc.ok(rounds, handoffs) {
 			t.Errorf("%s: %d of %d rounds after warm-up handed off, want %s", tc.name, handoffs, rounds, tc.want)

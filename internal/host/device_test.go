@@ -9,7 +9,7 @@ import (
 	"fastsafe/internal/sim"
 )
 
-// runTopology builds a host with n storage co-tenants attached through
+// runTopology builds a host with n storage co-tenants declared in
 // Topology and runs a short window. 1.5GB/s per device matches the
 // multidev experiment figure: enough aggregate DMA to collapse strict
 // mode at four co-tenants, below the regime where raw memory-bus and
@@ -87,8 +87,8 @@ func TestMultiDeviceInterference(t *testing.T) {
 }
 
 // Per-device attribution must be exact at host scale too: summing the
-// CountersOf of every attached device's domain, as Results' per-device
-// breakdown reads them, reproduces the shared IOMMU's global counters
+// CountersOf of every device's domain, as Results' per-device breakdown
+// reads them, reproduces the shared IOMMU's global counters
 // field-for-field after a full multi-device run.
 func TestPerDeviceCountersSumToGlobal(t *testing.T) {
 	for _, mode := range []core.Mode{core.Strict, core.FNS} {
@@ -130,7 +130,7 @@ func TestPerDeviceCountersSumToGlobal(t *testing.T) {
 			t.Fatalf("%v: per-domain counters don't sum to global:\n  sum:    %+v\n  global: %+v", mode, sum, global)
 		}
 
-		// Every attached device owns a distinct domain.
+		// Every device owns a distinct domain.
 		seen := map[iommu.DomainID]string{}
 		for _, d := range h.Devices() {
 			id := d.Domain().ID()
@@ -142,7 +142,7 @@ func TestPerDeviceCountersSumToGlobal(t *testing.T) {
 	}
 }
 
-// A second NIC attached through Topology runs a full independent
+// A second NIC declared in Topology runs a full independent
 // datapath: its own domain, its own wire pair, real goodput — and the
 // primary's top-level metrics remain the primary's alone.
 func TestTopologyExtraNIC(t *testing.T) {

@@ -18,14 +18,12 @@ import (
 // files lock these bytes across refactors of the construction path.
 func goldenRun(t *testing.T, cfg Config, storageGBps float64) string {
 	t.Helper()
+	if storageGBps > 0 {
+		cfg.Topology.Storage = []StorageSpec{{ReadGBps: storageGBps}}
+	}
 	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if storageGBps > 0 {
-		if _, err := h.InstallStorage(StorageSpec{ReadGBps: storageGBps}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	r := h.Run(2*sim.Millisecond, 6*sim.Millisecond)
 	var b strings.Builder

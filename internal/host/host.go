@@ -26,10 +26,11 @@
 // traffic_serve_expiry and traffic_cluster_pairs_serving lock the fleet,
 // the expiry one with abandoned requests.
 //
-// Each host owns its own IOMMU; DMA devices (the NIC datapath in
-// netdev.go, device.Storage, anything else implementing device.Device)
-// attach to it through AttachDevice or the Topology config, each with
-// its own protection domain over that host's translation hardware.
+// Each host owns its own IOMMU. Its DMA devices are declared in the
+// config: the primary NIC by the flat fields, co-tenants by Topology
+// (extra NIC datapaths, netdev.go; storage controllers, storage.go).
+// New builds every one, each with its own protection domain over that
+// host's translation hardware, and Devices lists them.
 package host
 
 import (
@@ -37,7 +38,6 @@ import (
 
 	"fastsafe/internal/control"
 	"fastsafe/internal/core"
-	"fastsafe/internal/device"
 	"fastsafe/internal/fault"
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/mem"
@@ -113,7 +113,7 @@ type Config struct {
 	MemHogStart sim.Duration
 	DDIO        bool // DMA lands in LLC instead of DRAM (paper default: off)
 
-	// Topology attaches co-tenant DMA devices beyond the primary NIC,
+	// Topology declares co-tenant DMA devices beyond the primary NIC,
 	// all sharing the host's IOMMU.
 	Topology Topology
 
@@ -124,7 +124,9 @@ type Config struct {
 	// peer traffic the cluster pattern generates.
 	Serve *ServeConfig
 
-	IOMMU iommu.Config
+	// PTcacheL3 sizes the IOMMU's last-level page-table cache (0 keeps
+	// the default 32 entries): footnote 3's sensitivity study.
+	PTcacheL3 int
 
 	// Telemetry configures the observation layer: the virtual-time
 	// sampler and the PTcache-L3 locality trace. All of it is strictly
@@ -173,9 +175,9 @@ type placement struct {
 	peerSlots int
 }
 
-// Topology describes the DMA devices attached to the host beyond the
-// primary NIC (which the flat Config fields configure). Every device
-// gets its own protection domain over the one shared IOMMU.
+// Topology declares the DMA devices on the host beyond the primary NIC
+// (which the flat Config fields configure). Every device gets its own
+// protection domain over the one shared IOMMU.
 type Topology struct {
 	NICs    []NICSpec     // additional NIC datapaths, each with its own wire pair
 	Storage []StorageSpec // NVMe-style storage controllers
@@ -222,9 +224,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("host: FaultSeed must be >= 0, got %d", c.FaultSeed)
 	case c.Telemetry.SampleEvery < 0:
 		return fmt.Errorf("host: Telemetry.SampleEvery must be >= 0, got %v", c.Telemetry.SampleEvery)
-	}
-	if err := c.IOMMU.Validate(); err != nil {
-		return fmt.Errorf("host: %w", err)
+	case c.PTcacheL3 < 0:
+		return fmt.Errorf("host: PTcacheL3 must be >= 0, got %d (0 keeps the default)", c.PTcacheL3)
 	}
 	// An extra NIC's zero fields inherit the host's values; a negative
 	// RxFlows means "no bulk flows" there too.
@@ -236,6 +237,11 @@ func (c Config) validate() error {
 			return fmt.Errorf("host: Topology.NICs[%d].TxFlows must be >= 0, got %d", i, n.TxFlows)
 		case n.MTU != 0 && n.MTU < 64:
 			return fmt.Errorf("host: Topology.NICs[%d].MTU must be 0 (the host's) or at least 64 bytes, got %d", i, n.MTU)
+		}
+	}
+	for i, st := range c.Topology.Storage {
+		if st.ReadGBps <= 0 {
+			return fmt.Errorf("host: Topology.Storage[%d].ReadGBps must be > 0, got %g", i, st.ReadGBps)
 		}
 	}
 	// The fleet's own knobs (churn, cohort >= 1) are cohort.Config's to
@@ -301,9 +307,10 @@ type Host struct {
 
 	mmu *iommu.IOMMU // the one shared IOMMU every device translates through
 
-	net     *netDev         // primary NIC (the measured datapath)
-	nets    []*netDev       // every NIC, primary first
-	devices []device.Device // all attached devices in attach order
+	net     *netDev    // primary NIC (the measured datapath)
+	nets    []*netDev  // every NIC, primary first
+	stores  []*storage // storage controllers, in Topology order
+	devices []Device   // nets, then stores
 
 	cores []*Core
 
@@ -316,8 +323,7 @@ type Host struct {
 	inj    *fault.Injector     // nil unless cfg.Faults is enabled
 	aud    *fault.Auditor      // nil unless auditing
 
-	storageCount int // storage devices attached so far (cpu/seed slots)
-	started      bool
+	started bool
 	// housekeepingFn is housekeeping bound once, so a tick schedules no
 	// fresh method value.
 	housekeepingFn func()
@@ -343,11 +349,11 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 	}
 	h := &Host{cfg: cfg, pl: pl, eng: eng}
 	h.housekeepingFn = h.housekeeping
-	h.mmu = iommu.New(cfg.IOMMU)
+	h.mmu = iommu.New(iommu.Config{L3Size: cfg.PTcacheL3})
 	h.walker = pcie.NewWalker(h.eng, cfg.Lm)
 	h.bus = mem.New(h.eng)
 	h.walker.SetLatencyFactor(h.bus.LatencyFactor)
-	// Fault layer before any device attaches, so every domain and link
+	// Fault layer before any device is built, so every domain and link
 	// created below is wired into it.
 	if cfg.Audit || cfg.Faults.Enabled() {
 		h.aud = fault.NewAuditor(h.mmu)
@@ -369,9 +375,9 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 		}
 	}
 
-	// The primary NIC: built from the flat Config fields, attached first
-	// so its domain is the IOMMU's default domain 0.
-	primary := &netDev{
+	// The primary NIC: built from the flat Config fields, first so its
+	// domain is the IOMMU's default domain 0.
+	h.net = &netDev{
 		name: "nic0",
 		spec: NICSpec{
 			Cores:   cfg.Cores,
@@ -383,9 +389,10 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 		primary:   true,
 		peerSlots: pl.peerSlots,
 	}
-	if err := h.AttachDevice(primary); err != nil {
+	if err := h.net.attach(h); err != nil {
 		return nil, err
 	}
+	h.nets = append(h.nets, h.net)
 
 	// Additional NICs land on their own core ranges, above the slots the
 	// primary datapath, app streams and storage devices use.
@@ -403,15 +410,24 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 			cpuBase: cpuBase,
 			seedOff: 10000 + 1000*int64(i),
 		}
-		if err := h.AttachDevice(n); err != nil {
+		if err := n.attach(h); err != nil {
 			return nil, err
 		}
+		h.nets = append(h.nets, n)
 		cpuBase += spec.Cores + spec.TxFlows + 8
 	}
-	for _, spec := range cfg.Topology.Storage {
-		if _, err := h.InstallStorage(spec); err != nil {
+	for i, spec := range cfg.Topology.Storage {
+		s, err := newStorage(h, i, spec)
+		if err != nil {
 			return nil, err
 		}
+		h.stores = append(h.stores, s)
+	}
+	for _, n := range h.nets {
+		h.devices = append(h.devices, n)
+	}
+	for _, s := range h.stores {
+		h.devices = append(h.devices, s)
 	}
 	h.tele = newTelemetry(h)
 	// The control plane watches the telemetry spine just built, so it
@@ -445,63 +461,50 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 	return h, nil
 }
 
-// AttachDevice attaches a DMA device sharing the host's IOMMU. Call
-// before Start; devices appear in per-device results in attach order.
-func (h *Host) AttachDevice(d device.Device) error {
-	if h.started {
-		return fmt.Errorf("host: AttachDevice(%s) after Start", d.Name())
-	}
-	if err := d.Attach(h); err != nil {
-		return err
-	}
-	h.devices = append(h.devices, d)
-	if n, ok := d.(*netDev); ok {
-		if h.net == nil {
-			h.net = n
-		}
-		h.nets = append(h.nets, n)
-	}
-	// Devices attached during New are registered when the telemetry spine
-	// is built; later attachments (InstallStorage, direct AttachDevice)
-	// register here.
-	if h.tele != nil {
-		h.tele.addDevice(d)
-	}
-	return nil
+// Device is one DMA device on a host: a NIC datapath or a storage
+// controller, each with its own protection domain over the host's one
+// IOMMU. Per-device IOMMU counters are keyed by Domain().ID().
+type Device interface {
+	Name() string // "nic0", "storage1"
+	Kind() string // "nic", "storage"
+	Domain() *core.Domain
+	Stats() DeviceStats
 }
 
-// Devices returns the attached devices in attach order (primary NIC
-// first).
-func (h *Host) Devices() []device.Device { return h.devices }
+// DeviceStats is a device's cumulative progress: completed DMA
+// operations (packets delivered, blocks read) and the payload bytes
+// they moved. Per-device translation behaviour (misses, walk reads,
+// invalidations) comes from the shared IOMMU's per-domain counters.
+type DeviceStats struct {
+	Ops   int64 // completed DMA operations
+	Bytes int64 // payload bytes moved
+}
 
-// Engine implements device.Host (examples also drive it directly).
+// Devices returns the host's devices: its NICs, primary first, then its
+// storage controllers.
+func (h *Host) Devices() []Device { return h.devices }
+
+// Engine returns the host's event engine, for callers that advance it
+// themselves (simbench runs it in slices).
 func (h *Host) Engine() *sim.Engine { return h.eng }
 
-// NewLink implements device.Host: a PCIe link with the host's fitted
-// latencies, attached to the shared walkers.
-func (h *Host) NewLink() *pcie.Link {
+// newLink returns a PCIe link with the host's fitted latencies, attached
+// to the shared walkers.
+func (h *Host) newLink() *pcie.Link {
 	l := pcie.New(h.eng, l0, h.cfg.Lm, pcieGbps)
 	l.AttachWalker(h.walker)
 	h.inj.AttachLink(l) // nil-safe: flap target when a plan is active
 	return l
 }
 
-// NewDomain implements device.Host: a protection domain over the shared
-// IOMMU, seeded deterministically per device.
-func (h *Host) NewDomain(cfg core.Config, seedOffset int64) (*core.Domain, error) {
+// newDomain returns a protection domain over the shared IOMMU, seeded
+// from the host's seed plus seedOffset, so distinct devices get distinct
+// but deterministic free-pool shuffles.
+func (h *Host) newDomain(cfg core.Config, seedOffset int64) (*core.Domain, error) {
 	cfg.SharedIOMMU = h.mmu
 	cfg.Seed = h.cfg.Seed + seedOffset
 	cfg.Faults = h.inj
 	return core.NewDomain(cfg)
-}
-
-// Faults implements device.Host: the host's injector, nil without a
-// plan. Safety auditing is exposed through Results.Safety.
-func (h *Host) Faults() *fault.Injector { return h.inj }
-
-// Exec implements device.Host: schedule driver work on host core cpu.
-func (h *Host) Exec(cpu int, work func() sim.Duration, done func()) {
-	h.core(cpu).Do(work, done)
 }
 
 // Domain exposes the primary NIC's protection domain.
@@ -527,23 +530,19 @@ func (h *Host) irqCost(cpu int) sim.Duration {
 // Start launches the configured workloads and the housekeeping timers.
 // Idempotent: only the first call has effect (Run calls it internally).
 // Ordering is load-bearing for reproducibility: NIC flows (primary
-// first), then the message app, then the non-NIC devices — the exact
-// sequence the pre-device-layer host used.
+// first), then the request/response apps, then the storage devices.
 func (h *Host) Start() {
 	if h.started {
 		return
 	}
 	h.started = true
 	for _, n := range h.nets {
-		n.Start()
+		n.start()
 	}
 	h.msgs.start()
 	h.serve.start()
-	for _, d := range h.devices {
-		if _, ok := d.(*netDev); ok {
-			continue
-		}
-		d.Start()
+	for _, s := range h.stores {
+		s.start()
 	}
 	// Periodic fault disturbances start after the workloads so their
 	// events interleave behind same-timestamp workload events.

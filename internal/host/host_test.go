@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"fastsafe/internal/core"
-	"fastsafe/internal/device"
 	"fastsafe/internal/fabric"
-	"fastsafe/internal/iommu"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 	"fastsafe/internal/transport"
@@ -52,16 +50,11 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		// 2.42 reads/page against 97.4 and 1.37 at defaults.
 		{Config{NICBufferBytes: -1}, "host: NICBufferBytes must be >= 0, got -1"},
 		{Config{Lm: -100}, "host: Lm must be >= 0, got -100ns"},
-		// The IOMMU's cache sizes are iommu.Config's to check.
-		{Config{IOMMU: iommu.Config{L3Size: -4}}, "host: iommu: L3Size must be >= 0 (0 keeps the default), got -4"},
-		{Config{IOMMU: iommu.Config{IOTLBSets: -1}}, "host: iommu: IOTLBSets must be >= 0 (0 keeps the default), got -1"},
+		{Config{PTcacheL3: -4}, "host: PTcacheL3 must be >= 0, got -4 (0 keeps the default)"},
 		// An extra NIC gets the primary's rules, named by its index.
 		{Config{Topology: Topology{NICs: []NICSpec{{Cores: -2}}}}, "host: Topology.NICs[0].Cores must be >= 0, got -2"},
 		{Config{Topology: Topology{NICs: []NICSpec{{}, {TxFlows: -1}}}}, "host: Topology.NICs[1].TxFlows must be >= 0, got -1"},
 		{Config{Topology: Topology{NICs: []NICSpec{{MTU: 10}}}}, "host: Topology.NICs[0].MTU must be 0 (the host's) or at least 64 bytes, got 10"},
-		// A storage device's rate is device.Storage's to check, on attach.
-		{Config{Topology: Topology{Storage: []StorageSpec{{ReadGBps: -4}}}}, "storage storage0: ReadGBps must be positive, got -4"},
-		{Config{Topology: Topology{Storage: []StorageSpec{{ReadGBps: 8}, {}}}}, "storage storage1: ReadGBps must be positive, got 0"},
 		{Config{Serve: &ServeConfig{Conns: 0, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got 0"},
 		{Config{Serve: &ServeConfig{Conns: -4, Churn: 0.2, Cohort: 1}}, "host: Serve.Conns must be >= 1, got -4"},
 		{Config{Serve: &ServeConfig{Conns: 8, Churn: 0.2, Cohort: 100}}, "host: Serve.Cohort must be <= Serve.Conns, got 100 > 8"},
@@ -97,7 +90,7 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 		{RxFlows: -1, TxFlows: 1},
 		{MTU: 64},
 		{ATSEntries: 4096},
-		{IOMMU: iommu.Config{L3Size: 64}},
+		{PTcacheL3: 64},
 		{Serve: &ServeConfig{Conns: 8, Churn: 1, Cohort: 8}},
 		{Topology: Topology{NICs: []NICSpec{{RxFlows: -1, MTU: 64}}}},
 	} {
@@ -433,17 +426,22 @@ func TestCoreQueueSerialises(t *testing.T) {
 	}
 }
 
+// markLog is a wire endpoint that records each packet's ECN mark.
+type markLog []bool
+
+func (l *markLog) Deliver(p fabric.Packet) { *l = append(*l, p.ECN) }
+
 func TestWireSerialisationAndECN(t *testing.T) {
 	eng := sim.NewEngine(1)
 	w := fabric.NewLink(eng, 1, 1000) // 1 Gbps: 4KB takes ~32.8us to serialise
 	w.SetECN(4096)
-	var marks []bool
+	var marks markLog
 	// Offer 2x the line rate for a while: a standing queue builds and the
 	// averaged backlog must start marking; transient bursts must not.
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 16 * sim.Microsecond
 		eng.At(at, func() {
-			w.Send(4096, func(ecn bool) { marks = append(marks, ecn) })
+			w.SendPacket(fabric.Packet{Bytes: 4096, To: &marks})
 		})
 	}
 	eng.RunAll()
@@ -519,18 +517,16 @@ func TestStorageCoTenantPollutesStrictNotFNS(t *testing.T) {
 	// A storage device sharing the IOMMU inflates the network datapath's
 	// translation cost under strict mode far more than under F&S.
 	runWith := func(mode core.Mode, gbps float64) Results {
-		h, err := New(Config{Mode: mode})
+		cfg := Config{Mode: mode}
+		if gbps > 0 {
+			cfg.Topology.Storage = []StorageSpec{{ReadGBps: gbps}}
+		}
+		h, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dev *device.Storage
-		if gbps > 0 {
-			if dev, err = h.InstallStorage(StorageSpec{ReadGBps: gbps}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		r := h.Run(5*sim.Millisecond, 15*sim.Millisecond)
-		if dev != nil && dev.Blocks() == 0 {
+		if gbps > 0 && h.stores[0].blocks == 0 {
 			t.Fatal("storage device issued no blocks")
 		}
 		return r

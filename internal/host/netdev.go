@@ -5,7 +5,6 @@ import (
 
 	"fastsafe/internal/ats"
 	"fastsafe/internal/core"
-	"fastsafe/internal/device"
 	"fastsafe/internal/fabric"
 	"fastsafe/internal/nic"
 	"fastsafe/internal/pcie"
@@ -14,11 +13,10 @@ import (
 	"fastsafe/internal/transport"
 )
 
-// The NIC reference implementation of device.Device: the full §2.1
-// network datapath — rings, Rx/Tx PCIe links, wire pair to an abstract
-// remote host, DCTCP bulk flows (flow.go) — packaged so a Topology can
-// attach any number of them to one host, each with its own protection
-// domain over the shared IOMMU.
+// The NIC device: the full §2.1 network datapath — rings, Rx/Tx PCIe
+// links, wire pair to an abstract remote host, DCTCP bulk flows
+// (flow.go) — packaged so a Topology can declare any number of them on
+// one host, each with its own protection domain over the shared IOMMU.
 
 // NICSpec configures one NIC device in a Topology. Zero fields inherit
 // the host Config's corresponding value; Mode is a pointer so that an
@@ -92,12 +90,6 @@ type netDev struct {
 
 	c hostCounters
 
-	// The request/response app's packets on toLocal from the abstract
-	// remote, in send order; the wire delivers in send order, so
-	// landArrival (bound once as arriveFn) pops the one landing.
-	arrivals sim.FIFO[nic.Packet]
-	arriveFn func(ecn bool)
-
 	// Record pools for the core work this NIC's datapath queues.
 	txJobs    pool[txJob]
 	unmaps    pool[txUnmap]
@@ -114,36 +106,26 @@ func (e netExec) Do(cpu int, work func() sim.Duration, done func()) {
 	e.n.h.core(e.n.cpuBase+cpu).Do(work, done)
 }
 
-// Name implements device.Device.
-func (n *netDev) Name() string { return n.name }
-
-// Kind implements device.Device.
-func (n *netDev) Kind() string { return "nic" }
-
-// Domain implements device.Device.
+func (n *netDev) Name() string         { return n.name }
+func (n *netDev) Kind() string         { return "nic" }
 func (n *netDev) Domain() *core.Domain { return n.dom }
 
-// Stats implements device.Device: bulk payload delivered in order on
-// either side of this NIC's wire pair.
-func (n *netDev) Stats() device.Stats {
+// Stats counts the NIC's Rx and Tx DMAs and the bulk payload delivered
+// in order on either side of its wire pair.
+func (n *netDev) Stats() DeviceStats {
 	st := n.dev.Stats()
-	return device.Stats{
+	return DeviceStats{
 		Ops:   st.RxDMAs + st.TxDMAs,
 		Bytes: n.c.rxDeliveredBytes + n.c.txDeliveredBytes,
 	}
 }
 
-// Attach implements device.Device. The NIC datapath needs the concrete
-// host (cores, config, message dispatch), not just the device.Host
-// surface.
-func (n *netDev) Attach(dh device.Host) error {
-	h, ok := dh.(*Host)
-	if !ok {
-		return fmt.Errorf("host: netDev must attach to *host.Host, got %T", dh)
-	}
+// attach builds the NIC on h: its domain, links, wire pair, device and
+// abstract-remote flows.
+func (n *netDev) attach(h *Host) error {
 	n.h = h
 	cfg := h.cfg
-	dom, err := h.NewDomain(core.Config{
+	dom, err := h.newDomain(core.Config{
 		Mode:            n.mode,
 		NumCPUs:         n.spec.Cores + n.spec.TxFlows + n.peerSlots + 8, // slack for app cores
 		DescriptorPages: cfg.DescriptorPages,
@@ -163,8 +145,8 @@ func (n *netDev) Attach(dh device.Host) error {
 	// The auditor re-walks device-cached translations too (nil-safe on
 	// both sides: no auditor, or no ATC attached).
 	h.aud.AttachATC(n.dom.ID(), n.dom.ATC())
-	n.rx = h.NewLink()
-	n.tx = h.NewLink()
+	n.rx = h.newLink()
+	n.tx = h.newLink()
 	n.toLocal = fabric.NewLink(h.eng, linkGbps, propDelay)
 	n.toLocal.SetECN(ecnBytes)
 	n.toRemote = fabric.NewLink(h.eng, linkGbps, propDelay)
@@ -179,7 +161,7 @@ func (n *netDev) Attach(dh device.Host) error {
 		// DMA terminates at the device, so its buffer is the congestion
 		// point — mark there (the CNP analog) at the DCTCP K.
 		DirectECNKBytes: ecnBytes,
-		Faults:          h.Faults().Device(n.dom),
+		Faults:          h.inj.Device(n.dom),
 	}, n.dom, n.rx, n.tx, netExec{n})
 	if err != nil {
 		return fmt.Errorf("host: %w", err)
@@ -187,7 +169,6 @@ func (n *netDev) Attach(dh device.Host) error {
 	n.dev = dev
 	dev.OnDeliver = n.onDeliver
 	dev.OnTxDone = n.onTxDone
-	n.arriveFn = n.landArrival
 
 	// Legacy bulk flows terminate at the abstract remote host.
 	toLocal, toRemote := path{wire: n.toLocal}, path{wire: n.toRemote}
@@ -206,10 +187,10 @@ func (n *netDev) Attach(dh device.Host) error {
 	return nil
 }
 
-// Start implements device.Device: launch the configured bulk flows.
-// WRITE streams from the source at start; READ first posts the work
-// request from the initiating sink, which kicks the source remotely.
-func (n *netDev) Start() {
+// start launches the configured bulk flows. WRITE streams from the
+// source at start; READ first posts the work request from the
+// initiating sink, which kicks the source remotely.
+func (n *netDev) start() {
 	for _, f := range n.flows {
 		if f.op != transport.Read {
 			n.h.eng.At(f.start, f.pump)
@@ -329,21 +310,6 @@ func (u *txUnmap) work() sim.Duration {
 	return cost
 }
 
-// arriveFromRemote carries a packet from the abstract remote host over
-// this NIC's wire pair into its input buffer.
-func (n *netDev) arriveFromRemote(pkt nic.Packet) {
-	n.arrivals.Push(pkt)
-	n.toLocal.Send(pkt.Bytes, n.arriveFn)
-}
-
-// landArrival hands the oldest packet on toLocal to the NIC, marked as
-// the wire marked it.
-func (n *netDev) landArrival(ecn bool) {
-	pkt := n.arrivals.Pop()
-	pkt.ECN = ecn
-	n.dev.Arrive(pkt)
-}
-
 // onDeliver handles a packet whose DMA into local memory completed.
 func (n *netDev) onDeliver(pkt nic.Packet) {
 	h := n.h
@@ -390,7 +356,7 @@ func (n *netDev) onTxDone(pkt nic.Packet, m *core.TxMapping) {
 	case *ackEnd:
 		p.f.toSource(pkt.Bytes, pkt.Seq)
 	case *req:
-		p.a.onTxDone(pkt, p)
+		n.toRemote.SendPacket(fabric.Packet{Bytes: pkt.Bytes, Seq: pkt.Seq, To: &p.remote})
 	default:
 		panic(fmt.Sprintf("host: unknown Tx payload %T", pkt.Payload))
 	}

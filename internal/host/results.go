@@ -7,7 +7,6 @@ import (
 	"fastsafe/internal/ats"
 	"fastsafe/internal/control"
 	"fastsafe/internal/core"
-	"fastsafe/internal/device"
 	"fastsafe/internal/fault"
 	"fastsafe/internal/iommu"
 	"fastsafe/internal/iova"
@@ -85,8 +84,8 @@ type Results struct {
 	// Telemetry.SampleEvery was configured.
 	Timeline []stats.Series
 
-	// Devices is the per-device breakdown, in attach order (primary NIC
-	// first). Summing each device's share of the shared-IOMMU counters
+	// Devices is the per-device breakdown, in Devices() order (primary
+	// NIC first). Summing each device's share of the shared-IOMMU counters
 	// reproduces the global counters exactly.
 	Devices []DeviceResults
 
@@ -177,7 +176,7 @@ func (r Results) DeviceTable() string {
 // devSnap is one device's slice of the counters at a window boundary.
 type devSnap struct {
 	mmu iommu.Counters // the device domain's share of the shared IOMMU
-	st  device.Stats
+	st  DeviceStats
 	ats ats.Counters // device-side ATS cache (zero without an ATC)
 }
 
@@ -369,7 +368,7 @@ func (h *Host) results(before, after snapshot) Results {
 		r.Timeline = h.tele.sampler.SeriesWindow(before.at, after.at)
 	}
 
-	// A device cannot attach after Start, so both snapshots list the same
+	// Devices are built only in New, so both snapshots list the same
 	// devices.
 	for i, d := range h.devices {
 		b, a := before.devs[i], after.devs[i]

@@ -3,7 +3,6 @@ package host
 import (
 	"fmt"
 
-	"fastsafe/internal/device"
 	"fastsafe/internal/sim"
 	"fastsafe/internal/stats"
 )
@@ -63,7 +62,7 @@ type Telemetry struct {
 // name applies the host's instrument-name prefix (empty outside clusters).
 func (t *Telemetry) name(s string) string { return t.prefix + s }
 
-// newTelemetry wires the registry over every layer already attached and,
+// newTelemetry wires the registry over every layer already built and,
 // when sampling is configured, registers the timeline probes.
 func newTelemetry(h *Host) *Telemetry {
 	reg := h.pl.reg
@@ -89,11 +88,11 @@ func newTelemetry(h *Host) *Telemetry {
 	return t
 }
 
-// addDevice registers one attached device's probe points: its protection
-// domain (with allocator, page table, and attributed IOMMU counters), its
-// device.Stats view, and — for NICs — the datapath, PCIe links and
-// per-flow congestion state.
-func (t *Telemetry) addDevice(d device.Device) {
+// addDevice registers one device's probe points: its protection domain
+// (with allocator, page table, and attributed IOMMU counters), its
+// DeviceStats, and — for NICs — the datapath, PCIe links and per-flow
+// congestion state.
+func (t *Telemetry) addDevice(d Device) {
 	name := t.name(d.Name())
 	d.Domain().RegisterProbes(t.reg, name+".")
 	t.reg.GaugeFunc(name+".ops", func() float64 { return float64(d.Stats().Ops) })

@@ -1,10 +1,6 @@
 package iommu
 
-import (
-	"fmt"
-
-	"fastsafe/internal/ptable"
-)
+import "fastsafe/internal/ptable"
 
 // Config sizes the IOMMU caches. Zero fields take defaults.
 //
@@ -19,22 +15,6 @@ type Config struct {
 	L1Size    int // PTcache-L1 entries (default 32)
 	L2Size    int // PTcache-L2 entries (default 32)
 	L3Size    int // PTcache-L3 entries (default 32)
-}
-
-// Validate rejects a negative cache size; 0 keeps the default.
-func (c Config) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"IOTLBSets", c.IOTLBSets}, {"IOTLBWays", c.IOTLBWays},
-		{"L1Size", c.L1Size}, {"L2Size", c.L2Size}, {"L3Size", c.L3Size},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("iommu: %s must be >= 0 (0 keeps the default), got %d", f.name, f.v)
-		}
-	}
-	return nil
 }
 
 func (c Config) withDefaults() Config {

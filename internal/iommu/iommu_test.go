@@ -18,30 +18,6 @@ func newMapped(t *testing.T, cfg Config, pages int) *IOMMU {
 	return m
 }
 
-// TestConfigValidate: every cache size is a count, so a negative one is
-// an error naming the field and the value, and 0 keeps the default.
-func TestConfigValidate(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{IOTLBSets: -1}, "iommu: IOTLBSets must be >= 0 (0 keeps the default), got -1"},
-		{Config{IOTLBWays: -2}, "iommu: IOTLBWays must be >= 0 (0 keeps the default), got -2"},
-		{Config{L1Size: -3}, "iommu: L1Size must be >= 0 (0 keeps the default), got -3"},
-		{Config{L2Size: -4}, "iommu: L2Size must be >= 0 (0 keeps the default), got -4"},
-		{Config{L3Size: -4}, "iommu: L3Size must be >= 0 (0 keeps the default), got -4"},
-	} {
-		if err := tc.cfg.Validate(); err == nil || err.Error() != tc.want {
-			t.Errorf("Validate(%+v) = %v, want %q", tc.cfg, err, tc.want)
-		}
-	}
-	for _, cfg := range []Config{{}, {IOTLBSets: 1, IOTLBWays: 1, L1Size: 1, L2Size: 1, L3Size: 1}} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
-		}
-	}
-}
-
 func TestColdTranslationWalksFourLevels(t *testing.T) {
 	m := newMapped(t, Config{}, 1)
 	tr := m.TranslateIn(0, 0)
