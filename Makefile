@@ -61,11 +61,14 @@ bench-%:
 scale-gate:
 	CLUSTER_SCALE_GATE=1 $(GO) test -run TestClusterScaleSpeedup -v ./internal/host
 
-# The fault-campaign gate: safety figure plus the replay-determinism and
-# safety-property sweeps. FAULT_SEEDS widens the sweep (CI uses 64, the
-# nightly schedule 1024; default 8 keeps local runs quick).
+# The fault-campaign gate, and all of CI's fault-campaign job: safety
+# figure, the replay-determinism and safety-property sweeps, and the
+# 8-host sharded cluster campaign. FAULT_SEEDS widens both sweeps (CI
+# uses 64, the nightly schedule 1024; default 8 keeps local runs quick);
+# the cluster campaign runs FAULT_SEEDS/16 cluster seeds, at least 4.
 faults: bench-faults
-	$(GO) test -run 'TestReplayDeterminism|TestStrictSafetyModesNeverServeStale|TestStrawmanCaughtWithinOneWindow|TestCapabilityFamilySafetyOrdering' ./internal/fault
+	$(GO) test -timeout 30m -run 'TestReplayDeterminism|TestStrictSafetyModesNeverServeStale|TestStrawmanCaughtWithinOneWindow|TestCapabilityFamilySafetyOrdering' -v ./internal/fault
+	$(GO) test -timeout 30m -run TestClusterFaultCampaign -v ./internal/host
 
 # The serving-gauntlet CI job: serving figure, cohort-vs-exact
 # equivalence under the race detector, and the churn fault campaign

@@ -71,13 +71,19 @@ func main() {
 				fmt.Fprintf(os.Stderr, "fsbench: %s done (%d/%d)\n", ids[p.Index], p.Done, p.Total)
 			}
 		}
-		tables := runner.All(cfg, jobs)
-		for i, r := range tables {
-			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "fsbench: %s: %v\n", ids[i], r.Err)
-				os.Exit(1)
+		// A failed or skipped figure's table is the zero Table; the ones
+		// before it print, then the failure (a panic's text names its
+		// figure).
+		tables, err := runner.Collect(cfg, jobs)
+		for _, t := range tables {
+			if t.ID == "" {
+				break
 			}
-			fmt.Println(render(r.Value))
+			fmt.Println(render(t))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "fsbench:", err)
+			os.Exit(1)
 		}
 		return
 	}

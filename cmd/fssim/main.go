@@ -90,7 +90,6 @@ import (
 	"fastsafe/internal/host"
 	"fastsafe/internal/runner"
 	"fastsafe/internal/sim"
-	"fastsafe/internal/stats"
 	"fastsafe/internal/transport"
 )
 
@@ -277,7 +276,7 @@ func main() {
 			fmt.Printf("L3 locality: %d allocs, frac>=32 %.3f, frac>=64 %.3f, frac>=128 %.3f\n",
 				len(r.Trace.Dists), r.Trace.FractionAbove(32), r.Trace.FractionAbove(64), r.Trace.FractionAbove(128))
 		}
-		if len(r.Timeline) > 0 {
+		if *timeline {
 			printTimeline(r.Timeline)
 		}
 	}
@@ -361,20 +360,14 @@ func printServing(label string, r host.Results) {
 		label, r.ServeCompleted, r.ServeGbps, us(0.50), us(0.99), us(0.999), r.ServeDeaths, r.ServeExpired)
 }
 
-// printTimeline renders the sampled series as wide CSV: one row per
-// sampling instant, one column per series (they share the sampler's
-// clock, so the times line up by construction).
-func printTimeline(series []stats.Series) {
-	fmt.Print("t_us")
-	for _, s := range series {
-		fmt.Printf(",%s", s.Name)
-	}
-	fmt.Println()
-	for i := range series[0].Times {
-		fmt.Printf("%.0f", float64(series[0].Times[i])/1e3)
-		for _, s := range series {
-			fmt.Printf(",%g", s.Values[i])
-		}
-		fmt.Println()
+// printTimeline renders the window's samples as wide CSV: one row per
+// sampling instant, one column per series.
+func printTimeline(samples []host.Sample) {
+	fmt.Println("t_us,rx_gbps,tx_gbps,iotlb_miss_per_pg,ptcache_miss_per_pg,walk_reads,inv_reqs,cwnd_mean,core_util_max,invq_depth,mem_util")
+	for _, s := range samples {
+		fmt.Printf("%.0f,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g\n", float64(s.At)/1e3,
+			s.RxGbps, s.TxGbps, s.IOTLBMissPerPage, s.PTcacheMissPerPage,
+			float64(s.WalkReads), float64(s.InvReqs), s.CwndMean, s.CoreUtilMax,
+			float64(s.InvQDepth), s.MemUtil)
 	}
 }

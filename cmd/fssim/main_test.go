@@ -133,6 +133,21 @@ func TestGoldenFssimRuns(t *testing.T) {
 	}
 }
 
+// TestTimelineHeaderWithoutSamples: a sampling interval longer than the
+// window samples nothing in it, and -timeline still ends the output with
+// the CSV header.
+func TestTimelineHeaderWithoutSamples(t *testing.T) {
+	stdout, stderr, code := fssim(t, append(append([]string(nil), window...),
+		"-mode", "strict", "-timeline", "-sampleus", "5000")...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	const header = "t_us,rx_gbps,tx_gbps,iotlb_miss_per_pg,ptcache_miss_per_pg,walk_reads,inv_reqs,cwnd_mean,core_util_max,invq_depth,mem_util\n"
+	if !strings.HasSuffix(stdout, "\n"+header) {
+		t.Fatalf("output does not end with the bare timeline header:\n%s", stdout)
+	}
+}
+
 // TestRejectsBadConfigs: every configuration error exits 2, prints
 // nothing on stdout, and names the bad value on stderr behind fssim's
 // prefix. want is matched case-insensitively.

@@ -7,17 +7,16 @@
 //
 // Millions of users will not fit as millions of simulated flows, so the
 // fleet groups K identical connections into a cohort sharing one
-// modeled state (an EWMA latency model and aggregate completion
-// accounting). The grouping is *samplewise invariant* by construction:
-// every connection draws from its own counter-based RNG stream keyed by
-// (seed, connection, incarnation), with a fixed draw order per arrival,
-// and all connections schedule through one global (time, connection)
-// min-heap. Changing the cohort size K therefore changes nothing about
-// which events happen when — protection costs (IOMMU walks, IOVA
-// allocator traffic, map/unmap work) and safety audits are *exactly*
-// equal across groupings, and only the per-request latency attribution
-// switches from exact measurement (K == 1) to the cohort's shared model
-// (K > 1). The equivalence test in internal/host holds the package to
+// modeled state, an EWMA latency model. The grouping is *samplewise
+// invariant* by construction: every connection draws from its own
+// counter-based RNG stream keyed by (seed, connection, incarnation),
+// with a fixed draw order per arrival, and all connections schedule
+// through one global (time, connection) min-heap. Changing the cohort
+// size K therefore changes nothing about which events happen when —
+// protection costs (IOMMU walks, IOVA allocator traffic, map/unmap work)
+// and safety audits are *exactly* equal across groupings, and only the
+// per-request latency attribution switches from exact measurement
+// (K == 1) to the cohort's shared model (K > 1). The equivalence test in internal/host holds the package to
 // that contract.
 package cohort
 
@@ -154,27 +153,14 @@ func (s *sizes) draw(r *rng) int {
 
 // Arrival is one request event popped from the fleet.
 type Arrival struct {
-	Conn  int   // global connection index
-	Group int   // cohort index: Conn / Cohort
-	ID    int64 // globally unique request id
-	Req   int   // request payload bytes
-	Resp  int   // response payload bytes
+	Conn  int // global connection index
+	Group int // cohort index: Conn / Cohort
+	Req   int // request payload bytes
+	Resp  int // response payload bytes
 	// Last marks the connection's final request: after its response
 	// completes (or it is abandoned), the connection dies and a fresh
 	// incarnation is born in its slot.
 	Last bool
-}
-
-// Group is the shared modeled state of one cohort of connections.
-// Counters are exact aggregates of member events; the EWMA latency is
-// the modeled quantity that replaces per-connection measurement at
-// cohort sizes above 1.
-type Group struct {
-	Members     int
-	InFlight    int     // member requests currently outstanding
-	Completions int64   // member requests completed
-	Bytes       int64   // request+response payload of completed requests
-	EWMALatNs   float64 // shared latency model (exp. weighted, gain 1/8)
 }
 
 // conn is one connection slot's live state.
@@ -189,14 +175,16 @@ type conn struct {
 // connections whose next arrivals sit in one global (time, connection)
 // min-heap, so scheduling order is independent of cohort grouping.
 type Fleet struct {
-	cfg    Config
-	req    sizes
-	resp   sizes
-	conns  []conn
-	groups []Group
-	heap   []int // connection indices ordered by (nextAt, index)
-	nextID int64
-	deaths int64
+	cfg   Config
+	req   sizes
+	resp  sizes
+	conns []conn
+	// ewmaLatNs is each cohort's shared latency model (exponentially
+	// weighted, gain 1/8), the modeled quantity that replaces
+	// per-connection measurement at cohort sizes above 1.
+	ewmaLatNs []float64
+	heap      []int // connection indices ordered by (nextAt, index)
+	deaths    int64
 }
 
 // New builds a fleet; every connection's first arrival is drawn from
@@ -208,15 +196,7 @@ func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	f := &Fleet{cfg: cfg, req: newSizes(reqMin, cfg.ReqMax), resp: newSizes(respMin, cfg.RespMax)}
 	f.conns = make([]conn, cfg.Conns)
-	nGroups := (cfg.Conns + cfg.Cohort - 1) / cfg.Cohort
-	f.groups = make([]Group, nGroups)
-	for g := range f.groups {
-		members := cfg.Cohort
-		if rem := cfg.Conns - g*cfg.Cohort; rem < members {
-			members = rem
-		}
-		f.groups[g].Members = members
-	}
+	f.ewmaLatNs = make([]float64, (cfg.Conns+cfg.Cohort-1)/cfg.Cohort)
 	for i := range f.conns {
 		f.birth(i, 0)
 	}
@@ -254,35 +234,29 @@ func (f *Fleet) Next(now sim.Time) (Arrival, bool) {
 	a := Arrival{
 		Conn:  i,
 		Group: i / f.cfg.Cohort,
-		ID:    f.nextID,
 		Req:   f.req.draw(&c.rng),
 		Resp:  f.resp.draw(&c.rng),
 	}
-	f.nextID++
 	a.Last = c.rng.float64() < f.cfg.Churn
 	if !a.Last {
 		c.nextAt += sim.Time(f.cfg.expGap(&c.rng))
 		f.push(i)
 	}
-	f.groups[a.Group].InFlight++
 	return a, true
 }
 
-// Complete finishes a request: the cohort's aggregates absorb the
-// member event exactly, and the returned latency is what the caller
-// should record — the measured value at cohort size 1, the cohort's
-// updated EWMA model otherwise. A Last arrival triggers the
-// connection's death and immediate rebirth (reborn=true): the caller
-// owns remapping the connection's buffers.
+// Complete finishes a request: the cohort's EWMA model absorbs the
+// measured latency, and the returned latency is what the caller should
+// record — the measured value at cohort size 1, the cohort's updated
+// model otherwise. A Last arrival triggers the connection's death and
+// immediate rebirth (reborn=true): the caller owns remapping the
+// connection's buffers.
 func (f *Fleet) Complete(a Arrival, now sim.Time, measuredNs int64) (recordNs int64, reborn bool) {
-	g := &f.groups[a.Group]
-	g.InFlight--
-	g.Completions++
-	g.Bytes += int64(a.Req + a.Resp)
-	g.EWMALatNs += (float64(measuredNs) - g.EWMALatNs) / 8
+	m := &f.ewmaLatNs[a.Group]
+	*m += (float64(measuredNs) - *m) / 8
 	recordNs = measuredNs
 	if f.cfg.Cohort > 1 {
-		recordNs = int64(g.EWMALatNs)
+		recordNs = int64(*m)
 	}
 	if a.Last {
 		f.die(a.Conn, now)
@@ -295,7 +269,6 @@ func (f *Fleet) Complete(a Arrival, now sim.Time, measuredNs int64) (recordNs in
 // loop never retries). No latency is recorded; a Last arrival still
 // dies and rebirths so connection slots never leak.
 func (f *Fleet) Abandon(a Arrival, now sim.Time) (reborn bool) {
-	f.groups[a.Group].InFlight--
 	if a.Last {
 		f.die(a.Conn, now)
 		return true

@@ -188,26 +188,28 @@ func TestDistributionShape(t *testing.T) {
 	}
 }
 
+// TestGroupAggregates: connection Conn belongs to cohort Conn/Cohort
+// (the last cohort partial), and each cohort's latency model folds its
+// own members' completions, in order, and no other cohort's.
 func TestGroupAggregates(t *testing.T) {
 	f, err := New(Config{Conns: 10, Cohort: 4, Churn: 0.2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := f.groups
-	if len(gs) != 3 || gs[0].Members != 4 || gs[2].Members != 2 {
-		t.Fatalf("group layout wrong: %+v", gs)
+	if len(f.ewmaLatNs) != 3 {
+		t.Fatalf("%d cohorts for 10 connections of 4, want 3", len(f.ewmaLatNs))
 	}
 	arr := drain(t, f, 1000)
-	var want [3]int64
+	var want [3]float64
 	for _, a := range arr {
-		want[a.Group] += int64(a.Req + a.Resp)
+		if a.Group != a.Conn/4 {
+			t.Fatalf("connection %d in cohort %d, want %d", a.Conn, a.Group, a.Conn/4)
+		}
+		want[a.Group] += (float64(1000+a.Req) - want[a.Group]) / 8
 	}
 	for g, w := range want {
-		if got := f.groups[g].Bytes; got != w {
-			t.Errorf("group %d bytes = %d, want exact member sum %d", g, got, w)
-		}
-		if f.groups[g].InFlight != 0 {
-			t.Errorf("group %d leaked in-flight accounting: %d", g, f.groups[g].InFlight)
+		if got := f.ewmaLatNs[g]; got != w {
+			t.Errorf("cohort %d latency model = %v, want its members' EWMA %v", g, got, w)
 		}
 	}
 }
@@ -254,9 +256,6 @@ func TestAbandonChurnAccounting(t *testing.T) {
 	}
 	if _, ok := f.Peek(); !ok {
 		t.Fatal("rebirth must reschedule the slot")
-	}
-	if g := f.groups[0]; g.InFlight != 0 {
-		t.Fatalf("InFlight = %d after abandon, want 0", g.InFlight)
 	}
 	if f.Cohort() != 1 {
 		t.Fatalf("Cohort() = %d, want 1", f.Cohort())

@@ -313,7 +313,7 @@ func (d *Domain) newPhys() ptable.Phys {
 // recording the locality trace per 4KB page in NIC access order.
 func (d *Domain) allocIOVA(cpu, pages int) (ptable.IOVA, sim.Duration, error) {
 	var fcost sim.Duration
-	if inj := d.cfg.Faults; inj != nil && inj.FailAlloc(d.domID) {
+	if inj := d.cfg.Faults; inj != nil && inj.FailAlloc() {
 		// Transient allocator failure: the driver backs off and retries
 		// through the slow tree path before succeeding below.
 		fcost = costTreeAlloc
@@ -346,8 +346,8 @@ func (d *Domain) invalidate(base ptable.IOVA, pages int, iotlbOnly bool) sim.Dur
 	cost := d.invRequestCost()
 	d.c.InvRequests++
 	if inj := d.cfg.Faults; inj != nil {
-		cost += inj.DelayInv(d.domID)
-		if inj.DropInv(d.domID) {
+		cost += inj.DelayInv()
+		if inj.DropInv() {
 			d.trans.Invalidate(base, pages, iotlbOnly)
 			cost += inj.Plan().InvTimeout + d.invRequestCost()
 			d.c.InvRequests++
@@ -374,8 +374,8 @@ func (d *Domain) flushInvalidate() sim.Duration {
 	cost := d.invRequestCost()
 	d.c.InvRequests++
 	if inj := d.cfg.Faults; inj != nil {
-		cost += inj.DelayInv(d.domID)
-		if inj.DropInv(d.domID) {
+		cost += inj.DelayInv()
+		if inj.DropInv() {
 			d.trans.InvalidateAll()
 			cost += inj.Plan().InvTimeout + d.invRequestCost()
 			d.c.InvRequests++

@@ -21,7 +21,6 @@ import (
 	"fastsafe/internal/model"
 	"fastsafe/internal/runner"
 	"fastsafe/internal/sim"
-	"fastsafe/internal/stats"
 	"fastsafe/internal/transport"
 	"fastsafe/internal/workload"
 )
@@ -554,7 +553,7 @@ func MemoryHog(o Options) Table {
 	})
 }
 
-// Timeline renders the telemetry sampler's per-interval series for strict
+// Timeline renders the host timeline's per-interval samples for strict
 // vs F&S under a memory antagonist that switches on mid-measurement — the
 // dynamics behind the steady-state MemoryHog table: F&S's ~1-read walks
 // shrug off the bus contention that collapses strict mode's goodput.
@@ -571,19 +570,10 @@ func Timeline(o Options) Table {
 		return s.Run()
 	})
 	for _, r := range rs {
-		series := map[string]stats.Series{}
 		for _, s := range r.Timeline {
-			series[s.Name] = s
-		}
-		rx := series["rx_gbps"]
-		for i := range rx.Times {
 			t.Rows = append(t.Rows, []string{
-				r.Mode.String(),
-				f1(float64(rx.Times[i]) / 1e6),
-				f1(rx.Values[i]),
-				f2(series["iotlb_miss_per_pg"].Values[i]),
-				fmt.Sprintf("%.0f", series["walk_reads"].Values[i]),
-				f2(series["mem_util"].Values[i]),
+				r.Mode.String(), f1(float64(s.At) / 1e6), f1(s.RxGbps),
+				f2(s.IOTLBMissPerPage), fmt.Sprintf("%d", s.WalkReads), f2(s.MemUtil),
 			})
 		}
 	}
@@ -929,7 +919,7 @@ func Serving(o Options) Table {
 // burst of injected device misbehaviour (fault.Plan's activity window),
 // and a memory-antagonist phase. It returns the per-cell Results plus
 // the phase geometry (everything is a multiple of the sampling interval
-// e, so phase boundaries land exactly on sampler ticks). The controller
+// e, so phase boundaries land exactly on timeline ticks). The controller
 // cell arms one guard rule on the audited blocked-DMA counter: any
 // blocked DMA in an evaluation tick is evidence of a misbehaving device
 // and drops the domain to strict until a full tick passes clean.
@@ -983,23 +973,17 @@ func adaptivePhases(o Options) (rs []host.Results, warmup, e sim.Duration) {
 // reaction latency (at most a few evaluation ticks) — and is excluded
 // from the phase mean, uniformly for every cell.
 func adaptiveGoodput(r host.Results, warmup, e sim.Duration) [3]float64 {
-	var rx stats.Series
-	for _, s := range r.Timeline {
-		if s.Name == "rx_gbps" {
-			rx = s
-		}
-	}
 	cleanEnd := sim.Time(warmup + 2*e)
 	burstEnd := sim.Time(warmup + 4*e)
 	var phases [3][]float64
-	for i, t := range rx.Times {
+	for _, s := range r.Timeline {
 		switch {
-		case t <= cleanEnd:
-			phases[0] = append(phases[0], rx.Values[i])
-		case t <= burstEnd:
-			phases[1] = append(phases[1], rx.Values[i])
+		case s.At <= cleanEnd:
+			phases[0] = append(phases[0], s.RxGbps)
+		case s.At <= burstEnd:
+			phases[1] = append(phases[1], s.RxGbps)
 		default:
-			phases[2] = append(phases[2], rx.Values[i])
+			phases[2] = append(phases[2], s.RxGbps)
 		}
 	}
 	var out [3]float64

@@ -224,7 +224,6 @@ func (c Config) PerHopProp() sim.Duration { return prop / c.hops() }
 // engine (NewSwitch) it is an event there, between shards
 // (NewShardedSwitch) a conservative cross-shard message.
 type Switch struct {
-	cfg   Config
 	ports []*Port
 	core  *Link // shared core hop, nil when non-blocking
 	// shardOf[i] is the shard owning port i's links; the core link
@@ -276,7 +275,7 @@ func newSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int
 	if cfg.Oversub < 0 {
 		return nil, fmt.Errorf("fabric: Oversub must be >= 0, got %g", cfg.Oversub)
 	}
-	s := &Switch{cfg: cfg, shardOf: make([]int, n)}
+	s := &Switch{shardOf: make([]int, n)}
 	s.hops = sim.NewMail(shards, s.forward)
 	// The end-to-end propagation budget is split across the hops a packet
 	// takes, so a 2-port fabric matches a direct 2us link.

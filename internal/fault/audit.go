@@ -77,37 +77,24 @@ func (r SafetyReport) String() string {
 type Auditor struct {
 	mmu    *iommu.IOMMU
 	global SafetyReport
-	perDom map[iommu.DomainID]*SafetyReport
 }
 
 // NewAuditor installs the audit hook on the shared IOMMU and returns the
-// auditor owning the resulting reports.
+// auditor owning the resulting report.
 func NewAuditor(mmu *iommu.IOMMU) *Auditor {
-	a := &Auditor{mmu: mmu, perDom: make(map[iommu.DomainID]*SafetyReport)}
+	a := &Auditor{mmu: mmu}
 	mmu.SetAuditHook(a.check)
 	return a
 }
 
-func (a *Auditor) domReport(d iommu.DomainID) *SafetyReport {
-	r, ok := a.perDom[d]
-	if !ok {
-		r = &SafetyReport{}
-		a.perDom[d] = r
-	}
-	return r
-}
-
 func (a *Auditor) check(d iommu.DomainID, v ptable.IOVA, t iommu.Translation) {
-	g, pd := &a.global, a.domReport(d)
+	g := &a.global
 	g.Checked++
-	pd.Checked++
 	switch {
 	case !t.OK():
 		g.Blocked++
-		pd.Blocked++
 	case t.Stale():
 		g.StaleUnmapped++
-		pd.StaleUnmapped++
 	default:
 		// The IOMMU says this translation is fine. Verify against the
 		// live table: same physical page for both 4KB and huge leaves
@@ -120,10 +107,8 @@ func (a *Auditor) check(d iommu.DomainID, v ptable.IOVA, t iommu.Translation) {
 		if w, _, ok := a.mmu.TableOf(d).LookupHugeAware(v); !ok || w.Phys != t.Phys {
 			if t.Served() == iommu.ByCap {
 				g.StaleCapability++
-				pd.StaleCapability++
 			} else {
 				g.StaleRemapped++
-				pd.StaleRemapped++
 			}
 		}
 	}
@@ -143,25 +128,21 @@ func (a *Auditor) AttachATC(d iommu.DomainID, c *ats.Cache) {
 }
 
 func (a *Auditor) checkATC(d iommu.DomainID, v ptable.IOVA, t iommu.Translation) {
-	g, pd := &a.global, a.domReport(d)
-	g.Checked++
-	pd.Checked++
+	a.global.Checked++
 	// An ATC hit always produces an address; verify it against the live
 	// table. Unmapped or re-pointed both mean the device TLB served a
 	// translation the host had revoked.
 	if w, _, ok := a.mmu.TableOf(d).LookupHugeAware(v); !ok || w.Phys != t.Phys {
-		g.StaleATS++
-		pd.StaleATS++
+		a.global.StaleATS++
 	}
 }
 
-// noteRetry attributes one benign driver retry to domain d.
-func (a *Auditor) noteRetry(d iommu.DomainID) {
+// noteRetry counts one benign driver retry.
+func (a *Auditor) noteRetry() {
 	if a == nil {
 		return
 	}
 	a.global.Retries++
-	a.domReport(d).Retries++
 }
 
 // Report returns the aggregate safety report; zero on nil.
@@ -170,17 +151,6 @@ func (a *Auditor) Report() SafetyReport {
 		return SafetyReport{}
 	}
 	return a.global
-}
-
-// ReportOf returns domain d's safety report; zero on nil or unknown d.
-func (a *Auditor) ReportOf(d iommu.DomainID) SafetyReport {
-	if a == nil {
-		return SafetyReport{}
-	}
-	if r, ok := a.perDom[d]; ok {
-		return *r
-	}
-	return SafetyReport{}
 }
 
 // RegisterProbes exposes the aggregate report under prefix

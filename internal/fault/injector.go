@@ -3,7 +3,6 @@ package fault
 import (
 	"math/rand"
 
-	"fastsafe/internal/iommu"
 	"fastsafe/internal/mem"
 	"fastsafe/internal/pcie"
 	"fastsafe/internal/sim"
@@ -82,8 +81,8 @@ func (i *Injector) Counters() Counters {
 	return i.c
 }
 
-// SetAuditor routes benign-retry attribution into the auditor's
-// per-domain safety reports.
+// SetAuditor counts every benign retry in the auditor's safety report
+// too.
 func (i *Injector) SetAuditor(a *Auditor) {
 	if i != nil {
 		i.aud = a
@@ -200,33 +199,30 @@ func (i *Injector) roll(p float64) bool {
 	return p > 0 && i.active() && i.rng.Float64() < p
 }
 
-func (i *Injector) noteRetry(d iommu.DomainID) {
+func (i *Injector) noteRetry() {
 	i.c.Retries++
-	if i.aud != nil {
-		i.aud.noteRetry(d)
-	}
+	i.aud.noteRetry()
 }
 
 // DropInv reports whether this invalidation completion is lost. The
 // caller models the driver's timeout-and-resubmit; the drop itself is a
 // benign retry in every mode that waits for completion.
-func (i *Injector) DropInv(d iommu.DomainID) bool {
+func (i *Injector) DropInv() bool {
 	if i == nil || !i.roll(i.plan.InvDrop) {
 		return false
 	}
 	i.c.InvDrops++
-	i.noteRetry(d)
+	i.noteRetry()
 	return true
 }
 
 // DelayInv returns the extra latency of a delayed invalidation
 // completion (0 = not delayed).
-func (i *Injector) DelayInv(d iommu.DomainID) sim.Duration {
+func (i *Injector) DelayInv() sim.Duration {
 	if i == nil || !i.roll(i.plan.InvDelay) {
 		return 0
 	}
 	i.c.InvDelays++
-	_ = d
 	return i.plan.InvDelayBy
 }
 
@@ -242,12 +238,12 @@ func (i *Injector) DelayWriteback() sim.Duration {
 
 // FailAlloc reports whether this IOVA allocation transiently fails; the
 // caller charges the driver's back-off-and-retry cost.
-func (i *Injector) FailAlloc(d iommu.DomainID) bool {
+func (i *Injector) FailAlloc() bool {
 	if i == nil || !i.roll(i.plan.AllocFail) {
 		return false
 	}
 	i.c.AllocFails++
-	i.noteRetry(d)
+	i.noteRetry()
 	return true
 }
 

@@ -79,7 +79,7 @@ func TestZeroPlanBuildsNoInjector(t *testing.T) {
 	var inj *Injector
 	inj.Start()
 	inj.SetAuditor(nil)
-	if inj.DropInv(0) || inj.DelayInv(0) != 0 || inj.DelayWriteback() != 0 || inj.FailAlloc(0) {
+	if inj.DropInv() || inj.DelayInv() != 0 || inj.DelayWriteback() != 0 || inj.FailAlloc() {
 		t.Fatal("nil injector injected something")
 	}
 	if c := inj.Counters(); c != (Counters{}) {

@@ -142,7 +142,6 @@ func (c ClusterConfig) pairs() [][2]int {
 // Cluster is the N-host simulation.
 type Cluster struct {
 	cfg     ClusterConfig
-	sw      *fabric.Switch
 	hosts   []*Host
 	regs    []*stats.Registry // one per shard
 	shards  *sim.Shards
@@ -205,7 +204,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sw = sw
 	credits := sim.NewMail(c.shards, applyCredit)
 
 	for i := 0; i < cfg.Hosts; i++ {
@@ -273,9 +271,8 @@ func (c *Cluster) Registry() *stats.Registry {
 // ClusterResults is the measurement of one cluster window: per-host
 // Results (index = host ID) plus cluster-wide aggregates.
 type ClusterResults struct {
-	Mode    string
-	Hosts   []Results
-	Measure sim.Duration
+	Mode  string
+	Hosts []Results
 
 	AggRxGbps float64 // summed per-host Rx goodput
 	AggTxGbps float64 // summed per-host Tx goodput
@@ -325,7 +322,7 @@ func (c *Cluster) Run(warmup, measure sim.Duration) ClusterResults {
 		befores[i] = h.beginMeasure()
 	}
 	c.shards.Run(warmup + measure)
-	r := ClusterResults{Mode: c.cfg.Host.Mode.String(), Measure: measure}
+	r := ClusterResults{Mode: c.cfg.Host.Mode.String()}
 	for i, h := range c.hosts {
 		hr := h.results(befores[i], h.snap())
 		r.Hosts = append(r.Hosts, hr)

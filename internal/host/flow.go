@@ -324,7 +324,7 @@ func (f *flow) receive(seq int64, ecn bool) *transport.Ack {
 // host's Tx accounting. When both hosts share an engine shard it applies
 // inline. Otherwise it is posted to the sender's shard, where it lands
 // at the next synchronization barrier: the increment is commutative
-// bookkeeping whose timing only mid-window sampler reads can observe,
+// bookkeeping whose timing only mid-window timeline ticks can observe,
 // never simulated behaviour, and every post is drained before a window's
 // clocks align, so Results are unchanged.
 func (f *flow) creditPeerTx(bytes int64) {

@@ -128,10 +128,10 @@ type Config struct {
 	// the default 32 entries): footnote 3's sensitivity study.
 	PTcacheL3 int
 
-	// Telemetry configures the observation layer: the virtual-time
-	// sampler and the PTcache-L3 locality trace. All of it is strictly
-	// read-only over simulation state, so enabling it never changes
-	// simulated behaviour.
+	// Telemetry configures the observation layer: the timeline and the
+	// PTcache-L3 locality trace. All of it is strictly read-only over
+	// simulation state, so enabling it never changes simulated
+	// behaviour.
 	Telemetry TelemetryConfig
 
 	// Control, when non-nil, installs the adaptive protection control
@@ -324,9 +324,13 @@ type Host struct {
 	aud    *fault.Auditor      // nil unless auditing
 
 	started bool
-	// housekeepingFn is housekeeping bound once, so a tick schedules no
-	// fresh method value.
-	housekeepingFn func()
+	// samples is the timeline so far; lastTick is the snapshot the next
+	// sample diffs against.
+	samples  []Sample
+	lastTick snapshot
+	// housekeepingFn and sampleTickFn are housekeeping and sampleTick
+	// bound once, so a tick schedules no fresh method value.
+	housekeepingFn, sampleTickFn func()
 }
 
 // New builds the host per cfg, rejecting out-of-range values first.
@@ -348,7 +352,7 @@ func newHost(cfg Config, pl placement) (*Host, error) {
 		eng = sim.NewEngine(cfg.Seed)
 	}
 	h := &Host{cfg: cfg, pl: pl, eng: eng}
-	h.housekeepingFn = h.housekeeping
+	h.housekeepingFn, h.sampleTickFn = h.housekeeping, h.sampleTick
 	h.mmu = iommu.New(iommu.Config{L3Size: cfg.PTcacheL3})
 	h.walker = pcie.NewWalker(h.eng, cfg.Lm)
 	h.bus = mem.New(h.eng)
@@ -554,10 +558,10 @@ func (h *Host) Start() {
 		h.ctl.Start()
 	}
 	h.eng.After(200*sim.Microsecond, h.housekeepingFn)
-	// The sampler starts last: its read-only ticks interleave after the
+	// The timeline ticks last: its read-only ticks interleave after the
 	// workload events already scheduled at each timestamp.
-	if h.tele != nil && h.tele.sampler != nil {
-		h.tele.sampler.Start()
+	if every := h.cfg.Telemetry.SampleEvery; every > 0 {
+		h.eng.After(every, h.sampleTickFn)
 	}
 }
 

@@ -54,12 +54,11 @@ type Results struct {
 	Retransmits int64
 
 	// Capability-family accounting over the window: DMA validations
-	// against a capability table, grants killed (revokes plus
-	// overwriting re-grants), and DMAs denied for want of a grant. All
-	// zero outside the cap/cap-lazyrevoke modes.
+	// against a capability table and grants killed (revokes plus
+	// overwriting re-grants). Both zero outside the cap/cap-lazyrevoke
+	// modes.
 	CapChecks      int64
 	CapRevocations int64
-	CapDenied      int64
 
 	// Request/response workload outputs.
 	Completed  int64
@@ -79,10 +78,9 @@ type Results struct {
 	// overflow path that marks where the rcache stops absorbing churn.
 	IOVA iova.Stats
 
-	// Timeline is the sampled per-interval series restricted to the
-	// measurement window, in probe-registration order; nil unless
-	// Telemetry.SampleEvery was configured.
-	Timeline []stats.Series
+	// Timeline is the samples whose At lies in the measurement window;
+	// nil unless Telemetry.SampleEvery was configured.
+	Timeline []Sample
 
 	// Devices is the per-device breakdown, in Devices() order (primary
 	// NIC first). Summing each device's share of the shared-IOMMU counters
@@ -122,19 +120,7 @@ type DeviceResults struct {
 	// device has no ATC attached.
 	ATSLookups       int64
 	ATSHitRate       float64 // ATC hits / lookups
-	ATSRequests      int64   // translation requests the misses sent to the IOMMU
 	ATCInvalidations int64   // ATC shoot-down requests the host issued
-	StaleATSHits     int64   // hits served while the host mapping was gone
-
-	// Capability-table activity for the device's domain; zero outside
-	// the capability modes.
-	CapChecks      int64
-	CapRevocations int64
-	CapDenied      int64
-
-	// Safety is the device domain's translation audit for the window;
-	// nil unless the auditor ran.
-	Safety *fault.SafetyReport
 }
 
 // Percentiles returns P50/P90/P99/P99.9/P99.99 exchange latencies in ns.
@@ -180,7 +166,8 @@ type devSnap struct {
 	ats ats.Counters // device-side ATS cache (zero without an ATC)
 }
 
-// snapshot captures every counter the measurement window diffs.
+// snapshot captures every counter the measurement window diffs at its
+// edges and the timeline at every tick.
 type snapshot struct {
 	at      sim.Time
 	mmu     iommu.Counters
@@ -188,7 +175,6 @@ type snapshot struct {
 	hostC   hostCounters
 	devs    []devSnap
 	aud     fault.SafetyReport
-	audDev  []fault.SafetyReport
 	faultC  fault.Counters
 	coreBsy []sim.Duration
 	rxBusy  sim.Duration
@@ -228,12 +214,7 @@ func (h *Host) snap() snapshot {
 		}
 		s.devs = append(s.devs, ds)
 	}
-	if h.aud != nil {
-		s.aud = h.aud.Report()
-		for _, d := range h.devices {
-			s.audDev = append(s.audDev, h.aud.ReportOf(d.Domain().ID()))
-		}
-	}
+	s.aud = h.aud.Report()
 	s.faultC = h.inj.Counters()
 	for _, c := range h.cores {
 		s.coreBsy = append(s.coreBsy, c.BusyTime())
@@ -346,7 +327,6 @@ func (h *Host) results(before, after snapshot) Results {
 	r.InvRequests = after.mmu.InvRequests - before.mmu.InvRequests
 	r.CapChecks = after.mmu.CapChecks - before.mmu.CapChecks
 	r.CapRevocations = after.mmu.CapRevocations - before.mmu.CapRevocations
-	r.CapDenied = after.mmu.CapDenied - before.mmu.CapDenied
 	r.Retransmits = after.sndRtx - before.sndRtx
 	r.Timeouts = after.sndTo - before.sndTo
 	r.Completed = after.msg.completed - before.msg.completed
@@ -364,9 +344,7 @@ func (h *Host) results(before, after snapshot) Results {
 			r.Latency = r.ServeLatency
 		}
 	}
-	if h.tele != nil && h.tele.sampler != nil {
-		r.Timeline = h.tele.sampler.SeriesWindow(before.at, after.at)
-	}
+	r.Timeline = h.timelineWindow(before.at, after.at)
 
 	// Devices are built only in New, so both snapshots list the same
 	// devices.
@@ -383,20 +361,10 @@ func (h *Host) results(before, after snapshot) Results {
 			Invalidations: a.mmu.InvRequests - b.mmu.InvRequests,
 
 			ATSLookups:       a.ats.Lookups - b.ats.Lookups,
-			ATSRequests:      a.mmu.ATSRequests - b.mmu.ATSRequests,
 			ATCInvalidations: a.mmu.ATCInvRequests - b.mmu.ATCInvRequests,
-			StaleATSHits:     a.ats.StaleHits - b.ats.StaleHits,
-
-			CapChecks:      a.mmu.CapChecks - b.mmu.CapChecks,
-			CapRevocations: a.mmu.CapRevocations - b.mmu.CapRevocations,
-			CapDenied:      a.mmu.CapDenied - b.mmu.CapDenied,
 		}
 		if dr.ATSLookups > 0 {
 			dr.ATSHitRate = float64(a.ats.Hits-b.ats.Hits) / float64(dr.ATSLookups)
-		}
-		if h.aud != nil {
-			sr := after.audDev[i].Sub(before.audDev[i])
-			dr.Safety = &sr
 		}
 		r.Devices = append(r.Devices, dr)
 	}

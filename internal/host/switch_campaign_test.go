@@ -95,11 +95,6 @@ func TestSwitchCampaignSingleEngine(t *testing.T) {
 			if v := a.Safety.Violations(); v != 0 {
 				t.Fatalf("%d stale DMAs served across %v<->%v transitions", v, start, mid)
 			}
-			for _, d := range a.Devices {
-				if d.Safety != nil && d.Safety.Violations() != 0 {
-					t.Fatalf("device %s served %d stale DMAs", d.Name, d.Safety.Violations())
-				}
-			}
 			if a.FaultsInjected == 0 {
 				t.Fatal("campaign injected nothing — the sweep is vacuous")
 			}

@@ -8,15 +8,15 @@ import (
 )
 
 // TelemetryConfig configures the host's observation layer. Everything it
-// enables is strictly read-only over simulation state: probes never
-// schedule work, mutate layers, or consume engine randomness, so any
-// telemetry setting produces byte-identical simulation results to running
-// without it (the golden tests lock this down).
+// enables is strictly read-only over simulation state: probes and
+// timeline ticks schedule no work (a tick only its successor), mutate no
+// layer and consume no engine randomness, so any telemetry setting
+// produces byte-identical simulation results to running without it (the
+// golden tests lock this down).
 type TelemetryConfig struct {
-	// SampleEvery, when positive, runs the virtual-time sampler at this
-	// interval, recording the per-interval time series behind
-	// Results.Timeline (goodput, miss rates, walk reads, cwnd, core
-	// utilisation, invalidation-queue depth, memory-bus utilisation).
+	// SampleEvery, when positive, appends one Sample to the timeline at
+	// this interval of virtual time; Results.Timeline is the window's
+	// share of it.
 	SampleEvery sim.Duration
 	// TraceL3 records the primary NIC domain's PTcache-L3 reuse-distance
 	// trace (the paper's locality figures).
@@ -26,10 +26,9 @@ type TelemetryConfig struct {
 }
 
 // Telemetry is the host's metrics spine: one Registry every simulator
-// layer registers its typed probe points into, plus (when configured) the
-// virtual-time Sampler recording time series across the run. A
-// standalone host owns its registry; the hosts of a cluster shard share
-// theirs, each naming its instruments under its "hostN." prefix.
+// layer registers its typed probe points into. A standalone host owns
+// its registry; the hosts of a cluster shard share theirs, each naming
+// its instruments under its "hostN." prefix.
 //
 // Layer namespaces in the registry:
 //
@@ -53,23 +52,20 @@ type TelemetryConfig struct {
 //	fault.*             injected-fault tallies (only with a fault plan)
 //	audit.*             translation safety audit (only when auditing)
 type Telemetry struct {
-	h       *Host
-	reg     *stats.Registry
-	prefix  string
-	sampler *stats.Sampler
+	reg    *stats.Registry
+	prefix string
 }
 
 // name applies the host's instrument-name prefix (empty outside clusters).
 func (t *Telemetry) name(s string) string { return t.prefix + s }
 
-// newTelemetry wires the registry over every layer already built and,
-// when sampling is configured, registers the timeline probes.
+// newTelemetry wires the registry over every layer already built.
 func newTelemetry(h *Host) *Telemetry {
 	reg := h.pl.reg
 	if reg == nil {
 		reg = stats.NewRegistry()
 	}
-	t := &Telemetry{h: h, reg: reg, prefix: h.pl.prefix}
+	t := &Telemetry{reg: reg, prefix: h.pl.prefix}
 	r := t.reg
 	r.GaugeFunc(t.name("engine.fired"), func() float64 { return float64(h.eng.Fired()) })
 	r.GaugeFunc(t.name("engine.pending"), func() float64 { return float64(h.eng.Pending()) })
@@ -80,10 +76,6 @@ func newTelemetry(h *Host) *Telemetry {
 	h.aud.RegisterProbes(r, t.name("audit.")) // nil-safe: absent unless auditing
 	for _, d := range h.devices {
 		t.addDevice(d)
-	}
-	if every := h.cfg.Telemetry.SampleEvery; every > 0 {
-		t.sampler = stats.NewSampler(h.eng, every)
-		t.addSamplerProbes()
 	}
 	return t
 }
@@ -117,62 +109,6 @@ func (t *Telemetry) addDevice(d Device) {
 // cluster flows as they connect.
 func (t *Telemetry) addFlow(n *netDev, f *flow) {
 	f.snd.RegisterProbes(t.reg, fmt.Sprintf("%s.%s%d.", t.name(n.name), f.kind(), f.id))
-}
-
-// addSamplerProbes registers the timeline series. Probe order fixes the
-// Series() order, so it is part of the output format.
-func (t *Telemetry) addSamplerProbes() {
-	h, s := t.h, t.sampler
-	// Goodput accounting matches Results.RxGbps: primary-NIC bulk
-	// deliveries, plus message payload when the local host is the client
-	// (bulk inbound responses).
-	goodput := func() int64 {
-		b := h.net.c.rxDeliveredBytes
-		if h.msgs != nil && !h.msgs.inbound {
-			b += h.msgs.n.bytes
-		}
-		return b
-	}
-	s.Probe("rx_gbps", stats.GbpsProbe(goodput))
-	s.Probe("tx_gbps", stats.GbpsProbe(func() int64 { return h.net.c.txDeliveredBytes }))
-	// The miss-rate normaliser is Results.PagesRxed's: all payload moved
-	// in the interval, in 4KB pages.
-	s.Probe("iotlb_miss_per_pg", stats.PerPageProbe(
-		func() int64 { return h.mmu.Counters().IOTLBMisses }, h.payloadBytes))
-	s.Probe("ptcache_miss_per_pg", stats.PerPageProbe(
-		func() int64 {
-			c := h.mmu.Counters()
-			return c.L1Misses + c.L2Misses + c.L3Misses
-		}, h.payloadBytes))
-	s.Probe("walk_reads", stats.DeltaProbe(func() int64 { return h.mmu.Counters().MemReads }))
-	s.Probe("inv_reqs", stats.DeltaProbe(func() int64 { return h.mmu.Counters().InvRequests }))
-	s.GaugeProbe("cwnd_mean", h.meanCwnd)
-	var prevBusy []sim.Duration
-	s.Probe("core_util_max", func(dt sim.Duration) float64 {
-		var peak float64
-		for i, c := range h.cores {
-			var prev sim.Duration
-			if i < len(prevBusy) {
-				prev = prevBusy[i]
-			}
-			if u := float64(c.BusyTime()-prev) / float64(dt); u > peak {
-				peak = u
-			}
-		}
-		prevBusy = prevBusy[:0]
-		for _, c := range h.cores {
-			prevBusy = append(prevBusy, c.BusyTime())
-		}
-		return peak
-	})
-	s.GaugeProbe("invq_depth", func() float64 {
-		var n int
-		for _, d := range h.devices {
-			n += d.Domain().PendingDeferred()
-		}
-		return float64(n)
-	})
-	s.GaugeProbe("mem_util", h.bus.PeekUtilization)
 }
 
 // Telemetry returns the host's metrics spine.

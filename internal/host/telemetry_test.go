@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -52,62 +53,53 @@ func TestSamplingIsSideEffectFree(t *testing.T) {
 	}
 }
 
+// TestTimelineRecorded: the window's samples tile it at SampleEvery, and
+// each counter series sums to the window's own total, since both are
+// diffs of the same snapshots.
 func TestTimelineRecorded(t *testing.T) {
-	h, err := New(sampledConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	warmup, measure := 2*sim.Millisecond, 4*sim.Millisecond
-	r := h.Run(warmup, measure)
-
-	wantOrder := []string{"rx_gbps", "tx_gbps", "iotlb_miss_per_pg", "ptcache_miss_per_pg",
-		"walk_reads", "inv_reqs", "cwnd_mean", "core_util_max", "invq_depth", "mem_util"}
-	if len(r.Timeline) != len(wantOrder) {
-		t.Fatalf("timeline has %d series, want %d", len(r.Timeline), len(wantOrder))
-	}
-	for i, s := range r.Timeline {
-		if s.Name != wantOrder[i] {
-			t.Fatalf("series %d = %q, want %q", i, s.Name, wantOrder[i])
+	for _, mode := range []core.Mode{core.Strict, core.FNS} {
+		cfg := sampledConfig()
+		cfg.Mode = mode
+		h, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(s.Times) != 20 { // 4ms window / 200us interval
-			t.Fatalf("series %q has %d points, want 20", s.Name, len(s.Times))
+		r := h.Run(warmup, measure)
+		if len(r.Timeline) != 20 { // 4ms window / 200us interval
+			t.Fatalf("%v: window holds %d samples, want 20", mode, len(r.Timeline))
 		}
-		for _, at := range s.Times {
-			if at <= warmup || at > warmup+measure {
-				t.Fatalf("series %q sample at %v outside measure window", s.Name, at)
+		var rx float64
+		var walks, invs int64
+		for i, s := range r.Timeline {
+			if want := sim.Time(warmup) + sim.Time(i+1)*sim.Time(cfg.Telemetry.SampleEvery); s.At != want {
+				t.Fatalf("%v: sample %d at %v, want %v", mode, i, s.At, want)
 			}
+			rx += s.RxGbps
+			walks += s.WalkReads
+			invs += s.InvReqs
 		}
-	}
-	var rx float64
-	for _, v := range r.Timeline[0].Values {
-		rx += v
-	}
-	if rx/float64(len(r.Timeline[0].Values)) <= 0 {
-		t.Fatal("rx_gbps series is all zeros under active flows")
-	}
-	// The full-run view includes warmup samples too.
-	full := h.Telemetry().sampler.Series()
-	if len(full[0].Times) <= len(r.Timeline[0].Times) {
-		t.Fatal("the sampler's series should include warmup samples")
+		if rx <= 0 {
+			t.Fatalf("%v: rx_gbps is all zeros under active flows", mode)
+		}
+		if invs != r.InvRequests {
+			t.Errorf("%v: samples' InvReqs sum to %d, window's InvRequests = %d", mode, invs, r.InvRequests)
+		}
+		if want := int64(math.Round(r.ReadsPerPage * r.PagesRxed)); walks != want {
+			t.Errorf("%v: samples' WalkReads sum to %d, window's ReadsPerPage x PagesRxed = %d", mode, walks, want)
+		}
+		if len(h.samples) <= len(r.Timeline) {
+			t.Fatalf("%v: the timeline should include warmup samples", mode)
+		}
 	}
 }
 
-// Sampler output must be invariant under runner parallelism: N sampled
-// simulations fanned across workers produce byte-identical series to a
+// Timeline output must be invariant under runner parallelism: N sampled
+// simulations fanned across workers produce identical samples to a
 // sequential run (this test doubles as the -race exercise for the
 // engine-confined registry).
 func TestSamplerParallelInvariance(t *testing.T) {
-	render := func(r Results) string {
-		out := ""
-		for _, s := range r.Timeline {
-			out += s.Name
-			for i := range s.Times {
-				out += fmt.Sprintf(" %d:%.9g", int64(s.Times[i]), s.Values[i])
-			}
-			out += "\n"
-		}
-		return out
-	}
+	render := func(r Results) string { return fmt.Sprintf("%+v", r.Timeline) }
 	runOne := func() Results {
 		h, err := New(sampledConfig())
 		if err != nil {
@@ -115,10 +107,11 @@ func TestSamplerParallelInvariance(t *testing.T) {
 		}
 		return h.Run(sim.Millisecond, 3*sim.Millisecond)
 	}
-	want := render(runOne())
-	if want == "" {
+	ref := runOne()
+	if len(ref.Timeline) == 0 {
 		t.Fatal("reference run recorded no timeline")
 	}
+	want := render(ref)
 
 	jobs := make([]runner.Job[string], 6)
 	for i := range jobs {
@@ -185,35 +178,27 @@ func TestMemHogStartDelaysOnset(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := h.Run(2*sim.Millisecond, 4*sim.Millisecond)
-	var memUtil []float64
-	for _, s := range r.Timeline {
-		if s.Name == "mem_util" {
-			memUtil = s.Values
-		}
-	}
-	n := len(memUtil)
+	n := len(r.Timeline)
 	if n < 4 {
-		t.Fatalf("mem_util series too short: %d", n)
+		t.Fatalf("timeline too short: %d samples", n)
 	}
 	// The hog lands mid-window, so contention (and the knock-on workload
 	// collapse) shows up only in the second half: its peak utilisation
 	// must clearly exceed anything seen before onset.
-	peak := func(v []float64) float64 {
+	peak := func(v []Sample) float64 {
 		m := 0.0
-		for _, x := range v {
-			if x > m {
-				m = x
-			}
+		for _, s := range v {
+			m = max(m, s.MemUtil)
 		}
 		return m
 	}
-	before, after := peak(memUtil[:n/2]), peak(memUtil[n/2:])
+	before, after := peak(r.Timeline[:n/2]), peak(r.Timeline[n/2:])
 	if after <= before+0.05 {
 		t.Fatalf("mem_util did not rise after hog onset: peak before=%.3f after=%.3f", before, after)
 	}
 }
 
-// TestTimelineMissRatesCountServingPayload: the sampler's per-page miss
+// TestTimelineMissRatesCountServingPayload: the timeline's per-page miss
 // rates share Results.PagesRxed's normaliser, serving payload included,
 // so on a serving-only host every interval that walked the page table
 // reports a nonzero miss rate.
@@ -221,24 +206,17 @@ func TestTimelineMissRatesCountServingPayload(t *testing.T) {
 	cfg := servingConfig(core.Strict, 0.3, 1, 1)
 	cfg.Telemetry.SampleEvery = 500 * sim.Microsecond
 	r := runServing(t, cfg, sim.Millisecond, 3*sim.Millisecond)
-	series := map[string][]float64{}
-	for _, s := range r.Timeline {
-		series[s.Name] = s.Values
-	}
-	walks := series["walk_reads"]
-	if len(walks) == 0 {
-		t.Fatal("no walk_reads series sampled")
+	if len(r.Timeline) == 0 {
+		t.Fatal("no timeline sampled")
 	}
 	walked := 0
-	for i, w := range walks {
-		if w == 0 {
+	for i, s := range r.Timeline {
+		if s.WalkReads == 0 {
 			continue
 		}
 		walked++
-		for _, name := range []string{"iotlb_miss_per_pg", "ptcache_miss_per_pg"} {
-			if v := series[name][i]; v <= 0 {
-				t.Errorf("interval %d: %v walk reads but %s = %v", i, w, name, v)
-			}
+		if s.IOTLBMissPerPage <= 0 || s.PTcacheMissPerPage <= 0 {
+			t.Errorf("interval %d: %d walk reads but miss rates %+v", i, s.WalkReads, s)
 		}
 	}
 	if walked == 0 {

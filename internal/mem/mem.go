@@ -106,10 +106,10 @@ func (b *Bus) LatencyFactor() float64 {
 }
 
 // PeekUtilization returns the utilisation EWMA as last folded, without
-// rolling the window. Unlike Utilization it never mutates the bus, so the
-// telemetry sampler can read it without perturbing the (deterministic)
-// roll schedule; on a busy bus Consume rolls constantly, keeping the
-// peeked value at most one window stale.
+// rolling the window. Unlike Utilization it never mutates the bus, so a
+// timeline tick or a registry probe can read it without perturbing the
+// (deterministic) roll schedule; on a busy bus Consume rolls constantly,
+// keeping the peeked value at most one window stale.
 func (b *Bus) PeekUtilization() float64 { return b.util }
 
 // RegisterProbes exposes the bus through the registry under prefix
@@ -124,14 +124,13 @@ func (b *Bus) RegisterProbes(r *stats.Registry, prefix string) {
 // application, e.g. a streaming analytics job).
 type Hog struct {
 	bus      *Bus
-	gbps     float64
 	chunk    int
 	interval sim.Duration
 }
 
 // NewHog starts a hog consuming gbps (decimal GB/s) in 64KB chunks.
 func NewHog(bus *Bus, gbps float64) *Hog {
-	h := &Hog{bus: bus, gbps: gbps, chunk: 64 << 10}
+	h := &Hog{bus: bus, chunk: 64 << 10}
 	h.interval = sim.Duration(float64(h.chunk) / gbps) // bytes per (B/ns)
 	bus.eng.After(h.interval, h.tick)
 	return h

@@ -89,8 +89,9 @@ type page struct {
 // ReclaimedPage describes a page-table page freed by an unmap operation.
 // Level is the page's own level (2, 3 or 4 — the root is never freed), Key
 // is the IOVA prefix that selects it (L1Key for a level-2 page, L2Key for
-// level-3, L3Key for level-4), and ID is the unique page identity, which
-// cache simulations use to detect stale (use-after-reclaim) entries.
+// level-3, L3Key for level-4), and ID is the unique page identity. Only
+// TestPropertyLeavesTrackTheWalk reads ID, to check that no leaf of a
+// reclaimed page reads live.
 type ReclaimedPage struct {
 	Level int
 	Key   uint64

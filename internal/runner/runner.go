@@ -28,12 +28,6 @@ import (
 // Job computes one result.
 type Job[R any] func() (R, error)
 
-// Result is one job's outcome.
-type Result[R any] struct {
-	Value R
-	Err   error
-}
-
 // ErrSkipped is the failure Collect records for a job it never started
 // because an earlier one failed.
 var ErrSkipped = errors.New("runner: job skipped after an earlier failure")
@@ -58,8 +52,7 @@ type Config struct {
 }
 
 // PanicError is the failure recorded for a job that panicked. The
-// panicking goroutine is the worker's, so the process survives and the
-// remaining jobs keep running.
+// panicking goroutine is the worker's, so the process survives.
 type PanicError struct {
 	Index int    // job index
 	Value any    // the recovered panic value
@@ -70,34 +63,14 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v", e.Index, e.Value)
 }
 
-// All runs every job on a bounded worker pool and returns one Result per
-// job, with results[i] holding job i's outcome regardless of completion
-// order. Job failures do not stop the run.
-func All[R any](cfg Config, jobs []Job[R]) []Result[R] {
-	out, _ := run(cfg, jobs, false)
-	return out
-}
-
-// Collect is the fail-fast variant sweeps use: it runs the jobs until one
-// fails, skips the jobs not yet started then (recording ErrSkipped and
-// reporting them through OnProgress), and returns the values in job
-// order alongside the first failure observed (nil when all succeed).
-// Values of failed or skipped jobs are zero.
+// Collect runs the jobs on a bounded worker pool until one fails, skips
+// the jobs not yet started then (recording ErrSkipped and reporting them
+// through OnProgress), and returns the values in job order, whatever the
+// completion order, alongside the first failure observed (nil when all
+// succeed). Values of failed or skipped jobs are zero.
 func Collect[R any](cfg Config, jobs []Job[R]) ([]R, error) {
-	results, first := run(cfg, jobs, true)
-	out := make([]R, len(results))
-	for i, r := range results {
-		out[i] = r.Value
-	}
-	return out, first
-}
-
-// run runs the jobs on the pool and returns their results and the first
-// failure observed; with failFast, a job handed out after that failure
-// is skipped.
-func run[R any](cfg Config, jobs []Job[R], failFast bool) ([]Result[R], error) {
 	n := len(jobs)
-	out := make([]Result[R], n)
+	out := make([]R, n)
 	if n == 0 {
 		return out, nil
 	}
@@ -112,16 +85,17 @@ func run[R any](cfg Config, jobs []Job[R], failFast bool) ([]Result[R], error) {
 	var mu sync.Mutex // guards next, done, first, out writes, OnProgress
 	next, done := 0, 0
 	var first error
-	finish := func(i int, r Result[R]) {
+	finish := func(i int, v R, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		out[i] = r
-		done++
-		if first == nil {
-			first = r.Err
+		if err == nil {
+			out[i] = v
+		} else if first == nil {
+			first = err
 		}
+		done++
 		if cfg.OnProgress != nil {
-			cfg.OnProgress(Progress{Index: i, Done: done, Total: n, Err: r.Err})
+			cfg.OnProgress(Progress{Index: i, Done: done, Total: n, Err: err})
 		}
 	}
 
@@ -134,16 +108,17 @@ func run[R any](cfg Config, jobs []Job[R], failFast bool) ([]Result[R], error) {
 				mu.Lock()
 				i := next
 				next++
-				skip := failFast && first != nil
+				skip := first != nil
 				mu.Unlock()
 				if i >= n {
 					return
 				}
-				if skip {
-					finish(i, Result[R]{Err: ErrSkipped})
-					continue
+				var v R
+				err := ErrSkipped
+				if !skip {
+					v, err = runOne(i, jobs[i])
 				}
-				finish(i, runOne(i, jobs[i]))
+				finish(i, v, err)
 			}
 		}()
 	}
@@ -152,12 +127,11 @@ func run[R any](cfg Config, jobs []Job[R], failFast bool) ([]Result[R], error) {
 }
 
 // runOne executes one job with panic capture.
-func runOne[R any](i int, job Job[R]) (res Result[R]) {
+func runOne[R any](i int, job Job[R]) (v R, err error) {
 	defer func() {
-		if v := recover(); v != nil {
-			res = Result[R]{Err: &PanicError{Index: i, Value: v, Stack: debug.Stack()}}
+		if p := recover(); p != nil {
+			err = &PanicError{Index: i, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	v, err := job()
-	return Result[R]{Value: v, Err: err}
+	return job()
 }

@@ -36,13 +36,13 @@ func TestOrderingUnderShuffledCompletion(t *testing.T) {
 			return fmt.Sprintf("job-%d", i), nil
 		}
 	}
-	results := All(cfg, jobs)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
-		}
-		if want := fmt.Sprintf("job-%d", i); r.Value != want {
-			t.Fatalf("results[%d] = %q, want %q", i, r.Value, want)
+	vals, err := Collect(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if want := fmt.Sprintf("job-%d", i); v != want {
+			t.Fatalf("vals[%d] = %q, want %q", i, v, want)
 		}
 	}
 	for k, idx := range completions {
@@ -52,26 +52,9 @@ func TestOrderingUnderShuffledCompletion(t *testing.T) {
 	}
 }
 
-func TestAllRunsEveryJob(t *testing.T) {
-	var ran atomic.Int64
-	jobs := make([]Job[int], 20)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() (int, error) { ran.Add(1); return i * i, nil }
-	}
-	results := All(Config{Workers: 4}, jobs)
-	if ran.Load() != 20 {
-		t.Fatalf("ran %d jobs, want 20", ran.Load())
-	}
-	for i, r := range results {
-		if r.Value != i*i {
-			t.Fatalf("results[%d] = %d", i, r.Value)
-		}
-	}
-}
-
 // TestPanicIsolation: a panicking job must fail its own slot with a
-// PanicError and leave every other job untouched.
+// PanicError, and every other job either returns its own value or is
+// skipped.
 func TestPanicIsolation(t *testing.T) {
 	jobs := make([]Job[int], 5)
 	for i := range jobs {
@@ -83,17 +66,18 @@ func TestPanicIsolation(t *testing.T) {
 			return i, nil
 		}
 	}
-	results := All(Config{Workers: 2}, jobs)
+	errs := make([]error, len(jobs))
+	vals, _ := Collect(Config{Workers: 2, OnProgress: func(p Progress) { errs[p.Index] = p.Err }}, jobs)
 	var pe *PanicError
-	if !errors.As(results[2].Err, &pe) {
-		t.Fatalf("results[2].Err = %v, want *PanicError", results[2].Err)
+	if !errors.As(errs[2], &pe) {
+		t.Fatalf("job 2 failed with %v, want *PanicError", errs[2])
 	}
 	if pe.Index != 2 || pe.Value != "simulated simulation bug" || len(pe.Stack) == 0 {
 		t.Fatalf("PanicError = %+v", pe)
 	}
-	for i, r := range results {
-		if i != 2 && (r.Err != nil || r.Value != i) {
-			t.Fatalf("results[%d] = %+v, want clean %d", i, r, i)
+	for i, v := range vals {
+		if i != 2 && !(errs[i] == nil && v == i) && !(errs[i] == ErrSkipped && v == 0) {
+			t.Fatalf("job %d: value %d, err %v, want clean %d or skipped", i, v, errs[i], i)
 		}
 	}
 }
@@ -118,7 +102,9 @@ func TestProgressSerialised(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = func() (struct{}, error) { return struct{}{}, nil }
 	}
-	All(cfg, jobs)
+	if _, err := Collect(cfg, jobs); err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != n {
 		t.Fatalf("reported %d indices, want %d", len(seen), n)
 	}
@@ -192,8 +178,8 @@ func TestCollectPanicBecomesError(t *testing.T) {
 
 // TestEmptyAndDefaults: zero jobs and the zero Config must both be safe.
 func TestEmptyAndDefaults(t *testing.T) {
-	if got := All[int](Config{}, nil); len(got) != 0 {
-		t.Fatalf("All(nil) = %v", got)
+	if got, err := Collect[int](Config{}, nil); len(got) != 0 || err != nil {
+		t.Fatalf("Collect(nil) = %v, %v", got, err)
 	}
 	vals, err := Collect(Config{}, []Job[int]{
 		func() (int, error) { return 7, nil },

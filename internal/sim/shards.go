@@ -230,8 +230,8 @@ func comparePosts(a, b post) int {
 }
 
 // Run executes all shards up to and including deadline, then aligns every
-// engine's clock to the deadline (mirroring Engine.Run so per-shard
-// samplers and snapshots observe the same virtual instant). It may be
+// engine's clock to the deadline (mirroring Engine.Run so every shard's
+// snapshots observe the same virtual instant). It may be
 // called repeatedly with increasing deadlines — the cluster runner uses
 // one call for warm-up and one for the measurement window, taking
 // snapshots at the barrier in between.

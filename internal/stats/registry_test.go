@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"fastsafe/internal/sim"
 )
 
 func TestRegistryCreateOnFirstUse(t *testing.T) {
@@ -166,74 +164,6 @@ func TestHistogramQuantileMatchesSortedOracle(t *testing.T) {
 	}
 	if h.Quantile(0) != h.min || h.Quantile(1) != h.max {
 		t.Fatal("extreme quantiles must return min/max")
-	}
-}
-
-func TestSamplerSeriesAndWindow(t *testing.T) {
-	e := sim.NewEngine(1)
-	s := NewSampler(e, 10)
-	var ticks int64
-	s.Probe("dt", func(dt sim.Duration) float64 { ticks++; return float64(dt) })
-	s.GaugeProbe("now", func() float64 { return float64(e.Now()) })
-	s.Probe("delta", DeltaProbe(func() int64 { return 3 * ticks }))
-	s.Start()
-	e.Run(45)
-
-	series := s.Series()
-	if len(series) != 3 {
-		t.Fatalf("got %d series, want 3", len(series))
-	}
-	if got := series[0]; got.Name != "dt" || len(got.Times) != 4 {
-		t.Fatalf("series[0] = %+v, want 4 ticks of dt", got)
-	}
-	for i, at := range []sim.Time{10, 20, 30, 40} {
-		if series[1].Times[i] != at || series[1].Values[i] != float64(at) {
-			t.Fatalf("tick %d: got t=%v v=%v, want %v", i, series[1].Times[i], series[1].Values[i], at)
-		}
-	}
-	// DeltaProbe: first tick sees the full cumulative value, then +3 each.
-	if series[2].Values[0] != 3 || series[2].Values[3] != 3 {
-		t.Fatalf("delta series = %v, want all 3s", series[2].Values)
-	}
-
-	w := s.SeriesWindow(10, 30)
-	if len(w[1].Times) != 2 || w[1].Times[0] != 20 || w[1].Times[1] != 30 {
-		t.Fatalf("window (10,30] times = %v, want [20 30]", w[1].Times)
-	}
-}
-
-func TestSamplerProbeAfterStartPanics(t *testing.T) {
-	e := sim.NewEngine(1)
-	s := NewSampler(e, 5)
-	s.Start()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Probe after Start did not panic")
-		}
-	}()
-	s.Probe("late", func(sim.Duration) float64 { return 0 })
-}
-
-func TestProbeAdapters(t *testing.T) {
-	var bytes int64
-	gp := GbpsProbe(func() int64 { return bytes })
-	bytes = 1250 // 1250 B over 100 ns = 100 Gbps
-	if got := gp(100); got != 100 {
-		t.Fatalf("GbpsProbe = %v, want 100", got)
-	}
-	bytes += 2500
-	if got := gp(100); got != 200 {
-		t.Fatalf("GbpsProbe second interval = %v, want 200", got)
-	}
-
-	var misses, moved int64
-	pp := PerPageProbe(func() int64 { return misses }, func() int64 { return moved })
-	misses, moved = 8, 4*4096
-	if got := pp(0); got != 2 {
-		t.Fatalf("PerPageProbe = %v, want 2", got)
-	}
-	if got := pp(0); got != 0 {
-		t.Fatalf("PerPageProbe with no growth = %v, want 0", got)
 	}
 }
 

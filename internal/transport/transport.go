@@ -49,7 +49,6 @@ type SenderStats struct {
 	Retransmits int64
 	FastRtx     int64
 	Timeouts    int64
-	AckedECN    int64 // segments acked under ECN echo
 }
 
 // Sender is one flow's congestion-controlled sender.
@@ -171,7 +170,6 @@ func (s *Sender) OnAck(a Ack, now sim.Time) int64 {
 	s.ackedWin += acked
 	if a.ECNEcho {
 		s.ecnSeen += acked
-		s.stats.AckedECN += acked
 	}
 	if s.una >= s.windowEnd {
 		f := 0.0
