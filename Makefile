@@ -1,10 +1,14 @@
-# Targets mirror the CI jobs in .github/workflows/ci.yml — `make ci`
-# runs the same gate locally.
+# Targets mirror the CI jobs in .github/workflows/ci.yml, flags and
+# timeouts included: each job runs its target, so `make ci` runs the same
+# gate locally. The build job's darwin/arm64 cross-compile and the lint
+# job stay inline in the workflow (`make lint` skips a missing analyzer,
+# which CI must not).
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench fuzz faults churn-gauntlet \
-	scale-gate cover reach examples golden-check simbench-check lint ci
+.PHONY: all build vet fmt fmt-check test race race-all race-sharded bench figures \
+	fuzz faults churn-gauntlet scale-gate cover reach examples golden-check \
+	simbench-check lint ci
 
 all: build
 
@@ -25,21 +29,37 @@ fmt-check:
 	fi
 
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -shuffle=on -timeout 15m ./...
 
-# The shard coordinator's tests run ten more times under the detector,
-# as in CI's sharded-equivalence cell: a busy round hands engines between
-# goroutines, and the tests cover rounds on the caller and handed off.
-race:
-	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestShards' ./internal/sim
+# CI's race matrix, one target per cell. race-all runs every package
+# under the detector but the sharded-vs-unsharded equivalence suite, the
+# heaviest race workload, which race-sharded runs in its own cell with
+# the sharded registry and controller tests; the shard coordinator's
+# tests then run ten more times, since a busy round hands engines
+# between goroutines and the tests cover rounds on the caller and
+# handed off.
+race: race-all race-sharded
+
+race-all:
+	$(GO) test -race -timeout 25m -skip 'TestShardedUnshardedEquivalence' ./...
+
+race-sharded:
+	$(GO) test -race -timeout 25m -run 'TestShardedUnshardedEquivalence|TestShardedRegistryDeterminism|TestClusterControllersShareRegistry' -v ./internal/host
+	$(GO) test -race -count=10 -timeout 10m -run 'TestShards' ./internal/sim
 
 # Compile and run every benchmark exactly once so they cannot bit-rot,
 # printing allocs/op (the sim, iommu, iova, ptable, stats and core
 # benchmarks' allocation counts); use `go test -bench=. -benchmem ./...`
 # for real measurements.
 bench:
-	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem ./...
+	$(GO) test -run=NoTests -bench=. -benchtime=1x -benchmem -timeout 20m ./...
+
+# The figures the bench-smoke CI job regenerates and uploads, one quick
+# JSON each; multidev's is published as BENCH_multidevice.json.
+FIGURES := multidev timeline faults cluster rdma capability serving adaptive
+
+figures: $(addprefix bench-,$(FIGURES))
+	mv BENCH_multidev.json BENCH_multidevice.json
 
 # Mirrors the CI fuzz job, 30 s per target (go test fuzzes one target a
 # call): the IOMMU's LRU caches against an independently written oracle,
@@ -55,11 +75,13 @@ fuzz:
 bench-%:
 	$(GO) run ./cmd/fsbench -fig $* -quick -json > BENCH_$*.json
 
-# The CI cluster-scale gate: asserts the sharded engine's >= 1.5x
-# wall-clock speedup at 4 shards / 64 hosts. Needs >= 4 idle cores; the
-# test skips itself otherwise.
+# The CI cluster-scale job: asserts the sharded engine's >= 1.5x
+# wall-clock speedup at 4 shards / 64 hosts (needs >= 4 idle cores; the
+# test skips itself otherwise), then writes the 64/128/256-host figure
+# as BENCH_clusterscale.json.
 scale-gate:
-	CLUSTER_SCALE_GATE=1 $(GO) test -run TestClusterScaleSpeedup -v ./internal/host
+	CLUSTER_SCALE_GATE=1 $(GO) test -timeout 20m -run TestClusterScaleSpeedup -v ./internal/host
+	$(GO) run ./cmd/fsbench -fig clusterscale -quick -json > BENCH_clusterscale.json
 
 # The fault-campaign gate, and all of CI's fault-campaign job: safety
 # figure, the replay-determinism and safety-property sweeps, and the
@@ -75,13 +97,13 @@ faults: bench-faults
 # (strict/fns/cap at churn 0.3, zero stale-served DMAs). FAULT_SEEDS
 # widens the campaign exactly like `faults`.
 churn-gauntlet: bench-serving
-	$(GO) test -race -run 'TestCohortExactEquivalence|TestServingDeterminismAndReplay|TestGroupingInvariance|TestDeterministicReplay' ./internal/host ./internal/cohort
-	$(GO) test -run TestServingChurnFaultCampaign ./internal/host
+	$(GO) test -race -timeout 20m -run 'TestCohortExactEquivalence|TestServingDeterminismAndReplay|TestGroupingInvariance|TestDeterministicReplay' -v ./internal/host ./internal/cohort
+	$(GO) test -timeout 30m -run TestServingChurnFaultCampaign -v ./internal/host
 
 # Coverage with the CI ratchet: fails when total statement coverage falls
 # below ci/coverage_floor.txt. Bump the floor when coverage rises.
 cover:
-	$(GO) test -coverprofile=coverage.out ./...
+	$(GO) test -timeout 15m -coverprofile=coverage.out ./...
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	floor=$$(cat ci/coverage_floor.txt); \
 	echo "total coverage: $${total}% (floor: $${floor}%)"; \
@@ -132,7 +154,7 @@ examples:
 # Regenerate every golden file and fail if any drift from the committed
 # ones — catches accidentally-committed stale goldens.
 golden-check:
-	UPDATE_GOLDEN=1 $(GO) test -run Golden ./internal/core ./internal/experiments ./internal/host ./cmd/fssim ./cmd/fstrace
+	UPDATE_GOLDEN=1 $(GO) test -timeout 15m -run Golden ./internal/core ./internal/experiments ./internal/host ./cmd/fssim ./cmd/fstrace
 	git diff --exit-code
 
 # The simulator benchmark (simbench/) is its own Go module, so the root
@@ -157,4 +179,5 @@ lint:
 		echo "lint: govulncheck not installed, skipping" >&2; \
 	fi
 
-ci: build vet fmt-check lint test race bench fuzz faults churn-gauntlet cover examples golden-check simbench-check
+ci: build vet fmt-check lint test race bench figures fuzz faults churn-gauntlet scale-gate \
+	cover examples golden-check simbench-check

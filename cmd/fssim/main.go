@@ -38,7 +38,8 @@
 // the pattern (incast: everyone sends to host 0; alltoall; pairs),
 // -flowsperpair scales the flow count, -fabricgbps and -oversub shape
 // the fabric. Output is the aggregate line plus one indented line per
-// host; -audit prints each host's safety tally.
+// host; -audit prints each host's safety tally and -control its mode
+// switches.
 //
 // -rdma picks the cluster peer-flow verb: the default sendrecv posts
 // receives on the remote CPU, while read and write are one-sided — the
@@ -123,7 +124,7 @@ func main() {
 	storagedevs := flag.Int("storagedevs", 0, "co-tenant storage devices (default 1 when -storage is set)")
 	nics := flag.Int("nics", 0, "extra co-tenant NIC datapaths")
 	devmode := flag.String("devmode", "", "co-tenant device protection mode (default: -mode)")
-	controlSpec := flag.String("control", "", "adaptive control plane: ';'-separated rules like \"guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=2ms\" plus optional every=<dur>")
+	controlSpec := flag.String("control", "", "adaptive control plane: ';'-separated rules like \"guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=2ms\" plus optional every=<dur>; a rule's metric names an instrument of its own host")
 	faults := flag.String("faults", "", "fault plan: campaign intensity or key=value spec (implies -audit)")
 	flag.Int64Var(&cfg.FaultSeed, "faultseed", 0, "fault-injector seed (0: inherit -seed)")
 	flag.BoolVar(&cfg.Audit, "audit", false, "cross-check every DMA translation against the live page table")
@@ -263,12 +264,7 @@ func main() {
 		if r.Safety != nil {
 			fmt.Printf("safety: %s (%d faults injected)\n", r.Safety, r.FaultsInjected)
 		}
-		if len(r.Control) > 0 {
-			fmt.Printf("control: %d mode switches\n", len(r.Control))
-			for _, d := range r.Control {
-				fmt.Printf("  %s\n", d)
-			}
-		}
+		printControl("control", r)
 		if multidev {
 			fmt.Println(r.DeviceTable())
 		}
@@ -324,7 +320,7 @@ func runSeeds[R any](first int64, seeds, parallel int, run func(seed int64) (R, 
 
 // runCluster simulates cc.Hosts full hosts, each configured as hostCfg,
 // on a switched fabric and prints the aggregate plus per-host results
-// (and per-host safety when auditing).
+// (and per-host serving, safety and control decisions when present).
 func runCluster(cc host.ClusterConfig, hostCfg host.Config, seeds, parallel int, warmup, measure sim.Duration) {
 	results := runSeeds(hostCfg.Seed, seeds, parallel, func(s int64) (host.ClusterResults, error) {
 		c := cc
@@ -348,6 +344,7 @@ func runCluster(cc host.ClusterConfig, hostCfg host.Config, seeds, parallel int,
 			if hr.Safety != nil {
 				fmt.Printf("host%d safety: %s\n", j, hr.Safety)
 			}
+			printControl(fmt.Sprintf("host%d control", j), hr)
 		}
 	}
 }
@@ -358,6 +355,18 @@ func printServing(label string, r host.Results) {
 	us := func(q float64) float64 { return float64(r.ServeLatency.Quantile(q)) / 1e3 }
 	fmt.Printf("%s: served=%d goodput=%.1fGbps p50=%.1fus p99=%.1fus p999=%.1fus deaths=%d expired=%d\n",
 		label, r.ServeCompleted, r.ServeGbps, us(0.50), us(0.99), us(0.999), r.ServeDeaths, r.ServeExpired)
+}
+
+// printControl renders one host's control-plane decision log, if its
+// rules switched any mode: the count, then one indented line each.
+func printControl(label string, r host.Results) {
+	if len(r.Control) == 0 {
+		return
+	}
+	fmt.Printf("%s: %d mode switches\n", label, len(r.Control))
+	for _, d := range r.Control {
+		fmt.Printf("  %s\n", d)
+	}
 }
 
 // printTimeline renders the window's samples as wide CSV: one row per

@@ -67,8 +67,8 @@ var window = []string{"-warmup", "1", "-ms", "3"}
 // several modes and workload shapes, a seed study, co-tenant devices,
 // the timeline CSV, fault campaigns, the control plane, the serving
 // fleet, the locality trace, capability modes and device TLBs, and
-// clusters with every traffic pattern, both one-sided verbs and two
-// shards.
+// clusters with every traffic pattern, both one-sided verbs, two shards
+// and each host's control decisions.
 var goldenRuns = []struct {
 	name string
 	args []string
@@ -101,6 +101,9 @@ var goldenRuns = []struct {
 	{"cluster3_read_fabric", []string{"-hosts", "3", "-rdma", "read", "-fabricgbps", "50",
 		"-flowsperpair", "2", "-mode", "strict+contig"}},
 	{"cluster2_serve", []string{"-hosts", "2", "-serve", "-conns", "16", "-mode", "fns"}},
+	{"cluster4_control_shards2", []string{"-hosts", "4", "-shards", "2", "-mode", "fns",
+		"-faults", "campaign=1,straydma=0.05,wilddma=0.03",
+		"-control", "guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=1ms"}},
 }
 
 // TestGoldenFssimRuns locks fssim's stdout byte-for-byte for each

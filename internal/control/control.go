@@ -1,10 +1,10 @@
 // Package control is the simulator's adaptive protection-mode control
 // plane: a deterministic rule engine running on the virtual clock that
-// watches the telemetry registry and switches per-domain protection
+// watches its host's instruments and switches per-domain protection
 // modes through the core.Domain.SetMode transition protocol.
 //
 // Determinism contract: the controller consumes no randomness, reads
-// the registry only at its own tick events, and schedules nothing but
+// its own host's instruments only at its own ticks, and schedules only
 // its next tick — so a run with a nil Config is byte-identical to a
 // build without the package, and a run with rules replays decision-
 // for-decision from the same seed regardless of runner pools or
@@ -44,7 +44,7 @@ const (
 // switch must be legal per core.CanSwitch (validated at New).
 type Rule struct {
 	Kind   string  // Guard or Pressure
-	Metric string  // registry instrument name (host prefix applied on lookup)
+	Metric string  // an instrument of the controller's own host, named without its host prefix
 	High   float64 // escalation threshold (fires at >= High)
 	Low    float64 // release threshold (releases at <= Low); hysteresis gap
 	Safe   core.Mode
@@ -111,8 +111,9 @@ type Controller struct {
 
 // New validates cfg against the targets and builds a controller wired
 // to the engine and registry. The prefix is the host's instrument-name
-// prefix ("host3." in a cluster): metric lookups try the prefixed name
-// first, and the control.* counters register under it.
+// prefix ("host3." in a cluster, empty for a standalone host): a rule
+// reads prefix+Metric, so it watches only its own host's instruments,
+// and the control.* counters register under it.
 func New(eng *sim.Engine, reg *stats.Registry, prefix string, cfg Config, targets []Target) (*Controller, error) {
 	names := make(map[string]bool, len(targets))
 	for _, t := range targets {
@@ -185,25 +186,14 @@ func (c *Controller) Start() {
 	c.eng.After(c.cfg.Every, c.tick)
 }
 
-// value resolves a metric name, preferring the host-prefixed
-// registration (cluster hosts) over the bare name.
-func (c *Controller) value(metric string) (float64, bool) {
-	if c.prefix != "" {
-		if v, ok := c.reg.Value(c.prefix + metric); ok {
-			return v, true
-		}
-	}
-	return c.reg.Value(metric)
-}
-
 func (c *Controller) tick() {
 	c.ticks++
 	now := c.eng.Now()
 	for ri, r := range c.cfg.Rules {
-		v, ok := c.value(r.Metric)
+		v, ok := c.reg.Value(c.prefix + r.Metric)
 		if !ok {
-			// Unregistered metric: the layer it watches is absent from
-			// this build (e.g. audit.* without -audit). Inert, not fatal.
+			// No such gauge on this host (audit.* without -audit, or a
+			// fabric.* name, which is no host's). Inert, not fatal.
 			continue
 		}
 		for ti := range c.targets {

@@ -180,36 +180,41 @@ func TestPressureRule(t *testing.T) {
 	}
 }
 
-// Cluster hosts register instruments under a "hostN." prefix; the
-// controller must prefer the prefixed metric and fall back to the bare
-// name. An entirely unregistered metric leaves the rule inert.
-func TestMetricLookupPrefixAndFallback(t *testing.T) {
-	eng := sim.NewEngine(1)
-	reg := stats.NewRegistry()
-	reg.GaugeFunc("util", func() float64 { return 0 })       // bare name: calm
-	reg.GaugeFunc("host1.util", func() float64 { return 1 }) // prefixed: pressure
-	dom := testDomain(t, core.Strict)
-	mk := func(metric string) *Controller {
+// A rule names an instrument of its controller's own host: under the
+// prefix "host1." it reads host1.<metric>, never the bare name nor
+// another host's, and a name the host does not register leaves the
+// rule inert.
+func TestMetricLookupIsHostLocal(t *testing.T) {
+	for _, tc := range []struct {
+		metric    string
+		decisions int
+	}{
+		{"util", 1},    // host1.util is hot: pressure fires
+		{"bare", 0},    // only the unprefixed name is registered
+		{"other", 0},   // only host2.other is registered
+		{"missing", 0}, // registered nowhere
+	} {
+		eng := sim.NewEngine(1)
+		reg := stats.NewRegistry()
+		hot := func() float64 { return 1 }
+		reg.GaugeFunc("host1.util", hot)
+		reg.GaugeFunc("bare", hot)
+		reg.GaugeFunc("host2.other", hot)
+		dom := testDomain(t, core.Strict)
 		c, err := New(eng, reg, "host1.", Config{Every: 100, Rules: []Rule{{
-			Kind: Pressure, Metric: metric, High: 0.8, Low: 0.2,
+			Kind: Pressure, Metric: tc.metric, High: 0.8, Low: 0.2,
 			Safe: core.Strict, Fast: core.FNS,
 		}}}, []Target{{Name: "nic0", Domain: dom}})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		return c
-	}
-	c := mk("util")
-	c.Start()
-	eng.Run(150)
-	if dom.Mode() != core.FNS {
-		t.Fatalf("prefixed lookup: mode = %v, want fns (host1.util=1.0)", dom.Mode())
-	}
-	if ghost := mk("missing"); ghost != nil {
-		ghost.Start()
+		c.Start()
 		eng.Run(250)
-		if n := len(ghost.Decisions()); n != 0 {
-			t.Fatalf("unregistered metric made %d decisions, want 0", n)
+		if n := len(c.Decisions()); n != tc.decisions {
+			t.Errorf("metric %q: %d decisions, want %d", tc.metric, n, tc.decisions)
+		}
+		if v, _ := reg.Value("host1.control.ticks"); v != 2 {
+			t.Errorf("metric %q: host1.control.ticks = %v, want 2", tc.metric, v)
 		}
 	}
 }

@@ -17,11 +17,12 @@ import (
 //
 //	"every=500us;guard,metric=audit.blocked,high=1,low=0,safe=strict,fast=fns,cooldown=2ms"
 //
-// Rule keys: metric (registry instrument name), high/low (thresholds,
-// high fires and low releases), safe/fast (the two modes arbitrated),
-// cooldown (minimum virtual time between switches on one domain), and
-// domain (restrict to one device; default all). An empty spec returns
-// a nil Config — the disabled control plane.
+// Rule keys: metric (an instrument of the rule's own host, named as a
+// standalone host's registry names it, e.g. audit.blocked), high/low
+// (thresholds, high fires and low releases), safe/fast (the two modes
+// arbitrated), cooldown (minimum virtual time between switches on one
+// domain), and domain (restrict to one device; default all). An empty
+// spec returns a nil Config — the disabled control plane.
 func Parse(spec string) (*Config, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {

@@ -254,7 +254,7 @@ type Port struct {
 
 // NewSwitch builds a fabric with n ports whose links all run on eng.
 func NewSwitch(eng *sim.Engine, n int, cfg Config) (*Switch, error) {
-	return newSwitch(sim.OneShard(eng), n, cfg, func(int) int { return 0 })
+	return NewShardedSwitch(sim.OneShard(eng), n, cfg, func(int) int { return 0 })
 }
 
 // NewShardedSwitch builds a fabric with n ports whose links live on the
@@ -264,10 +264,6 @@ func NewSwitch(eng *sim.Engine, n int, cfg Config) (*Switch, error) {
 // propagation delay (Config.PerHopProp) guarantees every such hop a
 // positive lookahead.
 func NewShardedSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int) (*Switch, error) {
-	return newSwitch(shards, n, cfg, shardOf)
-}
-
-func newSwitch(shards *sim.Shards, n int, cfg Config, shardOf func(port int) int) (*Switch, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("fabric: a switch needs at least 2 ports, got %d", n)
 	}
@@ -353,20 +349,15 @@ func (s *Switch) forward(h hop) {
 	s.hops.Post(0, s.shardOf[h.dst], gen, at, h)
 }
 
-// RegisterPortProbes exposes port i's uplink/downlink counters under
-// prefix, e.g. "fabric.port0.up.bytes". A cluster registers each port's
-// probes into the registry of the shard owning the port, so probe reads
-// stay engine-confined.
-func (s *Switch) RegisterPortProbes(r *stats.Registry, prefix string, i int) {
-	p := s.ports[i]
-	p.up.RegisterProbes(r, fmt.Sprintf("%sport%d.up.", prefix, p.id))
-	p.down.RegisterProbes(r, fmt.Sprintf("%sport%d.down.", prefix, p.id))
-}
-
-// RegisterCoreProbes exposes the shared core link's counters under
-// prefix (a no-op for non-blocking fabrics). A cluster calls this
-// against the core-owning shard's registry.
-func (s *Switch) RegisterCoreProbes(r *stats.Registry, prefix string) {
+// RegisterProbes exposes every port's uplink/downlink counters under
+// prefix, e.g. "fabric.port0.up.bytes", and the shared core link's under
+// prefix+"core." when the fabric is oversubscribed. A port's probes read
+// links of the shard owning the port, and the core's those of shard 0.
+func (s *Switch) RegisterProbes(r *stats.Registry, prefix string) {
+	for _, p := range s.ports {
+		p.up.RegisterProbes(r, fmt.Sprintf("%sport%d.up.", prefix, p.id))
+		p.down.RegisterProbes(r, fmt.Sprintf("%sport%d.down.", prefix, p.id))
+	}
 	if s.core != nil {
 		s.core.RegisterProbes(r, prefix+"core.")
 	}

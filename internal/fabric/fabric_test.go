@@ -174,10 +174,7 @@ func TestSwitchOversubscribedCore(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw, _ := NewSwitch(eng, 2, Config{Oversub: 2})
 	reg := stats.NewRegistry()
-	for i := 0; i < len(sw.ports); i++ {
-		sw.RegisterPortProbes(reg, "fabric.", i)
-	}
-	sw.RegisterCoreProbes(reg, "fabric.")
+	sw.RegisterProbes(reg, "fabric.")
 	for _, name := range []string{"fabric.port0.up.bytes", "fabric.port1.down.backlog", "fabric.core.packets"} {
 		if _, ok := reg.Value(name); !ok {
 			t.Fatalf("probe %s not registered", name)

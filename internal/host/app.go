@@ -320,9 +320,6 @@ func (h *Host) installServing(cfg ServeConfig) (*app, error) {
 // readers see identical quantiles.
 func (a *app) bind(prefix string) {
 	t := a.h.tele
-	if t == nil {
-		return
-	}
 	t.reg.AddHistogram(t.name(prefix+"latency_ns"), &a.latency)
 	t.reg.GaugeFunc(t.name(prefix+"completed"), func() float64 { return float64(a.n.completed) })
 	if a.fleet == nil {

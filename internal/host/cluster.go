@@ -141,11 +141,10 @@ func (c ClusterConfig) pairs() [][2]int {
 
 // Cluster is the N-host simulation.
 type Cluster struct {
-	cfg     ClusterConfig
-	hosts   []*Host
-	regs    []*stats.Registry // one per shard
-	shards  *sim.Shards
-	shardOf []int // host ID -> owning shard
+	cfg    ClusterConfig
+	hosts  []*Host
+	reg    *stats.Registry
+	shards *sim.Shards
 }
 
 // validate rejects what no default stands for, before withDefaults
@@ -167,7 +166,8 @@ func (c ClusterConfig) validate() error {
 }
 
 // NewCluster builds the hosts, the switch, and the peer flows the
-// traffic pattern calls for.
+// traffic pattern calls for, with every host's instruments (under
+// "hostN.") and the fabric's (under "fabric.") in one registry.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -185,22 +185,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		outgoing[p[0]] += cfg.FlowsPerPair
 	}
 
-	// One engine and one registry per shard, hosts assigned contiguously.
-	// Per-shard registries keep every instrument engine-confined during
-	// parallel rounds; names are disjoint (hostN.*, fabric.portN.*,
-	// fabric.core.*), so Registry merges them by pure adoption. The
-	// lookahead is the per-hop propagation.
+	// One engine per shard, hosts assigned contiguously, and one
+	// registry for the cluster. The lookahead is the per-hop propagation.
 	c.shards = sim.NewShards(cfg.Shards, base.Seed, cfg.Fabric.PerHopProp())
-	c.shardOf = make([]int, cfg.Hosts)
-	for i := range c.shardOf {
-		c.shardOf[i] = i * cfg.Shards / cfg.Hosts
+	shardOf := make([]int, cfg.Hosts)
+	for i := range shardOf {
+		shardOf[i] = i * cfg.Shards / cfg.Hosts
 	}
-	c.regs = make([]*stats.Registry, cfg.Shards)
-	for i := range c.regs {
-		c.regs[i] = stats.NewRegistry()
-	}
+	c.reg = stats.NewRegistry()
 	// Port i belongs to host i's shard, the core link to shard 0.
-	sw, err := fabric.NewShardedSwitch(c.shards, cfg.Hosts, cfg.Fabric, func(i int) int { return c.shardOf[i] })
+	sw, err := fabric.NewShardedSwitch(c.shards, cfg.Hosts, cfg.Fabric, func(i int) int { return shardOf[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +209,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		h, err := newHost(hc, placement{
 			shards:    c.shards,
 			credits:   credits,
-			shard:     c.shardOf[i],
-			reg:       c.regs[c.shardOf[i]],
+			shard:     shardOf[i],
+			reg:       c.reg,
 			prefix:    fmt.Sprintf("host%d.", i),
 			peerSlots: min(outgoing[i], maxPeerSlots),
 		})
@@ -241,10 +235,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			flowID++
 		}
 	}
-	for i := 0; i < cfg.Hosts; i++ {
-		sw.RegisterPortProbes(c.regs[c.shardOf[i]], "fabric.", i)
-	}
-	sw.RegisterCoreProbes(c.regs[0], "fabric.")
+	sw.RegisterProbes(c.reg, "fabric.")
 	return c, nil
 }
 
@@ -255,18 +246,11 @@ func (c *Cluster) Rounds() uint64 { return c.shards.Rounds() }
 // Hosts returns the cluster's hosts in ID order.
 func (c *Cluster) Hosts() []*Host { return c.hosts }
 
-// Registry returns a read-only view merging every shard's registry:
-// every host's instruments under its "hostN." prefix plus the fabric's
-// under "fabric.", including those a host registered after NewCluster
-// (InstallMessages). Read it at a barrier (between Run windows) or after
-// the run.
-func (c *Cluster) Registry() *stats.Registry {
-	reg := stats.NewRegistry()
-	for _, r := range c.regs {
-		reg.Adopt(r)
-	}
-	return reg
-}
+// Registry returns the cluster's registry: every host's instruments
+// under its "hostN." prefix plus the fabric's under "fabric.", including
+// those a host registered after NewCluster (InstallMessages). Read it
+// between Run windows or after the run.
+func (c *Cluster) Registry() *stats.Registry { return c.reg }
 
 // ClusterResults is the measurement of one cluster window: per-host
 // Results (index = host ID) plus cluster-wide aggregates.

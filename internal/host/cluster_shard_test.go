@@ -274,15 +274,15 @@ func TestShardedUnshardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedRegistryDeterminism is the registry-merge property test:
-// the dumped stats.Registry of a sharded run — every hostN.* and
+// TestShardedRegistryDeterminism is the cluster registry's property
+// test: the dumped stats.Registry of a sharded run — every hostN.* and
 // fabric.* instrument — is byte-identical across GOMAXPROCS=1/2/8 and
-// across repeated runs of the same seed. The dump includes per-port
-// fabric counters from every shard's registry, so it proves both the
-// merge and the barrier protocol are schedule-independent. The 8-host
-// incast's rounds are too small to hand off, so they all run on the
-// calling goroutine; the 8-host all-to-all must hand some of its rounds
-// to shard workers, so the property is checked on both paths.
+// across repeated runs of the same seed. The dump includes the counters
+// of every shard's hosts and fabric ports, so it proves the barrier
+// protocol is schedule-independent. The 8-host incast's rounds are too
+// small to hand off, so they all run on the calling goroutine; the 8-host
+// all-to-all must hand some of its rounds to shard workers, so the
+// property is checked on both paths.
 func TestShardedRegistryDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, traffic := range []TrafficPattern{Incast, AllToAll} {
@@ -319,7 +319,7 @@ func TestShardedRegistryDeterminism(t *testing.T) {
 			}
 		}
 		if wantReg == "" || !strings.Contains(wantReg, "host7.") || !strings.Contains(wantReg, "fabric.port7.") || !strings.Contains(wantReg, "fabric.core.") {
-			t.Fatalf("%s: merged registry dump is missing expected instruments", traffic)
+			t.Fatalf("%s: cluster registry dump is missing expected instruments", traffic)
 		}
 	}
 }

@@ -177,9 +177,7 @@ func (h *Host) connect(dst *Host, srcPort, dstPort *fabric.Port, op transport.Op
 	}
 	h.net.flows = append(h.net.flows, f)
 	dst.net.sinks = append(dst.net.sinks, f)
-	if h.tele != nil {
-		h.tele.addFlow(h.net, f)
-	}
+	h.tele.addFlow(h.net, f)
 }
 
 // pump lets the sender transmit while its window allows. The abstract

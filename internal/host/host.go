@@ -160,12 +160,12 @@ type Config struct {
 	Seed int64
 }
 
-// placement is a cluster host's wiring, which only NewCluster sets: the
-// cluster's engine shards and its own one, the mail a credit to a host
-// on another shard is posted through (flow.creditPeerTx), its shard's
-// registry, the prefix of its instrument names and the Tx cores its
-// primary NIC provisions for peer flows. The zero placement is a
-// standalone host with a private engine and registry.
+// placement is a host's wiring into its simulation: the cluster's
+// engine shards and its own one, the mail a credit to a host on another
+// shard is posted through (flow.creditPeerTx), the registry, the prefix
+// of its instrument names and the Tx cores its primary NIC provisions
+// for peer flows. NewCluster sets all of it; New sets only a fresh
+// registry, so a standalone host runs on a private engine.
 type placement struct {
 	shards    *sim.Shards // nil for a standalone host
 	shard     int
@@ -336,10 +336,12 @@ type Host struct {
 // New builds the host per cfg, rejecting out-of-range values first.
 // Additional cores are created on demand for Tx flows, app streams and
 // co-tenant devices.
-func New(cfg Config) (*Host, error) { return newHost(cfg, placement{}) }
+func New(cfg Config) (*Host, error) {
+	return newHost(cfg, placement{reg: stats.NewRegistry()})
+}
 
 // newHost builds a host with the given placement: a cluster host runs
-// on its shard's engine, the zero placement on a private one.
+// on its shard's engine, a host placed without shards on a private one.
 func newHost(cfg Config, pl placement) (*Host, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

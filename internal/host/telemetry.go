@@ -27,7 +27,7 @@ type TelemetryConfig struct {
 
 // Telemetry is the host's metrics spine: one Registry every simulator
 // layer registers its typed probe points into. A standalone host owns
-// its registry; the hosts of a cluster shard share theirs, each naming
+// its registry; the hosts of a cluster share the cluster's, each naming
 // its instruments under its "hostN." prefix.
 //
 // Layer namespaces in the registry:
@@ -61,11 +61,7 @@ func (t *Telemetry) name(s string) string { return t.prefix + s }
 
 // newTelemetry wires the registry over every layer already built.
 func newTelemetry(h *Host) *Telemetry {
-	reg := h.pl.reg
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
-	t := &Telemetry{reg: reg, prefix: h.pl.prefix}
+	t := &Telemetry{reg: h.pl.reg, prefix: h.pl.prefix}
 	r := t.reg
 	r.GaugeFunc(t.name("engine.fired"), func() float64 { return float64(h.eng.Fired()) })
 	r.GaugeFunc(t.name("engine.pending"), func() float64 { return float64(h.eng.Pending()) })

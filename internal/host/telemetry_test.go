@@ -96,8 +96,8 @@ func TestTimelineRecorded(t *testing.T) {
 
 // Timeline output must be invariant under runner parallelism: N sampled
 // simulations fanned across workers produce identical samples to a
-// sequential run (this test doubles as the -race exercise for the
-// engine-confined registry).
+// sequential run (this test doubles as the -race exercise for hosts,
+// each with its own registry, run side by side on runner workers).
 func TestSamplerParallelInvariance(t *testing.T) {
 	render := func(r Results) string { return fmt.Sprintf("%+v", r.Timeline) }
 	runOne := func() Results {

@@ -1,7 +1,7 @@
 // Package stats provides the measurement primitives used across the
-// simulator: counters, latency histograms with percentile queries, and the
-// stack-distance (reuse-distance) calculator used to reproduce the IOVA
-// locality plots (Figures 2e, 3e, 7e, 8e of the paper).
+// simulator: the instrument registry, latency histograms with percentile
+// queries, and the stack-distance (reuse-distance) calculator used to
+// reproduce the IOVA locality plots (Figures 2e, 3e, 7e, 8e of the paper).
 package stats
 
 import (

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -47,39 +48,30 @@ func TestRegistryGaugeFunc(t *testing.T) {
 	}
 }
 
-// A GaugeFunc re-registered after the gauge object already escaped — via
-// an Adopt merge into another registry — must rebind the existing
-// object, not replace it: every holder of the old pointer would
-// otherwise keep reading the detached probe.
-func TestRegistryGaugeFuncRebindsInPlace(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("live", func() float64 { return 41 })
-	held := r.gauges["live"]
-	merged := NewRegistry()
-	merged.Adopt(r)
-	r.GaugeFunc("live", func() float64 { return 42 })
-	if v := held.Value(); v != 42 {
-		t.Fatalf("held gauge = %v, want 42 (probe rebound in place)", v)
+// A name identifies one instrument: registering it again, as either
+// kind, is a wiring bug and panics.
+func TestRegistryDuplicateNamePanics(t *testing.T) {
+	gauge := func(r *Registry) { r.GaugeFunc("x", func() float64 { return 0 }) }
+	hist := func(r *Registry) { r.AddHistogram("x", new(Histogram)) }
+	for _, tc := range []struct {
+		name          string
+		first, second func(*Registry)
+	}{
+		{"gauge twice", gauge, gauge},
+		{"histogram twice", hist, hist},
+		{"histogram then gauge", hist, gauge},
+	} {
+		r := NewRegistry()
+		tc.first(r)
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), `"x" registered twice`) {
+					t.Errorf("%s: panic = %v, want the name registered twice", tc.name, p)
+				}
+			}()
+			tc.second(r)
+		}()
 	}
-	if v, ok := merged.Value("live"); !ok || v != 42 {
-		t.Fatalf("adopted Value(live) = %v,%v, want 42,true", v, ok)
-	}
-	// Replacing one probe with another keeps the same object too.
-	r.GaugeFunc("live", func() float64 { return 43 })
-	if v, _ := merged.Value("live"); v != 43 {
-		t.Fatalf("adopted Value(live) after rebind = %v, want 43", v)
-	}
-}
-
-func TestRegistryKindCollisionPanics(t *testing.T) {
-	r := NewRegistry()
-	r.AddHistogram("x", new(Histogram))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-kind reuse did not panic")
-		}
-	}()
-	r.GaugeFunc("x", func() float64 { return 0 })
 }
 
 func TestRegistryAdoptedHistogramIsShared(t *testing.T) {
@@ -164,43 +156,5 @@ func TestHistogramQuantileMatchesSortedOracle(t *testing.T) {
 	}
 	if h.Quantile(0) != h.min || h.Quantile(1) != h.max {
 		t.Fatal("extreme quantiles must return min/max")
-	}
-}
-
-// TestAdoptMergesByReferenceAndPanicsOnCollision covers the sharded
-// cluster's merged read-only view: adopted instruments stay live (the
-// controller's Value reads see source mutations), and a namespace
-// collision — shard wiring double-registering a name — panics.
-func TestAdoptMergesByReferenceAndPanicsOnCollision(t *testing.T) {
-	src := NewRegistry()
-	depth := 0.0
-	src.GaugeFunc("host0.depth", func() float64 { return depth })
-	src.AddHistogram("host0.lat", new(Histogram))
-	merged := NewRegistry()
-	merged.GaugeFunc("fabric.drops", func() float64 { return 0 })
-	merged.Adopt(src)
-	depth = 7
-	if v, ok := merged.Value("host0.depth"); !ok || v != 7 {
-		t.Fatalf("adopted gauge = %v, %v; want live value 7", v, ok)
-	}
-	if merged.LookupHistogram("host0.lat") == nil {
-		t.Fatal("adopted histogram absent from merged view")
-	}
-	for _, dup := range []string{"gauge", "hist"} {
-		other := NewRegistry()
-		switch dup {
-		case "gauge":
-			other.GaugeFunc("host0.depth", func() float64 { return 0 })
-		case "hist":
-			other.AddHistogram("host0.lat", new(Histogram))
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Adopt with duplicate %s did not panic", dup)
-				}
-			}()
-			merged.Adopt(other)
-		}()
 	}
 }

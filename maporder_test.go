@@ -18,7 +18,6 @@ var mapRangeAllowed = map[string]struct {
 }{
 	"internal/core/mode.go:ValidModeNames":      {1, "collects the names, then sorts them"},
 	"internal/core/mode.go:ParseMode":           {1, "looks up a unique name"},
-	"internal/stats/registry.go:Registry.Adopt": {2, "copies into maps; a name collision is a bug and panics"},
 	"internal/stats/registry.go:Registry.Names": {2, "collects the names, then sorts them"},
 }
 
